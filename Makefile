@@ -1,6 +1,6 @@
 # Developer entry points. The Go toolchain is the only requirement.
 
-.PHONY: build test race vet fmt-check api-check api-update conformance chaos-smoke crash-smoke watch-smoke fuzz-smoke bench bench-smoke bench-prsq bench-prsq-check bench-explain bench-explain-check bench-serve bench-serve-check experiments
+.PHONY: build test race vet fmt-check api-check api-update conformance chaos-smoke crash-smoke watch-smoke fuzz-smoke perfbench-check bench bench-smoke bench-prsq bench-prsq-check bench-explain bench-explain-check bench-serve bench-serve-check experiments
 
 build:
 	go build ./...
@@ -68,6 +68,12 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzQuadratureMemo$$' -fuzztime 15s ./internal/uncertain/
 	go test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 15s ./internal/store/
 	go test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 15s ./internal/store/
+
+# The benchmark harness (perfbench/) is a Go module of its own, so the root
+# `go build ./...` and `go vet ./...` never compile it: vet and test it here
+# so a removed name it uses fails CI instead of only the benchmark run.
+perfbench-check:
+	cd perfbench && go vet ./... && go test ./...
 
 bench:
 	go test -bench=. -benchmem

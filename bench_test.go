@@ -7,6 +7,7 @@
 package crsky
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -334,11 +335,11 @@ func BenchmarkPRSQ(b *testing.B) {
 		}{
 			{"naive", func() []int { return w.eng.ProbabilisticReverseSkylineNaive(w.q, alpha) }},
 			{"indexed-serial", func() []int {
-				ids, _ := w.eng.ProbabilisticReverseSkylineOpts(w.q, alpha, QueryOptions{Parallel: 1})
+				ids, _, _ := w.eng.QueryCtx(context.Background(), w.q, alpha, QueryOptions{Parallel: 1})
 				return ids
 			}},
 			{"indexed-parallel", func() []int {
-				ids, _ := w.eng.ProbabilisticReverseSkylineOpts(w.q, alpha, QueryOptions{})
+				ids, _, _ := w.eng.QueryCtx(context.Background(), w.q, alpha, QueryOptions{})
 				return ids
 			}},
 		}

@@ -269,17 +269,8 @@ func cmdQuery(args []string, out io.Writer) error {
 	}
 
 	// One generic path for every model and batch size: a single point is
-	// a QueryCtx call, several run as one amortized QueryBatch.
-	if len(qs) == 1 {
-		answers, _, err := eng.QueryCtx(ctx, qs[0], a, crsky.QueryOptions{})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "%s of %v at α=%.2f: %d objects\n", label, qs[0], a, len(answers))
-		printIDs(out, answers, *limit)
-		return nil
-	}
-	batches, _, err := eng.QueryBatch(ctx, qs, a, crsky.QueryOptions{})
+	// a batch of one.
+	batches, _, err := eng.QueryBatchStream(ctx, qs, a, crsky.QueryOptions{}, nil)
 	if err != nil {
 		return err
 	}

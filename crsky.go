@@ -164,26 +164,10 @@ func (e *Engine) IsAnswer(id int, q Point, alpha float64) bool {
 	return e.Prob(id, q) >= alpha-prob.Eps
 }
 
-// ProbabilisticReverseSkyline returns the IDs of every object whose
-// probability of being a reverse skyline point of q is at least alpha
-// (Definition 4). It runs the index-accelerated path: one batch R-tree
-// filtering pass for all objects, MBR-level bound pruning, and parallel
-// exact evaluation of the undecided band — identical results to the naive
-// per-object loop (see ProbabilisticReverseSkylineNaive).
-func (e *Engine) ProbabilisticReverseSkyline(q Point, alpha float64) []int {
-	return prsq.Query(e.ds, q, alpha, prsq.Options{})
-}
-
-// ProbabilisticReverseSkylineOpts is ProbabilisticReverseSkyline with
-// explicit tuning knobs and execution statistics.
-func (e *Engine) ProbabilisticReverseSkylineOpts(q Point, alpha float64, opt QueryOptions) ([]int, QueryStats) {
-	return prsq.QueryStats(e.ds, q, alpha, opt)
-}
-
 // ProbabilisticReverseSkylineNaive answers the query with the naive
 // per-object loop — one candidate-filter traversal and one full Eq.-2
 // evaluation per object. Kept as the correctness baseline and benchmark
-// reference for the accelerated path.
+// reference for the index-accelerated QueryCtx.
 func (e *Engine) ProbabilisticReverseSkylineNaive(q Point, alpha float64) []int {
 	var out []int
 	for id, o := range e.ds.Objects {
@@ -312,13 +296,6 @@ func (e *CertainEngine) Delete(i int) error {
 // Deleted reports whether index i is a tombstone.
 func (e *CertainEngine) Deleted(i int) bool { return e.ix.Deleted(i) }
 
-// ReverseSkylineBBRS computes the reverse skyline with the branch-and-bound
-// BBRS-style algorithm — identical results to ReverseSkyline with far fewer
-// node accesses on large datasets.
-func (e *CertainEngine) ReverseSkylineBBRS(q Point) []int {
-	return e.ix.ReverseSkylineBBRS(q)
-}
-
 // PDFEngine answers and explains probabilistic reverse skyline queries over
 // continuous-model uncertain data (Section 3.2).
 type PDFEngine struct {
@@ -364,25 +341,10 @@ func (e *PDFEngine) Prob(id int, q Point, nodesPerDim int) float64 {
 	return prob.PrReverseSkylinePDF(an, q, e.set.Objects, nodesPerDim)
 }
 
-// ProbabilisticReverseSkyline returns the IDs of every object whose
-// probability of being a reverse skyline point of q is at least alpha,
-// using the index-accelerated batch path (one R-tree join, Γ1 core-rect
-// pruning, parallel quadrature of the survivors). Results are identical to
-// thresholding Prob over every object.
-func (e *PDFEngine) ProbabilisticReverseSkyline(q Point, alpha float64, nodesPerDim int) []int {
-	return prsq.QueryPDF(e.set, q, alpha, nodesPerDim, prsq.Options{})
-}
-
-// ProbabilisticReverseSkylineOpts is ProbabilisticReverseSkyline with
-// explicit tuning knobs and execution statistics.
-func (e *PDFEngine) ProbabilisticReverseSkylineOpts(q Point, alpha float64, nodesPerDim int, opt QueryOptions) ([]int, QueryStats) {
-	return prsq.QueryPDFStats(e.set, q, alpha, nodesPerDim, opt)
-}
-
 // ProbabilisticReverseSkylineNaive answers the pdf-model query by
 // thresholding Prob over every object — no index, no bounds, one full
 // quadrature per object. Kept as the correctness oracle the accelerated
-// path is conformance-tested against.
+// QueryCtx is conformance-tested against.
 func (e *PDFEngine) ProbabilisticReverseSkylineNaive(q Point, alpha float64, nodesPerDim int) []int {
 	var out []int
 	for id, o := range e.set.Objects {

@@ -1,10 +1,22 @@
 package crsky
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 )
+
+// query is the one-point QueryCtx call the facade tests compare against
+// the naive oracles.
+func query(t testing.TB, e Querier, q Point, alpha float64, opts QueryOptions) []int {
+	t.Helper()
+	ids, _, err := e.QueryCtx(context.Background(), q, alpha, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
 
 // fixtureEngine builds the paper-style toy scenario used across the facade
 // tests: a non-answer blocked by one full blocker and one partial one.
@@ -41,7 +53,7 @@ func TestEngineBasics(t *testing.T) {
 	if e.IsAnswer(0, q, 0.5) {
 		t.Fatal("blocked object must not be an answer")
 	}
-	answers := e.ProbabilisticReverseSkyline(q, 0.5)
+	answers := query(t, e, q, 0.5, QueryOptions{})
 	for _, id := range answers {
 		if id == 0 {
 			t.Fatal("non-answer in PRSQ result")

@@ -57,8 +57,8 @@ func TestCertainEngineDynamic(t *testing.T) {
 		t.Fatalf("explaining a tombstone: %v", err)
 	}
 
-	// BBRS agrees with the scan on the mutated engine.
-	if got, want := e.ReverseSkylineBBRS(q), e.ReverseSkyline(q); !reflect.DeepEqual(got, want) {
+	// The BBRS query agrees with the scan on the mutated engine.
+	if got, want := query(t, e, q, 1, QueryOptions{}), e.ReverseSkyline(q); !reflect.DeepEqual(got, want) {
 		t.Fatalf("BBRS %v vs scan %v", got, want)
 	}
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,10 @@ func main() {
 
 	// Which objects count q among their dynamic skyline with probability
 	// at least alpha?
-	answers := engine.ProbabilisticReverseSkyline(q, alpha)
+	answers, _, err := engine.QueryCtx(context.Background(), q, alpha, crsky.QueryOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("probabilistic reverse skyline of %v at α=%.1f: %v\n", q, alpha, answers)
 
 	// Object 0 is missing. Why?

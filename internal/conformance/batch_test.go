@@ -16,12 +16,12 @@ import (
 )
 
 // This file pins the v2 batch paths to the same oracles as the single
-// paths: QueryBatch against the naive per-object loop per query point
-// (every accelerated variant), and ExplainBatch against per-item
-// ExplainCtx. Randomized cases replay exactly like the rest of the
+// paths: QueryBatchStream against the naive per-object loop per query
+// point (every accelerated variant), and ExplainBatchStream against
+// per-item ExplainCtx. Randomized cases replay exactly like the rest of the
 // harness (CRSKY_CONFORMANCE_SEED).
 
-// TestConformanceQueryBatchSample crosses Engine.QueryBatch — all query
+// TestConformanceQueryBatchSample crosses Engine.QueryBatchStream — all query
 // points of a workload in one shared-join call — against the naive oracle
 // per point, for every accelerated variant and threshold.
 func TestConformanceQueryBatchSample(t *testing.T) {
@@ -39,7 +39,7 @@ func TestConformanceQueryBatchSample(t *testing.T) {
 				want[i] = eng.ProbabilisticReverseSkylineNaive(q, alpha)
 			}
 			for _, v := range Variants() {
-				got, _, err := eng.QueryBatch(context.Background(), w.qs, alpha, v.Opt)
+				got, _, err := eng.QueryBatchStream(context.Background(), w.qs, alpha, v.Opt, nil)
 				if err != nil {
 					t.Errorf("%v alpha=%g variant=%s: %v", w, alpha, v.Name, err)
 					return
@@ -56,7 +56,7 @@ func TestConformanceQueryBatchSample(t *testing.T) {
 	})
 }
 
-// TestConformanceQueryBatchPDF crosses PDFEngine.QueryBatch against
+// TestConformanceQueryBatchPDF crosses PDFEngine.QueryBatchStream against
 // thresholding Prob per object per query point.
 func TestConformanceQueryBatchPDF(t *testing.T) {
 	const workloads = 8
@@ -94,7 +94,7 @@ func TestConformanceQueryBatchPDF(t *testing.T) {
 		for _, v := range Variants() {
 			opt := v.Opt
 			opt.QuadNodes = quad
-			got, _, err := eng.QueryBatch(context.Background(), qs, alpha, opt)
+			got, _, err := eng.QueryBatchStream(context.Background(), qs, alpha, opt, nil)
 			if err != nil {
 				t.Errorf("seed=%d variant=%s: %v", seed, v.Name, err)
 				return
@@ -109,8 +109,9 @@ func TestConformanceQueryBatchPDF(t *testing.T) {
 	})
 }
 
-// TestConformanceQueryBatchCertain crosses CertainEngine.QueryBatch (BBRS
-// per point behind the interface) against the RecList traversal.
+// TestConformanceQueryBatchCertain crosses CertainEngine.QueryBatchStream
+// (the shared-frontier BBRS behind the interface) against the RecList
+// traversal.
 func TestConformanceQueryBatchCertain(t *testing.T) {
 	const workloads = 20
 	kinds := []dataset.CertainKind{
@@ -142,7 +143,7 @@ func TestConformanceQueryBatchCertain(t *testing.T) {
 			}
 			qs[i] = q
 		}
-		got, _, err := eng.QueryBatch(context.Background(), qs, 1, crsky.QueryOptions{})
+		got, _, err := eng.QueryBatchStream(context.Background(), qs, 1, crsky.QueryOptions{}, nil)
 		if err != nil {
 			t.Errorf("seed=%d: %v", seed, err)
 			return
@@ -193,7 +194,7 @@ func TestConformanceQueryBatchCertain(t *testing.T) {
 			}
 		}
 		// The interface must reject a non-unit alpha on certain data.
-		if _, _, err := eng.QueryBatch(context.Background(), qs, 0.5, crsky.QueryOptions{}); !errors.Is(err, crsky.ErrBadAlpha) {
+		if _, _, err := eng.QueryBatchStream(context.Background(), qs, 0.5, crsky.QueryOptions{}, nil); !errors.Is(err, crsky.ErrBadAlpha) {
 			t.Errorf("seed=%d: alpha=0.5 on certain data returned %v, want ErrBadAlpha", seed, err)
 		}
 	})
@@ -237,7 +238,7 @@ func TestConformanceQueryBatchCertainSharedIO(t *testing.T) {
 	singleIO := eng.NodeAccesses() - base
 
 	base = eng.NodeAccesses()
-	got, _, err := eng.QueryBatch(context.Background(), qs, 1, crsky.QueryOptions{})
+	got, _, err := eng.QueryBatchStream(context.Background(), qs, 1, crsky.QueryOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestConformanceQueryBatchCertainSharedIO(t *testing.T) {
 	t.Logf("shared frontier: %d queries, %d batch accesses vs %d per-query", len(qs), batchIO, singleIO)
 }
 
-// TestConformanceExplainBatch crosses ExplainBatch — non-answers fanned
+// TestConformanceExplainBatch crosses ExplainBatchStream — non-answers fanned
 // out with per-item errors — against per-item ExplainCtx on the sample
 // model: identical causes, responsibilities, contingency sizes, and
 // identical per-item error classification (an answer in the batch fails
@@ -276,7 +277,7 @@ func TestConformanceExplainBatch(t *testing.T) {
 		}
 		for _, parallel := range []int{1, 3} {
 			opts := crsky.Options{Parallel: parallel}
-			items := eng.ExplainBatch(context.Background(), reqs, opts)
+			items := eng.ExplainBatchStream(context.Background(), reqs, opts, nil)
 			if len(items) != len(reqs) {
 				t.Errorf("seed=%d: %d items, want %d", seed, len(items), len(reqs))
 				return

@@ -77,7 +77,7 @@ func TestCausalityDeleteCauseFlipsSample(t *testing.T) {
 			t.Errorf("seed=%d: %v", seed, err)
 			return
 		}
-		answers := eng.ProbabilisticReverseSkyline(q, alpha)
+		answers := query(t, eng, q, alpha, crsky.QueryOptions{})
 		checked := 0
 		for an := 0; an < ds.Len() && checked < 2; an++ {
 			if contains(answers, an) {
@@ -97,14 +97,14 @@ func TestCausalityDeleteCauseFlipsSample(t *testing.T) {
 					drop[id] = true
 				}
 				gammaEng, newID := rebuildWithout(t, ds.Objects, drop)
-				if contains(gammaEng.ProbabilisticReverseSkyline(q, alpha), newID[an]) {
+				if contains(query(t, gammaEng, q, alpha, crsky.QueryOptions{}), newID[an]) {
 					t.Errorf("seed=%d an=%d cause=%d Γ=%v: removing the contingency alone already flipped the non-answer",
 						seed, an, c.ID, c.Contingency)
 					return
 				}
 				drop[c.ID] = true
 				flipEng, newID := rebuildWithout(t, ds.Objects, drop)
-				if !contains(flipEng.ProbabilisticReverseSkyline(q, alpha), newID[an]) {
+				if !contains(query(t, flipEng, q, alpha, crsky.QueryOptions{}), newID[an]) {
 					t.Errorf("seed=%d an=%d cause=%d Γ=%v: removing cause+contingency did not flip the non-answer",
 						seed, an, c.ID, c.Contingency)
 					return
@@ -139,7 +139,7 @@ func TestCausalityLiveFlipThroughWatch(t *testing.T) {
 			t.Errorf("seed=%d: %v", seed, err)
 			return
 		}
-		answers := eng.ProbabilisticReverseSkyline(q, alpha)
+		answers := query(t, eng, q, alpha, crsky.QueryOptions{})
 
 		// Pick the first non-answer with at least one brute-oracle cause.
 		an, cause := -1, causality.Cause{}
@@ -215,7 +215,7 @@ func TestCausalityLiveFlipThroughWatch(t *testing.T) {
 			drop[id] = true
 		}
 		flipEng, newID := rebuildWithout(t, ds.Objects, drop)
-		if !contains(flipEng.ProbabilisticReverseSkyline(q, alpha), newID[an]) {
+		if !contains(query(t, flipEng, q, alpha, crsky.QueryOptions{}), newID[an]) {
 			t.Fatalf("seed=%d an=%d cause=%d Γ=%v: watch flipped but the oracle disagrees",
 				seed, an, cause.ID, cause.Contingency)
 		}

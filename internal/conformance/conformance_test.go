@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,17 @@ import (
 	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/uncertain"
 )
+
+// query is the one-point QueryCtx call the checks compare against their
+// oracles; an engine error fails the test.
+func query(t *testing.T, e crsky.Querier, q geom.Point, alpha float64, opts crsky.QueryOptions) []int {
+	t.Helper()
+	ids, _, err := e.QueryCtx(context.Background(), q, alpha, opts)
+	if err != nil {
+		t.Fatalf("q=%v alpha=%g: %v", q, alpha, err)
+	}
+	return ids
+}
 
 // TestConformanceSampleModel asserts every accelerated configuration of the
 // discrete-sample engine against the naive per-object oracle on 200+
@@ -31,7 +43,11 @@ func TestConformanceSampleModel(t *testing.T) {
 					if v.Incremental {
 						e = ieng
 					}
-					got, st := e.ProbabilisticReverseSkylineOpts(q, alpha, v.Opt)
+					got, st, err := e.QueryCtx(context.Background(), q, alpha, v.Opt)
+					if err != nil {
+						t.Errorf("%v q=%v alpha=%g variant=%s: %v", w, q, alpha, v.Name, err)
+						return
+					}
 					if !equalIDs(got, want) {
 						t.Errorf("%v q=%v alpha=%g variant=%s: got %v, want %v",
 							w, q, alpha, v.Name, got, want)
@@ -95,7 +111,9 @@ func TestConformancePDFModel(t *testing.T) {
 						if v.Incremental {
 							e = ieng
 						}
-						got, _ := e.ProbabilisticReverseSkylineOpts(q, alpha, quad, v.Opt)
+						opt := v.Opt
+						opt.QuadNodes = quad
+						got := query(t, e, q, alpha, opt)
 						if !equalIDs(got, want) {
 							t.Errorf("seed=%d kind=%v n=%d dims=%d quad=%d q=%v alpha=%g variant=%s: got %v, want %v",
 								seed, kind, n, dims, quad, q, alpha, v.Name, got, want)
@@ -110,7 +128,7 @@ func TestConformancePDFModel(t *testing.T) {
 
 // TestConformanceCertainModel cross-checks three independent certain-data
 // engines on 200+ randomized cases spanning all four correlation families:
-// the RecList traversal, the branch-and-bound BBRS variant, and the
+// the RecList traversal, the branch-and-bound BBRS query (QueryCtx), and the
 // Section-4 reduction (degenerate sample objects at α = 1) running the full
 // accelerated prsq pipeline.
 func TestConformanceCertainModel(t *testing.T) {
@@ -148,7 +166,7 @@ func TestConformanceCertainModel(t *testing.T) {
 				q[j] = 10000 * (0.1 + 0.8*rng.Float64())
 			}
 			want := ce.ReverseSkyline(q)
-			if got := ce.ReverseSkylineBBRS(q); !equalIDs(sortedCopy(got), sortedCopy(want)) {
+			if got := query(t, ce, q, 1, crsky.QueryOptions{}); !equalIDs(got, sortedCopy(want)) {
 				t.Errorf("seed=%d kind=%v q=%v: BBRS %v, RecList %v", seed, cfg.Kind, q, got, want)
 				return
 			}
@@ -163,7 +181,7 @@ func TestConformanceCertainModel(t *testing.T) {
 					// Section-4 reduction), where the mutation path lives.
 					continue
 				}
-				got, _ := red.ProbabilisticReverseSkylineOpts(q, 1, v.Opt)
+				got := query(t, red, q, 1, v.Opt)
 				if !equalIDs(got, sortedCopy(want)) {
 					t.Errorf("seed=%d kind=%v q=%v variant=%s: reduction %v, RecList %v",
 						seed, cfg.Kind, q, v.Name, got, want)

@@ -51,8 +51,8 @@ func TestMetamorphicUniformScaling(t *testing.T) {
 		}
 		for _, q := range w.qs {
 			for _, alpha := range w.alphas {
-				want := eng.ProbabilisticReverseSkyline(q, alpha)
-				got := sEng.ProbabilisticReverseSkyline(scalePoint(q, f), alpha)
+				want := query(t, eng, q, alpha, crsky.QueryOptions{})
+				got := query(t, sEng, scalePoint(q, f), alpha, crsky.QueryOptions{})
 				if !equalIDs(got, want) {
 					t.Errorf("%v q=%v alpha=%g: scaled answers %v, original %v", w, q, alpha, got, want)
 					return
@@ -102,8 +102,8 @@ func TestMetamorphicUniformScalingPDF(t *testing.T) {
 		}
 		q := geom.Point{cfg.Domain * (0.2 + 0.6*rng.Float64()), cfg.Domain * (0.2 + 0.6*rng.Float64())}
 		for _, alpha := range []float64{0.3, 0.8, 1} {
-			want := eng.ProbabilisticReverseSkyline(q, alpha, 4)
-			got := sEng.ProbabilisticReverseSkyline(scalePoint(q, f), alpha, 4)
+			want := query(t, eng, q, alpha, crsky.QueryOptions{QuadNodes: 4})
+			got := query(t, sEng, scalePoint(q, f), alpha, crsky.QueryOptions{QuadNodes: 4})
 			if !equalIDs(got, want) {
 				t.Errorf("seed=%d kind=%v alpha=%g: scaled answers %v, original %v", seed, kind, alpha, got, want)
 				return
@@ -138,12 +138,12 @@ func TestMetamorphicPermutation(t *testing.T) {
 		}
 		for _, q := range w.qs {
 			for _, alpha := range w.alphas {
-				want := eng.ProbabilisticReverseSkyline(q, alpha)
+				want := query(t, eng, q, alpha, crsky.QueryOptions{})
 				mapped := make([]int, len(want))
 				for i, id := range want {
 					mapped[i] = newID[id]
 				}
-				got := pEng.ProbabilisticReverseSkyline(q, alpha)
+				got := query(t, pEng, q, alpha, crsky.QueryOptions{})
 				if !equalIDs(got, sortedCopy(mapped)) {
 					t.Errorf("%v q=%v alpha=%g: permuted answers %v, mapped original %v",
 						w, q, alpha, got, sortedCopy(mapped))
@@ -241,8 +241,8 @@ func TestMetamorphicDuplicateSample(t *testing.T) {
 		twin := w.ds.Len()
 		for _, q := range w.qs {
 			for _, alpha := range w.alphas {
-				before := eng.ProbabilisticReverseSkyline(q, alpha)
-				after := dEng.ProbabilisticReverseSkyline(q, alpha)
+				before := query(t, eng, q, alpha, crsky.QueryOptions{})
+				after := query(t, dEng, q, alpha, crsky.QueryOptions{})
 				inBefore := make(map[int]bool, len(before))
 				for _, id := range before {
 					inBefore[id] = true

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -89,13 +90,13 @@ func PRSQBench(cfg Config) error {
 		}{
 			{"naive", 1, func() []int { return naivePRSQ(ds, q, alpha) }},
 			{"indexed-serial", 3, func() []int {
-				return prsq.Query(ds, q, alpha, prsq.Options{Parallel: 1})
+				return indexedPRSQ(ds, q, alpha, prsq.Options{Parallel: 1})
 			}},
 			{"indexed-notier2", 3, func() []int {
-				return prsq.Query(ds, q, alpha, prsq.Options{Parallel: 1, NoTier2: true})
+				return indexedPRSQ(ds, q, alpha, prsq.Options{Parallel: 1, NoTier2: true})
 			}},
 			{"indexed-parallel", 3, func() []int {
-				return prsq.Query(ds, q, alpha, prsq.Options{})
+				return indexedPRSQ(ds, q, alpha, prsq.Options{})
 			}},
 		}
 
@@ -138,6 +139,12 @@ func PRSQBench(cfg Config) error {
 	}
 	fmt.Fprintf(cfg.Out, "wrote %s\n", cfg.BenchFile)
 	return nil
+}
+
+// indexedPRSQ is the indexed query on one point (a batch of one).
+func indexedPRSQ(ds *dataset.Uncertain, q geom.Point, alpha float64, opt prsq.Options) []int {
+	out, _, _ := prsq.QueryBatchStreamStatsCtx(context.Background(), ds, []geom.Point{q}, alpha, opt, nil)
+	return out[0]
 }
 
 // naivePRSQ is the pre-acceleration query loop: one candidate-filter

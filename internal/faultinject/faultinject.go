@@ -155,14 +155,6 @@ func (f *faultyEngine) QueryCtx(ctx context.Context, q crsky.Point, alpha float6
 	return f.inner.QueryCtx(ctx, q, alpha, opts)
 }
 
-func (f *faultyEngine) QueryBatch(ctx context.Context, qs []crsky.Point, alpha float64, opts crsky.QueryOptions) ([][]int, crsky.QueryStats, error) {
-	if err := f.in.Err("queryBatch"); err != nil {
-		return nil, crsky.QueryStats{}, err
-	}
-	f.in.MaybePanic("queryBatch")
-	return f.inner.QueryBatch(ctx, qs, alpha, opts)
-}
-
 func (f *faultyEngine) QueryBatchStream(ctx context.Context, qs []crsky.Point, alpha float64, opts crsky.QueryOptions,
 	emit func(index int, ids []int)) ([][]int, crsky.QueryStats, error) {
 
@@ -193,19 +185,12 @@ func (f *faultyEngine) ExplainCtx(ctx context.Context, id int, q crsky.Point, al
 	return f.inner.ExplainCtx(ctx, id, q, alpha, opts)
 }
 
-func (f *faultyEngine) ExplainBatch(ctx context.Context, reqs []crsky.ExplainRequest, opts crsky.Options) []crsky.ExplainItem {
-	// Per-item faults arrive through ExplainCtx on single-item batches; a
-	// whole-batch fault here would discard sibling results, which the v2
-	// contract forbids even under chaos, so the batch surface only panics.
-	f.in.MaybePanic("explainBatch")
-	return f.inner.ExplainBatch(ctx, reqs, opts)
-}
-
 func (f *faultyEngine) ExplainBatchStream(ctx context.Context, reqs []crsky.ExplainRequest, opts crsky.Options,
 	emit func(crsky.ExplainItem)) []crsky.ExplainItem {
 
-	// Same contract as ExplainBatch: only a panic, never a whole-batch
-	// error that would discard sibling results.
+	// Per-item faults arrive through ExplainCtx on single-item batches; a
+	// whole-batch fault here would discard sibling results, which the v2
+	// contract forbids even under chaos, so the batch surface only panics.
 	f.in.MaybePanic("explainBatchStream")
 	return f.inner.ExplainBatchStream(ctx, reqs, opts, emit)
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/obs"
 	"github.com/crsky/crsky/internal/prob"
+	"github.com/crsky/crsky/internal/rtree"
 	"github.com/crsky/crsky/internal/uncertain"
 )
 
@@ -125,10 +126,10 @@ func objSeed(seed int64, id int) int64 {
 	return int64(z)
 }
 
-// QueryApproxStatsCtx answers a sample-model query approximately: the same
-// filter-and-bound stage as QueryStatsCtx settles everything the bounds can
-// decide (exactly), and the undecided band is estimated by Monte Carlo over
-// each object's candidate set instead of the exact Eq.-2 evaluation —
+// QueryApproxStatsCtx answers a sample-model query approximately: the join
+// stage of QueryBatchStreamStatsCtx settles everything the bounds can decide
+// (exactly), and the undecided band is estimated by Monte Carlo over each
+// object's candidate set instead of the exact Eq.-2 evaluation —
 // restriction to candidates is exact, since non-candidates never dominate
 // the query w.r.t. any of the object's instances. Cost per undecided object
 // is O(iters × candidates) instead of the sample-quadratic exact term,
@@ -136,98 +137,86 @@ func objSeed(seed int64, id int) int64 {
 func QueryApproxStatsCtx(ctx context.Context, ds *dataset.Uncertain, q geom.Point, alpha float64,
 	opt Options, ap ApproxOptions) (*ApproxResult, Stats, error) {
 
-	ap = ap.withDefaults()
-	iters := ap.Iters()
-	tr := obs.FromContext(ctx)
-	f, err := filterSample(ctx, ds, q, alpha, opt)
-	if err != nil {
-		return nil, f.stats, err
-	}
-	intervals := make([]ApproxInterval, len(f.undecidedIDs))
-	half := ap.HalfWidth(iters)
-	estimate := func(k int) bool {
-		id := f.undecidedIDs[k]
-		bufp := candPool.Get().(*[]*uncertain.Object)
-		objs := (*bufp)[:0]
-		for _, cid := range f.undecidedCands[k] {
-			objs = append(objs, ds.Objects[cid])
-		}
-		rng := rand.New(rand.NewSource(objSeed(ap.Seed, id)))
-		est := prob.PrReverseSkylineMC(ds.Objects[id], q, objs, iters, rng)
-		*bufp = objs[:0]
-		candPool.Put(bufp)
-		intervals[k] = ApproxInterval{ID: id, Pr: est,
-			Lo: math.Max(0, est-half), Hi: math.Min(1, est+half)}
-		return prob.GEq(est, alpha)
-	}
-	endMC := tr.StartSpan("prsq.approx")
-	evaluated, err := evaluate(ctx, f.undecidedCands, opt, estimate,
-		func(k int, d decision) { f.verdicts[f.undecidedIDs[k]] = d })
-	endMC()
-	if err != nil {
-		return nil, f.stats, wrapCanceled(err, evaluated)
-	}
-	f.stats.Evaluated = len(f.undecidedIDs)
-	f.stats.addToTrace(tr)
-	return finishApprox(f, intervals, iters, ap), f.stats, nil
+	states := sampleStates(ds, []geom.Point{q}, alpha, opt)
+	return approxBand(ctx, ds.Tree(), ds.Len(), q, alpha, opt, ap, states,
+		func(id int, cands []int32, iters int, rng *rand.Rand) float64 {
+			bufp := candPool.Get().(*[]*uncertain.Object)
+			objs := (*bufp)[:0]
+			for _, cid := range cands {
+				objs = append(objs, ds.Objects[cid])
+			}
+			est := prob.PrReverseSkylineMC(ds.Objects[id], q, objs, iters, rng)
+			*bufp = objs[:0]
+			candPool.Put(bufp)
+			return est
+		})
 }
 
-// QueryApproxPDFStatsCtx is the continuous-model twin: filter as in
-// QueryPDFStatsCtx, then Monte Carlo over each undecided object's candidate
-// set via per-density sampling — no quadrature grid, so the degraded path's
-// cost is independent of the quadrature resolution entirely.
+// QueryApproxPDFStatsCtx is the continuous-model twin: the pdf join stage,
+// then Monte Carlo over each undecided object's candidate set via
+// per-density sampling — no quadrature grid, so the degraded path's cost is
+// independent of the quadrature resolution entirely.
 func QueryApproxPDFStatsCtx(ctx context.Context, set *causality.PDFSet, q geom.Point, alpha float64,
 	opt Options, ap ApproxOptions) (*ApproxResult, Stats, error) {
 
-	ap = ap.withDefaults()
-	iters := ap.Iters()
-	tr := obs.FromContext(ctx)
-	f, err := filterPDF(ctx, set, q, alpha, opt)
-	if err != nil {
-		return nil, f.stats, err
-	}
-	intervals := make([]ApproxInterval, len(f.undecidedIDs))
-	half := ap.HalfWidth(iters)
-	estimate := func(k int) bool {
-		id := f.undecidedIDs[k]
-		bufp := pdfCandPool.Get().(*[]*uncertain.PDFObject)
-		objs := (*bufp)[:0]
-		for _, cid := range f.undecidedCands[k] {
-			objs = append(objs, set.Objects[cid])
-		}
-		rng := rand.New(rand.NewSource(objSeed(ap.Seed, id)))
-		est := prob.PrReverseSkylineMCPDF(set.Objects[id], q, objs, iters, rng)
-		*bufp = objs[:0]
-		pdfCandPool.Put(bufp)
-		intervals[k] = ApproxInterval{ID: id, Pr: est,
-			Lo: math.Max(0, est-half), Hi: math.Min(1, est+half)}
-		return prob.GEq(est, alpha)
-	}
-	endMC := tr.StartSpan("prsq.approx")
-	evaluated, err := evaluate(ctx, f.undecidedCands, opt, estimate,
-		func(k int, d decision) { f.verdicts[f.undecidedIDs[k]] = d })
-	endMC()
-	if err != nil {
-		return nil, f.stats, wrapCanceled(err, evaluated)
-	}
-	f.stats.Evaluated = len(f.undecidedIDs)
-	f.stats.addToTrace(tr)
-	return finishApprox(f, intervals, iters, ap), f.stats, nil
+	states := pdfStates(set, []geom.Point{q}, alpha, opt)
+	return approxBand(ctx, set.Tree(), set.Len(), q, alpha, opt, ap, states,
+		func(id int, cands []int32, iters int, rng *rand.Rand) float64 {
+			bufp := pdfCandPool.Get().(*[]*uncertain.PDFObject)
+			objs := (*bufp)[:0]
+			for _, cid := range cands {
+				objs = append(objs, set.Objects[cid])
+			}
+			est := prob.PrReverseSkylineMCPDF(set.Objects[id], q, objs, iters, rng)
+			*bufp = objs[:0]
+			pdfCandPool.Put(bufp)
+			return est
+		})
 }
 
-// finishApprox assembles the result: intervals sorted ascending by ID (the
-// strided evaluation fills them in undecided-band order), Exact set when
-// nothing needed estimation.
-func finishApprox(f *filtered, intervals []ApproxInterval, iters int, ap ApproxOptions) *ApproxResult {
+// approxBand runs the join stage on the one point q and settles its
+// undecided band with estimate, traced as prsq.approx: each object gets
+// its own seeded generator, and the result carries intervals sorted
+// ascending by ID (the strided evaluation fills them in band order), with
+// Exact set when nothing needed estimation.
+func approxBand(ctx context.Context, tree *rtree.Tree, n int, q geom.Point, alpha float64,
+	opt Options, ap ApproxOptions, newState func(k int) batchState,
+	estimate func(id int, cands []int32, iters int, rng *rand.Rand) float64) (*ApproxResult, Stats, error) {
+
+	ap = ap.withDefaults()
+	iters := ap.Iters()
+	j, err := join(ctx, tree, n, []geom.Point{q}, opt, newState)
+	if err != nil {
+		return nil, j.stats, err
+	}
+	intervals := make([]ApproxInterval, len(j.items))
+	half := ap.HalfWidth(iters)
+	tr := obs.FromContext(ctx)
+	endMC := tr.StartSpan("prsq.approx")
+	evaluated, err := evaluate(ctx, j.cands, opt,
+		func(k int) bool {
+			id := j.items[k].id
+			est := estimate(id, j.cands[k], iters, rand.New(rand.NewSource(objSeed(ap.Seed, id))))
+			intervals[k] = ApproxInterval{ID: id, Pr: est,
+				Lo: math.Max(0, est-half), Hi: math.Min(1, est+half)}
+			return prob.GEq(est, alpha)
+		},
+		func(k int, d decision) { j.verdicts[0][j.items[k].id] = d })
+	endMC()
+	if err != nil {
+		return nil, j.stats, wrapCanceled(err, evaluated)
+	}
+	j.stats.Evaluated = len(j.items)
+	j.stats.addToTrace(tr)
 	sort.Slice(intervals, func(i, j int) bool { return intervals[i].ID < intervals[j].ID })
 	return &ApproxResult{
-		Answers:    collect(f.verdicts),
+		Answers:    collect(j.verdicts[0]),
 		Intervals:  intervals,
 		Iters:      iters,
 		Epsilon:    ap.Epsilon,
 		Confidence: ap.Confidence,
 		Exact:      len(intervals) == 0,
-	}
+	}, j.stats, nil
 }
 
 // ExactApproxResult wraps an exactly-computed answer set in the approximate

@@ -53,7 +53,7 @@ func TestQueryApproxSampleModel(t *testing.T) {
 	alpha := 0.5
 	ap := ApproxOptions{Epsilon: 0.02, Confidence: 0.95, Seed: 7}
 
-	exact, _ := QueryStats(ds, q, alpha, Options{})
+	exact, _ := queryStats(t, ds, q, alpha, Options{})
 	res, st, err := QueryApproxStatsCtx(context.Background(), ds, q, alpha, Options{}, ap)
 	if err != nil {
 		t.Fatal(err)

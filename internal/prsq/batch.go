@@ -13,18 +13,17 @@ import (
 	"github.com/crsky/crsky/internal/uncertain"
 )
 
-// This file is the batch query layer: many query points answered in ONE
-// shared left-major descent of the R-tree (rtree.JoinSelfStreamBatch)
-// instead of one full self-join per point. The per-query online bounds,
-// early stream stops, and exact evaluations are exactly the single-query
-// machinery — the same streamState/pdfStreamState runs per (worker, query)
-// — so each query's answer set is element-wise identical to its individual
-// ProbabilisticReverseSkyline call, while the left-descent node accesses
-// are paid once for the whole batch: for more than one query the total
-// simulated I/O is strictly below the sum of the independent queries'.
-// The undecided bands of all queries merge into one exact-evaluation pass
-// sharing the worker pool, so a query with a hard band cannot serialize
-// behind its siblings.
+// This file is the query layer: any number of query points — a single
+// query is a batch of one — answered by ONE shared left-major descent of
+// the R-tree (rtree.JoinSelfStreamBatch) followed by ONE exact stage. The
+// online bounds, early stream stops, and exact evaluations run per
+// (worker, query) through the same streamState/pdfStreamState, so each
+// query's answer set is independent of the batch it rides in, while the
+// left-descent node accesses are paid once for the whole batch: for more
+// than one query the total simulated I/O is strictly below the sum of the
+// queries run as batches of one. The undecided bands of all queries merge
+// into one exact-evaluation pass sharing the worker pool, so a query with a
+// hard band cannot serialize behind its siblings.
 
 // batchItem is one undecided (query, object) pair awaiting exact
 // evaluation.
@@ -35,7 +34,7 @@ type batchItem struct {
 
 // batchState is the per-(worker, query) stream state: both models'
 // stream states satisfy it, so one core drives the sample and pdf
-// batches.
+// queries.
 type batchState interface {
 	begin(id int, r geom.Rect) bool
 	pair(leftID, rightID int, rightRect geom.Rect) bool
@@ -49,6 +48,74 @@ func (st *streamState) harvest() (Stats, []int, [][]int32) {
 
 func (st *pdfStreamState) harvest() (Stats, []int, [][]int32) {
 	return st.stats, st.undecidedIDs, st.undecidedCands
+}
+
+// joined is the outcome of the join stage: per-query verdicts for
+// everything the bounds decided, plus the undecided (query, object) band
+// with its candidate lists. The exact tier (Eq.-2 evaluation or
+// quadrature) and the approximate tier (Monte Carlo estimation) both
+// consume it, so the two tiers differ only in how the band is settled.
+// Stats.Objects counts object-decisions, n × len(qs).
+type joined struct {
+	verdicts [][]decision
+	stats    Stats
+	items    []batchItem
+	cands    [][]int32
+}
+
+// join runs the join stage: the shared-descent self-join with one fresh
+// stream state per (worker, query) from newState, traced as prsq.join.
+// Under Options.StageBudget the join runs on its slice of the deadline
+// (see Options.joinSlice). A canceled join returns the typed cancellation
+// error together with a joined carrying only Stats.Objects.
+func join(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Point, opt Options,
+	newState func(k int) batchState) (*joined, error) {
+
+	nQ := len(qs)
+	j := &joined{verdicts: make([][]decision, nQ), stats: Stats{Objects: n * nQ}}
+	windows := make([]rtree.WindowFunc, nQ)
+	for k := range qs {
+		j.verdicts[k] = make([]decision, n)
+		q := qs[k]
+		windows[k] = func(r geom.Rect) geom.Rect { return geom.DomRectUnionOuter(r, q) }
+	}
+
+	// Verdict slots are disjoint per left object, so the join workers
+	// never write the same element.
+	var mu sync.Mutex
+	var workerStates [][]batchState
+	joinCtx, endSlice := opt.joinSlice(ctx)
+	defer endSlice()
+	endJoin := obs.FromContext(ctx).StartSpan("prsq.join")
+	err := tree.JoinSelfStreamBatch(joinCtx, windows, opt.workers(n), func() rtree.BatchStreamVisitor {
+		states := make([]batchState, nQ)
+		for k := range states {
+			states[k] = newState(k)
+		}
+		mu.Lock()
+		workerStates = append(workerStates, states)
+		mu.Unlock()
+		return rtree.BatchStreamVisitor{
+			Begin: func(k, id int, r geom.Rect) bool { return states[k].begin(id, r) },
+			Pair:  func(k, leftID, rightID int, rr geom.Rect) bool { return states[k].pair(leftID, rightID, rr) },
+			End:   func(k, id int) { j.verdicts[k][id] = states[k].finish(id) },
+		}
+	})
+	endJoin()
+	if err != nil {
+		return j, wrapCanceled(err, 0)
+	}
+	for _, states := range workerStates {
+		for k, st := range states {
+			s, ids, cs := st.harvest()
+			j.stats.add(s)
+			for i, id := range ids {
+				j.items = append(j.items, batchItem{q: k, id: id})
+				j.cands = append(j.cands, cs[i])
+			}
+		}
+	}
+	return j, nil
 }
 
 // batchEmitter streams finished per-query answers in ascending request
@@ -87,15 +154,14 @@ func (em *batchEmitter) flushLocked() {
 	}
 }
 
-// queryBatchCore runs the shared-descent join with per-query states and
-// the merged exact stage — the one copy of the batch orchestration, with
-// the model plugged in through newState (fresh per-query stream state for
-// a join worker) and isAnswer (the exact evaluation of one undecided
-// (query, object) pair). Stats.Objects counts object-decisions,
-// n × len(qs). A non-nil emit observes every query's final answer slice in
-// ascending query order, each exactly once, as soon as it is final — on a
-// mid-batch cancellation only the completed prefix has been emitted, and
-// the error return carries no answers.
+// queryBatchCore runs the join stage and then the merged exact stage,
+// traced as prsq.exact — the one copy of the query orchestration, with the
+// model plugged in through newState (fresh per-query stream state for a
+// join worker) and isAnswer (the exact evaluation of one undecided
+// (query, object) pair). A non-nil emit observes every query's final
+// answer slice in ascending query order, each exactly once, as soon as it
+// is final — on a mid-batch cancellation only the completed prefix has
+// been emitted, and the error return carries no answers.
 func queryBatchCore(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Point, opt Options,
 	newState func(k int) batchState,
 	isAnswer func(qIdx, id int, cands []int32) bool,
@@ -105,55 +171,13 @@ func queryBatchCore(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Poin
 	if nQ == 0 {
 		return [][]int{}, Stats{}, nil
 	}
-	verdicts := make([][]decision, nQ)
-	for k := range verdicts {
-		verdicts[k] = make([]decision, n)
-	}
-	windows := make([]rtree.WindowFunc, nQ)
-	for k := range qs {
-		q := qs[k]
-		windows[k] = func(r geom.Rect) geom.Rect { return geom.DomRectUnionOuter(r, q) }
-	}
-
-	var mu sync.Mutex
-	var workerStates [][]batchState
-	tr := obs.FromContext(ctx)
-	endJoin := tr.StartSpan("prsq.batchJoin")
-	err := tree.JoinSelfStreamBatch(ctx, windows, opt.workers(n), func() rtree.BatchStreamVisitor {
-		states := make([]batchState, nQ)
-		for k := range states {
-			states[k] = newState(k)
-		}
-		mu.Lock()
-		workerStates = append(workerStates, states)
-		mu.Unlock()
-		return rtree.BatchStreamVisitor{
-			Begin: func(k, id int, r geom.Rect) bool { return states[k].begin(id, r) },
-			Pair:  func(k, leftID, rightID int, rr geom.Rect) bool { return states[k].pair(leftID, rightID, rr) },
-			End:   func(k, id int) { verdicts[k][id] = states[k].finish(id) },
-		}
-	})
-	endJoin()
+	j, err := join(ctx, tree, n, qs, opt, newState)
 	if err != nil {
-		return nil, Stats{Objects: n * nQ}, wrapCanceled(err, 0)
+		return nil, j.stats, err
 	}
 
-	stats := Stats{Objects: n * nQ}
-	var items []batchItem
-	var cands [][]int32
-	for _, states := range workerStates {
-		for k, st := range states {
-			s, ids, cs := st.harvest()
-			stats.add(s)
-			for i, id := range ids {
-				items = append(items, batchItem{q: k, id: id})
-				cands = append(cands, cs[i])
-			}
-		}
-	}
-
-	em := &batchEmitter{emit: emit, pending: make([]int, nQ), verdicts: verdicts, out: make([][]int, nQ)}
-	for _, it := range items {
+	em := &batchEmitter{emit: emit, pending: make([]int, nQ), verdicts: j.verdicts, out: make([][]int, nQ)}
+	for _, it := range j.items {
 		em.pending[it.q]++
 	}
 	// Queries the join fully decided owe no exact work: flush them now so a
@@ -163,62 +187,62 @@ func queryBatchCore(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Poin
 	em.flushLocked()
 	em.mu.Unlock()
 
-	endExact := tr.StartSpan("prsq.batchExact")
-	evaluated, err := evaluate(ctx, cands, opt,
-		func(k int) bool { return isAnswer(items[k].q, items[k].id, cands[k]) },
+	tr := obs.FromContext(ctx)
+	endExact := tr.StartSpan("prsq.exact")
+	evaluated, err := evaluate(ctx, j.cands, opt,
+		func(k int) bool { return isAnswer(j.items[k].q, j.items[k].id, j.cands[k]) },
 		func(k int, d decision) {
-			verdicts[items[k].q][items[k].id] = d
-			em.settle(items[k].q)
+			j.verdicts[j.items[k].q][j.items[k].id] = d
+			em.settle(j.items[k].q)
 		})
 	endExact()
 	if err != nil {
-		return nil, stats, wrapCanceled(err, evaluated)
+		return nil, j.stats, wrapCanceled(err, evaluated)
 	}
-	stats.Evaluated = len(items)
-	stats.addToTrace(tr)
-	return em.out, stats, nil
+	j.stats.Evaluated = len(j.items)
+	j.stats.addToTrace(tr)
+	return em.out, j.stats, nil
 }
 
-// QueryBatch answers the probabilistic reverse skyline for every query
-// point at once, returning one ascending answer-ID slice per query point —
-// element-wise identical to calling Query per point.
-func QueryBatch(ds *dataset.Uncertain, qs []geom.Point, alpha float64, opt Options) [][]int {
-	out, _, _ := QueryBatchStatsCtx(context.Background(), ds, qs, alpha, opt)
-	return out
-}
-
-// QueryBatchStats is QueryBatch with execution statistics aggregated over
-// the whole batch (Stats.Objects counts object-decisions, n × len(qs)).
-func QueryBatchStats(ds *dataset.Uncertain, qs []geom.Point, alpha float64, opt Options) ([][]int, Stats) {
-	out, st, _ := QueryBatchStatsCtx(context.Background(), ds, qs, alpha, opt)
-	return out, st
-}
-
-// QueryBatchStatsCtx is QueryBatchStats under a context, with the
-// cancellation contract of QueryStatsCtx.
-func QueryBatchStatsCtx(ctx context.Context, ds *dataset.Uncertain, qs []geom.Point, alpha float64, opt Options) ([][]int, Stats, error) {
-	return QueryBatchStreamStatsCtx(ctx, ds, qs, alpha, opt, nil)
-}
-
-// QueryBatchStreamStatsCtx is QueryBatchStatsCtx with per-query streaming:
-// a non-nil emit observes every query's final ascending answer slice in
-// request order, each exactly once, as soon as it is final — before the
-// rest of the batch finishes computing. Emit calls are serialized; the
-// callback must not re-enter the engine. On a mid-batch cancellation only
-// the completed prefix has been emitted and the call returns the error with
-// no answers.
-func QueryBatchStreamStatsCtx(ctx context.Context, ds *dataset.Uncertain, qs []geom.Point, alpha float64, opt Options,
-	emit func(k int, ids []int)) ([][]int, Stats, error) {
-
+// sampleStates is the sample model's per-query stream-state factory.
+func sampleStates(ds *dataset.Uncertain, qs []geom.Point, alpha float64, opt Options) func(k int) batchState {
 	wsum := ds.WeightSums()
 	var sums []dataset.Summary
 	if !opt.NoBounds && !opt.NoTier2 {
 		sums = ds.Summaries()
 	}
-	return queryBatchCore(ctx, ds.Tree(), ds.Len(), qs, opt,
-		func(k int) batchState {
-			return &streamState{ds: ds, q: qs[k], alpha: alpha, opt: opt, wsum: wsum, sums: sums}
-		},
+	return func(k int) batchState {
+		return &streamState{ds: ds, q: qs[k], alpha: alpha, opt: opt, wsum: wsum, sums: sums}
+	}
+}
+
+// pdfStates is the continuous model's per-query stream-state factory.
+func pdfStates(set *causality.PDFSet, qs []geom.Point, alpha float64, opt Options) func(k int) batchState {
+	return func(k int) batchState {
+		return &pdfStreamState{set: set, q: qs[k], alpha: alpha, opt: opt}
+	}
+}
+
+// QueryBatchStreamStatsCtx answers the probabilistic reverse skyline for
+// every query point at once — the index-accelerated equivalent of prob.PRSQ
+// per point, a single query being a batch of one — returning one ascending
+// answer-ID slice per point with execution statistics aggregated over the
+// batch. A non-nil
+// emit observes every query's final answer slice in request order, each
+// exactly once, as soon as it is final — before the rest of the batch
+// finishes computing. Emit calls are serialized; the callback must not
+// re-enter the engine.
+//
+// The join and the exact-evaluation workers poll ctx (amortized) and stop
+// mid-query when it fires, returning a typed *ctxutil.CanceledError that
+// wraps the context error and carries the exact evaluations completed
+// before the stop; only the completed prefix has been emitted, and the
+// call returns no answers. An uncanceled run is deterministic, node
+// accesses included.
+func QueryBatchStreamStatsCtx(ctx context.Context, ds *dataset.Uncertain, qs []geom.Point, alpha float64, opt Options,
+	emit func(k int, ids []int)) ([][]int, Stats, error) {
+
+	return queryBatchCore(ctx, ds.Tree(), ds.Len(), qs, opt, sampleStates(ds, qs, alpha, opt),
 		func(qIdx, id int, cs []int32) bool {
 			bufp := candPool.Get().(*[]*uncertain.Object)
 			objs := (*bufp)[:0]
@@ -233,29 +257,15 @@ func QueryBatchStreamStatsCtx(ctx context.Context, ds *dataset.Uncertain, qs []g
 		emit)
 }
 
-// QueryBatchPDF is the continuous-model batch query: the same shared
-// left-descent join with the pdf per-query stream states, one merged
-// quadrature pass over all queries' survivors.
-func QueryBatchPDF(set *causality.PDFSet, qs []geom.Point, alpha float64, quadNodes int, opt Options) [][]int {
-	out, _, _ := QueryBatchPDFStatsCtx(context.Background(), set, qs, alpha, quadNodes, opt)
-	return out
-}
-
-// QueryBatchPDFStatsCtx is QueryBatchPDF with statistics and a context,
-// mirroring QueryBatchStatsCtx.
-func QueryBatchPDFStatsCtx(ctx context.Context, set *causality.PDFSet, qs []geom.Point, alpha float64, quadNodes int, opt Options) ([][]int, Stats, error) {
-	return QueryBatchPDFStreamStatsCtx(ctx, set, qs, alpha, quadNodes, opt, nil)
-}
-
-// QueryBatchPDFStreamStatsCtx is QueryBatchPDFStatsCtx with the per-query
-// streaming contract of QueryBatchStreamStatsCtx.
+// QueryBatchPDFStreamStatsCtx is the continuous-model query with the
+// contract of QueryBatchStreamStatsCtx: the same shared join with the pdf
+// per-query stream states, one merged quadrature pass over all queries'
+// survivors. quadNodes is the per-dimension quadrature resolution (<= 0
+// selects the dimension-adapted default, exactly as the naive path does).
 func QueryBatchPDFStreamStatsCtx(ctx context.Context, set *causality.PDFSet, qs []geom.Point, alpha float64, quadNodes int, opt Options,
 	emit func(k int, ids []int)) ([][]int, Stats, error) {
 
-	return queryBatchCore(ctx, set.Tree(), set.Len(), qs, opt,
-		func(k int) batchState {
-			return &pdfStreamState{set: set, q: qs[k], alpha: alpha, opt: opt}
-		},
+	return queryBatchCore(ctx, set.Tree(), set.Len(), qs, opt, pdfStates(set, qs, alpha, opt),
 		func(qIdx, id int, cs []int32) bool {
 			bufp := pdfCandPool.Get().(*[]*uncertain.PDFObject)
 			objs := (*bufp)[:0]

@@ -1,31 +1,22 @@
 package prsq
 
 import (
-	"context"
 	"sync"
 
 	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/geom"
-	"github.com/crsky/crsky/internal/obs"
 	"github.com/crsky/crsky/internal/prob"
-	"github.com/crsky/crsky/internal/rtree"
 	"github.com/crsky/crsky/internal/uncertain"
 )
 
-// QueryPDF returns the IDs of every continuous-model object whose
-// probability of being a reverse skyline point of q is at least alpha, in
-// ascending order — the index-accelerated equivalent of evaluating
-// prob.PrReverseSkylinePDF against the whole dataset for each object.
-// quadNodes is the per-dimension quadrature resolution (<= 0 selects the
-// dimension-adapted default, exactly as the naive path does).
-func QueryPDF(set *causality.PDFSet, q geom.Point, alpha float64, quadNodes int, opt Options) []int {
-	ids, _ := QueryPDFStats(set, q, alpha, quadNodes, opt)
-	return ids
+// pdfCandPool recycles per-worker pdf candidate slices across queries.
+var pdfCandPool = sync.Pool{
+	New: func() any { return new([]*uncertain.PDFObject) },
 }
 
-// QueryPDFStats is QueryPDF with execution statistics. The same streaming
-// join drives the pdf model, with the Section-3.2 geometry in place of the
-// sample-level tests:
+// pdfStreamState is the per-(worker, query) stream state of the
+// continuous model: the same streaming join with the Section-3.2 geometry
+// in place of the sample-level tests:
 //
 //   - the per-pair refinement intersects the candidate region with the
 //     object's sub-quadrant farthest-corner rectangles (objects excluded
@@ -44,94 +35,6 @@ func QueryPDF(set *causality.PDFSet, q geom.Point, alpha float64, quadNodes int,
 // cheap accept bound for continuous densities — even the empty-candidate
 // probability is the quadrature weight sum, which coarse grids may leave
 // just below 1).
-func QueryPDFStats(set *causality.PDFSet, q geom.Point, alpha float64, quadNodes int, opt Options) ([]int, Stats) {
-	ids, st, _ := QueryPDFStatsCtx(context.Background(), set, q, alpha, quadNodes, opt)
-	return ids, st
-}
-
-// QueryPDFStatsCtx is QueryPDFStats under a context, with the same
-// cancellation contract as QueryStatsCtx: amortized polls in the join and
-// between quadrature evaluations, and a typed *ctxutil.CanceledError with
-// the completed evaluation count on cancellation.
-func QueryPDFStatsCtx(ctx context.Context, set *causality.PDFSet, q geom.Point, alpha float64, quadNodes int, opt Options) ([]int, Stats, error) {
-	tr := obs.FromContext(ctx)
-	joinCtx, endSlice := opt.joinSlice(ctx)
-	f, err := filterPDF(joinCtx, set, q, alpha, opt)
-	endSlice()
-	if err != nil {
-		return nil, f.stats, err
-	}
-	verdicts, stats := f.verdicts, f.stats
-	undecidedIDs, undecidedCands := f.undecidedIDs, f.undecidedCands
-
-	isAnswer := func(id int, cands []int32) bool {
-		bufp := pdfCandPool.Get().(*[]*uncertain.PDFObject)
-		objs := (*bufp)[:0]
-		for _, cid := range cands {
-			objs = append(objs, set.Objects[cid])
-		}
-		ok := prob.GEq(prob.PrReverseSkylinePDF(set.Objects[id], q, objs, quadNodes), alpha)
-		*bufp = objs[:0]
-		pdfCandPool.Put(bufp)
-		return ok
-	}
-	endExact := tr.StartSpan("prsq.exact")
-	evaluated, err := evaluate(ctx, undecidedCands, opt,
-		func(k int) bool { return isAnswer(undecidedIDs[k], undecidedCands[k]) },
-		func(k int, d decision) { verdicts[undecidedIDs[k]] = d })
-	endExact()
-	if err != nil {
-		return nil, stats, wrapCanceled(err, evaluated)
-	}
-	stats.Evaluated = len(undecidedIDs)
-	stats.addToTrace(tr)
-
-	return collect(verdicts), stats, nil
-}
-
-// pdfCandPool recycles per-worker pdf candidate slices across queries.
-var pdfCandPool = sync.Pool{
-	New: func() any { return new([]*uncertain.PDFObject) },
-}
-
-// filterPDF runs the streaming self-join with the Section-3.2 reject bounds
-// over the continuous model — the filter stage of QueryPDFStatsCtx — and
-// returns the filtered verdicts (pdf data has no accept bound, so every
-// non-rejected object lands in the undecided band).
-func filterPDF(ctx context.Context, set *causality.PDFSet, q geom.Point, alpha float64, opt Options) (*filtered, error) {
-	n := set.Len()
-	f := &filtered{verdicts: make([]decision, n), stats: Stats{Objects: n}}
-
-	var mu sync.Mutex
-	var states []*pdfStreamState
-	window := func(r geom.Rect) geom.Rect { return geom.DomRectUnionOuter(r, q) }
-	tr := obs.FromContext(ctx)
-	endJoin := tr.StartSpan("prsq.join")
-	err := set.Tree().JoinSelfStreamParallelCtx(ctx, window, opt.workers(n), func() rtree.StreamVisitor {
-		st := &pdfStreamState{set: set, q: q, alpha: alpha, opt: opt}
-		mu.Lock()
-		states = append(states, st)
-		mu.Unlock()
-		return rtree.StreamVisitor{
-			Begin: st.begin,
-			Pair:  st.pair,
-			End: func(id int) {
-				f.verdicts[id] = st.finish(id)
-			},
-		}
-	})
-	endJoin()
-	if err != nil {
-		return f, wrapCanceled(err, 0)
-	}
-	for _, st := range states {
-		f.stats.add(st.stats)
-		f.undecidedIDs = append(f.undecidedIDs, st.undecidedIDs...)
-		f.undecidedCands = append(f.undecidedCands, st.undecidedCands...)
-	}
-	return f, nil
-}
-
 type pdfStreamState struct {
 	set   *causality.PDFSet
 	q     geom.Point

@@ -6,7 +6,8 @@
 //  1. Batch filtering: a single R-tree self-join (one left-major pass over
 //     the tree, each node's partner list pruned by the node-level dominance
 //     window) streams the candidates of every object, instead of n
-//     independent multi-window traversals.
+//     independent multi-window traversals. The pass serves a whole batch of
+//     query points at once — a single query is a batch of one.
 //  2. Bound-based pruning: cheap MBR-level dominance tests run online
 //     inside the stream and maintain per-object upper/lower probability
 //     bounds. An object whose every sample is certainly dominated stops
@@ -20,7 +21,9 @@
 //  3. Parallel refinement: the filtering join itself fans out per R-tree
 //     subtree onto a worker pool (each worker owning its own stream state),
 //     and the undecided band is evaluated exactly (Eq. 2) on the same pool,
-//     each worker owning scratch buffers reused across objects.
+//     each worker owning scratch buffers reused across objects. The
+//     approximate tier reuses the join stage and settles the band by Monte
+//     Carlo instead.
 //
 // The result is bit-identical to the brute-force prob.PRSQ: excluded
 // non-candidates contribute exact ×1 factors, candidate lists are evaluated
@@ -41,7 +44,6 @@ import (
 	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/obs"
 	"github.com/crsky/crsky/internal/prob"
-	"github.com/crsky/crsky/internal/rtree"
 	"github.com/crsky/crsky/internal/uncertain"
 )
 
@@ -155,61 +157,6 @@ const (
 	undecided
 )
 
-// Query returns the IDs of every object whose probability of being a
-// reverse skyline point of q is at least alpha, in ascending order —
-// the index-accelerated equivalent of prob.PRSQ.
-func Query(ds *dataset.Uncertain, q geom.Point, alpha float64, opt Options) []int {
-	ids, _ := QueryStats(ds, q, alpha, opt)
-	return ids
-}
-
-// QueryStats is Query with execution statistics.
-func QueryStats(ds *dataset.Uncertain, q geom.Point, alpha float64, opt Options) ([]int, Stats) {
-	ids, st, _ := QueryStatsCtx(context.Background(), ds, q, alpha, opt)
-	return ids, st
-}
-
-// QueryStatsCtx is QueryStats under a context: the filtering join and the
-// exact-evaluation workers poll ctx (amortized) and stop mid-query when it
-// fires, returning a typed *ctxutil.CanceledError that wraps the context
-// error and carries the exact evaluations completed before the stop. An
-// uncanceled run is bit-identical to QueryStats, node accesses included.
-func QueryStatsCtx(ctx context.Context, ds *dataset.Uncertain, q geom.Point, alpha float64, opt Options) ([]int, Stats, error) {
-	tr := obs.FromContext(ctx)
-	joinCtx, endSlice := opt.joinSlice(ctx)
-	f, err := filterSample(joinCtx, ds, q, alpha, opt)
-	endSlice()
-	if err != nil {
-		return nil, f.stats, err
-	}
-	verdicts, stats := f.verdicts, f.stats
-	undecidedIDs, undecidedCands := f.undecidedIDs, f.undecidedCands
-
-	isAnswer := func(id int, cands []int32) bool {
-		bufp := candPool.Get().(*[]*uncertain.Object)
-		objs := (*bufp)[:0]
-		for _, cid := range cands {
-			objs = append(objs, ds.Objects[cid])
-		}
-		ok := prob.GEq(prob.PrReverseSkyline(ds.Objects[id], q, objs), alpha)
-		*bufp = objs[:0]
-		candPool.Put(bufp)
-		return ok
-	}
-	endExact := tr.StartSpan("prsq.exact")
-	evaluated, err := evaluate(ctx, undecidedCands, opt,
-		func(k int) bool { return isAnswer(undecidedIDs[k], undecidedCands[k]) },
-		func(k int, d decision) { verdicts[undecidedIDs[k]] = d })
-	endExact()
-	if err != nil {
-		return nil, stats, wrapCanceled(err, evaluated)
-	}
-	stats.Evaluated = len(undecidedIDs)
-	stats.addToTrace(tr)
-
-	return collect(verdicts), stats, nil
-}
-
 // addToTrace folds the query's effort counters into a request trace (nil tr
 // is a no-op). Counter names are the Stats field names with a prsq prefix —
 // the vocabulary the ?trace=1 response and the slow-query log share.
@@ -234,66 +181,10 @@ func wrapCanceled(err error, evaluated int) error {
 	return ctxutil.WrapCanceled(err, 0, evaluated)
 }
 
-// filtered is the outcome of the shared filter-and-bound stage: per-object
-// verdicts for everything the bounds decided, plus the undecided band with
-// its candidate lists. Both the exact tier (Eq.-2 evaluation) and the
-// approximate tier (Monte Carlo estimation) consume the same filtered form,
-// so the two tiers disagree only on how the undecided band is settled.
-type filtered struct {
-	verdicts       []decision
-	stats          Stats
-	undecidedIDs   []int
-	undecidedCands [][]int32
-}
-
-// filterSample runs the streaming self-join with online bound pruning over
-// the sample model — the first two stages of QueryStatsCtx — and returns the
-// filtered verdicts. On a canceled join it returns the partial stats and the
-// wrapped cancellation error.
-func filterSample(ctx context.Context, ds *dataset.Uncertain, q geom.Point, alpha float64, opt Options) (*filtered, error) {
-	n := ds.Len()
-	wsum := ds.WeightSums()
-	var sums []dataset.Summary
-	if !opt.NoBounds && !opt.NoTier2 {
-		sums = ds.Summaries()
-	}
-	f := &filtered{verdicts: make([]decision, n), stats: Stats{Objects: n}}
-	tr := obs.FromContext(ctx)
-
-	// One stream state per join worker; verdict slots are disjoint per
-	// left object, so the workers never write the same element.
-	var mu sync.Mutex
-	var states []*streamState
-	window := func(r geom.Rect) geom.Rect { return geom.DomRectUnionOuter(r, q) }
-	endJoin := tr.StartSpan("prsq.join")
-	err := ds.Tree().JoinSelfStreamParallelCtx(ctx, window, opt.workers(n), func() rtree.StreamVisitor {
-		st := &streamState{ds: ds, q: q, alpha: alpha, opt: opt, wsum: wsum, sums: sums}
-		mu.Lock()
-		states = append(states, st)
-		mu.Unlock()
-		return rtree.StreamVisitor{
-			Begin: st.begin,
-			Pair:  st.pair,
-			End: func(id int) {
-				f.verdicts[id] = st.finish(id)
-			},
-		}
-	})
-	endJoin()
-	if err != nil {
-		return f, wrapCanceled(err, 0)
-	}
-	for _, st := range states {
-		f.stats.add(st.stats)
-		f.undecidedIDs = append(f.undecidedIDs, st.undecidedIDs...)
-		f.undecidedCands = append(f.undecidedCands, st.undecidedCands...)
-	}
-	return f, nil
-}
-
-// streamState is the per-worker state of the online filter+bound pass. The
-// join reports each object's candidates consecutively within a worker, so
-// one scratch buffer set serves every object of that worker in turn.
+// streamState is the per-(worker, query) state of the online filter+bound
+// pass. The join reports each object's candidates consecutively within a
+// worker, so one scratch buffer set serves every object of that worker in
+// turn.
 type streamState struct {
 	ds    *dataset.Uncertain
 	q     geom.Point

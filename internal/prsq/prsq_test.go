@@ -1,6 +1,7 @@
 package prsq
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -29,6 +30,38 @@ func equalIDs(a, b []int) bool {
 	return true
 }
 
+// queryStats is the one-point sample query under a background context.
+func queryStats(t *testing.T, ds *dataset.Uncertain, q geom.Point, alpha float64, opt Options) ([]int, Stats) {
+	t.Helper()
+	out, st, err := QueryBatchStreamStatsCtx(context.Background(), ds, []geom.Point{q}, alpha, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out[0], st
+}
+
+// queryPDFStats is the one-point pdf query under a background context.
+func queryPDFStats(t *testing.T, set *causality.PDFSet, q geom.Point, alpha float64, quadNodes int, opt Options) ([]int, Stats) {
+	t.Helper()
+	out, st, err := QueryBatchPDFStreamStatsCtx(context.Background(), set, []geom.Point{q}, alpha, quadNodes, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out[0], st
+}
+
+// pdfPRSQ is the brute-force pdf oracle: quadrature of Pr(u) against the
+// whole dataset for every object, thresholded at alpha.
+func pdfPRSQ(set *causality.PDFSet, q geom.Point, alpha float64, quadNodes int) []int {
+	var want []int
+	for id, o := range set.Objects {
+		if prob.GEq(prob.PrReverseSkylinePDF(o, q, set.Objects, quadNodes), alpha) {
+			want = append(want, id)
+		}
+	}
+	return want
+}
+
 // checkSampleEquivalence asserts that every accelerated configuration
 // reproduces the brute-force prob.PRSQ answer set exactly.
 func checkSampleEquivalence(t *testing.T, ds *dataset.Uncertain, q geom.Point) {
@@ -42,7 +75,7 @@ func checkSampleEquivalence(t *testing.T, ds *dataset.Uncertain, q geom.Point) {
 				{NoTier2: true},
 			} {
 				opt.Parallel = par
-				got, st := QueryStats(ds, q, alpha, opt)
+				got, st := queryStats(t, ds, q, alpha, opt)
 				if !equalIDs(got, want) {
 					t.Fatalf("alpha=%g opts=%+v: got %d answers %v, want %d answers %v",
 						alpha, opt, len(got), got, len(want), want)
@@ -141,15 +174,10 @@ func TestQueryEquivalencePDFModel(t *testing.T) {
 			q := geom.Point{5000, 5000}
 			for _, quadNodes := range []int{0, 4} {
 				for _, alpha := range []float64{0.2, 0.6, 1.0} {
-					var want []int
-					for id, o := range set.Objects {
-						if prob.GEq(prob.PrReverseSkylinePDF(o, q, set.Objects, quadNodes), alpha) {
-							want = append(want, id)
-						}
-					}
+					want := pdfPRSQ(set, q, alpha, quadNodes)
 					for _, par := range []int{1, 4} {
 						for _, noTier2 := range []bool{false, true} {
-							got, st := QueryPDFStats(set, q, alpha, quadNodes, Options{Parallel: par, NoTier2: noTier2})
+							got, st := queryPDFStats(t, set, q, alpha, quadNodes, Options{Parallel: par, NoTier2: noTier2})
 							if !equalIDs(got, want) {
 								t.Fatalf("kind=%v quad=%d alpha=%g parallel=%d noTier2=%v: got %v, want %v",
 									kind, quadNodes, alpha, par, noTier2, got, want)
@@ -183,8 +211,8 @@ func TestTier2ShrinksUndecidedBand(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		q := geom.Point{10000 * (0.3 + 0.4*rng.Float64()), 10000 * (0.3 + 0.4*rng.Float64())}
 		for _, alpha := range []float64{0.7, 0.9, 1.0} {
-			idsT1, st1 := QueryStats(ds, q, alpha, Options{Parallel: 1, NoTier2: true})
-			idsT2, st2 := QueryStats(ds, q, alpha, Options{Parallel: 1})
+			idsT1, st1 := queryStats(t, ds, q, alpha, Options{Parallel: 1, NoTier2: true})
+			idsT2, st2 := queryStats(t, ds, q, alpha, Options{Parallel: 1})
 			if !equalIDs(idsT1, idsT2) {
 				t.Fatalf("alpha=%g: tier-2 changed the answers: %v vs %v", alpha, idsT2, idsT1)
 			}
@@ -251,16 +279,23 @@ func TestSummariesPartitionObjects(t *testing.T) {
 }
 
 // streamCandidates collects every object's full (untruncated) candidate
-// stream — the MBR-level superset the query pipeline consumes.
-func streamCandidates(ds *dataset.Uncertain, q geom.Point) [][]int {
+// stream — the MBR-level superset the query pipeline consumes — from the
+// batch join run on the one query point.
+func streamCandidates(t *testing.T, ds *dataset.Uncertain, q geom.Point) [][]int {
 	cands := make([][]int, ds.Len())
 	window := func(r geom.Rect) geom.Rect { return geom.DomRectUnionOuter(r, q) }
-	ds.Tree().JoinSelfStream(window, rtree.StreamVisitor{
-		Pair: func(uID, cID int, _ geom.Rect) bool {
-			cands[uID] = append(cands[uID], cID)
-			return true
-		},
-	})
+	err := ds.Tree().JoinSelfStreamBatch(context.Background(), []rtree.WindowFunc{window}, 1,
+		func() rtree.BatchStreamVisitor {
+			return rtree.BatchStreamVisitor{
+				Pair: func(_, uID, cID int, _ geom.Rect) bool {
+					cands[uID] = append(cands[uID], cID)
+					return true
+				},
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return cands
 }
 
@@ -274,7 +309,7 @@ func TestStreamCandidatesCoverFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := geom.Point{4000, 6000}
-	batch := streamCandidates(ds, q)
+	batch := streamCandidates(t, ds, q)
 	for id := 0; id < ds.Len(); id++ {
 		got := make(map[int]bool, len(batch[id]))
 		for _, c := range batch[id] {
@@ -310,7 +345,7 @@ func TestQueryNodeAccessesBelowNaive(t *testing.T) {
 	naive := io.Value()
 
 	io.Reset()
-	QueryStats(ds, q, 0.5, Options{Parallel: 1})
+	queryStats(t, ds, q, 0.5, Options{Parallel: 1})
 	batch := io.Value()
 
 	if batch >= naive {

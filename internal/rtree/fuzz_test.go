@@ -1,18 +1,17 @@
 package rtree
 
 import (
+	"fmt"
 	"math"
-	"sort"
-	"sync"
 	"testing"
 
 	"github.com/crsky/crsky/internal/geom"
 )
 
 // FuzzJoinSelfStream throws byte-derived rectangle sets — degenerate rects,
-// zero-area MBRs, duplicates, coincident corners — at the serial and
-// parallel self-joins and checks both against the brute-force all-pairs
-// reference.
+// zero-area MBRs, duplicates, coincident corners — at the batch self-join
+// with one and three windows, serially and on a three-worker pool, and
+// checks every stream against the brute-force all-pairs reference.
 func FuzzJoinSelfStream(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(3), false)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint8(1), true) // coincident zero-area rects
@@ -50,74 +49,18 @@ func FuzzJoinSelfStream(f *testing.F) {
 			}
 		}
 
+		// Pads 0, 0.5, …, 2 (from fanRaw), then +1 per extra window.
 		pad := float64(fanRaw%5) / 2
-		window := func(r geom.Rect) geom.Rect {
-			w := r.Clone()
-			for i := range w.Min {
-				w.Min[i] -= pad
-				w.Max[i] += pad
+		for _, numQ := range []int{1, 3} {
+			windows := make([]WindowFunc, numQ)
+			for k := range windows {
+				windows[k] = joinWindow(pad + float64(k))
 			}
-			return w
-		}
-		want := make(map[int][]int, n)
-		for _, a := range items {
-			w := window(a.Rect)
-			want[a.ID] = []int{}
-			for _, b := range items {
-				if b.ID != a.ID && w.Intersects(b.Rect) {
-					want[a.ID] = append(want[a.ID], b.ID)
-				}
-			}
-			sort.Ints(want[a.ID])
-		}
-
-		check := func(name string, got map[int][]int) {
-			if len(got) != n {
-				t.Fatalf("%s: %d left streams, want %d", name, len(got), n)
-			}
-			for id, g := range got {
-				sort.Ints(g)
-				w := want[id]
-				if len(g) != len(w) {
-					t.Fatalf("%s: id=%d got %v, want %v", name, id, g, w)
-				}
-				for i := range g {
-					if g[i] != w[i] {
-						t.Fatalf("%s: id=%d got %v, want %v", name, id, g, w)
-					}
-				}
+			for _, workers := range []int{1, 3} {
+				c := runBatch(t, tr, windows, workers)
+				checkBrute(t, fmt.Sprintf("Q=%d workers=%d", numQ, workers), c, items, windows)
 			}
 		}
-
-		serial := map[int][]int{}
-		tr.JoinSelfStream(window, StreamVisitor{
-			Begin: func(id int, _ geom.Rect) bool { serial[id] = []int{}; return true },
-			Pair: func(l, r int, _ geom.Rect) bool {
-				serial[l] = append(serial[l], r)
-				return true
-			},
-		})
-		check("serial", serial)
-
-		var mu sync.Mutex
-		parallel := map[int][]int{}
-		tr.JoinSelfStreamParallel(window, 3, func() StreamVisitor {
-			return StreamVisitor{
-				Begin: func(id int, _ geom.Rect) bool {
-					mu.Lock()
-					parallel[id] = []int{}
-					mu.Unlock()
-					return true
-				},
-				Pair: func(l, r int, _ geom.Rect) bool {
-					mu.Lock()
-					parallel[l] = append(parallel[l], r)
-					mu.Unlock()
-					return true
-				},
-			}
-		})
-		check("parallel", parallel)
 	})
 }
 

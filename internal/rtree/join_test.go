@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -12,7 +13,7 @@ import (
 )
 
 // joinWindow is the test window: a symmetric outward inflation, monotone
-// under rectangle growth as JoinSelfStream requires.
+// under rectangle growth as JoinSelfStreamBatch requires.
 func joinWindow(pad float64) WindowFunc {
 	return func(r geom.Rect) geom.Rect {
 		w := r.Clone()
@@ -22,6 +23,16 @@ func joinWindow(pad float64) WindowFunc {
 		}
 		return w
 	}
+}
+
+// padWindows returns numQ windows with distinct pads base, base+2, …, so
+// the queries of one batch prune their partner lists differently.
+func padWindows(numQ int, base float64) []WindowFunc {
+	windows := make([]WindowFunc, numQ)
+	for k := range windows {
+		windows[k] = joinWindow(base + 2*float64(k))
+	}
+	return windows
 }
 
 // bruteSelfJoin computes the reference output: for every item, the other
@@ -41,46 +52,91 @@ func bruteSelfJoin(items []Item, window WindowFunc) map[int][]int {
 	return out
 }
 
-// collectVisitor records grouped streams, asserting the Begin/Pair*/End
-// contract as it goes.
-type collectVisitor struct {
+// batchCollect records the per-query grouped streams of a batch join.
+// Every worker gets its own visitor, which asserts the per-query
+// Begin/Pair*/End contract on the groups that worker reports.
+type batchCollect struct {
 	t       *testing.T
-	mu      *sync.Mutex
-	streams map[int][]int
-	current int
-	open    bool
+	mu      sync.Mutex
+	streams []map[int][]int // per query: left id -> right ids in stream order
+	begun   []map[int]int   // per query: left id -> Begin calls
 }
 
-func (c *collectVisitor) visitor() StreamVisitor {
-	return StreamVisitor{
-		Begin: func(id int, _ geom.Rect) bool {
-			if c.open {
-				c.t.Errorf("Begin(%d) while stream %d still open", id, c.current)
+func newBatchCollect(t *testing.T, numQ int) *batchCollect {
+	c := &batchCollect{t: t, streams: make([]map[int][]int, numQ), begun: make([]map[int]int, numQ)}
+	for k := range c.streams {
+		c.streams[k] = map[int][]int{}
+		c.begun[k] = map[int]int{}
+	}
+	return c
+}
+
+func (c *batchCollect) visitor() BatchStreamVisitor {
+	open, curQ, cur := false, 0, 0
+	return BatchStreamVisitor{
+		Begin: func(k, id int, _ geom.Rect) bool {
+			if open {
+				c.t.Errorf("Begin(q%d,%d) while stream q%d/%d still open", k, id, curQ, cur)
 			}
-			c.open = true
-			c.current = id
-			return true
-		},
-		Pair: func(leftID, rightID int, _ geom.Rect) bool {
-			if !c.open || leftID != c.current {
-				c.t.Errorf("Pair(%d,%d) outside its Begin/End group (current %d)", leftID, rightID, c.current)
-			}
+			open, curQ, cur = true, k, id
 			c.mu.Lock()
-			c.streams[leftID] = append(c.streams[leftID], rightID)
+			c.begun[k][id]++
+			if _, ok := c.streams[k][id]; !ok {
+				c.streams[k][id] = []int{}
+			}
 			c.mu.Unlock()
 			return true
 		},
-		End: func(id int) {
-			if !c.open || id != c.current {
-				c.t.Errorf("End(%d) without matching Begin (current %d)", id, c.current)
+		Pair: func(k, leftID, rightID int, _ geom.Rect) bool {
+			if !open || leftID != cur || k != curQ {
+				c.t.Errorf("Pair(q%d,%d,%d) outside its group (current q%d/%d)", k, leftID, rightID, curQ, cur)
 			}
-			c.open = false
 			c.mu.Lock()
-			if _, dup := c.streams[id]; !dup {
-				c.streams[id] = []int{}
-			}
+			c.streams[k][leftID] = append(c.streams[k][leftID], rightID)
 			c.mu.Unlock()
+			return true
 		},
+		End: func(k, id int) {
+			if !open || id != cur || k != curQ {
+				c.t.Errorf("End(q%d,%d) without matching Begin (current q%d/%d)", k, id, curQ, cur)
+			}
+			open = false
+		},
+	}
+}
+
+// runBatch joins tr under windows and returns the collected streams.
+func runBatch(t *testing.T, tr *Tree, windows []WindowFunc, workers int) *batchCollect {
+	t.Helper()
+	c := newBatchCollect(t, len(windows))
+	if err := tr.JoinSelfStreamBatch(context.Background(), windows, workers, c.visitor); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// checkBrute asserts every query's streams against the brute-force join:
+// each left entry begun exactly once per query, with exactly the brute
+// force match set.
+func checkBrute(t *testing.T, label string, c *batchCollect, items []Item, windows []WindowFunc) {
+	t.Helper()
+	for k, window := range windows {
+		want := bruteSelfJoin(items, window)
+		if len(c.streams[k]) != len(items) {
+			t.Fatalf("%s q=%d: %d left streams, want %d", label, k, len(c.streams[k]), len(items))
+		}
+		for id, cnt := range c.begun[k] {
+			if cnt != 1 {
+				t.Fatalf("%s q=%d: left %d begun %d times", label, k, id, cnt)
+			}
+		}
+		for id, got := range c.streams[k] {
+			got = append([]int(nil), got...)
+			sort.Ints(got)
+			if fmt.Sprint(got) != fmt.Sprint(want[id]) {
+				t.Fatalf("%s q=%d id=%d: got %v, want %v", label, k, id, got, want[id])
+			}
+		}
 	}
 }
 
@@ -104,117 +160,85 @@ func TestJoinSelfStreamMatchesBrute(t *testing.T) {
 		items := randomItems(rng, n, 2)
 		tr := New(2, WithMaxEntries(8))
 		tr.BulkLoad(items)
-		window := joinWindow(3)
-		want := bruteSelfJoin(items, window)
-
-		c := &collectVisitor{t: t, mu: &sync.Mutex{}, streams: map[int][]int{}}
-		tr.JoinSelfStream(window, c.visitor())
-		if len(c.streams) != n {
-			t.Fatalf("n=%d: %d left streams reported, want %d", n, len(c.streams), n)
-		}
-		for id, got := range c.streams {
-			sort.Ints(got)
-			if fmt.Sprint(got) != fmt.Sprint(want[id]) {
-				t.Fatalf("n=%d id=%d: got %v, want %v", n, id, got, want[id])
+		for _, numQ := range []int{1, 3} {
+			windows := padWindows(numQ, 3)
+			for _, workers := range []int{1, 3} {
+				c := runBatch(t, tr, windows, workers)
+				checkBrute(t, fmt.Sprintf("n=%d Q=%d workers=%d", n, numQ, workers), c, items, windows)
 			}
 		}
 	}
 }
 
-// TestJoinSelfStreamParallelMatchesSerial pins the parallel join to the
-// serial one: identical per-left match sets, every left entry visited exactly
-// once across the pool's visitors, identical node-access totals, and the
-// grouping contract holding inside every worker.
+// TestJoinSelfStreamParallelMatchesSerial pins the worker pool: identical
+// per-(query, left) match sets to brute force, every left entry visited
+// exactly once per query across the pool's visitors, node-access totals
+// identical to the serial join, and the grouping contract holding inside
+// every worker.
 func TestJoinSelfStreamParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, n := range []int{1, 30, 500, 2000} {
-		for _, workers := range []int{1, 2, 3, 8} {
-			items := randomItems(rng, n, 3)
-			tr := New(3, WithMaxEntries(6))
-			tr.BulkLoad(items)
-			var io stats.Counter
-			tr.SetCounter(&io)
-			window := joinWindow(4)
-
+		items := randomItems(rng, n, 3)
+		tr := New(3, WithMaxEntries(6))
+		tr.BulkLoad(items)
+		var io stats.Counter
+		tr.SetCounter(&io)
+		for _, numQ := range []int{1, 3} {
+			windows := padWindows(numQ, 4)
 			io.Reset()
-			serial := &collectVisitor{t: t, mu: &sync.Mutex{}, streams: map[int][]int{}}
-			tr.JoinSelfStream(window, serial.visitor())
+			runBatch(t, tr, windows, 1)
 			serialIO := io.Value()
-
-			io.Reset()
-			var mu sync.Mutex
-			streams := map[int][]int{}
-			begun := map[int]int{}
-			tr.JoinSelfStreamParallel(window, workers, func() StreamVisitor {
-				c := &collectVisitor{t: t, mu: &mu, streams: streams}
-				inner := c.visitor()
-				return StreamVisitor{
-					Begin: func(id int, r geom.Rect) bool {
-						mu.Lock()
-						begun[id]++
-						mu.Unlock()
-						return inner.Begin(id, r)
-					},
-					Pair: inner.Pair,
-					End:  inner.End,
+			for _, workers := range []int{2, 3, 8} {
+				io.Reset()
+				c := runBatch(t, tr, windows, workers)
+				parallelIO := io.Value()
+				label := fmt.Sprintf("n=%d Q=%d workers=%d", n, numQ, workers)
+				checkBrute(t, label, c, items, windows)
+				if parallelIO != serialIO {
+					t.Fatalf("%s: parallel charges %d node accesses, serial %d", label, parallelIO, serialIO)
 				}
-			})
-			parallelIO := io.Value()
-
-			if len(streams) != n {
-				t.Fatalf("n=%d workers=%d: %d left streams, want %d", n, workers, len(streams), n)
-			}
-			for id, cnt := range begun {
-				if cnt != 1 {
-					t.Fatalf("n=%d workers=%d: left %d begun %d times", n, workers, id, cnt)
-				}
-			}
-			for id, got := range streams {
-				sort.Ints(got)
-				want := append([]int(nil), serial.streams[id]...)
-				sort.Ints(want)
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("n=%d workers=%d id=%d: got %v, want %v", n, workers, id, got, want)
-				}
-			}
-			if parallelIO != serialIO {
-				t.Fatalf("n=%d workers=%d: parallel charges %d node accesses, serial %d",
-					n, workers, parallelIO, serialIO)
 			}
 		}
 	}
 }
 
 // TestJoinSelfStreamParallelEarlyStop checks that a Pair returning false
-// truncates only that left entry's stream, also under the pool.
+// truncates only that (query, left) stream, also under the pool.
 func TestJoinSelfStreamParallelEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	items := randomItems(rng, 300, 2)
 	tr := New(2, WithMaxEntries(5))
 	tr.BulkLoad(items)
-	window := joinWindow(6)
-	full := bruteSelfJoin(items, window)
+	windows := padWindows(3, 6)
 
 	var mu sync.Mutex
-	counts := map[int]int{}
-	tr.JoinSelfStreamParallel(window, 4, func() StreamVisitor {
-		return StreamVisitor{
-			Pair: func(leftID, _ int, _ geom.Rect) bool {
+	counts := make([]map[int]int, len(windows))
+	for k := range counts {
+		counts[k] = map[int]int{}
+	}
+	err := tr.JoinSelfStreamBatch(context.Background(), windows, 4, func() BatchStreamVisitor {
+		return BatchStreamVisitor{
+			Pair: func(k, leftID, _ int, _ geom.Rect) bool {
 				mu.Lock()
-				counts[leftID]++
-				c := counts[leftID]
+				counts[k][leftID]++
+				c := counts[k][leftID]
 				mu.Unlock()
 				return c < 2 // stop each stream after two matches
 			},
 		}
 	})
-	for id, c := range counts {
-		limit := len(full[id])
-		if limit > 2 {
-			limit = 2
-		}
-		if c != limit {
-			t.Fatalf("left %d: %d pairs reported, want %d", id, c, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, window := range windows {
+		for id, full := range bruteSelfJoin(items, window) {
+			limit := len(full)
+			if limit > 2 {
+				limit = 2
+			}
+			if counts[k][id] != limit {
+				t.Fatalf("q=%d left %d: %d pairs reported, want %d", k, id, counts[k][id], limit)
+			}
 		}
 	}
 }
@@ -228,34 +252,145 @@ func TestJoinSelfStreamParallelInsertBuilt(t *testing.T) {
 	for _, it := range items {
 		tr.Insert(it.Rect, it.ID)
 	}
-	window := joinWindow(2)
-	want := bruteSelfJoin(items, window)
+	for _, numQ := range []int{1, 3} {
+		windows := padWindows(numQ, 2)
+		c := runBatch(t, tr, windows, 3)
+		checkBrute(t, fmt.Sprintf("Q=%d", numQ), c, items, windows)
+	}
+}
 
-	var mu sync.Mutex
-	streams := map[int][]int{}
-	tr.JoinSelfStreamParallel(window, 3, func() StreamVisitor {
-		return StreamVisitor{
-			Begin: func(id int, _ geom.Rect) bool {
-				mu.Lock()
-				streams[id] = []int{}
-				mu.Unlock()
-				return true
-			},
-			Pair: func(leftID, rightID int, _ geom.Rect) bool {
-				mu.Lock()
-				streams[leftID] = append(streams[leftID], rightID)
-				mu.Unlock()
-				return true
+// TestJoinSelfStreamBatchMatchesSingle pins batch composition: every
+// query's streams in a batch of Q are exactly (same pairs, same order) its
+// streams as a batch of one, every stream matches brute force, and — for
+// more than one query — the batch charges strictly fewer node accesses
+// than the Q batches of one combined.
+func TestJoinSelfStreamBatchMatchesSingle(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, n := range []int{1, 40, 400, 1500} {
+		for _, numQ := range []int{1, 2, 5} {
+			for _, workers := range []int{1, 4} {
+				items := randomItems(rng, n, 2)
+				tr := New(2, WithMaxEntries(8))
+				tr.BulkLoad(items)
+				var io stats.Counter
+				tr.SetCounter(&io)
+				windows := padWindows(numQ, 1.5)
+				label := fmt.Sprintf("n=%d Q=%d workers=%d", n, numQ, workers)
+
+				singleIO := int64(0)
+				single := make([]map[int][]int, numQ)
+				for k := range windows {
+					io.Reset()
+					single[k] = runBatch(t, tr, windows[k:k+1], workers).streams[0]
+					singleIO += io.Value()
+				}
+
+				io.Reset()
+				c := runBatch(t, tr, windows, workers)
+				batchIO := io.Value()
+				checkBrute(t, label, c, items, windows)
+				for k := range windows {
+					for id, got := range c.streams[k] {
+						if fmt.Sprint(got) != fmt.Sprint(single[k][id]) {
+							t.Fatalf("%s q=%d id=%d: batch stream %v, batch of one %v",
+								label, k, id, got, single[k][id])
+						}
+					}
+				}
+				if workers == 1 && numQ > 1 && n > 1 && batchIO >= singleIO {
+					t.Fatalf("%s: batch join charged %d node accesses, not below the batches of one's %d",
+						label, batchIO, singleIO)
+				}
+			}
+		}
+	}
+}
+
+// TestJoinSelfStreamBatchEarlyStop asserts a Pair returning false truncates
+// only that (query, left) stream.
+func TestJoinSelfStreamBatchEarlyStop(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	items := randomItems(rng, 120, 2)
+	tr := New(2, WithMaxEntries(8))
+	tr.BulkLoad(items)
+	windows := []WindowFunc{joinWindow(3), joinWindow(3)}
+	full := bruteSelfJoin(items, windows[0])
+
+	got := make([]map[int][]int, 2)
+	got[0], got[1] = map[int][]int{}, map[int][]int{}
+	err := tr.JoinSelfStreamBatch(context.Background(), windows, 1, func() BatchStreamVisitor {
+		return BatchStreamVisitor{
+			Pair: func(k, l, r int, _ geom.Rect) bool {
+				got[k][l] = append(got[k][l], r)
+				return k != 0 || len(got[0][l]) < 2 // query 0 stops after two pairs
 			},
 		}
 	})
-	if len(streams) != len(items) {
-		t.Fatalf("%d left streams, want %d", len(streams), len(items))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for id, got := range streams {
-		sort.Ints(got)
-		if fmt.Sprint(got) != fmt.Sprint(want[id]) {
-			t.Fatalf("id=%d: got %v, want %v", id, got, want[id])
+	for l, want := range full {
+		if len(want) > 2 && len(got[0][l]) != 2 {
+			t.Fatalf("left %d: query-0 stream has %d pairs, want truncation at 2", l, len(got[0][l]))
 		}
+		rest := append([]int{}, got[1][l]...)
+		sort.Ints(rest)
+		if fmt.Sprint(rest) != fmt.Sprint(want) {
+			t.Fatalf("left %d: query-1 stream truncated too: got %v want %v", l, rest, want)
+		}
+	}
+}
+
+// TestJoinSelfStreamBatchCanceled asserts a pre-canceled context stops the
+// batch join with the context's error.
+func TestJoinSelfStreamBatchCanceled(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	items := randomItems(rng, 300, 2)
+	tr := New(2, WithMaxEntries(8))
+	tr.BulkLoad(items)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pairs := 0
+	err := tr.JoinSelfStreamBatch(ctx, []WindowFunc{joinWindow(3)}, 1, func() BatchStreamVisitor {
+		return BatchStreamVisitor{Pair: func(k, l, r int, _ geom.Rect) bool { pairs++; return true }}
+	})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if pairs != 0 {
+		t.Fatalf("canceled join still streamed %d pairs", pairs)
+	}
+}
+
+// TestJoinSelfStreamBatchCancelMidLeaf asserts the poll is charged per
+// stream, not per node: a cancellation inside a single large leaf stops
+// the join within one poll stride of streams instead of finishing the
+// leaf's every (query, entry) stream.
+func TestJoinSelfStreamBatchCancelMidLeaf(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	items := randomItems(rng, 200, 2)
+	tr := New(2, WithMaxEntries(256))
+	tr.BulkLoad(items) // one root leaf
+	windows := padWindows(64, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	left := map[int]bool{}
+	err := tr.JoinSelfStreamBatch(ctx, windows, 1, func() BatchStreamVisitor {
+		return BatchStreamVisitor{
+			Begin: func(k, id int, _ geom.Rect) bool {
+				cancel()
+				left[id] = true
+				return true
+			},
+			Pair: func(int, int, int, geom.Rect) bool { return true },
+		}
+	})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// One stride (ctxutil.DefaultStride units) covers 1024/64 = 16 left
+	// entries of a 64-query batch, plus the entry the poll fires before.
+	if len(left) > 17 {
+		t.Fatalf("canceled join streamed %d of %d left entries", len(left), len(items))
 	}
 }

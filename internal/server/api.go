@@ -71,9 +71,11 @@ type DatasetInfo struct {
 }
 
 // OptionsSpec tunes the refinement stage of explain/repair requests; the
-// zero value selects the library defaults. The No* switches ablate the
-// branch-and-bound optimizations for benchmarking — results are identical,
-// only the work differs (and the cache keys them separately).
+// zero value selects the library defaults. The research ablation switches
+// of causality.Options (NoGreedySeed, NoAdmissible, NoMassOrder) are not
+// part of the wire API: they belong to the experiments harness, and since
+// unknown fields are ignored, requests that still send them decode as if
+// they were unset.
 //
 // MaxSubsets counts refinement evaluation units — leaf verifications,
 // pruned branch points, and the greedy incumbent pass's probability
@@ -86,9 +88,6 @@ type OptionsSpec struct {
 	MaxSubsets    int64 `json:"maxSubsets,omitempty"`
 	QuadNodes     int   `json:"quadNodes,omitempty"`
 	Parallel      int   `json:"parallel,omitempty"`
-	NoGreedySeed  bool  `json:"noGreedySeed,omitempty"`
-	NoAdmissible  bool  `json:"noAdmissible,omitempty"`
-	NoMassOrder   bool  `json:"noMassOrder,omitempty"`
 }
 
 func (o OptionsSpec) toOptions() causality.Options {
@@ -97,9 +96,6 @@ func (o OptionsSpec) toOptions() causality.Options {
 		MaxSubsets:    o.MaxSubsets,
 		QuadNodes:     o.QuadNodes,
 		Parallel:      o.Parallel,
-		NoGreedySeed:  o.NoGreedySeed,
-		NoAdmissible:  o.NoAdmissible,
-		NoMassOrder:   o.NoMassOrder,
 	}
 }
 

@@ -54,8 +54,8 @@ func TestLibraryQueryNeverNil(t *testing.T) {
 	w := sampleWorkload(t)
 	// Alpha 1 with a query far outside the domain corner: every object
 	// has some dominating competitor, so the answer set is empty.
-	ids := w.eng.ProbabilisticReverseSkyline([]float64{-1e6, -1e6}, 1)
+	ids := w.query(t, []float64{-1e6, -1e6}, 1)
 	if ids == nil {
-		t.Fatal("ProbabilisticReverseSkyline returned nil for an empty result")
+		t.Fatal("QueryCtx returned nil for an empty result")
 	}
 }

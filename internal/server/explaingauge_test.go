@@ -95,17 +95,4 @@ func TestStatsExplainGauges(t *testing.T) {
 	if final.Explain != after.Explain {
 		t.Fatalf("cache hit changed the work gauges: %+v -> %+v", after.Explain, final.Explain)
 	}
-
-	// An ablated request is a different cache key and computes again.
-	c.post("/v1/explain", &ExplainRequest{Dataset: "d", Q: []float64{0, 0}, An: 0, Alpha: 0.6,
-		Options: OptionsSpec{NoGreedySeed: true, NoAdmissible: true, NoMassOrder: true}},
-		&er, http.StatusOK)
-	ablated := readStats()
-	if ablated.Explain.ComputedExplanations != 2 {
-		t.Fatalf("ablated request did not compute: %+v", ablated.Explain)
-	}
-	if ablated.Explain.GreedySeeds != final.Explain.GreedySeeds {
-		t.Fatalf("NoGreedySeed request still seeded incumbents: %+v -> %+v",
-			final.Explain, ablated.Explain)
-	}
 }

@@ -354,7 +354,7 @@ func TestTraceBatchTrailer(t *testing.T) {
 		t.Fatal("trailer has no trace")
 	}
 	spans := spanMap(trailer.Trace)
-	for _, name := range []string{"pool.wait", "prsq.batchJoin", "prsq.batchExact"} {
+	for _, name := range []string{"pool.wait", "prsq.join", "prsq.exact"} {
 		if _, ok := spans[name]; !ok {
 			t.Fatalf("batch span %q missing; got %+v", name, trailer.Trace.Spans)
 		}

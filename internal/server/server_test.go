@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -56,6 +57,16 @@ func sampleWorkload(tb testing.TB) *testWorkload {
 		tb.Fatalf("workload: %v", workloadErr)
 	}
 	return workload
+}
+
+// query is the library ground truth: the engine's QueryCtx on q at alpha.
+func (w *testWorkload) query(tb testing.TB, q geom.Point, alpha float64) []int {
+	tb.Helper()
+	ids, _, err := w.eng.QueryCtx(context.Background(), q, alpha, crsky.QueryOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ids
 }
 
 func objectSpecs(ds *dataset.Uncertain) []ObjectSpec {
@@ -161,7 +172,7 @@ func TestServerEndToEndSample(t *testing.T) {
 	// Query must match the library's probabilistic reverse skyline.
 	var qr QueryResponse
 	c.post("/v1/query", &QueryRequest{Dataset: "lUrU", Q: w.q, Alpha: 0.5}, &qr, http.StatusOK)
-	want := w.eng.ProbabilisticReverseSkyline(w.q, 0.5)
+	want := w.query(t, w.q, 0.5)
 	if want == nil {
 		want = []int{}
 	}
@@ -400,7 +411,7 @@ func TestServerDatasetLifecycleAndErrors(t *testing.T) {
 	c.registerSample("a", w.ds)
 	c.post("/v1/explain", &ExplainRequest{Dataset: "a", Q: []float64{1, 2, 3}, An: 0, Alpha: 0.5}, nil, http.StatusBadRequest)
 	c.post("/v1/explain", &ExplainRequest{Dataset: "a", Q: w.q, An: 0, Alpha: 1.5}, nil, http.StatusBadRequest)
-	answers := w.eng.ProbabilisticReverseSkyline(w.q, 0.5)
+	answers := w.query(t, w.q, 0.5)
 	if len(answers) > 0 {
 		c.post("/v1/explain", &ExplainRequest{Dataset: "a", Q: w.q, An: answers[0], Alpha: 0.5},
 			nil, http.StatusUnprocessableEntity)

@@ -199,7 +199,7 @@ func TestServerV2ExplainBatch(t *testing.T) {
 	c.registerSample("demo", w.ds)
 
 	// One known answer for the per-item error path.
-	answers := w.eng.ProbabilisticReverseSkyline(w.q, 0.5)
+	answers := w.query(t, w.q, 0.5)
 	if len(answers) == 0 {
 		t.Fatal("workload has no answers")
 	}

@@ -137,7 +137,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 // reevalWatch is the Reevaluator the hub calls after committed mutations:
 // re-check the affected subscriptions against the CURRENT engine
 // generation, batching subscriptions that share (alpha, quadNodes)
-// through one QueryBatch so the index traversal is shared.
+// through one QueryBatchStream so the index traversal is shared. The hub
+// has no fallback tier to protect, so its queries take no StageBudget.
 func (s *Server) reevalWatch(name string, gen uint64, subs []*watch.Sub) {
 	start := time.Now()
 	defer func() { s.watchReeval.Observe(time.Since(start)) }()
@@ -164,8 +165,8 @@ func (s *Server) reevalWatch(name string, gen uint64, subs []*watch.Sub) {
 		}
 		ctx, cancel := context.WithTimeout(s.drainCtx, reevalTimeout)
 		v, err := s.pool.Do(ctx, func() (any, error) {
-			res, _, qerr := ent.eng.QueryBatch(ctx, qs, k.alpha,
-				crsky.QueryOptions{QuadNodes: k.qn, StageBudget: true})
+			res, _, qerr := ent.eng.QueryBatchStream(ctx, qs, k.alpha,
+				crsky.QueryOptions{QuadNodes: k.qn}, nil)
 			return res, qerr
 		})
 		if err != nil {

@@ -36,7 +36,7 @@ func TestEngineWithMutations(t *testing.T) {
 	}
 	e0.Warm()
 	q := Point{50, 50}
-	base := e0.ProbabilisticReverseSkyline(q, 0.3)
+	base := query(t, e0, q, 0.3, QueryOptions{})
 
 	// Delete one answer object, insert a fresh one.
 	if len(base) == 0 {
@@ -59,7 +59,7 @@ func TestEngineWithMutations(t *testing.T) {
 	e2 := v2.(*Engine)
 
 	// The receiver is untouched: same answers, same object count.
-	if got := e0.ProbabilisticReverseSkyline(q, 0.3); !reflect.DeepEqual(got, base) {
+	if got := query(t, e0, q, 0.3, QueryOptions{}); !reflect.DeepEqual(got, base) {
 		t.Fatalf("receiver answers changed: %v -> %v", base, got)
 	}
 	if e0.Object(victim) == nil {
@@ -73,7 +73,7 @@ func TestEngineWithMutations(t *testing.T) {
 			live = append(live, NewUniformObject(len(live), samplesLocs(o)))
 		}
 	}
-	got := e2.ProbabilisticReverseSkyline(q, 0.3)
+	got := query(t, e2, q, 0.3, QueryOptions{})
 	naive := e2.ProbabilisticReverseSkylineNaive(q, 0.3)
 	if !reflect.DeepEqual(got, naive) {
 		t.Fatalf("accelerated %v vs naive %v on mutated engine", got, naive)
@@ -229,17 +229,17 @@ func TestPDFEngineWithMutations(t *testing.T) {
 	}
 	e0.Warm()
 	q := Point{5, 5}
-	base := e0.ProbabilisticReverseSkyline(q, 0.5, 0)
+	base := query(t, e0, q, 0.5, QueryOptions{})
 
 	v1, err := e0.WithDelete(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e1 := v1.(*PDFEngine)
-	if got := e0.ProbabilisticReverseSkyline(q, 0.5, 0); !reflect.DeepEqual(got, base) {
+	if got := query(t, e0, q, 0.5, QueryOptions{}); !reflect.DeepEqual(got, base) {
 		t.Fatalf("receiver answers changed: %v -> %v", base, got)
 	}
-	if got, naive := e1.ProbabilisticReverseSkyline(q, 0.5, 0), e1.ProbabilisticReverseSkylineNaive(q, 0.5, 0); !reflect.DeepEqual(got, naive) {
+	if got, naive := query(t, e1, q, 0.5, QueryOptions{}), e1.ProbabilisticReverseSkylineNaive(q, 0.5, 0); !reflect.DeepEqual(got, naive) {
 		t.Fatalf("accelerated %v vs naive %v on mutated engine", got, naive)
 	}
 
@@ -258,7 +258,7 @@ func TestPDFEngineWithMutations(t *testing.T) {
 	if payload.ID != 99 {
 		t.Fatal("caller's payload object was mutated")
 	}
-	if got, naive := e2.ProbabilisticReverseSkyline(q, 0.5, 0), e2.ProbabilisticReverseSkylineNaive(q, 0.5, 0); !reflect.DeepEqual(got, naive) {
+	if got, naive := query(t, e2, q, 0.5, QueryOptions{}), e2.ProbabilisticReverseSkylineNaive(q, 0.5, 0); !reflect.DeepEqual(got, naive) {
 		t.Fatalf("accelerated %v vs naive %v after insert", got, naive)
 	}
 	if _, err := e2.WithDelete(1); !errors.Is(err, ErrBadObject) {

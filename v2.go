@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -37,9 +36,12 @@ import (
 //     alpha ∈ (0, 1]; CertainEngine accepts the parameter and validates
 //     it is exactly 1 (certain-data membership is exact), failing with
 //     ErrBadAlpha otherwise.
-//   - The legacy context-free methods (Explain, ProbabilisticReverseSkyline,
-//     SuggestRepair, …) remain as thin context.Background() wrappers and
-//     are frozen; new call sites should use the v2 methods.
+//   - Each operation has one v2 method. A query is a batch of one:
+//     QueryCtx runs the engine's QueryBatchStream path on its single point,
+//     and a nil emit turns either streaming batch method into a plain
+//     batch call. The context-free methods that remain (Explain, Verify,
+//     SuggestRepair, the …Naive oracles, CertainEngine.ReverseSkyline) are
+//     frozen references; new call sites should use the v2 methods.
 
 // CanceledError is the typed error wrapped into every cancellation return:
 // it unwraps to the context error and carries the partial work counters
@@ -58,7 +60,7 @@ var ErrUnsupported = errors.New("crsky: operation not supported by this engine")
 // (0, 1] for the probabilistic engines, exactly 1 for CertainEngine.
 var ErrBadAlpha = errors.New("crsky: alpha out of range for this engine")
 
-// ExplainRequest is one item of an ExplainBatch call.
+// ExplainRequest is one item of an ExplainBatchStream call.
 type ExplainRequest struct {
 	// ID is the non-answer object to explain.
 	ID int
@@ -73,8 +75,9 @@ type ExplainRequest struct {
 	Timeout time.Duration
 }
 
-// ExplainItem is the per-item outcome of an ExplainBatch call: exactly one
-// of Result and Err is set. Index is the position in the request slice.
+// ExplainItem is the per-item outcome of an ExplainBatchStream call:
+// exactly one of Result and Err is set. Index is the position in the
+// request slice.
 type ExplainItem struct {
 	Index  int
 	Result *Explanation
@@ -97,20 +100,17 @@ type Querier interface {
 	ResetCounters()
 	// QueryCtx returns the IDs (ascending) of every object whose
 	// probability of being a reverse skyline point of q is at least
-	// alpha, with execution statistics.
+	// alpha, with execution statistics — QueryBatchStream on one point.
 	QueryCtx(ctx context.Context, q Point, alpha float64, opts QueryOptions) ([]int, QueryStats, error)
-	// QueryBatch answers many query points at once — one answer slice per
-	// point, element-wise identical to per-point QueryCtx calls — sharing
-	// index traversal, warm-up, and the evaluation worker pool across the
-	// batch.
-	QueryBatch(ctx context.Context, qs []Point, alpha float64, opts QueryOptions) ([][]int, QueryStats, error)
-	// QueryBatchStream is QueryBatch with per-item streaming: a non-nil
-	// emit observes every query's final ascending answer slice in request
-	// order, each exactly once, as soon as it is final — before the rest
-	// of the batch finishes computing. Emit calls are serialized; the
-	// callback must not call back into the engine. On a mid-batch
-	// cancellation only the completed prefix has been emitted, and the
-	// call returns the error with no answers.
+	// QueryBatchStream answers many query points at once — one answer
+	// slice per point, element-wise identical to per-point QueryCtx calls —
+	// sharing index traversal, warm-up, and the evaluation worker pool
+	// across the batch. A non-nil emit observes every query's final
+	// ascending answer slice in request order, each exactly once, as soon
+	// as it is final — before the rest of the batch finishes computing.
+	// Emit calls are serialized; the callback must not call back into the
+	// engine. On a mid-batch cancellation only the completed prefix has
+	// been emitted, and the call returns the error with no answers.
 	QueryBatchStream(ctx context.Context, qs []Point, alpha float64, opts QueryOptions, emit func(index int, ids []int)) ([][]int, QueryStats, error)
 	// QueryApprox is the degraded-mode query: the shared filter-and-bound
 	// stage settles everything it can exactly, and the remaining band is
@@ -129,16 +129,13 @@ type Explainer interface {
 	// ExplainCtx computes the causality and responsibility for non-answer
 	// id (ErrNotNonAnswer if it is an answer).
 	ExplainCtx(ctx context.Context, id int, q Point, alpha float64, opts Options) (*Explanation, error)
-	// ExplainBatch explains many non-answers with per-item results and
-	// errors; one item's failure (or cancellation after some items have
-	// finished) never discards its siblings' results. A per-item
-	// ExplainRequest.Timeout bounds that item alone.
-	ExplainBatch(ctx context.Context, reqs []ExplainRequest, opts Options) []ExplainItem
-	// ExplainBatchStream is ExplainBatch with per-item streaming: a
-	// non-nil emit observes every item in request order, each exactly
-	// once, as soon as it and every earlier item have finished. Emit
-	// calls are serialized; the callback must not call back into the
-	// engine.
+	// ExplainBatchStream explains many non-answers with per-item results
+	// and errors; one item's failure (or cancellation after some items
+	// have finished) never discards its siblings' results. A per-item
+	// ExplainRequest.Timeout bounds that item alone. A non-nil emit
+	// observes every item in request order, each exactly once, as soon as
+	// it and every earlier item have finished. Emit calls are serialized;
+	// the callback must not call back into the engine.
 	ExplainBatchStream(ctx context.Context, reqs []ExplainRequest, opts Options, emit func(ExplainItem)) []ExplainItem
 	// RepairCtx finds a smallest removal set making non-answer id an
 	// answer.
@@ -187,6 +184,14 @@ func checkDims(q Point, dims int) error {
 // context (the shared ctxutil helper, re-exported for this file's
 // engine methods).
 func ctxPrecheck(ctx context.Context) error { return ctxutil.Precheck(ctx) }
+
+// queryOne unpacks a batch of one into QueryCtx's single answer.
+func queryOne(out [][]int, st QueryStats, err error) ([]int, QueryStats, error) {
+	if err != nil {
+		return nil, st, err
+	}
+	return out[0], st, nil
+}
 
 // explainBatch fans reqs out over worker goroutines, collecting per-item
 // results. The item fan-out provides the first level of parallelism
@@ -304,27 +309,19 @@ func explainBatch(ctx context.Context, reqs []ExplainRequest, opts Options,
 
 // --- Engine (discrete-sample model) -----------------------------------
 
-// QueryCtx implements Querier: the index-accelerated batch path of
-// ProbabilisticReverseSkylineOpts under a context.
+// QueryCtx implements Querier: the index-accelerated query (one R-tree
+// filtering pass for all objects, MBR-level bound pruning, parallel exact
+// evaluation of the undecided band) as a batch of one — identical results
+// to ProbabilisticReverseSkylineNaive.
 func (e *Engine) QueryCtx(ctx context.Context, q Point, alpha float64, opts QueryOptions) ([]int, QueryStats, error) {
-	if err := checkDims(q, e.Dims()); err != nil {
-		return nil, QueryStats{}, err
-	}
-	if err := checkAlphaUnit(alpha); err != nil {
-		return nil, QueryStats{}, err
-	}
-	return prsq.QueryStatsCtx(ctx, e.ds, q, alpha, opts)
+	return queryOne(e.QueryBatchStream(ctx, []Point{q}, alpha, opts, nil))
 }
 
-// QueryBatch implements Querier: one shared left-descent R-tree self-join
-// answers every query point, with strictly fewer total node accesses than
-// the equivalent per-point QueryCtx calls for batches of two or more.
-func (e *Engine) QueryBatch(ctx context.Context, qs []Point, alpha float64, opts QueryOptions) ([][]int, QueryStats, error) {
-	return e.QueryBatchStream(ctx, qs, alpha, opts, nil)
-}
-
-// QueryBatchStream implements Querier: the shared-join batch with answers
-// streamed per query as their undecided bands settle.
+// QueryBatchStream implements Querier: one shared left-descent R-tree
+// self-join answers every query point, with strictly fewer total node
+// accesses than the equivalent per-point QueryCtx calls for batches of two
+// or more, and answers streamed per query as their undecided bands
+// settle.
 func (e *Engine) QueryBatchStream(ctx context.Context, qs []Point, alpha float64, opts QueryOptions,
 	emit func(index int, ids []int)) ([][]int, QueryStats, error) {
 
@@ -358,11 +355,6 @@ func (e *Engine) ExplainCtx(ctx context.Context, id int, q Point, alpha float64,
 	return causality.CPCtx(ctx, e.ds, q, id, alpha, opts)
 }
 
-// ExplainBatch implements Explainer.
-func (e *Engine) ExplainBatch(ctx context.Context, reqs []ExplainRequest, opts Options) []ExplainItem {
-	return explainBatch(ctx, reqs, opts, e.ExplainCtx, nil)
-}
-
 // ExplainBatchStream implements Explainer.
 func (e *Engine) ExplainBatchStream(ctx context.Context, reqs []ExplainRequest, opts Options, emit func(ExplainItem)) []ExplainItem {
 	return explainBatch(ctx, reqs, opts, e.ExplainCtx, emit)
@@ -385,46 +377,23 @@ func (e *Engine) VerifyCtx(ctx context.Context, q Point, alpha float64, res *Exp
 // --- CertainEngine (certain data, Section 4) --------------------------
 
 // QueryCtx implements Querier over certain data: alpha is validated to be
-// exactly 1, and the reverse skyline is computed with the branch-and-bound
-// BBRS traversal (ascending IDs).
+// exactly 1, and the reverse skyline (ascending IDs) is the BBRS traversal
+// of QueryBatchStream run on one point.
 func (e *CertainEngine) QueryCtx(ctx context.Context, q Point, alpha float64, opts QueryOptions) ([]int, QueryStats, error) {
-	if err := checkDims(q, e.Dims()); err != nil {
-		return nil, QueryStats{}, err
-	}
-	if err := checkAlphaOne(alpha); err != nil {
-		return nil, QueryStats{}, err
-	}
-	if err := ctxPrecheck(ctx); err != nil {
-		return nil, QueryStats{}, err
-	}
-	endBBRS := obs.FromContext(ctx).StartSpan("query.bbrs")
-	ids := e.ix.ReverseSkylineBBRS(q)
-	endBBRS()
-	sort.Ints(ids)
-	if ids == nil {
-		ids = []int{}
-	}
-	// Evaluated counts exact Eq.-2 evaluations; BBRS performs none, so the
-	// stat stays zero and cross-model aggregation stays meaningful.
-	return ids, QueryStats{Objects: e.Len()}, nil
+	return queryOne(e.QueryBatchStream(ctx, []Point{q}, alpha, opts, nil))
 }
 
-// QueryBatch implements Querier: one branch-and-bound traversal with a
-// frontier SHARED across every query point — the certain-data twin of the
-// probabilistic models' shared left-descent join. Each R-tree node is read
-// (and charged to the access counter) once however many queries' frontiers
-// it sits on, so for two or more queries the batch records strictly fewer
+// QueryBatchStream implements Querier: one branch-and-bound traversal with
+// a frontier SHARED across every query point — the certain-data twin of
+// the probabilistic models' shared left-descent join — with each query's
+// verified answer streamed in request order. Each R-tree node is read (and
+// charged to the access counter) once however many queries' frontiers it
+// sits on, so for two or more queries the batch records strictly fewer
 // node accesses than per-point QueryCtx calls, while the exact per-query
-// verification keeps the answers element-wise identical to them.
-func (e *CertainEngine) QueryBatch(ctx context.Context, qs []Point, alpha float64, opts QueryOptions) ([][]int, QueryStats, error) {
-	return e.QueryBatchStream(ctx, qs, alpha, opts, nil)
-}
-
-// QueryBatchStream implements Querier: the shared-frontier batch traversal
-// with each query's verified answer streamed in request order. The shared
-// traversal itself is one uninterruptible pass (like QueryCtx's BBRS); ctx
-// is observed on entry and again before each query's verification/emission,
-// so a cancellation stops the batch between items.
+// verification keeps the answers element-wise identical to them. The
+// shared traversal itself is one uninterruptible pass; ctx is observed on
+// entry and again before each query's verification/emission, so a
+// cancellation stops the batch between items.
 func (e *CertainEngine) QueryBatchStream(ctx context.Context, qs []Point, alpha float64, opts QueryOptions,
 	emit func(index int, ids []int)) ([][]int, QueryStats, error) {
 
@@ -463,8 +432,9 @@ func (e *CertainEngine) QueryBatchStream(ctx context.Context, qs []Point, alpha 
 			out[k] = []int{}
 		}
 	}
-	// Evaluated stays zero exactly as in QueryCtx; Objects aggregates the
-	// per-query decision counts the per-point calls would report.
+	// Evaluated counts exact Eq.-2 evaluations; BBRS performs none, so the
+	// stat stays zero and cross-model aggregation stays meaningful. Objects
+	// aggregates the per-query decision counts.
 	return out, QueryStats{Objects: e.Len() * len(qs)}, nil
 }
 
@@ -491,11 +461,6 @@ func (e *CertainEngine) ExplainCtx(ctx context.Context, id int, q Point, alpha f
 		return nil, err
 	}
 	return causality.CR(e.ix, q, id)
-}
-
-// ExplainBatch implements Explainer.
-func (e *CertainEngine) ExplainBatch(ctx context.Context, reqs []ExplainRequest, opts Options) []ExplainItem {
-	return explainBatch(ctx, reqs, opts, e.ExplainCtx, nil)
 }
 
 // ExplainBatchStream implements Explainer.
@@ -533,27 +498,18 @@ func (e *CertainEngine) VerifyCtx(ctx context.Context, q Point, alpha float64, r
 
 // --- PDFEngine (continuous model) --------------------------------------
 
-// QueryCtx implements Querier: the index-accelerated pdf batch path under
-// a context. The quadrature resolution comes from opts.QuadNodes (<= 0
-// selects the dimension-adapted default).
+// QueryCtx implements Querier: the index-accelerated pdf query (one R-tree
+// join, Γ1 core-rect pruning, parallel quadrature of the survivors) as a
+// batch of one — identical results to ProbabilisticReverseSkylineNaive.
+// The quadrature resolution comes from opts.QuadNodes (<= 0 selects the
+// dimension-adapted default).
 func (e *PDFEngine) QueryCtx(ctx context.Context, q Point, alpha float64, opts QueryOptions) ([]int, QueryStats, error) {
-	if err := checkDims(q, e.Dims()); err != nil {
-		return nil, QueryStats{}, err
-	}
-	if err := checkAlphaUnit(alpha); err != nil {
-		return nil, QueryStats{}, err
-	}
-	return prsq.QueryPDFStatsCtx(ctx, e.set, q, alpha, opts.QuadNodes, opts)
+	return queryOne(e.QueryBatchStream(ctx, []Point{q}, alpha, opts, nil))
 }
 
-// QueryBatch implements Querier with the shared left-descent join of the
-// sample model applied to the pdf geometry.
-func (e *PDFEngine) QueryBatch(ctx context.Context, qs []Point, alpha float64, opts QueryOptions) ([][]int, QueryStats, error) {
-	return e.QueryBatchStream(ctx, qs, alpha, opts, nil)
-}
-
-// QueryBatchStream implements Querier: the pdf shared-join batch with
-// answers streamed per query as their undecided bands settle.
+// QueryBatchStream implements Querier with the shared left-descent join of
+// the sample model applied to the pdf geometry, answers streamed per query
+// as their undecided bands settle.
 func (e *PDFEngine) QueryBatchStream(ctx context.Context, qs []Point, alpha float64, opts QueryOptions,
 	emit func(index int, ids []int)) ([][]int, QueryStats, error) {
 
@@ -585,11 +541,6 @@ func (e *PDFEngine) QueryApprox(ctx context.Context, q Point, alpha float64, opt
 // context.
 func (e *PDFEngine) ExplainCtx(ctx context.Context, id int, q Point, alpha float64, opts Options) (*Explanation, error) {
 	return causality.CPPDFCtx(ctx, e.set, q, id, alpha, opts)
-}
-
-// ExplainBatch implements Explainer.
-func (e *PDFEngine) ExplainBatch(ctx context.Context, reqs []ExplainRequest, opts Options) []ExplainItem {
-	return explainBatch(ctx, reqs, opts, e.ExplainCtx, nil)
 }
 
 // ExplainBatchStream implements Explainer.
