@@ -1,6 +1,6 @@
 # Developer entry points. The Go toolchain is the only requirement.
 
-.PHONY: build test race vet fmt-check api-check api-update conformance chaos-smoke crash-smoke watch-smoke fuzz-smoke perfbench-check bench bench-smoke bench-prsq bench-prsq-check bench-explain bench-explain-check bench-serve bench-serve-check experiments
+.PHONY: build test race vet fmt-check api-check api-update loc conformance chaos-smoke crash-smoke watch-smoke fuzz-smoke perfbench-check bench bench-smoke bench-prsq bench-prsq-check bench-explain bench-explain-check bench-serve bench-serve-check experiments
 
 build:
 	go build ./...
@@ -23,6 +23,14 @@ api-check:
 # Regenerate api.txt after an intentional API change.
 api-update:
 	go run ./cmd/apicheck -update
+
+# The two size numbers the ROADMAP north star tracks: non-test Go lines
+# outside the benchmark module (perfbench/) and its build tree
+# (.bench_build/), and the public API surface (api.txt lines). A report,
+# not a gate.
+loc:
+	@echo "non-test Go lines: $$(find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
+	@echo "api.txt lines: $$(wc -l < api.txt)"
 
 race:
 	go test -race ./...

@@ -26,8 +26,6 @@
 package crsky
 
 import (
-	"sync"
-
 	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/geom"
@@ -193,35 +191,13 @@ func (e *Engine) ExplainNaive(id int, q Point, alpha float64, opts Options) (*Ex
 	return causality.NaiveI(e.ds, q, id, alpha, opts)
 }
 
-// Verify independently re-checks an explanation against Definition 1:
-// every reported cause's contingency set must witness causehood and the
-// responsibility arithmetic must hold. A trust layer over Explain.
-func (e *Engine) Verify(q Point, alpha float64, res *Explanation) error {
-	return causality.VerifyExplanation(e.ds, q, alpha, res)
-}
-
 // Repair is a minimal intervention turning a non-answer into an answer.
 type Repair = causality.Repair
-
-// SuggestRepair finds a smallest set of objects whose removal makes the
-// non-answer id an answer at threshold alpha — the actionable follow-up to
-// an explanation ("what is the smallest set of competitors to beat?").
-// Large refinement pools fall back to a greedy construction (Exact=false).
-func (e *Engine) SuggestRepair(id int, q Point, alpha float64, opts Options) (*Repair, error) {
-	return causality.MinimalRepair(e.ds, q, id, alpha, opts)
-}
 
 // CertainEngine answers and explains (certain) reverse skyline queries.
 type CertainEngine struct {
 	ix *skyline.Index
 	io stats.Counter
-
-	// redMu guards red, the lazily built (and warmed) Section-4 reduction
-	// dataset backing Verify/SuggestRepair and their v2 counterparts.
-	// Insert and Delete invalidate it: the reduction must stay
-	// index-aligned with the live points.
-	redMu sync.Mutex
-	red   *dataset.Uncertain
 }
 
 // NewCertainEngine validates the points and builds the engine with a
@@ -272,25 +248,6 @@ func (e *CertainEngine) Explain(i int, q Point) (*Explanation, error) {
 // verification); used by the benchmark harness.
 func (e *CertainEngine) ExplainNaive(i int, q Point, opts Options) (*Explanation, error) {
 	return causality.NaiveII(e.ix, q, i, opts)
-}
-
-// Insert adds a point to the engine and returns its index. Existing
-// indexes remain valid. The reduction cache is invalidated AFTER the
-// mutation: invalidating first would let a concurrent Verify/SuggestRepair
-// rebuild and cache the pre-mutation reduction, which would then stay
-// stale past this call.
-func (e *CertainEngine) Insert(p Point) int {
-	idx := e.ix.Insert(p)
-	e.invalidateReduction()
-	return idx
-}
-
-// Delete removes the point with the given index; the index becomes a
-// tombstone and is never reused. See Insert for the invalidation order.
-func (e *CertainEngine) Delete(i int) error {
-	err := e.ix.Delete(i)
-	e.invalidateReduction()
-	return err
 }
 
 // Deleted reports whether index i is a tombstone.

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestCertainEngineDynamic exercises the public insert/delete path: an
-// explanation changes as competitors appear and disappear.
+// TestCertainEngineDynamic exercises the public copy-on-write insert/delete
+// path: an explanation changes as competitors appear and disappear.
 func TestCertainEngineDynamic(t *testing.T) {
 	e, err := NewCertainEngine([]Point{
 		{40, 40}, // 0: will be the non-answer
@@ -27,10 +27,20 @@ func TestCertainEngineDynamic(t *testing.T) {
 		t.Fatalf("causes = %v, want just object 1", res.Causes)
 	}
 
+	// mutate applies one COW mutation and continues on the successor.
+	mutate := func(next Explainer, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e = next.(*CertainEngine)
+	}
+
 	// A new competitor arrives: responsibilities dilute to 1/2.
-	id := e.Insert(Point{30, 34})
+	next, id, err := e.WithInsert(InsertSpec{Point: Point{30, 34}})
+	mutate(next, err)
 	if id != 3 {
-		t.Fatalf("Insert returned %d", id)
+		t.Fatalf("WithInsert returned %d", id)
 	}
 	res, err = e.Explain(0, q)
 	if err != nil {
@@ -41,12 +51,8 @@ func TestCertainEngineDynamic(t *testing.T) {
 	}
 
 	// Both competitors leave: object 0 becomes an answer again.
-	if err := e.Delete(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Delete(3); err != nil {
-		t.Fatal(err)
-	}
+	mutate(e.WithDelete(1))
+	mutate(e.WithDelete(3))
 	if _, err := e.Explain(0, q); !errors.Is(err, ErrNotNonAnswer) {
 		t.Fatalf("expected ErrNotNonAnswer, got %v", err)
 	}

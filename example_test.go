@@ -1,6 +1,7 @@
 package crsky_test
 
 import (
+	"context"
 	"fmt"
 
 	crsky "github.com/crsky/crsky"
@@ -45,16 +46,16 @@ func ExampleCertainEngine_Explain() {
 	// 2 causes, responsibility 0.50 each
 }
 
-// SuggestRepair answers the actionable follow-up: the smallest competitor
-// set whose removal brings the object back into the result.
-func ExampleEngine_SuggestRepair() {
+// RepairCtx answers the actionable follow-up: the smallest competitor set
+// whose removal brings the object back into the result.
+func ExampleEngine_RepairCtx() {
 	objects := []*crsky.Object{
 		crsky.NewUniformObject(0, []crsky.Point{{20, 20}, {24, 24}}),
 		crsky.NewUniformObject(1, []crsky.Point{{10, 10}, {11, 11}}),
 		crsky.NewUniformObject(2, []crsky.Point{{15, 15}, {99, 99}}),
 	}
 	engine, _ := crsky.NewEngine(objects)
-	rep, _ := engine.SuggestRepair(0, crsky.Point{0, 0}, 0.5, crsky.Options{})
+	rep, _ := engine.RepairCtx(context.Background(), 0, crsky.Point{0, 0}, 0.5, crsky.Options{})
 	fmt.Printf("remove %v (exact=%v) -> Pr=%.2f\n", rep.Removed, rep.Exact, rep.NewPr)
 	// Output:
 	// remove [1] (exact=true) -> Pr=0.50

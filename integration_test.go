@@ -1,6 +1,7 @@
 package crsky
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -23,6 +24,7 @@ func TestLargeScaleEndToEnd(t *testing.T) {
 	}
 	q := Point{4200, 5100, 4800}
 	const alpha = 0.6
+	ctx := context.Background()
 
 	explained := 0
 	for id := 0; id < engine.Len() && explained < 10; id += 17 {
@@ -37,7 +39,7 @@ func TestLargeScaleEndToEnd(t *testing.T) {
 		explained++
 
 		// The explanation must survive independent Definition-1 checking.
-		if err := engine.Verify(q, alpha, res); err != nil {
+		if err := engine.VerifyCtx(ctx, q, alpha, res); err != nil {
 			t.Fatalf("an=%d: verification failed: %v", id, err)
 		}
 		// Parallel refinement agrees with serial.
@@ -49,7 +51,7 @@ func TestLargeScaleEndToEnd(t *testing.T) {
 			t.Fatalf("an=%d: parallel %d causes vs serial %d", id, len(par.Causes), len(res.Causes))
 		}
 		// The repair must lift the object over the threshold.
-		rep, err := engine.SuggestRepair(id, q, alpha, Options{MaxSubsets: 500_000})
+		rep, err := engine.RepairCtx(ctx, id, q, alpha, Options{MaxSubsets: 500_000})
 		if err != nil {
 			t.Fatalf("an=%d repair: %v", id, err)
 		}

@@ -1,10 +1,12 @@
 package causality
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"github.com/crsky/crsky/internal/geom"
+	"github.com/crsky/crsky/internal/obs"
 	"github.com/crsky/crsky/internal/skyline"
 )
 
@@ -15,6 +17,73 @@ import (
 // set is all the other candidates, so every responsibility is 1/|Cc|
 // (Eq. 4) and no verification is needed.
 func CR(ix *skyline.Index, q geom.Point, anIdx int) (*Result, error) {
+	candIDs, err := dominatorSet(ix, q, anIdx)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{NonAnswer: anIdx, Pr: 0, Candidates: len(candIDs)}
+	res.Causes = lemma7Causes(candIDs)
+	return res, nil
+}
+
+// RepairCR is the certain-data minimal repair in closed form. Every
+// candidate in Cc dominates q w.r.t. an outright, so an stays a non-answer
+// until all of them are gone: the unique minimum repair is Cc itself —
+// Lemma 7's most responsible cause plus its contingency set — found by
+// CR's single window query, with no search.
+func RepairCR(ctx context.Context, ix *skyline.Index, q geom.Point, anIdx int) (*Repair, error) {
+	if err := precheck(ctx); err != nil {
+		return nil, err
+	}
+	endFilter := obs.FromContext(ctx).StartSpan("repair.filter")
+	candIDs, err := dominatorSet(ix, q, anIdx)
+	endFilter()
+	if err != nil {
+		return nil, err
+	}
+	return &Repair{Removed: candIDs, NewPr: 1, Exact: true}, nil
+}
+
+// VerifyCR re-checks a CR explanation against Definition 1 in closed form.
+// It recomputes Cc with a linear dominance scan, independent of the R-tree
+// whose window query produced the explanation. On certain data
+// Pr(an | P−Γ−{extra}) is 1 exactly when Γ ∪ {extra} covers Cc and 0
+// otherwise, so the shared audit costs O(n + |Cc|²) instead of two full
+// Eq.-2 evaluations per cause.
+func VerifyCR(ix *skyline.Index, q geom.Point, res *Result) error {
+	if res == nil {
+		return fmt.Errorf("causality: nil result")
+	}
+	if err := checkQuery(q, ix.Dims(), 1); err != nil {
+		return err
+	}
+	pts := ix.Points()
+	var cc []int
+	if res.NonAnswer >= 0 && res.NonAnswer < len(pts) {
+		an := pts[res.NonAnswer]
+		if an == nil {
+			return fmt.Errorf("%w: %d", ErrBadObject, res.NonAnswer)
+		}
+		for id, p := range pts {
+			if p != nil && id != res.NonAnswer && geom.DynDominates(p, q, an) {
+				cc = append(cc, id)
+			}
+		}
+	}
+	return verifyCauses(len(pts), 1, res, func(removed map[int]bool, extra int) float64 {
+		for _, c := range cc {
+			if !removed[c] && c != extra {
+				return 0
+			}
+		}
+		return 1
+	})
+}
+
+// dominatorSet validates a certain-data request and returns Cc: the sorted
+// IDs of every point dominating q w.r.t. an, from one window query. An
+// empty Cc means an is a reverse skyline point (ErrNotNonAnswer).
+func dominatorSet(ix *skyline.Index, q geom.Point, anIdx int) ([]int, error) {
 	if anIdx < 0 || anIdx >= ix.Len() || ix.Deleted(anIdx) {
 		return nil, fmt.Errorf("%w: %d", ErrBadObject, anIdx)
 	}
@@ -26,9 +95,7 @@ func CR(ix *skyline.Index, q geom.Point, anIdx int) (*Result, error) {
 		return nil, fmt.Errorf("%w: object %d is a reverse skyline point", ErrNotNonAnswer, anIdx)
 	}
 	sort.Ints(candIDs)
-	res := &Result{NonAnswer: anIdx, Pr: 0, Candidates: len(candIDs)}
-	res.Causes = lemma7Causes(candIDs)
-	return res, nil
+	return candIDs, nil
 }
 
 // lemma7Causes materializes Lemma 7: every candidate is an actual cause

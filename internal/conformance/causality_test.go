@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -358,9 +359,22 @@ func TestCausalityDeleteCauseFlipsPDF(t *testing.T) {
 	})
 }
 
+// withDeletes returns the copy-on-write successor of e with every id in
+// ids tombstoned, one WithDelete at a time; e itself is left unchanged.
+func withDeletes(e *crsky.CertainEngine, ids ...int) (*crsky.CertainEngine, error) {
+	for _, id := range ids {
+		next, err := e.WithDelete(id)
+		if err != nil {
+			return nil, fmt.Errorf("delete %d: %w", id, err)
+		}
+		e = next.(*crsky.CertainEngine)
+	}
+	return e, nil
+}
+
 // TestCausalityDeleteCauseFlipsCertain is the certain-data version driven by
-// algorithm CR and the engine's dynamic deletes: removing a reported cause
-// plus its contingency set from the live index flips the non-answer.
+// algorithm CR and the engine's copy-on-write deletes: removing a reported
+// cause plus its contingency set from the index flips the non-answer.
 func TestCausalityDeleteCauseFlipsCertain(t *testing.T) {
 	forEachCaseSeed(t, 22_000, 12, func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
@@ -380,20 +394,11 @@ func TestCausalityDeleteCauseFlipsCertain(t *testing.T) {
 			q[j] = 10000 * (0.2 + 0.6*rng.Float64())
 		}
 
-		// Delete tombstones in place through the shared point slice, so
-		// every engine gets its own deep copy of the dataset.
-		fresh := func() *crsky.CertainEngine {
-			pts := make([]geom.Point, len(ds.Points))
-			for i, p := range ds.Points {
-				pts[i] = p.Clone()
-			}
-			e, err := crsky.NewCertainEngine(pts)
-			if err != nil {
-				t.Fatalf("seed=%d: %v", seed, err)
-			}
-			return e
+		eng, err := crsky.NewCertainEngine(ds.Points)
+		if err != nil {
+			t.Errorf("seed=%d: %v", seed, err)
+			return
 		}
-		eng := fresh()
 		an := -1
 		for i := range ds.Points {
 			if !eng.IsReverseSkylinePoint(i, q) {
@@ -415,20 +420,18 @@ func TestCausalityDeleteCauseFlipsCertain(t *testing.T) {
 			if ci >= 3 {
 				break
 			}
-			live := fresh()
-			for _, id := range c.Contingency {
-				if err := live.Delete(id); err != nil {
-					t.Errorf("seed=%d: delete %d: %v", seed, id, err)
-					return
-				}
+			live, err := withDeletes(eng, c.Contingency...)
+			if err != nil {
+				t.Errorf("seed=%d: %v", seed, err)
+				return
 			}
 			if live.IsReverseSkylinePoint(an, q) {
 				t.Errorf("seed=%d an=%d cause=%d Γ=%v: contingency alone flipped the non-answer",
 					seed, an, c.ID, c.Contingency)
 				return
 			}
-			if err := live.Delete(c.ID); err != nil {
-				t.Errorf("seed=%d: delete %d: %v", seed, c.ID, err)
+			if live, err = withDeletes(live, c.ID); err != nil {
+				t.Errorf("seed=%d: %v", seed, err)
 				return
 			}
 			if !live.IsReverseSkylinePoint(an, q) {

@@ -177,8 +177,8 @@ func TestConformanceCertainModel(t *testing.T) {
 			for _, v := range Variants() {
 				if v.Incremental {
 					// The certain-model incremental lineage is asserted above
-					// on the CertainEngine itself (COW index + repaired
-					// Section-4 reduction), where the mutation path lives.
+					// on the CertainEngine itself (COW index), where the
+					// mutation path lives.
 					continue
 				}
 				got := query(t, red, q, 1, v.Opt)

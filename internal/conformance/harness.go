@@ -118,8 +118,7 @@ func incrementalPDFEngine(t *testing.T, objs []*uncertain.PDFObject) *crsky.PDFE
 	return rebuildIncremental(t, base, rest, crsky.InsertSpec{PDF: objs[0]}).(*crsky.PDFEngine)
 }
 
-// incrementalCertainEngine is the certain-model counterpart; the lineage
-// also exercises the incremental Section-4 reduction repair.
+// incrementalCertainEngine is the certain-model counterpart.
 func incrementalCertainEngine(t *testing.T, pts []geom.Point) *crsky.CertainEngine {
 	t.Helper()
 	k := len(pts) / 2

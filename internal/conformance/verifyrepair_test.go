@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	crsky "github.com/crsky/crsky"
@@ -98,8 +99,8 @@ func TestConformanceVerifyRepairSample(t *testing.T) {
 }
 
 // TestConformanceVerifyRepairCertain runs the matrix on the certain-data
-// engine (Section-4 reduction): the repair flip is re-checked through live
-// index deletes rather than a probability oracle.
+// engine (closed form, Lemma 7): the repair flip is re-checked through
+// copy-on-write index deletes rather than a probability oracle.
 func TestConformanceVerifyRepairCertain(t *testing.T) {
 	forEachCaseSeed(t, 46_000, 10, func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
@@ -118,19 +119,12 @@ func TestConformanceVerifyRepairCertain(t *testing.T) {
 		for j := range q {
 			q[j] = 10000 * (0.2 + 0.6*rng.Float64())
 		}
-		fresh := func() *crsky.CertainEngine {
-			pts := make([]geom.Point, len(ds.Points))
-			for i, p := range ds.Points {
-				pts[i] = p.Clone()
-			}
-			e, err := crsky.NewCertainEngine(pts)
-			if err != nil {
-				t.Fatalf("seed=%d: %v", seed, err)
-			}
-			return e
-		}
 		ctx := context.Background()
-		eng := fresh()
+		eng, err := crsky.NewCertainEngine(ds.Points)
+		if err != nil {
+			t.Errorf("seed=%d: %v", seed, err)
+			return
+		}
 		an := -1
 		for i := range ds.Points {
 			if !eng.IsReverseSkylinePoint(i, q) {
@@ -161,12 +155,10 @@ func TestConformanceVerifyRepairCertain(t *testing.T) {
 			t.Errorf("seed=%d an=%d: repair: %v", seed, an, err)
 			return
 		}
-		live := fresh()
-		for _, id := range rep.Removed {
-			if err := live.Delete(id); err != nil {
-				t.Errorf("seed=%d: delete %d: %v", seed, id, err)
-				return
-			}
+		live, err := withDeletes(eng, rep.Removed...)
+		if err != nil {
+			t.Errorf("seed=%d: %v", seed, err)
+			return
 		}
 		if !live.IsReverseSkylinePoint(an, q) {
 			t.Errorf("seed=%d an=%d: removing %v did not flip the non-answer", seed, an, rep.Removed)
@@ -263,4 +255,192 @@ func TestConformanceVerifyRepairPDF(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestConformanceCertainClosedFormParity pits the certain engine's
+// closed-form verify and repair (Lemma 7) against the Section-4 reduction
+// kept as a test oracle: the same points as one-sample objects in a
+// sample-model Engine at α = 1, running the general Eq.-2 code. The grids
+// are tie-heavy — 3–10 integer values per axis, duplicate points, q on the
+// grid — and every object is taken as an. Repairs must be deep-equal.
+// Verify verdicts and error strings must match on the fresh explanation
+// and on three tampered copies: responsibility halved; one contingency
+// member dropped with the responsibility re-derived, so only the
+// Definition-1 conditions can catch it; and a cause swapped for a
+// non-dominator. After a COW delete of a dominator, verify and repair keep
+// working and a tombstoned non-answer is ErrBadObject on both sides.
+func TestConformanceCertainClosedFormParity(t *testing.T) {
+	ctx := context.Background()
+	forEachCaseSeed(t, 48_000, 150, func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		dims := 2 + rng.Intn(2)
+		vals := 3 + rng.Intn(8)
+		gridPoint := func() geom.Point {
+			p := make(geom.Point, dims)
+			for j := range p {
+				p[j] = float64(rng.Intn(vals))
+			}
+			return p
+		}
+		pts := make([]geom.Point, 6+rng.Intn(20))
+		for i := range pts {
+			if i > 0 && rng.Intn(4) == 0 {
+				pts[i] = pts[rng.Intn(i)].Clone()
+			} else {
+				pts[i] = gridPoint()
+			}
+		}
+		q := gridPoint()
+		eng, err := crsky.NewCertainEngine(pts)
+		if err != nil {
+			t.Errorf("seed=%d: %v", seed, err)
+			return
+		}
+		oracle, err := crsky.NewEngine(dataset.MustCertain(pts).AsUncertain().Objects)
+		if err != nil {
+			t.Errorf("seed=%d: %v", seed, err)
+			return
+		}
+
+		// check compares one engine pair on every object, returning a
+		// non-answer with at least two dominators (-1 if none) for the
+		// tombstone case.
+		check := func(stage string, eng *crsky.CertainEngine, oracle crsky.Explainer) int {
+			multi := -1
+			for an := 0; an < eng.Len(); an++ {
+				rep, err := eng.RepairCtx(ctx, an, q, 1, crsky.Options{})
+				orep, oerr := oracle.RepairCtx(ctx, an, q, 1, crsky.Options{})
+				if !sameErrClass(err, oerr) || (err == nil && !reflect.DeepEqual(rep, orep)) {
+					t.Errorf("seed=%d %s an=%d: repair %+v (%v), oracle %+v (%v)",
+						seed, stage, an, rep, err, orep, oerr)
+					return -1
+				}
+				res, err := eng.ExplainCtx(ctx, an, q, 1, crsky.Options{})
+				if err != nil {
+					continue // answers and tombstones have nothing to verify
+				}
+				if multi < 0 && len(res.Causes) >= 2 {
+					multi = an
+				}
+				for _, c := range tamperings(res, eng.Len()) {
+					got := errText(eng.VerifyCtx(ctx, q, 1, c.res))
+					want := errText(oracle.VerifyCtx(ctx, q, 1, c.res))
+					if got != want {
+						t.Errorf("seed=%d %s an=%d %s: verify %q, oracle %q", seed, stage, an, c.name, got, want)
+						return -1
+					}
+					if c.name != "fresh" && got == "<nil>" {
+						t.Errorf("seed=%d %s an=%d: %s explanation verified", seed, stage, an, c.name)
+						return -1
+					}
+				}
+			}
+			return multi
+		}
+		an := check("base", eng, oracle)
+		if an < 0 {
+			return
+		}
+
+		// Tombstone a dominator of an; an keeps at least one dominator.
+		res, err := eng.ExplainCtx(ctx, an, q, 1, crsky.Options{})
+		if err != nil {
+			t.Errorf("seed=%d an=%d: %v", seed, an, err)
+			return
+		}
+		dead := res.Causes[0].ID
+		live, err := withDeletes(eng, dead)
+		if err != nil {
+			t.Errorf("seed=%d: %v", seed, err)
+			return
+		}
+		olive, err := oracle.WithDelete(dead)
+		if err != nil {
+			t.Errorf("seed=%d: oracle delete %d: %v", seed, dead, err)
+			return
+		}
+		check("tombstone", live, olive)
+		res, err = live.ExplainCtx(ctx, an, q, 1, crsky.Options{})
+		if err != nil {
+			t.Errorf("seed=%d an=%d: explain after deleting %d: %v", seed, an, dead, err)
+			return
+		}
+		if err := live.VerifyCtx(ctx, q, 1, res); err != nil {
+			t.Errorf("seed=%d an=%d: verify after deleting %d: %v", seed, an, dead, err)
+		}
+		if _, err := live.RepairCtx(ctx, an, q, 1, crsky.Options{}); err != nil {
+			t.Errorf("seed=%d an=%d: repair after deleting %d: %v", seed, an, dead, err)
+		}
+		bad := *res
+		bad.NonAnswer = dead
+		err = live.VerifyCtx(ctx, q, 1, &bad)
+		if oerr := olive.VerifyCtx(ctx, q, 1, &bad); !errors.Is(err, crsky.ErrBadObject) || errText(err) != errText(oerr) {
+			t.Errorf("seed=%d: verify of tombstoned non-answer %d: %v, oracle %v", seed, dead, err, oerr)
+		}
+		if _, err := live.RepairCtx(ctx, dead, q, 1, crsky.Options{}); !errors.Is(err, crsky.ErrBadObject) {
+			t.Errorf("seed=%d: repair of tombstoned non-answer %d: %v", seed, dead, err)
+		}
+	})
+}
+
+// tampering is one explanation handed to both verifiers.
+type tampering struct {
+	name string
+	res  *causality.Result
+}
+
+// tamperings returns the fresh explanation res plus every tampered copy
+// that applies to it. n is the object count, for picking a non-dominator.
+func tamperings(res *causality.Result, n int) []tampering {
+	out := []tampering{{"fresh", res}}
+	if len(res.Causes) == 0 {
+		return out
+	}
+	out = append(out, tampering{"halved", tamperedCopy(res)})
+
+	clone := func() *causality.Result {
+		bad := *res
+		bad.Causes = make([]causality.Cause, len(res.Causes))
+		for i, c := range res.Causes {
+			c.Contingency = append([]int(nil), c.Contingency...)
+			bad.Causes[i] = c
+		}
+		return &bad
+	}
+	if len(res.Causes[0].Contingency) > 0 {
+		bad := clone()
+		c := &bad.Causes[0]
+		c.Contingency = c.Contingency[:len(c.Contingency)-1]
+		c.Responsibility = 1 / float64(1+len(c.Contingency))
+		c.Counterfactual = len(c.Contingency) == 0
+		out = append(out, tampering{"dropped", bad})
+	}
+	inCc := map[int]bool{res.NonAnswer: true}
+	for _, c := range res.Causes {
+		inCc[c.ID] = true
+	}
+	for id := 0; id < n; id++ {
+		if !inCc[id] {
+			bad := clone()
+			bad.Causes[0].ID = id
+			out = append(out, tampering{"swapped", bad})
+			break
+		}
+	}
+	return out
+}
+
+// sameErrClass reports whether two errors agree on success and on the
+// crsky sentinel they wrap.
+func sameErrClass(a, b error) bool {
+	return (a == nil) == (b == nil) &&
+		errors.Is(a, crsky.ErrNotNonAnswer) == errors.Is(b, crsky.ErrNotNonAnswer) &&
+		errors.Is(a, crsky.ErrBadObject) == errors.Is(b, crsky.ErrBadObject)
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
 }

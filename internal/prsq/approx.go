@@ -220,8 +220,8 @@ func approxBand(ctx context.Context, tree *rtree.Tree, n int, q geom.Point, alph
 }
 
 // ExactApproxResult wraps an exactly-computed answer set in the approximate
-// result shape — the path engines with an exact fast cheap answer (the
-// certain model's reduction) take through the approximate API.
+// result shape — the path engines with an exact cheap answer (the certain
+// model's BBRS) take through the approximate API.
 func ExactApproxResult(answers []int, ap ApproxOptions) *ApproxResult {
 	ap = ap.withDefaults()
 	if answers == nil {

@@ -65,8 +65,9 @@ type DatasetInfo struct {
 	Size       int    `json:"size"`
 	Dims       int    `json:"dims"`
 	Generation uint64 `json:"generation"`
-	// NodeAccesses is the engine's simulated I/O since registration —
-	// the paper's primary cost metric, surfaced per dataset.
+	// NodeAccesses is the dataset's simulated I/O since registration,
+	// summed over every generation — the paper's primary cost metric,
+	// surfaced per dataset.
 	NodeAccesses int64 `json:"nodeAccesses"`
 }
 

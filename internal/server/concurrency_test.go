@@ -92,7 +92,7 @@ func TestServerConcurrentExplain(t *testing.T) {
 		if !bytes.Equal(got, want[an]) {
 			t.Fatalf("response %d causes = %s, want %s", i, got, want[an])
 		}
-		if err := w.eng.Verify(w.q, 0.5, resultFromResponse(&er)); err != nil {
+		if err := w.eng.VerifyCtx(context.Background(), w.q, 0.5, resultFromResponse(&er)); err != nil {
 			t.Fatalf("response %d fails verify: %v", i, err)
 		}
 		// Identical requests must produce byte-identical responses

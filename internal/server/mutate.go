@@ -218,7 +218,8 @@ func (r *registry) mutate(name, op string, ins *ObjectInsertRequest, delID int) 
 		res.seq = seq
 	}
 
-	nent := &entry{name: name, model: ent.model, gen: r.gen.Add(1), size: ne.Len(), dims: ent.dims, eng: ne}
+	nent := &entry{name: name, model: ent.model, gen: r.gen.Add(1), size: ne.Len(), dims: ent.dims, eng: ne,
+		carriedIO: ent.info().NodeAccesses}
 	r.mu.Lock()
 	r.m[name] = nent
 	r.mu.Unlock()

@@ -339,6 +339,46 @@ func TestWatchRejections(t *testing.T) {
 	c.post("/v2/watch", &WatchRequest{Dataset: "ghost", Q: flipQ, An: 0}, nil, http.StatusNotFound)
 }
 
+// TestNodeAccessesNeverDecrease: crsky_dataset_node_accesses_total is a
+// counter since registration, and DatasetInfo.NodeAccesses reports the
+// same total. Neither may go backwards when a COW mutation installs an
+// engine with a fresh counter.
+func TestNodeAccessesNeverDecrease(t *testing.T) {
+	s := New(Config{Workers: 2})
+	c := newTestClient(t, s)
+	c.post("/v1/datasets", flipScenario, nil, http.StatusCreated)
+
+	const series = `crsky_dataset_node_accesses_total{dataset="flip",model="certain"}`
+	last := int64(0)
+	check := func(step string) {
+		t.Helper()
+		var info DatasetInfo
+		c.mustGet("/v1/datasets/flip", &info)
+		fam := parseProm(t, doMetrics(t, s))["crsky_dataset_node_accesses_total"]
+		if fam == nil || fam.samples[series] != float64(info.NodeAccesses) {
+			t.Fatalf("%s: /metrics %v disagrees with dataset info %d", step, fam, info.NodeAccesses)
+		}
+		if info.NodeAccesses < last {
+			t.Fatalf("%s: node accesses went from %d to %d", step, last, info.NodeAccesses)
+		}
+		last = info.NodeAccesses
+	}
+
+	queryAnswers(t, c, "flip", flipQ, true)
+	check("query")
+	if last == 0 {
+		t.Fatal("query recorded no node accesses")
+	}
+	c.post("/v2/datasets/flip/objects", &ObjectInsertRequest{Point: []float64{30, 30}}, nil, http.StatusOK)
+	check("insert")
+	queryAnswers(t, c, "flip", flipQ, true)
+	check("query after insert")
+	if resp, raw := c.do(http.MethodDelete, "/v2/datasets/flip/objects/0", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: status %d (%s)", resp.StatusCode, raw)
+	}
+	check("delete")
+}
+
 // TestWatchMetricsExposed: the S4 observability families are on /metrics.
 func TestWatchMetricsExposed(t *testing.T) {
 	s := New(Config{Workers: 2})

@@ -31,6 +31,11 @@ type entry struct {
 	size  int
 	dims  int
 	eng   crsky.Explainer
+	// carriedIO is the node accesses of this dataset's earlier generations
+	// since registration. Each COW mutation installs an engine with a
+	// fresh counter, so the successor carries its predecessor's total and
+	// the exported counter never goes backwards.
+	carriedIO int64
 }
 
 func (e *entry) info() DatasetInfo {
@@ -40,7 +45,7 @@ func (e *entry) info() DatasetInfo {
 		Size:         e.size,
 		Dims:         e.dims,
 		Generation:   e.gen,
-		NodeAccesses: e.eng.NodeAccesses(),
+		NodeAccesses: e.carriedIO + e.eng.NodeAccesses(),
 	}
 }
 

@@ -203,12 +203,12 @@ func TestServerEndToEndSample(t *testing.T) {
 	if !reflect.DeepEqual(er.Causes, causesJSON(direct.Causes)) {
 		t.Fatalf("explain causes = %v, want %v", er.Causes, causesJSON(direct.Causes))
 	}
-	if err := w.eng.Verify(w.q, 0.5, resultFromResponse(&er)); err != nil {
+	if err := w.eng.VerifyCtx(context.Background(), w.q, 0.5, resultFromResponse(&er)); err != nil {
 		t.Fatalf("client-side verify: %v", err)
 	}
 
 	// Repair must match the library's minimal repair.
-	directRep, err := w.eng.SuggestRepair(an, w.q, 0.5, opts)
+	directRep, err := w.eng.RepairCtx(context.Background(), an, w.q, 0.5, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,13 +258,13 @@ func TestServerEndToEndCertain(t *testing.T) {
 	if !er.Verified || !reflect.DeepEqual(er.Causes, causesJSON(direct.Causes)) {
 		t.Fatalf("certain explain = %+v, direct causes = %v", er, direct.Causes)
 	}
-	if err := eng.Verify(geom.Point(q), resultFromResponse(&er)); err != nil {
+	if err := eng.VerifyCtx(context.Background(), geom.Point(q), 1, resultFromResponse(&er)); err != nil {
 		t.Fatalf("client-side certain verify: %v", err)
 	}
 
 	var rr RepairResponse
 	c.post("/v1/repair", &RepairRequest{Dataset: "cert", Q: q, An: 0}, &rr, http.StatusOK)
-	directRep, err := eng.SuggestRepair(0, geom.Point(q), causality.Options{})
+	directRep, err := eng.RepairCtx(context.Background(), 0, geom.Point(q), 1, causality.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestServerCacheInvariance(t *testing.T) {
 		if !er.Verified {
 			t.Fatalf("response %d not server-verified", i+1)
 		}
-		if err := w.eng.Verify(w.q, 0.5, resultFromResponse(&er)); err != nil {
+		if err := w.eng.VerifyCtx(context.Background(), w.q, 0.5, resultFromResponse(&er)); err != nil {
 			t.Fatalf("response %d fails client-side verify: %v", i+1, err)
 		}
 	}

@@ -19,11 +19,10 @@ import (
 // while concurrent readers query (cached and uncached) and watchers hold
 // /v2/watch streams open, some disconnecting mid-stream. Every reader
 // answer must be bit-identical to the client-side oracle at the committed
-// generation stamped on the response — a blend of two generations, a
-// torn R-tree path, or a stale Section-4 reduction all fail the
-// comparison — and after the storm the hub must hold zero subscriptions
-// and the pools zero in-flight work (no goroutine or slot leaks from the
-// disconnected clients).
+// generation stamped on the response — a blend of two generations or a
+// torn R-tree path fails the comparison — and after the storm the hub
+// must hold zero subscriptions and the pools zero in-flight work (no
+// goroutine or slot leaks from the disconnected clients).
 func TestWatchSmokeConcurrent(t *testing.T) {
 	const (
 		dims      = 2

@@ -3,7 +3,6 @@ package crsky
 import (
 	"fmt"
 
-	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/uncertain"
 )
 
@@ -102,12 +101,7 @@ func (e *Engine) WithDelete(id int) (Explainer, error) {
 
 // --- CertainEngine (certain data, Section 4) --------------------------
 
-// WithInsert implements Mutable. The successor's Section-4 reduction is
-// repaired incrementally from the receiver's cached one (the same
-// copy-on-write insert on the degenerate uncertain dataset) instead of
-// being rebuilt from scratch — and unlike the legacy in-place Insert, the
-// reduction stays available across tombstones, because the incremental
-// copy carries them as nil slots the verification arithmetic skips.
+// WithInsert implements Mutable.
 func (e *CertainEngine) WithInsert(spec InsertSpec) (Explainer, int, error) {
 	if err := spec.check(true, false, false); err != nil {
 		return nil, 0, err
@@ -118,18 +112,10 @@ func (e *CertainEngine) WithInsert(spec InsertSpec) (Explainer, int, error) {
 	ix := e.ix.CloneCOW()
 	ne := &CertainEngine{ix: ix}
 	ix.SetCounter(&ne.io)
-	id := ix.Insert(spec.Point)
-	if red := e.cachedReduction(); red != nil {
-		if nred, err := red.WithInsert(uncertain.Certain(id, spec.Point)); err == nil {
-			nred.Tree().SetCounter(&ne.io)
-			ne.red = nred
-		}
-	}
-	return ne, id, nil
+	return ne, ix.Insert(spec.Point), nil
 }
 
-// WithDelete implements Mutable; see WithInsert for the incremental
-// reduction repair.
+// WithDelete implements Mutable.
 func (e *CertainEngine) WithDelete(id int) (Explainer, error) {
 	if id < 0 || id >= e.ix.Len() || e.ix.Deleted(id) {
 		return nil, fmt.Errorf("%w: %d", ErrBadObject, id)
@@ -140,22 +126,7 @@ func (e *CertainEngine) WithDelete(id int) (Explainer, error) {
 	if err := ix.Delete(id); err != nil {
 		return nil, err
 	}
-	if red := e.cachedReduction(); red != nil {
-		if nred, err := red.WithDelete(id); err == nil {
-			nred.Tree().SetCounter(&ne.io)
-			ne.red = nred
-		}
-	}
 	return ne, nil
-}
-
-// cachedReduction returns the receiver's Section-4 reduction, building it
-// if the data still permits (a legacy in-place Delete leaves it
-// unbuildable — the successor then reports the same verify/repair error
-// the receiver would).
-func (e *CertainEngine) cachedReduction() *dataset.Uncertain {
-	red, _ := e.reduction()
-	return red
 }
 
 // --- PDFEngine (continuous model) --------------------------------------

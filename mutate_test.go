@@ -129,9 +129,8 @@ func samplesLocs(o *Object) []Point {
 }
 
 // TestCertainEngineWithMutations checks that the successor of a COW delete
-// keeps verification and repair working: the Section-4 reduction is
-// repaired incrementally, carrying the tombstone, instead of becoming
-// unbuildable as with the legacy in-place Delete.
+// keeps verification and repair working across the tombstone, and that
+// the receiver never sees its successors' mutations.
 func TestCertainEngineWithMutations(t *testing.T) {
 	e0, err := NewCertainEngine([]Point{
 		{40, 40}, // 0: the non-answer
@@ -166,8 +165,7 @@ func TestCertainEngineWithMutations(t *testing.T) {
 	if len(res1.Causes) != 1 || res1.Causes[0].ID != 1 {
 		t.Fatalf("post-delete causes = %v, want just object 1", res1.Causes)
 	}
-	// Verification and repair must survive the tombstone (the incremental
-	// reduction repair is exactly what makes this work).
+	// Verification and repair must survive the tombstone.
 	if err := e1.VerifyCtx(ctx, q, 1, res1); err != nil {
 		t.Fatalf("verify on mutated engine: %v", err)
 	}

@@ -1,16 +1,7 @@
 package crsky
 
-import (
-	"fmt"
-
-	"github.com/crsky/crsky/internal/causality"
-	"github.com/crsky/crsky/internal/dataset"
-	"github.com/crsky/crsky/internal/uncertain"
-)
-
 // This file holds the engine surface needed by long-lived serving layers
-// (cmd/crskyd): index warm-up for safe concurrent readers and certain-data
-// verification/repair via the Section-4 reduction. For result-cache
+// (cmd/crskyd): index warm-up for safe concurrent readers. For result-cache
 // keying, Options exposes the canonical Key method (via the alias to
 // causality.Options).
 
@@ -25,84 +16,9 @@ func (e *Engine) Warm() {
 	e.ds.Summaries()
 }
 
-// Warm forces the lazy derived caches (see Engine.Warm). The certain-data
-// index itself is built eagerly, but the Section-4 reduction behind
-// Verify/SuggestRepair is lazy; warming builds it up front so the first
-// verify/repair request does not pay the O(n) conversion and R-tree build
-// inside a serving slot. The build can legitimately fail (deleted points
-// leave the reduction unbuildable) — that error resurfaces on the calls
-// that need the reduction, so Warm ignores it.
-func (e *CertainEngine) Warm() { _, _ = e.reduction() }
+// Warm is a no-op: the certain-data index is built eagerly, and verify and
+// repair run in closed form over it (Lemma 7), so nothing is lazy.
+func (e *CertainEngine) Warm() {}
 
 // Warm forces the lazy R-tree index build (see Engine.Warm).
 func (e *PDFEngine) Warm() { e.set.Tree() }
-
-// reduction returns the engine's points as the degenerate uncertain
-// dataset of Section 4's reduction (one sample, probability 1), built and
-// warmed once and cached until Insert/Delete invalidate it — long-lived
-// serving layers verify and repair against the same engine repeatedly, so
-// the O(n) conversion and the R-tree build are paid once, not per call.
-// It fails when points have been deleted: tombstones have no location, so
-// the reduction — which requires object IDs to stay index-aligned — is no
-// longer faithful.
-func (e *CertainEngine) reduction() (*dataset.Uncertain, error) {
-	e.redMu.Lock()
-	defer e.redMu.Unlock()
-	if e.red != nil {
-		return e.red, nil
-	}
-	pts := e.ix.Points()
-	objs := make([]*uncertain.Object, len(pts))
-	for i, p := range pts {
-		if p == nil {
-			return nil, fmt.Errorf("crsky: certain engine has deleted points; verify/repair need an intact dataset")
-		}
-		objs[i] = uncertain.Certain(i, p)
-	}
-	ds, err := dataset.NewUncertain(objs)
-	if err != nil {
-		return nil, err
-	}
-	// Warm the lazy derived state under the lock so concurrent callers of
-	// Verify/SuggestRepair never race on the builds, and charge the
-	// reduction tree's traversals to the engine's I/O counter so
-	// verify/repair node accesses stay visible in NodeAccesses.
-	ds.Tree().SetCounter(&e.io)
-	ds.WeightSums()
-	ds.Summaries()
-	e.red = ds
-	return ds, nil
-}
-
-// invalidateReduction drops the cached reduction after a mutation.
-func (e *CertainEngine) invalidateReduction() {
-	e.redMu.Lock()
-	e.red = nil
-	e.redMu.Unlock()
-}
-
-// Verify independently re-checks a CR explanation against Definition 1 via
-// the Section-4 reduction: certain data is the degenerate uncertain dataset
-// where every object has one sample with probability 1 and membership is
-// Pr = 1, so the CP verification applies with α = 1. A trust layer over
-// Explain, mirroring Engine.Verify. It fails when points have been deleted
-// since the engine was built.
-func (e *CertainEngine) Verify(q Point, res *Explanation) error {
-	ds, err := e.reduction()
-	if err != nil {
-		return err
-	}
-	return causality.VerifyExplanation(ds, q, 1, res)
-}
-
-// SuggestRepair finds a smallest set of points whose removal makes the
-// non-answer i a reverse skyline point, via the same Section-4 reduction
-// (α = 1). Mirrors Engine.SuggestRepair; see there for the exact/greedy
-// contract.
-func (e *CertainEngine) SuggestRepair(i int, q Point, opts Options) (*Repair, error) {
-	ds, err := e.reduction()
-	if err != nil {
-		return nil, err
-	}
-	return causality.MinimalRepair(ds, q, i, 1, opts)
-}

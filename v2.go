@@ -39,9 +39,9 @@ import (
 //   - Each operation has one v2 method. A query is a batch of one:
 //     QueryCtx runs the engine's QueryBatchStream path on its single point,
 //     and a nil emit turns either streaming batch method into a plain
-//     batch call. The context-free methods that remain (Explain, Verify,
-//     SuggestRepair, the …Naive oracles, CertainEngine.ReverseSkyline) are
-//     frozen references; new call sites should use the v2 methods.
+//     batch call. The context-free methods that remain (Explain, the
+//     …Naive oracles, CertainEngine.ReverseSkyline) are frozen references;
+//     new call sites should use the v2 methods.
 
 // CanceledError is the typed error wrapped into every cancellation return:
 // it unwraps to the context error and carries the partial work counters
@@ -360,12 +360,18 @@ func (e *Engine) ExplainBatchStream(ctx context.Context, reqs []ExplainRequest, 
 	return explainBatch(ctx, reqs, opts, e.ExplainCtx, emit)
 }
 
-// RepairCtx implements Explainer: MinimalRepair under a context.
+// RepairCtx implements Explainer: a smallest set of objects whose removal
+// makes the non-answer id an answer at threshold alpha — the actionable
+// follow-up to an explanation ("what is the smallest set of competitors to
+// beat?"). Large refinement pools fall back to a greedy construction
+// (Exact=false).
 func (e *Engine) RepairCtx(ctx context.Context, id int, q Point, alpha float64, opts Options) (*Repair, error) {
 	return causality.MinimalRepairCtx(ctx, e.ds, q, id, alpha, opts)
 }
 
-// VerifyCtx implements Explainer: the Definition-1 re-check of Verify.
+// VerifyCtx implements Explainer: an independent re-check of an
+// explanation against Definition 1 — every reported cause's contingency
+// set must witness causehood and the responsibility arithmetic must hold.
 func (e *Engine) VerifyCtx(ctx context.Context, q Point, alpha float64, res *Explanation) error {
 	if err := ctxPrecheck(ctx); err != nil {
 		return err
@@ -468,19 +474,20 @@ func (e *CertainEngine) ExplainBatchStream(ctx context.Context, reqs []ExplainRe
 	return explainBatch(ctx, reqs, opts, e.ExplainCtx, emit)
 }
 
-// RepairCtx implements Explainer via the cached Section-4 reduction.
+// RepairCtx implements Explainer in closed form (Lemma 7): the unique
+// minimum repair is the whole dominator set Cc, found by CR's window query
+// (Exact, NewPr = 1). alpha is validated to be exactly 1; opts carries no
+// tuning for this engine.
 func (e *CertainEngine) RepairCtx(ctx context.Context, id int, q Point, alpha float64, opts Options) (*Repair, error) {
 	if err := checkAlphaOne(alpha); err != nil {
 		return nil, err
 	}
-	ds, err := e.reduction()
-	if err != nil {
-		return nil, err
-	}
-	return causality.MinimalRepairCtx(ctx, ds, q, id, 1, opts)
+	return causality.RepairCR(ctx, e.ix, q, id)
 }
 
-// VerifyCtx implements Explainer via the cached Section-4 reduction.
+// VerifyCtx implements Explainer in closed form (Lemma 7): the
+// Definition-1 audit against a dominator set recomputed by a linear scan
+// that does not touch the R-tree. alpha is validated to be exactly 1.
 func (e *CertainEngine) VerifyCtx(ctx context.Context, q Point, alpha float64, res *Explanation) error {
 	if err := checkAlphaOne(alpha); err != nil {
 		return err
@@ -488,12 +495,8 @@ func (e *CertainEngine) VerifyCtx(ctx context.Context, q Point, alpha float64, r
 	if err := ctxPrecheck(ctx); err != nil {
 		return err
 	}
-	ds, err := e.reduction()
-	if err != nil {
-		return err
-	}
 	defer obs.FromContext(ctx).StartSpan("explain.verify")()
-	return causality.VerifyExplanation(ds, q, 1, res)
+	return causality.VerifyCR(e.ix, q, res)
 }
 
 // --- PDFEngine (continuous model) --------------------------------------
@@ -548,7 +551,7 @@ func (e *PDFEngine) ExplainBatchStream(ctx context.Context, reqs []ExplainReques
 	return explainBatch(ctx, reqs, opts, e.ExplainCtx, emit)
 }
 
-// RepairCtx implements Explainer: the Section-4 analogue on the memoized
+// RepairCtx implements Explainer: the sample-model repair on the memoized
 // quadrature rules — CPPDF's sub-quadrant candidate filter feeding the
 // shared kernel/greedy/branch-and-bound repair search, with every
 // probability an integral over the non-answer's uncertainty region.
