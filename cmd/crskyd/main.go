@@ -13,7 +13,7 @@
 // Endpoints:
 //
 //	GET    /healthz               liveness
-//	GET    /v1/stats              engine I/O, cache, dedup, pool metrics
+//	GET    /v1/stats              engine I/O, cache, pool metrics
 //	POST   /v1/datasets           register a dataset (JSON or CSV payload)
 //	GET    /v1/datasets           list datasets
 //	GET    /v1/datasets/{name}    describe one dataset
@@ -205,8 +205,8 @@ func main() {
 		log.Printf("crskyd: shutting down (draining up to %s)", *drain)
 		// BeginDrain flips admission to shed-everything (503 + Retry-After,
 		// so load balancers fail over at once) and arms the hard-cancel
-		// timer that stops even v1's detached computations, keeping
-		// Shutdown's deadline honest against a long-running search.
+		// timer that stops every running computation, keeping Shutdown's
+		// deadline honest against a long-running search.
 		srv.BeginDrain(*drain)
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()

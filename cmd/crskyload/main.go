@@ -104,7 +104,6 @@ type MixResult struct {
 // new observability surfaces.
 type ServerSide struct {
 	CacheHitRate      float64 `json:"cacheHitRate"`
-	FlightsDeduped    int64   `json:"flightsDeduped"`
 	PoolPeakInFlight  int64   `json:"poolPeakInFlight"`
 	PoolPeakQueue     int64   `json:"poolPeakQueueDepth"`
 	PoolWaitP99Ms     float64 `json:"poolWaitP99Ms"`
@@ -239,8 +238,8 @@ func main() {
 		cell{"watch", sample, *nPerMix, *conc, lg},
 	)
 	// The degradation cell: saturate the tiny server with cache-bypassing
-	// "auto" queries under a deadline, 512 distinct points so neither a
-	// cache nor singleflight absorbs the load.
+	// "auto" queries under a deadline, 512 distinct points so the cache
+	// cannot absorb the load.
 	cells = append(cells, cell{"overload", sample, 2 * *nPerMix, overloadConc, olg})
 	for _, c := range cells {
 		var ws *watchSet
@@ -766,7 +765,6 @@ func (lg *loadgen) scrapeStats(out *ServerSide) error {
 		return err
 	}
 	out.CacheHitRate = st.Cache.HitRate
-	out.FlightsDeduped = st.Flights.Deduped
 	out.PoolPeakInFlight = st.Pool.PeakInFlight
 	out.PoolPeakQueue = st.Pool.PeakQueueDepth
 	out.PoolWaitP99Ms = st.Pool.WaitP99Ms

@@ -179,12 +179,6 @@ func (e *Engine) ProbabilisticReverseSkylineNaive(q Point, alpha float64) []int 
 	return out
 }
 
-// Explain computes the causality and responsibility for non-answer id using
-// algorithm CP. It fails with ErrNotNonAnswer when id is an answer.
-func (e *Engine) Explain(id int, q Point, alpha float64, opts Options) (*Explanation, error) {
-	return causality.CP(e.ds, q, id, alpha, opts)
-}
-
 // ExplainNaive runs the Naive-I baseline (same filter, exhaustive
 // refinement); used by the benchmark harness.
 func (e *Engine) ExplainNaive(id int, q Point, alpha float64, opts Options) (*Explanation, error) {
@@ -236,12 +230,6 @@ func (e *CertainEngine) IsReverseSkylinePoint(i int, q Point) bool {
 // ReverseSkyline returns the indices of all reverse skyline points of q.
 func (e *CertainEngine) ReverseSkyline(q Point) []int {
 	return e.ix.ReverseSkyline(q)
-}
-
-// Explain computes the causality and responsibility for non-answer i using
-// algorithm CR (single window query, Lemma 7 — no verification).
-func (e *CertainEngine) Explain(i int, q Point) (*Explanation, error) {
-	return causality.CR(e.ix, q, i)
 }
 
 // ExplainNaive runs the Naive-II baseline (same filter, exhaustive
@@ -313,10 +301,4 @@ func (e *PDFEngine) ProbabilisticReverseSkylineNaive(q Point, alpha float64, nod
 		}
 	}
 	return out
-}
-
-// Explain computes the causality and responsibility for non-answer id with
-// the pdf-model variant of CP.
-func (e *PDFEngine) Explain(id int, q Point, alpha float64, opts Options) (*Explanation, error) {
-	return causality.CPPDF(e.set, q, id, alpha, opts)
 }

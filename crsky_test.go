@@ -67,7 +67,7 @@ func TestEngineBasics(t *testing.T) {
 func TestEngineExplain(t *testing.T) {
 	e := fixtureEngine(t)
 	q := Point{0, 0}
-	res, err := e.Explain(0, q, 0.5, Options{})
+	res, err := e.ExplainCtx(context.Background(), 0, q, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestEngineExplain(t *testing.T) {
 		t.Fatalf("naive disagreement: %v vs %v", naive.Causes, res.Causes)
 	}
 	// Explaining an answer fails cleanly.
-	if _, err := e.Explain(3, q, 0.5, Options{}); !errors.Is(err, ErrNotNonAnswer) {
+	if _, err := e.ExplainCtx(context.Background(), 3, q, 0.5, Options{}); !errors.Is(err, ErrNotNonAnswer) {
 		t.Fatalf("expected ErrNotNonAnswer, got %v", err)
 	}
 }
@@ -92,7 +92,7 @@ func TestEngineIOAccounting(t *testing.T) {
 	e := fixtureEngine(t)
 	q := Point{0, 0}
 	e.ResetCounters()
-	if _, err := e.Explain(0, q, 0.5, Options{}); err != nil {
+	if _, err := e.ExplainCtx(context.Background(), 0, q, 0.5, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if e.NodeAccesses() == 0 {
@@ -138,7 +138,7 @@ func TestCertainEngine(t *testing.T) {
 		t.Fatalf("ReverseSkyline = %v", rsl)
 	}
 
-	res, err := e.Explain(2, q)
+	res, err := e.ExplainCtx(context.Background(), 2, q, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestCertainEngine(t *testing.T) {
 	if naive.SubsetsExamined == 0 && res.Candidates > 1 {
 		t.Fatal("NaiveII should pay subset verifications")
 	}
-	if _, err := e.Explain(0, q); !errors.Is(err, ErrNotNonAnswer) {
+	if _, err := e.ExplainCtx(context.Background(), 0, q, 1, Options{}); !errors.Is(err, ErrNotNonAnswer) {
 		t.Fatalf("expected ErrNotNonAnswer, got %v", err)
 	}
 	e.ResetCounters()
-	if _, err := e.Explain(2, q); err != nil {
+	if _, err := e.ExplainCtx(context.Background(), 2, q, 1, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if e.NodeAccesses() == 0 {
@@ -192,7 +192,7 @@ func TestPDFEngine(t *testing.T) {
 	if pr := e.Prob(0, q, 0); pr != 0 {
 		t.Fatalf("Pr = %v, want 0 (object 1 always dominates)", pr)
 	}
-	res, err := e.Explain(0, q, 0.5, Options{})
+	res, err := e.ExplainCtx(context.Background(), 0, q, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestPDFEngine(t *testing.T) {
 		t.Fatalf("causes = %v", res.Causes)
 	}
 	e.ResetCounters()
-	if _, err := e.Explain(0, q, 0.5, Options{}); err != nil {
+	if _, err := e.ExplainCtx(context.Background(), 0, q, 0.5, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if e.NodeAccesses() == 0 {

@@ -1,6 +1,7 @@
 package crsky
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -19,7 +20,7 @@ func TestCertainEngineDynamic(t *testing.T) {
 	}
 	q := Point{10, 10}
 
-	res, err := e.Explain(0, q)
+	res, err := e.ExplainCtx(context.Background(), 0, q, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestCertainEngineDynamic(t *testing.T) {
 	if id != 3 {
 		t.Fatalf("WithInsert returned %d", id)
 	}
-	res, err = e.Explain(0, q)
+	res, err = e.ExplainCtx(context.Background(), 0, q, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +54,13 @@ func TestCertainEngineDynamic(t *testing.T) {
 	// Both competitors leave: object 0 becomes an answer again.
 	mutate(e.WithDelete(1))
 	mutate(e.WithDelete(3))
-	if _, err := e.Explain(0, q); !errors.Is(err, ErrNotNonAnswer) {
+	if _, err := e.ExplainCtx(context.Background(), 0, q, 1, Options{}); !errors.Is(err, ErrNotNonAnswer) {
 		t.Fatalf("expected ErrNotNonAnswer, got %v", err)
 	}
 	if !e.Deleted(1) || e.Deleted(0) {
 		t.Fatal("tombstone bookkeeping broken")
 	}
-	if _, err := e.Explain(1, q); !errors.Is(err, ErrBadObject) {
+	if _, err := e.ExplainCtx(context.Background(), 1, q, 1, Options{}); !errors.Is(err, ErrBadObject) {
 		t.Fatalf("explaining a tombstone: %v", err)
 	}
 

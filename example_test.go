@@ -9,7 +9,7 @@ import (
 
 // The paper's core task: explain why an uncertain object is missing from a
 // probabilistic reverse skyline result, with responsibilities.
-func ExampleEngine_Explain() {
+func ExampleEngine_ExplainCtx() {
 	objects := []*crsky.Object{
 		crsky.NewUniformObject(0, []crsky.Point{{20, 20}, {24, 24}}), // the non-answer
 		crsky.NewUniformObject(1, []crsky.Point{{10, 10}, {11, 11}}), // blocks it in every world
@@ -18,7 +18,7 @@ func ExampleEngine_Explain() {
 	engine, _ := crsky.NewEngine(objects)
 	q := crsky.Point{0, 0}
 
-	res, _ := engine.Explain(0, q, 0.5, crsky.Options{})
+	res, _ := engine.ExplainCtx(context.Background(), 0, q, 0.5, crsky.Options{})
 	for _, c := range res.Causes {
 		fmt.Printf("cause %d: responsibility %.0f, counterfactual %v\n",
 			c.ID, c.Responsibility, c.Counterfactual)
@@ -29,7 +29,7 @@ func ExampleEngine_Explain() {
 
 // Certain data reduces to algorithm CR: one window query, no verification,
 // all causes share responsibility 1/|Cc| (Lemma 7).
-func ExampleCertainEngine_Explain() {
+func ExampleCertainEngine_ExplainCtx() {
 	points := []crsky.Point{
 		{40, 40}, // the non-answer
 		{25, 25}, // dominates q w.r.t. it
@@ -39,7 +39,7 @@ func ExampleCertainEngine_Explain() {
 	engine, _ := crsky.NewCertainEngine(points)
 	q := crsky.Point{10, 10}
 
-	res, _ := engine.Explain(0, q)
+	res, _ := engine.ExplainCtx(context.Background(), 0, q, 1, crsky.Options{})
 	fmt.Printf("%d causes, responsibility %.2f each\n",
 		len(res.Causes), res.Causes[0].Responsibility)
 	// Output:

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func main() {
 		fmt.Println("this car IS in the reverse skyline of q — nothing to explain.")
 		return
 	}
-	res, err := engine.Explain(an, q)
+	res, err := engine.ExplainCtx(context.Background(), an, q, 1, crsky.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -35,7 +36,7 @@ func main() {
 	var player int = -1
 	var res *crsky.Explanation
 	for _, id := range rng.Perm(engine.Len()) {
-		r, err := engine.Explain(id, q, alpha, crsky.Options{MaxCandidates: 60, MaxSubsets: 200_000})
+		r, err := engine.ExplainCtx(context.Background(), id, q, alpha, crsky.Options{MaxCandidates: 60, MaxSubsets: 200_000})
 		if err != nil {
 			continue
 		}

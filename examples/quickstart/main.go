@@ -40,7 +40,7 @@ func main() {
 
 	// Object 0 is missing. Why?
 	fmt.Printf("Pr(object 0 is a reverse skyline point) = %.2f\n", engine.Prob(0, q))
-	res, err := engine.Explain(0, q, alpha, crsky.Options{})
+	res, err := engine.ExplainCtx(context.Background(), 0, q, alpha, crsky.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,7 @@ func main() {
 		fmt.Printf("sensor %d: Pr(reverse skyline of station) = %.3f\n", id, engine.Prob(id, q, 0))
 	}
 
-	res, err := engine.Explain(0, q, alpha, crsky.Options{})
+	res, err := engine.ExplainCtx(context.Background(), 0, q, alpha, crsky.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

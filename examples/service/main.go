@@ -217,9 +217,9 @@ func main() {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nstats: cache %d/%d hit rate %.2f, %d computations (%d deduped), peak in-flight %d\n",
+	fmt.Printf("\nstats: cache %d/%d hit rate %.2f, %d pool completions, peak in-flight %d\n",
 		st.Cache.Hits, st.Cache.Hits+st.Cache.Misses, st.Cache.HitRate,
-		st.Flights.Executed, st.Flights.Deduped, st.Pool.PeakInFlight)
+		st.Pool.Completed, st.Pool.PeakInFlight)
 
 	// The admin surface (crskyd -admin) serves Prometheus-format /metrics
 	// and the pprof endpoints on a separate listener.
@@ -274,7 +274,7 @@ func main() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Distinct points defeat singleflight the way real traffic does.
+			// Distinct points, as real overload traffic sends.
 			p := []float64{q[0] + 40*float64(i), q[1] - 40*float64(i)}
 			raw, err := json.Marshal(&server.QueryRequest{
 				Dataset: "demo", Q: p, Alpha: alpha, NoCache: true, Approx: "auto",

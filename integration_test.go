@@ -28,7 +28,7 @@ func TestLargeScaleEndToEnd(t *testing.T) {
 
 	explained := 0
 	for id := 0; id < engine.Len() && explained < 10; id += 17 {
-		res, err := engine.Explain(id, q, alpha, Options{MaxCandidates: 250, MaxSubsets: 500_000})
+		res, err := engine.ExplainCtx(context.Background(), id, q, alpha, Options{MaxCandidates: 250, MaxSubsets: 500_000})
 		if err != nil {
 			if errors.Is(err, ErrNotNonAnswer) || errors.Is(err, ErrTooManyCandidates) ||
 				errors.Is(err, ErrSubsetBudget) {
@@ -43,7 +43,7 @@ func TestLargeScaleEndToEnd(t *testing.T) {
 			t.Fatalf("an=%d: verification failed: %v", id, err)
 		}
 		// Parallel refinement agrees with serial.
-		par, err := engine.Explain(id, q, alpha, Options{MaxCandidates: 250, MaxSubsets: 500_000, Parallel: 4})
+		par, err := engine.ExplainCtx(context.Background(), id, q, alpha, Options{MaxCandidates: 250, MaxSubsets: 500_000, Parallel: 4})
 		if err != nil {
 			t.Fatalf("an=%d parallel: %v", id, err)
 		}

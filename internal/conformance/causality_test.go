@@ -322,7 +322,7 @@ func TestCausalityDeleteCauseFlipsPDF(t *testing.T) {
 			if contains(answers, an) {
 				continue
 			}
-			res, err := eng.Explain(an, q, alpha, crsky.Options{QuadNodes: quad})
+			res, err := eng.ExplainCtx(context.Background(), an, q, alpha, crsky.Options{QuadNodes: quad})
 			if err != nil || len(res.Causes) == 0 {
 				if err != nil {
 					t.Errorf("seed=%d an=%d: %v", seed, an, err)
@@ -409,7 +409,7 @@ func TestCausalityDeleteCauseFlipsCertain(t *testing.T) {
 		if an < 0 {
 			return
 		}
-		res, err := eng.Explain(an, q)
+		res, err := eng.ExplainCtx(context.Background(), an, q, 1, crsky.Options{})
 		if err != nil || len(res.Causes) == 0 {
 			if err != nil {
 				t.Errorf("seed=%d an=%d: %v", seed, an, err)

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -297,4 +298,123 @@ func chaosGet(ts *httptest.Server, path string) (*http.Response, []byte, error) 
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	return resp, raw, err
+}
+
+// TestChaosExplainFaultsPerItem asserts the injector's "explain" fault
+// reaches explain batches one item at a time: a faulted item fails alone
+// with an injected-failure line, while its siblings' lines and the emit
+// order are byte-identical to a fault-free server's. With every draw
+// faulting, /v2/explain still answers 200 with one injected-failure line
+// per item, and /v1/explain, a batch of one, answers 500.
+func TestChaosExplainFaultsPerItem(t *testing.T) {
+	const seed = 4243
+	w := newSampleWorkload(t, seed)
+	oracleEng, err := crsky.NewEngine(w.ds.Objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, alpha := w.qs[0], w.alphas[0]
+	inAns := map[int]bool{}
+	for _, id := range oracleEng.ProbabilisticReverseSkylineNaive(q, alpha) {
+		inAns[id] = true
+	}
+	var items []server.BatchExplainItemRequest
+	for id := 0; id < w.ds.Len() && len(items) < 8; id++ {
+		if !inAns[id] {
+			items = append(items, server.BatchExplainItemRequest{Q: q, An: id})
+		}
+	}
+	if len(items) < 2 {
+		t.Fatalf("%v: only %d non-answers", w, len(items))
+	}
+	specs := make([]server.ObjectSpec, w.ds.Len())
+	for i, o := range w.ds.Objects {
+		ss := make([]server.SampleSpec, len(o.Samples))
+		for j, s := range o.Samples {
+			ss[j] = server.SampleSpec{P: s.P, Loc: s.Loc}
+		}
+		specs[i] = server.ObjectSpec{Samples: ss}
+	}
+	// serve starts a server whose engine faults with probability errP
+	// (never when errP is 0) and registers the workload on it.
+	serve := func(errP float64) *httptest.Server {
+		cfg := server.Config{Workers: 2, CacheSize: 64}
+		if errP > 0 {
+			in := faultinject.New(faultinject.Config{Seed: seed, ErrP: errP})
+			cfg.WrapEngine = func(e crsky.Explainer) crsky.Explainer { return faultinject.Wrap(e, in) }
+		}
+		ts := httptest.NewServer(server.New(cfg).Handler())
+		t.Cleanup(ts.Close)
+		resp, raw, err := chaosPost(ts, context.Background(), "/v1/datasets",
+			&server.DatasetRequest{Name: "chaos", Model: server.ModelSample, Objects: specs}, false)
+		if err != nil || resp.StatusCode != http.StatusCreated {
+			t.Fatalf("register: %v status=%v body=%s", err, resp, raw)
+		}
+		return ts
+	}
+	batch := &server.BatchExplainRequest{Dataset: "chaos", Items: items, Alpha: alpha, NoCache: true,
+		Options: server.OptionsSpec{MaxCandidates: 48, Parallel: 1}}
+	lines := func(ts *httptest.Server) []string {
+		t.Helper()
+		resp, raw, err := chaosPost(ts, context.Background(), "/v2/explain", batch, false)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v2/explain: %v status=%v body=%s", err, resp, raw)
+		}
+		ls := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+		if len(ls) != len(items) {
+			t.Fatalf("/v2/explain: %d lines for %d items: %s", len(ls), len(items), raw)
+		}
+		return ls
+	}
+	injectedLine := func(i int, line string) bool {
+		var it server.BatchExplainItem
+		if err := json.Unmarshal([]byte(line), &it); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		if it.Index != i {
+			t.Fatalf("line %d carries index %d: emit order changed", i, it.Index)
+		}
+		return it.Explain == nil && strings.Contains(it.Error, "injected failure")
+	}
+
+	// The injector draws once per item, in request order, so a replay of
+	// its schedule names the items that fail.
+	replay := faultinject.New(faultinject.Config{Seed: seed, ErrP: 0.5})
+	faulted := make([]bool, len(items))
+	var nFaulted int
+	for i := range items {
+		if faulted[i] = replay.Err("explain") != nil; faulted[i] {
+			nFaulted++
+		}
+	}
+	if nFaulted == 0 || nFaulted == len(items) {
+		t.Fatalf("seed %d faults %d of %d items; pick a seed that mixes both", seed, nFaulted, len(items))
+	}
+	clean := lines(serve(0))
+	for i, line := range lines(serve(0.5)) {
+		switch {
+		case faulted[i] && !injectedLine(i, line):
+			t.Errorf("item %d was drawn to fault but answered %s", i, line)
+		case !faulted[i] && line != clean[i]:
+			t.Errorf("item %d: a sibling's fault changed its line\n got: %s\nwant: %s", i, line, clean[i])
+		}
+	}
+
+	always := serve(1)
+	for i, line := range lines(always) {
+		if !injectedLine(i, line) {
+			t.Errorf("item %d escaped an injector that faults every draw: %s", i, line)
+		}
+	}
+	resp, raw, err := chaosPost(always, context.Background(), "/v1/explain", &server.ExplainRequest{
+		Dataset: "chaos", Q: q, An: items[0].An, Alpha: alpha, NoCache: true,
+		Options: server.OptionsSpec{MaxCandidates: 48}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e server.ErrorResponse
+	if resp.StatusCode != http.StatusInternalServerError || json.Unmarshal(raw, &e) != nil ||
+		!strings.Contains(e.Error, "injected failure") {
+		t.Fatalf("/v1/explain under a fault on every draw: status %d body %s, want a 500 injected failure", resp.StatusCode, raw)
+	}
 }

@@ -12,8 +12,8 @@ import (
 // the threshold are appended to the writer as single JSON lines, trace
 // included, so tail latency is explainable after the fact (which stage
 // burned the time, how many subsets the search examined, whether the cache
-// or singleflight ever got a look in). A nil *SlowLog is a no-op, so the
-// server wires it unconditionally.
+// answered). A nil *SlowLog is a no-op, so the server wires it
+// unconditionally.
 type SlowLog struct {
 	w         io.Writer
 	threshold time.Duration

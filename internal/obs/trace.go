@@ -10,7 +10,7 @@ import (
 // Trace records the stage-level anatomy of one request: wall-time spans
 // (join, exact evaluation, greedy seeding, branch-and-bound search, pool
 // wait, …), effort counters (node accesses, candidate pairs, subsets
-// examined, …), and string labels (cache/singleflight disposition). It is
+// examined, …), and string labels (cache disposition, …). It is
 // carried through the engine layers via context; every recording method is
 // safe on a nil receiver, so untraced requests pay only a context lookup
 // at stage boundaries — never per-item work.
@@ -116,7 +116,7 @@ type TraceJSON struct {
 	Spans []SpanJSON `json:"spans,omitempty"`
 	// Counters carries the effort metrics recorded by the engine layers.
 	Counters map[string]int64 `json:"counters,omitempty"`
-	// Labels carries string annotations (cache/flight disposition, …).
+	// Labels carries string annotations (cache disposition, …).
 	Labels map[string]string `json:"labels,omitempty"`
 }
 

@@ -150,17 +150,12 @@ func (s *Server) admit(class priorityClass, remaining time.Duration) error {
 	return nil
 }
 
-// remainingBudget extracts the deadline budget admit consumes: the explicit
-// stage timeout when one was derived, else the context's own deadline.
-func remainingBudget(ctx context.Context, timeout time.Duration) time.Duration {
-	if timeout > 0 {
-		return timeout
-	}
+// remainingBudget is the deadline budget admit consumes: the time left
+// before ctx's deadline (1ns once expired, so admit sheds on any estimate),
+// 0 when ctx has none.
+func remainingBudget(ctx context.Context) time.Duration {
 	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem > 0 {
-			return rem
-		}
-		return time.Nanosecond // already expired; admit will shed on any estimate
+		return max(time.Until(dl), time.Nanosecond)
 	}
 	return 0
 }
@@ -168,9 +163,8 @@ func remainingBudget(ctx context.Context, timeout time.Duration) time.Duration {
 // BeginDrain moves the server into drain mode: admission rejects all new
 // compute work immediately (503 + Retry-After, so load balancers fail
 // over), and after grace elapses the drain context cancels every still
-// running computation — v1's detached ones included — so Shutdown's
-// deadline is honored instead of hostage to a long search. Idempotent;
-// grace <= 0 cancels at once.
+// running computation, so Shutdown's deadline is honored instead of
+// hostage to a long search. Idempotent; grace <= 0 cancels at once.
 func (s *Server) BeginDrain(grace time.Duration) {
 	if !s.draining.CompareAndSwap(false, true) {
 		return

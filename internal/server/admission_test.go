@@ -368,8 +368,7 @@ func TestPanicRecoveredAndCounted(t *testing.T) {
 	c := newTestClient(t, s)
 	c.registerSample("lUrU", w.ds)
 
-	// v2: no singleflight between the handler and the pool — the panic
-	// unwinds to the middleware.
+	// v2: the panic unwinds from the pool slot to the middleware.
 	resp, raw := c.do(http.MethodPost, "/v2/query", &BatchQueryRequest{
 		Dataset: "lUrU", Qs: [][]float64{w.q}, Alpha: 0.5, NoCache: true})
 	if resp.StatusCode != http.StatusInternalServerError {
@@ -381,7 +380,7 @@ func TestPanicRecoveredAndCounted(t *testing.T) {
 		t.Fatal("panic 500 carries no error envelope")
 	}
 
-	// v1: the singleflight leader re-panics after tagging sharers.
+	// v1, a batch of one, unwinds the same way.
 	resp2, _ := c.do(http.MethodPost, "/v1/query", &QueryRequest{
 		Dataset: "lUrU", Q: w.q, Alpha: 0.5, NoCache: true})
 	if resp2.StatusCode != http.StatusInternalServerError {

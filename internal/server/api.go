@@ -252,14 +252,6 @@ type CacheStats struct {
 	HitRate   float64 `json:"hitRate"`
 }
 
-// FlightStats reports request deduplication: Executed counts computations
-// actually run, Deduped counts requests that shared another request's
-// in-flight computation instead of starting their own.
-type FlightStats struct {
-	Executed int64 `json:"executed"`
-	Deduped  int64 `json:"deduped"`
-}
-
 // PoolStats reports worker-pool load and saturation: QueueDepth is the
 // number of requests currently waiting for a slot, and the wait
 // percentiles summarize how long admission has been taking.
@@ -330,7 +322,6 @@ type StatsResponse struct {
 	UptimeSeconds float64         `json:"uptimeSeconds"`
 	Datasets      []DatasetInfo   `json:"datasets"`
 	Cache         CacheStats      `json:"cache"`
-	Flights       FlightStats     `json:"flights"`
 	Pool          PoolStats       `json:"pool"`
 	ApproxPool    PoolStats       `json:"approxPool"`
 	Admission     AdmissionStats  `json:"admission"`

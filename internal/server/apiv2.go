@@ -9,15 +9,15 @@ import (
 // engine interface: one request carries many query points (or many
 // non-answers), responses stream back as NDJSON — one JSON object per
 // line, flushed as soon as that item is final, not when the batch is — and
-// a `?timeout=` query parameter bounds the whole request. Unlike the /v1
-// handlers, the v2 compute runs on the live request context: a client
-// disconnect or an elapsed deadline cancels the engine work mid-search and
-// frees the worker-pool slot.
+// a `?timeout=` query parameter bounds the whole request. The compute runs
+// on the live request context: a client disconnect or an elapsed deadline
+// cancels the engine work mid-search and frees the worker-pool slot. A /v1
+// request is a batch of one over the same compute path (compute.go).
 //
-// Results are cached per ITEM, under the same keys the v1 single-point
-// handlers use (queryKey / explainKey): a batch warms the cache for later
-// single queries, a warmed single query is one less item a later batch
-// computes, and a repeated batch recomputes only the items it is missing.
+// Results are cached per ITEM, under the keys /v1 uses too (queryKey /
+// explainKey): a batch warms the cache for later single queries, a warmed
+// single query is one less item a later batch computes, and a repeated
+// batch recomputes only the items it is missing.
 
 // BatchQueryRequest is the body of POST /v2/query: the (probabilistic)
 // reverse skyline of every point in Qs at one threshold. Alpha is ignored

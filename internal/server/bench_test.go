@@ -1,6 +1,6 @@
 // Serving-path benchmarks: the baseline future PRs track for request
-// latency through the full HTTP stack (decode, registry, cache,
-// singleflight, pool, engine, encode).
+// latency through the full HTTP stack (decode, registry, cache, pool,
+// engine, encode).
 //
 //	go test ./internal/server -bench=. -benchmem
 package server

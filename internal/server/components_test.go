@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -63,115 +62,6 @@ func TestLRUCacheDisabled(t *testing.T) {
 	c.Put("k", 1)
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("disabled cache must always miss")
-	}
-}
-
-func TestFlightGroupDedup(t *testing.T) {
-	g := newFlightGroup()
-	const callers = 16
-	var (
-		mu      sync.Mutex
-		inFn    int
-		release = make(chan struct{})
-		wg      sync.WaitGroup
-		shared  int
-	)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err, sh := g.Do("k", func() (any, error) {
-				mu.Lock()
-				inFn++
-				mu.Unlock()
-				<-release
-				return 42, nil
-			})
-			if err != nil || v != 42 {
-				t.Errorf("Do = %v, %v", v, err)
-			}
-			if sh {
-				mu.Lock()
-				shared++
-				mu.Unlock()
-			}
-		}()
-	}
-	// Wait until the leader is inside fn and everyone else piled up.
-	for {
-		mu.Lock()
-		n := inFn
-		mu.Unlock()
-		if n == 1 && g.Stats().Deduped == callers-1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-	if inFn != 1 {
-		t.Fatalf("fn ran %d times, want 1", inFn)
-	}
-	if shared != callers-1 {
-		t.Fatalf("shared = %d, want %d", shared, callers-1)
-	}
-	st := g.Stats()
-	if st.Executed != 1 || st.Deduped != callers-1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestFlightGroupSurvivesPanic(t *testing.T) {
-	g := newFlightGroup()
-	entered := make(chan struct{})
-	release := make(chan struct{})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			if recover() == nil {
-				t.Error("leader panic did not propagate")
-			}
-		}()
-		g.Do("k", func() (any, error) {
-			close(entered)
-			<-release
-			panic("boom")
-		})
-	}()
-	<-entered
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, err, shared := g.Do("k", func() (any, error) { return nil, nil })
-		if !shared || !errors.Is(err, errComputePanic) {
-			t.Errorf("sharer got shared=%t err=%v, want shared errComputePanic", shared, err)
-		}
-	}()
-	for g.Stats().Deduped == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-
-	// The key must not stay wedged: a fresh call computes normally.
-	if v, err, _ := g.Do("k", func() (any, error) { return 7, nil }); err != nil || v != 7 {
-		t.Fatalf("post-panic Do = %v, %v", v, err)
-	}
-}
-
-func TestFlightGroupPropagatesError(t *testing.T) {
-	g := newFlightGroup()
-	boom := errors.New("boom")
-	if _, err, _ := g.Do("k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	// The failed flight must not stick: a retry runs fresh.
-	if v, err, _ := g.Do("k", func() (any, error) { return 1, nil }); err != nil || v != 1 {
-		t.Fatalf("retry = %v, %v", v, err)
 	}
 }
 

@@ -1,0 +1,405 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net/http"
+	"sync"
+
+	crsky "github.com/crsky/crsky"
+	"github.com/crsky/crsky/internal/causality"
+	"github.com/crsky/crsky/internal/geom"
+)
+
+// This file is the one HTTP compute path. /v1/query and /v2/query run
+// serveQuery, /v1/explain and /v2/explain run serveExplain: a /v1 request
+// is a batch of one. Both cores look items up in the cache (cached), run
+// the missing ones on an exact-pool slot (admitted) under the live request
+// context, and hand every finished item to an itemWriter, the only part
+// that knows the wire format. /v1/repair and the /v2/watch baseline take
+// their slot through admitted too.
+
+// item is one finished item of a query or explain request, before any wire
+// format: exactly one field is set.
+type item struct {
+	ids    []int               // an exact query answer
+	approx *crsky.ApproxResult // a degraded-tier query answer
+	exp    *causality.Result   // an explanation
+	err    error               // a per-item failure
+}
+
+// itemWriter renders a request's items in one wire format: /v2 streams
+// them as NDJSON lines (ndjsonFrontier), /v1 writes its single item as a
+// JSON envelope (envelopeItem). The cores call put once per item, possibly
+// from engine worker goroutines (the engine serializes those calls), then
+// finish once on the handler goroutine with the request-level failure, or
+// nil when every item was put. started reports whether an item is already
+// committed, so that a failure can no longer fall back to the approximate
+// tier.
+type itemWriter interface {
+	put(i int, it item)
+	started() bool
+	finish(err error)
+}
+
+// envelopeItem holds the single item of a /v1 request and writes it as the
+// v1 JSON envelope, or a per-item failure as writeComputeError's status.
+type envelopeItem struct {
+	s        *Server
+	w        http.ResponseWriter
+	envelope func(it item) any
+
+	mu   sync.Mutex
+	held *item
+}
+
+func (e *envelopeItem) put(_ int, it item) {
+	e.mu.Lock()
+	e.held = &it
+	e.mu.Unlock()
+}
+
+func (e *envelopeItem) started() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.held != nil
+}
+
+func (e *envelopeItem) finish(err error) {
+	e.mu.Lock()
+	it := e.held
+	e.mu.Unlock()
+	switch {
+	case it == nil:
+		e.s.writeComputeError(e.w, err)
+	case it.err != nil:
+		e.s.writeComputeError(e.w, it.err)
+	default:
+		writeJSON(e.w, http.StatusOK, e.envelope(*it))
+	}
+}
+
+// cached looks every item key up and labels the request, in the
+// X-Crsky-Cache header and the trace: "bypass" when the request opted out
+// of the cache, "hit" when every item was cached, "miss" otherwise. It
+// returns the cached values (nil where an item must be computed) and the
+// indices of the items to compute.
+func (s *Server) cached(w http.ResponseWriter, ctx context.Context, keys []string, noCache bool) (hits []any, missing []int) {
+	hits = make([]any, len(keys))
+	for i, key := range keys {
+		var ok bool
+		if !noCache {
+			hits[i], ok = s.cache.Get(key)
+		}
+		if !ok {
+			missing = append(missing, i)
+		}
+	}
+	label := "miss"
+	switch {
+	case noCache:
+		label = "bypass"
+	case len(missing) == 0:
+		label = "hit"
+	}
+	w.Header().Set(headerCache, label)
+	obsTrace(ctx).SetLabel("cache", label)
+	return hits, missing
+}
+
+// admitted runs fn on an exact-pool slot. It admits the request by class
+// against ctx's remaining deadline, binds ctx to the server drain, waits
+// for a slot, and runs computeHook before fn. fn computes under the live
+// request context, so a client that disconnects cancels the work and frees
+// the slot.
+func (s *Server) admitted(ctx context.Context, class priorityClass, fn func(ctx context.Context) error) error {
+	if err := s.admit(class, remainingBudget(ctx)); err != nil {
+		obsTrace(ctx).SetLabel("admission", "shed")
+		return err
+	}
+	ctx, undrain := mergeCancel(ctx, s.drainCtx)
+	defer undrain()
+	_, err := s.pool.Do(ctx, func() (any, error) {
+		if s.computeHook != nil {
+			s.computeHook(ctx)
+		}
+		return nil, fn(ctx)
+	})
+	return err
+}
+
+// queryCall is a resolved /v1 or /v2 query request: the points with their
+// cache keys (see queryKey), and the delivery directives.
+type queryCall struct {
+	ent       *entry
+	qs        []geom.Point
+	keys      []string
+	alpha     float64
+	quadNodes int
+	noCache   bool
+	approx    string
+	ap        crsky.ApproxOptions
+	class     priorityClass
+}
+
+// serveQuery answers the points of c: cached items from the cache, the
+// rest in one shared batch traversal, and, under approx=auto, the whole
+// request from the approximate tier when the exact attempt fails for lack
+// of capacity before any item is committed.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, c *queryCall, out itemWriter) {
+	mode, err := parseApproxMode(c.approx)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	ctx, cancel, d, err := requestTimeout(r)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	defer cancel()
+	if mode == approxAlways {
+		s.serveApproxBatch(w, ctx, c, out)
+		return
+	}
+	// Under auto, the exact attempt gets 3/4 of the request deadline so the
+	// fallback keeps a guaranteed slice of the budget the client set.
+	exactCtx := ctx
+	if mode == approxAuto && d > 0 {
+		exactCtx, cancel = context.WithTimeout(ctx, d*3/4)
+		defer cancel()
+	}
+
+	hits, missing := s.cached(w, ctx, c.keys, c.noCache)
+	putHits := func() {
+		for i, v := range hits {
+			if v != nil {
+				out.put(i, item{ids: v.([]int)})
+			}
+		}
+	}
+	if len(missing) == 0 {
+		// Hits are served unconditionally: no admission, no pool slot.
+		putHits()
+		out.finish(nil)
+		return
+	}
+	mqs := make([]geom.Point, len(missing))
+	for j, i := range missing {
+		mqs[j] = c.qs[i]
+	}
+	err = s.admitted(exactCtx, c.class, func(ctx context.Context) error {
+		// Put the hits only once the slot is held: until then a shed or a
+		// queued cancellation must still be able to become an error status.
+		putHits()
+		_, _, err := c.ent.eng.QueryBatchStream(ctx, mqs, c.alpha, queryOptions(c.quadNodes), func(j int, ids []int) {
+			if ids == nil {
+				ids = []int{}
+			}
+			i := missing[j]
+			if !c.noCache {
+				s.cache.Put(c.keys[i], ids)
+			}
+			out.put(i, item{ids: ids})
+		})
+		return err
+	})
+	// Degrade only when nothing is committed, the client is still there,
+	// and the failure is a capacity problem, not a semantic one.
+	if err != nil && !out.started() && mode == approxAuto && degradable(err) && ctx.Err() == nil {
+		s.serveApproxBatch(w, ctx, c, out)
+		return
+	}
+	out.finish(err)
+}
+
+// serveApproxBatch answers every point of c from the degraded Monte Carlo
+// tier in ONE reserved-pool slot: bounded work (Hoeffding-sized sampling
+// on the surviving candidates), answers tagged approx with per-object
+// confidence intervals, never cached. The reserved pool is small, so
+// spreading a batch over several slots would starve the single-point
+// fallbacks.
+func (s *Server) serveApproxBatch(w http.ResponseWriter, ctx context.Context, c *queryCall, out itemWriter) {
+	obsTrace(ctx).SetLabel("tier", "approx")
+	w.Header().Set(headerCache, "bypass")
+	// The reserved pool must itself degrade by shedding, not by queueing
+	// without bound, so its backlog is capped at a small multiple of its
+	// (few) slots.
+	if st := s.approxPool.Stats(); st.QueueDepth >= int64(st.Workers)*16 || s.Draining() {
+		s.shedFor(c.class).Inc()
+		out.finish(errShed)
+		return
+	}
+	ctx, undrain := mergeCancel(ctx, s.drainCtx)
+	defer undrain()
+	res := make([]*crsky.ApproxResult, len(c.qs))
+	_, err := s.approxPool.Do(ctx, func() (any, error) {
+		for i, q := range c.qs {
+			var err error
+			if res[i], _, err = c.ent.eng.QueryApprox(ctx, q, c.alpha, queryOptions(c.quadNodes), c.ap); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
+	if err == nil {
+		s.approxAnswers.Inc()
+		for i, a := range res {
+			out.put(i, item{approx: a})
+		}
+	}
+	out.finish(err)
+}
+
+// explainCall is a resolved /v1 or /v2 explain request: one engine request
+// per item with its cache key (see explainKey), the canonical options, and
+// the delivery directives.
+type explainCall struct {
+	ent     *entry
+	reqs    []crsky.ExplainRequest
+	keys    []string
+	opts    causality.Options
+	verify  bool
+	noCache bool
+	class   priorityClass
+}
+
+// serveExplain explains the items of c: cached items from the cache, the
+// rest in one engine batch, each re-verified when the request asks for it.
+// An item fails alone (an answer, its own timeout, an engine fault); a
+// request-level cancellation or a verification failure fails the request.
+func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request, c *explainCall, out itemWriter) {
+	ctx, cancel, _, err := requestTimeout(r)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	defer cancel()
+
+	hits, missing := s.cached(w, ctx, c.keys, c.noCache)
+	// A verification failure must still become a clean 500, so every hit
+	// is verified before the first one is put.
+	putHits := func(ctx context.Context) error {
+		for i, v := range hits {
+			if v != nil {
+				if err := s.verified(ctx, c, i, v.(*causality.Result)); err != nil {
+					return err
+				}
+			}
+		}
+		for i, v := range hits {
+			if v != nil {
+				out.put(i, item{exp: v.(*causality.Result)})
+			}
+		}
+		return nil
+	}
+	if len(missing) == 0 {
+		// Fully cache-served: no admission, no pool slot.
+		out.finish(putHits(ctx))
+		return
+	}
+	mreqs := make([]crsky.ExplainRequest, len(missing))
+	for j, i := range missing {
+		mreqs[j] = c.reqs[i]
+	}
+	err = s.admitted(ctx, c.class, func(ctx context.Context) error {
+		// Hits go out as soon as the slot is held; computed items stream in
+		// behind them.
+		if err := putHits(ctx); err != nil {
+			return err
+		}
+		// ictx lets a fatal failure — a request-level cancellation or a
+		// verification failure — stop the remaining items promptly instead
+		// of letting them compute answers nobody will see. fatal is only
+		// written inside the serialized emit callbacks, so it needs no
+		// extra lock.
+		ictx, icancel := context.WithCancel(ctx)
+		defer icancel()
+		var fatal error
+		fail := func(err error) {
+			if fatal == nil {
+				fatal = err
+				icancel()
+			}
+		}
+		c.ent.eng.ExplainBatchStream(ictx, mreqs, c.opts, func(it crsky.ExplainItem) {
+			if fatal != nil {
+				return
+			}
+			i := missing[it.Index]
+			if it.Err != nil {
+				if (errors.Is(it.Err, context.Canceled) || errors.Is(it.Err, context.DeadlineExceeded)) &&
+					ictx.Err() != nil {
+					// The request itself is going down (client deadline,
+					// disconnect, drain, or an earlier fatal failure), not
+					// this item's own budget: a partially canceled result
+					// set must never pass for the full answer.
+					fail(it.Err)
+					return
+				}
+				// A per-item failure — a non-answer that is actually an
+				// answer, an item that blew its own timeout, an engine
+				// fault: the item fails alone, its siblings keep going, and
+				// nothing is cached for it.
+				out.put(i, item{err: it.Err})
+				return
+			}
+			if err := s.verified(ictx, c, i, it.Result); err != nil {
+				fail(err)
+				return
+			}
+			if !c.noCache {
+				s.cache.Put(c.keys[i], it.Result)
+			}
+			// Work gauges count computed explanations only: cache hits
+			// re-serve an already-counted search.
+			s.explainComputed.Inc()
+			s.explainSubsets.Add(it.Result.SubsetsExamined)
+			s.explainGreedySeeds.Add(it.Result.GreedySeeds)
+			s.explainGreedyHits.Add(it.Result.GreedyHits)
+			s.explainFilterIO.Add(it.Result.FilterNodeAccesses)
+			out.put(i, item{exp: it.Result})
+		})
+		return fatal
+	})
+	out.finish(err)
+}
+
+// verified re-runs the independent Definition-1 verifier on item i's
+// result when the request asked for it — cached results included, so a
+// poisoned cache entry can never be re-served verified. A verification
+// failure evicts the entry and returns errVerificationFailed; a
+// cancellation that interrupts verification stays a plain cancellation
+// (503, not an integrity 500).
+func (s *Server) verified(ctx context.Context, c *explainCall, i int, res *causality.Result) error {
+	if !c.verify {
+		return nil
+	}
+	err := c.ent.eng.VerifyCtx(ctx, c.reqs[i].Q, c.reqs[i].Alpha, res)
+	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	s.cache.Remove(c.keys[i])
+	return fmt.Errorf("%w: %v", errVerificationFailed, err)
+}
+
+// explainResponse renders one explanation, the /v1 envelope and the body
+// of a /v2 line alike.
+func explainResponse(ent *entry, alpha float64, res *causality.Result, verified bool) ExplainResponse {
+	return ExplainResponse{
+		Dataset:            ent.name,
+		Model:              ent.model,
+		NonAnswer:          res.NonAnswer,
+		Pr:                 res.Pr,
+		Alpha:              alpha,
+		Candidates:         res.Candidates,
+		Causes:             causesJSON(res.Causes),
+		SubsetsExamined:    res.SubsetsExamined,
+		GreedySeeds:        res.GreedySeeds,
+		GreedyHits:         res.GreedyHits,
+		FilterNodeAccesses: res.FilterNodeAccesses,
+		Verified:           verified,
+	}
+}

@@ -12,8 +12,8 @@ import (
 
 // TestServerConcurrentExplain is the serving acceptance test: 32 parallel
 // explain requests — a mix of identical and distinct — must all return the
-// library's direct Explain output, pass verification, and exercise both
-// the cache (≥ 1 hit) and singleflight (≥ 1 deduplicated computation).
+// library's direct ExplainCtx output, pass verification, and exercise the
+// cache (≥ 1 hit).
 func TestServerConcurrentExplain(t *testing.T) {
 	w := sampleWorkload(t)
 	if len(w.ids) < 4 {
@@ -22,9 +22,9 @@ func TestServerConcurrentExplain(t *testing.T) {
 	ans := w.ids[:4]
 
 	s := New(Config{Workers: 8, CacheSize: 256})
-	// Hold every computation open long enough that all parallel callers
-	// of the same key are guaranteed to overlap with their leader, making
-	// the deduplication assertion deterministic.
+	// Hold every computation open long enough that the parallel callers
+	// of the same key overlap: each computes on its own, and every
+	// response must still be byte-identical.
 	s.computeHook = func(context.Context) { time.Sleep(100 * time.Millisecond) }
 	c := newTestClient(t, s)
 	c.registerSample("lUrU", w.ds)
@@ -32,7 +32,7 @@ func TestServerConcurrentExplain(t *testing.T) {
 	// Ground truth from the library, computed up front.
 	want := make(map[int][]byte)
 	for _, an := range ans {
-		direct, err := w.eng.Explain(an, w.q, 0.5, OptionsSpec{MaxCandidates: 64}.toOptions())
+		direct, err := w.eng.ExplainCtx(context.Background(), an, w.q, 0.5, OptionsSpec{MaxCandidates: 64}.toOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,8 +96,7 @@ func TestServerConcurrentExplain(t *testing.T) {
 			t.Fatalf("response %d fails verify: %v", i, err)
 		}
 		// Identical requests must produce byte-identical responses
-		// regardless of whether they were computed, deduplicated, or
-		// served from cache.
+		// regardless of whether they were computed or served from cache.
 		if prev := bodies[i%len(ans)]; !bytes.Equal(raw, prev) {
 			t.Fatalf("response %d differs from response %d for the same request:\n%s\n%s",
 				i, i%len(ans), raw, prev)
@@ -118,9 +117,8 @@ func TestServerConcurrentExplain(t *testing.T) {
 		t.Fatalf("cached follow-up differs from original:\n%s\n%s", raw, bodies[0])
 	}
 
-	// Stats must show the dedup and cache work: 4 distinct keys were
-	// computed once each, at least one request joined an in-flight
-	// computation, and at least one was served from cache.
+	// Stats must show the cache work: at least one request was served
+	// from cache.
 	var st StatsResponse
 	stResp, stRaw := c.do(http.MethodGet, "/v1/stats", nil)
 	if stResp.StatusCode != http.StatusOK {
@@ -128,12 +126,6 @@ func TestServerConcurrentExplain(t *testing.T) {
 	}
 	if err := json.Unmarshal(stRaw, &st); err != nil {
 		t.Fatal(err)
-	}
-	if st.Flights.Executed < int64(len(ans)) || st.Flights.Executed > parallel {
-		t.Errorf("flights executed = %d, want %d..%d", st.Flights.Executed, len(ans), parallel)
-	}
-	if st.Flights.Deduped < 1 {
-		t.Errorf("flights deduped = %d, want >= 1", st.Flights.Deduped)
 	}
 	if st.Cache.Hits < 1 {
 		t.Errorf("cache hits = %d, want >= 1", st.Cache.Hits)
@@ -166,8 +158,8 @@ func TestServerWorkerPoolBounds(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Distinct q per request defeats singleflight so every
-			// request really goes through the pool.
+			// Distinct q per request, so the cache cannot answer any
+			// of them and every request really goes through the pool.
 			q := []float64{w.q[0] + float64(i)*1e-7, w.q[1]}
 			c.do(http.MethodPost, "/v1/explain", &ExplainRequest{
 				Dataset: "lUrU", Q: q, An: w.ids[0], Alpha: 0.5,

@@ -88,13 +88,10 @@ func (s *Server) resolve(name string, qs []float64, alpha float64) (*entry, geom
 }
 
 // queryKey is the canonical cache key of one (dataset, query, alpha,
-// quadNodes) reverse-skyline computation. The v1 single-query handler and
-// the v2 batch handler's per-item cache build the SAME keys, so either
-// surface serves results the other computed: a batch warms later single
-// queries and a warmed single query is one less item a batch must compute.
-// (v1 additionally deduplicates in-flight computations per key through the
-// singleflight group; v2 does not, so a v2 Put may land while a v1 flight
-// for the same key runs — benign, both store the same value.)
+// quadNodes) reverse-skyline computation. /v1/query and /v2/query build
+// the SAME per-item keys, so either surface serves results the other
+// computed: a batch warms later single queries and a warmed single query
+// is one less item a batch must compute.
 func queryKey(name string, gen uint64, q geom.Point, alpha float64, quadNodes int) string {
 	return fmt.Sprintf("query|%s|%d|%s|%g|%d", name, gen, pointKey(q), alpha, quadNodes)
 }
@@ -109,8 +106,9 @@ func explainKey(name string, gen uint64, q geom.Point, an int, alpha float64, op
 
 // writeComputeError renders a compute-path failure: cancellations and
 // admission sheds become 503s with the COMPUTED Retry-After (queue depth ×
-// recent median slot wait, capped — see retryAfter), panics and integrity
-// failures 500s, engine errors their mapped client status.
+// recent median slot wait, capped — see retryAfter), integrity failures
+// 500s, engine errors their mapped client status. Panics never get here:
+// they unwind to the instrument middleware, which answers 500.
 func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errShed),
@@ -118,7 +116,7 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 		errors.Is(err, context.DeadlineExceeded):
 		w.Header().Set("Retry-After", s.retryAfter())
 		s.writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, errComputePanic), errors.Is(err, errVerificationFailed):
+	case errors.Is(err, errVerificationFailed):
 		s.writeError(w, http.StatusInternalServerError, err)
 	default:
 		s.writeError(w, statusFor(err), err)
@@ -134,78 +132,6 @@ func degradable(err error) bool {
 	return errors.Is(err, errShed) ||
 		errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded)
-}
-
-// compute runs fn behind the singleflight group and the worker pool,
-// caching a successful result under key unless the request bypassed the
-// cache. It sets the cache/flight response headers and returns the error
-// instead of writing it, so callers with a degraded tier can fall back;
-// plain callers pass the error to writeComputeError.
-//
-// The computation deliberately runs on a context detached from the
-// request: a flight's result may be shared by many callers, so the
-// leader's client disconnecting must not fail everyone else (or poison
-// the thundering-herd retry by caching nothing). That detached context is
-// re-bound to the server's drain context (a hard drain must stop detached
-// work too) and, when timeout > 0, to a deadline — the v1 half of
-// deadline propagation. The v2 batch handlers, which are not deduplicated,
-// run the live request context instead (see computeV2).
-//
-// class gates admission: cache hits are served unconditionally, everything
-// else must pass the admission controller before it may queue.
-func (s *Server) compute(w http.ResponseWriter, ctx context.Context, key string, noCache bool,
-	class priorityClass, timeout time.Duration, fn func(ctx context.Context) (any, error)) (any, error) {
-
-	tr := obsTrace(ctx)
-	if noCache {
-		w.Header().Set(headerCache, "bypass")
-		tr.SetLabel("cache", "bypass")
-	} else if v, ok := s.cache.Get(key); ok {
-		w.Header().Set(headerCache, "hit")
-		tr.SetLabel("cache", "hit")
-		return v, nil
-	} else {
-		w.Header().Set(headerCache, "miss")
-		tr.SetLabel("cache", "miss")
-	}
-
-	if err := s.admit(class, remainingBudget(ctx, timeout)); err != nil {
-		tr.SetLabel("admission", "shed")
-		return nil, err
-	}
-
-	// WithoutCancel keeps the context VALUES — the trace flows into the
-	// detached computation, so a traced leader's envelope carries the
-	// engine stage spans.
-	detached, undrain := mergeCancel(context.WithoutCancel(ctx), s.drainCtx)
-	defer undrain()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		detached, cancel = context.WithTimeout(detached, timeout)
-		defer cancel()
-	}
-	v, err, shared := s.flights.Do(key, func() (any, error) {
-		return s.pool.Do(detached, func() (any, error) {
-			if s.computeHook != nil {
-				s.computeHook(detached)
-			}
-			return fn(detached)
-		})
-	})
-	if shared {
-		w.Header().Set(headerFlight, "shared")
-		tr.SetLabel("flight", "shared")
-	} else {
-		w.Header().Set(headerFlight, "leader")
-		tr.SetLabel("flight", "leader")
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !noCache {
-		s.cache.Put(key, v)
-	}
-	return v, nil
 }
 
 // approx tier selection, from the request's "approx" field.
@@ -229,75 +155,27 @@ func parseApproxMode(s string) (approxMode, error) {
 	return 0, fmt.Errorf("bad approx mode %q (want never, auto, or always)", s)
 }
 
-// requestTimeout parses ?timeout= into a plain duration. The v1 handlers
-// cannot use withTimeout: their computations run on a detached context, so
-// the deadline must be applied inside compute, not to the live request
-// context.
-func requestTimeout(r *http.Request) (time.Duration, error) {
+// requestTimeout derives the compute context from ?timeout= (a Go
+// duration, e.g. 250ms or 2s): a deadline d on top of the
+// client-disconnect cancellation the request context already carries
+// (d = 0: none).
+func requestTimeout(r *http.Request) (ctx context.Context, cancel context.CancelFunc, d time.Duration, err error) {
 	t := r.URL.Query().Get("timeout")
 	if t == "" {
-		return 0, nil
+		return r.Context(), func() {}, 0, nil
 	}
-	d, err := time.ParseDuration(t)
-	if err != nil || d <= 0 {
-		return 0, fmt.Errorf("bad timeout %q (want a positive Go duration, e.g. 250ms)", t)
+	if d, err = time.ParseDuration(t); err != nil || d <= 0 {
+		return nil, nil, 0, fmt.Errorf("bad timeout %q (want a positive Go duration, e.g. 250ms)", t)
 	}
-	return d, nil
+	ctx, cancel = context.WithTimeout(r.Context(), d)
+	return ctx, cancel, d, nil
 }
 
-// serveApprox answers a query from the degraded Monte Carlo tier on the
-// reserved approximate pool — the path that keeps an overloaded server
-// useful: bounded work (Hoeffding-sized sampling on the surviving
-// candidates), answers tagged approx with per-object confidence intervals,
-// never cached.
-func (s *Server) serveApprox(w http.ResponseWriter, r *http.Request, ent *entry,
-	q geom.Point, alpha float64, quadNodes int, ap crsky.ApproxOptions, timeout time.Duration) {
-
-	tr := obsTrace(r.Context())
-	tr.SetLabel("tier", "approx")
-	w.Header().Set(headerCache, "bypass")
-	// The reserved pool must itself degrade by shedding, not by queueing
-	// without bound — it exists to absorb the exact tier's overflow, so its
-	// backlog is capped at a small multiple of its (few) slots.
-	if st := s.approxPool.Stats(); st.QueueDepth >= int64(st.Workers)*16 || s.Draining() {
-		s.shedFor(classQuery).Inc()
-		s.writeComputeError(w, errShed)
-		return
-	}
-	ctx, undrain := mergeCancel(r.Context(), s.drainCtx)
-	defer undrain()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	v, err := s.approxPool.Do(ctx, func() (any, error) {
-		return ent.queryApproxCtx(ctx, q, alpha, quadNodes, ap)
-	})
-	if err != nil {
-		s.writeComputeError(w, err)
-		return
-	}
-	res := v.(*crsky.ApproxResult)
-	s.approxAnswers.Inc()
-	resp := QueryResponse{
-		Dataset:    ent.name,
-		Model:      ent.model,
-		Alpha:      alpha,
-		Count:      len(res.Answers),
-		Answers:    res.Answers,
-		Generation: ent.gen,
-		Approx:     !res.Exact,
-		Trace:      traceJSON(r),
-	}
-	if !res.Exact {
-		resp.Intervals = res.Intervals
-		resp.Epsilon = res.Epsilon
-		resp.Confidence = res.Confidence
-		resp.Iters = res.Iters
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
+// --- /v1: request/response adapters over the compute path ---------------
+//
+// A /v1 request is a batch of one: the handlers decode and resolve the
+// request and hand it to the same core as /v2, with a writer that renders
+// the single item as the v1 JSON envelope.
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.reqQuery.Inc()
@@ -312,65 +190,34 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	annotate(r.Context(), ent)
-	mode, err := parseApproxMode(req.Approx)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	timeout, err := requestTimeout(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ap := crsky.ApproxOptions{Epsilon: req.Epsilon, Confidence: req.Confidence, Seed: s.cfg.ApproxSeed}
-
-	if mode == approxAlways {
-		s.serveApprox(w, r, ent, q, alpha, req.QuadNodes, ap, timeout)
-		return
-	}
-
-	// Under auto, the exact attempt gets 3/4 of the request budget so a
-	// timed-out exact query still leaves the fallback a guaranteed slice;
-	// the absolute deadline is fixed up front so the two tiers together
-	// never exceed what the client asked for.
-	exactTimeout := timeout
-	var fullDeadline time.Time
-	if mode == approxAuto && timeout > 0 {
-		fullDeadline = time.Now().Add(timeout)
-		exactTimeout = timeout * 3 / 4
-	}
-	key := queryKey(ent.name, ent.gen, q, alpha, req.QuadNodes)
-	v, err := s.compute(w, r.Context(), key, req.NoCache, priorityFrom(r, classQuery), exactTimeout,
-		func(ctx context.Context) (any, error) {
-			return ent.queryCtx(ctx, q, alpha, req.QuadNodes)
-		})
-	if err != nil {
-		// Degrade only when the client is still there and the failure is a
-		// capacity problem, not a semantic one.
-		if mode == approxAuto && degradable(err) && r.Context().Err() == nil {
-			rest := time.Duration(0)
-			if !fullDeadline.IsZero() {
-				if rest = time.Until(fullDeadline); rest <= 0 {
-					s.writeComputeError(w, err)
-					return
-				}
-			}
-			s.serveApprox(w, r, ent, q, alpha, req.QuadNodes, ap, rest)
-			return
+	s.serveQuery(w, r, &queryCall{
+		ent:       ent,
+		qs:        []geom.Point{q},
+		keys:      []string{queryKey(ent.name, ent.gen, q, alpha, req.QuadNodes)},
+		alpha:     alpha,
+		quadNodes: req.QuadNodes,
+		noCache:   req.NoCache,
+		approx:    req.Approx,
+		ap:        crsky.ApproxOptions{Epsilon: req.Epsilon, Confidence: req.Confidence, Seed: s.cfg.ApproxSeed},
+		class:     priorityFrom(r, classQuery),
+	}, &envelopeItem{s: s, w: w, envelope: func(it item) any {
+		resp := QueryResponse{
+			Dataset:    ent.name,
+			Model:      ent.model,
+			Alpha:      alpha,
+			Count:      len(it.ids),
+			Answers:    it.ids,
+			Generation: ent.gen,
+			Trace:      traceJSON(r),
 		}
-		s.writeComputeError(w, err)
-		return
-	}
-	ids := v.([]int)
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Dataset:    ent.name,
-		Model:      ent.model,
-		Alpha:      alpha,
-		Count:      len(ids),
-		Answers:    ids,
-		Generation: ent.gen,
-		Trace:      traceJSON(r),
-	})
+		if a := it.approx; a != nil {
+			resp.Count, resp.Answers, resp.Approx = len(a.Answers), a.Answers, !a.Exact
+			if !a.Exact {
+				resp.Intervals, resp.Epsilon, resp.Confidence, resp.Iters = a.Intervals, a.Epsilon, a.Confidence, a.Iters
+			}
+		}
+		return resp
+	}})
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -392,64 +239,23 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		// canonicalize so identical certain requests share a cache key.
 		opts = causality.Options{}
 	}
-	timeout, err := requestTimeout(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	key := explainKey(ent.name, ent.gen, q, req.An, alpha, opts)
-	v, err := s.compute(w, r.Context(), key, req.NoCache, priorityFrom(r, classExplain), timeout,
-		func(ctx context.Context) (any, error) {
-			res, err := ent.explainCtx(ctx, q, req.An, alpha, opts)
-			if err == nil {
-				// Work gauges count computed explanations only: cache hits
-				// and deduplicated followers re-serve this computation's
-				// result without re-doing (or re-counting) its search.
-				s.explainComputed.Inc()
-				s.explainSubsets.Add(res.SubsetsExamined)
-				s.explainGreedySeeds.Add(res.GreedySeeds)
-				s.explainGreedyHits.Add(res.GreedyHits)
-				s.explainFilterIO.Add(res.FilterNodeAccesses)
-			}
-			return res, err
-		})
-	if err != nil {
-		s.writeComputeError(w, err)
-		return
-	}
-	res := v.(*causality.Result)
-	verified := false
-	if req.Verify {
-		// v1 keeps detached-computation semantics end to end: a client
-		// disconnect must not surface as a verification "failure" that
-		// evicts a good cached result and poisons the thundering-herd
-		// retry.
-		if err := ent.verifyCtx(context.WithoutCancel(r.Context()), q, alpha, res); err != nil {
-			// Never keep serving a result the verifier just rejected.
-			s.cache.Remove(key)
-			s.writeError(w, http.StatusInternalServerError,
-				fmt.Errorf("explanation failed verification: %w", err))
-			return
-		}
-		verified = true
-	}
-	writeJSON(w, http.StatusOK, ExplainResponse{
-		Dataset:            ent.name,
-		Model:              ent.model,
-		NonAnswer:          res.NonAnswer,
-		Pr:                 res.Pr,
-		Alpha:              alpha,
-		Candidates:         res.Candidates,
-		Causes:             causesJSON(res.Causes),
-		SubsetsExamined:    res.SubsetsExamined,
-		GreedySeeds:        res.GreedySeeds,
-		GreedyHits:         res.GreedyHits,
-		FilterNodeAccesses: res.FilterNodeAccesses,
-		Verified:           verified,
-		Trace:              traceJSON(r),
-	})
+	s.serveExplain(w, r, &explainCall{
+		ent:     ent,
+		reqs:    []crsky.ExplainRequest{{ID: req.An, Q: q, Alpha: alpha}},
+		keys:    []string{explainKey(ent.name, ent.gen, q, req.An, alpha, opts)},
+		opts:    opts,
+		verify:  req.Verify,
+		noCache: req.NoCache,
+		class:   priorityFrom(r, classExplain),
+	}, &envelopeItem{s: s, w: w, envelope: func(it item) any {
+		resp := explainResponse(ent, alpha, it.exp, req.Verify)
+		resp.Trace = traceJSON(r)
+		return resp
+	}})
 }
 
+// handleRepair has no batch form: it takes the cache and a pool slot
+// through the same helpers as the explain core.
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	s.reqRepair.Inc()
 	var req RepairRequest
@@ -464,22 +270,29 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	}
 	annotate(r.Context(), ent)
 	opts := req.Options.toOptions()
-	timeout, err := requestTimeout(r)
+	ctx, cancel, _, err := requestTimeout(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	defer cancel()
 	key := fmt.Sprintf("repair|%s|%d|%s|%d|%g|%s",
 		ent.name, ent.gen, pointKey(q), req.An, alpha, opts.Key())
-	v, err := s.compute(w, r.Context(), key, req.NoCache, priorityFrom(r, classExplain), timeout,
-		func(ctx context.Context) (any, error) {
-			return ent.repairCtx(ctx, q, req.An, alpha, opts)
+	hits, missing := s.cached(w, ctx, []string{key}, req.NoCache)
+	rep, _ := hits[0].(*causality.Repair)
+	if len(missing) > 0 {
+		err := s.admitted(ctx, priorityFrom(r, classExplain), func(ctx context.Context) (err error) {
+			rep, err = ent.eng.RepairCtx(ctx, req.An, q, alpha, opts)
+			return err
 		})
-	if err != nil {
-		s.writeComputeError(w, err)
-		return
+		if err != nil {
+			s.writeComputeError(w, err)
+			return
+		}
+		if !req.NoCache {
+			s.cache.Put(key, rep)
+		}
 	}
-	rep := v.(*causality.Repair)
 	writeJSON(w, http.StatusOK, RepairResponse{
 		Dataset: ent.name,
 		Model:   ent.model,

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	crsky "github.com/crsky/crsky"
-	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/geom"
 )
 
@@ -18,21 +16,6 @@ import (
 // engine produced an explanation the independent Definition-1 verifier
 // rejected — which must surface as a 500, never a client error.
 var errVerificationFailed = errors.New("explanation failed verification")
-
-// withTimeout derives the request context: `?timeout=` (a Go duration,
-// e.g. 250ms or 2s) adds a deadline on top of the client-disconnect
-// cancellation the request context already carries.
-func withTimeout(r *http.Request) (context.Context, context.CancelFunc, error) {
-	d, err := requestTimeout(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	if d == 0 {
-		return r.Context(), func() {}, nil
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	return ctx, cancel, nil
-}
 
 // resolveBatch validates the shared (dataset, alpha) pair and every query
 // point of a batch request, mirroring resolve.
@@ -79,60 +62,42 @@ func newNDJSONStream(w http.ResponseWriter) *ndjsonStream {
 	return &ndjsonStream{w: w, enc: json.NewEncoder(w), flusher: f}
 }
 
-// commit writes the response header if it has not gone out yet.
-func (st *ndjsonStream) commit() {
+// write writes one line, committing the 200 header with the first.
+func (st *ndjsonStream) write(line any) {
 	if !st.started {
 		st.w.Header().Set("Content-Type", "application/x-ndjson")
 		st.w.WriteHeader(http.StatusOK)
 		st.started = true
 	}
-}
-
-func (st *ndjsonStream) write(line any) {
-	st.commit()
 	_ = st.enc.Encode(line) // Encode appends the newline separator
 	if st.flusher != nil {
 		st.flusher.Flush()
 	}
 }
 
-// writeTrace appends the opt-in ?trace=1 trailer line — clients that did
-// not ask keep a stream with exactly one line per item.
-func writeTrace(st *ndjsonStream, r *http.Request) {
-	if tj := traceJSON(r); tj != nil {
-		st.write(BatchTraceItem{Trace: tj})
-	}
-}
-
-// writeNDJSON streams a fully materialized item slice: the all-cache-hit
-// and approximate-tier paths, where every line is known up front.
-func writeNDJSON[T any](w http.ResponseWriter, r *http.Request, items []T) {
-	st := newNDJSONStream(w)
-	st.commit() // even an empty item set is a 200 NDJSON response
-	for _, it := range items {
-		st.write(it)
-	}
-	writeTrace(st, r)
-}
-
-// ndjsonFrontier turns out-of-order item completions into request-ordered
-// NDJSON lines: set stores a finished line and flushes the longest ready
-// prefix. Engine emit callbacks are serialized by the engine contract but
-// arrive on engine worker goroutines; the mutex both serializes them
-// against the handler goroutine and publishes line writes to whichever
-// goroutine ends up flushing them.
+// ndjsonFrontier is the /v2 itemWriter: it turns out-of-order item
+// completions into request-ordered NDJSON lines, flushing the longest ready
+// prefix on every put. Engine emit callbacks are serialized by the engine
+// contract but arrive on engine worker goroutines; the mutex both
+// serializes them against the handler goroutine and publishes line writes
+// to whichever goroutine ends up flushing them.
 type ndjsonFrontier struct {
+	s    *Server
+	r    *http.Request
+	line func(i int, it item) any // renders item i as its NDJSON line
+
 	mu    sync.Mutex
 	st    *ndjsonStream
 	lines []any
 	next  int
 }
 
-func newNDJSONFrontier(w http.ResponseWriter, n int) *ndjsonFrontier {
-	return &ndjsonFrontier{st: newNDJSONStream(w), lines: make([]any, n)}
+func newNDJSONFrontier(s *Server, w http.ResponseWriter, r *http.Request, n int, line func(int, item) any) *ndjsonFrontier {
+	return &ndjsonFrontier{s: s, r: r, line: line, st: newNDJSONStream(w), lines: make([]any, n)}
 }
 
-func (f *ndjsonFrontier) set(i int, line any) {
+func (f *ndjsonFrontier) put(i int, it item) {
+	line := f.line(i, it)
 	f.mu.Lock()
 	f.lines[i] = line
 	for f.next < len(f.lines) && f.lines[f.next] != nil {
@@ -150,24 +115,34 @@ func (f *ndjsonFrontier) started() bool {
 	return f.st.started
 }
 
-// fail finishes a started stream after a mid-batch failure: lines that
-// finished but were blocked behind the failure still flush as results,
-// and every other remaining index gets a per-item error envelope from
-// mkErr. The engine call has returned by now, so the handler goroutine
-// owns the stream again.
-func (f *ndjsonFrontier) fail(mkErr func(i int) any) {
+// finish completes the stream. A failure before the first line keeps its
+// error status. After it, the 200 is committed: lines that finished but
+// were blocked behind the failure still flush as results, and every other
+// remaining item gets a per-item error line instead of a silently
+// truncated stream. Clients that asked for ?trace=1 get the trace as a
+// final line; the others keep exactly one line per item.
+func (f *ndjsonFrontier) finish(err error) {
 	f.mu.Lock()
-	for ; f.next < len(f.lines); f.next++ {
-		line := f.lines[f.next]
-		if line == nil {
-			line = mkErr(f.next)
+	defer f.mu.Unlock()
+	if err != nil {
+		if !f.st.started {
+			f.s.writeComputeError(f.st.w, err)
+			return
 		}
-		f.st.write(line)
+		for ; f.next < len(f.lines); f.next++ {
+			line := f.lines[f.next]
+			if line == nil {
+				line = f.line(f.next, item{err: err})
+			}
+			f.st.write(line)
+		}
 	}
-	f.mu.Unlock()
+	if tj := traceJSON(f.r); tj != nil {
+		f.st.write(BatchTraceItem{Trace: tj})
+	}
 }
 
-// --- /v2/query ----------------------------------------------------------
+// --- /v2: request/response adapters over the compute path ---------------
 
 func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 	s.reqQuery.Inc()
@@ -185,212 +160,29 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 	// Key on the resolved alpha (certain data forces 1), so requests that
 	// compute the same thing share the cached results.
 	req.Alpha = alpha
-	mode, err := parseApproxMode(req.Approx)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	d, err := requestTimeout(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx := r.Context()
-	if d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	ap := crsky.ApproxOptions{Epsilon: req.Epsilon, Confidence: req.Confidence, Seed: s.cfg.ApproxSeed}
-
-	if mode == approxAlways {
-		s.serveApproxBatch(w, r, ctx, ent, qs, alpha, req.QuadNodes, ap)
-		return
-	}
-
-	// Under auto, the exact attempt gets 3/4 of the request deadline so the
-	// fallback keeps a guaranteed slice of the budget the client set.
-	exactCtx := ctx
-	if mode == approxAuto && d > 0 {
-		var cancel context.CancelFunc
-		exactCtx, cancel = context.WithTimeout(ctx, d*3/4)
-		defer cancel()
-	}
-
-	tr := obsTrace(r.Context())
-	keys := req.itemKeys(ent)
-	lines := make([]any, len(qs)) // cache-hit lines; nil = must compute
-	var missing []int
-	if req.NoCache {
-		w.Header().Set(headerCache, "bypass")
-		tr.SetLabel("cache", "bypass")
-		missing = make([]int, len(qs))
-		for i := range qs {
-			missing[i] = i
-		}
-	} else {
-		for i := range qs {
-			if v, ok := s.cache.Get(keys[i]); ok {
-				ids := v.([]int)
-				lines[i] = BatchQueryItem{Index: i, Count: len(ids), Answers: ids}
-			} else {
-				missing = append(missing, i)
+	s.serveQuery(w, r, &queryCall{
+		ent:       ent,
+		qs:        qs,
+		keys:      req.itemKeys(ent),
+		alpha:     alpha,
+		quadNodes: req.QuadNodes,
+		noCache:   req.NoCache,
+		approx:    req.Approx,
+		ap:        crsky.ApproxOptions{Epsilon: req.Epsilon, Confidence: req.Confidence, Seed: s.cfg.ApproxSeed},
+		class:     priorityFrom(r, classBatch),
+	}, newNDJSONFrontier(s, w, r, len(qs), func(i int, it item) any {
+		switch {
+		case it.err != nil:
+			return BatchQueryItem{Index: i, Error: it.err.Error()}
+		case it.approx != nil:
+			line := BatchQueryItem{Index: i, Count: len(it.approx.Answers), Answers: it.approx.Answers, Approx: !it.approx.Exact}
+			if !it.approx.Exact {
+				line.Intervals = it.approx.Intervals
 			}
+			return line
 		}
-		if len(missing) == 0 {
-			// Every item was computed by earlier requests — batches or v1
-			// single queries, the keys are shared — so no admission and no
-			// pool slot: hits are served unconditionally, like v1.
-			w.Header().Set(headerCache, "hit")
-			tr.SetLabel("cache", "hit")
-			items := make([]BatchQueryItem, len(lines))
-			for i, line := range lines {
-				items[i] = line.(BatchQueryItem)
-			}
-			writeNDJSON(w, r, items)
-			return
-		}
-		w.Header().Set(headerCache, "miss")
-		tr.SetLabel("cache", "miss")
-	}
-
-	if err := s.admit(priorityFrom(r, classBatch), remainingBudget(exactCtx, 0)); err != nil {
-		tr.SetLabel("admission", "shed")
-		s.queryV2Fallback(w, r, ctx, err, mode, ent, qs, alpha, req.QuadNodes, ap)
-		return
-	}
-
-	mctx, undrain := mergeCancel(exactCtx, s.drainCtx)
-	defer undrain()
-	fr := newNDJSONFrontier(w, len(qs))
-	mqs := make([]geom.Point, len(missing))
-	for j, i := range missing {
-		mqs[j] = qs[i]
-	}
-	_, err = s.pool.Do(mctx, func() (any, error) {
-		if s.computeHook != nil {
-			s.computeHook(mctx)
-		}
-		// Flush the cache-hit prefix only once the batch holds its slot:
-		// before this point a shed or queued cancellation must still be
-		// able to become a clean error status.
-		for i, line := range lines {
-			if line != nil {
-				fr.set(i, line)
-			}
-		}
-		return nil, ent.queryBatchStreamCtx(mctx, mqs, alpha, req.QuadNodes, func(j int, ids []int) {
-			i := missing[j]
-			if !req.NoCache {
-				s.cache.Put(keys[i], ids)
-			}
-			fr.set(i, BatchQueryItem{Index: i, Count: len(ids), Answers: ids})
-		})
-	})
-	if err != nil {
-		if !fr.started() {
-			s.queryV2Fallback(w, r, ctx, err, mode, ent, qs, alpha, req.QuadNodes, ap)
-			return
-		}
-		// Items are already on the wire with a committed 200: the failure
-		// degrades to per-item error envelopes on the unfinished tail
-		// instead of silently truncating the stream.
-		msg := err.Error()
-		fr.fail(func(i int) any { return BatchQueryItem{Index: i, Error: msg} })
-		writeTrace(fr.st, r)
-		return
-	}
-	writeTrace(fr.st, r)
-}
-
-// queryV2Fallback finishes a failed exact batch that has not written any
-// line yet: under approx=auto a capacity failure degrades to the Monte
-// Carlo tier, everything else maps through writeComputeError — exactly
-// the whole-batch error semantics of the non-streaming handler.
-func (s *Server) queryV2Fallback(w http.ResponseWriter, r *http.Request, ctx context.Context, err error,
-	mode approxMode, ent *entry, qs []geom.Point, alpha float64, quadNodes int, ap crsky.ApproxOptions) {
-
-	if mode == approxAuto && degradable(err) && ctx.Err() == nil {
-		s.serveApproxBatch(w, r, ctx, ent, qs, alpha, quadNodes, ap)
-		return
-	}
-	s.writeComputeError(w, err)
-}
-
-// serveApproxBatch answers a whole batch from the degraded tier in ONE
-// reserved-pool slot: under overload the approximate pool is tiny, and a
-// batch spread over several slots would starve the single-point fallbacks.
-// Approximate batches are never cached.
-func (s *Server) serveApproxBatch(w http.ResponseWriter, r *http.Request, ctx context.Context,
-	ent *entry, qs []geom.Point, alpha float64, quadNodes int, ap crsky.ApproxOptions) {
-
-	tr := obsTrace(r.Context())
-	tr.SetLabel("tier", "approx")
-	w.Header().Set(headerCache, "bypass")
-	if st := s.approxPool.Stats(); st.QueueDepth >= int64(st.Workers)*16 || s.Draining() {
-		s.shedFor(classBatch).Inc()
-		s.writeComputeError(w, errShed)
-		return
-	}
-	ctx, undrain := mergeCancel(ctx, s.drainCtx)
-	defer undrain()
-	v, err := s.approxPool.Do(ctx, func() (any, error) {
-		items := make([]BatchQueryItem, len(qs))
-		for i, q := range qs {
-			res, err := ent.queryApproxCtx(ctx, q, alpha, quadNodes, ap)
-			if err != nil {
-				return nil, err
-			}
-			items[i] = BatchQueryItem{Index: i, Count: len(res.Answers), Answers: res.Answers, Approx: !res.Exact}
-			if !res.Exact {
-				items[i].Intervals = res.Intervals
-			}
-		}
-		return items, nil
-	})
-	if err != nil {
-		s.writeComputeError(w, err)
-		return
-	}
-	s.approxAnswers.Inc()
-	writeNDJSON(w, r, v.([]BatchQueryItem))
-}
-
-// --- /v2/explain --------------------------------------------------------
-
-// explainItemLine builds one /v2/explain response line from a result,
-// re-running the independent Definition-1 verifier first when the request
-// asked for it — cached results included, so a poisoned cache entry can
-// never be re-served verified. A verification failure evicts the entry
-// and returns errVerificationFailed; a cancellation that interrupts
-// verification stays a plain cancellation (503, not an integrity 500).
-func (s *Server) explainItemLine(ctx context.Context, ent *entry, verify bool, key string, i int,
-	q geom.Point, alpha float64, res *causality.Result) (BatchExplainItem, error) {
-
-	if verify {
-		if err := ent.verifyCtx(ctx, q, alpha, res); err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return BatchExplainItem{}, err
-			}
-			// Never keep serving a result the verifier just rejected.
-			s.cache.Remove(key)
-			return BatchExplainItem{}, fmt.Errorf("%w: item %d: %v", errVerificationFailed, i, err)
-		}
-	}
-	return BatchExplainItem{Index: i, Explain: &ExplainResponse{
-		Dataset:            ent.name,
-		Model:              ent.model,
-		NonAnswer:          res.NonAnswer,
-		Pr:                 res.Pr,
-		Alpha:              alpha,
-		Candidates:         res.Candidates,
-		Causes:             causesJSON(res.Causes),
-		SubsetsExamined:    res.SubsetsExamined,
-		GreedySeeds:        res.GreedySeeds,
-		GreedyHits:         res.GreedyHits,
-		FilterNodeAccesses: res.FilterNodeAccesses,
-		Verified:           verify,
-	}}, nil
+		return BatchQueryItem{Index: i, Count: len(it.ids), Answers: it.ids}
+	}))
 }
 
 func (s *Server) handleExplainV2(w http.ResponseWriter, r *http.Request) {
@@ -423,7 +215,6 @@ func (s *Server) handleExplainV2(w http.ResponseWriter, r *http.Request) {
 	if ent.model == ModelCertain {
 		req.Options = OptionsSpec{}
 	}
-	opts := req.Options.toOptions()
 	var itemTimeout time.Duration
 	if req.ItemTimeout != "" {
 		itemTimeout, err = time.ParseDuration(req.ItemTimeout)
@@ -433,154 +224,23 @@ func (s *Server) handleExplainV2(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx, cancel, err := withTimeout(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
+	reqs := make([]crsky.ExplainRequest, len(req.Items))
+	for i, it := range req.Items {
+		reqs[i] = crsky.ExplainRequest{ID: it.An, Q: qs[i], Alpha: alpha, Timeout: itemTimeout}
 	}
-	defer cancel()
-
-	tr := obsTrace(r.Context())
-	keys := req.itemKeys(ent)
-	results := make([]*causality.Result, len(req.Items)) // cache hits; nil = must compute
-	var missing []int
-	if req.NoCache {
-		w.Header().Set(headerCache, "bypass")
-		tr.SetLabel("cache", "bypass")
-		missing = make([]int, len(req.Items))
-		for i := range req.Items {
-			missing[i] = i
+	s.serveExplain(w, r, &explainCall{
+		ent:     ent,
+		reqs:    reqs,
+		keys:    req.itemKeys(ent),
+		opts:    req.Options.toOptions(),
+		verify:  req.Verify,
+		noCache: req.NoCache,
+		class:   priorityFrom(r, classExplain),
+	}, newNDJSONFrontier(s, w, r, len(reqs), func(i int, it item) any {
+		if it.err != nil {
+			return BatchExplainItem{Index: i, Error: it.err.Error()}
 		}
-	} else {
-		for i := range req.Items {
-			if v, ok := s.cache.Get(keys[i]); ok {
-				results[i] = v.(*causality.Result)
-			} else {
-				missing = append(missing, i)
-			}
-		}
-		if len(missing) == 0 {
-			// Fully cache-served, no pool slot — but a verification
-			// failure must still become a clean 500, so every line is
-			// built (and verified) before the first one is written.
-			w.Header().Set(headerCache, "hit")
-			tr.SetLabel("cache", "hit")
-			items := make([]BatchExplainItem, len(results))
-			for i, res := range results {
-				line, err := s.explainItemLine(ctx, ent, req.Verify, keys[i], i, qs[i], alpha, res)
-				if err != nil {
-					s.writeComputeError(w, err)
-					return
-				}
-				items[i] = line
-			}
-			writeNDJSON(w, r, items)
-			return
-		}
-		w.Header().Set(headerCache, "miss")
-		tr.SetLabel("cache", "miss")
-	}
-
-	if err := s.admit(priorityFrom(r, classExplain), remainingBudget(ctx, 0)); err != nil {
-		tr.SetLabel("admission", "shed")
-		s.writeComputeError(w, err)
-		return
-	}
-
-	mctx, undrain := mergeCancel(ctx, s.drainCtx)
-	defer undrain()
-	fr := newNDJSONFrontier(w, len(req.Items))
-	reqs := make([]crsky.ExplainRequest, len(missing))
-	for j, i := range missing {
-		reqs[j] = crsky.ExplainRequest{ID: req.Items[i].An, Q: qs[i], Alpha: alpha, Timeout: itemTimeout}
-	}
-	_, err = s.pool.Do(mctx, func() (any, error) {
-		if s.computeHook != nil {
-			s.computeHook(mctx)
-		}
-		// ictx lets a fatal failure — a batch-level cancellation or a
-		// verification integrity failure — stop the remaining items
-		// promptly instead of letting them compute answers nobody will
-		// see. fatal is written either before the engine call or inside
-		// the serialized emit callbacks, so it needs no extra lock.
-		ictx, icancel := context.WithCancel(mctx)
-		defer icancel()
-		var fatal error
-		fail := func(err error) {
-			if fatal == nil {
-				fatal = err
-				icancel()
-			}
-		}
-
-		// Cache-hit items flush (after per-request re-verification) as
-		// soon as the slot is held; computed items stream in behind them.
-		for i, res := range results {
-			if res == nil {
-				continue
-			}
-			line, err := s.explainItemLine(ictx, ent, req.Verify, keys[i], i, qs[i], alpha, res)
-			if err != nil {
-				fail(err)
-				break
-			}
-			fr.set(i, line)
-		}
-		if fatal != nil {
-			return nil, fatal
-		}
-
-		ent.eng.ExplainBatchStream(ictx, reqs, opts, func(item crsky.ExplainItem) {
-			if fatal != nil {
-				return
-			}
-			i := missing[item.Index]
-			if item.Err != nil {
-				if (errors.Is(item.Err, context.Canceled) || errors.Is(item.Err, context.DeadlineExceeded)) &&
-					ictx.Err() != nil {
-					// The batch itself is going down (client deadline,
-					// disconnect, drain, or an earlier fatal failure), not
-					// this item's own budget: fail the whole batch — a
-					// partially canceled result set must never pass for
-					// the full answer.
-					fail(item.Err)
-					return
-				}
-				// A per-item failure — a non-answer that is actually an
-				// answer, an item that blew its own ItemTimeout, an engine
-				// fault: the item fails alone, its siblings keep
-				// streaming, and nothing is cached for it.
-				fr.set(i, BatchExplainItem{Index: i, Error: item.Err.Error()})
-				return
-			}
-			line, err := s.explainItemLine(ictx, ent, req.Verify, keys[i], i, qs[i], alpha, item.Result)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if !req.NoCache {
-				s.cache.Put(keys[i], item.Result)
-			}
-			// Work gauges count computed explanations only: cache hits
-			// re-serve an already-counted search.
-			s.explainComputed.Inc()
-			s.explainSubsets.Add(item.Result.SubsetsExamined)
-			s.explainGreedySeeds.Add(item.Result.GreedySeeds)
-			s.explainGreedyHits.Add(item.Result.GreedyHits)
-			s.explainFilterIO.Add(item.Result.FilterNodeAccesses)
-			fr.set(i, line)
-		})
-		return nil, fatal
-	})
-	if err != nil {
-		if !fr.started() {
-			s.writeComputeError(w, err)
-			return
-		}
-		msg := err.Error()
-		fr.fail(func(i int) any { return BatchExplainItem{Index: i, Error: msg} })
-		writeTrace(fr.st, r)
-		return
-	}
-	writeTrace(fr.st, r)
+		resp := explainResponse(ent, alpha, it.exp, req.Verify)
+		return BatchExplainItem{Index: i, Explain: &resp}
+	}))
 }

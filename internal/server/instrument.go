@@ -119,11 +119,10 @@ func outcomeFor(status int) string {
 const modelNone = "-" // routes (or failures) with no resolved dataset
 
 // recovering runs fn and converts a handler-goroutine panic into a 500 with
-// a counted, stack-logged crash record instead of a torn-down connection —
-// the last-resort net under the compute-path panic containment (singleflight
-// tags pooled panics as errComputePanic; this catches everything else,
-// including panics in the handlers themselves). http.ErrAbortHandler is
-// re-raised: it is the sanctioned way to abort a response, not a crash.
+// a counted, stack-logged crash record instead of a torn-down connection.
+// A panic in a pooled computation on the handler goroutine unwinds here
+// after the pool releases its slot. http.ErrAbortHandler is re-raised: it
+// is the sanctioned way to abort a response, not a crash.
 func (s *Server) recovering(route string, sw *statusWriter, fn func()) {
 	defer func() {
 		rec := recover()

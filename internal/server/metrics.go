@@ -16,7 +16,7 @@ import (
 //
 //	crsky_request_duration_seconds{route,model,outcome}  histogram
 //	crsky_pool_wait_seconds                              histogram
-//	crsky_pool_*, crsky_cache_*, crsky_flights_*         gauges/counters
+//	crsky_pool_*, crsky_cache_*                          gauges/counters
 //	crsky_requests_total{endpoint}, crsky_explain_*      counters
 //	crsky_quadrature_*, crsky_dataset_*                  gauges/counters
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -74,12 +74,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.PromValue(&b, "crsky_cache_misses_total", nil, float64(cs.Misses))
 	obs.PromHead(&b, "crsky_cache_evictions_total", "counter", "Result-cache evictions.")
 	obs.PromValue(&b, "crsky_cache_evictions_total", nil, float64(cs.Evictions))
-
-	fs := s.flights.Stats()
-	obs.PromHead(&b, "crsky_flights_executed_total", "counter", "Singleflight computations executed.")
-	obs.PromValue(&b, "crsky_flights_executed_total", nil, float64(fs.Executed))
-	obs.PromHead(&b, "crsky_flights_deduped_total", "counter", "Requests that shared an in-flight computation.")
-	obs.PromValue(&b, "crsky_flights_deduped_total", nil, float64(fs.Deduped))
 
 	obs.PromHead(&b, "crsky_requests_total", "counter", "Compute requests by endpoint.")
 	obs.PromValue(&b, "crsky_requests_total", []obs.Label{{Name: "endpoint", Value: "query"}}, float64(s.reqQuery.Value()))

@@ -261,9 +261,6 @@ func TestTracePropagation(t *testing.T) {
 	if qr.Trace.Labels["cache"] != "bypass" {
 		t.Fatalf("cache label = %q, want bypass", qr.Trace.Labels["cache"])
 	}
-	if qr.Trace.Labels["flight"] != "leader" {
-		t.Fatalf("flight label = %q, want leader", qr.Trace.Labels["flight"])
-	}
 
 	// Traced explain: refinement stage spans and effort counters.
 	var er ExplainResponse
@@ -443,7 +440,7 @@ func TestPoolSaturationStats(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(2)
 	for i := 0; i < 2; i++ {
-		q := append([]float64(nil), w.q...) // distinct points, distinct flight keys
+		q := append([]float64(nil), w.q...) // distinct points, distinct cache keys
 		q[0] += float64(i) * 1e-9
 		go func(q []float64) {
 			defer wg.Done()

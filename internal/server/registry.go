@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,7 +8,6 @@ import (
 	"sync/atomic"
 
 	crsky "github.com/crsky/crsky"
-	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/store"
@@ -49,62 +47,12 @@ func (e *entry) info() DatasetInfo {
 	}
 }
 
-// The entry methods below are the v2 compute core: thin interface calls
-// shared by the v1 handlers (which wrap them in a detached context) and
-// the v2 batch handlers (which pass the request context straight through,
-// so a client disconnect cancels the engine work and frees the pool slot).
-
-// queryCtx computes the (probabilistic) reverse skyline, ascending IDs,
-// never nil.
-func (e *entry) queryCtx(ctx context.Context, q geom.Point, alpha float64, quadNodes int) ([]int, error) {
-	// StageBudget splits a request deadline between the join and the exact
-	// stage, so a stalled join leaves the refinement (or the approximate
-	// fallback) a guaranteed slice; without a deadline it is a no-op.
-	ids, _, err := e.eng.QueryCtx(ctx, q, alpha, crsky.QueryOptions{QuadNodes: quadNodes, StageBudget: true})
-	if err != nil {
-		return nil, err
-	}
-	if ids == nil {
-		ids = []int{}
-	}
-	return ids, nil
-}
-
-// queryApproxCtx runs the degraded-tier Monte Carlo query.
-func (e *entry) queryApproxCtx(ctx context.Context, q geom.Point, alpha float64, quadNodes int, ap crsky.ApproxOptions) (*crsky.ApproxResult, error) {
-	res, _, err := e.eng.QueryApprox(ctx, q, alpha,
-		crsky.QueryOptions{QuadNodes: quadNodes, StageBudget: true}, ap)
-	return res, err
-}
-
-// queryBatchStreamCtx answers many query points in one engine call,
-// sharing the index traversal across the batch and emitting every query's
-// answers (normalized, never nil) in request order as soon as they are
-// final — the engine half of the v2 NDJSON streaming contract.
-func (e *entry) queryBatchStreamCtx(ctx context.Context, qs []geom.Point, alpha float64, quadNodes int,
-	emit func(i int, ids []int)) error {
-
-	_, _, err := e.eng.QueryBatchStream(ctx, qs, alpha,
-		crsky.QueryOptions{QuadNodes: quadNodes, StageBudget: true},
-		func(i int, ids []int) {
-			if ids == nil {
-				ids = []int{}
-			}
-			emit(i, ids)
-		})
-	return err
-}
-
-func (e *entry) explainCtx(ctx context.Context, q geom.Point, an int, alpha float64, opts causality.Options) (*causality.Result, error) {
-	return e.eng.ExplainCtx(ctx, an, q, alpha, opts)
-}
-
-func (e *entry) verifyCtx(ctx context.Context, q geom.Point, alpha float64, res *causality.Result) error {
-	return e.eng.VerifyCtx(ctx, q, alpha, res)
-}
-
-func (e *entry) repairCtx(ctx context.Context, q geom.Point, an int, alpha float64, opts causality.Options) (*causality.Repair, error) {
-	return e.eng.RepairCtx(ctx, an, q, alpha, opts)
+// queryOptions are the serving options of every request-path query:
+// StageBudget splits a request deadline between the join and the exact
+// stage, so a stalled join leaves the refinement (or the approximate
+// fallback) a guaranteed slice; without a deadline it is a no-op.
+func queryOptions(quadNodes int) crsky.QueryOptions {
+	return crsky.QueryOptions{QuadNodes: quadNodes, StageBudget: true}
 }
 
 // registry maps dataset names to entries. The generation counter is global

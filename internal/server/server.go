@@ -9,12 +9,13 @@
 //     number of requests read concurrently;
 //   - a bounded worker pool so expensive Explain refinements (worst-case
 //     exponential, Theorem 1) cannot starve the process;
-//   - an LRU result cache keyed by (dataset, generation, model, q, an,
-//     α, options);
-//   - singleflight deduplication so identical in-flight requests are
-//     computed once and share the result;
+//   - an LRU result cache keyed per item by (dataset, generation, model,
+//     q, an, α, options);
+//   - one compute path for both API versions: a /v1 request is a batch of
+//     one over the /v2 core, computed under the live request context, so
+//     a client that disconnects cancels its work and frees its pool slot;
 //   - /healthz and /v1/stats surfacing engine node accesses, cache hit
-//     rates, deduplication counts, and in-flight load.
+//     rates, and in-flight load.
 package server
 
 import (
@@ -41,14 +42,11 @@ import (
 	"github.com/crsky/crsky/internal/watch"
 )
 
-// Cache/flight response headers: X-Crsky-Cache is "hit", "miss", or
-// "bypass" (NoCache requests); X-Crsky-Flight is "leader" or "shared" on
-// computed responses. Keeping these out of the body keeps a cached
-// response byte-identical to the computation that seeded it.
-const (
-	headerCache  = "X-Crsky-Cache"
-	headerFlight = "X-Crsky-Flight"
-)
+// headerCache is the cache disposition response header: "hit", "miss", or
+// "bypass" (NoCache requests and approximate answers). Keeping it out of
+// the body keeps a cached response byte-identical to the computation that
+// seeded it.
+const headerCache = "X-Crsky-Cache"
 
 // Config tunes a Server. The zero value selects sensible defaults.
 type Config struct {
@@ -126,11 +124,10 @@ func (c *Config) fillDefaults() {
 // Server is the crskyd HTTP service. Create with New, expose with
 // Handler, and serve with net/http.
 type Server struct {
-	cfg     Config
-	reg     *registry
-	cache   *lruCache
-	flights *flightGroup
-	pool    *workerPool
+	cfg   Config
+	reg   *registry
+	cache *lruCache
+	pool  *workerPool
 	// approxPool is the small reserved slot pool of the degraded tier:
 	// approximate Monte Carlo queries run here, so exact-pool saturation
 	// never starves them.
@@ -175,8 +172,8 @@ type Server struct {
 
 	// computeHook, when set, runs inside every pooled computation before
 	// the engine call, receiving the context the engine will poll. Tests
-	// use it to hold computations open, make singleflight deduplication
-	// deterministic, and observe cancellation without racing it.
+	// use it to hold computations open and observe cancellation without
+	// racing it.
 	computeHook func(context.Context)
 }
 
@@ -187,7 +184,6 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		reg:        newRegistry(cfg.WrapEngine, cfg.Store),
 		cache:      newLRUCache(cfg.CacheSize),
-		flights:    newFlightGroup(),
 		pool:       newWorkerPool(cfg.Workers),
 		approxPool: newWorkerPool(cfg.ApproxWorkers),
 		mux:        http.NewServeMux(),
@@ -220,9 +216,9 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/query", s.instrument("/v1/query", s.handleQuery))
 	s.mux.HandleFunc("POST /v1/explain", s.instrument("/v1/explain", s.handleExplain))
 	s.mux.HandleFunc("POST /v1/repair", s.instrument("/v1/repair", s.handleRepair))
-	// v2: batch, NDJSON, live request context (deadline via ?timeout=,
-	// pool slots released on client disconnect). The v1 handlers delegate
-	// to the same interface-dispatched compute core.
+	// v2: batch, NDJSON. Both versions run the same compute path (see
+	// compute.go) under the live request context: ?timeout= sets a
+	// deadline, and a client disconnect releases the pool slot.
 	s.mux.HandleFunc("POST /v2/query", s.instrument("/v2/query", s.handleQueryV2))
 	s.mux.HandleFunc("POST /v2/explain", s.instrument("/v2/explain", s.handleExplainV2))
 	// Dynamic data plane: durable copy-on-write object mutations and the
@@ -304,7 +300,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Datasets:      s.reg.list(),
 		Cache:         s.cache.Stats(),
-		Flights:       s.flights.Stats(),
 		Pool:          s.pool.Stats(),
 		ApproxPool:    s.approxPool.Stats(),
 		Admission: AdmissionStats{

@@ -183,7 +183,7 @@ func TestServerEndToEndSample(t *testing.T) {
 	// Explain must match the library's direct output and verify.
 	an := w.ids[0]
 	opts := causality.Options{MaxCandidates: 64}
-	direct, err := w.eng.Explain(an, w.q, 0.5, opts)
+	direct, err := w.eng.ExplainCtx(context.Background(), an, w.q, 0.5, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestServerEndToEndCertain(t *testing.T) {
 
 	var er ExplainResponse
 	c.post("/v1/explain", &ExplainRequest{Dataset: "cert", Q: q, An: 0, Verify: true}, &er, http.StatusOK)
-	direct, err := eng.Explain(0, geom.Point(q))
+	direct, err := eng.ExplainCtx(context.Background(), 0, geom.Point(q), 1, causality.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestServerCSVRegistration(t *testing.T) {
 	var er ExplainResponse
 	c.post("/v1/explain", &ExplainRequest{Dataset: "csv", Q: w.q, An: w.ids[0], Alpha: 0.5,
 		Options: OptionsSpec{MaxCandidates: 64}}, &er, http.StatusOK)
-	direct, err := w.eng.Explain(w.ids[0], w.q, 0.5, causality.Options{MaxCandidates: 64})
+	direct, err := w.eng.ExplainCtx(context.Background(), w.ids[0], w.q, 0.5, causality.Options{MaxCandidates: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -234,7 +234,7 @@ func TestServerV2ExplainBatch(t *testing.T) {
 		if it.Error != "" || it.Explain == nil {
 			t.Fatalf("item %d: unexpected error %q", i, it.Error)
 		}
-		want, err := w.eng.Explain(an, w.q, 0.5, req.Options.toOptions())
+		want, err := w.eng.ExplainCtx(context.Background(), an, w.q, 0.5, req.Options.toOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

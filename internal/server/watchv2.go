@@ -61,18 +61,12 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if hasWin {
 		win = geom.DomRectUnionOuter(anMBR, q)
 	}
-	ctx, cancel, err := withTimeout(r)
+	ctx, cancel, _, err := requestTimeout(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	defer cancel()
-	if err := s.admit(priorityFrom(r, classExplain), remainingBudget(ctx, 0)); err != nil {
-		s.writeComputeError(w, err)
-		return
-	}
-	mctx, undrain := mergeCancel(ctx, s.drainCtx)
-	defer undrain()
 
 	// Register BEFORE the initial evaluation so no mutation can slip into
 	// the gap unobserved: a flip committed while the baseline evaluation
@@ -81,35 +75,33 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	defer s.watch.Unregister(sub)
 
 	// Baseline: the watched object must currently be a non-answer.
-	v, err := s.pool.Do(mctx, func() (any, error) {
-		if s.computeHook != nil {
-			s.computeHook(mctx)
+	var answer bool
+	var repair []int
+	err = s.admitted(ctx, priorityFrom(r, classExplain), func(ctx context.Context) error {
+		ids, _, err := ent.eng.QueryCtx(ctx, q, alpha, queryOptions(req.QuadNodes))
+		if err != nil {
+			return err
 		}
-		ids, qerr := ent.queryCtx(mctx, q, alpha, req.QuadNodes)
-		if qerr != nil {
-			return nil, qerr
+		if answer = containsID(ids, req.An); answer || !req.Repair {
+			return nil
 		}
-		return containsID(ids, req.An), nil
+		rep, err := ent.eng.RepairCtx(ctx, req.An, q, alpha, causality.Options{QuadNodes: req.QuadNodes})
+		if err != nil {
+			return err
+		}
+		repair = rep.Removed
+		return nil
 	})
 	if err != nil {
 		s.writeComputeError(w, err)
 		return
 	}
-	if v.(bool) {
+	if answer {
 		s.writeError(w, http.StatusUnprocessableEntity,
 			fmt.Errorf("%w: object %d is in the answer set; watch wants a non-answer", causality.ErrNotNonAnswer, req.An))
 		return
 	}
-	var repair []int
 	if req.Repair {
-		rv, rerr := s.pool.Do(mctx, func() (any, error) {
-			return ent.repairCtx(mctx, q, req.An, alpha, causality.Options{QuadNodes: req.QuadNodes})
-		})
-		if rerr != nil {
-			s.writeComputeError(w, rerr)
-			return
-		}
-		repair = rv.(*causality.Repair).Removed
 		sub.SetRepairBaseline(len(repair))
 	}
 
@@ -128,7 +120,9 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			st.write(ev)
-		case <-mctx.Done():
+		case <-ctx.Done():
+			return
+		case <-s.drainCtx.Done():
 			return
 		}
 	}
@@ -191,7 +185,7 @@ func (s *Server) reevalWatch(name string, gen uint64, subs []*watch.Sub) {
 				continue
 			}
 			rv, rerr := s.pool.Do(ctx, func() (any, error) {
-				return ent.repairCtx(ctx, sub.Q, sub.An, k.alpha, causality.Options{QuadNodes: k.qn})
+				return ent.eng.RepairCtx(ctx, sub.An, sub.Q, k.alpha, causality.Options{QuadNodes: k.qn})
 			})
 			if rerr != nil {
 				continue

@@ -39,8 +39,8 @@ import (
 //   - Each operation has one v2 method. A query is a batch of one:
 //     QueryCtx runs the engine's QueryBatchStream path on its single point,
 //     and a nil emit turns either streaming batch method into a plain
-//     batch call. The context-free methods that remain (Explain, the
-//     …Naive oracles, CertainEngine.ReverseSkyline) are frozen references;
+//     batch call. The context-free methods that remain (the …Naive
+//     oracles and CertainEngine.ReverseSkyline) are frozen references;
 //     new call sites should use the v2 methods.
 
 // CanceledError is the typed error wrapped into every cancellation return:
