@@ -313,7 +313,7 @@ func (r *refiner) searchAll() ([][]int, error) {
 	return out, nil
 }
 
-// workerClone builds a worker-owned refiner for the parallel passes: a
+// workerClone builds a worker-owned refiner for the parallel search: a
 // private evaluator clone and context poll over the shared read-only marks,
 // gains, options, and cross-worker bound state.
 func (r *refiner) workerClone() *refiner {
@@ -429,27 +429,20 @@ func (r *refiner) chargeWork(n int64) error {
 }
 
 // greedySeedAll runs the greedy incumbent pass for every searchable
-// candidate, seeding the shared upper bounds before any exhaustive search
-// begins. With Options.Parallel > 1 the pass fans out over worker
-// goroutines (the same clone-per-worker scheme as searchAll): the seeds are
-// independent per candidate — greedySeed writes the shared bounds but never
-// reads them — so every interleaving records the same bounds the serial
-// pass would. Probability evaluations are charged to the MaxSubsets budget
-// like any other search node, so a tight budget bounds the whole
+// candidate, serially for every Options.Parallel, seeding the shared upper
+// bounds before any exhaustive search begins. The seeds are independent per
+// candidate — greedySeed writes the shared bounds but never reads them — so
+// the parallel search that follows starts from the same bounds whatever its
+// worker count. Probability evaluations are charged to the MaxSubsets
+// budget like any other search node, so a tight budget bounds the whole
 // refinement, not just the enumeration behind the seeds.
 func (r *refiner) greedySeedAll() error {
-	order := r.searchOrder()
-	if r.opts.Parallel <= 1 {
-		for _, cc := range order {
-			if err := r.greedySeed(cc); err != nil {
-				return err
-			}
+	for _, cc := range r.searchOrder() {
+		if err := r.greedySeed(cc); err != nil {
+			return err
 		}
-		return nil
 	}
-	return r.runParallel(order, func(wr *refiner, cc int) error {
-		return wr.greedySeed(cc)
-	})
+	return nil
 }
 
 // greedySeed builds a contingency-set incumbent for cc by repeatedly

@@ -17,7 +17,9 @@ import (
 	"time"
 
 	crsky "github.com/crsky/crsky"
+	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/faultinject"
+	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/server"
 )
 
@@ -114,20 +116,7 @@ func TestChaosServingConformance(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Register over HTTP like any client.
-	specs := make([]server.ObjectSpec, w.ds.Len())
-	for i, o := range w.ds.Objects {
-		ss := make([]server.SampleSpec, len(o.Samples))
-		for j, s := range o.Samples {
-			ss[j] = server.SampleSpec{P: s.P, Loc: s.Loc}
-		}
-		specs[i] = server.ObjectSpec{Samples: ss}
-	}
-	resp, raw, err := chaosPost(ts, context.Background(), "/v1/datasets",
-		&server.DatasetRequest{Name: "chaos", Model: server.ModelSample, Objects: specs}, false)
-	if err != nil || resp.StatusCode != http.StatusCreated {
-		t.Fatalf("register: %v status=%v body=%s", err, resp, raw)
-	}
+	chaosRegister(t, ts, w.ds)
 
 	var st chaosStats
 	var wg sync.WaitGroup
@@ -290,6 +279,25 @@ func TestChaosServingConformance(t *testing.T) {
 	}
 }
 
+// chaosRegister registers ds as the sample dataset "chaos" over HTTP, like
+// any client.
+func chaosRegister(t *testing.T, ts *httptest.Server, ds *dataset.Uncertain) {
+	t.Helper()
+	specs := make([]server.ObjectSpec, ds.Len())
+	for i, o := range ds.Objects {
+		ss := make([]server.SampleSpec, len(o.Samples))
+		for j, s := range o.Samples {
+			ss[j] = server.SampleSpec{P: s.P, Loc: s.Loc}
+		}
+		specs[i] = server.ObjectSpec{Samples: ss}
+	}
+	resp, raw, err := chaosPost(ts, context.Background(), "/v1/datasets",
+		&server.DatasetRequest{Name: "chaos", Model: server.ModelSample, Objects: specs}, false)
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register: %v status=%v body=%s", err, resp, raw)
+	}
+}
+
 func chaosGet(ts *httptest.Server, path string) (*http.Response, []byte, error) {
 	resp, err := ts.Client().Get(ts.URL + path)
 	if err != nil {
@@ -327,14 +335,6 @@ func TestChaosExplainFaultsPerItem(t *testing.T) {
 	if len(items) < 2 {
 		t.Fatalf("%v: only %d non-answers", w, len(items))
 	}
-	specs := make([]server.ObjectSpec, w.ds.Len())
-	for i, o := range w.ds.Objects {
-		ss := make([]server.SampleSpec, len(o.Samples))
-		for j, s := range o.Samples {
-			ss[j] = server.SampleSpec{P: s.P, Loc: s.Loc}
-		}
-		specs[i] = server.ObjectSpec{Samples: ss}
-	}
 	// serve starts a server whose engine faults with probability errP
 	// (never when errP is 0) and registers the workload on it.
 	serve := func(errP float64) *httptest.Server {
@@ -345,11 +345,7 @@ func TestChaosExplainFaultsPerItem(t *testing.T) {
 		}
 		ts := httptest.NewServer(server.New(cfg).Handler())
 		t.Cleanup(ts.Close)
-		resp, raw, err := chaosPost(ts, context.Background(), "/v1/datasets",
-			&server.DatasetRequest{Name: "chaos", Model: server.ModelSample, Objects: specs}, false)
-		if err != nil || resp.StatusCode != http.StatusCreated {
-			t.Fatalf("register: %v status=%v body=%s", err, resp, raw)
-		}
+		chaosRegister(t, ts, w.ds)
 		return ts
 	}
 	batch := &server.BatchExplainRequest{Dataset: "chaos", Items: items, Alpha: alpha, NoCache: true,
@@ -417,4 +413,112 @@ func TestChaosExplainFaultsPerItem(t *testing.T) {
 		!strings.Contains(e.Error, "injected failure") {
 		t.Fatalf("/v1/explain under a fault on every draw: status %d body %s, want a 500 injected failure", resp.StatusCode, raw)
 	}
+}
+
+// TestChaosOverloadContract saturates a deliberately tiny server: one exact
+// worker behind a two-deep admission queue, one approximate slot, no cache,
+// and every pool slot stalled for up to 40ms, a stand-in for queries heavy
+// enough to saturate a worker on any host. Sixteen concurrent clients send
+// cache-bypassing "approx": "auto" queries under a 1s deadline. Overload may
+// shed a request or degrade it to the Monte Carlo tier, never fail or
+// corrupt it:
+//
+//   - every response is 200, or 503 with an integer Retry-After >= 1;
+//   - every answer that does not say approx equals the naive oracle;
+//   - every answer that says approx keeps its intervals inside [0, 1];
+//   - the server recovered no panic;
+//   - every error response the server counted is a 503 a client saw.
+func TestChaosOverloadContract(t *testing.T) {
+	const seed = 4244
+	const clients, perClient = 16, 8
+	w := newSampleWorkload(t, seed)
+	oracleEng, err := crsky.NewEngine(w.ds.Objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alpha := w.alphas[0]
+	// Query points on the data: a sample location of a random object each.
+	rng := rand.New(rand.NewSource(seed))
+	qs := make([]geom.Point, 16)
+	oracle := make([][]int, len(qs))
+	for i := range qs {
+		qs[i] = w.ds.Objects[rng.Intn(w.ds.Len())].Samples[0].Loc.Clone()
+		oracle[i] = oracleEng.ProbabilisticReverseSkylineNaive(qs[i], alpha)
+	}
+
+	faults := faultinject.New(faultinject.Config{Seed: seed, SlotDelayP: 1, SlotDelayMax: 40 * time.Millisecond})
+	ts := httptest.NewServer(server.New(server.Config{
+		Workers: 1, MaxQueue: 2, ApproxWorkers: 1, CacheSize: -1, Faults: faults,
+	}).Handler())
+	defer ts.Close()
+	chaosRegister(t, ts, w.ds)
+
+	var ok, approx, shed atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < perClient; k++ {
+				i := (g*perClient + k) % len(qs)
+				resp, body, err := chaosPost(ts, context.Background(), "/v1/query?timeout=1s", &server.QueryRequest{
+					Dataset: "chaos", Q: qs[i], Alpha: alpha, NoCache: true, Approx: "auto",
+				}, false)
+				if err != nil {
+					t.Errorf("client %d: transport error: %v", g, err)
+					return
+				}
+				switch resp.StatusCode {
+				case http.StatusOK:
+					ok.Add(1)
+					var qr server.QueryResponse
+					if err := json.Unmarshal(body, &qr); err != nil {
+						t.Errorf("bad 200 body: %v (%s)", err, body)
+						return
+					}
+					if !qr.Approx {
+						if !equalIDs(qr.Answers, oracle[i]) {
+							t.Errorf("overload corrupted an exact answer: q=%v got %v want %v", qs[i], qr.Answers, oracle[i])
+						}
+						continue
+					}
+					approx.Add(1)
+					for _, iv := range qr.Intervals {
+						if !(0 <= iv.Lo && iv.Lo <= iv.Pr && iv.Pr <= iv.Hi && iv.Hi <= 1) {
+							t.Errorf("approximate answer with interval %+v outside [0, 1]", iv)
+						}
+					}
+				case http.StatusServiceUnavailable:
+					shed.Add(1)
+					ra := resp.Header.Get("Retry-After")
+					if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
+						t.Errorf("503 with Retry-After %q, want integer >= 1", ra)
+					}
+				default:
+					t.Errorf("overload answered status %d, want 200 or 503 (body %s)", resp.StatusCode, body)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	resp, raw, err := chaosGet(ts, "/v1/stats")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats: %v %v", err, resp)
+	}
+	var sr server.StatsResponse
+	if err := json.Unmarshal(raw, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Requests.Panics != 0 {
+		t.Errorf("server recovered %d handler panics under overload", sr.Requests.Panics)
+	}
+	if sr.Requests.Errors > shed.Load() {
+		t.Errorf("server counted %d error responses but the clients saw only %d 503s", sr.Requests.Errors, shed.Load())
+	}
+	if shed.Load()+sr.Requests.Approx == 0 {
+		t.Errorf("%d requests against one stalled worker were neither shed nor degraded: the test no longer overloads the server", clients*perClient)
+	}
+	t.Logf("overload: ok=%d (approx %d) shed=%d; server: errors=%d approx-tier answers=%d",
+		ok.Load(), approx.Load(), shed.Load(), sr.Requests.Errors, sr.Requests.Approx)
 }

@@ -236,6 +236,54 @@ func TestTier2ShrinksUndecidedBand(t *testing.T) {
 		gained, evalT1, evalT2, pairsT1, pairsT2)
 }
 
+// TestTier2ShrinksUndecidedBandPDF is the pdf-model twin: the product of
+// (1 − core-rectangle mass) over the streamed candidates must reject
+// objects the all-or-nothing core test leaves to quadrature, for uniform
+// and Gaussian densities alike, without changing an answer or lengthening
+// a stream.
+func TestTier2ShrinksUndecidedBandPDF(t *testing.T) {
+	for _, kind := range []uncertain.PDFKind{uncertain.Uniform, uncertain.Gaussian} {
+		t.Run(kind.String(), func(t *testing.T) {
+			objs, err := dataset.GenerateUncertainPDF(dataset.LUrU(300, 2, 50, 900, 17), kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := causality.NewPDFSet(objs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(17))
+			var rejected, evalT1, evalT2, pairsT1, pairsT2 int
+			for i := 0; i < 4; i++ {
+				q := geom.Point{10000 * (0.3 + 0.4*rng.Float64()), 10000 * (0.3 + 0.4*rng.Float64())}
+				for _, alpha := range []float64{0.5, 0.9} {
+					idsT1, st1 := queryPDFStats(t, set, q, alpha, 0, Options{Parallel: 1, NoTier2: true})
+					idsT2, st2 := queryPDFStats(t, set, q, alpha, 0, Options{Parallel: 1})
+					if !equalIDs(idsT1, idsT2) {
+						t.Fatalf("q=%v alpha=%g: tier-2 changed the answers: %v vs %v", q, alpha, idsT2, idsT1)
+					}
+					rejected += st2.RejectedByTier2
+					evalT1 += st1.Evaluated
+					evalT2 += st2.Evaluated
+					pairsT1 += st1.CandidatePairs
+					pairsT2 += st2.CandidatePairs
+				}
+			}
+			if rejected == 0 {
+				t.Fatal("second tier rejected no object on a workload built to exercise it")
+			}
+			if evalT2 >= evalT1 {
+				t.Fatalf("second tier did not shrink the quadrature band: %d vs %d evaluations", evalT2, evalT1)
+			}
+			if pairsT2 > pairsT1 {
+				t.Fatalf("second tier lengthened the candidate streams: %d vs %d pairs", pairsT2, pairsT1)
+			}
+			t.Logf("tier-2: %d rejections, evaluations %d→%d, pairs %d→%d",
+				rejected, evalT1, evalT2, pairsT1, pairsT2)
+		})
+	}
+}
+
 // TestSummariesPartitionObjects pins the sub-MBR summaries the second tier
 // trusts: group weights must sum to the object's raw mass, every sample must
 // lie inside its group rectangle, and every group rectangle inside the MBR.

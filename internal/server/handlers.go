@@ -10,6 +10,7 @@ import (
 	crsky "github.com/crsky/crsky"
 	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/geom"
+	"github.com/crsky/crsky/internal/uncertain"
 )
 
 // --- dataset endpoints ------------------------------------------------
@@ -59,10 +60,10 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 
 // --- compute endpoints ------------------------------------------------
 
-// resolve validates the (dataset, q, alpha) triple shared by all compute
-// requests. For certain data, alpha is forced to 1 (membership is exact);
-// for the probabilistic models it must lie in (0, 1].
-func (s *Server) resolve(name string, qs []float64, alpha float64) (*entry, geom.Point, float64, int, error) {
+// resolve validates the (dataset, q, alpha, quadNodes) fields shared by all
+// compute requests. For certain data, alpha is forced to 1 (membership is
+// exact); for the probabilistic models it must lie in (0, 1].
+func (s *Server) resolve(name string, qs []float64, alpha float64, quadNodes int) (*entry, geom.Point, float64, int, error) {
 	if name == "" {
 		return nil, nil, 0, http.StatusBadRequest, fmt.Errorf("dataset is required")
 	}
@@ -84,7 +85,36 @@ func (s *Server) resolve(name string, qs []float64, alpha float64) (*entry, geom
 		return nil, nil, 0, http.StatusBadRequest,
 			fmt.Errorf("alpha must be in (0,1], got %g", alpha)
 	}
+	if err := checkQuadNodes(quadNodes, ent.dims); err != nil {
+		return nil, nil, 0, http.StatusBadRequest, err
+	}
 	return ent, q, alpha, 0, nil
+}
+
+// maxQuadNodes caps an explicit per-dimension quadrature resolution:
+// deriving the Gauss–Legendre rule takes time quadratic in it.
+const maxQuadNodes = 1024
+
+// checkQuadNodes rejects an explicit quadNodes the server will not build:
+// more than maxQuadNodes per dimension, or a tensor grid of more than
+// uncertain.DefaultQuadMemoNodeCap nodes, which the request would
+// materialize for every pdf object it evaluates. Values <= 0 select the
+// default grid, which is never rejected.
+func checkQuadNodes(k, dims int) error {
+	if k <= 0 || k == uncertain.DefaultQuadNodes(dims) {
+		return nil
+	}
+	if k > maxQuadNodes {
+		return fmt.Errorf("quadNodes %d exceeds %d per dimension", k, maxQuadNodes)
+	}
+	grid := 1
+	for i := 0; i < dims; i++ {
+		if grid *= k; grid > uncertain.DefaultQuadMemoNodeCap {
+			return fmt.Errorf("quadNodes %d builds a grid of %d^%d nodes, more than %d",
+				k, k, dims, uncertain.DefaultQuadMemoNodeCap)
+		}
+	}
+	return nil
 }
 
 // queryKey is the canonical cache key of one (dataset, query, alpha,
@@ -184,7 +214,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeDecodeError(w, err)
 		return
 	}
-	ent, q, alpha, status, err := s.resolve(req.Dataset, req.Q, req.Alpha)
+	ent, q, alpha, status, err := s.resolve(req.Dataset, req.Q, req.Alpha, req.QuadNodes)
 	if err != nil {
 		s.writeError(w, status, err)
 		return
@@ -227,7 +257,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeDecodeError(w, err)
 		return
 	}
-	ent, q, alpha, status, err := s.resolve(req.Dataset, req.Q, req.Alpha)
+	ent, q, alpha, status, err := s.resolve(req.Dataset, req.Q, req.Alpha, req.Options.QuadNodes)
 	if err != nil {
 		s.writeError(w, status, err)
 		return
@@ -263,7 +293,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		s.writeDecodeError(w, err)
 		return
 	}
-	ent, q, alpha, status, err := s.resolve(req.Dataset, req.Q, req.Alpha)
+	ent, q, alpha, status, err := s.resolve(req.Dataset, req.Q, req.Alpha, req.Options.QuadNodes)
 	if err != nil {
 		s.writeError(w, status, err)
 		return

@@ -17,13 +17,13 @@ import (
 // rejected — which must surface as a 500, never a client error.
 var errVerificationFailed = errors.New("explanation failed verification")
 
-// resolveBatch validates the shared (dataset, alpha) pair and every query
-// point of a batch request, mirroring resolve.
-func (s *Server) resolveBatch(name string, qss [][]float64, alpha float64) (*entry, []geom.Point, float64, int, error) {
+// resolveBatch validates the shared (dataset, alpha, quadNodes) fields and
+// every query point of a batch request, mirroring resolve.
+func (s *Server) resolveBatch(name string, qss [][]float64, alpha float64, quadNodes int) (*entry, []geom.Point, float64, int, error) {
 	if len(qss) == 0 {
 		return nil, nil, 0, http.StatusBadRequest, fmt.Errorf("at least one query point is required")
 	}
-	ent, _, alpha, status, err := s.resolve(name, qss[0], alpha)
+	ent, _, alpha, status, err := s.resolve(name, qss[0], alpha, quadNodes)
 	if err != nil {
 		return nil, nil, 0, status, err
 	}
@@ -151,7 +151,7 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 		s.writeDecodeError(w, err)
 		return
 	}
-	ent, qs, alpha, status, err := s.resolveBatch(req.Dataset, req.Qs, req.Alpha)
+	ent, qs, alpha, status, err := s.resolveBatch(req.Dataset, req.Qs, req.Alpha, req.QuadNodes)
 	if err != nil {
 		s.writeError(w, status, err)
 		return
@@ -200,7 +200,7 @@ func (s *Server) handleExplainV2(w http.ResponseWriter, r *http.Request) {
 	for i, it := range req.Items {
 		qss[i] = it.Q
 	}
-	ent, qs, alpha, status, err := s.resolveBatch(req.Dataset, qss, req.Alpha)
+	ent, qs, alpha, status, err := s.resolveBatch(req.Dataset, qss, req.Alpha, req.Options.QuadNodes)
 	if err != nil {
 		s.writeError(w, status, err)
 		return

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -202,6 +203,43 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v := fams["crsky_dataset_objects"].samples[`crsky_dataset_objects{dataset="obs",model="sample"}`]; v != float64(w.ds.Len()) {
 		t.Fatalf("crsky_dataset_objects = %v, want %d", v, w.ds.Len())
 	}
+}
+
+// TestHistogramObserveCost keeps the instrumentation budget: recording one
+// request into a latency histogram must cost under 1% of the cheapest
+// request the server serves, a cache-hit /v1/query, timed in the same run
+// so that both sides see the same machine and the same race-detector
+// overhead.
+func TestHistogramObserveCost(t *testing.T) {
+	w := sampleWorkload(t)
+	c := newTestClient(t, New(Config{Workers: 2, CacheSize: 16}))
+	c.registerSample("h", w.ds)
+	req := &QueryRequest{Dataset: "h", Q: w.q, Alpha: 0.5}
+	c.post("/v1/query", req, nil, http.StatusOK) // fills the cache
+	lat := make([]time.Duration, 51)
+	for i := range lat {
+		start := time.Now()
+		resp := c.post("/v1/query", req, nil, http.StatusOK)
+		lat[i] = time.Since(start)
+		if got := resp.Header.Get(headerCache); got != "hit" {
+			t.Fatalf("cache header = %q, want hit", got)
+		}
+	}
+	slices.Sort(lat)
+	median := lat[len(lat)/2]
+
+	var h obs.Histogram
+	const observes = 200_000
+	start := time.Now()
+	for i := 0; i < observes; i++ {
+		h.Observe(time.Duration(i%1000) * time.Microsecond)
+	}
+	perObserve := time.Since(start) / observes
+	pct := 100 * float64(perObserve) / float64(median)
+	if pct >= 1 {
+		t.Fatalf("one Observe costs %v, %.3f%% of the %v median cache-hit query; the budget is 1%%", perObserve, pct, median)
+	}
+	t.Logf("Observe %v = %.4f%% of the %v median cache-hit /v1/query", perObserve, pct, median)
 }
 
 // --- ?trace=1 ---------------------------------------------------------

@@ -84,9 +84,9 @@ type Config struct {
 	// the recovered datasets at startup. Nil keeps the registry purely
 	// in-memory (tests, throwaway servers).
 	Store *store.Store
-	// Faults installs a fault injector on the worker pools (tests and the
-	// load harness only; nil in production). Injected slot delays simulate
-	// slow storage or noisy neighbors.
+	// Faults installs a fault injector on the worker pools (tests only; nil
+	// in production). Injected slot delays simulate slow storage or noisy
+	// neighbors.
 	Faults *faultinject.Injector
 	// WrapEngine, when set, decorates every engine at registration (tests
 	// only; faultinject.Wrap is the intended value).

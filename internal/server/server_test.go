@@ -16,6 +16,7 @@ import (
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/experiments"
 	"github.com/crsky/crsky/internal/geom"
+	"github.com/crsky/crsky/internal/uncertain"
 )
 
 // --- shared workload --------------------------------------------------
@@ -318,6 +319,68 @@ func TestServerEndToEndPDF(t *testing.T) {
 	}
 	if rr.NewPr < 0.5 {
 		t.Fatalf("pdf repair NewPr = %g, want >= alpha", rr.NewPr)
+	}
+}
+
+// TestServerRejectsOversizedQuadNodes sends a quadNodes the server must not
+// build to every endpoint that carries one: each answers 400, and the
+// server keeps answering afterwards. Unchecked, such a value reaches the
+// quadrature in an engine worker goroutine, where the k^d node allocation
+// crashes the whole process.
+func TestServerRejectsOversizedQuadNodes(t *testing.T) {
+	c := newTestClient(t, New(Config{Workers: 2, CacheSize: 16}))
+	// One object per octant around q: none dominates another outright, so
+	// every object reaches the exact (quadrature) stage.
+	specs := make([]PDFObjectSpec, 8)
+	for i := range specs {
+		lo, hi := make([]float64, 3), make([]float64, 3)
+		for d := range lo {
+			sign := float64(1 - 2*(i>>d&1))
+			lo[d], hi[d] = min(3*sign, 7*sign), max(3*sign, 7*sign)
+		}
+		specs[i] = PDFObjectSpec{Kind: "uniform", Min: lo, Max: hi}
+	}
+	c.post("/v1/datasets", &DatasetRequest{Name: "pdf", Model: ModelPDF, PDFObjects: specs}, nil, http.StatusCreated)
+
+	q := []float64{0, 0, 0}
+	// 25000 exceeds the per-dimension cap; 128 does not, but its 3-d grid
+	// of 128³ ≈ 2.1M nodes exceeds the node cap.
+	for _, k := range []int{25000, 128} {
+		opts := OptionsSpec{QuadNodes: k}
+		for _, tc := range []struct {
+			path string
+			req  any
+		}{
+			{"/v1/query", &QueryRequest{Dataset: "pdf", Q: q, Alpha: 0.5, QuadNodes: k}},
+			{"/v2/query", &BatchQueryRequest{Dataset: "pdf", Qs: [][]float64{q}, Alpha: 0.5, QuadNodes: k}},
+			{"/v1/explain", &ExplainRequest{Dataset: "pdf", Q: q, An: 7, Alpha: 0.5, Options: opts}},
+			{"/v2/explain", &BatchExplainRequest{Dataset: "pdf", Items: []BatchExplainItemRequest{{Q: q, An: 7}}, Alpha: 0.5, Options: opts}},
+			{"/v1/repair", &RepairRequest{Dataset: "pdf", Q: q, An: 7, Alpha: 0.5, Options: opts}},
+			{"/v2/watch", &WatchRequest{Dataset: "pdf", Q: q, An: 7, Alpha: 0.5, QuadNodes: k}},
+		} {
+			if resp, raw := c.do(http.MethodPost, tc.path, tc.req); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s with quadNodes %d: status %d, want 400 (body %s)", tc.path, k, resp.StatusCode, raw)
+			}
+		}
+	}
+
+	for _, tc := range []struct{ k, dims int }{{0, 8}, {-1, 3}, {1024, 1}, {101, 3}, {uncertain.DefaultQuadNodes(8), 8}} {
+		if err := checkQuadNodes(tc.k, tc.dims); err != nil {
+			t.Errorf("quadNodes %d at %d dims rejected: %v", tc.k, tc.dims, err)
+		}
+	}
+	for _, tc := range []struct{ k, dims int }{{1025, 1}, {102, 3}, {7, 8}} {
+		if checkQuadNodes(tc.k, tc.dims) == nil {
+			t.Errorf("quadNodes %d at %d dims accepted", tc.k, tc.dims)
+		}
+	}
+
+	// Values <= 0 select the default grid, which is never rejected.
+	var def, neg QueryResponse
+	c.post("/v1/query", &QueryRequest{Dataset: "pdf", Q: q, Alpha: 0.5}, &def, http.StatusOK)
+	c.post("/v1/query", &QueryRequest{Dataset: "pdf", Q: q, Alpha: 0.5, QuadNodes: -1}, &neg, http.StatusOK)
+	if !reflect.DeepEqual(def.Answers, neg.Answers) {
+		t.Fatalf("quadNodes -1 answered %v, the default grid %v", neg.Answers, def.Answers)
 	}
 }
 

@@ -38,7 +38,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		s.writeDecodeError(w, err)
 		return
 	}
-	ent, q, alpha, status, err := s.resolve(req.Dataset, req.Q, req.Alpha)
+	ent, q, alpha, status, err := s.resolve(req.Dataset, req.Q, req.Alpha, req.QuadNodes)
 	if err != nil {
 		s.writeError(w, status, err)
 		return
