@@ -81,6 +81,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzSplitByQuadrants$$' -fuzztime 15s ./internal/geom/
 	go test -run '^$$' -fuzz '^FuzzLoadUncertainCSV$$' -fuzztime 15s ./internal/dataset/
 	go test -run '^$$' -fuzz '^FuzzLoadCertainCSV$$' -fuzztime 15s ./internal/dataset/
+	go test -run '^$$' -fuzz '^FuzzMBRCore$$' -fuzztime 15s ./internal/prsq/
 
 # The benchmark harness (perfbench/) is a Go module of its own, so the root
 # `go build ./...` and `go vet ./...` never compile it: vet and test it here

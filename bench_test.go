@@ -346,6 +346,7 @@ func BenchmarkPRSQ(b *testing.B) {
 		for _, v := range variants {
 			v := v
 			b.Run(fmt.Sprintf("n=%d/%s", n, v.name), func(b *testing.B) {
+				b.ReportAllocs()
 				w.eng.ResetCounters()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

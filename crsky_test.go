@@ -3,7 +3,9 @@ package crsky
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -205,6 +207,62 @@ func TestPDFEngine(t *testing.T) {
 	}
 	if e.NodeAccesses() == 0 {
 		t.Fatal("Explain should cost node accesses")
+	}
+}
+
+// TestPDFEngineRejectsOversizedQuadNodes asserts that every PDFEngine method
+// taking a quadrature resolution rejects one it must not build with an
+// error naming it: 25000 nodes per dimension exceeds the per-dimension cap,
+// and 128 does not, but its 3-d grid of 128³ ≈ 2.1M nodes exceeds the node
+// cap. Unchecked, such a value reaches the quadrature in an evaluation
+// worker goroutine, where the k^d node allocation crashes the caller's
+// process.
+func TestPDFEngineRejectsOversizedQuadNodes(t *testing.T) {
+	// One object per octant around q: none dominates another outright, so
+	// every object would reach the exact (quadrature) stage.
+	objs := make([]*PDFObject, 8)
+	for i := range objs {
+		lo, hi := make(Point, 3), make(Point, 3)
+		for d := range lo {
+			sign := float64(1 - 2*(i>>d&1))
+			lo[d], hi[d] = min(3*sign, 7*sign), max(3*sign, 7*sign)
+		}
+		objs[i] = NewUniformPDFObject(i, Rect{Min: lo, Max: hi})
+	}
+	e, err := NewPDFEngine(objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := Point{0, 0, 0}
+	for _, k := range []int{25000, 128} {
+		check := func(method string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), "quadNodes") {
+				t.Errorf("%s with quadNodes %d in 3-d: err = %v, want the quadNodes rejection", method, k, err)
+			}
+		}
+		qopts := QueryOptions{QuadNodes: k}
+		opts := Options{QuadNodes: k}
+		_, _, err := e.QueryCtx(ctx, q, 0.5, qopts)
+		check("QueryCtx", err)
+		_, _, err = e.QueryBatchStream(ctx, []Point{q, q}, 0.5, qopts, nil)
+		check("QueryBatchStream", err)
+		_, _, err = e.QueryApprox(ctx, q, 0.5, qopts, ApproxOptions{})
+		check("QueryApprox", err)
+		_, err = e.ExplainCtx(ctx, 7, q, 0.5, opts)
+		check("ExplainCtx", err)
+		for _, it := range e.ExplainBatchStream(ctx, []ExplainRequest{{ID: 7, Q: q, Alpha: 0.5}, {ID: 6, Q: q, Alpha: 0.5}}, opts, nil) {
+			check(fmt.Sprintf("ExplainBatchStream item %d", it.Index), it.Err)
+		}
+		_, err = e.RepairCtx(ctx, 7, q, 0.5, opts)
+		check("RepairCtx", err)
+		check("VerifyCtx", e.VerifyCtx(ctx, q, 0.5, &Explanation{NonAnswer: 7, QuadNodes: k}))
+	}
+
+	// The default grid (<= 0) still answers.
+	if _, _, err := e.QueryCtx(ctx, q, 0.5, QueryOptions{QuadNodes: -1}); err != nil {
+		t.Fatalf("QueryCtx on the default grid: %v", err)
 	}
 }
 

@@ -69,11 +69,7 @@ func TestConformanceQueryBatchPDF(t *testing.T) {
 		quad := 3 + rng.Intn(3)
 		qs := make([]geom.Point, 3)
 		for i := range qs {
-			q := make(geom.Point, dims)
-			for j := range q {
-				q[j] = cfg.Domain * (0.15 + 0.7*rng.Float64())
-			}
-			qs[i] = q
+			qs[i] = randomQuery(rng, cfg)
 		}
 		alpha := 0.2 + 0.6*rng.Float64()
 

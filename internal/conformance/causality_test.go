@@ -302,7 +302,8 @@ func TestCausalityDeleteCauseFlipsPDF(t *testing.T) {
 			t.Errorf("seed=%d: %v", seed, err)
 			return
 		}
-		q := geom.Point{cfg.Domain * (0.2 + 0.6*rng.Float64()), cfg.Domain * (0.2 + 0.6*rng.Float64())}
+		dom := cfg.EffectiveDomain()
+		q := geom.Point{dom * (0.2 + 0.6*rng.Float64()), dom * (0.2 + 0.6*rng.Float64())}
 		alpha := 0.4 + 0.5*rng.Float64()
 		quad := 4
 

@@ -186,14 +186,22 @@ func newSampleWorkload(t *testing.T, seed int64) *sampleWorkload {
 	}
 	w := &sampleWorkload{seed: seed, cfg: cfg, ds: ds}
 	for i := 0; i < 3; i++ {
-		q := make(geom.Point, dims)
-		for j := range q {
-			q[j] = cfg.Domain * (0.15 + 0.7*rng.Float64())
-		}
-		w.qs = append(w.qs, q)
+		w.qs = append(w.qs, randomQuery(rng, cfg))
 	}
 	w.alphas = []float64{0.25 + 0.5*rng.Float64(), 0.9, 1}
 	return w
+}
+
+// randomQuery draws a query point uniformly from the central 70% of cfg's
+// domain on every axis, so it lands among the data: objects lie below,
+// above and around it on each axis.
+func randomQuery(rng *rand.Rand, cfg dataset.UncertainConfig) geom.Point {
+	dom := cfg.EffectiveDomain()
+	q := make(geom.Point, cfg.Dims)
+	for j := range q {
+		q[j] = dom * (0.15 + 0.7*rng.Float64())
+	}
+	return q
 }
 
 func (w *sampleWorkload) String() string {

@@ -100,7 +100,8 @@ func TestMetamorphicUniformScalingPDF(t *testing.T) {
 			t.Errorf("seed=%d: %v", seed, err)
 			return
 		}
-		q := geom.Point{cfg.Domain * (0.2 + 0.6*rng.Float64()), cfg.Domain * (0.2 + 0.6*rng.Float64())}
+		dom := cfg.EffectiveDomain()
+		q := geom.Point{dom * (0.2 + 0.6*rng.Float64()), dom * (0.2 + 0.6*rng.Float64())}
 		for _, alpha := range []float64{0.3, 0.8, 1} {
 			want := query(t, eng, q, alpha, crsky.QueryOptions{QuadNodes: 4})
 			got := query(t, sEng, scalePoint(q, f), alpha, crsky.QueryOptions{QuadNodes: 4})

@@ -194,10 +194,7 @@ func TestConformanceVerifyRepairPDF(t *testing.T) {
 			t.Errorf("seed=%d: %v", seed, err)
 			return
 		}
-		q := make(geom.Point, dims)
-		for j := range q {
-			q[j] = cfg.Domain * (0.15 + 0.7*rng.Float64())
-		}
+		q := randomQuery(rng, cfg)
 		ctx := context.Background()
 		opts := crsky.Options{QuadNodes: quad}
 		checked := 0

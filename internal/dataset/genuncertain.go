@@ -71,6 +71,14 @@ func (c *UncertainConfig) fillDefaults() {
 	}
 }
 
+// EffectiveDomain is the side of the domain GenerateUncertain draws object
+// centers from: Domain, or its default when unset (the family constructors
+// leave it unset).
+func (c UncertainConfig) EffectiveDomain() float64 {
+	c.fillDefaults()
+	return c.Domain
+}
+
 // Validate rejects inconsistent configurations.
 func (c UncertainConfig) Validate() error {
 	c.fillDefaults()

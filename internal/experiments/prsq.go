@@ -84,9 +84,9 @@ func PRSQBench(cfg Config) error {
 		q := domainQuery(rng, dims, 10000)
 
 		variants := []struct {
-			name string
-			reps int
-			run  func() []int
+			name    string
+			minReps int
+			run     func() []int
 		}{
 			{"naive", 1, func() []int { return naivePRSQ(ds, q, alpha) }},
 			{"indexed-serial", 3, func() []int {
@@ -100,16 +100,24 @@ func PRSQBench(cfg Config) error {
 			}},
 		}
 
+		// Each cell repeats its query for at least minTime (one second at
+		// paper scale) as well as minReps times. An indexed query takes a
+		// few milliseconds, and timing only three of them let scheduling
+		// noise move a cell's speedup by more than bench-prsq-check's 20%
+		// tolerance.
+		minTime := time.Duration(cfg.Scale * float64(time.Second))
 		var naiveMs float64
 		for _, v := range variants {
 			counter.Reset()
 			var answers int
+			reps := 0
 			start := time.Now()
-			for r := 0; r < v.reps; r++ {
+			for reps < v.minReps || time.Since(start) < minTime {
 				answers = len(v.run())
+				reps++
 			}
-			msPer := ms(time.Since(start)) / float64(v.reps)
-			nodes := counter.Value() / int64(v.reps)
+			msPer := ms(time.Since(start)) / float64(reps)
+			nodes := counter.Value() / int64(reps)
 			speedup := 1.0
 			if v.name == "naive" {
 				naiveMs = msPer

@@ -50,12 +50,23 @@ func Dominates(a, b Point) bool {
 // rather than center±extent, so that q and center are contained exactly
 // even under floating-point rounding.
 func DomRect(center, q Point) Rect {
+	r := Rect{Min: make(Point, len(q)), Max: make(Point, len(q))}
+	DomRectInto(r, center, q)
+	return r
+}
+
+// DomRectInto writes DomRect(center, q) into dst, whose Min and Max must
+// hold len(q) coordinates — the allocation-free form for callers that keep
+// rectangles in reused scratch. The result is bit-identical to DomRect.
+func DomRectInto(dst Rect, center, q Point) {
 	checkDims(len(center), len(q))
-	mirror := make(Point, len(center))
-	for i := range center {
-		mirror[i] = 2*center[i] - q[i]
+	checkDims(len(dst.Min), len(q))
+	checkDims(len(dst.Max), len(q))
+	for i := range q {
+		mirror := 2*center[i] - q[i]
+		dst.Min[i] = math.Min(q[i], mirror)
+		dst.Max[i] = math.Max(q[i], mirror)
 	}
-	return NewRect(q, mirror)
 }
 
 // DomRects builds the dominance rectangle list ("RecList" in Algorithm 1)
@@ -79,13 +90,20 @@ const boundaryPad = 1e-12
 // to fall inside the window; exactness is restored by the dominance check
 // on the filtered candidates.
 func DomRectOuter(center, q Point) Rect {
-	r := DomRect(center, q)
-	for i := range r.Min {
-		eps := boundaryPad * (1 + math.Abs(r.Min[i]) + math.Abs(r.Max[i]))
-		r.Min[i] -= eps
-		r.Max[i] += eps
-	}
+	r := Rect{Min: make(Point, len(q)), Max: make(Point, len(q))}
+	DomRectOuterInto(r, center, q)
 	return r
+}
+
+// DomRectOuterInto writes DomRectOuter(center, q) into dst, like
+// DomRectInto; the result is bit-identical to DomRectOuter.
+func DomRectOuterInto(dst Rect, center, q Point) {
+	DomRectInto(dst, center, q)
+	for i := range dst.Min {
+		eps := boundaryPad * (1 + math.Abs(dst.Min[i]) + math.Abs(dst.Max[i]))
+		dst.Min[i] -= eps
+		dst.Max[i] += eps
+	}
 }
 
 // DomRectUnionOuter bounds the union of the dominance rectangles of every
@@ -98,23 +116,32 @@ func DomRectOuter(center, q Point) Rect {
 // bound is monotone (region ⊆ region' ⇒ window ⊆ window'), which makes it
 // safe for branch-and-bound descent over R-tree node MBRs.
 func DomRectUnionOuter(region Rect, q Point) Rect {
+	w := Rect{Min: make(Point, len(q)), Max: make(Point, len(q))}
+	DomRectUnionOuterInto(w, region, q)
+	return w
+}
+
+// DomRectUnionOuterInto writes DomRectUnionOuter(region, q) into dst, like
+// DomRectInto: the batch join evaluates one window per (left entry, query)
+// into per-worker scratch. The result is bit-identical to
+// DomRectUnionOuter.
+func DomRectUnionOuterInto(dst, region Rect, q Point) {
 	checkDims(len(region.Min), len(q))
-	min := make(Point, len(q))
-	max := make(Point, len(q))
+	checkDims(len(dst.Min), len(q))
+	checkDims(len(dst.Max), len(q))
 	for i := range q {
 		lo := 2*region.Min[i] - q[i]
 		hi := 2*region.Max[i] - q[i]
-		min[i] = math.Min(q[i], lo)
-		max[i] = math.Max(q[i], hi)
+		min := math.Min(q[i], lo)
+		max := math.Max(q[i], hi)
 		// Each side is padded relative to its own magnitude only:
 		// x − pad(|x|) and x + pad(|x|) are monotone in x, which keeps
 		// the whole construction monotone under region growth (a pad
 		// derived from the opposite side could shrink while the window
 		// grows and break containment by an ULP-scale sliver).
-		min[i] -= boundaryPad * (1 + math.Abs(min[i]))
-		max[i] += boundaryPad * (1 + math.Abs(max[i]))
+		dst.Min[i] = min - boundaryPad*(1+math.Abs(min))
+		dst.Max[i] = max + boundaryPad*(1+math.Abs(max))
 	}
-	return Rect{Min: min, Max: max}
 }
 
 // DomRectInner returns DomRect shrunk inward by a relative epsilon (never

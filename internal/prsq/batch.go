@@ -76,8 +76,7 @@ func join(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Point, opt Opt
 	windows := make([]rtree.WindowFunc, nQ)
 	for k := range qs {
 		j.verdicts[k] = make([]decision, n)
-		q := qs[k]
-		windows[k] = func(r geom.Rect) geom.Rect { return geom.DomRectUnionOuter(r, q) }
+		windows[k] = domWindow(qs[k])
 	}
 
 	// Verdict slots are disjoint per left object, so the join workers
@@ -116,6 +115,13 @@ func join(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Point, opt Opt
 		}
 	}
 	return j, nil
+}
+
+// domWindow is query q's node-level candidate window for the join: the
+// bound on the union of the dominance rectangles of every anchor in a
+// left rectangle, written into the join worker's scratch.
+func domWindow(q geom.Point) rtree.WindowFunc {
+	return func(dst, r geom.Rect) { geom.DomRectUnionOuterInto(dst, r, q) }
 }
 
 // batchEmitter streams finished per-query answers in ascending request

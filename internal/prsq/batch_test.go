@@ -33,13 +33,10 @@ func TestQueryBatchMatchesPerQuery(t *testing.T) {
 	ds.WeightSums()
 	ds.Summaries()
 
+	dom := cfg.EffectiveDomain()
 	qs := make([]geom.Point, 16)
 	for i := range qs {
-		qs[i] = geom.Point{
-			cfg.Domain * rng.Float64(),
-			cfg.Domain * rng.Float64(),
-			cfg.Domain * rng.Float64(),
-		}
+		qs[i] = geom.Point{dom * rng.Float64(), dom * rng.Float64(), dom * rng.Float64()}
 	}
 	for _, alpha := range []float64{0.3, 0.9} {
 		want := make([][]int, len(qs))
@@ -98,9 +95,10 @@ func TestQueryBatchPDFMatchesPerQuery(t *testing.T) {
 	var io stats.Counter
 	set.Tree().SetCounter(&io)
 
+	dom := cfg.EffectiveDomain()
 	qs := make([]geom.Point, 8)
 	for i := range qs {
-		qs[i] = geom.Point{cfg.Domain * rng.Float64(), cfg.Domain * rng.Float64()}
+		qs[i] = geom.Point{dom * rng.Float64(), dom * rng.Float64()}
 	}
 	const quad = 4
 	for _, alpha := range []float64{0.4, 0.9} {

@@ -11,13 +11,17 @@
 //  2. Bound-based pruning: cheap MBR-level dominance tests run online
 //     inside the stream and maintain per-object upper/lower probability
 //     bounds. An object whose every sample is certainly dominated stops
-//     its candidate stream immediately — most objects are rejected after a
-//     handful of candidates without ever materializing their full list.
-//     A second bound tier refines partial overlaps: per-candidate
-//     dominance-probability bounds derived from the candidate's sub-MBR
-//     weight summary (dataset.Summary) multiply into per-sample Eq.-2 term
-//     bounds, shrinking the undecided band — and stopping streams early —
-//     at thresholds the all-or-nothing tests cannot reach.
+//     its candidate stream immediately. The first candidate is tested
+//     against the object's MBR core — the intersection of its samples'
+//     dominance rectangles — before any per-sample state is built, and the
+//     join streams the nearest partner leaf first, so most objects are
+//     rejected by one rectangle test at their first candidate, with no
+//     allocation. A second bound tier refines partial overlaps:
+//     per-candidate dominance-probability bounds derived from the
+//     candidate's sub-MBR weight summary (dataset.Summary) multiply into
+//     per-sample Eq.-2 term bounds, shrinking the undecided band — and
+//     stopping streams early — at thresholds the all-or-nothing tests
+//     cannot reach.
 //  3. Parallel refinement: the filtering join itself fans out per R-tree
 //     subtree onto a worker pool (each worker owning its own stream state),
 //     and the undecided band is evaluated exactly (Eq. 2) on the same pool,
@@ -184,7 +188,7 @@ func wrapCanceled(err error, evaluated int) error {
 // streamState is the per-(worker, query) state of the online filter+bound
 // pass. The join reports each object's candidates consecutively within a
 // worker, so one scratch buffer set serves every object of that worker in
-// turn.
+// turn, and a typical object allocates nothing.
 type streamState struct {
 	ds    *dataset.Uncertain
 	q     geom.Point
@@ -194,11 +198,18 @@ type streamState struct {
 	sums  []dataset.Summary // per-candidate sub-MBR summaries; nil = tier 2 off
 	stats Stats
 
-	// Per-current-object scratch, reset by begin.
-	u          *uncertain.Object
-	inner      []geom.Rect // per-sample dominance rectangles (exact)
-	outer      []geom.Rect // per-sample dominance rectangles (outward pad)
-	covered    []bool      // sample term is exactly 0
+	// Per-current-object scratch. begin records only the object and its
+	// MBR; the per-sample state below is built on the object's first
+	// streamed pair (u == nil until then), unless the MBR core settles the
+	// object at that pair.
+	id  int
+	mbr geom.Rect
+	u   *uncertain.Object
+	// inner and outer hold the per-sample dominance rectangles, exact and
+	// outward-padded, flat: sample i's Min then Max (see sampleRect).
+	inner      []float64
+	outer      []float64
+	covered    []bool // sample term is exactly 0
 	coveredCnt int
 	// ubProd[i] and lbProd[i] bound the Eq.-2 product term of sample i from
 	// above and below: each streamed candidate multiplies (1 − lbDom) resp.
@@ -217,31 +228,73 @@ type streamState struct {
 	undecidedCands [][]int32
 }
 
-func (st *streamState) begin(id int, _ geom.Rect) bool {
-	u := st.ds.Objects[id]
-	l := len(u.Samples)
+func (st *streamState) begin(id int, mbr geom.Rect) bool {
+	st.id = id
+	st.mbr = mbr
+	st.u = nil
+	st.rejectedNow = false
+	st.rejectedTier = 0
+	st.buf = st.buf[:0]
+	return true
+}
+
+// build sets up the current object's per-sample state: its dominance
+// rectangles and bound products, in scratch reused across objects.
+func (st *streamState) build() {
+	u := st.ds.Objects[st.id]
+	l, d := len(u.Samples), len(st.q)
 	st.u = u
-	st.inner = st.inner[:0]
-	st.outer = st.outer[:0]
 	if cap(st.covered) < l {
 		st.covered = make([]bool, l)
 		st.ubProd = make([]float64, l)
 		st.lbProd = make([]float64, l)
+		st.inner = make([]float64, 2*d*l)
+		st.outer = make([]float64, 2*d*l)
 	}
 	st.covered = st.covered[:l]
 	st.ubProd = st.ubProd[:l]
 	st.lbProd = st.lbProd[:l]
 	for i, s := range u.Samples {
-		st.inner = append(st.inner, geom.DomRect(s.Loc, st.q))
-		st.outer = append(st.outer, geom.DomRectOuter(s.Loc, st.q))
+		geom.DomRectInto(sampleRect(st.inner, i, d), s.Loc, st.q)
+		geom.DomRectOuterInto(sampleRect(st.outer, i, d), s.Loc, st.q)
 		st.covered[i] = false
 		st.ubProd[i] = 1
 		st.lbProd[i] = 1
 	}
 	st.coveredCnt = 0
-	st.rejectedNow = false
-	st.rejectedTier = 0
-	st.buf = st.buf[:0]
+}
+
+// sampleRect is sample i's rectangle in a flat per-sample buffer of
+// d-dimensional rectangles (Min then Max per sample): a view, so writes
+// through it land in buf.
+func sampleRect(buf []float64, i, d int) geom.Rect {
+	o := 2 * d * i
+	return geom.Rect{Min: buf[o : o+d : o+d], Max: buf[o+d : o+2*d : o+2*d]}
+}
+
+// insideMBRCore reports whether c lies strictly inside the MBR core of an
+// object with bounding box mbr: the intersection of the dominance
+// rectangles geom.DomRect(s, q) of all its samples s. Per axis the core is
+// (q, 2·Min−q) when q < Min, (2·Max−q, q) when q > Max, and the single
+// point q, which nothing lies strictly inside, when Min ≤ q ≤ Max. Doubling
+// is exact and rounding is monotone, so 2·Min−q is exactly the smallest of
+// the samples' 2·s−q (and 2·Max−q the largest): the test accepts exactly
+// when c lies strictly inside every sample's DomRect.
+func insideMBRCore(c, mbr geom.Rect, q geom.Point) bool {
+	for j, qj := range q {
+		var lo, hi float64
+		switch {
+		case qj < mbr.Min[j]:
+			lo, hi = qj, 2*mbr.Min[j]-qj
+		case qj > mbr.Max[j]:
+			lo, hi = 2*mbr.Max[j]-qj, qj
+		default:
+			return false
+		}
+		if c.Min[j] <= lo || c.Max[j] >= hi {
+			return false
+		}
+	}
 	return true
 }
 
@@ -254,12 +307,14 @@ func (st *streamState) begin(id int, _ geom.Rect) bool {
 // snap-to-one band is rounded up to certainty.
 func (st *streamState) domBounds(cid, i int) (lbDom, ubDom float64) {
 	sm := &st.sums[cid]
+	d := len(st.q)
+	inner, outer := sampleRect(st.inner, i, d), sampleRect(st.outer, i, d)
 	for k := range sm.Rects {
-		if !sm.Rects[k].Intersects(st.outer[i]) {
+		if !sm.Rects[k].Intersects(outer) {
 			continue
 		}
 		ubDom += sm.Weights[k]
-		if strictlyInside(&sm.Rects[k], &st.inner[i]) {
+		if strictlyInside(&sm.Rects[k], &inner) {
 			lbDom += sm.Weights[k]
 		}
 	}
@@ -281,6 +336,13 @@ func (st *streamState) domBounds(cid, i int) (lbDom, ubDom float64) {
 // in both cases no further candidate can change the verdict, because
 // streaming more candidates only multiplies more factors ≤ 1 into every
 // bound.
+//
+// The object's first pair is tested against its MBR core before any
+// per-sample state exists: a certain candidate strictly inside the core
+// covers every sample, which is exactly the full-coverage reject the
+// per-sample loop below would reach at this pair, so Stats are unchanged.
+// The join streams the nearest partner leaf first, so this one test
+// settles most objects.
 func (st *streamState) pair(_, cid int, cRect geom.Rect) bool {
 	st.stats.CandidatePairs++
 	st.buf = append(st.buf, int32(cid))
@@ -288,16 +350,26 @@ func (st *streamState) pair(_, cid int, cRect geom.Rect) bool {
 		return true
 	}
 	certain := st.wsum[cid] == 1
+	if st.u == nil {
+		if certain && st.alpha > prob.Eps && insideMBRCore(cRect, st.mbr, st.q) {
+			st.rejectedNow = true
+			st.rejectedTier = 1
+			return false
+		}
+		st.build()
+	}
+	d := len(st.q)
 	coveredMore := false
 	tier2More := false
-	for i := range st.inner {
+	for i := range st.covered {
 		if st.covered[i] {
 			continue
 		}
-		if !cRect.Intersects(st.outer[i]) {
+		inner := sampleRect(st.inner, i, d)
+		if !cRect.Intersects(sampleRect(st.outer, i, d)) {
 			continue // the candidate's factor for this sample is exactly 1
 		}
-		if certain && strictlyInside(&cRect, &st.inner[i]) {
+		if certain && strictlyInside(&cRect, &inner) {
 			st.covered[i] = true
 			st.coveredCnt++
 			st.lbProd[i] = 0
@@ -307,7 +379,7 @@ func (st *streamState) pair(_, cid int, cRect geom.Rect) bool {
 		// A candidate disjoint from the exact dominance rectangle can put
 		// no group strictly inside it, so the summary loop cannot tighten
 		// the upper bound; fall back to the first-tier lower bound.
-		if st.sums == nil || !cRect.Intersects(st.inner[i]) {
+		if st.sums == nil || !cRect.Intersects(inner) {
 			st.lbProd[i] = 0
 			continue
 		}
@@ -327,7 +399,7 @@ func (st *streamState) pair(_, cid int, cRect geom.Rect) bool {
 	}
 	// Full coverage: every Eq.-2 term is exactly 0, so Pr(u) = 0 < α for
 	// any valid threshold above the comparison tolerance.
-	if coveredMore && st.coveredCnt == len(st.inner) {
+	if coveredMore && st.coveredCnt == len(st.covered) {
 		st.rejectedNow = true
 		st.rejectedTier = 1
 		return false
@@ -374,7 +446,7 @@ func (st *streamState) finish(id int) decision {
 			}
 			return rejected
 		}
-		if st.coveredCnt == len(st.inner) && st.alpha > prob.Eps {
+		if st.coveredCnt == len(st.covered) && st.alpha > prob.Eps {
 			st.stats.RejectedByBound++
 			return rejected
 		}

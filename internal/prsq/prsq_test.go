@@ -157,6 +157,14 @@ func TestQueryEquivalenceOffUnitWeights(t *testing.T) {
 	for _, q := range []geom.Point{{200, 200}, {0, 0}, {-300, 150}} {
 		checkSampleEquivalence(t, ds, q)
 	}
+	// Below object 0's missing mass (5e-7), object 1 answers at q=(200, 200)
+	// although object 0 lies strictly inside its MBR core: a candidate that
+	// may not exist must never settle an object by the core test.
+	q := geom.Point{200, 200}
+	want := prob.PRSQ(ds.Objects, q, 1e-7)
+	if got, _ := queryStats(t, ds, q, 1e-7, Options{Parallel: 1}); !equalIDs(got, want) || len(want) != 2 {
+		t.Fatalf("alpha=1e-7: got %v, brute force %v (want both objects)", got, want)
+	}
 }
 
 func TestQueryEquivalencePDFModel(t *testing.T) {
@@ -331,8 +339,7 @@ func TestSummariesPartitionObjects(t *testing.T) {
 // batch join run on the one query point.
 func streamCandidates(t *testing.T, ds *dataset.Uncertain, q geom.Point) [][]int {
 	cands := make([][]int, ds.Len())
-	window := func(r geom.Rect) geom.Rect { return geom.DomRectUnionOuter(r, q) }
-	err := ds.Tree().JoinSelfStreamBatch(context.Background(), []rtree.WindowFunc{window}, 1,
+	err := ds.Tree().JoinSelfStreamBatch(context.Background(), []rtree.WindowFunc{domWindow(q)}, 1,
 		func() rtree.BatchStreamVisitor {
 			return rtree.BatchStreamVisitor{
 				Pair: func(_, uID, cID int, _ geom.Rect) bool {

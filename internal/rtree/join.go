@@ -1,7 +1,9 @@
 package rtree
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,11 +28,15 @@ func joinTally(ctx context.Context) (*stats.Counter, func()) {
 	return c, func() { tr.Add("rtree.joinNodeAccesses", c.Value()) }
 }
 
-// WindowFunc maps a rectangle to its (conservative) search window. For the
-// branch-and-bound descent of JoinSelfStreamBatch to be correct the
-// function must be monotone: r ⊆ s implies window(r) ⊆ window(s), so that
-// a node-level window covers every window of the entries below it.
-type WindowFunc func(geom.Rect) geom.Rect
+// WindowFunc writes the (conservative) search window of the rectangle r
+// into dst, whose Min and Max hold the tree's dimensionality. The join
+// passes each worker's own scratch as dst, so a window costs no allocation
+// and the function must keep no state of its own: every worker of every
+// concurrent join calls it. For the branch-and-bound descent of
+// JoinSelfStreamBatch to be correct the window must be monotone: r ⊆ s
+// implies window(r) ⊆ window(s), so that a node-level window covers every
+// window of the entries below it.
+type WindowFunc func(dst, r geom.Rect)
 
 // BatchStreamVisitor receives the self-join output of every query k,
 // grouped by left entry. For each left data entry the streams of all
@@ -43,7 +49,9 @@ type WindowFunc func(geom.Rect) geom.Rect
 //     window_k(left rectangle), excluding the left entry itself; returning
 //     false ends this stream early (the join continues with the next
 //     stream) — the hook that lets callers stop enumerating once a
-//     per-object decision is already forced.
+//     per-object decision is already forced. Within a stream the pairs
+//     come from the nearest partner leaf first (see JoinSelfStreamBatch);
+//     callers must not rely on any order beyond that.
 //   - End is called after the (possibly truncated) stream.
 type BatchStreamVisitor struct {
 	Begin func(k, leftID int, leftRect geom.Rect) bool
@@ -53,10 +61,11 @@ type BatchStreamVisitor struct {
 
 // batchTask is one unit of join work: a left subtree plus, for each query,
 // the right subtrees that can still contribute matches under that query's
-// window.
+// window. Subtrees travel as their parent entries, so each carries its box
+// (the root, which has no parent, gets a synthetic entry).
 type batchTask struct {
-	left   *node
-	rights [][]*node
+	left   *entry
+	rights [][]*entry
 }
 
 // JoinSelfStreamBatch reports, for every query k and every data entry a,
@@ -69,6 +78,13 @@ type batchTask struct {
 // window predicates). The left descent is shared by all queries; the right
 // partner lists are pruned per query with that query's window. Every left
 // entry is visited for every query, including entries with empty streams.
+//
+// At a left leaf every query's partner leaves are scanned nearest first:
+// stable-sorted by the distance between their box centre and the left
+// leaf's, so the left leaf itself comes first. A stream a caller stops at
+// its first covering candidate then ends after a few rectangle tests
+// instead of after scanning partners in tree order. The order within a
+// stream is an optimisation, not a contract.
 //
 // Node accesses are charged once for each expanded left node plus once per
 // distinct surviving right node — the union of the per-query partner
@@ -99,25 +115,26 @@ func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, wo
 	if t.size == 0 || len(windows) == 0 {
 		return nil
 	}
-	rootRights := make([][]*node, len(windows))
+	rootEntry := &entry{rect: t.root.mbr(), child: t.root}
+	rootRights := make([][]*entry, len(windows))
 	for k := range rootRights {
-		rootRights[k] = []*node{t.root}
+		rootRights[k] = []*entry{rootEntry}
 	}
-	root := batchTask{left: t.root, rights: rootRights}
+	root := batchTask{left: rootEntry, rights: rootRights}
 	tally, flush := joinTally(ctx)
 	defer flush()
 
 	poll := ctxutil.NewPoll(ctx, ctxutil.DefaultStride)
 	if workers <= 1 || t.root.leaf {
-		return t.batchJoinLeft(root, windows, newVisitor(), poll, newBatchScratch(), tally)
+		return t.batchJoinLeft(root, windows, newVisitor(), poll, t.newBatchScratch(), tally)
 	}
 
 	// Grow the task frontier until there is enough slack for the pool to
 	// balance uneven subtree costs. All leaves sit at the same level
 	// (R*-tree invariant), so the frontier is homogeneous.
-	frontierScratch := newBatchScratch()
+	frontierScratch := t.newBatchScratch()
 	tasks := []batchTask{root}
-	for !tasks[0].left.leaf && len(tasks) < 4*workers {
+	for !tasks[0].left.child.leaf && len(tasks) < 4*workers {
 		next := make([]batchTask, 0, len(tasks)*t.maxEntries)
 		for _, tk := range tasks {
 			children, err := t.expandBatchTask(tk, windows, poll, frontierScratch, tally)
@@ -143,7 +160,7 @@ func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, wo
 			defer wg.Done()
 			v := newVisitor()
 			poll := ctxutil.NewPoll(ctx, ctxutil.DefaultStride)
-			sc := newBatchScratch()
+			sc := t.newBatchScratch()
 			for tk := range ch {
 				if errs[wi] != nil {
 					continue // drain without working after a cancellation
@@ -171,28 +188,66 @@ func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, wo
 	return nil
 }
 
-// batchScratch is per-worker reusable state for the union-access
-// accounting: the seen set is cleared (capacity retained) between nodes,
-// so the hot descent performs no per-node allocation.
+// batchScratch is per-worker reusable state, so the hot descent performs
+// no per-node or per-entry allocation: the seen set of the union-access
+// accounting (cleared, capacity retained, between nodes), the window the
+// current (entry, query) pair is tested against, and the sort keys of the
+// nearest-first partner order. Every worker owns its own: the WindowFuncs
+// that write the window are shared by all workers and concurrent joins.
 type batchScratch struct {
 	seen map[*node]struct{}
+	win  geom.Rect
+	near []partnerKey
 }
 
-func newBatchScratch() *batchScratch {
-	return &batchScratch{seen: make(map[*node]struct{}, 64)}
+// partnerKey is one partner leaf with its sort key in nearestFirst.
+type partnerKey struct {
+	d2 float64
+	e  *entry
+}
+
+func (t *Tree) newBatchScratch() *batchScratch {
+	return &batchScratch{
+		seen: make(map[*node]struct{}, 64),
+		win:  geom.Rect{Min: make(geom.Point, t.dims), Max: make(geom.Point, t.dims)},
+	}
+}
+
+// nearestFirst stable-sorts one query's partner leaves by the squared
+// distance between their box centre and the left leaf's box centre. The
+// keys use doubled centres (Min+Max), which scales every distance by the
+// same factor and leaves the order unchanged.
+func (sc *batchScratch) nearestFirst(rights []*entry, left geom.Rect) {
+	if len(rights) < 2 {
+		return
+	}
+	keys := sc.near[:0]
+	for _, er := range rights {
+		var d2 float64
+		for j := range left.Min {
+			dj := (er.rect.Min[j] + er.rect.Max[j]) - (left.Min[j] + left.Max[j])
+			d2 += dj * dj
+		}
+		keys = append(keys, partnerKey{d2: d2, e: er})
+	}
+	slices.SortStableFunc(keys, func(a, b partnerKey) int { return cmp.Compare(a.d2, b.d2) })
+	for i := range keys {
+		rights[i] = keys[i].e
+	}
+	sc.near = keys
 }
 
 // accessBatchRights charges the left node once and every distinct right
 // node of the per-query partner lists once — the union across queries,
 // excluding the pinned left node itself. A single query's partner list
 // holds no repeats, so it skips the seen set.
-func (t *Tree) accessBatchRights(nl *node, rights [][]*node, sc *batchScratch, tally *stats.Counter) {
+func (t *Tree) accessBatchRights(nl *node, rights [][]*entry, sc *batchScratch, tally *stats.Counter) {
 	t.access(nl)
 	tally.Inc()
 	if len(rights) == 1 {
-		for _, nr := range rights[0] {
-			if nr != nl {
-				t.access(nr)
+		for _, er := range rights[0] {
+			if er.child != nl {
+				t.access(er.child)
 				tally.Inc()
 			}
 		}
@@ -201,10 +256,10 @@ func (t *Tree) accessBatchRights(nl *node, rights [][]*node, sc *batchScratch, t
 	clear(sc.seen)
 	sc.seen[nl] = struct{}{}
 	for _, rs := range rights {
-		for _, nr := range rs {
-			if _, dup := sc.seen[nr]; !dup {
-				sc.seen[nr] = struct{}{}
-				t.access(nr)
+		for _, er := range rs {
+			if _, dup := sc.seen[er.child]; !dup {
+				sc.seen[er.child] = struct{}{}
+				t.access(er.child)
 				tally.Inc()
 			}
 		}
@@ -217,28 +272,29 @@ func (t *Tree) accessBatchRights(nl *node, rights [][]*node, sc *batchScratch, t
 // dispatcher: one access pass over the union of partner lists, then
 // per-query pruning of each child's partner list with that query's window.
 func (t *Tree) expandBatchTask(tk batchTask, windows []WindowFunc, poll *ctxutil.Poll, sc *batchScratch, tally *stats.Counter) ([]batchTask, error) {
-	nl := tk.left
+	nl := tk.left.child
 	t.accessBatchRights(nl, tk.rights, sc, tally)
 	out := make([]batchTask, 0, len(nl.entries))
 	for i := range nl.entries {
 		el := &nl.entries[i]
-		childRights := make([][]*node, len(windows))
+		childRights := make([][]*entry, len(windows))
 		for k, wf := range windows {
 			if err := poll.Charge(int64(len(tk.rights[k]))); err != nil {
 				return nil, err
 			}
-			w := wf(el.rect)
-			crs := make([]*node, 0, len(tk.rights[k]))
-			for _, nr := range tk.rights[k] {
+			wf(sc.win, el.rect)
+			crs := make([]*entry, 0, len(tk.rights[k]))
+			for _, er := range tk.rights[k] {
+				nr := er.child
 				for j := range nr.entries {
-					if w.Intersects(nr.entries[j].rect) {
-						crs = append(crs, nr.entries[j].child)
+					if sc.win.Intersects(nr.entries[j].rect) {
+						crs = append(crs, &nr.entries[j])
 					}
 				}
 			}
 			childRights[k] = crs
 		}
-		out = append(out, batchTask{left: el.child, rights: childRights})
+		out = append(out, batchTask{left: el, rights: childRights})
 	}
 	return out, nil
 }
@@ -249,7 +305,7 @@ func (t *Tree) batchJoinLeft(tk batchTask, windows []WindowFunc, v BatchStreamVi
 	if err := poll.Check(); err != nil {
 		return err
 	}
-	nl := tk.left
+	nl := tk.left.child
 	if !nl.leaf {
 		children, err := t.expandBatchTask(tk, windows, poll, sc, tally)
 		if err != nil {
@@ -263,6 +319,9 @@ func (t *Tree) batchJoinLeft(tk batchTask, windows []WindowFunc, v BatchStreamVi
 		return nil
 	}
 	t.accessBatchRights(nl, tk.rights, sc, tally)
+	for _, rs := range tk.rights {
+		sc.nearestFirst(rs, tk.left.rect)
+	}
 	for i := range nl.entries {
 		el := &nl.entries[i]
 		for k := range windows {
@@ -272,8 +331,8 @@ func (t *Tree) batchJoinLeft(tk batchTask, windows []WindowFunc, v BatchStreamVi
 			if v.Begin != nil && !v.Begin(k, el.id, el.rect) {
 				continue
 			}
-			w := windows[k](el.rect)
-			t.streamRightsBatch(k, el, w, tk.rights[k], v)
+			windows[k](sc.win, el.rect)
+			t.streamRightsBatch(k, el, sc.win, tk.rights[k], v)
 			if v.End != nil {
 				v.End(k, el.id)
 			}
@@ -283,10 +342,11 @@ func (t *Tree) batchJoinLeft(tk batchTask, windows []WindowFunc, v BatchStreamVi
 }
 
 // streamRightsBatch reports the matches of one left leaf entry for query k
-// against that query's surviving right leaves, honoring the early-stop
-// contract of Pair.
-func (t *Tree) streamRightsBatch(k int, el *entry, w geom.Rect, rights []*node, v BatchStreamVisitor) {
-	for _, nr := range rights {
+// against that query's surviving right leaves, in list order, honoring the
+// early-stop contract of Pair.
+func (t *Tree) streamRightsBatch(k int, el *entry, w geom.Rect, rights []*entry, v BatchStreamVisitor) {
+	for _, pe := range rights {
+		nr := pe.child
 		for j := range nr.entries {
 			er := &nr.entries[j]
 			if er.id == el.id || !w.Intersects(er.rect) {

@@ -15,13 +15,11 @@ import (
 // joinWindow is the test window: a symmetric outward inflation, monotone
 // under rectangle growth as JoinSelfStreamBatch requires.
 func joinWindow(pad float64) WindowFunc {
-	return func(r geom.Rect) geom.Rect {
-		w := r.Clone()
-		for i := range w.Min {
-			w.Min[i] -= pad
-			w.Max[i] += pad
+	return func(dst, r geom.Rect) {
+		for i := range r.Min {
+			dst.Min[i] = r.Min[i] - pad
+			dst.Max[i] = r.Max[i] + pad
 		}
-		return w
 	}
 }
 
@@ -40,7 +38,8 @@ func padWindows(numQ int, base float64) []WindowFunc {
 func bruteSelfJoin(items []Item, window WindowFunc) map[int][]int {
 	out := make(map[int][]int, len(items))
 	for _, a := range items {
-		w := window(a.Rect)
+		w := a.Rect.Clone()
+		window(w, a.Rect)
 		out[a.ID] = []int{}
 		for _, b := range items {
 			if b.ID != a.ID && w.Intersects(b.Rect) {

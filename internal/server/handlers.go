@@ -91,31 +91,10 @@ func (s *Server) resolve(name string, qs []float64, alpha float64, quadNodes int
 	return ent, q, alpha, 0, nil
 }
 
-// maxQuadNodes caps an explicit per-dimension quadrature resolution:
-// deriving the Gauss–Legendre rule takes time quadratic in it.
-const maxQuadNodes = 1024
-
-// checkQuadNodes rejects an explicit quadNodes the server will not build:
-// more than maxQuadNodes per dimension, or a tensor grid of more than
-// uncertain.DefaultQuadMemoNodeCap nodes, which the request would
-// materialize for every pdf object it evaluates. Values <= 0 select the
-// default grid, which is never rejected.
-func checkQuadNodes(k, dims int) error {
-	if k <= 0 || k == uncertain.DefaultQuadNodes(dims) {
-		return nil
-	}
-	if k > maxQuadNodes {
-		return fmt.Errorf("quadNodes %d exceeds %d per dimension", k, maxQuadNodes)
-	}
-	grid := 1
-	for i := 0; i < dims; i++ {
-		if grid *= k; grid > uncertain.DefaultQuadMemoNodeCap {
-			return fmt.Errorf("quadNodes %d builds a grid of %d^%d nodes, more than %d",
-				k, k, dims, uncertain.DefaultQuadMemoNodeCap)
-		}
-	}
-	return nil
-}
+// checkQuadNodes is the pdf engine's own resolution check, run at request
+// admission so an oversized quadNodes answers 400 before it takes a pool
+// slot, whatever the dataset's model.
+var checkQuadNodes = uncertain.CheckQuadNodes
 
 // queryKey is the canonical cache key of one (dataset, query, alpha,
 // quadNodes) reverse-skyline computation. /v1/query and /v2/query build

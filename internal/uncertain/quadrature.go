@@ -1,6 +1,7 @@
 package uncertain
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/crsky/crsky/internal/geom"
@@ -130,6 +131,34 @@ func DefaultQuadNodes(dims int) int {
 	default:
 		return 6
 	}
+}
+
+// maxQuadNodes caps an explicit per-dimension quadrature resolution:
+// deriving the Gauss–Legendre rule takes time quadratic in it.
+const maxQuadNodes = 1024
+
+// CheckQuadNodes rejects an explicit per-dimension quadrature resolution k
+// that must not be built for dims-dimensional objects: more than
+// maxQuadNodes per dimension, or a tensor grid of more than
+// DefaultQuadMemoNodeCap nodes, which every evaluated object would
+// materialize. Values <= 0 select the default grid, which is never
+// rejected. The pdf engine runs it on entry to every method that takes a
+// resolution, and the server at request admission.
+func CheckQuadNodes(k, dims int) error {
+	if k <= 0 || k == DefaultQuadNodes(dims) {
+		return nil
+	}
+	if k > maxQuadNodes {
+		return fmt.Errorf("quadNodes %d exceeds %d per dimension", k, maxQuadNodes)
+	}
+	grid := 1
+	for i := 0; i < dims; i++ {
+		if grid *= k; grid > DefaultQuadMemoNodeCap {
+			return fmt.Errorf("quadNodes %d builds a grid of %d^%d nodes, more than %d",
+				k, k, dims, DefaultQuadMemoNodeCap)
+		}
+	}
+	return nil
 }
 
 // gaussLegendre returns the nodes and weights of the n-point Gauss–Legendre

@@ -12,6 +12,7 @@ import (
 	"github.com/crsky/crsky/internal/ctxutil"
 	"github.com/crsky/crsky/internal/obs"
 	"github.com/crsky/crsky/internal/prsq"
+	"github.com/crsky/crsky/internal/uncertain"
 )
 
 // This file is the v2 engine API: one model-generic, context-first surface
@@ -524,17 +525,25 @@ func (e *PDFEngine) QueryBatchStream(ctx context.Context, qs []Point, alpha floa
 	if err := checkAlphaUnit(alpha); err != nil {
 		return nil, QueryStats{}, err
 	}
+	if err := uncertain.CheckQuadNodes(opts.QuadNodes, e.Dims()); err != nil {
+		return nil, QueryStats{}, err
+	}
 	return prsq.QueryBatchPDFStreamStatsCtx(ctx, e.set, qs, alpha, opts.QuadNodes, opts, emit)
 }
 
 // QueryApprox implements Querier: the pdf filter stage runs unchanged and
 // the undecided band is settled by per-density sampling — no quadrature
-// grid, so degraded-mode cost is independent of QuadNodes.
+// grid, so degraded-mode cost is independent of QuadNodes. QuadNodes is
+// still validated as for QueryCtx, so one options value is accepted or
+// rejected alike by the exact and the approximate query.
 func (e *PDFEngine) QueryApprox(ctx context.Context, q Point, alpha float64, opts QueryOptions, approx ApproxOptions) (*ApproxResult, QueryStats, error) {
 	if err := checkDims(q, e.Dims()); err != nil {
 		return nil, QueryStats{}, err
 	}
 	if err := checkAlphaUnit(alpha); err != nil {
+		return nil, QueryStats{}, err
+	}
+	if err := uncertain.CheckQuadNodes(opts.QuadNodes, e.Dims()); err != nil {
 		return nil, QueryStats{}, err
 	}
 	return prsq.QueryApproxPDFStatsCtx(ctx, e.set, q, alpha, opts, approx)
@@ -543,6 +552,9 @@ func (e *PDFEngine) QueryApprox(ctx context.Context, q Point, alpha float64, opt
 // ExplainCtx implements Explainer: the pdf-model variant of CP under a
 // context.
 func (e *PDFEngine) ExplainCtx(ctx context.Context, id int, q Point, alpha float64, opts Options) (*Explanation, error) {
+	if err := uncertain.CheckQuadNodes(opts.QuadNodes, e.Dims()); err != nil {
+		return nil, err
+	}
 	return causality.CPPDFCtx(ctx, e.set, q, id, alpha, opts)
 }
 
@@ -556,6 +568,9 @@ func (e *PDFEngine) ExplainBatchStream(ctx context.Context, reqs []ExplainReques
 // shared kernel/greedy/branch-and-bound repair search, with every
 // probability an integral over the non-answer's uncertainty region.
 func (e *PDFEngine) RepairCtx(ctx context.Context, id int, q Point, alpha float64, opts Options) (*Repair, error) {
+	if err := uncertain.CheckQuadNodes(opts.QuadNodes, e.Dims()); err != nil {
+		return nil, err
+	}
 	return causality.MinimalRepairPDFCtx(ctx, e.set, q, id, alpha, opts)
 }
 
@@ -571,6 +586,9 @@ func (e *PDFEngine) VerifyCtx(ctx context.Context, q Point, alpha float64, res *
 	quadNodes := 0
 	if res != nil {
 		quadNodes = res.QuadNodes
+	}
+	if err := uncertain.CheckQuadNodes(quadNodes, e.Dims()); err != nil {
+		return err
 	}
 	defer obs.FromContext(ctx).StartSpan("explain.verify")()
 	return causality.VerifyExplanationPDF(e.set, q, alpha, quadNodes, res)
