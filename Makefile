@@ -1,6 +1,6 @@
 # Developer entry points. The Go toolchain is the only requirement.
 
-.PHONY: build test race vet fmt-check api-check api-update loc conformance chaos-smoke crash-smoke watch-smoke fuzz-smoke perfbench-check bench bench-smoke bench-prsq bench-prsq-check bench-explain bench-explain-check experiments
+.PHONY: build test race vet fmt-check api-check api-update loc conformance chaos-smoke crash-smoke watch-smoke fuzz-smoke examples-smoke perfbench-check bench bench-smoke bench-prsq bench-prsq-check bench-explain bench-explain-check experiments
 
 build:
 	go build ./...
@@ -82,6 +82,11 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzLoadUncertainCSV$$' -fuzztime 15s ./internal/dataset/
 	go test -run '^$$' -fuzz '^FuzzLoadCertainCSV$$' -fuzztime 15s ./internal/dataset/
 	go test -run '^$$' -fuzz '^FuzzMBRCore$$' -fuzztime 15s ./internal/prsq/
+
+# Run every example program once; a non-zero exit fails the target. The
+# build compiles them, but only running them shows they still work.
+examples-smoke:
+	@set -e; for d in examples/*/; do echo "go run ./$$d"; go run ./$$d > /dev/null; done
 
 # The benchmark harness (perfbench/) is a Go module of its own, so the root
 # `go build ./...` and `go vet ./...` never compile it: vet and test it here

@@ -21,8 +21,9 @@
 //     (algorithm CR, Section 4).
 //
 // All engines index their data with an R*-tree (4096-byte pages by default)
-// and report simulated I/O through NodeAccesses, matching the paper's
-// evaluation metrics.
+// and report the simulated I/O of each call with its result —
+// QueryStats.NodeAccesses for queries, FilterNodeAccesses on explanations
+// and repairs — matching the paper's evaluation metric.
 package crsky
 
 import (
@@ -32,7 +33,6 @@ import (
 	"github.com/crsky/crsky/internal/prob"
 	"github.com/crsky/crsky/internal/prsq"
 	"github.com/crsky/crsky/internal/skyline"
-	"github.com/crsky/crsky/internal/stats"
 	"github.com/crsky/crsky/internal/uncertain"
 )
 
@@ -110,7 +110,6 @@ func NewGaussianPDFObject(id int, region Rect, mean, sigma Point) *PDFObject {
 // discrete-sample uncertain dataset. Objects must be numbered 0..n-1.
 type Engine struct {
 	ds *dataset.Uncertain
-	io stats.Counter
 }
 
 // NewEngine validates the objects and builds the engine. The R-tree index
@@ -120,9 +119,7 @@ func NewEngine(objects []*Object) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{ds: ds}
-	ds.Tree().SetCounter(&e.io)
-	return e, nil
+	return &Engine{ds: ds}, nil
 }
 
 // Len returns the number of objects.
@@ -133,12 +130,6 @@ func (e *Engine) Dims() int { return e.ds.Dims() }
 
 // Object returns the object with the given ID.
 func (e *Engine) Object(id int) *Object { return e.ds.Objects[id] }
-
-// NodeAccesses returns the simulated I/O performed since the last Reset.
-func (e *Engine) NodeAccesses() int64 { return e.io.Value() }
-
-// ResetCounters zeroes the I/O counter.
-func (e *Engine) ResetCounters() { e.io.Reset() }
 
 // Prob returns Pr(u) — the probability that object id is a reverse skyline
 // point of q (Eq. 2) — using the candidate filter to avoid touching
@@ -191,7 +182,6 @@ type Repair = causality.Repair
 // CertainEngine answers and explains (certain) reverse skyline queries.
 type CertainEngine struct {
 	ix *skyline.Index
-	io stats.Counter
 }
 
 // NewCertainEngine validates the points and builds the engine with a
@@ -201,9 +191,7 @@ func NewCertainEngine(points []Point) (*CertainEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &CertainEngine{ix: skyline.NewIndex(ds.Points)}
-	e.ix.SetCounter(&e.io)
-	return e, nil
+	return &CertainEngine{ix: skyline.NewIndex(ds.Points)}, nil
 }
 
 // Len returns the number of points.
@@ -214,12 +202,6 @@ func (e *CertainEngine) Dims() int { return e.ix.Dims() }
 
 // Point returns the point at the given index.
 func (e *CertainEngine) Point(i int) Point { return e.ix.Points()[i] }
-
-// NodeAccesses returns the simulated I/O performed since the last Reset.
-func (e *CertainEngine) NodeAccesses() int64 { return e.io.Value() }
-
-// ResetCounters zeroes the I/O counter.
-func (e *CertainEngine) ResetCounters() { e.io.Reset() }
 
 // IsReverseSkylinePoint reports whether point i belongs to the reverse
 // skyline of q (Definition 3).
@@ -245,7 +227,6 @@ func (e *CertainEngine) Deleted(i int) bool { return e.ix.Deleted(i) }
 // continuous-model uncertain data (Section 3.2).
 type PDFEngine struct {
 	set *causality.PDFSet
-	io  stats.Counter
 }
 
 // NewPDFEngine validates the objects and builds the engine.
@@ -254,9 +235,7 @@ func NewPDFEngine(objects []*PDFObject) (*PDFEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &PDFEngine{set: set}
-	set.Tree().SetCounter(&e.io)
-	return e, nil
+	return &PDFEngine{set: set}, nil
 }
 
 // Len returns the number of objects.
@@ -268,17 +247,19 @@ func (e *PDFEngine) Dims() int { return e.set.Dims() }
 // Object returns the pdf object with the given ID.
 func (e *PDFEngine) Object(id int) *PDFObject { return e.set.Objects[id] }
 
-// NodeAccesses returns the simulated I/O performed since the last Reset.
-func (e *PDFEngine) NodeAccesses() int64 { return e.io.Value() }
-
-// ResetCounters zeroes the I/O counter.
-func (e *PDFEngine) ResetCounters() { e.io.Reset() }
-
 // Prob returns Pr(u) for object id by quadrature over its region;
-// nodesPerDim <= 0 selects the dimension-adapted default. The full object
-// slice is passed straight through (the evaluation skips id by pointer),
-// so no per-call candidate slice is rebuilt.
-func (e *PDFEngine) Prob(id int, q Point, nodesPerDim int) float64 {
+// nodesPerDim <= 0 selects the dimension-adapted default, and a grid too
+// large to build is rejected with an error. The full object slice is
+// passed straight through (the evaluation skips id by pointer), so no
+// per-call candidate slice is rebuilt.
+func (e *PDFEngine) Prob(id int, q Point, nodesPerDim int) (float64, error) {
+	if err := uncertain.CheckQuadNodes(nodesPerDim, e.Dims()); err != nil {
+		return 0, err
+	}
+	return e.prob(id, q, nodesPerDim), nil
+}
+
+func (e *PDFEngine) prob(id int, q Point, nodesPerDim int) float64 {
 	an := e.set.Objects[id]
 	if an == nil { // tombstone: a deleted object is never an answer
 		return 0
@@ -289,16 +270,20 @@ func (e *PDFEngine) Prob(id int, q Point, nodesPerDim int) float64 {
 // ProbabilisticReverseSkylineNaive answers the pdf-model query by
 // thresholding Prob over every object — no index, no bounds, one full
 // quadrature per object. Kept as the correctness oracle the accelerated
-// QueryCtx is conformance-tested against.
-func (e *PDFEngine) ProbabilisticReverseSkylineNaive(q Point, alpha float64, nodesPerDim int) []int {
+// QueryCtx is conformance-tested against. nodesPerDim is validated as for
+// Prob.
+func (e *PDFEngine) ProbabilisticReverseSkylineNaive(q Point, alpha float64, nodesPerDim int) ([]int, error) {
+	if err := uncertain.CheckQuadNodes(nodesPerDim, e.Dims()); err != nil {
+		return nil, err
+	}
 	var out []int
 	for id, o := range e.set.Objects {
 		if o == nil {
 			continue
 		}
-		if prob.GEq(e.Prob(id, q, nodesPerDim), alpha) {
+		if prob.GEq(e.prob(id, q, nodesPerDim), alpha) {
 			out = append(out, id)
 		}
 	}
-	return out
+	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -90,20 +91,77 @@ func TestEngineExplain(t *testing.T) {
 	}
 }
 
+// TestEngineIOAccounting: every call reports its own node accesses, and
+// the same call reports the same count however often it runs.
 func TestEngineIOAccounting(t *testing.T) {
 	e := fixtureEngine(t)
 	q := Point{0, 0}
-	e.ResetCounters()
-	if _, err := e.ExplainCtx(context.Background(), 0, q, 0.5, Options{}); err != nil {
+	ctx := context.Background()
+	for rep := 0; rep < 2; rep++ {
+		res, err := e.ExplainCtx(ctx, 0, q, 0.5, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		repair, err := e.RepairCtx(ctx, 0, q, 0.5, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := e.QueryCtx(ctx, q, 0.5, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FilterNodeAccesses != 1 || repair.FilterNodeAccesses != 1 || st.NodeAccesses != 1 {
+			t.Fatalf("run %d: explain %d, repair %d, query %d node accesses; want 1 each (a one-leaf tree)",
+				rep, res.FilterNodeAccesses, repair.FilterNodeAccesses, st.NodeAccesses)
+		}
+	}
+}
+
+// TestConcurrentQueriesCountPerCall: two goroutines querying different
+// points on one engine each get exactly the node accesses of their query
+// run alone — no call sees another's traversal.
+func TestConcurrentQueriesCountPerCall(t *testing.T) {
+	objs, err := GenerateUncertain(UncertainConfig{N: 3000, Dims: 2, RMax: 5, Seed: 5})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e.NodeAccesses() == 0 {
-		t.Fatal("Explain should cost node accesses")
+	e, err := NewEngine(objs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	e.ResetCounters()
-	if e.NodeAccesses() != 0 {
-		t.Fatal("ResetCounters broken")
+	e.Warm()
+	ctx := context.Background()
+	qs := []Point{{3000, 4000}, {7000, 6500}}
+	alone := make([]int64, len(qs))
+	for i, q := range qs {
+		_, st, err := e.QueryCtx(ctx, q, 0.5, QueryOptions{Parallel: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[i] = st.NodeAccesses
 	}
+	if alone[0] == alone[1] {
+		t.Fatalf("both points cost %d node accesses; pick points that tell the calls apart", alone[0])
+	}
+	var wg sync.WaitGroup
+	for i, q := range qs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 5; rep++ {
+				_, st, err := e.QueryCtx(ctx, q, 0.5, QueryOptions{Parallel: 2})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if st.NodeAccesses != alone[i] {
+					t.Errorf("q=%v: concurrent query counted %d node accesses, alone %d", q, st.NodeAccesses, alone[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestNewEngineValidation(t *testing.T) {
@@ -165,12 +223,17 @@ func TestCertainEngine(t *testing.T) {
 	if _, err := e.ExplainCtx(context.Background(), 0, q, 1, Options{}); !errors.Is(err, ErrNotNonAnswer) {
 		t.Fatalf("expected ErrNotNonAnswer, got %v", err)
 	}
-	e.ResetCounters()
-	if _, err := e.ExplainCtx(context.Background(), 2, q, 1, Options{}); err != nil {
+	if res.FilterNodeAccesses == 0 || naive.FilterNodeAccesses != res.FilterNodeAccesses {
+		t.Fatalf("CR read %d nodes, NaiveII %d: both run the same window query",
+			res.FilterNodeAccesses, naive.FilterNodeAccesses)
+	}
+	rep, err := e.RepairCtx(context.Background(), 2, q, 1, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e.NodeAccesses() == 0 {
-		t.Fatal("Explain should cost node accesses")
+	if rep.FilterNodeAccesses != res.FilterNodeAccesses {
+		t.Fatalf("repair read %d nodes, explanation %d: both run the same window query",
+			rep.FilterNodeAccesses, res.FilterNodeAccesses)
 	}
 }
 
@@ -191,8 +254,8 @@ func TestPDFEngine(t *testing.T) {
 		t.Fatal("Object accessor broken")
 	}
 	q := Point{0, 0}
-	if pr := e.Prob(0, q, 0); pr != 0 {
-		t.Fatalf("Pr = %v, want 0 (object 1 always dominates)", pr)
+	if pr, err := e.Prob(0, q, 0); err != nil || pr != 0 {
+		t.Fatalf("Pr = %v (err %v), want 0 (object 1 always dominates)", pr, err)
 	}
 	res, err := e.ExplainCtx(context.Background(), 0, q, 0.5, Options{})
 	if err != nil {
@@ -201,11 +264,7 @@ func TestPDFEngine(t *testing.T) {
 	if len(res.Causes) != 1 || res.Causes[0].ID != 1 || !res.Causes[0].Counterfactual {
 		t.Fatalf("causes = %v", res.Causes)
 	}
-	e.ResetCounters()
-	if _, err := e.ExplainCtx(context.Background(), 0, q, 0.5, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if e.NodeAccesses() == 0 {
+	if res.FilterNodeAccesses == 0 {
 		t.Fatal("Explain should cost node accesses")
 	}
 }
@@ -258,6 +317,10 @@ func TestPDFEngineRejectsOversizedQuadNodes(t *testing.T) {
 		_, err = e.RepairCtx(ctx, 7, q, 0.5, opts)
 		check("RepairCtx", err)
 		check("VerifyCtx", e.VerifyCtx(ctx, q, 0.5, &Explanation{NonAnswer: 7, QuadNodes: k}))
+		_, err = e.Prob(0, q, k)
+		check("Prob", err)
+		_, err = e.ProbabilisticReverseSkylineNaive(q, 0.5, k)
+		check("ProbabilisticReverseSkylineNaive", err)
 	}
 
 	// The default grid (<= 0) still answers.

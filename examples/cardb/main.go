@@ -57,7 +57,7 @@ func main() {
 			abs(p[1]-cars[an][1]), abs(q[1]-cars[an][1]))
 	}
 	fmt.Printf("I/O: %d node accesses (one window query — Lemma 7 needs no verification)\n",
-		engine.NodeAccesses())
+		res.FilterNodeAccesses)
 }
 
 func nearest(pts []crsky.Point, target crsky.Point) int {

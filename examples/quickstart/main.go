@@ -54,5 +54,5 @@ func main() {
 				c.ID, int(1/c.Responsibility+0.5), c.Contingency)
 		}
 	}
-	fmt.Printf("I/O spent on the explanation: %d node accesses\n", engine.NodeAccesses())
+	fmt.Printf("I/O spent on the explanation: %d node accesses\n", res.FilterNodeAccesses)
 }

@@ -38,7 +38,11 @@ func main() {
 	const alpha = 0.6
 
 	for id := range sensors {
-		fmt.Printf("sensor %d: Pr(reverse skyline of station) = %.3f\n", id, engine.Prob(id, q, 0))
+		pr, err := engine.Prob(id, q, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("sensor %d: Pr(reverse skyline of station) = %.3f\n", id, pr)
 	}
 
 	res, err := engine.ExplainCtx(context.Background(), 0, q, alpha, crsky.Options{})

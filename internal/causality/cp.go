@@ -106,17 +106,14 @@ func (r *Result) addToTrace(tr *obs.Trace) {
 // branch-and-bound traversal of the dataset R-tree against the dominance
 // rectangles of every sample of an, followed by the exact dominance check
 // (rectangle boundaries where every coordinate ties do not dominate).
-// Returns candidate object IDs in ascending order. Node accesses are
-// charged to the counter attached to the dataset's tree.
+// Returns candidate object IDs in ascending order.
 func FilterCandidates(ds *dataset.Uncertain, q geom.Point, an *uncertain.Object) []int {
 	ids, _ := FilterCandidatesCounted(ds, q, an)
 	return ids
 }
 
-// FilterCandidatesCounted is FilterCandidates additionally reporting the
-// node accesses of the retrieval traversal, so explanation results can
-// attribute their filter I/O without relying on the dataset-wide counter
-// (which concurrent requests share).
+// FilterCandidatesCounted is FilterCandidates also returning the node
+// accesses of the retrieval traversal.
 func FilterCandidatesCounted(ds *dataset.Uncertain, q geom.Point, an *uncertain.Object) ([]int, int64) {
 	recs := make([]geom.Rect, len(an.Samples))
 	anchors := make([]geom.Point, len(an.Samples))
@@ -132,7 +129,7 @@ func FilterCandidatesCounted(ds *dataset.Uncertain, q geom.Point, an *uncertain.
 	// dominance rectangles, so the dedup routinely collapses the list.
 	recs = dropContainedWindows(recs)
 	var ids []int
-	accesses := ds.Tree().SearchAnyCounted(recs, func(id int, _ geom.Rect) bool {
+	accesses := ds.Tree().SearchAny(recs, func(id int, _ geom.Rect) bool {
 		if id == an.ID {
 			return true
 		}

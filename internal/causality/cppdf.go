@@ -167,7 +167,7 @@ func CPPDFCtx(ctx context.Context, s *PDFSet, q geom.Point, anID int, alpha floa
 	endFilter := tr.StartSpan("explain.filter")
 	recs := prob.CandidateRectsPDF(an, q)
 	var candIDs []int
-	filterIO := s.Tree().SearchAnyCounted(recs, func(id int, _ geom.Rect) bool {
+	filterIO := s.Tree().SearchAny(recs, func(id int, _ geom.Rect) bool {
 		if id != anID {
 			candIDs = append(candIDs, id)
 		}

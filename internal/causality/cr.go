@@ -17,11 +17,11 @@ import (
 // set is all the other candidates, so every responsibility is 1/|Cc|
 // (Eq. 4) and no verification is needed.
 func CR(ix *skyline.Index, q geom.Point, anIdx int) (*Result, error) {
-	candIDs, err := dominatorSet(ix, q, anIdx)
+	candIDs, filterIO, err := dominatorSet(ix, q, anIdx)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{NonAnswer: anIdx, Pr: 0, Candidates: len(candIDs)}
+	res := &Result{NonAnswer: anIdx, Pr: 0, Candidates: len(candIDs), FilterNodeAccesses: filterIO}
 	res.Causes = lemma7Causes(candIDs)
 	return res, nil
 }
@@ -36,12 +36,12 @@ func RepairCR(ctx context.Context, ix *skyline.Index, q geom.Point, anIdx int) (
 		return nil, err
 	}
 	endFilter := obs.FromContext(ctx).StartSpan("repair.filter")
-	candIDs, err := dominatorSet(ix, q, anIdx)
+	candIDs, filterIO, err := dominatorSet(ix, q, anIdx)
 	endFilter()
 	if err != nil {
 		return nil, err
 	}
-	return &Repair{Removed: candIDs, NewPr: 1, Exact: true}, nil
+	return &Repair{Removed: candIDs, NewPr: 1, Exact: true, FilterNodeAccesses: filterIO}, nil
 }
 
 // VerifyCR re-checks a CR explanation against Definition 1 in closed form.
@@ -81,21 +81,22 @@ func VerifyCR(ix *skyline.Index, q geom.Point, res *Result) error {
 }
 
 // dominatorSet validates a certain-data request and returns Cc: the sorted
-// IDs of every point dominating q w.r.t. an, from one window query. An
-// empty Cc means an is a reverse skyline point (ErrNotNonAnswer).
-func dominatorSet(ix *skyline.Index, q geom.Point, anIdx int) ([]int, error) {
+// IDs of every point dominating q w.r.t. an, from one window query, with
+// that query's node accesses. An empty Cc means an is a reverse skyline
+// point (ErrNotNonAnswer).
+func dominatorSet(ix *skyline.Index, q geom.Point, anIdx int) ([]int, int64, error) {
 	if anIdx < 0 || anIdx >= ix.Len() || ix.Deleted(anIdx) {
-		return nil, fmt.Errorf("%w: %d", ErrBadObject, anIdx)
+		return nil, 0, fmt.Errorf("%w: %d", ErrBadObject, anIdx)
 	}
 	if err := checkQuery(q, ix.Dims(), 1); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	candIDs := ix.Dominators(anIdx, q)
+	candIDs, filterIO := ix.Dominators(anIdx, q)
 	if len(candIDs) == 0 {
-		return nil, fmt.Errorf("%w: object %d is a reverse skyline point", ErrNotNonAnswer, anIdx)
+		return nil, 0, fmt.Errorf("%w: object %d is a reverse skyline point", ErrNotNonAnswer, anIdx)
 	}
 	sort.Ints(candIDs)
-	return candIDs, nil
+	return candIDs, filterIO, nil
 }
 
 // lemma7Causes materializes Lemma 7: every candidate is an actual cause
@@ -132,7 +133,7 @@ func NaiveII(ix *skyline.Index, q geom.Point, anIdx int, opts Options) (*Result,
 	if err := checkQuery(q, ix.Dims(), 1); err != nil {
 		return nil, err
 	}
-	candIDs := ix.Dominators(anIdx, q)
+	candIDs, filterIO := ix.Dominators(anIdx, q)
 	if len(candIDs) == 0 {
 		return nil, fmt.Errorf("%w: object %d is a reverse skyline point", ErrNotNonAnswer, anIdx)
 	}
@@ -140,7 +141,7 @@ func NaiveII(ix *skyline.Index, q geom.Point, anIdx int, opts Options) (*Result,
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooManyCandidates, len(candIDs), opts.MaxCandidates)
 	}
 	sort.Ints(candIDs)
-	res := &Result{NonAnswer: anIdx, Pr: 0, Candidates: len(candIDs)}
+	res := &Result{NonAnswer: anIdx, Pr: 0, Candidates: len(candIDs), FilterNodeAccesses: filterIO}
 
 	n := len(candIDs)
 	removed := make([]bool, n)

@@ -36,7 +36,7 @@ func NaiveICtx(ctx context.Context, ds *dataset.Uncertain, q geom.Point, anID in
 	}
 	poll := ctxutil.NewPoll(ctx, ctxutil.DefaultStride)
 	an := ds.Objects[anID]
-	candIDs := FilterCandidates(ds, q, an)
+	candIDs, filterIO := FilterCandidatesCounted(ds, q, an)
 	if opts.MaxCandidates > 0 && len(candIDs) > opts.MaxCandidates {
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooManyCandidates, len(candIDs), opts.MaxCandidates)
 	}
@@ -50,7 +50,7 @@ func NaiveICtx(ctx context.Context, ds *dataset.Uncertain, q geom.Point, anID in
 		return nil, fmt.Errorf("%w: Pr=%.6g, α=%.6g", ErrNotNonAnswer, pr, alpha)
 	}
 
-	res := &Result{NonAnswer: anID, Pr: pr, Candidates: len(candIDs)}
+	res := &Result{NonAnswer: anID, Pr: pr, Candidates: len(candIDs), FilterNodeAccesses: filterIO}
 	n := len(candIDs)
 	pool := make([]int, 0, n-1)
 	for cc := 0; cc < n; cc++ {

@@ -28,6 +28,9 @@ type Repair struct {
 	// Exact reports whether Removed is provably minimum; false means the
 	// greedy fallback produced it (still valid, possibly larger).
 	Exact bool
+	// FilterNodeAccesses is the simulated I/O of the candidate-retrieval
+	// R-tree traversal for this repair.
+	FilterNodeAccesses int64
 }
 
 // MinimalRepair finds a smallest removal set R ⊆ P with
@@ -64,13 +67,18 @@ func MinimalRepairCtx(ctx context.Context, ds *dataset.Uncertain, q geom.Point, 
 	an := ds.Objects[anID]
 	tr := obs.FromContext(ctx)
 	endFilter := tr.StartSpan("repair.filter")
-	candIDs := FilterCandidates(ds, q, an)
+	candIDs, filterIO := FilterCandidatesCounted(ds, q, an)
 	endFilter()
 	cands := make([]*uncertain.Object, len(candIDs))
 	for i, id := range candIDs {
 		cands[i] = ds.Objects[id]
 	}
-	return repairCore(ctx, prob.NewEvaluator(an, q, cands), candIDs, alpha, opts)
+	rep, err := repairCore(ctx, prob.NewEvaluator(an, q, cands), candIDs, alpha, opts)
+	if err != nil {
+		return nil, err
+	}
+	rep.FilterNodeAccesses = filterIO
+	return rep, nil
 }
 
 // repairCore is the model-agnostic half of the repair search, shared by the

@@ -41,7 +41,7 @@ func MinimalRepairPDFCtx(ctx context.Context, s *PDFSet, q geom.Point, anID int,
 	endFilter := tr.StartSpan("repair.filter")
 	recs := prob.CandidateRectsPDF(an, q)
 	var candIDs []int
-	s.Tree().SearchAnyCounted(recs, func(id int, _ geom.Rect) bool {
+	filterIO := s.Tree().SearchAny(recs, func(id int, _ geom.Rect) bool {
 		if id != anID {
 			candIDs = append(candIDs, id)
 		}
@@ -75,5 +75,10 @@ func MinimalRepairPDFCtx(ctx context.Context, s *PDFSet, q geom.Point, anID int,
 		e = prob.NewPDFEvaluator(an, q, cands, opts.QuadNodes)
 	}
 
-	return repairCore(ctx, e, candIDs, alpha, opts)
+	rep, err := repairCore(ctx, e, candIDs, alpha, opts)
+	if err != nil {
+		return nil, err
+	}
+	rep.FilterNodeAccesses = filterIO
+	return rep, nil
 }

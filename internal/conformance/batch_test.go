@@ -85,7 +85,7 @@ func TestConformanceQueryBatchPDF(t *testing.T) {
 		}
 		want := make([][]int, len(qs))
 		for i, q := range qs {
-			want[i] = eng.ProbabilisticReverseSkylineNaive(q, alpha, quad)
+			want[i] = pdfNaive(t, eng, q, alpha, quad)
 		}
 		for _, v := range Variants() {
 			opt := v.Opt
@@ -222,23 +222,22 @@ func TestConformanceQueryBatchCertainSharedIO(t *testing.T) {
 		}
 		qs[i] = q
 	}
-	base := eng.NodeAccesses()
 	single := make([][]int, len(qs))
+	var singleIO int64
 	for i, q := range qs {
-		ids, _, err := eng.QueryCtx(context.Background(), q, 1, crsky.QueryOptions{})
+		ids, st, err := eng.QueryCtx(context.Background(), q, 1, crsky.QueryOptions{})
 		if err != nil {
 			t.Fatalf("q#%d: %v", i, err)
 		}
 		single[i] = ids
+		singleIO += st.NodeAccesses
 	}
-	singleIO := eng.NodeAccesses() - base
 
-	base = eng.NodeAccesses()
-	got, _, err := eng.QueryBatchStream(context.Background(), qs, 1, crsky.QueryOptions{}, nil)
+	got, st, err := eng.QueryBatchStream(context.Background(), qs, 1, crsky.QueryOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchIO := eng.NodeAccesses() - base
+	batchIO := st.NodeAccesses
 
 	for i := range qs {
 		if !equalIDs(got[i], single[i]) {

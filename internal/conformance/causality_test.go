@@ -317,7 +317,7 @@ func TestCausalityDeleteCauseFlipsPDF(t *testing.T) {
 			return prob.PrReverseSkylinePDF(objs[an], q, kept, quad)
 		}
 
-		answers := eng.ProbabilisticReverseSkylineNaive(q, alpha, quad)
+		answers := pdfNaive(t, eng, q, alpha, quad)
 		checked := 0
 		for an := 0; an < eng.Len() && checked < 2; an++ {
 			if contains(answers, an) {

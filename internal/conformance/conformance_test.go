@@ -101,7 +101,7 @@ func TestConformancePDFModel(t *testing.T) {
 			ieng := incrementalPDFEngine(t, objs)
 			for _, q := range qs {
 				for _, alpha := range alphas {
-					want := eng.ProbabilisticReverseSkylineNaive(q, alpha, quad)
+					want := pdfNaive(t, eng, q, alpha, quad)
 					for _, v := range Variants() {
 						e := eng
 						if v.Incremental {
@@ -186,4 +186,15 @@ func TestConformanceCertainModel(t *testing.T) {
 			}
 		}
 	})
+}
+
+// pdfNaive is the pdf model's naive oracle, failing the test on a rejected
+// quadrature grid.
+func pdfNaive(t *testing.T, eng *crsky.PDFEngine, q geom.Point, alpha float64, quad int) []int {
+	t.Helper()
+	ids, err := eng.ProbabilisticReverseSkylineNaive(q, alpha, quad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids
 }

@@ -116,14 +116,6 @@ func (ds *Uncertain) WeightSums() []float64 {
 	return ds.wsums
 }
 
-// InvalidateTree discards the cached index and derived per-object caches
-// (after mutating Objects).
-func (ds *Uncertain) InvalidateTree() {
-	ds.tree = nil
-	ds.wsums = nil
-	ds.sums = nil
-}
-
 // Summary is the second-level filter geometry of one uncertain object: its
 // samples grouped by sub-quadrant of the MBR center (on the first
 // summarySplitDims dimensions), each group carrying the exact MBR of its

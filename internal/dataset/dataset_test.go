@@ -46,10 +46,6 @@ func TestUncertainTreeCaching(t *testing.T) {
 	if ds.Tree() != t1 {
 		t.Fatal("Tree should be cached")
 	}
-	ds.InvalidateTree()
-	if ds.Tree() == t1 {
-		t.Fatal("InvalidateTree should rebuild")
-	}
 	// The tree indexes object MBRs.
 	hits := 0
 	ds.Tree().Search(geom.NewRect(geom.Point{0, 0}, geom.Point{3, 3}),

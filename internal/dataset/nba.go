@@ -112,26 +112,6 @@ var lastNames = []string{
 	"Usher", "Vance", "Walker", "Xenos", "Young", "Zeller",
 }
 
-// MidTierPlayer returns the index of a mid-tier player suitable as the
-// case-study non-answer (career averages around the query profile but
-// dominated by elite players): the player whose career-average point total
-// is closest to the target.
-func (n *NBA) MidTierPlayer(targetPTS float64) int {
-	best, bestDiff := 0, -1.0
-	for i, o := range n.Objects {
-		var avg float64
-		for _, s := range o.Samples {
-			avg += s.Loc[0]
-		}
-		avg /= float64(len(o.Samples))
-		diff := absf(avg - targetPTS)
-		if bestDiff < 0 || diff < bestDiff {
-			best, bestDiff = i, diff
-		}
-	}
-	return best
-}
-
 // TotalRecords returns the summed season-record count across players.
 func (n *NBA) TotalRecords() int {
 	total := 0

@@ -19,8 +19,6 @@ import (
 func Table3(cfg Config) error {
 	cfg.fillDefaults()
 	nba := dataset.GenerateNBA(cfg.Seed)
-	counter := &stats.Counter{}
-	nba.Tree().SetCounter(counter)
 	q := geom.Point{3500, 1500, 600, 800}
 	const alpha = 0.5
 

@@ -165,7 +165,6 @@ type cpWorkload struct {
 	ds         *dataset.Uncertain
 	q          geom.Point
 	nonAnswers []int
-	counter    *stats.Counter
 }
 
 // selectCPNonAnswers picks up to want random non-answers whose candidate
@@ -213,19 +212,20 @@ func objectsByID(ds *dataset.Uncertain, ids []int) []*uncertain.Object {
 	return out
 }
 
-// measure wraps one algorithm invocation with I/O and CPU accounting.
-func measure(counter *stats.Counter, fn func() error) (stats.Measurement, error) {
-	counter.Reset()
+// measure times one explanation and takes its I/O from the result: the
+// node accesses of its candidate filter, the only R-tree traversal an
+// explanation makes.
+func measure(fn func() (*causality.Result, error)) (stats.Measurement, *causality.Result, error) {
 	start := time.Now()
-	err := fn()
-	return stats.Measurement{
-		NodeAccesses: counter.Value(),
-		CPU:          time.Since(start),
-	}, err
+	res, err := fn()
+	m := stats.Measurement{CPU: time.Since(start)}
+	if res != nil {
+		m.NodeAccesses = res.FilterNodeAccesses
+	}
+	return m, res, err
 }
 
-// buildCPWorkload generates a family dataset with an attached counter and
-// selects non-answers.
+// buildCPWorkload generates a family dataset and selects non-answers.
 func buildCPWorkload(cfg Config, family string, n, dims int, rmin, rmax float64,
 	selectAlpha float64, maxCand int) (*cpWorkload, error) {
 
@@ -234,24 +234,21 @@ func buildCPWorkload(cfg Config, family string, n, dims int, rmin, rmax float64,
 	if err != nil {
 		return nil, err
 	}
-	counter := &stats.Counter{}
-	ds.Tree().SetCounter(counter)
 	rng := rand.New(rand.NewSource(cfg.Seed + 1000))
 	q := domainQuery(rng, dims, 10000)
 	nonAnswers := selectCPNonAnswers(ds, q, selectAlpha, cfg.Runs, maxCand, cfg.MaxPool, rng)
 	if len(nonAnswers) == 0 {
 		return nil, fmt.Errorf("experiments: no tractable non-answers found (family %s)", family)
 	}
-	return &cpWorkload{ds: ds, q: q, nonAnswers: nonAnswers, counter: counter}, nil
+	return &cpWorkload{ds: ds, q: q, nonAnswers: nonAnswers}, nil
 }
 
 // runCP measures CP over the workload's non-answers at the given alpha.
 func (w *cpWorkload) runCP(alpha float64, opts causality.Options) (stats.Batch, error) {
 	var batch stats.Batch
 	for _, id := range w.nonAnswers {
-		m, err := measure(w.counter, func() error {
-			_, err := causality.CP(w.ds, w.q, id, alpha, opts)
-			return err
+		m, _, err := measure(func() (*causality.Result, error) {
+			return causality.CP(w.ds, w.q, id, alpha, opts)
 		})
 		if err != nil {
 			return batch, err
@@ -265,9 +262,8 @@ func (w *cpWorkload) runCP(alpha float64, opts causality.Options) (stats.Batch, 
 func (w *cpWorkload) runNaiveI(alpha float64, opts causality.Options) (stats.Batch, error) {
 	var batch stats.Batch
 	for _, id := range w.nonAnswers {
-		m, err := measure(w.counter, func() error {
-			_, err := causality.NaiveI(w.ds, w.q, id, alpha, opts)
-			return err
+		m, _, err := measure(func() (*causality.Result, error) {
+			return causality.NaiveI(w.ds, w.q, id, alpha, opts)
 		})
 		if err != nil {
 			return batch, err
@@ -282,7 +278,6 @@ type crWorkload struct {
 	ix         *skyline.Index
 	q          geom.Point
 	nonAnswers []int
-	counter    *stats.Counter
 }
 
 // buildCRWorkload generates a certain dataset and selects non-answers whose
@@ -301,8 +296,6 @@ func buildCRWorkload(cfg Config, kind dataset.CertainKind, n, dims, maxCand int)
 func buildCRWorkloadFromPoints(cfg Config, pts []geom.Point, maxCand int) (*crWorkload, error) {
 	cfg.fillDefaults()
 	ix := skyline.NewIndex(pts, rtree.WithPageSize(rtree.DefaultPageSize))
-	counter := &stats.Counter{}
-	ix.SetCounter(counter)
 	rng := rand.New(rand.NewSource(cfg.Seed + 2000))
 	q := queryNearData(rng, pts)
 	perm := rng.Perm(len(pts))
@@ -311,7 +304,7 @@ func buildCRWorkloadFromPoints(cfg Config, pts []geom.Point, maxCand int) (*crWo
 		if len(nonAnswers) >= cfg.Runs {
 			break
 		}
-		doms := ix.Dominators(i, q)
+		doms, _ := ix.Dominators(i, q)
 		if len(doms) == 0 || len(doms) > maxCand {
 			continue
 		}
@@ -321,7 +314,7 @@ func buildCRWorkloadFromPoints(cfg Config, pts []geom.Point, maxCand int) (*crWo
 		return nil, fmt.Errorf("experiments: no suitable certain non-answers found")
 	}
 	sort.Ints(nonAnswers)
-	return &crWorkload{ix: ix, q: q, nonAnswers: nonAnswers, counter: counter}, nil
+	return &crWorkload{ix: ix, q: q, nonAnswers: nonAnswers}, nil
 }
 
 // queryNearData picks a query point inside the data's bounding region so
@@ -339,9 +332,8 @@ func queryNearData(rng *rand.Rand, pts []geom.Point) geom.Point {
 func (w *crWorkload) runCR() (stats.Batch, error) {
 	var batch stats.Batch
 	for _, id := range w.nonAnswers {
-		m, err := measure(w.counter, func() error {
-			_, err := causality.CR(w.ix, w.q, id)
-			return err
+		m, _, err := measure(func() (*causality.Result, error) {
+			return causality.CR(w.ix, w.q, id)
 		})
 		if err != nil {
 			return batch, err
@@ -355,9 +347,8 @@ func (w *crWorkload) runCR() (stats.Batch, error) {
 func (w *crWorkload) runNaiveII(opts causality.Options) (stats.Batch, error) {
 	var batch stats.Batch
 	for _, id := range w.nonAnswers {
-		m, err := measure(w.counter, func() error {
-			_, err := causality.NaiveII(w.ix, w.q, id, opts)
-			return err
+		m, _, err := measure(func() (*causality.Result, error) {
+			return causality.NaiveII(w.ix, w.q, id, opts)
 		})
 		if err != nil {
 			return batch, err

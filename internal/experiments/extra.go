@@ -45,11 +45,8 @@ func Ablation(cfg Config) error {
 		var batch stats.Batch
 		var subsets int64
 		for _, id := range w.nonAnswers {
-			var res *causality.Result
-			m, err := measure(w.counter, func() error {
-				var err error
-				res, err = causality.CP(w.ds, w.q, id, defaultAlpha, v.opts)
-				return err
+			m, res, err := measure(func() (*causality.Result, error) {
+				return causality.CP(w.ds, w.q, id, defaultAlpha, v.opts)
 			})
 			if err != nil {
 				return err

@@ -75,8 +75,6 @@ func PRSQBench(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		var counter stats.Counter
-		ds.Tree().SetCounter(&counter)
 		// Warm the derived per-object caches so every variant measures
 		// steady-state query cost, not one-time builds.
 		ds.WeightSums()
@@ -86,16 +84,16 @@ func PRSQBench(cfg Config) error {
 		variants := []struct {
 			name    string
 			minReps int
-			run     func() []int
+			run     func() ([]int, int64)
 		}{
-			{"naive", 1, func() []int { return naivePRSQ(ds, q, alpha) }},
-			{"indexed-serial", 3, func() []int {
+			{"naive", 1, func() ([]int, int64) { return naivePRSQ(ds, q, alpha) }},
+			{"indexed-serial", 3, func() ([]int, int64) {
 				return indexedPRSQ(ds, q, alpha, prsq.Options{Parallel: 1})
 			}},
-			{"indexed-notier2", 3, func() []int {
+			{"indexed-notier2", 3, func() ([]int, int64) {
 				return indexedPRSQ(ds, q, alpha, prsq.Options{Parallel: 1, NoTier2: true})
 			}},
-			{"indexed-parallel", 3, func() []int {
+			{"indexed-parallel", 3, func() ([]int, int64) {
 				return indexedPRSQ(ds, q, alpha, prsq.Options{})
 			}},
 		}
@@ -108,16 +106,18 @@ func PRSQBench(cfg Config) error {
 		minTime := time.Duration(cfg.Scale * float64(time.Second))
 		var naiveMs float64
 		for _, v := range variants {
-			counter.Reset()
 			var answers int
+			var accesses int64
 			reps := 0
 			start := time.Now()
 			for reps < v.minReps || time.Since(start) < minTime {
-				answers = len(v.run())
+				ids, n := v.run()
+				answers = len(ids)
+				accesses += n
 				reps++
 			}
 			msPer := ms(time.Since(start)) / float64(reps)
-			nodes := counter.Value() / int64(reps)
+			nodes := accesses / int64(reps)
 			speedup := 1.0
 			if v.name == "naive" {
 				naiveMs = msPer
@@ -149,19 +149,23 @@ func PRSQBench(cfg Config) error {
 	return nil
 }
 
-// indexedPRSQ is the indexed query on one point (a batch of one).
-func indexedPRSQ(ds *dataset.Uncertain, q geom.Point, alpha float64, opt prsq.Options) []int {
-	out, _, _ := prsq.QueryBatchStreamStatsCtx(context.Background(), ds, []geom.Point{q}, alpha, opt, nil)
-	return out[0]
+// indexedPRSQ is the indexed query on one point (a batch of one), with its
+// node accesses.
+func indexedPRSQ(ds *dataset.Uncertain, q geom.Point, alpha float64, opt prsq.Options) ([]int, int64) {
+	out, st, _ := prsq.QueryBatchStreamStatsCtx(context.Background(), ds, []geom.Point{q}, alpha, opt, nil)
+	return out[0], st.NodeAccesses
 }
 
 // naivePRSQ is the pre-acceleration query loop: one candidate-filter
-// traversal plus one full Eq.-2 evaluation per object.
-func naivePRSQ(ds *dataset.Uncertain, q geom.Point, alpha float64) []int {
+// traversal plus one full Eq.-2 evaluation per object. It returns the
+// answers with the node accesses of all the filter traversals.
+func naivePRSQ(ds *dataset.Uncertain, q geom.Point, alpha float64) ([]int, int64) {
 	var out []int
+	var accesses int64
 	for id := 0; id < ds.Len(); id++ {
 		an := ds.Objects[id]
-		candIDs := causality.FilterCandidates(ds, q, an)
+		candIDs, n := causality.FilterCandidatesCounted(ds, q, an)
+		accesses += n
 		cands := make([]*uncertain.Object, len(candIDs))
 		for i, cid := range candIDs {
 			cands[i] = ds.Objects[cid]
@@ -170,5 +174,5 @@ func naivePRSQ(ds *dataset.Uncertain, q geom.Point, alpha float64) []int {
 			out = append(out, id)
 		}
 	}
-	return out
+	return out, accesses
 }

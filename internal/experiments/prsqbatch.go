@@ -35,8 +35,6 @@ func PRSQBatch(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	var counter stats.Counter
-	ds.Tree().SetCounter(&counter)
 	ds.WeightSums()
 	ds.Summaries()
 
@@ -46,23 +44,23 @@ func PRSQBatch(cfg Config) error {
 	}
 	opt := prsq.Options{}
 
-	counter.Reset()
 	start := time.Now()
 	single := make([][]int, queries)
+	var singleIO int64
 	for i, q := range qs {
-		single[i] = indexedPRSQ(ds, q, alpha, opt)
+		var n int64
+		single[i], n = indexedPRSQ(ds, q, alpha, opt)
+		singleIO += n
 	}
 	singleMs := ms(time.Since(start))
-	singleIO := counter.Value()
 
-	counter.Reset()
 	start = time.Now()
 	batch, bst, err := prsq.QueryBatchStreamStatsCtx(context.Background(), ds, qs, alpha, opt, nil)
 	if err != nil {
 		return err
 	}
 	batchMs := ms(time.Since(start))
-	batchIO := counter.Value()
+	batchIO := bst.NodeAccesses
 
 	for i := range qs {
 		if len(batch[i]) != len(single[i]) {
@@ -104,23 +102,20 @@ func PRSQBatch(cfg Config) error {
 		return err
 	}
 	ix := skyline.NewIndex(cds.Points)
-	var cctr stats.Counter
-	ix.SetCounter(&cctr)
 
-	cctr.Reset()
 	start = time.Now()
 	csingle := make([][]int, queries)
+	var csingleIO int64
 	for i, q := range qs {
-		csingle[i] = ix.ReverseSkylineBBRS(q)
+		out, n, _ := ix.ReverseSkylineBBRSBatch([]geom.Point{q}, nil)
+		csingle[i] = out[0]
+		csingleIO += n
 	}
 	csingleMs := ms(time.Since(start))
-	csingleIO := cctr.Value()
 
-	cctr.Reset()
 	start = time.Now()
-	cbatch, _ := ix.ReverseSkylineBBRSBatch(qs, nil)
+	cbatch, cbatchIO, _ := ix.ReverseSkylineBBRSBatch(qs, nil)
 	cbatchMs := ms(time.Since(start))
-	cbatchIO := cctr.Value()
 
 	for i := range qs {
 		if len(cbatch[i]) != len(csingle[i]) {

@@ -130,8 +130,8 @@ func (in *Injector) Counts() Counts {
 // Wrap decorates an engine so every compute operation may fail or panic
 // per the injector's schedule before reaching the real engine. The
 // decorated engine is what a chaos-test server registers; all pass-through
-// behavior (warming, counters, result values) is unchanged when no fault
-// fires.
+// behavior (warming, result values and their stats) is unchanged when no
+// fault fires.
 func Wrap(eng crsky.Explainer, in *Injector) crsky.Explainer {
 	return &faultyEngine{inner: eng, in: in}
 }
@@ -141,11 +141,9 @@ type faultyEngine struct {
 	in    *Injector
 }
 
-func (f *faultyEngine) Len() int            { return f.inner.Len() }
-func (f *faultyEngine) Dims() int           { return f.inner.Dims() }
-func (f *faultyEngine) Warm()               { f.inner.Warm() }
-func (f *faultyEngine) NodeAccesses() int64 { return f.inner.NodeAccesses() }
-func (f *faultyEngine) ResetCounters()      { f.inner.ResetCounters() }
+func (f *faultyEngine) Len() int  { return f.inner.Len() }
+func (f *faultyEngine) Dims() int { return f.inner.Dims() }
+func (f *faultyEngine) Warm()     { f.inner.Warm() }
 
 func (f *faultyEngine) QueryCtx(ctx context.Context, q crsky.Point, alpha float64, opts crsky.QueryOptions) ([]int, crsky.QueryStats, error) {
 	if err := f.in.Err("query"); err != nil {

@@ -83,28 +83,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Sqrt(sum)
 }
 
-// L1Dist returns the Manhattan (L1) distance between p and q.
-func (p Point) L1Dist(q Point) float64 {
-	checkDims(len(p), len(q))
-	var sum float64
-	for i := range p {
-		sum += math.Abs(p[i] - q[i])
-	}
-	return sum
-}
-
-// ChebyshevDist returns the L∞ distance between p and q.
-func (p Point) ChebyshevDist(q Point) float64 {
-	checkDims(len(p), len(q))
-	var m float64
-	for i := range p {
-		if d := math.Abs(p[i] - q[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // IsFinite reports whether every coordinate of p is a finite number.
 func (p Point) IsFinite() bool {
 	for _, v := range p {

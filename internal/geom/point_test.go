@@ -69,12 +69,6 @@ func TestPointDistances(t *testing.T) {
 	if got := a.Dist(b); got != 5 {
 		t.Errorf("Dist = %v, want 5", got)
 	}
-	if got := a.L1Dist(b); got != 7 {
-		t.Errorf("L1Dist = %v, want 7", got)
-	}
-	if got := a.ChebyshevDist(b); got != 4 {
-		t.Errorf("ChebyshevDist = %v, want 4", got)
-	}
 }
 
 func TestDistanceMetricProperties(t *testing.T) {
@@ -82,20 +76,14 @@ func TestDistanceMetricProperties(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		d := 1 + r.Intn(5)
 		a, b, c := randPoint(r, d), randPoint(r, d), randPoint(r, d)
-		for name, dist := range map[string]func(Point, Point) float64{
-			"L2":   Point.Dist,
-			"L1":   Point.L1Dist,
-			"Linf": Point.ChebyshevDist,
-		} {
-			if got := dist(a, a); got != 0 {
-				t.Fatalf("%s(a,a) = %v, want 0", name, got)
-			}
-			if math.Abs(dist(a, b)-dist(b, a)) > 1e-12 {
-				t.Fatalf("%s not symmetric", name)
-			}
-			if dist(a, c) > dist(a, b)+dist(b, c)+1e-9 {
-				t.Fatalf("%s violates triangle inequality", name)
-			}
+		if got := a.Dist(a); got != 0 {
+			t.Fatalf("Dist(a,a) = %v, want 0", got)
+		}
+		if math.Abs(a.Dist(b)-b.Dist(a)) > 1e-12 {
+			t.Fatal("Dist not symmetric")
+		}
+		if a.Dist(c) > a.Dist(b)+b.Dist(c)+1e-9 {
+			t.Fatal("Dist violates triangle inequality")
 		}
 	}
 }

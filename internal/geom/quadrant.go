@@ -10,20 +10,6 @@ type Quadrant uint32
 // encoding. Far beyond the paper's 2–5 dimensional workloads.
 const MaxQuadrantDims = 30
 
-// QuadrantOf returns the sub-quadrant of q that contains p. Points exactly
-// on a splitting hyperplane are assigned to the upper side, matching the
-// convention used by SplitByQuadrants.
-func QuadrantOf(p, q Point) Quadrant {
-	checkDims(len(p), len(q))
-	var idx Quadrant
-	for i := range q {
-		if p[i] >= q[i] {
-			idx |= 1 << uint(i)
-		}
-	}
-	return idx
-}
-
 // QuadrantPiece is a fragment of a rectangle clipped to one sub-quadrant
 // of the query object.
 type QuadrantPiece struct {

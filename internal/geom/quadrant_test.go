@@ -6,26 +6,6 @@ import (
 	"testing"
 )
 
-func TestQuadrantOf(t *testing.T) {
-	q := Point{5, 5}
-	tests := []struct {
-		p    Point
-		want Quadrant
-	}{
-		{Point{3, 3}, 0},
-		{Point{7, 3}, 1},
-		{Point{3, 7}, 2},
-		{Point{7, 7}, 3},
-		{Point{5, 5}, 3}, // on both hyperplanes -> upper side
-		{Point{5, 3}, 1},
-	}
-	for _, tt := range tests {
-		if got := QuadrantOf(tt.p, q); got != tt.want {
-			t.Errorf("QuadrantOf(%v) = %b, want %b", tt.p, got, tt.want)
-		}
-	}
-}
-
 func TestSplitByQuadrantsSingle(t *testing.T) {
 	q := Point{0, 0}
 	r := NewRect(Point{1, 1}, Point{3, 4})

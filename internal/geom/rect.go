@@ -120,21 +120,6 @@ func (r Rect) Intersects(s Rect) bool {
 	return true
 }
 
-// Intersection returns r ∩ s and whether it is non-empty.
-func (r Rect) Intersection(s Rect) (Rect, bool) {
-	checkDims(len(r.Min), len(s.Min))
-	min := make(Point, len(r.Min))
-	max := make(Point, len(r.Min))
-	for i := range r.Min {
-		min[i] = math.Max(r.Min[i], s.Min[i])
-		max[i] = math.Min(r.Max[i], s.Max[i])
-		if min[i] > max[i] {
-			return Rect{}, false
-		}
-	}
-	return Rect{Min: min, Max: max}, true
-}
-
 // Union returns the minimum bounding rectangle of r and s.
 func (r Rect) Union(s Rect) Rect {
 	checkDims(len(r.Min), len(s.Min))

@@ -86,20 +86,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNs.Add(int64(d))
 }
 
-// Merge folds o's observations into h. Both histograms share the global
-// bucket layout, so merging is element-wise.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	for i := range o.counts {
-		if v := o.counts[i].Load(); v != 0 {
-			h.counts[i].Add(v)
-		}
-	}
-	h.sumNs.Add(o.sumNs.Load())
-}
-
 // Snapshot captures the histogram's current state. Count is derived from
 // the bucket counts, so the Prometheus invariant (+Inf cumulative ==
 // count) holds exactly even under concurrent writes.

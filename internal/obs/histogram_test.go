@@ -86,25 +86,8 @@ func TestHistogramEmptyAndNil(t *testing.T) {
 	}
 	var nilH *Histogram
 	nilH.Observe(time.Second) // must not panic
-	nilH.Merge(&h)
 	if nilH.Snapshot().Count != 0 {
 		t.Fatal("nil histogram snapshot not empty")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 5; i++ {
-		a.Observe(time.Millisecond)
-		b.Observe(time.Second)
-	}
-	a.Merge(&b)
-	s := a.Snapshot()
-	if s.Count != 10 {
-		t.Fatalf("merged count = %d, want 10", s.Count)
-	}
-	if math.Abs(s.SumSeconds-(5*1e-3+5)) > 1e-9 {
-		t.Fatalf("merged sum = %g", s.SumSeconds)
 	}
 }
 

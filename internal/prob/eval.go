@@ -322,9 +322,6 @@ func (e *Evaluator) prScratch(skip int) float64 {
 	return snap(pr)
 }
 
-// DomProbOf returns the precomputed d[j][i] entry.
-func (e *Evaluator) DomProbOf(j, i int) float64 { return e.d[j*e.cols+i] }
-
 // AlwaysDominates reports whether candidate j dominates q w.r.t. every
 // sample of an with probability 1 — the Lemma 4 (Γ1) membership test: while
 // j is present, Pr(an) is exactly 0.

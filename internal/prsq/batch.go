@@ -64,10 +64,12 @@ type joined struct {
 }
 
 // join runs the join stage: the shared-descent self-join with one fresh
-// stream state per (worker, query) from newState, traced as prsq.join.
-// Under Options.StageBudget the join runs on its slice of the deadline
-// (see Options.joinSlice). A canceled join returns the typed cancellation
-// error together with a joined carrying only Stats.Objects.
+// stream state per (worker, query) from newState, traced as prsq.join with
+// its node accesses as the rtree.joinNodeAccesses counter. Under
+// Options.StageBudget the join runs on its slice of the deadline (see
+// Options.joinSlice). A canceled join returns the typed cancellation error
+// together with a joined carrying only Stats.Objects and
+// Stats.NodeAccesses.
 func join(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Point, opt Options,
 	newState func(k int) batchState) (*joined, error) {
 
@@ -85,8 +87,9 @@ func join(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Point, opt Opt
 	var workerStates [][]batchState
 	joinCtx, endSlice := opt.joinSlice(ctx)
 	defer endSlice()
-	endJoin := obs.FromContext(ctx).StartSpan("prsq.join")
-	err := tree.JoinSelfStreamBatch(joinCtx, windows, opt.workers(n), func() rtree.BatchStreamVisitor {
+	tr := obs.FromContext(ctx)
+	endJoin := tr.StartSpan("prsq.join")
+	accesses, err := tree.JoinSelfStreamBatch(joinCtx, windows, opt.workers(n), func() rtree.BatchStreamVisitor {
 		states := make([]batchState, nQ)
 		for k := range states {
 			states[k] = newState(k)
@@ -101,6 +104,8 @@ func join(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Point, opt Opt
 		}
 	})
 	endJoin()
+	j.stats.NodeAccesses = accesses
+	tr.Add("rtree.joinNodeAccesses", accesses)
 	if err != nil {
 		return j, wrapCanceled(err, 0)
 	}

@@ -12,7 +12,6 @@ import (
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/prob"
-	"github.com/crsky/crsky/internal/stats"
 	"github.com/crsky/crsky/internal/uncertain"
 )
 
@@ -28,8 +27,6 @@ func TestQueryBatchMatchesPerQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var io stats.Counter
-	ds.Tree().SetCounter(&io)
 	ds.WeightSums()
 	ds.Summaries()
 
@@ -46,18 +43,17 @@ func TestQueryBatchMatchesPerQuery(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			opt := Options{Parallel: par}
 
-			io.Reset()
+			var singleIO int64
 			for _, q := range qs {
-				queryStats(t, ds, q, alpha, opt)
+				_, st := queryStats(t, ds, q, alpha, opt)
+				singleIO += st.NodeAccesses
 			}
-			singleIO := io.Value()
 
-			io.Reset()
 			got, st, err := QueryBatchStreamStatsCtx(context.Background(), ds, qs, alpha, opt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batchIO := io.Value()
+			batchIO := st.NodeAccesses
 
 			for i := range qs {
 				if !equalIDs(got[i], want[i]) {
@@ -92,8 +88,6 @@ func TestQueryBatchPDFMatchesPerQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var io stats.Counter
-	set.Tree().SetCounter(&io)
 
 	dom := cfg.EffectiveDomain()
 	qs := make([]geom.Point, 8)
@@ -103,18 +97,17 @@ func TestQueryBatchPDFMatchesPerQuery(t *testing.T) {
 	const quad = 4
 	for _, alpha := range []float64{0.4, 0.9} {
 		opt := Options{Parallel: 2}
-		io.Reset()
+		var singleIO int64
 		for _, q := range qs {
-			queryPDFStats(t, set, q, alpha, quad, opt)
+			_, st := queryPDFStats(t, set, q, alpha, quad, opt)
+			singleIO += st.NodeAccesses
 		}
-		singleIO := io.Value()
 
-		io.Reset()
-		got, _, err := QueryBatchPDFStreamStatsCtx(context.Background(), set, qs, alpha, quad, opt, nil)
+		got, st, err := QueryBatchPDFStreamStatsCtx(context.Background(), set, qs, alpha, quad, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batchIO := io.Value()
+		batchIO := st.NodeAccesses
 
 		for i, q := range qs {
 			if want := pdfPRSQ(set, q, alpha, quad); !equalIDs(got[i], want) {

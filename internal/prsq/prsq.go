@@ -139,10 +139,14 @@ type Stats struct {
 	RejectedByTier2 int
 	// Evaluated counts full Eq.-2 evaluations (the undecided band).
 	Evaluated int
+	// NodeAccesses is the simulated I/O of the call's R-tree traversal
+	// (the shared join, or the certain model's BBRS traversal and its
+	// verification window queries), also for a canceled call.
+	NodeAccesses int64
 }
 
-// add folds the per-worker counters of o into s (Objects and Evaluated are
-// owned by the merger).
+// add folds the per-worker counters of o into s (Objects, Evaluated and
+// NodeAccesses are owned by the merger).
 func (s *Stats) add(o Stats) {
 	s.CandidatePairs += o.CandidatePairs
 	s.EmptyCandidates += o.EmptyCandidates

@@ -56,12 +56,3 @@ func BenchmarkSearchMultiWindow(b *testing.B) {
 		tr.SearchAny(windows, func(int, geom.Rect) bool { return true })
 	}
 }
-
-func BenchmarkKNN10(b *testing.B) {
-	tr, _ := benchTree(100_000, 3)
-	q := geom.Point{500, 500, 500}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.KNN(q, 10)
-	}
-}

@@ -13,13 +13,10 @@ var cowTags atomic.Uint64
 // root-to-leaf path they touch — before mutating it, so readers holding
 // either tree never observe the other side's writes: an insert into the
 // clone clones O(height) nodes and leaves t's structure bit-identical.
-//
-// The clone starts with no node-access counter; attach one with
-// SetCounter. Cloning is O(1).
+// Cloning is O(1).
 func (t *Tree) CloneCOW() *Tree {
 	c := *t
 	c.tag = cowTags.Add(1)
-	c.io = nil
 	// Retag t as well: nodes created before this call are now shared, so
 	// even the original must copy them before its next in-place mutation.
 	t.tag = cowTags.Add(1)

@@ -11,12 +11,22 @@ import (
 // FuzzJoinSelfStream throws byte-derived rectangle sets — degenerate rects,
 // zero-area MBRs, duplicates, coincident corners — at the batch self-join
 // with one and three windows, serially and on a three-worker pool, and
-// checks every stream against the brute-force all-pairs reference.
+// checks every stream against the brute-force all-pairs reference. The
+// pool must also count exactly the serial join's node accesses: the
+// per-worker sum is where a missed scratch would show.
 func FuzzJoinSelfStream(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(3), false)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint8(1), true) // coincident zero-area rects
 	f.Add([]byte{255, 0, 255, 0, 128, 128, 7, 9}, uint8(5), false)
 	f.Add([]byte{10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, uint8(2), true)
+	// 40 rects at fanout 4: a tree deep enough that the pool splits the
+	// left descent into tasks, so the seeds also run the parallel path.
+	many := make([]byte, 160)
+	for i := range many {
+		many[i] = byte(i * 37)
+	}
+	f.Add(many, uint8(0), true)
+	f.Add(many, uint8(0), false)
 
 	f.Fuzz(func(t *testing.T, raw []byte, fanRaw uint8, bulk bool) {
 		if len(raw) < 4 {
@@ -56,9 +66,16 @@ func FuzzJoinSelfStream(f *testing.F) {
 			for k := range windows {
 				windows[k] = joinWindow(pad + float64(k))
 			}
+			var serialIO int64
 			for _, workers := range []int{1, 3} {
-				c := runBatch(t, tr, windows, workers)
-				checkBrute(t, fmt.Sprintf("Q=%d workers=%d", numQ, workers), c, items, windows)
+				c, accesses := runBatch(t, tr, windows, workers)
+				label := fmt.Sprintf("Q=%d workers=%d", numQ, workers)
+				checkBrute(t, label, c, items, windows)
+				if workers == 1 {
+					serialIO = accesses
+				} else if accesses != serialIO {
+					t.Fatalf("%s: %d node accesses, serial join %d", label, accesses, serialIO)
+				}
 			}
 		}
 	})

@@ -10,18 +10,13 @@ type NodeHandle struct {
 }
 
 // RootHandle returns a handle to the root node; ok is false for an empty
-// tree. The caller is responsible for charging node accesses via
-// RecordAccess as it visits nodes.
+// tree. The caller counts its own node accesses as it visits nodes.
 func (t *Tree) RootHandle() (NodeHandle, bool) {
 	if t.size == 0 {
 		return NodeHandle{}, false
 	}
 	return NodeHandle{n: t.root}, true
 }
-
-// RecordAccess charges one simulated page access to the attached counter.
-// Custom traversals call it once per visited node.
-func (t *Tree) RecordAccess() { t.io.Inc() }
 
 // IsLeaf reports whether the node holds data entries.
 func (h NodeHandle) IsLeaf() bool { return h.n.leaf }

@@ -9,24 +9,7 @@ import (
 
 	"github.com/crsky/crsky/internal/ctxutil"
 	"github.com/crsky/crsky/internal/geom"
-	"github.com/crsky/crsky/internal/obs"
-	"github.com/crsky/crsky/internal/stats"
 )
-
-// joinTally returns a per-call node-access counter for a traced join plus
-// the flush that folds it into the request trace, or (nil, no-op) when ctx
-// carries no trace. The tree-wide io counter is shared by every concurrent
-// request on the dataset, so per-request attribution needs its own tally;
-// stats.Counter methods are nil-safe, making the untraced fast path a
-// single branch per access.
-func joinTally(ctx context.Context) (*stats.Counter, func()) {
-	tr := obs.FromContext(ctx)
-	if tr == nil {
-		return nil, func() {}
-	}
-	c := new(stats.Counter)
-	return c, func() { tr.Add("rtree.joinNodeAccesses", c.Value()) }
-}
 
 // WindowFunc writes the (conservative) search window of the rectangle r
 // into dst, whose Min and Max hold the tree's dimensionality. The join
@@ -86,13 +69,14 @@ type batchTask struct {
 // instead of after scanning partners in tree order. The order within a
 // stream is an optimisation, not a contract.
 //
-// Node accesses are charged once for each expanded left node plus once per
-// distinct surviving right node — the union of the per-query partner
-// lists, mirroring a join that pins the left page and streams each needed
-// right page once for all queries. A single query is charged exactly the
-// classic single-window join; for Q > 1 queries the total is strictly below
-// Q single-window joins, because the left-descent charges alone shrink
-// Q-fold.
+// The call returns the node accesses it made: one for each expanded left
+// node plus one per distinct surviving right node — the union of the
+// per-query partner lists, mirroring a join that pins the left page and
+// streams each needed right page once for all queries. A single query
+// costs exactly the classic single-window join; for Q > 1 queries the
+// total is strictly below Q single-window joins, because the left-descent
+// accesses alone shrink Q-fold. A canceled join returns the accesses made
+// before it stopped.
 //
 // With workers > 1 the dispatcher peels top-level subtrees off the left
 // descent (going one level deeper while the task list is smaller than the
@@ -100,9 +84,10 @@ type batchTask struct {
 // recursion with its own visitor. Left entries are partitioned across the
 // visitors and their groups run concurrently, so callers keep per-object
 // state inside each visitor (or index shared state by left ID, which the
-// partition makes race-free) and merge after the call returns. The
-// attached access counter must be safe for concurrent use (stats.Counter
-// is). workers <= 1 runs serially with a single visitor.
+// partition makes race-free) and merge after the call returns. Each worker
+// counts its node accesses in its own scratch, and the call sums them with
+// the dispatcher's once every worker has finished. workers <= 1 runs
+// serially with a single visitor.
 //
 // The dispatcher and each worker poll ctx with their own amortized
 // checker — one unit per visited node plus one per right node scanned for
@@ -111,9 +96,9 @@ type batchTask struct {
 // remaining tasks when its poll fires; the dispatcher stops handing out
 // tasks as well, and the first context error is returned after all workers
 // drain.
-func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, workers int, newVisitor func() BatchStreamVisitor) error {
+func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, workers int, newVisitor func() BatchStreamVisitor) (int64, error) {
 	if t.size == 0 || len(windows) == 0 {
-		return nil
+		return 0, nil
 	}
 	rootEntry := &entry{rect: t.root.mbr(), child: t.root}
 	rootRights := make([][]*entry, len(windows))
@@ -121,12 +106,12 @@ func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, wo
 		rootRights[k] = []*entry{rootEntry}
 	}
 	root := batchTask{left: rootEntry, rights: rootRights}
-	tally, flush := joinTally(ctx)
-	defer flush()
 
 	poll := ctxutil.NewPoll(ctx, ctxutil.DefaultStride)
 	if workers <= 1 || t.root.leaf {
-		return t.batchJoinLeft(root, windows, newVisitor(), poll, t.newBatchScratch(), tally)
+		sc := t.newBatchScratch()
+		err := t.batchJoinLeft(root, windows, newVisitor(), poll, sc)
+		return sc.accesses, err
 	}
 
 	// Grow the task frontier until there is enough slack for the pool to
@@ -137,20 +122,21 @@ func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, wo
 	for !tasks[0].left.child.leaf && len(tasks) < 4*workers {
 		next := make([]batchTask, 0, len(tasks)*t.maxEntries)
 		for _, tk := range tasks {
-			children, err := t.expandBatchTask(tk, windows, poll, frontierScratch, tally)
+			children, err := t.expandBatchTask(tk, windows, poll, frontierScratch)
 			if err != nil {
-				return err
+				return frontierScratch.accesses, err
 			}
 			next = append(next, children...)
 		}
 		if len(next) == 0 {
-			return nil
+			return frontierScratch.accesses, nil
 		}
 		tasks = next
 	}
 
 	ch := make(chan batchTask)
 	errs := make([]error, workers)
+	scratch := make([]*batchScratch, workers)
 	var wg sync.WaitGroup
 	var aborted atomic.Bool
 	for wi := 0; wi < workers; wi++ {
@@ -161,11 +147,12 @@ func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, wo
 			v := newVisitor()
 			poll := ctxutil.NewPoll(ctx, ctxutil.DefaultStride)
 			sc := t.newBatchScratch()
+			scratch[wi] = sc
 			for tk := range ch {
 				if errs[wi] != nil {
 					continue // drain without working after a cancellation
 				}
-				if err := t.batchJoinLeft(tk, windows, v, poll, sc, tally); err != nil {
+				if err := t.batchJoinLeft(tk, windows, v, poll, sc); err != nil {
 					errs[wi] = err
 					aborted.Store(true)
 				}
@@ -180,12 +167,16 @@ func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, wo
 	}
 	close(ch)
 	wg.Wait()
+	accesses := frontierScratch.accesses
+	for _, sc := range scratch {
+		accesses += sc.accesses
+	}
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return accesses, err
 		}
 	}
-	return nil
+	return accesses, nil
 }
 
 // batchScratch is per-worker reusable state, so the hot descent performs
@@ -194,10 +185,13 @@ func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, wo
 // current (entry, query) pair is tested against, and the sort keys of the
 // nearest-first partner order. Every worker owns its own: the WindowFuncs
 // that write the window are shared by all workers and concurrent joins.
+// accesses is the worker's node-access count, summed by the join after
+// every worker has finished.
 type batchScratch struct {
-	seen map[*node]struct{}
-	win  geom.Rect
-	near []partnerKey
+	seen     map[*node]struct{}
+	win      geom.Rect
+	near     []partnerKey
+	accesses int64
 }
 
 // partnerKey is one partner leaf with its sort key in nearestFirst.
@@ -237,18 +231,16 @@ func (sc *batchScratch) nearestFirst(rights []*entry, left geom.Rect) {
 	sc.near = keys
 }
 
-// accessBatchRights charges the left node once and every distinct right
+// accessBatchRights counts the left node once and every distinct right
 // node of the per-query partner lists once — the union across queries,
 // excluding the pinned left node itself. A single query's partner list
 // holds no repeats, so it skips the seen set.
-func (t *Tree) accessBatchRights(nl *node, rights [][]*entry, sc *batchScratch, tally *stats.Counter) {
-	t.access(nl)
-	tally.Inc()
+func (sc *batchScratch) accessBatchRights(nl *node, rights [][]*entry) {
+	sc.accesses++
 	if len(rights) == 1 {
 		for _, er := range rights[0] {
 			if er.child != nl {
-				t.access(er.child)
-				tally.Inc()
+				sc.accesses++
 			}
 		}
 		return
@@ -259,8 +251,7 @@ func (t *Tree) accessBatchRights(nl *node, rights [][]*entry, sc *batchScratch, 
 		for _, er := range rs {
 			if _, dup := sc.seen[er.child]; !dup {
 				sc.seen[er.child] = struct{}{}
-				t.access(er.child)
-				tally.Inc()
+				sc.accesses++
 			}
 		}
 	}
@@ -271,9 +262,9 @@ func (t *Tree) accessBatchRights(nl *node, rights [][]*entry, sc *batchScratch, 
 // partner-list pruning, shared by the serial recursion and the parallel
 // dispatcher: one access pass over the union of partner lists, then
 // per-query pruning of each child's partner list with that query's window.
-func (t *Tree) expandBatchTask(tk batchTask, windows []WindowFunc, poll *ctxutil.Poll, sc *batchScratch, tally *stats.Counter) ([]batchTask, error) {
+func (t *Tree) expandBatchTask(tk batchTask, windows []WindowFunc, poll *ctxutil.Poll, sc *batchScratch) ([]batchTask, error) {
 	nl := tk.left.child
-	t.accessBatchRights(nl, tk.rights, sc, tally)
+	sc.accessBatchRights(nl, tk.rights)
 	out := make([]batchTask, 0, len(nl.entries))
 	for i := range nl.entries {
 		el := &nl.entries[i]
@@ -301,24 +292,24 @@ func (t *Tree) expandBatchTask(tk batchTask, windows []WindowFunc, poll *ctxutil
 
 // batchJoinLeft is the serial recursion over one left subtree, reporting
 // each left entry's per-query streams in query order.
-func (t *Tree) batchJoinLeft(tk batchTask, windows []WindowFunc, v BatchStreamVisitor, poll *ctxutil.Poll, sc *batchScratch, tally *stats.Counter) error {
+func (t *Tree) batchJoinLeft(tk batchTask, windows []WindowFunc, v BatchStreamVisitor, poll *ctxutil.Poll, sc *batchScratch) error {
 	if err := poll.Check(); err != nil {
 		return err
 	}
 	nl := tk.left.child
 	if !nl.leaf {
-		children, err := t.expandBatchTask(tk, windows, poll, sc, tally)
+		children, err := t.expandBatchTask(tk, windows, poll, sc)
 		if err != nil {
 			return err
 		}
 		for _, child := range children {
-			if err := t.batchJoinLeft(child, windows, v, poll, sc, tally); err != nil {
+			if err := t.batchJoinLeft(child, windows, v, poll, sc); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	t.accessBatchRights(nl, tk.rights, sc, tally)
+	sc.accessBatchRights(nl, tk.rights)
 	for _, rs := range tk.rights {
 		sc.nearestFirst(rs, tk.left.rect)
 	}

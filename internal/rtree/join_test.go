@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/crsky/crsky/internal/geom"
-	"github.com/crsky/crsky/internal/stats"
 )
 
 // joinWindow is the test window: a symmetric outward inflation, monotone
@@ -104,14 +103,16 @@ func (c *batchCollect) visitor() BatchStreamVisitor {
 	}
 }
 
-// runBatch joins tr under windows and returns the collected streams.
-func runBatch(t *testing.T, tr *Tree, windows []WindowFunc, workers int) *batchCollect {
+// runBatch joins tr under windows and returns the collected streams with
+// the join's node accesses.
+func runBatch(t *testing.T, tr *Tree, windows []WindowFunc, workers int) (*batchCollect, int64) {
 	t.Helper()
 	c := newBatchCollect(t, len(windows))
-	if err := tr.JoinSelfStreamBatch(context.Background(), windows, workers, c.visitor); err != nil {
+	accesses, err := tr.JoinSelfStreamBatch(context.Background(), windows, workers, c.visitor)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c, accesses
 }
 
 // checkBrute asserts every query's streams against the brute-force join:
@@ -162,7 +163,7 @@ func TestJoinSelfStreamMatchesBrute(t *testing.T) {
 		for _, numQ := range []int{1, 3} {
 			windows := padWindows(numQ, 3)
 			for _, workers := range []int{1, 3} {
-				c := runBatch(t, tr, windows, workers)
+				c, _ := runBatch(t, tr, windows, workers)
 				checkBrute(t, fmt.Sprintf("n=%d Q=%d workers=%d", n, numQ, workers), c, items, windows)
 			}
 		}
@@ -180,17 +181,11 @@ func TestJoinSelfStreamParallelMatchesSerial(t *testing.T) {
 		items := randomItems(rng, n, 3)
 		tr := New(3, WithMaxEntries(6))
 		tr.BulkLoad(items)
-		var io stats.Counter
-		tr.SetCounter(&io)
 		for _, numQ := range []int{1, 3} {
 			windows := padWindows(numQ, 4)
-			io.Reset()
-			runBatch(t, tr, windows, 1)
-			serialIO := io.Value()
+			_, serialIO := runBatch(t, tr, windows, 1)
 			for _, workers := range []int{2, 3, 8} {
-				io.Reset()
-				c := runBatch(t, tr, windows, workers)
-				parallelIO := io.Value()
+				c, parallelIO := runBatch(t, tr, windows, workers)
 				label := fmt.Sprintf("n=%d Q=%d workers=%d", n, numQ, workers)
 				checkBrute(t, label, c, items, windows)
 				if parallelIO != serialIO {
@@ -215,7 +210,7 @@ func TestJoinSelfStreamParallelEarlyStop(t *testing.T) {
 	for k := range counts {
 		counts[k] = map[int]int{}
 	}
-	err := tr.JoinSelfStreamBatch(context.Background(), windows, 4, func() BatchStreamVisitor {
+	_, err := tr.JoinSelfStreamBatch(context.Background(), windows, 4, func() BatchStreamVisitor {
 		return BatchStreamVisitor{
 			Pair: func(k, leftID, _ int, _ geom.Rect) bool {
 				mu.Lock()
@@ -253,7 +248,7 @@ func TestJoinSelfStreamParallelInsertBuilt(t *testing.T) {
 	}
 	for _, numQ := range []int{1, 3} {
 		windows := padWindows(numQ, 2)
-		c := runBatch(t, tr, windows, 3)
+		c, _ := runBatch(t, tr, windows, 3)
 		checkBrute(t, fmt.Sprintf("Q=%d", numQ), c, items, windows)
 	}
 }
@@ -271,22 +266,18 @@ func TestJoinSelfStreamBatchMatchesSingle(t *testing.T) {
 				items := randomItems(rng, n, 2)
 				tr := New(2, WithMaxEntries(8))
 				tr.BulkLoad(items)
-				var io stats.Counter
-				tr.SetCounter(&io)
 				windows := padWindows(numQ, 1.5)
 				label := fmt.Sprintf("n=%d Q=%d workers=%d", n, numQ, workers)
 
 				singleIO := int64(0)
 				single := make([]map[int][]int, numQ)
 				for k := range windows {
-					io.Reset()
-					single[k] = runBatch(t, tr, windows[k:k+1], workers).streams[0]
-					singleIO += io.Value()
+					c, accesses := runBatch(t, tr, windows[k:k+1], workers)
+					single[k] = c.streams[0]
+					singleIO += accesses
 				}
 
-				io.Reset()
-				c := runBatch(t, tr, windows, workers)
-				batchIO := io.Value()
+				c, batchIO := runBatch(t, tr, windows, workers)
 				checkBrute(t, label, c, items, windows)
 				for k := range windows {
 					for id, got := range c.streams[k] {
@@ -317,7 +308,7 @@ func TestJoinSelfStreamBatchEarlyStop(t *testing.T) {
 
 	got := make([]map[int][]int, 2)
 	got[0], got[1] = map[int][]int{}, map[int][]int{}
-	err := tr.JoinSelfStreamBatch(context.Background(), windows, 1, func() BatchStreamVisitor {
+	_, err := tr.JoinSelfStreamBatch(context.Background(), windows, 1, func() BatchStreamVisitor {
 		return BatchStreamVisitor{
 			Pair: func(k, l, r int, _ geom.Rect) bool {
 				got[k][l] = append(got[k][l], r)
@@ -350,7 +341,7 @@ func TestJoinSelfStreamBatchCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pairs := 0
-	err := tr.JoinSelfStreamBatch(ctx, []WindowFunc{joinWindow(3)}, 1, func() BatchStreamVisitor {
+	_, err := tr.JoinSelfStreamBatch(ctx, []WindowFunc{joinWindow(3)}, 1, func() BatchStreamVisitor {
 		return BatchStreamVisitor{Pair: func(k, l, r int, _ geom.Rect) bool { pairs++; return true }}
 	})
 	if err != context.Canceled {
@@ -374,7 +365,7 @@ func TestJoinSelfStreamBatchCancelMidLeaf(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	left := map[int]bool{}
-	err := tr.JoinSelfStreamBatch(ctx, windows, 1, func() BatchStreamVisitor {
+	_, err := tr.JoinSelfStreamBatch(ctx, windows, 1, func() BatchStreamVisitor {
 		return BatchStreamVisitor{
 			Begin: func(k, id int, _ geom.Rect) bool {
 				cancel()

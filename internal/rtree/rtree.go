@@ -2,19 +2,19 @@
 // 1990) — the index used by the paper for every dataset. It supports dynamic
 // insertion with forced reinsertion, deletion with tree condensation, STR
 // bulk loading, single- and multi-window search ("RecList" traversal from
-// Algorithm 1), and best-first traversal by MINDIST.
+// Algorithm 1), and the batch self-join of the query layer.
 //
-// The tree counts node accesses through an optional stats.Counter so the
-// experiment harness can report the paper's I/O metric: every node visited
-// by a query costs one simulated page access. Fanout is derived from a
-// configurable page size (4096 bytes by default, matching Section 5.1).
+// Every traversal returns its own node-access count, the paper's I/O metric:
+// each node it visits costs one simulated page access. Nothing is counted
+// on the tree itself, so concurrent traversals never mix their counts.
+// Fanout is derived from a configurable page size (4096 bytes by default,
+// matching Section 5.1).
 package rtree
 
 import (
 	"fmt"
 
 	"github.com/crsky/crsky/internal/geom"
-	"github.com/crsky/crsky/internal/stats"
 )
 
 const (
@@ -52,8 +52,7 @@ func (n *node) mbr() geom.Rect {
 }
 
 // Tree is an R*-tree over D-dimensional rectangles. Not safe for concurrent
-// mutation; concurrent read-only queries are safe as long as each uses its
-// own counter.
+// mutation; concurrent read-only queries are safe.
 type Tree struct {
 	dims       int
 	maxEntries int
@@ -61,7 +60,6 @@ type Tree struct {
 	root       *node
 	size       int
 	height     int
-	io         *stats.Counter
 	// tag is this tree's copy-on-write ownership mark; nodes stamped with
 	// it are private and mutable in place, all others are copied first.
 	tag uint64
@@ -117,12 +115,6 @@ func New(dims int, opts ...Option) *Tree {
 	}
 }
 
-// SetCounter attaches a node-access counter; pass nil to disable counting.
-func (t *Tree) SetCounter(c *stats.Counter) { t.io = c }
-
-// Counter returns the attached node-access counter (possibly nil).
-func (t *Tree) Counter() *stats.Counter { return t.io }
-
 // Dims returns the tree's dimensionality.
 func (t *Tree) Dims() int { return t.dims }
 
@@ -144,10 +136,6 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 		return geom.Rect{}, false
 	}
 	return t.root.mbr(), true
-}
-
-func (t *Tree) access(*node) {
-	t.io.Inc()
 }
 
 func (t *Tree) checkRect(r geom.Rect) {

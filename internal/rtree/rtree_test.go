@@ -2,12 +2,33 @@ package rtree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"github.com/crsky/crsky/internal/geom"
-	"github.com/crsky/crsky/internal/stats"
 )
+
+// All visits every data entry in the tree (a test helper: production code
+// always searches by window).
+func (t *Tree) All(visit Visitor) {
+	if t.size == 0 {
+		return
+	}
+	var walk func(n *node) bool
+	walk = func(n *node) bool {
+		for i := range n.entries {
+			e := &n.entries[i]
+			if n.leaf {
+				if !visit(e.id, e.rect) {
+					return false
+				}
+			} else if !walk(e.child) {
+				return false
+			}
+		}
+		return true
+	}
+	walk(t.root)
+}
 
 // checkInvariants verifies structural R-tree invariants: uniform leaf depth,
 // parent MBRs covering children, fanout bounds, and size accounting.
@@ -285,75 +306,26 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestNearestFirstOrdering(t *testing.T) {
-	r := rand.New(rand.NewSource(24))
-	items := randData(r, 500, 2)
-	tr := New(2, WithMaxEntries(8))
-	tr.BulkLoad(items)
-	q := geom.Point{500, 500}
-
-	var dists []float64
-	var ids []int
-	tr.NearestFirst(q, func(id int, rect geom.Rect, d float64) bool {
-		dists = append(dists, d)
-		ids = append(ids, id)
-		return true
-	})
-	if len(dists) != len(items) {
-		t.Fatalf("visited %d, want %d", len(dists), len(items))
-	}
-	if !sort.Float64sAreSorted(dists) {
-		t.Fatal("NearestFirst distances not ascending")
-	}
-	// The first reported entry is the true nearest.
-	best := 0
-	for i, it := range items {
-		if it.Rect.MinDist(q) < items[best].Rect.MinDist(q) {
-			best = i
-		}
-	}
-	if ids[0] != items[best].ID {
-		t.Fatalf("first visit id %d, want %d", ids[0], items[best].ID)
-	}
-	// Early termination.
-	visits := 0
-	tr.NearestFirst(q, func(int, geom.Rect, float64) bool {
-		visits++
-		return visits < 5
-	})
-	if visits != 5 {
-		t.Fatalf("early stop visited %d", visits)
-	}
-}
-
 func TestNodeAccessCounting(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
 	items := randData(r, 3000, 2)
 	tr := New(2, WithMaxEntries(16))
 	tr.BulkLoad(items)
-	var c stats.Counter
-	tr.SetCounter(&c)
 
 	small := geom.NewRect(geom.Point{0, 0}, geom.Point{50, 50})
-	tr.Search(small, func(int, geom.Rect) bool { return true })
-	smallIO := c.Value()
+	smallIO := tr.Search(small, func(int, geom.Rect) bool { return true })
 	if smallIO < int64(tr.Height()) {
 		t.Fatalf("small window I/O %d below height %d", smallIO, tr.Height())
 	}
 
-	c.Reset()
 	big := geom.NewRect(geom.Point{0, 0}, geom.Point{1000, 1000})
-	tr.Search(big, func(int, geom.Rect) bool { return true })
-	bigIO := c.Value()
+	bigIO := tr.Search(big, func(int, geom.Rect) bool { return true })
 	if bigIO <= smallIO {
 		t.Fatalf("big window I/O %d should exceed small window %d", bigIO, smallIO)
 	}
-
-	// Counting is optional.
-	tr.SetCounter(nil)
-	tr.Search(big, func(int, geom.Rect) bool { return true })
-	if tr.Counter() != nil {
-		t.Fatal("Counter should be nil after SetCounter(nil)")
+	// The whole-domain window visits every node exactly once.
+	if nodes := int64(tr.Stats().Nodes); bigIO != nodes {
+		t.Fatalf("big window I/O %d, tree has %d nodes", bigIO, nodes)
 	}
 }
 
@@ -362,27 +334,28 @@ func TestSearchEarlyStop(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		tr.Insert(geom.PointRect(geom.Point{float64(i), float64(i)}), i)
 	}
+	window := geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100})
 	visits := 0
-	done := tr.Search(geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100}),
-		func(int, geom.Rect) bool {
-			visits++
-			return visits < 7
-		})
-	if done {
-		t.Error("aborted search should return false")
-	}
+	stopped := tr.Search(window, func(int, geom.Rect) bool {
+		visits++
+		return visits < 7
+	})
 	if visits != 7 {
 		t.Errorf("visits = %d, want 7", visits)
+	}
+	// An aborted search stops descending: it reads fewer nodes than the
+	// full one.
+	if full := tr.Search(window, func(int, geom.Rect) bool { return true }); stopped >= full {
+		t.Errorf("aborted search made %d node accesses, the full search %d", stopped, full)
 	}
 }
 
 func TestInvalidInputsPanic(t *testing.T) {
 	tr := New(2)
 	for name, fn := range map[string]func(){
-		"bad dims":    func() { tr.Insert(geom.PointRect(geom.Point{1, 2, 3}), 0) },
-		"invalid":     func() { tr.Insert(geom.Rect{Min: geom.Point{2, 2}, Max: geom.Point{1, 1}}, 0) },
-		"nearest dim": func() { tr.NearestFirst(geom.Point{1}, func(int, geom.Rect, float64) bool { return true }) },
-		"zero dims":   func() { New(0) },
+		"bad dims":  func() { tr.Insert(geom.PointRect(geom.Point{1, 2, 3}), 0) },
+		"invalid":   func() { tr.Insert(geom.Rect{Min: geom.Point{2, 2}, Max: geom.Point{1, 1}}, 0) },
+		"zero dims": func() { New(0) },
 	} {
 		func() {
 			defer func() {

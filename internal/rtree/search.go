@@ -1,52 +1,29 @@
 package rtree
 
-import (
-	"container/heap"
-
-	"github.com/crsky/crsky/internal/geom"
-)
+import "github.com/crsky/crsky/internal/geom"
 
 // Visitor receives a matching data entry. Returning false stops the search.
 type Visitor func(id int, r geom.Rect) bool
 
-// Search visits every data entry whose rectangle intersects window.
-// It returns false if the visitor aborted the traversal.
-func (t *Tree) Search(window geom.Rect, visit Visitor) bool {
-	t.checkRect(window)
-	if t.size == 0 {
-		return true
-	}
-	var accesses int64
-	return t.searchAny(t.root, []geom.Rect{window}, geom.Rect{}, visit, &accesses)
+// Search visits every data entry whose rectangle intersects window and
+// returns the node accesses of the traversal.
+func (t *Tree) Search(window geom.Rect, visit Visitor) int64 {
+	return t.SearchAny([]geom.Rect{window}, visit)
 }
 
 // SearchAny visits every data entry whose rectangle intersects at least one
-// of the windows, descending a subtree when its MBR crosses any window.
+// of the windows, descending a subtree when its MBR crosses any window, and
+// returns the node accesses of the traversal (one per visited node).
 // This is the multi-window "RecList" traversal of Algorithm 1 (lines 2–8):
 // a single branch-and-bound pass over the R-tree regardless of how many
-// dominance rectangles the non-answer's samples induce. Each visited node
-// costs one access on the attached counter. Entries intersecting several
-// windows are reported once.
-func (t *Tree) SearchAny(windows []geom.Rect, visit Visitor) bool {
-	_, completed := t.searchAnyRooted(windows, visit)
-	return completed
-}
-
-// SearchAnyCounted is SearchAny additionally reporting how many node
-// accesses the traversal performed — the per-query slice of the simulated
-// I/O the attached counter accumulates globally. Explanation results use it
-// to attribute candidate-retrieval cost to individual requests.
-func (t *Tree) SearchAnyCounted(windows []geom.Rect, visit Visitor) int64 {
-	accesses, _ := t.searchAnyRooted(windows, visit)
-	return accesses
-}
-
-func (t *Tree) searchAnyRooted(windows []geom.Rect, visit Visitor) (int64, bool) {
+// dominance rectangles the non-answer's samples induce. Entries
+// intersecting several windows are reported once.
+func (t *Tree) SearchAny(windows []geom.Rect, visit Visitor) int64 {
 	for _, w := range windows {
 		t.checkRect(w)
 	}
 	if t.size == 0 || len(windows) == 0 {
-		return 0, true
+		return 0
 	}
 	// Pre-test entries against the windows' bounding box: a rectangle
 	// disjoint from the union box intersects no window, so the common
@@ -61,12 +38,11 @@ func (t *Tree) searchAnyRooted(windows []geom.Rect, visit Visitor) (int64, bool)
 		}
 	}
 	var accesses int64
-	completed := t.searchAny(t.root, windows, union, visit, &accesses)
-	return accesses, completed
+	t.searchAny(t.root, windows, union, visit, &accesses)
+	return accesses
 }
 
 func (t *Tree) searchAny(n *node, windows []geom.Rect, union geom.Rect, visit Visitor, accesses *int64) bool {
-	t.access(n)
 	*accesses++
 	for i := range n.entries {
 		e := &n.entries[i]
@@ -94,79 +70,4 @@ func intersectsAny(r geom.Rect, windows []geom.Rect) bool {
 		}
 	}
 	return false
-}
-
-// All visits every data entry in the tree.
-func (t *Tree) All(visit Visitor) bool {
-	if t.size == 0 {
-		return true
-	}
-	return t.all(t.root, visit)
-}
-
-func (t *Tree) all(n *node, visit Visitor) bool {
-	t.access(n)
-	for i := range n.entries {
-		e := &n.entries[i]
-		if n.leaf {
-			if !visit(e.id, e.rect) {
-				return false
-			}
-		} else if !t.all(e.child, visit) {
-			return false
-		}
-	}
-	return true
-}
-
-// DistVisitor receives data entries in ascending MINDIST order from a query
-// point. Returning false stops the traversal.
-type DistVisitor func(id int, r geom.Rect, dist float64) bool
-
-type heapItem struct {
-	dist float64
-	e    *entry
-	node *node // non-nil for internal items
-}
-
-type distHeap []heapItem
-
-func (h distHeap) Len() int           { return len(h) }
-func (h distHeap) Less(i, j int) bool { return h[i].dist < h[j].dist }
-func (h distHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x any)        { *h = append(*h, x.(heapItem)) }
-func (h *distHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-
-// NearestFirst enumerates data entries in ascending distance (MINDIST) from
-// p — the classic best-first traversal used by branch-and-bound reverse
-// skyline algorithms. The traversal stops when visit returns false.
-func (t *Tree) NearestFirst(p geom.Point, visit DistVisitor) {
-	if len(p) != t.dims {
-		panic("rtree: query point dimensionality mismatch")
-	}
-	if t.size == 0 {
-		return
-	}
-	h := &distHeap{{dist: 0, node: t.root}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(heapItem)
-		if it.node != nil {
-			n := it.node
-			t.access(n)
-			for i := range n.entries {
-				e := &n.entries[i]
-				item := heapItem{dist: e.rect.MinDist(p)}
-				if n.leaf {
-					item.e = e
-				} else {
-					item.node = e.child
-				}
-				heap.Push(h, item)
-			}
-			continue
-		}
-		if !visit(it.e.id, it.e.rect, it.dist) {
-			return
-		}
-	}
 }

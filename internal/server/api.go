@@ -65,9 +65,12 @@ type DatasetInfo struct {
 	Size       int    `json:"size"`
 	Dims       int    `json:"dims"`
 	Generation uint64 `json:"generation"`
-	// NodeAccesses is the dataset's simulated I/O since registration,
-	// summed over every generation — the paper's primary cost metric,
-	// surfaced per dataset.
+	// NodeAccesses is the dataset's simulated I/O since registration —
+	// the paper's primary cost metric, surfaced per dataset: the sum of
+	// the per-call counts that the server's queries, explanations and
+	// repairs on it returned, watch re-evaluations included, over every
+	// generation. A call still running when a mutation commits adds to it
+	// when it finishes.
 	NodeAccesses int64 `json:"nodeAccesses"`
 }
 

@@ -193,7 +193,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, c *queryCall
 		// Put the hits only once the slot is held: until then a shed or a
 		// queued cancellation must still be able to become an error status.
 		putHits()
-		_, _, err := c.ent.eng.QueryBatchStream(ctx, mqs, c.alpha, queryOptions(c.quadNodes), func(j int, ids []int) {
+		_, st, err := c.ent.eng.QueryBatchStream(ctx, mqs, c.alpha, queryOptions(c.quadNodes), func(j int, ids []int) {
 			if ids == nil {
 				ids = []int{}
 			}
@@ -203,6 +203,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, c *queryCall
 			}
 			out.put(i, item{ids: ids})
 		})
+		c.ent.accesses.Add(st.NodeAccesses)
 		return err
 	})
 	// Degrade only when nothing is committed, the client is still there,
@@ -236,8 +237,11 @@ func (s *Server) serveApproxBatch(w http.ResponseWriter, ctx context.Context, c 
 	res := make([]*crsky.ApproxResult, len(c.qs))
 	_, err := s.approxPool.Do(ctx, func() (any, error) {
 		for i, q := range c.qs {
+			var st crsky.QueryStats
 			var err error
-			if res[i], _, err = c.ent.eng.QueryApprox(ctx, q, c.alpha, queryOptions(c.quadNodes), c.ap); err != nil {
+			res[i], st, err = c.ent.eng.QueryApprox(ctx, q, c.alpha, queryOptions(c.quadNodes), c.ap)
+			c.ent.accesses.Add(st.NodeAccesses)
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -325,6 +329,9 @@ func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request, c *explain
 			}
 		}
 		c.ent.eng.ExplainBatchStream(ictx, mreqs, c.opts, func(it crsky.ExplainItem) {
+			if it.Result != nil {
+				c.ent.accesses.Add(it.Result.FilterNodeAccesses)
+			}
 			if fatal != nil {
 				return
 			}

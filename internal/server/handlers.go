@@ -292,6 +292,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	if len(missing) > 0 {
 		err := s.admitted(ctx, priorityFrom(r, classExplain), func(ctx context.Context) (err error) {
 			rep, err = ent.eng.RepairCtx(ctx, req.An, q, alpha, opts)
+			ent.addRepair(rep)
 			return err
 		})
 		if err != nil {

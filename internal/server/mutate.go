@@ -219,7 +219,7 @@ func (r *registry) mutate(name, op string, ins *ObjectInsertRequest, delID int) 
 	}
 
 	nent := &entry{name: name, model: ent.model, gen: r.gen.Add(1), size: ne.Len(), dims: ent.dims, eng: ne,
-		carriedIO: ent.info().NodeAccesses}
+		accesses: ent.accesses}
 	r.mu.Lock()
 	r.m[name] = nent
 	r.mu.Unlock()

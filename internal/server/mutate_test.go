@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -341,8 +342,8 @@ func TestWatchRejections(t *testing.T) {
 
 // TestNodeAccessesNeverDecrease: crsky_dataset_node_accesses_total is a
 // counter since registration, and DatasetInfo.NodeAccesses reports the
-// same total. Neither may go backwards when a COW mutation installs an
-// engine with a fresh counter.
+// same total. Neither may go backwards when a COW mutation installs a new
+// engine.
 func TestNodeAccessesNeverDecrease(t *testing.T) {
 	s := New(Config{Workers: 2})
 	c := newTestClient(t, s)
@@ -377,6 +378,76 @@ func TestNodeAccessesNeverDecrease(t *testing.T) {
 		t.Fatalf("delete: status %d (%s)", resp.StatusCode, raw)
 	}
 	check("delete")
+}
+
+// TestNodeAccessesCountInFlightCalls: the dataset total is the sum of the
+// per-call counts. The trace counters of traced misses add up to the
+// /metrics delta, and a query still computing when an insert commits adds
+// its node accesses after the swap instead of losing them with the
+// replaced engine.
+func TestNodeAccessesCountInFlightCalls(t *testing.T) {
+	w := sampleWorkload(t)
+	s := New(Config{Workers: 2, CacheSize: -1})
+	c := newTestClient(t, s)
+	c.registerSample("acc", w.ds)
+
+	const series = `crsky_dataset_node_accesses_total{dataset="acc",model="sample"}`
+	total := func() int64 {
+		t.Helper()
+		var info DatasetInfo
+		c.mustGet("/v1/datasets/acc", &info)
+		fam := parseProm(t, doMetrics(t, s))["crsky_dataset_node_accesses_total"]
+		if fam == nil || fam.samples[series] != float64(info.NodeAccesses) {
+			t.Fatalf("/metrics %v disagrees with dataset info %d", fam, info.NodeAccesses)
+		}
+		return info.NodeAccesses
+	}
+	// traced runs one traced cache miss and returns its join's node
+	// accesses; it runs on other goroutines too, so it reports with Error.
+	traced := func(q []float64) int64 {
+		resp, raw := c.do(http.MethodPost, "/v1/query?trace=1", &QueryRequest{Dataset: "acc", Q: q, Alpha: 0.5})
+		var qr QueryResponse
+		if err := json.Unmarshal(raw, &qr); resp.StatusCode != http.StatusOK || err != nil || qr.Trace == nil {
+			t.Errorf("traced query: status %d, err %v, body %s", resp.StatusCode, err, raw)
+			return -1
+		}
+		if resp.Header.Get(headerCache) != "miss" {
+			t.Errorf("traced query: cache %q, want miss", resp.Header.Get(headerCache))
+		}
+		return qr.Trace.Counters["rtree.joinNodeAccesses"]
+	}
+
+	before := total()
+	var sum int64
+	for i := 0; i < 4; i++ {
+		n := traced([]float64{w.q[0] + float64(100*i), w.q[1] - float64(50*i)})
+		if n <= 0 {
+			t.Fatalf("traced miss %d: rtree.joinNodeAccesses = %d, want > 0", i, n)
+		}
+		sum += n
+	}
+	if got := total() - before; got != sum {
+		t.Fatalf("4 traced misses: /metrics rose by %d, their trace counters sum to %d", got, sum)
+	}
+
+	// Hold a miss in its pool slot while an insert replaces the engine.
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	s.computeHook = func(context.Context) { entered <- struct{}{}; <-release }
+	before = total()
+	held := make(chan int64, 1)
+	go func() { held <- traced([]float64{w.q[0] - 300, w.q[1] + 200}) }()
+	<-entered
+	c.post("/v2/datasets/acc/objects", &ObjectInsertRequest{Samples: []SampleSpec{{P: 1, Loc: []float64{1, 1}}}},
+		nil, http.StatusOK)
+	close(release)
+	n := <-held
+	if n <= 0 {
+		t.Fatalf("held miss: rtree.joinNodeAccesses = %d, want > 0", n)
+	}
+	if got := total() - before; got != n {
+		t.Fatalf("the miss in flight across the insert made %d node accesses, the dataset total rose by %d", n, got)
+	}
 }
 
 // TestWatchMetricsExposed: the S4 observability families are on /metrics.

@@ -8,8 +8,10 @@ import (
 	"sync/atomic"
 
 	crsky "github.com/crsky/crsky"
+	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/geom"
+	"github.com/crsky/crsky/internal/stats"
 	"github.com/crsky/crsky/internal/store"
 	"github.com/crsky/crsky/internal/uncertain"
 )
@@ -29,11 +31,11 @@ type entry struct {
 	size  int
 	dims  int
 	eng   crsky.Explainer
-	// carriedIO is the node accesses of this dataset's earlier generations
-	// since registration. Each COW mutation installs an engine with a
-	// fresh counter, so the successor carries its predecessor's total and
-	// the exported counter never goes backwards.
-	carriedIO int64
+	// accesses totals the node accesses of every engine call made for
+	// this registration. A COW mutation hands the same counter to its
+	// successor entry, so a request still running on the replaced engine
+	// adds to the total it is exported under.
+	accesses *stats.Counter
 }
 
 func (e *entry) info() DatasetInfo {
@@ -43,7 +45,15 @@ func (e *entry) info() DatasetInfo {
 		Size:         e.size,
 		Dims:         e.dims,
 		Generation:   e.gen,
-		NodeAccesses: e.carriedIO + e.eng.NodeAccesses(),
+		NodeAccesses: e.accesses.Value(),
+	}
+}
+
+// addRepair adds the node accesses of a repair to the dataset's total; a
+// failed repair (nil) made none worth counting.
+func (e *entry) addRepair(rep *causality.Repair) {
+	if rep != nil {
+		e.accesses.Add(rep.FilterNodeAccesses)
 	}
 }
 
@@ -227,7 +237,7 @@ func buildEntry(req *DatasetRequest) (*entry, error) {
 		return nil, fmt.Errorf("unknown model %q (want certain, sample, or pdf)", req.Model)
 	}
 	eng.Warm()
-	return &entry{model: model, size: eng.Len(), dims: eng.Dims(), eng: eng}, nil
+	return &entry{model: model, size: eng.Len(), dims: eng.Dims(), eng: eng, accesses: new(stats.Counter)}, nil
 }
 
 func certainPoints(req *DatasetRequest) ([]geom.Point, error) {

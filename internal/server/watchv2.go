@@ -78,7 +78,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	var answer bool
 	var repair []int
 	err = s.admitted(ctx, priorityFrom(r, classExplain), func(ctx context.Context) error {
-		ids, _, err := ent.eng.QueryCtx(ctx, q, alpha, queryOptions(req.QuadNodes))
+		ids, st, err := ent.eng.QueryCtx(ctx, q, alpha, queryOptions(req.QuadNodes))
+		ent.accesses.Add(st.NodeAccesses)
 		if err != nil {
 			return err
 		}
@@ -86,6 +87,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 		rep, err := ent.eng.RepairCtx(ctx, req.An, q, alpha, causality.Options{QuadNodes: req.QuadNodes})
+		ent.addRepair(rep)
 		if err != nil {
 			return err
 		}
@@ -159,8 +161,9 @@ func (s *Server) reevalWatch(name string, gen uint64, subs []*watch.Sub) {
 		}
 		ctx, cancel := context.WithTimeout(s.drainCtx, reevalTimeout)
 		v, err := s.pool.Do(ctx, func() (any, error) {
-			res, _, qerr := ent.eng.QueryBatchStream(ctx, qs, k.alpha,
+			res, st, qerr := ent.eng.QueryBatchStream(ctx, qs, k.alpha,
 				crsky.QueryOptions{QuadNodes: k.qn}, nil)
+			ent.accesses.Add(st.NodeAccesses)
 			return res, qerr
 		})
 		if err != nil {
@@ -185,7 +188,9 @@ func (s *Server) reevalWatch(name string, gen uint64, subs []*watch.Sub) {
 				continue
 			}
 			rv, rerr := s.pool.Do(ctx, func() (any, error) {
-				return ent.eng.RepairCtx(ctx, sub.An, sub.Q, k.alpha, causality.Options{QuadNodes: k.qn})
+				rep, err := ent.eng.RepairCtx(ctx, sub.An, sub.Q, k.alpha, causality.Options{QuadNodes: k.qn})
+				ent.addRepair(rep)
+				return rep, err
 			})
 			if rerr != nil {
 				continue

@@ -8,13 +8,6 @@ import (
 	"github.com/crsky/crsky/internal/rtree"
 )
 
-// ReverseSkylineBBRS computes the reverse skyline of q: the one-point call
-// of ReverseSkylineBBRSBatch.
-func (ix *Index) ReverseSkylineBBRS(q geom.Point) []int {
-	out, _ := ix.ReverseSkylineBBRSBatch([]geom.Point{q}, nil)
-	return out[0]
-}
-
 // ReverseSkylineBBRSBatch computes the reverse skyline of every query
 // point with a BBRS-style branch-and-bound algorithm (Dellis & Seeger,
 // VLDB 2007): ONE best-first traversal of the R-tree collects, per query, a
@@ -30,16 +23,17 @@ func (ix *Index) ReverseSkylineBBRS(q geom.Point) []int {
 // nesting of dominance rectangles along a quadrant, s then dominates q
 // w.r.t. every point of the subtree. The rule is sound in any traversal
 // order, so the queries share the frontier: each heap item carries the
-// queries for which its subtree is still unpruned, a popped node is
-// charged to the access counter once however many queries needed it, and
-// a subtree is descended only while at least one query keeps it alive.
+// queries for which its subtree is still unpruned, a popped node counts as
+// one access however many queries needed it, and a subtree is descended
+// only while at least one query keeps it alive.
 //
 // After the shared traversal each query's candidates are verified in
 // ascending query order; emit (optional) observes every result exactly
 // once, in that order, as soon as its verification finishes. Returning
 // false from emit abandons the remaining queries: the call returns the
-// prefix computed so far with done=false.
-func (ix *Index) ReverseSkylineBBRSBatch(qs []geom.Point, emit func(k int, ids []int) bool) (out [][]int, done bool) {
+// prefix computed so far with done=false. accesses counts the popped nodes
+// plus the node accesses of every verification window query run.
+func (ix *Index) ReverseSkylineBBRSBatch(qs []geom.Point, emit func(k int, ids []int) bool) (out [][]int, accesses int64, done bool) {
 	for _, q := range qs {
 		if q.Dims() != ix.dims {
 			panic("skyline: query dimensionality mismatch")
@@ -91,7 +85,7 @@ func (ix *Index) ReverseSkylineBBRSBatch(qs []geom.Point, emit func(k int, ids [
 				n := *it.node
 				// Union access accounting: the node is read once, however
 				// many queries' frontiers it sits on.
-				ix.tree.RecordAccess()
+				accesses++
 				for i := 0; i < n.NumEntries(); i++ {
 					r := n.EntryRect(i)
 					surviving = surviving[:0]
@@ -145,17 +139,19 @@ func (ix *Index) ReverseSkylineBBRSBatch(qs []geom.Point, emit func(k int, ids [
 	for k := range qs {
 		var ids []int
 		for _, c := range candidates[k] {
-			if ix.Member(c, qs[k]) {
+			member, n := ix.member(c, qs[k])
+			accesses += n
+			if member {
 				ids = append(ids, c)
 			}
 		}
 		sort.Ints(ids)
 		out[k] = ids
 		if emit != nil && !emit(k, ids) {
-			return out, false
+			return out, accesses, false
 		}
 	}
-	return out, true
+	return out, accesses, true
 }
 
 // transformedL1 is the minimal Σ_j |x_j − q_j| over x in r — the BBS

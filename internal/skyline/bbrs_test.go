@@ -7,8 +7,14 @@ import (
 
 	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/rtree"
-	"github.com/crsky/crsky/internal/stats"
 )
+
+// ReverseSkylineBBRS computes the reverse skyline of q: the one-point call
+// of ReverseSkylineBBRSBatch.
+func (ix *Index) ReverseSkylineBBRS(q geom.Point) []int {
+	out, _, _ := ix.ReverseSkylineBBRSBatch([]geom.Point{q}, nil)
+	return out[0]
+}
 
 func TestBBRSMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(111))
@@ -45,17 +51,16 @@ func TestBBRSCheaperThanScan(t *testing.T) {
 	r := rand.New(rand.NewSource(113))
 	pts := randPts(r, 5000, 2, 1000)
 	ix := NewIndex(pts, rtree.WithMaxEntries(16))
-	var c stats.Counter
-	ix.SetCounter(&c)
 	q := geom.Point{500, 500}
 
-	c.Reset()
-	ix.ReverseSkylineBBRS(q)
-	bbrsIO := c.Value()
+	_, bbrsIO, _ := ix.ReverseSkylineBBRSBatch([]geom.Point{q}, nil)
 
-	c.Reset()
-	ix.ReverseSkyline(q)
-	scanIO := c.Value()
+	// ReverseSkyline's scan: one membership window query per point.
+	var scanIO int64
+	for i := range pts {
+		_, n := ix.member(i, q)
+		scanIO += n
+	}
 
 	if bbrsIO*4 > scanIO {
 		t.Fatalf("BBRS I/O %d not clearly below scan I/O %d", bbrsIO, scanIO)
@@ -100,7 +105,7 @@ func TestBBRSBatchMatchesPerQuery(t *testing.T) {
 		pts := randPts(r, 600, d, 1000)
 		ix := NewIndex(pts, rtree.WithMaxEntries(12))
 		qs := randPts(r, 7, d, 1000)
-		got, done := ix.ReverseSkylineBBRSBatch(qs, nil)
+		got, _, done := ix.ReverseSkylineBBRSBatch(qs, nil)
 		if !done {
 			t.Fatalf("d=%d: batch reported early stop with nil emit", d)
 		}
@@ -121,18 +126,13 @@ func TestBBRSBatchUnionAccounting(t *testing.T) {
 	pts := randPts(r, 5000, 2, 1000)
 	ix := NewIndex(pts, rtree.WithMaxEntries(16))
 	qs := randPts(r, 8, 2, 1000)
-	var c stats.Counter
-	ix.SetCounter(&c)
 
-	c.Reset()
+	var singleIO int64
 	for _, q := range qs {
-		ix.ReverseSkylineBBRS(q)
+		_, n, _ := ix.ReverseSkylineBBRSBatch([]geom.Point{q}, nil)
+		singleIO += n
 	}
-	singleIO := c.Value()
-
-	c.Reset()
-	ix.ReverseSkylineBBRSBatch(qs, nil)
-	batchIO := c.Value()
+	_, batchIO, _ := ix.ReverseSkylineBBRSBatch(qs, nil)
 
 	if batchIO >= singleIO {
 		t.Fatalf("batch I/O %d not below %d batches of one's %d", batchIO, len(qs), singleIO)
@@ -148,7 +148,7 @@ func TestBBRSBatchEmitOrderAndEarlyStop(t *testing.T) {
 	qs := randPts(r, 5, 2, 1000)
 
 	var seen []int
-	full, done := ix.ReverseSkylineBBRSBatch(qs, func(k int, ids []int) bool {
+	full, _, done := ix.ReverseSkylineBBRSBatch(qs, func(k int, ids []int) bool {
 		seen = append(seen, k)
 		if want := BruteReverseSkyline(pts, qs[k]); !reflect.DeepEqual(ids, want) {
 			t.Fatalf("emit q#%d: %v, want %v", k, ids, want)
@@ -160,7 +160,7 @@ func TestBBRSBatchEmitOrderAndEarlyStop(t *testing.T) {
 	}
 
 	seen = seen[:0]
-	partial, done := ix.ReverseSkylineBBRSBatch(qs, func(k int, ids []int) bool {
+	partial, _, done := ix.ReverseSkylineBBRSBatch(qs, func(k int, ids []int) bool {
 		seen = append(seen, k)
 		return k < 2
 	})
@@ -185,7 +185,7 @@ func TestBBRSBatchEmptyInputs(t *testing.T) {
 	r := rand.New(rand.NewSource(214))
 	pts := randPts(r, 50, 2, 1000)
 	ix := NewIndex(pts, rtree.WithMaxEntries(8))
-	if out, done := ix.ReverseSkylineBBRSBatch(nil, nil); !done || len(out) != 0 {
+	if out, _, done := ix.ReverseSkylineBBRSBatch(nil, nil); !done || len(out) != 0 {
 		t.Fatalf("empty batch: out=%v done=%v", out, done)
 	}
 }

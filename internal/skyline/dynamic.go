@@ -39,8 +39,7 @@ func (ix *Index) Delete(i int) error {
 // CloneCOW returns a copy-on-write clone: the point slice is copied
 // shallowly (points themselves are immutable) and the R-tree shares nodes
 // until either side mutates, so readers of the original index never see
-// the clone's inserts or deletes. The clone starts with no node-access
-// counter; attach one with SetCounter.
+// the clone's inserts or deletes.
 func (ix *Index) CloneCOW() *Index {
 	pts := make([]geom.Point, len(ix.pts))
 	copy(pts, ix.pts)

@@ -82,7 +82,7 @@ func TestInsertDeleteConsistency(t *testing.T) {
 	if ix.Member(victim, q) {
 		t.Fatal("tombstone must not be a member")
 	}
-	if ix.Dominators(victim, q) != nil {
+	if doms, _ := ix.Dominators(victim, q); doms != nil {
 		t.Fatal("tombstone must have no dominators")
 	}
 	if err := ix.Delete(-1); err == nil {

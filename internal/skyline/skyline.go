@@ -7,7 +7,6 @@ package skyline
 import (
 	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/rtree"
-	"github.com/crsky/crsky/internal/stats"
 )
 
 // DynamicSkyline returns the indices of the points of pts that belong to the
@@ -100,9 +99,6 @@ func NewIndex(pts []geom.Point, opts ...rtree.Option) *Index {
 // Dims returns the index dimensionality.
 func (ix *Index) Dims() int { return ix.dims }
 
-// SetCounter attaches a node-access counter to the underlying tree.
-func (ix *Index) SetCounter(c *stats.Counter) { ix.tree.SetCounter(c) }
-
 // Tree exposes the underlying R-tree (for traversals that need it).
 func (ix *Index) Tree() *rtree.Tree { return ix.tree }
 
@@ -116,13 +112,19 @@ func (ix *Index) Len() int { return len(ix.pts) }
 // query on the dominance rectangle DomRect(pts[i], q) that stops at the
 // first dominator found. Deleted points are never members.
 func (ix *Index) Member(i int, q geom.Point) bool {
+	member, _ := ix.member(i, q)
+	return member
+}
+
+// member is Member also returning the node accesses of its window query.
+func (ix *Index) member(i int, q geom.Point) (bool, int64) {
 	p := ix.pts[i]
 	if p == nil {
-		return false
+		return false, 0
 	}
 	window := geom.DomRectOuter(p, q)
 	member := true
-	ix.tree.Search(window, func(id int, _ geom.Rect) bool {
+	accesses := ix.tree.Search(window, func(id int, _ geom.Rect) bool {
 		if id == i {
 			return true
 		}
@@ -132,7 +134,7 @@ func (ix *Index) Member(i int, q geom.Point) bool {
 		}
 		return true
 	})
-	return member
+	return member, accesses
 }
 
 // ReverseSkyline returns the indices of all reverse skyline points of q,
@@ -150,19 +152,19 @@ func (ix *Index) ReverseSkyline(q geom.Point) []int {
 // Dominators returns the indices of all points that dynamically dominate q
 // w.r.t. pts[i] — exactly the candidate causes of Section 4 when pts[i] is a
 // non-reverse-skyline object (single window query, Lemma 1 restated for
-// certain data).
-func (ix *Index) Dominators(i int, q geom.Point) []int {
+// certain data) — and the node accesses of that window query.
+func (ix *Index) Dominators(i int, q geom.Point) ([]int, int64) {
 	p := ix.pts[i]
 	if p == nil {
-		return nil
+		return nil, 0
 	}
 	window := geom.DomRectOuter(p, q)
 	var out []int
-	ix.tree.Search(window, func(id int, _ geom.Rect) bool {
+	accesses := ix.tree.Search(window, func(id int, _ geom.Rect) bool {
 		if id != i && geom.DynDominates(ix.pts[id], q, p) {
 			out = append(out, id)
 		}
 		return true
 	})
-	return out
+	return out, accesses
 }

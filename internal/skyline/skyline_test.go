@@ -8,7 +8,6 @@ import (
 
 	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/rtree"
-	"github.com/crsky/crsky/internal/stats"
 )
 
 func randPts(r *rand.Rand, n, d int, span float64) []geom.Point {
@@ -124,7 +123,7 @@ func TestDominatorsMatchBruteForce(t *testing.T) {
 				want = append(want, j)
 			}
 		}
-		got := ix.Dominators(i, q)
+		got, _ := ix.Dominators(i, q)
 		sort.Ints(got)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("Dominators(%d) = %v, want %v", i, got, want)
@@ -138,11 +137,11 @@ func TestDominatorsMatchBruteForce(t *testing.T) {
 func TestIndexCounterAndAccessors(t *testing.T) {
 	pts := randPts(rand.New(rand.NewSource(64)), 500, 2, 1000)
 	ix := NewIndex(pts, rtree.WithMaxEntries(8))
-	var c stats.Counter
-	ix.SetCounter(&c)
-	ix.Member(0, geom.Point{500, 500})
-	if c.Value() == 0 {
+	if _, n := ix.member(0, geom.Point{500, 500}); n == 0 {
 		t.Fatal("Member should cost node accesses")
+	}
+	if _, n := ix.Dominators(0, geom.Point{500, 500}); n == 0 {
+		t.Fatal("Dominators should cost node accesses")
 	}
 	if ix.Len() != 500 || len(ix.Points()) != 500 {
 		t.Fatal("accessors broken")

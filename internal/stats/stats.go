@@ -10,9 +10,10 @@ import (
 	"time"
 )
 
-// Counter counts simulated page/node accesses. The R-tree increments it once
-// per visited node, mirroring the "number of node accesses (i.e., I/O)"
-// metric of the paper's Section 5.1. It is safe for concurrent use.
+// Counter is a monotone event count, safe for concurrent use. The server
+// keeps its request, cache and per-dataset node-access totals in Counters;
+// the node accesses themselves ("number of node accesses (i.e., I/O)",
+// Section 5.1) are counted per call by each R-tree traversal.
 type Counter struct {
 	n atomic.Int64
 }
@@ -37,13 +38,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.n.Load()
-}
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() {
-	if c != nil {
-		c.n.Store(0)
-	}
 }
 
 // Timer measures wall-clock time of algorithm runs, excluding setup.
@@ -122,26 +116,6 @@ func (b *Batch) MeanCPU() time.Duration {
 		sum += m.CPU
 	}
 	return sum / time.Duration(len(b.runs))
-}
-
-// TotalCPU returns the summed CPU time across runs.
-func (b *Batch) TotalCPU() time.Duration {
-	var sum time.Duration
-	for _, m := range b.runs {
-		sum += m.CPU
-	}
-	return sum
-}
-
-// MaxIO returns the maximum node accesses observed in the batch.
-func (b *Batch) MaxIO() int64 {
-	var max int64
-	for _, m := range b.runs {
-		if m.NodeAccesses > max {
-			max = m.NodeAccesses
-		}
-	}
-	return max
 }
 
 // String summarizes the batch as "io=… cpu=… (n runs)".

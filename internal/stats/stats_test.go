@@ -17,17 +17,12 @@ func TestCounterBasics(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("Value = %d, want 5", got)
 	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("Reset did not zero")
-	}
 }
 
 func TestCounterNilSafe(t *testing.T) {
 	var c *Counter
 	c.Inc()
 	c.Add(10)
-	c.Reset()
 	if c.Value() != 0 {
 		t.Fatal("nil counter must read 0")
 	}
@@ -90,12 +85,6 @@ func TestBatchAggregation(t *testing.T) {
 	if got := b.MeanCPU(); got != 20*time.Millisecond {
 		t.Fatalf("MeanCPU = %v", got)
 	}
-	if got := b.TotalCPU(); got != 40*time.Millisecond {
-		t.Fatalf("TotalCPU = %v", got)
-	}
-	if got := b.MaxIO(); got != 30 {
-		t.Fatalf("MaxIO = %v, want 30", got)
-	}
 	if b.Len() != 2 {
 		t.Fatalf("Len = %d", b.Len())
 	}
@@ -112,9 +101,6 @@ func TestTableRender(t *testing.T) {
 	}
 	tab.AddRow(0.2, 1234.0, 5.5)
 	tab.AddRow("1", 17.0, 0.25)
-	if tab.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tab.NumRows())
-	}
 	var sb strings.Builder
 	tab.Render(&sb)
 	out := sb.String()

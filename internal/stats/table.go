@@ -31,9 +31,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows reports the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 func formatFloat(v float64) string {
 	switch {
 	case v == float64(int64(v)) && v < 1e15 && v > -1e15:

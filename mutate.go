@@ -80,9 +80,7 @@ func (e *Engine) WithInsert(spec InsertSpec) (Explainer, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	ne := &Engine{ds: nds}
-	nds.Tree().SetCounter(&ne.io)
-	return ne, id, nil
+	return &Engine{ds: nds}, id, nil
 }
 
 // WithDelete implements Mutable.
@@ -94,9 +92,7 @@ func (e *Engine) WithDelete(id int) (Explainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	ne := &Engine{ds: nds}
-	nds.Tree().SetCounter(&ne.io)
-	return ne, nil
+	return &Engine{ds: nds}, nil
 }
 
 // --- CertainEngine (certain data, Section 4) --------------------------
@@ -110,9 +106,7 @@ func (e *CertainEngine) WithInsert(spec InsertSpec) (Explainer, int, error) {
 		return nil, 0, err
 	}
 	ix := e.ix.CloneCOW()
-	ne := &CertainEngine{ix: ix}
-	ix.SetCounter(&ne.io)
-	return ne, ix.Insert(spec.Point), nil
+	return &CertainEngine{ix: ix}, ix.Insert(spec.Point), nil
 }
 
 // WithDelete implements Mutable.
@@ -121,12 +115,10 @@ func (e *CertainEngine) WithDelete(id int) (Explainer, error) {
 		return nil, fmt.Errorf("%w: %d", ErrBadObject, id)
 	}
 	ix := e.ix.CloneCOW()
-	ne := &CertainEngine{ix: ix}
-	ix.SetCounter(&ne.io)
 	if err := ix.Delete(id); err != nil {
 		return nil, err
 	}
-	return ne, nil
+	return &CertainEngine{ix: ix}, nil
 }
 
 // --- PDFEngine (continuous model) --------------------------------------
@@ -144,9 +136,7 @@ func (e *PDFEngine) WithInsert(spec InsertSpec) (Explainer, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	ne := &PDFEngine{set: ns}
-	ns.Tree().SetCounter(&ne.io)
-	return ne, no.ID, nil
+	return &PDFEngine{set: ns}, no.ID, nil
 }
 
 // WithDelete implements Mutable.
@@ -158,7 +148,5 @@ func (e *PDFEngine) WithDelete(id int) (Explainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	ne := &PDFEngine{set: ns}
-	ns.Tree().SetCounter(&ne.io)
-	return ne, nil
+	return &PDFEngine{set: ns}, nil
 }

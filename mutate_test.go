@@ -237,7 +237,11 @@ func TestPDFEngineWithMutations(t *testing.T) {
 	if got := query(t, e0, q, 0.5, QueryOptions{}); !reflect.DeepEqual(got, base) {
 		t.Fatalf("receiver answers changed: %v -> %v", base, got)
 	}
-	if got, naive := query(t, e1, q, 0.5, QueryOptions{}), e1.ProbabilisticReverseSkylineNaive(q, 0.5, 0); !reflect.DeepEqual(got, naive) {
+	naive, err := e1.ProbabilisticReverseSkylineNaive(q, 0.5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := query(t, e1, q, 0.5, QueryOptions{}); !reflect.DeepEqual(got, naive) {
 		t.Fatalf("accelerated %v vs naive %v on mutated engine", got, naive)
 	}
 
@@ -256,7 +260,11 @@ func TestPDFEngineWithMutations(t *testing.T) {
 	if payload.ID != 99 {
 		t.Fatal("caller's payload object was mutated")
 	}
-	if got, naive := query(t, e2, q, 0.5, QueryOptions{}), e2.ProbabilisticReverseSkylineNaive(q, 0.5, 0); !reflect.DeepEqual(got, naive) {
+	naive, err = e2.ProbabilisticReverseSkylineNaive(q, 0.5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := query(t, e2, q, 0.5, QueryOptions{}); !reflect.DeepEqual(got, naive) {
 		t.Fatalf("accelerated %v vs naive %v after insert", got, naive)
 	}
 	if _, err := e2.WithDelete(1); !errors.Is(err, ErrBadObject) {

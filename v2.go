@@ -94,14 +94,11 @@ type Querier interface {
 	// Warm forces the lazy index and derived-cache builds so concurrent
 	// readers never race on them.
 	Warm()
-	// NodeAccesses returns the simulated I/O since the last reset — the
-	// paper's primary cost metric.
-	NodeAccesses() int64
-	// ResetCounters zeroes the I/O counter.
-	ResetCounters()
 	// QueryCtx returns the IDs (ascending) of every object whose
 	// probability of being a reverse skyline point of q is at least
 	// alpha, with execution statistics — QueryBatchStream on one point.
+	// QueryStats.NodeAccesses is the call's simulated I/O, the paper's
+	// primary cost metric; each call counts its own.
 	QueryCtx(ctx context.Context, q Point, alpha float64, opts QueryOptions) ([]int, QueryStats, error)
 	// QueryBatchStream answers many query points at once — one answer
 	// slice per point, element-wise identical to per-point QueryCtx calls —
@@ -394,8 +391,8 @@ func (e *CertainEngine) QueryCtx(ctx context.Context, q Point, alpha float64, op
 // a frontier SHARED across every query point — the certain-data twin of
 // the probabilistic models' shared left-descent join — with each query's
 // verified answer streamed in request order. Each R-tree node is read (and
-// charged to the access counter) once however many queries' frontiers it
-// sits on, so for two or more queries the batch records strictly fewer
+// counted in QueryStats.NodeAccesses) once however many queries' frontiers
+// it sits on, so for two or more queries the batch records strictly fewer
 // node accesses than per-point QueryCtx calls, while the exact per-query
 // verification keeps the answers element-wise identical to them. The
 // shared traversal itself is one uninterruptible pass; ctx is observed on
@@ -417,7 +414,7 @@ func (e *CertainEngine) QueryBatchStream(ctx context.Context, qs []Point, alpha 
 	}
 	endBBRS := obs.FromContext(ctx).StartSpan("query.bbrs")
 	var ctxErr error
-	out, _ := e.ix.ReverseSkylineBBRSBatch(qs, func(k int, ids []int) bool {
+	out, accesses, _ := e.ix.ReverseSkylineBBRSBatch(qs, func(k int, ids []int) bool {
 		if err := ctx.Err(); err != nil {
 			ctxErr = err
 			return false
@@ -432,7 +429,7 @@ func (e *CertainEngine) QueryBatchStream(ctx context.Context, qs []Point, alpha 
 	})
 	endBBRS()
 	if ctxErr != nil {
-		return nil, QueryStats{}, ctxutil.WrapCanceled(ctxErr, 0, 0)
+		return nil, QueryStats{NodeAccesses: accesses}, ctxutil.WrapCanceled(ctxErr, 0, 0)
 	}
 	for k := range out {
 		if out[k] == nil {
@@ -442,7 +439,7 @@ func (e *CertainEngine) QueryBatchStream(ctx context.Context, qs []Point, alpha 
 	// Evaluated counts exact Eq.-2 evaluations; BBRS performs none, so the
 	// stat stays zero and cross-model aggregation stays meaningful. Objects
 	// aggregates the per-query decision counts.
-	return out, QueryStats{Objects: e.Len() * len(qs)}, nil
+	return out, QueryStats{Objects: e.Len() * len(qs), NodeAccesses: accesses}, nil
 }
 
 // QueryApprox implements Querier. Certain-data membership is exact and
