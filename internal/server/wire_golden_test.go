@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -34,14 +35,25 @@ type wireCase struct {
 	body any // a raw string is sent verbatim
 }
 
+// watchThen is a /v2/watch body whose stream outlives its registered line:
+// once that line has arrived the client sends an object DELETE to del, and
+// the record holds the stream up to its terminal event. A plain watch
+// record holds the registered line alone, then the client disconnects.
+type watchThen struct {
+	req *WatchRequest
+	del string
+}
+
 // TestWireGolden pins the wire format of the compute endpoints: status,
 // Content-Type, X-Crsky-Cache and the body bytes of /v1/query (exact, the
 // approximate tier, auto mode; miss, hit and bypass), /v1/explain with
 // verification, /v1/repair, their 400/404/422 and draining-503 error
 // envelopes, and the /v2/query and /v2/explain NDJSON bodies including a
-// per-item error line, over sample, pdf and certain datasets. The cases run
-// in order against one fresh server, so cache dispositions and dataset
-// generations are deterministic.
+// per-item error line, over sample, pdf and certain datasets. It also pins
+// /v2/watch on each model: the registered line with and without repair,
+// the 422, 404 and 400 rejections, and the flipped line after a delete.
+// The cases run in order against one fresh server, so cache dispositions
+// and dataset generations are deterministic.
 func TestWireGolden(t *testing.T) {
 	w := sampleWorkload(t)
 	s := New(Config{Workers: 2, CacheSize: 256})
@@ -60,6 +72,20 @@ func TestWireGolden(t *testing.T) {
 	}}, nil, http.StatusCreated)
 	c.post("/v1/datasets", &DatasetRequest{Name: "c", Model: ModelCertain,
 		Points: [][]float64{{4, 4}, {1, 1}, {2, 2}, {-5, 9}}}, nil, http.StatusCreated)
+	// The watch datasets share flipScenario's shape on each model: with q
+	// at the origin, object 0 blocks object 1 out of the answer and object
+	// 2 stands far away, so deleting object 0 flips object 1.
+	c.post("/v1/datasets", flipScenario, nil, http.StatusCreated)
+	c.post("/v1/datasets", &DatasetRequest{Name: "flipS", Model: ModelSample, Objects: []ObjectSpec{
+		{Samples: []SampleSpec{{P: 1, Loc: []float64{1, 1}}}},
+		{Samples: []SampleSpec{{P: 0.5, Loc: []float64{4, 4}}, {P: 0.5, Loc: []float64{5, 5}}}},
+		{Samples: []SampleSpec{{P: 1, Loc: []float64{20, 20}}}},
+	}}, nil, http.StatusCreated)
+	c.post("/v1/datasets", &DatasetRequest{Name: "flipP", Model: ModelPDF, PDFObjects: []PDFObjectSpec{
+		{Kind: "uniform", Min: []float64{1, 1}, Max: []float64{1.5, 1.5}},
+		{Kind: "uniform", Min: []float64{4, 4}, Max: []float64{5, 5}},
+		{Kind: "gaussian", Min: []float64{20, 20}, Max: []float64{21, 21}},
+	}}, nil, http.StatusCreated)
 
 	answers := w.query(t, w.q, 0.5)
 	if len(answers) == 0 {
@@ -160,6 +186,26 @@ func TestWireGolden(t *testing.T) {
 		{"v2 explain unknown dataset", "/v2/explain", &BatchExplainRequest{Dataset: "nope", Alpha: 0.5,
 			Items: []BatchExplainItemRequest{{Q: w.q, An: an}}}},
 	}
+	for _, m := range []struct {
+		model, name string
+		alpha       float64
+		quadNodes   int
+	}{{"certain", "flip", 0, 0}, {"sample", "flipS", 0.5, 0}, {"pdf", "flipP", 0.5, 4}} {
+		watchReq := func(an int) *WatchRequest {
+			return &WatchRequest{Dataset: m.name, Q: origin, An: an, Alpha: m.alpha, QuadNodes: m.quadNodes}
+		}
+		withRepair, badQuad := watchReq(1), watchReq(1)
+		withRepair.Repair, badQuad.QuadNodes = true, 5000
+		cases = append(cases,
+			wireCase{"v2 watch " + m.model + " registered", "/v2/watch", watchReq(1)},
+			wireCase{"v2 watch " + m.model + " registered repair", "/v2/watch", withRepair},
+			wireCase{"v2 watch " + m.model + " answer", "/v2/watch", watchReq(0)},
+			wireCase{"v2 watch " + m.model + " bad quadNodes", "/v2/watch", badQuad},
+			wireCase{"v2 watch " + m.model + " flipped", "/v2/watch",
+				watchThen{watchReq(1), "/v2/datasets/" + m.name + "/objects/0"}},
+			wireCase{"v2 watch " + m.model + " deleted an", "/v2/watch", watchReq(0)},
+		)
+	}
 	// Draining: every computation is refused with a 503, while answers the
 	// cache already holds are still served.
 	drained := []wireCase{
@@ -227,10 +273,14 @@ func TestWireGolden(t *testing.T) {
 func (c *testClient) wireRecord(wc wireCase) wireRecord {
 	c.tb.Helper()
 	var body io.Reader
-	if s, ok := wc.body.(string); ok {
+	req, then := wc.body, watchThen{}
+	if wt, ok := req.(watchThen); ok {
+		req, then = wt.req, wt
+	}
+	if s, ok := req.(string); ok {
 		body = strings.NewReader(s)
 	} else {
-		raw, err := json.Marshal(wc.body)
+		raw, err := json.Marshal(req)
 		if err != nil {
 			c.tb.Fatal(err)
 		}
@@ -241,7 +291,21 @@ func (c *testClient) wireRecord(wc wireCase) wireRecord {
 		c.tb.Fatal(err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	var raw []byte
+	if wc.path == "/v2/watch" && resp.StatusCode == http.StatusOK {
+		br := bufio.NewReader(resp.Body)
+		raw, err = br.ReadBytes('\n')
+		if err == nil && then.del != "" {
+			if dr, draw := c.do(http.MethodDelete, then.del, nil); dr.StatusCode != http.StatusOK {
+				c.tb.Fatalf("%s: DELETE %s: status %d (%s)", wc.name, then.del, dr.StatusCode, draw)
+			}
+			var rest []byte
+			rest, err = io.ReadAll(br)
+			raw = append(raw, rest...)
+		}
+	} else {
+		raw, err = io.ReadAll(resp.Body)
+	}
 	if err != nil {
 		c.tb.Fatal(err)
 	}
