@@ -64,10 +64,14 @@ crash-smoke:
 # at the committed generation stamped on each response (never a blend of
 # two generations), the live-flip path must match the naive causality
 # oracle, and the watch hub must end with zero subscriptions and zero
-# in-flight pool slots.
+# in-flight pool slots. One re-evaluation round takes one pool slot for
+# all its subscriptions (TestWatchReevalOneSlot), a round that reads a
+# tombstone before the delete's notice emits nothing
+# (TestWatchTombstonedInRound), and the ProbCtx membership probe the
+# rounds run agrees with the naive oracles on all three models.
 watch-smoke:
 	go test -race -count=1 -run 'TestWatchSmokeConcurrent|TestWatch|TestObjectMutation|TestMutateThenQuery|TestMutationDurability|TestCrashBetweenCommitAndApply' ./internal/server/
-	go test -race -count=1 -run 'TestCausalityLiveFlipThroughWatch' ./internal/conformance/
+	go test -race -count=1 -run 'TestCausalityLiveFlipThroughWatch|TestConformanceProbCtx' ./internal/conformance/
 
 # A short coverage-guided run of every fuzz target (go test -fuzz accepts a
 # single target per package invocation, hence one line each).

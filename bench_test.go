@@ -9,6 +9,7 @@ package crsky
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -395,6 +396,78 @@ func BenchmarkPDFExplain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := causality.CPPDF(set, q, anID, 0.6, causality.Options{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// --- one object's membership -------------------------------------------------
+
+// BenchmarkProbCtx times the one-object membership probe a /v2/watch round
+// runs (ProbCtx) against the whole-skyline query that answers the same
+// question (QueryCtx), for the same (q, an): certain data at write-watch's
+// shape (independent, 2-d, n=50 000) and the sample model at n=20 000. an
+// is the non-answer nearest q, like a watched object. "nodes/op" reports
+// the simulated I/O of each.
+func BenchmarkProbCtx(b *testing.B) {
+	ctx := context.Background()
+	pts, err := GenerateCertain(CertainConfig{N: 50_000, Dims: 2, Kind: Independent, Seed: benchCfg.Seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ce, err := NewCertainEngine(pts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ce.Warm()
+	se := prsqBenchWorkload(b, 20_000).eng
+	cells := []struct {
+		name  string
+		eng   Querier
+		loc   func(id int) Point
+		q     Point
+		alpha float64
+	}{
+		{"certain/n=50000", ce, ce.Point, Point{5000, 5000}, 1},
+		{"sample/n=20000", se, func(id int) Point { return se.Object(id).Samples[0].Loc }, Point{5000, 5000, 5000}, 0.5},
+	}
+	for _, c := range cells {
+		ids, _, err := c.eng.QueryCtx(ctx, c.q, c.alpha, QueryOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		an := -1
+		for id := 0; id < c.eng.Len(); id++ {
+			if _, in := slices.BinarySearch(ids, id); !in && (an < 0 || c.loc(id).Dist(c.q) < c.loc(an).Dist(c.q)) {
+				an = id
+			}
+		}
+		if pr, _, err := c.eng.ProbCtx(ctx, an, c.q, QueryOptions{}); err != nil || pr >= c.alpha-1e-9 {
+			b.Fatalf("%s: ProbCtx(%d) = %v (err %v), but QueryCtx leaves it out", c.name, an, pr, err)
+		}
+		runs := []struct {
+			name string
+			run  func() int64 // node accesses of one call
+		}{
+			{"ProbCtx", func() int64 {
+				_, st, _ := c.eng.ProbCtx(ctx, an, c.q, QueryOptions{})
+				return st.NodeAccesses
+			}},
+			{"QueryCtx", func() int64 {
+				_, st, _ := c.eng.QueryCtx(ctx, c.q, c.alpha, QueryOptions{})
+				return st.NodeAccesses
+			}},
+		}
+		for _, r := range runs {
+			b.Run(c.name+"/"+r.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var nodes int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					nodes += r.run()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			})
 		}
 	}
 }

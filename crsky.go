@@ -131,26 +131,16 @@ func (e *Engine) Dims() int { return e.ds.Dims() }
 // Object returns the object with the given ID.
 func (e *Engine) Object(id int) *Object { return e.ds.Objects[id] }
 
-// Prob returns Pr(u) — the probability that object id is a reverse skyline
-// point of q (Eq. 2) — using the candidate filter to avoid touching
-// irrelevant objects.
-func (e *Engine) Prob(id int, q Point) float64 {
+// prob returns Pr(an) (Eq. 2) for the live object id over the candidates
+// the Lemma-2 filter retrieves, ascending, with the filter's node accesses.
+func (e *Engine) prob(id int, q Point) (float64, int64) {
 	an := e.ds.Objects[id]
-	if an == nil { // tombstone: a deleted object is never an answer
-		return 0
-	}
-	candIDs := causality.FilterCandidates(e.ds, q, an)
+	candIDs, accesses := causality.FilterCandidatesCounted(e.ds, q, an)
 	cands := make([]*Object, len(candIDs))
 	for i, cid := range candIDs {
 		cands[i] = e.ds.Objects[cid]
 	}
-	return prob.PrReverseSkyline(an, q, cands)
-}
-
-// IsAnswer reports whether object id belongs to the probabilistic reverse
-// skyline of q at threshold alpha.
-func (e *Engine) IsAnswer(id int, q Point, alpha float64) bool {
-	return e.Prob(id, q) >= alpha-prob.Eps
+	return prob.PrReverseSkyline(an, q, cands), accesses
 }
 
 // ProbabilisticReverseSkylineNaive answers the query with the naive
@@ -163,7 +153,7 @@ func (e *Engine) ProbabilisticReverseSkylineNaive(q Point, alpha float64) []int 
 		if o == nil {
 			continue
 		}
-		if e.IsAnswer(id, q, alpha) {
+		if pr, _ := e.prob(id, q); prob.GEq(pr, alpha) {
 			out = append(out, id)
 		}
 	}
@@ -203,17 +193,6 @@ func (e *CertainEngine) Dims() int { return e.ix.Dims() }
 // Point returns the point at the given index.
 func (e *CertainEngine) Point(i int) Point { return e.ix.Points()[i] }
 
-// IsReverseSkylinePoint reports whether point i belongs to the reverse
-// skyline of q (Definition 3).
-func (e *CertainEngine) IsReverseSkylinePoint(i int, q Point) bool {
-	return e.ix.Member(i, q)
-}
-
-// ReverseSkyline returns the indices of all reverse skyline points of q.
-func (e *CertainEngine) ReverseSkyline(q Point) []int {
-	return e.ix.ReverseSkyline(q)
-}
-
 // ExplainNaive runs the Naive-II baseline (same filter, exhaustive
 // verification); used by the benchmark harness.
 func (e *CertainEngine) ExplainNaive(i int, q Point, opts Options) (*Explanation, error) {
@@ -247,31 +226,13 @@ func (e *PDFEngine) Dims() int { return e.set.Dims() }
 // Object returns the pdf object with the given ID.
 func (e *PDFEngine) Object(id int) *PDFObject { return e.set.Objects[id] }
 
-// Prob returns Pr(u) for object id by quadrature over its region;
-// nodesPerDim <= 0 selects the dimension-adapted default, and a grid too
-// large to build is rejected with an error. The full object slice is
-// passed straight through (the evaluation skips id by pointer), so no
-// per-call candidate slice is rebuilt.
-func (e *PDFEngine) Prob(id int, q Point, nodesPerDim int) (float64, error) {
-	if err := uncertain.CheckQuadNodes(nodesPerDim, e.Dims()); err != nil {
-		return 0, err
-	}
-	return e.prob(id, q, nodesPerDim), nil
-}
-
-func (e *PDFEngine) prob(id int, q Point, nodesPerDim int) float64 {
-	an := e.set.Objects[id]
-	if an == nil { // tombstone: a deleted object is never an answer
-		return 0
-	}
-	return prob.PrReverseSkylinePDF(an, q, e.set.Objects, nodesPerDim)
-}
-
 // ProbabilisticReverseSkylineNaive answers the pdf-model query by
-// thresholding Prob over every object — no index, no bounds, one full
-// quadrature per object. Kept as the correctness oracle the accelerated
-// QueryCtx is conformance-tested against. nodesPerDim is validated as for
-// Prob.
+// thresholding Pr(an) over every object — no index, no filter, no bounds:
+// one full quadrature per object against all the others. Kept as the
+// correctness oracle the accelerated QueryCtx and ProbCtx are
+// conformance-tested against. nodesPerDim <= 0 selects the
+// dimension-adapted default, and a grid too large to build is rejected
+// with an error.
 func (e *PDFEngine) ProbabilisticReverseSkylineNaive(q Point, alpha float64, nodesPerDim int) ([]int, error) {
 	if err := uncertain.CheckQuadNodes(nodesPerDim, e.Dims()); err != nil {
 		return nil, err
@@ -281,7 +242,7 @@ func (e *PDFEngine) ProbabilisticReverseSkylineNaive(q Point, alpha float64, nod
 		if o == nil {
 			continue
 		}
-		if prob.GEq(e.prob(id, q, nodesPerDim), alpha) {
+		if prob.GEq(prob.PrReverseSkylinePDF(o, q, e.set.Objects, nodesPerDim), alpha) {
 			out = append(out, id)
 		}
 	}

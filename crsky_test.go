@@ -21,6 +21,17 @@ func query(t testing.TB, e Querier, q Point, alpha float64, opts QueryOptions) [
 	return ids
 }
 
+// probe is the ProbCtx call the facade tests assert on; an engine error
+// fails the test.
+func probe(t testing.TB, e Querier, id int, q Point, opts QueryOptions) float64 {
+	t.Helper()
+	pr, _, err := e.ProbCtx(context.Background(), id, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
+}
+
 // fixtureEngine builds the paper-style toy scenario used across the facade
 // tests: a non-answer blocked by one full blocker and one partial one.
 func fixtureEngine(t *testing.T) *Engine {
@@ -47,13 +58,13 @@ func TestEngineBasics(t *testing.T) {
 		t.Fatal("Object accessor broken")
 	}
 	q := Point{0, 0}
-	if pr := e.Prob(0, q); pr != 0 {
+	if pr := probe(t, e, 0, q, QueryOptions{}); pr != 0 {
 		t.Fatalf("Pr(an) = %v, want 0 (full blocker present)", pr)
 	}
-	if pr := e.Prob(3, q); pr != 1 {
+	if pr := probe(t, e, 3, q, QueryOptions{}); pr != 1 {
 		t.Fatalf("Pr(bystander) = %v, want 1", pr)
 	}
-	if e.IsAnswer(0, q, 0.5) {
+	if probe(t, e, 0, q, QueryOptions{}) >= 0.5-1e-9 {
 		t.Fatal("blocked object must not be an answer")
 	}
 	answers := query(t, e, q, 0.5, QueryOptions{})
@@ -190,12 +201,17 @@ func TestCertainEngine(t *testing.T) {
 		t.Fatal("Point accessor broken")
 	}
 	q := Point{5, 5}
-	if !e.IsReverseSkylinePoint(0, q) {
+	if probe(t, e, 0, q, QueryOptions{}) != 1 {
 		t.Fatal("point 0 should be a reverse skyline point")
 	}
-	rsl := e.ReverseSkyline(q)
+	var rsl []int
+	for i := 0; i < e.Len(); i++ {
+		if probe(t, e, i, q, QueryOptions{}) == 1 {
+			rsl = append(rsl, i)
+		}
+	}
 	if len(rsl) == 0 || rsl[0] != 0 {
-		t.Fatalf("ReverseSkyline = %v", rsl)
+		t.Fatalf("reverse skyline by ProbCtx = %v", rsl)
 	}
 
 	res, err := e.ExplainCtx(context.Background(), 2, q, 1, Options{})
@@ -254,7 +270,7 @@ func TestPDFEngine(t *testing.T) {
 		t.Fatal("Object accessor broken")
 	}
 	q := Point{0, 0}
-	if pr, err := e.Prob(0, q, 0); err != nil || pr != 0 {
+	if pr, _, err := e.ProbCtx(context.Background(), 0, q, QueryOptions{}); err != nil || pr != 0 {
 		t.Fatalf("Pr = %v (err %v), want 0 (object 1 always dominates)", pr, err)
 	}
 	res, err := e.ExplainCtx(context.Background(), 0, q, 0.5, Options{})
@@ -317,8 +333,8 @@ func TestPDFEngineRejectsOversizedQuadNodes(t *testing.T) {
 		_, err = e.RepairCtx(ctx, 7, q, 0.5, opts)
 		check("RepairCtx", err)
 		check("VerifyCtx", e.VerifyCtx(ctx, q, 0.5, &Explanation{NonAnswer: 7, QuadNodes: k}))
-		_, err = e.Prob(0, q, k)
-		check("Prob", err)
+		_, _, err = e.ProbCtx(ctx, 0, q, qopts)
+		check("ProbCtx", err)
 		_, err = e.ProbabilisticReverseSkylineNaive(q, 0.5, k)
 		check("ProbabilisticReverseSkylineNaive", err)
 	}

@@ -34,11 +34,16 @@ func main() {
 	fmt.Printf("car #%d = (price %.0f, mileage %.0f); reference q = (%.0f, %.0f)\n",
 		an, cars[an][0], cars[an][1], q[0], q[1])
 
-	if engine.IsReverseSkylinePoint(an, q) {
+	ctx := context.Background()
+	pr, _, err := engine.ProbCtx(ctx, an, q, crsky.QueryOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if pr == 1 {
 		fmt.Println("this car IS in the reverse skyline of q — nothing to explain.")
 		return
 	}
-	res, err := engine.ExplainCtx(context.Background(), an, q, 1, crsky.Options{})
+	res, err := engine.ExplainCtx(ctx, an, q, 1, crsky.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

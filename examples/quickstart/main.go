@@ -32,15 +32,20 @@ func main() {
 
 	// Which objects count q among their dynamic skyline with probability
 	// at least alpha?
-	answers, _, err := engine.QueryCtx(context.Background(), q, alpha, crsky.QueryOptions{})
+	ctx := context.Background()
+	answers, _, err := engine.QueryCtx(ctx, q, alpha, crsky.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("probabilistic reverse skyline of %v at α=%.1f: %v\n", q, alpha, answers)
 
 	// Object 0 is missing. Why?
-	fmt.Printf("Pr(object 0 is a reverse skyline point) = %.2f\n", engine.Prob(0, q))
-	res, err := engine.ExplainCtx(context.Background(), 0, q, alpha, crsky.Options{})
+	pr, _, err := engine.ProbCtx(ctx, 0, q, crsky.QueryOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("Pr(object 0 is a reverse skyline point) = %.2f\n", pr)
+	res, err := engine.ExplainCtx(ctx, 0, q, alpha, crsky.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

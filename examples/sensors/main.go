@@ -37,15 +37,16 @@ func main() {
 	q := crsky.Point{0, 0} // the monitoring station
 	const alpha = 0.6
 
+	ctx := context.Background()
 	for id := range sensors {
-		pr, err := engine.Prob(id, q, 0)
+		pr, _, err := engine.ProbCtx(ctx, id, q, crsky.QueryOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("sensor %d: Pr(reverse skyline of station) = %.3f\n", id, pr)
 	}
 
-	res, err := engine.ExplainCtx(context.Background(), 0, q, alpha, crsky.Options{})
+	res, err := engine.ExplainCtx(ctx, 0, q, alpha, crsky.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -124,6 +124,25 @@ func (s *PDFSet) cowShell() *PDFSet {
 	return &PDFSet{Objects: objs, tree: tree, dims: s.Dims()}
 }
 
+// FilterCandidates is the pdf-model candidate filter (Section 3.2, first
+// difference): one R-tree traversal against CandidateRectsPDF's
+// sub-quadrant rectangles of the live object anID. It returns the IDs of
+// every other object whose region meets one of them, ascending, and the
+// node accesses of the traversal. An object it leaves out has zero
+// dominance mass w.r.t. every point of anID's region, so dropping it from
+// an Eq.-2 product drops an exact ×1 factor.
+func (s *PDFSet) FilterCandidates(q geom.Point, anID int) ([]int, int64) {
+	var ids []int
+	accesses := s.Tree().SearchAny(prob.CandidateRectsPDF(s.Objects[anID], q), func(id int, _ geom.Rect) bool {
+		if id != anID {
+			ids = append(ids, id)
+		}
+		return true
+	})
+	sort.Ints(ids)
+	return ids, accesses
+}
+
 // CPPDF is the continuous-pdf variant of CP (Section 3.2). The three
 // differences from the discrete algorithm are exactly the paper's:
 //
@@ -165,16 +184,8 @@ func CPPDFCtx(ctx context.Context, s *PDFSet, q geom.Point, anID int, alpha floa
 	// Difference 1: sub-quadrant farthest-corner rectangles.
 	tr := obs.FromContext(ctx)
 	endFilter := tr.StartSpan("explain.filter")
-	recs := prob.CandidateRectsPDF(an, q)
-	var candIDs []int
-	filterIO := s.Tree().SearchAny(recs, func(id int, _ geom.Rect) bool {
-		if id != anID {
-			candIDs = append(candIDs, id)
-		}
-		return true
-	})
+	candIDs, filterIO := s.FilterCandidates(q, anID)
 	endFilter()
-	sort.Ints(candIDs)
 	if opts.MaxCandidates > 0 && len(candIDs) > opts.MaxCandidates {
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooManyCandidates, len(candIDs), opts.MaxCandidates)
 	}

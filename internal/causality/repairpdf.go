@@ -3,7 +3,6 @@ package causality
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/obs"
@@ -39,16 +38,8 @@ func MinimalRepairPDFCtx(ctx context.Context, s *PDFSet, q geom.Point, anID int,
 
 	tr := obs.FromContext(ctx)
 	endFilter := tr.StartSpan("repair.filter")
-	recs := prob.CandidateRectsPDF(an, q)
-	var candIDs []int
-	filterIO := s.Tree().SearchAny(recs, func(id int, _ geom.Rect) bool {
-		if id != anID {
-			candIDs = append(candIDs, id)
-		}
-		return true
-	})
+	candIDs, filterIO := s.FilterCandidates(q, anID)
 	endFilter()
-	sort.Ints(candIDs)
 
 	cands := make([]*uncertain.PDFObject, len(candIDs))
 	for i, id := range candIDs {

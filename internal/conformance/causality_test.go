@@ -402,7 +402,7 @@ func TestCausalityDeleteCauseFlipsCertain(t *testing.T) {
 		}
 		an := -1
 		for i := range ds.Points {
-			if !eng.IsReverseSkylinePoint(i, q) {
+			if !certainMember(eng, i, q) {
 				an = i
 				break
 			}
@@ -426,7 +426,7 @@ func TestCausalityDeleteCauseFlipsCertain(t *testing.T) {
 				t.Errorf("seed=%d: %v", seed, err)
 				return
 			}
-			if live.IsReverseSkylinePoint(an, q) {
+			if certainMember(live, an, q) {
 				t.Errorf("seed=%d an=%d cause=%d Γ=%v: contingency alone flipped the non-answer",
 					seed, an, c.ID, c.Contingency)
 				return
@@ -435,7 +435,7 @@ func TestCausalityDeleteCauseFlipsCertain(t *testing.T) {
 				t.Errorf("seed=%d: %v", seed, err)
 				return
 			}
-			if !live.IsReverseSkylinePoint(an, q) {
+			if !certainMember(live, an, q) {
 				t.Errorf("seed=%d an=%d cause=%d Γ=%v: cause+contingency did not flip the non-answer",
 					seed, an, c.ID, c.Contingency)
 				return

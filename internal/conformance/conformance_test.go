@@ -161,13 +161,13 @@ func TestConformanceCertainModel(t *testing.T) {
 			for j := range q {
 				q[j] = 10000 * (0.1 + 0.8*rng.Float64())
 			}
-			want := ce.ReverseSkyline(q)
-			if got := query(t, ce, q, 1, crsky.QueryOptions{}); !equalIDs(got, sortedCopy(want)) {
-				t.Errorf("seed=%d kind=%v q=%v: BBRS %v, RecList %v", seed, cfg.Kind, q, got, want)
+			want := bruteReverseSkyline(ce, q)
+			if got := query(t, ce, q, 1, crsky.QueryOptions{}); !equalIDs(got, want) {
+				t.Errorf("seed=%d kind=%v q=%v: BBRS %v, brute force %v", seed, cfg.Kind, q, got, want)
 				return
 			}
-			if got := ice.ReverseSkyline(q); !equalIDs(sortedCopy(got), sortedCopy(want)) {
-				t.Errorf("seed=%d kind=%v q=%v: incremental %v, from-scratch %v", seed, cfg.Kind, q, got, want)
+			if got := query(t, ice, q, 1, crsky.QueryOptions{}); !equalIDs(got, want) {
+				t.Errorf("seed=%d kind=%v q=%v: incremental BBRS %v, brute force %v", seed, cfg.Kind, q, got, want)
 				return
 			}
 			for _, v := range Variants() {
@@ -178,8 +178,8 @@ func TestConformanceCertainModel(t *testing.T) {
 					continue
 				}
 				got := query(t, red, q, 1, v.Opt)
-				if !equalIDs(got, sortedCopy(want)) {
-					t.Errorf("seed=%d kind=%v q=%v variant=%s: reduction %v, RecList %v",
+				if !equalIDs(got, want) {
+					t.Errorf("seed=%d kind=%v q=%v variant=%s: reduction %v, brute force %v",
 						seed, cfg.Kind, q, v.Name, got, want)
 					return
 				}

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -183,7 +184,7 @@ func TestMetamorphicDuplicateCertain(t *testing.T) {
 		for j := range q {
 			q[j] = 10000 * (0.2 + 0.6*rng.Float64())
 		}
-		want := sortedCopy(eng.ReverseSkyline(q))
+		want := bruteReverseSkyline(eng, q)
 		inAnswer := make(map[int]bool, len(want))
 		for _, id := range want {
 			inAnswer[id] = true
@@ -204,14 +205,14 @@ func TestMetamorphicDuplicateCertain(t *testing.T) {
 			t.Errorf("seed=%d: %v", seed, err)
 			return
 		}
-		got := sortedCopy(dEng.ReverseSkyline(q))
+		got := query(t, dEng, q, 1, crsky.QueryOptions{})
 		if !equalIDs(got, want) {
 			t.Errorf("seed=%d q=%v: duplicating non-answer %d changed answers: %v -> %v",
 				seed, q, nonAnswer, want, got)
 			return
 		}
-		if dEng.IsReverseSkylinePoint(len(dup)-1, q) {
-			t.Errorf("seed=%d q=%v: duplicate of non-answer %d became an answer", seed, q, nonAnswer)
+		if pr, _, err := dEng.ProbCtx(context.Background(), len(dup)-1, q, crsky.QueryOptions{}); err != nil || pr != 0 {
+			t.Errorf("seed=%d q=%v: duplicate of non-answer %d: Pr = %v (err %v), want 0", seed, q, nonAnswer, pr, err)
 		}
 	})
 }

@@ -127,7 +127,7 @@ func TestConformanceVerifyRepairCertain(t *testing.T) {
 		}
 		an := -1
 		for i := range ds.Points {
-			if !eng.IsReverseSkylinePoint(i, q) {
+			if !certainMember(eng, i, q) {
 				an = i
 				break
 			}
@@ -160,7 +160,7 @@ func TestConformanceVerifyRepairCertain(t *testing.T) {
 			t.Errorf("seed=%d: %v", seed, err)
 			return
 		}
-		if !live.IsReverseSkylinePoint(an, q) {
+		if !certainMember(live, an, q) {
 			t.Errorf("seed=%d an=%d: removing %v did not flip the non-answer", seed, an, rep.Removed)
 			return
 		}

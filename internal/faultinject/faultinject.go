@@ -175,6 +175,14 @@ func (f *faultyEngine) QueryApprox(ctx context.Context, q crsky.Point, alpha flo
 	return f.inner.QueryApprox(ctx, q, alpha, opts, approx)
 }
 
+func (f *faultyEngine) ProbCtx(ctx context.Context, id int, q crsky.Point, opts crsky.QueryOptions) (float64, crsky.QueryStats, error) {
+	if err := f.in.Err("prob"); err != nil {
+		return 0, crsky.QueryStats{}, err
+	}
+	f.in.MaybePanic("prob")
+	return f.inner.ProbCtx(ctx, id, q, opts)
+}
+
 func (f *faultyEngine) ExplainCtx(ctx context.Context, id int, q crsky.Point, alpha float64, opts crsky.Options) (*crsky.Explanation, error) {
 	if err := f.in.Err("explain"); err != nil {
 		return nil, err

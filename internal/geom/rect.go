@@ -177,25 +177,6 @@ func (r Rect) OverlapVolume(s Rect) float64 {
 	return v
 }
 
-// MinDist returns the minimum Euclidean distance from p to any point of r
-// (0 when p is inside r). This is the MINDIST metric used for best-first
-// R-tree traversal.
-func (r Rect) MinDist(p Point) float64 {
-	checkDims(len(r.Min), len(p))
-	var sum float64
-	for i := range p {
-		var d float64
-		switch {
-		case p[i] < r.Min[i]:
-			d = r.Min[i] - p[i]
-		case p[i] > r.Max[i]:
-			d = p[i] - r.Max[i]
-		}
-		sum += d * d
-	}
-	return math.Sqrt(sum)
-}
-
 // FarthestCorner returns the corner of r with the maximum per-dimension
 // distance from p. Within a single sub-quadrant of p this is the point of r
 // farthest from p on every axis simultaneously.

@@ -128,19 +128,6 @@ func TestRectEnlargementOverlap(t *testing.T) {
 	}
 }
 
-func TestRectMinDist(t *testing.T) {
-	r := NewRect(Point{0, 0}, Point{4, 4})
-	if got := r.MinDist(Point{2, 2}); got != 0 {
-		t.Errorf("MinDist inside = %v", got)
-	}
-	if got := r.MinDist(Point{7, 4}); got != 3 {
-		t.Errorf("MinDist lateral = %v, want 3", got)
-	}
-	if got := r.MinDist(Point{7, 8}); math.Abs(got-5) > 1e-12 {
-		t.Errorf("MinDist corner = %v, want 5", got)
-	}
-}
-
 func TestRectCorners(t *testing.T) {
 	r := NewRect(Point{2, 2}, Point{4, 6})
 	q := Point{0, 0}
@@ -183,10 +170,6 @@ func TestRectPropertiesRandom(t *testing.T) {
 		}
 		if math.Abs(want-a.OverlapVolume(b)) > 1e-9 {
 			t.Fatalf("OverlapVolume = %v, want %v", a.OverlapVolume(b), want)
-		}
-		p := randPoint(r, d)
-		if u.ContainsPoint(p) != (u.MinDist(p) == 0) {
-			t.Fatal("MinDist==0 iff ContainsPoint violated")
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -84,29 +83,6 @@ func TestDeleteQuick(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestMinDistQuick: MINDIST is a true lower bound on the distance from the
-// query point to any point inside the rectangle.
-func TestMinDistQuick(t *testing.T) {
-	f := func(ax, ay, bx, by, qx, qy, tx, ty float64) bool {
-		for _, v := range []float64{ax, ay, bx, by, qx, qy, tx, ty} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e8 {
-				return true
-			}
-		}
-		r := geom.NewRect(geom.Point{ax, ay}, geom.Point{bx, by})
-		q := geom.Point{qx, qy}
-		// Clamp (tx, ty) into the rectangle to get an interior point.
-		in := geom.Point{
-			math.Min(math.Max(tx, r.Min[0]), r.Max[0]),
-			math.Min(math.Max(ty, r.Min[1]), r.Max[1]),
-		}
-		return r.MinDist(q) <= q.Dist(in)+1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -8,10 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/store"
 	"github.com/crsky/crsky/internal/watch"
 )
@@ -28,6 +30,35 @@ var flipScenario = &DatasetRequest{Name: "flip", Model: ModelCertain, Points: []
 }}
 
 var flipQ = []float64{0, 0}
+
+// flipSampleScenario and flipPDFScenario give flipScenario's shape on the
+// probabilistic models: object 0 blocks object 1 in every world, and
+// object 2 stands far away.
+var (
+	flipSampleScenario = &DatasetRequest{Name: "flipS", Model: ModelSample, Objects: []ObjectSpec{
+		{Samples: []SampleSpec{{P: 1, Loc: []float64{1, 1}}}},
+		{Samples: []SampleSpec{{P: 0.5, Loc: []float64{4, 4}}, {P: 0.5, Loc: []float64{5, 5}}}},
+		{Samples: []SampleSpec{{P: 1, Loc: []float64{20, 20}}}},
+	}}
+	flipPDFScenario = &DatasetRequest{Name: "flipP", Model: ModelPDF, PDFObjects: []PDFObjectSpec{
+		{Kind: "uniform", Min: []float64{1, 1}, Max: []float64{1.5, 1.5}},
+		{Kind: "uniform", Min: []float64{4, 4}, Max: []float64{5, 5}},
+		{Kind: "gaussian", Min: []float64{20, 20}, Max: []float64{21, 21}},
+	}}
+)
+
+// reevalScenario is a sample dataset where deleting object 0, which blocks
+// objects 1, 3 and 4 in every world, moves each to a different Pr at q =
+// flipQ: object 1 to 0.5 (object 2 still blocks it in half the worlds),
+// object 3 to 1, and object 4 stays at 0 (object 5 blocks it for good).
+var reevalScenario = &DatasetRequest{Name: "reeval", Model: ModelSample, Objects: []ObjectSpec{
+	{Samples: []SampleSpec{{P: 1, Loc: []float64{1, 1}}}},
+	{Samples: []SampleSpec{{P: 1, Loc: []float64{6, 6}}}},
+	{Samples: []SampleSpec{{P: 0.5, Loc: []float64{5.5, 5.5}}, {P: 0.5, Loc: []float64{100, -100}}}},
+	{Samples: []SampleSpec{{P: 1, Loc: []float64{13, 0.8}}}},
+	{Samples: []SampleSpec{{P: 1, Loc: []float64{0.9, 20}}}},
+	{Samples: []SampleSpec{{P: 1, Loc: []float64{0.8, 15}}}},
+}}
 
 func queryAnswers(t *testing.T, c *testClient, name string, q []float64, noCache bool) ([]int, *http.Response) {
 	t.Helper()
@@ -46,7 +77,7 @@ func TestObjectMutationEndpoints(t *testing.T) {
 	var info DatasetInfo
 	c.post("/v1/datasets", flipScenario, &info, http.StatusCreated)
 
-	if ids, _ := queryAnswers(t, c, "flip", flipQ, false); containsID(ids, 1) {
+	if ids, _ := queryAnswers(t, c, "flip", flipQ, false); slices.Contains(ids, 1) {
 		t.Fatalf("scenario broken: an already an answer: %v", ids)
 	}
 
@@ -74,7 +105,7 @@ func TestObjectMutationEndpoints(t *testing.T) {
 	if dr.Size != 4 {
 		t.Fatalf("delete ack size = %d, want 4", dr.Size)
 	}
-	if ids, _ := queryAnswers(t, c, "flip", flipQ, false); !containsID(ids, 1) {
+	if ids, _ := queryAnswers(t, c, "flip", flipQ, false); !slices.Contains(ids, 1) {
 		t.Fatalf("an did not flip after blocker delete: %v", ids)
 	}
 
@@ -119,7 +150,7 @@ func TestMutateThenQueryCacheMiss(t *testing.T) {
 	if got := resp.Header.Get(headerCache); got != "miss" {
 		t.Fatalf("post-mutation query cache = %q, want miss (stale generation served)", got)
 	}
-	if reflect.DeepEqual(before, after) || !containsID(after, 1) {
+	if reflect.DeepEqual(before, after) || !slices.Contains(after, 1) {
 		t.Fatalf("post-mutation answers = %v (before %v): mutation not visible", after, before)
 	}
 }
@@ -183,7 +214,7 @@ func TestCrashBetweenCommitAndApply(t *testing.T) {
 	if _, err := st1.AppendMutation("flip", store.Mutation{Op: store.MutDelete, ID: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if ids, _ := queryAnswers(t, c1, "flip", flipQ, true); containsID(ids, 1) {
+	if ids, _ := queryAnswers(t, c1, "flip", flipQ, true); slices.Contains(ids, 1) {
 		t.Fatalf("pre-crash memory already mutated: %v", ids)
 	}
 	st1.Close()
@@ -193,7 +224,7 @@ func TestCrashBetweenCommitAndApply(t *testing.T) {
 		t.Fatalf("LoadFromStore = %d loaded, %v quarantined, err %v", loaded, quarantined, err)
 	}
 	c2 := newTestClient(t, s2)
-	if ids, _ := queryAnswers(t, c2, "flip", flipQ, true); !containsID(ids, 1) {
+	if ids, _ := queryAnswers(t, c2, "flip", flipQ, true); !slices.Contains(ids, 1) {
 		t.Fatalf("recovery lost the committed delete: answers %v", ids)
 	}
 	if resp, _ := c2.do(http.MethodDelete, "/v2/datasets/flip/objects/0", nil); resp.StatusCode != http.StatusNotFound {
@@ -338,6 +369,99 @@ func TestWatchRejections(t *testing.T) {
 	c.post("/v2/watch", &WatchRequest{Dataset: "flip", Q: flipQ, An: 0}, nil, http.StatusUnprocessableEntity)
 	c.post("/v2/watch", &WatchRequest{Dataset: "flip", Q: flipQ, An: 99}, nil, http.StatusNotFound)
 	c.post("/v2/watch", &WatchRequest{Dataset: "ghost", Q: flipQ, An: 0}, nil, http.StatusNotFound)
+}
+
+// TestWatchReevalOneSlot: one re-evaluation round probes every affected
+// subscription in one pool slot, whatever their (alpha, quadNodes), and
+// flips exactly the subscriptions whose object entered the answer.
+func TestWatchReevalOneSlot(t *testing.T) {
+	s := New(Config{Workers: 2})
+	c := newTestClient(t, s)
+	c.post("/v1/datasets", reevalScenario, nil, http.StatusCreated)
+	subs := []struct {
+		an        int
+		alpha     float64
+		quadNodes int
+		flips     bool
+	}{
+		{1, 0.4, 0, true}, // Pr 0.5 after the delete
+		{1, 0.9, 4, false},
+		{3, 0.9, 0, true},  // Pr 1
+		{4, 0.3, 3, false}, // Pr 0
+	}
+	streams := make([]*bufio.Scanner, len(subs))
+	for i, sb := range subs {
+		sc, closeStream := watchStream(t, c, &WatchRequest{Dataset: "reeval", Q: flipQ, An: sb.an, Alpha: sb.alpha, QuadNodes: sb.quadNodes})
+		defer closeStream()
+		if ev := nextEvent(t, sc); ev.Event != watch.KindRegistered {
+			t.Fatalf("subscription %d: first line = %+v", i, ev)
+		}
+		streams[i] = sc
+	}
+
+	var before, after StatsResponse
+	c.mustGet("/v1/stats", &before)
+	if resp, raw := c.do(http.MethodDelete, "/v2/datasets/reeval/objects/0", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: status %d (%s)", resp.StatusCode, raw)
+	}
+	s.watch.WaitIdle()
+	c.mustGet("/v1/stats", &after)
+	if d := after.Watch.Reevals - before.Watch.Reevals; d != 1 {
+		t.Fatalf("the delete ran %d re-evaluation rounds, want 1", d)
+	}
+	if d := after.Pool.Completed - before.Pool.Completed; d != 1 {
+		t.Fatalf("the round took %d pool slots, want 1", d)
+	}
+	if d := after.Watch.Flipped - before.Watch.Flipped; d != 2 {
+		t.Fatalf("the round flipped %d subscriptions, want 2", d)
+	}
+	for i, sb := range subs {
+		if !sb.flips {
+			continue
+		}
+		if ev := nextEvent(t, streams[i]); ev.Event != watch.KindFlipped || ev.An != sb.an || !ev.Answer {
+			t.Fatalf("subscription %d: event = %+v, want flipped", i, ev)
+		}
+	}
+}
+
+// TestWatchTombstonedInRound: a round may read a generation that already
+// tombstoned the watched object before the hub has the delete's notice.
+// That round gives the subscription nothing; the notice, once it arrives,
+// ends the stream with "deleted". No flipped or error line ever appears.
+func TestWatchTombstonedInRound(t *testing.T) {
+	for _, req := range []*DatasetRequest{flipScenario, flipSampleScenario, flipPDFScenario} {
+		t.Run(req.Model, func(t *testing.T) {
+			s := New(Config{Workers: 2})
+			c := newTestClient(t, s)
+			c.post("/v1/datasets", req, nil, http.StatusCreated)
+			sc, closeStream := watchStream(t, c, &WatchRequest{Dataset: req.Name, Q: flipQ, An: 1, Alpha: 0.5})
+			defer closeStream()
+			if ev := nextEvent(t, sc); ev.Event != watch.KindRegistered {
+				t.Fatalf("first line = %+v", ev)
+			}
+
+			// Commit the delete of the watched object without notifying
+			// the hub, then run a round for an earlier, window-less notice.
+			res, _, err := s.reg.mutate(req.Name, store.MutDelete, nil, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.watch.Notify(req.Name, res.ent.gen, geom.Rect{}, false, -1)
+			s.watch.WaitIdle()
+			if st := s.watch.Stats(); st.Reevals != 1 || st.Flipped != 0 || st.Deleted != 0 {
+				t.Fatalf("after the round over the tombstone: watch stats %+v, want 1 reeval and no event", st)
+			}
+
+			s.watch.Notify(req.Name, res.ent.gen, res.mbr, res.hasMBR, 1)
+			if ev := nextEvent(t, sc); ev.Event != watch.KindDeleted || ev.An != 1 || ev.Generation != res.ent.gen {
+				t.Fatalf("event = %+v, want deleted at generation %d", ev, res.ent.gen)
+			}
+			if sc.Scan() {
+				t.Fatalf("unexpected line after the terminal deleted: %q", sc.Text())
+			}
+		})
+	}
 }
 
 // TestNodeAccessesNeverDecrease: crsky_dataset_node_accesses_total is a

@@ -16,6 +16,7 @@ import (
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/experiments"
 	"github.com/crsky/crsky/internal/geom"
+	"github.com/crsky/crsky/internal/skyline"
 	"github.com/crsky/crsky/internal/uncertain"
 )
 
@@ -242,7 +243,7 @@ func TestServerEndToEndCertain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := eng.ReverseSkyline(geom.Point(q))
+	want := skyline.BruteReverseSkyline(gpts, geom.Point(q))
 	if !reflect.DeepEqual(qr.Answers, want) {
 		t.Fatalf("certain query = %v, want %v", qr.Answers, want)
 	}

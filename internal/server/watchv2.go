@@ -9,6 +9,7 @@ import (
 	crsky "github.com/crsky/crsky"
 	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/geom"
+	"github.com/crsky/crsky/internal/prob"
 	"github.com/crsky/crsky/internal/watch"
 )
 
@@ -78,12 +79,12 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	var answer bool
 	var repair []int
 	err = s.admitted(ctx, priorityFrom(r, classExplain), func(ctx context.Context) error {
-		ids, st, err := ent.eng.QueryCtx(ctx, q, alpha, queryOptions(req.QuadNodes))
+		pr, st, err := ent.eng.ProbCtx(ctx, req.An, q, crsky.QueryOptions{QuadNodes: req.QuadNodes})
 		ent.accesses.Add(st.NodeAccesses)
 		if err != nil {
 			return err
 		}
-		if answer = containsID(ids, req.An); answer || !req.Repair {
+		if answer = prob.GEq(pr, alpha); answer || !req.Repair {
 			return nil
 		}
 		rep, err := ent.eng.RepairCtx(ctx, req.An, q, alpha, causality.Options{QuadNodes: req.QuadNodes})
@@ -132,9 +133,10 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 // reevalWatch is the Reevaluator the hub calls after committed mutations:
 // re-check the affected subscriptions against the CURRENT engine
-// generation, batching subscriptions that share (alpha, quadNodes)
-// through one QueryBatchStream so the index traversal is shared. The hub
-// has no fallback tier to protect, so its queries take no StageBudget.
+// generation, one ProbCtx membership probe per subscription, all in one
+// pool slot. A subscription whose object that generation has already
+// tombstoned gets nothing here: the pending notice of the delete emits its
+// "deleted". Each tracked repair takes a pool slot of its own.
 func (s *Server) reevalWatch(name string, gen uint64, subs []*watch.Sub) {
 	start := time.Now()
 	defer func() { s.watchReeval.Observe(time.Since(start)) }()
@@ -145,76 +147,59 @@ func (s *Server) reevalWatch(name string, gen uint64, subs []*watch.Sub) {
 		}
 		return
 	}
-	type gkey struct {
-		alpha float64
-		qn    int
-	}
-	groups := make(map[gkey][]*watch.Sub)
-	for _, sub := range subs {
-		k := gkey{sub.Alpha, sub.QuadNodes}
-		groups[k] = append(groups[k], sub)
-	}
-	for k, g := range groups {
-		qs := make([]geom.Point, len(g))
-		for i, sub := range g {
-			qs[i] = sub.Q
-		}
-		ctx, cancel := context.WithTimeout(s.drainCtx, reevalTimeout)
-		v, err := s.pool.Do(ctx, func() (any, error) {
-			res, st, qerr := ent.eng.QueryBatchStream(ctx, qs, k.alpha,
-				crsky.QueryOptions{QuadNodes: k.qn}, nil)
+	ctx, cancel := context.WithTimeout(s.drainCtx, reevalTimeout)
+	defer cancel()
+	var flipped, blocked []*watch.Sub
+	_, err := s.pool.Do(ctx, func() (any, error) {
+		for _, sub := range subs {
+			pr, st, err := ent.eng.ProbCtx(ctx, sub.An, sub.Q, crsky.QueryOptions{QuadNodes: sub.QuadNodes})
 			ent.accesses.Add(st.NodeAccesses)
-			return res, qerr
+			switch {
+			case ctx.Err() != nil:
+				return nil, ctx.Err()
+			case err != nil:
+				// A tombstoned object (see above); any other failure
+				// leaves the subscription to the next round.
+			case prob.GEq(pr, sub.Alpha):
+				flipped = append(flipped, sub)
+			case sub.TrackRepair:
+				blocked = append(blocked, sub)
+			}
+		}
+		return nil, nil
+	})
+	if err != nil {
+		// Overload or drain: this round is lost, the next committed
+		// mutation schedules another. Watchers stay subscribed.
+		return
+	}
+	for _, sub := range flipped {
+		s.watch.Emit(sub, watch.Event{
+			Event:      watch.KindFlipped,
+			Dataset:    name,
+			Generation: ent.gen,
+			An:         sub.An,
+			Answer:     true,
+		})
+	}
+	for _, sub := range blocked {
+		rv, err := s.pool.Do(ctx, func() (any, error) {
+			rep, err := ent.eng.RepairCtx(ctx, sub.An, sub.Q, sub.Alpha, causality.Options{QuadNodes: sub.QuadNodes})
+			ent.addRepair(rep)
+			return rep, err
 		})
 		if err != nil {
-			// Overload or drain: this round is lost, the next committed
-			// mutation schedules another. Watchers stay subscribed.
-			cancel()
 			continue
 		}
-		answers := v.([][]int)
-		for i, sub := range g {
-			if containsID(answers[i], sub.An) {
-				s.watch.Emit(sub, watch.Event{
-					Event:      watch.KindFlipped,
-					Dataset:    name,
-					Generation: ent.gen,
-					An:         sub.An,
-					Answer:     true,
-				})
-				continue
-			}
-			if !sub.TrackRepair {
-				continue
-			}
-			rv, rerr := s.pool.Do(ctx, func() (any, error) {
-				rep, err := ent.eng.RepairCtx(ctx, sub.An, sub.Q, k.alpha, causality.Options{QuadNodes: k.qn})
-				ent.addRepair(rep)
-				return rep, err
+		removed := rv.(*causality.Repair).Removed
+		if base := sub.RepairBaseline(); base < 0 || len(removed) < base {
+			s.watch.Emit(sub, watch.Event{
+				Event:      watch.KindRepairShrunk,
+				Dataset:    name,
+				Generation: ent.gen,
+				An:         sub.An,
+				Repair:     removed,
 			})
-			if rerr != nil {
-				continue
-			}
-			removed := rv.(*causality.Repair).Removed
-			if base := sub.RepairBaseline(); base < 0 || len(removed) < base {
-				s.watch.Emit(sub, watch.Event{
-					Event:      watch.KindRepairShrunk,
-					Dataset:    name,
-					Generation: ent.gen,
-					An:         sub.An,
-					Repair:     removed,
-				})
-			}
-		}
-		cancel()
-	}
-}
-
-func containsID(ids []int, id int) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
 		}
 	}
-	return false
 }

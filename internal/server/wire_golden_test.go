@@ -75,17 +75,9 @@ func TestWireGolden(t *testing.T) {
 	// The watch datasets share flipScenario's shape on each model: with q
 	// at the origin, object 0 blocks object 1 out of the answer and object
 	// 2 stands far away, so deleting object 0 flips object 1.
-	c.post("/v1/datasets", flipScenario, nil, http.StatusCreated)
-	c.post("/v1/datasets", &DatasetRequest{Name: "flipS", Model: ModelSample, Objects: []ObjectSpec{
-		{Samples: []SampleSpec{{P: 1, Loc: []float64{1, 1}}}},
-		{Samples: []SampleSpec{{P: 0.5, Loc: []float64{4, 4}}, {P: 0.5, Loc: []float64{5, 5}}}},
-		{Samples: []SampleSpec{{P: 1, Loc: []float64{20, 20}}}},
-	}}, nil, http.StatusCreated)
-	c.post("/v1/datasets", &DatasetRequest{Name: "flipP", Model: ModelPDF, PDFObjects: []PDFObjectSpec{
-		{Kind: "uniform", Min: []float64{1, 1}, Max: []float64{1.5, 1.5}},
-		{Kind: "uniform", Min: []float64{4, 4}, Max: []float64{5, 5}},
-		{Kind: "gaussian", Min: []float64{20, 20}, Max: []float64{21, 21}},
-	}}, nil, http.StatusCreated)
+	for _, req := range []*DatasetRequest{flipScenario, flipSampleScenario, flipPDFScenario} {
+		c.post("/v1/datasets", req, nil, http.StatusCreated)
+	}
 
 	answers := w.query(t, w.q, 0.5)
 	if len(answers) == 0 {

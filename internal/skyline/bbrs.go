@@ -14,8 +14,8 @@ import (
 // small superset of its reverse skyline — the quadrant-aware global
 // skyline candidates — pruning every subtree that is provably dominated,
 // and a verification window query per candidate finishes the job. Results
-// are identical to ReverseSkyline; the traversal just touches far fewer
-// nodes on large datasets.
+// are identical to testing every point with Member; the traversal just
+// touches far fewer nodes on large datasets.
 //
 // Pruning rule: a subtree confined to a single sub-quadrant of q can be
 // discarded once some already-found candidate s of that query dynamically
@@ -139,7 +139,7 @@ func (ix *Index) ReverseSkylineBBRSBatch(qs []geom.Point, emit func(k int, ids [
 	for k := range qs {
 		var ids []int
 		for _, c := range candidates[k] {
-			member, n := ix.member(c, qs[k])
+			member, n := ix.Member(c, qs[k])
 			accesses += n
 			if member {
 				ids = append(ids, c)

@@ -58,7 +58,7 @@ func TestBBRSCheaperThanScan(t *testing.T) {
 	// ReverseSkyline's scan: one membership window query per point.
 	var scanIO int64
 	for i := range pts {
-		_, n := ix.member(i, q)
+		_, n := ix.Member(i, q)
 		scanIO += n
 	}
 

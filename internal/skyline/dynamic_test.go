@@ -52,6 +52,9 @@ func TestInsertDeleteConsistency(t *testing.T) {
 		if !reflect.DeepEqual(got, mapped) {
 			t.Fatalf("ReverseSkyline %v, want %v", got, mapped)
 		}
+		if brute := BruteReverseSkyline(ix.Points(), q); !reflect.DeepEqual(brute, mapped) {
+			t.Fatalf("BruteReverseSkyline over the tombstoned points %v, want %v", brute, mapped)
+		}
 		bbrs := ix.ReverseSkylineBBRS(q)
 		if !reflect.DeepEqual(bbrs, mapped) {
 			t.Fatalf("BBRS %v, want %v", bbrs, mapped)
@@ -79,7 +82,7 @@ func TestInsertDeleteConsistency(t *testing.T) {
 	if err := ix.Delete(victim); err == nil {
 		t.Fatal("double delete should fail")
 	}
-	if ix.Member(victim, q) {
+	if member, _ := ix.Member(victim, q); member {
 		t.Fatal("tombstone must not be a member")
 	}
 	if doms, _ := ix.Dominators(victim, q); doms != nil {

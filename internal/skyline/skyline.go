@@ -47,13 +47,17 @@ func IsReverseSkylineMember(p, q geom.Point, others []geom.Point) bool {
 
 // BruteReverseSkyline computes the reverse skyline of q over pts by direct
 // pairwise testing — the quadratic reference implementation used as a test
-// oracle and baseline.
+// oracle and baseline. Nil entries are tombstones: they are neither
+// members nor dominators, so an index's Points slice can be passed as is.
 func BruteReverseSkyline(pts []geom.Point, q geom.Point) []int {
 	var out []int
 	for i, p := range pts {
+		if p == nil {
+			continue
+		}
 		member := true
 		for j, o := range pts {
-			if i == j {
+			if i == j || o == nil {
 				continue
 			}
 			if geom.DynDominates(o, q, p) {
@@ -108,16 +112,11 @@ func (ix *Index) Points() []geom.Point { return ix.pts }
 // Len returns the number of indexed points.
 func (ix *Index) Len() int { return len(ix.pts) }
 
-// Member reports whether point i is a reverse skyline point of q: a window
-// query on the dominance rectangle DomRect(pts[i], q) that stops at the
+// Member reports whether point i is a reverse skyline point of q (Lemma 7:
+// no point dominates q w.r.t. it), with the node accesses of its one window
+// query on the dominance rectangle DomRect(pts[i], q), which stops at the
 // first dominator found. Deleted points are never members.
-func (ix *Index) Member(i int, q geom.Point) bool {
-	member, _ := ix.member(i, q)
-	return member
-}
-
-// member is Member also returning the node accesses of its window query.
-func (ix *Index) member(i int, q geom.Point) (bool, int64) {
+func (ix *Index) Member(i int, q geom.Point) (bool, int64) {
 	p := ix.pts[i]
 	if p == nil {
 		return false, 0
@@ -135,18 +134,6 @@ func (ix *Index) member(i int, q geom.Point) (bool, int64) {
 		return true
 	})
 	return member, accesses
-}
-
-// ReverseSkyline returns the indices of all reverse skyline points of q,
-// testing each live point with an early-terminating window query.
-func (ix *Index) ReverseSkyline(q geom.Point) []int {
-	var out []int
-	for i := range ix.pts {
-		if ix.pts[i] != nil && ix.Member(i, q) {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Dominators returns the indices of all points that dynamically dominate q

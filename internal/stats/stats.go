@@ -1,6 +1,6 @@
 // Package stats provides the measurement machinery used by the experiment
 // harness: node-access (I/O) counters matching the paper's primary metric,
-// CPU timers, batch aggregation over repeated queries, and plain-text table
+// batch aggregation over repeated queries, and plain-text table
 // rendering for the figures and tables reproduced from the paper.
 package stats
 
@@ -38,42 +38,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.n.Load()
-}
-
-// Timer measures wall-clock time of algorithm runs, excluding setup.
-type Timer struct {
-	start   time.Time
-	elapsed time.Duration
-	running bool
-}
-
-// Start begins (or restarts) timing.
-func (t *Timer) Start() {
-	t.start = time.Now()
-	t.running = true
-}
-
-// Stop ends timing and accumulates the elapsed interval.
-func (t *Timer) Stop() {
-	if t.running {
-		t.elapsed += time.Since(t.start)
-		t.running = false
-	}
-}
-
-// Elapsed returns the accumulated time (including the current interval if
-// the timer is running).
-func (t *Timer) Elapsed() time.Duration {
-	if t.running {
-		return t.elapsed + time.Since(t.start)
-	}
-	return t.elapsed
-}
-
-// Reset zeroes the timer.
-func (t *Timer) Reset() {
-	t.elapsed = 0
-	t.running = false
 }
 
 // Measurement is one observed (I/O, CPU) pair for a single query run.

@@ -46,32 +46,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestTimer(t *testing.T) {
-	var tm Timer
-	tm.Start()
-	time.Sleep(2 * time.Millisecond)
-	tm.Stop()
-	first := tm.Elapsed()
-	if first <= 0 {
-		t.Fatal("elapsed should be positive after Start/Stop")
-	}
-	tm.Start()
-	time.Sleep(time.Millisecond)
-	tm.Stop()
-	if tm.Elapsed() <= first {
-		t.Fatal("second interval should accumulate")
-	}
-	tm.Reset()
-	if tm.Elapsed() != 0 {
-		t.Fatal("Reset did not zero")
-	}
-	// Stop without Start is a no-op.
-	tm.Stop()
-	if tm.Elapsed() != 0 {
-		t.Fatal("Stop without Start should not accumulate")
-	}
-}
-
 func TestBatchAggregation(t *testing.T) {
 	var b Batch
 	if b.MeanIO() != 0 || b.MeanCPU() != 0 {

@@ -91,8 +91,8 @@ func TestEngineWithMutations(t *testing.T) {
 	if _, err := e2.ExplainCtx(context.Background(), victim, q, 0.3, Options{}); !errors.Is(err, ErrBadObject) {
 		t.Fatalf("explaining a tombstone: %v", err)
 	}
-	if pr := e2.Prob(victim, q); pr != 0 {
-		t.Fatalf("tombstone Prob = %v", pr)
+	if _, _, err := e2.ProbCtx(context.Background(), victim, q, QueryOptions{}); !errors.Is(err, ErrBadObject) {
+		t.Fatalf("probing a tombstone: %v", err)
 	}
 
 	// Replaying the same mutation log on a fresh engine reconverges.

@@ -11,6 +11,7 @@ import (
 	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/ctxutil"
 	"github.com/crsky/crsky/internal/obs"
+	"github.com/crsky/crsky/internal/prob"
 	"github.com/crsky/crsky/internal/prsq"
 	"github.com/crsky/crsky/internal/uncertain"
 )
@@ -40,9 +41,9 @@ import (
 //   - Each operation has one v2 method. A query is a batch of one:
 //     QueryCtx runs the engine's QueryBatchStream path on its single point,
 //     and a nil emit turns either streaming batch method into a plain
-//     batch call. The context-free methods that remain (the …Naive
-//     oracles and CertainEngine.ReverseSkyline) are frozen references;
-//     new call sites should use the v2 methods.
+//     batch call. One object's membership is ProbCtx. The context-free
+//     methods that remain (the …Naive oracles) are frozen references; new
+//     call sites should use the v2 methods.
 
 // CanceledError is the typed error wrapped into every cancellation return:
 // it unwraps to the context error and carries the partial work counters
@@ -118,6 +119,16 @@ type Querier interface {
 	// (data, q, alpha, opts, approx) — worker count and scheduling never
 	// change the result.
 	QueryApprox(ctx context.Context, q Point, alpha float64, opts QueryOptions, approx ApproxOptions) (*ApproxResult, QueryStats, error)
+	// ProbCtx returns Pr(id), the probability that object id is a reverse
+	// skyline point of q, by probing that one object: its candidate filter
+	// and one Eq.-2 evaluation (0 or 1 on certain data, one dominance
+	// window). Object id is in QueryCtx's answer at alpha exactly when
+	// pr >= alpha − 1e-9, the threshold QueryCtx applies. Only
+	// opts.QuadNodes is read (the pdf quadrature resolution).
+	// QueryStats.NodeAccesses is the probe's simulated I/O. An
+	// out-of-range or deleted id fails with ErrBadObject. The probe itself
+	// is not interruptible; ctx is observed on entry.
+	ProbCtx(ctx context.Context, id int, q Point, opts QueryOptions) (float64, QueryStats, error)
 }
 
 // Explainer is the full v2 engine surface: queries plus causality
@@ -182,6 +193,18 @@ func checkDims(q Point, dims int) error {
 // context (the shared ctxutil helper, re-exported for this file's
 // engine methods).
 func ctxPrecheck(ctx context.Context) error { return ctxutil.Precheck(ctx) }
+
+// checkProbe validates a ProbCtx call: a live object id, a well-formed q
+// and a live context.
+func checkProbe(ctx context.Context, id int, live bool, q Point, dims int) error {
+	if !live {
+		return fmt.Errorf("%w: %d", ErrBadObject, id)
+	}
+	if err := checkDims(q, dims); err != nil {
+		return err
+	}
+	return ctxPrecheck(ctx)
+}
 
 // queryOne unpacks a batch of one into QueryCtx's single answer.
 func queryOne(out [][]int, st QueryStats, err error) ([]int, QueryStats, error) {
@@ -348,6 +371,17 @@ func (e *Engine) QueryApprox(ctx context.Context, q Point, alpha float64, opts Q
 	return prsq.QueryApproxStatsCtx(ctx, e.ds, q, alpha, opts, approx)
 }
 
+// ProbCtx implements Querier: the Lemma-2 candidate filter (one R-tree
+// traversal against an's sample dominance windows) and one Eq.-2
+// evaluation over the ascending candidates.
+func (e *Engine) ProbCtx(ctx context.Context, id int, q Point, opts QueryOptions) (float64, QueryStats, error) {
+	if err := checkProbe(ctx, id, id >= 0 && id < e.Len() && e.ds.Objects[id] != nil, q, e.Dims()); err != nil {
+		return 0, QueryStats{}, err
+	}
+	pr, accesses := e.prob(id, q)
+	return pr, QueryStats{Evaluated: 1, NodeAccesses: accesses}, nil
+}
+
 // ExplainCtx implements Explainer: algorithm CP under a context.
 func (e *Engine) ExplainCtx(ctx context.Context, id int, q Point, alpha float64, opts Options) (*Explanation, error) {
 	return causality.CPCtx(ctx, e.ds, q, id, alpha, opts)
@@ -454,6 +488,21 @@ func (e *CertainEngine) QueryApprox(ctx context.Context, q Point, alpha float64,
 	return prsq.ExactApproxResult(ids, approx), st, nil
 }
 
+// ProbCtx implements Querier on certain data: 1 if point id is a reverse
+// skyline point of q and 0 otherwise, decided by one dominance window
+// query that stops at the first dominator (Lemma 7).
+func (e *CertainEngine) ProbCtx(ctx context.Context, id int, q Point, opts QueryOptions) (float64, QueryStats, error) {
+	if err := checkProbe(ctx, id, id >= 0 && id < e.Len() && !e.ix.Deleted(id), q, e.Dims()); err != nil {
+		return 0, QueryStats{}, err
+	}
+	member, accesses := e.ix.Member(id, q)
+	pr := 0.0
+	if member {
+		pr = 1
+	}
+	return pr, QueryStats{NodeAccesses: accesses}, nil
+}
+
 // ExplainCtx implements Explainer: algorithm CR (Lemma 7 — single window
 // query, no refinement, so opts carries no tuning for this engine). alpha
 // is validated to be exactly 1.
@@ -544,6 +593,29 @@ func (e *PDFEngine) QueryApprox(ctx context.Context, q Point, alpha float64, opt
 		return nil, QueryStats{}, err
 	}
 	return prsq.QueryApproxPDFStatsCtx(ctx, e.set, q, alpha, opts, approx)
+}
+
+// ProbCtx implements Querier: CPPDF's sub-quadrant candidate filter and one
+// quadrature of Eq. 2 over the ascending candidates at opts.QuadNodes
+// nodes per dimension (<= 0 selects the dimension-adapted default; a grid
+// too large to build is rejected). Every object the filter drops has zero
+// dominance mass over an's region, so the value is bit-identical to the
+// integral against all objects that ProbabilisticReverseSkylineNaive
+// thresholds.
+func (e *PDFEngine) ProbCtx(ctx context.Context, id int, q Point, opts QueryOptions) (float64, QueryStats, error) {
+	if err := checkProbe(ctx, id, id >= 0 && id < e.Len() && e.set.Objects[id] != nil, q, e.Dims()); err != nil {
+		return 0, QueryStats{}, err
+	}
+	if err := uncertain.CheckQuadNodes(opts.QuadNodes, e.Dims()); err != nil {
+		return 0, QueryStats{}, err
+	}
+	candIDs, accesses := e.set.FilterCandidates(q, id)
+	cands := make([]*PDFObject, len(candIDs))
+	for i, cid := range candIDs {
+		cands[i] = e.set.Objects[cid]
+	}
+	pr := prob.PrReverseSkylinePDF(e.set.Objects[id], q, cands, opts.QuadNodes)
+	return pr, QueryStats{Evaluated: 1, NodeAccesses: accesses}, nil
 }
 
 // ExplainCtx implements Explainer: the pdf-model variant of CP under a
