@@ -281,6 +281,7 @@ func BenchmarkAblation(b *testing.B) {
 		{"noLemma5", causality.Options{NoLemma5: true}},
 		{"noLemma6", causality.Options{NoLemma6: true}},
 		{"noPrune", causality.Options{NoPrune: true}},
+		{"noRepairSeed", causality.Options{NoRepairSeed: true}},
 	}
 	for _, v := range variants {
 		v := v

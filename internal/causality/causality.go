@@ -43,7 +43,8 @@ type Result struct {
 	// Candidates is |Cc|, the candidate-cause count after filtering.
 	Candidates int
 	// SubsetsExamined counts contingency-set verifications performed
-	// during refinement (the work the paper's lemmas save).
+	// during refinement (the work the paper's lemmas save), including the
+	// leaves of the minimum-repair seed's exact phase.
 	SubsetsExamined int64
 	// GreedySeeds counts candidates for which the greedy incumbent pass
 	// produced a verified contingency-set upper bound.
@@ -71,11 +72,12 @@ type Options struct {
 	MaxCandidates int
 	// MaxSubsets aborts with ErrSubsetBudget after this many refinement
 	// evaluation units — contingency-set verifications, branch points a
-	// prune killed, and the greedy incumbent pass's probability
-	// evaluations (0 = unlimited). Charging pruned branch points and the
-	// greedy pass keeps the budget a real latency bound under the
-	// branch-and-bound search: prunes convert leaf verifications into
-	// internal-node work, and the seed pass runs before any enumeration.
+	// prune killed, the greedy incumbent pass's probability evaluations,
+	// and the minimum-repair seed's evaluations and enumeration nodes
+	// (0 = unlimited). Charging pruned branch points and both seeds keeps
+	// the budget a real latency bound under the branch-and-bound search:
+	// prunes convert leaf verifications into internal-node work, and the
+	// seeds run before any enumeration.
 	MaxSubsets int64
 	// QuadNodes is the per-dimension quadrature resolution for the
 	// pdf-model algorithms (0 = dimension-adapted default).
@@ -107,6 +109,10 @@ type Options struct {
 	NoGreedySeed bool
 	NoAdmissible bool
 	NoMassOrder  bool
+
+	// NoRepairSeed skips the minimum-repair seed that starts every FMCS
+	// search at |R*| − 1 (benchmarking only, like the switches above).
+	NoRepairSeed bool
 }
 
 // Errors reported by the causality algorithms.

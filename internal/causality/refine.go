@@ -39,9 +39,13 @@ import (
 //   - pools and the candidate processing order are sorted by descending
 //     dominance mass, so satisfying sets are met early and Lemma-6 bounds
 //     propagate before, not after, the expensive searches
-//     (Options.NoMassOrder ablates it).
+//     (Options.NoMassOrder ablates it);
+//   - a minimum repair R* of an, computed first, gives every cause a
+//     contingency set of at least |R*| − 1 objects, so every search starts
+//     at that cardinality instead of proving the smaller ones empty
+//     (repairFloor; Options.NoRepairSeed ablates it).
 //
-// All three are pure search-space reductions: they never change which
+// All four are pure search-space reductions: they never change which
 // cause IDs are reported or their responsibilities (minimum contingency
 // sizes are unique even though the witnessing sets are not).
 //
@@ -70,6 +74,11 @@ type refiner struct {
 	// can raise Pr(an | ·) in any context. Computed once on the root
 	// evaluator and shared read-only across workers.
 	gains []float64
+
+	// floor is the smallest contingency size any cause can have, from the
+	// minimum-repair seed (repairFloor); every fmcs starts there. Parallel
+	// workers inherit it.
+	floor int
 
 	opts   Options
 	shared *refinerShared
@@ -228,6 +237,16 @@ func (r *refiner) run() ([]Cause, error) {
 	}
 
 	endSearch := tr.StartSpan("explain.search")
+	if !r.opts.NoRepairSeed {
+		endSeed := tr.StartSpan("explain.seed")
+		floor, err := r.repairFloor()
+		endSeed()
+		if err != nil {
+			endSearch()
+			return nil, r.wrapCanceled(err)
+		}
+		r.floor = floor
+	}
 	perCandidate, err := r.searchAll()
 	endSearch()
 	if err != nil {
@@ -326,6 +345,7 @@ func (r *refiner) workerClone() *refiner {
 		forced:         r.forced,
 		counterfactual: r.counterfactual,
 		gains:          r.gains,
+		floor:          r.floor,
 		opts:           r.opts,
 		shared:         r.shared,
 	}
@@ -426,6 +446,33 @@ func (r *refiner) chargeWork(n int64) error {
 		return ErrSubsetBudget
 	}
 	return nil
+}
+
+// repairFloor returns the contingency-size floor that a minimum repair R*
+// of an gives every cause. For a cause c with contingency set Γ, Γ ∪ {c} is
+// itself a repair, so |Γ| >= |R*| − 1 (the causes–repairs connection of
+// Salimi and Bertossi). The repair search runs on a clone of the
+// evaluator, so the refinement's incremental state is untouched; it pays
+// for every probability evaluation and enumeration node with chargeWork,
+// and its exact-phase leaves count as examined subsets. The floor is 0 —
+// no bound — when a counterfactual cause makes R* a singleton, or when the
+// pool is too large for the repair to be proven minimum.
+func (r *refiner) repairFloor() (int, error) {
+	for _, cf := range r.counterfactual {
+		if cf {
+			return 0, nil
+		}
+	}
+	meter := repairMeter{
+		greedy: r.chargeWork,
+		node:   r.chargeWork,
+		leaf:   func() { r.shared.subsetsExamined.Add(1) },
+	}
+	kernel, chosen, exact, err := minRepair(r.e.Clone(), r.alpha, meter, true, nil)
+	if err != nil || !exact {
+		return 0, err
+	}
+	return len(kernel) + len(chosen) - 1, nil
 }
 
 // greedySeedAll runs the greedy incumbent pass for every searchable
@@ -624,12 +671,14 @@ func (r *refiner) fmcs(cc int) (gamma []int, ok bool, err error) {
 		},
 	}
 
-	// Search cardinalities strictly below the best known upper bound —
-	// the greedy incumbent and/or Lemma-6 sets, else maxSize+1.
+	// Search cardinalities from the repair floor strictly below the best
+	// known upper bound — the greedy incumbent and/or Lemma-6 sets, else
+	// maxSize+1. No contingency set is smaller than the floor, so starting
+	// there skips only empty cardinalities and finds the same first set.
 	upper := maxSize + 1
 	found := -1
 	chosen := r.scratchChosen[:0]
-	for m := len(forcedSet); ; m++ {
+	for m := max(len(forcedSet), r.floor); ; m++ {
 		// Re-read the shared bound each cardinality: parallel workers may
 		// have tightened it since the search began.
 		if b := r.bound(cc); b >= 0 && b < upper {

@@ -2,9 +2,11 @@ package causality
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
+	"github.com/crsky/crsky/internal/ctxutil"
 	"github.com/crsky/crsky/internal/prob"
 )
 
@@ -89,6 +91,58 @@ func TestTightenGainsNoBlockerNoChange(t *testing.T) {
 	for j := range before {
 		if r.gains[j] != before[j] {
 			t.Fatalf("gain[%d] changed %v -> %v without a hard blocker", j, before[j], r.gains[j])
+		}
+	}
+}
+
+// TestRepairFloor pins the minimum-repair seed on a hand-built instance:
+// four candidates each dominating an's one sample with probability 1/2, so
+// Pr(an) = 1/16 and any three removals (and no fewer) lift it to α = 1/2.
+// |R*| = 3 gives the floor 2; every candidate is a cause with a two-member
+// contingency set. The seed must leave the refinement's evaluator as it
+// was, count its exact-phase leaves as examined subsets, fail on the
+// refinement's budget, and surface a cancellation as the typed error.
+func TestRepairFloor(t *testing.T) {
+	weights := []float64{1}
+	d := [][]float64{{0.5}, {0.5}, {0.5}, {0.5}}
+	ids := []int{0, 1, 2, 3}
+	const alpha = 0.5
+	newR := func(ctx context.Context, opts Options) *refiner {
+		r := newRefiner(ctx, prob.NewEvaluatorRaw(weights, d), ids, alpha, opts)
+		r.classify()
+		return r
+	}
+
+	r := newR(context.Background(), Options{})
+	floor, err := r.repairFloor()
+	if err != nil || floor != 2 {
+		t.Fatalf("repairFloor = %d, %v; want 2", floor, err)
+	}
+	if r.e.NumActive() != len(ids) || r.e.Pr() != 1.0/16 {
+		t.Fatalf("seed disturbed the evaluator: %d active, Pr=%v", r.e.NumActive(), r.e.Pr())
+	}
+	if r.subsetsCount() == 0 {
+		t.Fatal("the seed's exact-phase leaves were not counted")
+	}
+
+	if _, err := newR(context.Background(), Options{MaxSubsets: 1}).repairFloor(); !errors.Is(err, ErrSubsetBudget) {
+		t.Fatalf("seed over budget returned %v, want ErrSubsetBudget", err)
+	}
+
+	// Without greedy incumbents the seed is the refinement's first charge.
+	_, err = newR(newCountdownCtx(0), Options{NoGreedySeed: true}).run()
+	var ce *ctxutil.CanceledError
+	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled seed returned %v, want a *ctxutil.CanceledError", err)
+	}
+
+	causes, err := newR(context.Background(), Options{}).run()
+	if err != nil || len(causes) != len(ids) {
+		t.Fatalf("run = %v, %v; want %d causes", causes, err, len(ids))
+	}
+	for _, c := range causes {
+		if len(c.Contingency) != 2 {
+			t.Fatalf("cause %d has |Γ|=%d, want 2", c.ID, len(c.Contingency))
 		}
 	}
 }

@@ -38,7 +38,7 @@ type Repair struct {
 // always-dominating object must be in R (its presence pins Pr(an) to 0),
 // and Pr is monotone in R. The search runs the same branch-and-bound scheme
 // as the FMCS refiner: a greedy marginal-gain construction first yields an
-// incumbent upper bound, then (for pools up to greedyThreshold) the exact
+// incumbent upper bound, then (for pools up to exactRepairLimit) the exact
 // phase enumerates only cardinalities BELOW the incumbent, with subtrees
 // pruned whenever even the `need` largest remaining removal gains cannot
 // lift Pr to α. If that bounded search comes up empty the incumbent is
@@ -83,20 +83,68 @@ func MinimalRepairCtx(ctx context.Context, ds *dataset.Uncertain, q geom.Point, 
 
 // repairCore is the model-agnostic half of the repair search, shared by the
 // sample and pdf entry points: everything after candidate filtering and
-// evaluator construction. The evaluator abstracts the probability model
-// (sample weights or quadrature pseudo-samples), so the kernel extraction,
-// the greedy incumbent, and the exact branch-and-bound phase below are
-// written once against it.
+// evaluator construction. It meters minRepair the public way: the greedy
+// phase only polls ctx, and an exact phase that exhausts Options.MaxSubsets
+// degrades to the greedy incumbent (Exact=false).
 func repairCore(ctx context.Context, e *prob.Evaluator, candIDs []int, alpha float64, opts Options) (*Repair, error) {
-	poll := ctxutil.NewPoll(ctx, ctxutil.DefaultStride)
-	tr := obs.FromContext(ctx)
 	if prob.GEq(e.Pr(), alpha) {
 		return nil, fmt.Errorf("%w: Pr=%.6g, α=%.6g", ErrNotNonAnswer, e.Pr(), alpha)
 	}
+	poll := ctxutil.NewPoll(ctx, ctxutil.DefaultStride)
+	var examined int64
+	meter := repairMeter{
+		greedy: poll.Charge,
+		node: func(n int64) error {
+			if err := poll.Charge(n); err != nil {
+				// Type the error here, where the partial node count lives,
+				// so the CanceledError reports the abandoned work.
+				return &ctxutil.CanceledError{Err: err, SubsetsExamined: examined}
+			}
+			if examined += n; opts.MaxSubsets > 0 && examined > opts.MaxSubsets {
+				return errRepairBudget
+			}
+			return nil
+		},
+	}
+	kernel, chosen, exact, err := minRepair(e, alpha, meter, false, obs.FromContext(ctx))
+	if err != nil {
+		return nil, canceled(err, 0)
+	}
+	return finishRepair(e, candIDs, kernel, chosen, exact), nil
+}
 
-	// Forced kernel: while an always-dominating candidate is present,
-	// Pr(an) = 0 < α, so it belongs to every repair.
-	var kernel, pool []int
+// repairMeter is how a repair search pays for its work. MinimalRepair and
+// the explanation's repair seed (refiner.repairFloor) run the same phases
+// and differ only here.
+type repairMeter struct {
+	// greedy is charged once per probability evaluation of the greedy
+	// phase.
+	greedy func(n int64) error
+	// node is charged once per exact-phase enumeration node, pruned branch
+	// points included. errRepairBudget from it ends the exact phase
+	// without a proof; any other error ends the search.
+	node func(n int64) error
+	// leaf, when set, is called at every exact-phase leaf.
+	leaf func()
+}
+
+// exactRepairLimit is the largest pool the exact phase enumerates; a larger
+// pool keeps its greedy incumbent, which is then not proven minimum.
+const exactRepairLimit = 24
+
+// minRepair searches e for a smallest removal set R with Pr(an | P−R) >= α,
+// on an evaluator with nothing removed and Pr < α. Only candidates can
+// matter (Lemma 1), every always-dominating candidate is in every repair
+// (its presence pins Pr(an) to 0), and Pr is monotone in R. The forced
+// kernel goes first, then the greedy incumbent, then — for pools up to
+// exactRepairLimit — the exact phase below the incumbent. It returns the
+// kernel and the chosen pool members as evaluator indexes, left removed
+// on e, and whether their union is a proven minimum. With exactOnly it
+// returns (nil, nil, false, nil) before the greedy phase when the pool is
+// over the limit. tr (nil-safe) receives the repair.greedy and
+// repair.search spans.
+func minRepair(e *prob.Evaluator, alpha float64, meter repairMeter, exactOnly bool, tr *obs.Trace) (kernel, chosen []int, exact bool, err error) {
+	var pool []int
 	for j := 0; j < e.N(); j++ {
 		if e.AlwaysDominates(j) {
 			kernel = append(kernel, j)
@@ -107,63 +155,56 @@ func repairCore(ctx context.Context, e *prob.Evaluator, candIDs []int, alpha flo
 	}
 	// The kernel alone may already suffice.
 	if prob.GEq(e.Pr(), alpha) {
-		return finishRepair(e, candIDs, kernel, nil, true), nil
+		return kernel, nil, true, nil
+	}
+	if exactOnly && len(pool) > exactRepairLimit {
+		return nil, nil, false, nil
 	}
 
 	// Greedy incumbent: repeatedly remove the pool candidate with the
 	// largest marginal probability gain. Always a valid repair (removing
 	// the whole pool yields Pr = 1) and usually at or near the minimum.
 	endGreedy := tr.StartSpan("repair.greedy")
-	greedy, err := greedyRepair(e, pool, alpha, poll)
+	greedy, err := greedyRepair(e, pool, alpha, meter.greedy)
 	endGreedy()
 	if err != nil {
-		return nil, canceled(err, 0)
+		return nil, nil, false, err
 	}
 	if greedy == nil {
 		// Cannot happen: removing every candidate yields Pr = 1.
-		return nil, fmt.Errorf("causality: repair construction failed")
+		return nil, nil, false, fmt.Errorf("causality: repair construction failed")
+	}
+	if len(pool) > exactRepairLimit {
+		return kernel, greedy, false, nil
 	}
 	for _, j := range greedy {
 		e.Add(j) // back to the kernel-only state for the exact phase
 	}
 
-	const greedyThreshold = 24
-	if len(pool) <= greedyThreshold {
-		endSearch := tr.StartSpan("repair.search")
-		chosen, found, ok, err := exactRepairBelow(e, pool, alpha, opts.MaxSubsets, len(greedy), poll)
-		endSearch()
-		if err != nil {
-			return nil, canceled(err, 0)
-		}
-		if ok && found {
-			for _, j := range chosen {
-				e.Remove(j)
-			}
-			return finishRepair(e, candIDs, kernel, chosen, true), nil
-		}
-		if ok {
-			// The bounded search exhausted every smaller cardinality:
-			// the greedy incumbent is a provably minimum repair.
-			for _, j := range greedy {
-				e.Remove(j)
-			}
-			return finishRepair(e, candIDs, kernel, greedy, true), nil
-		}
-		// Budget ran out mid-proof; fall through to the inexact answer.
+	endSearch := tr.StartSpan("repair.search")
+	chosen, found, ok, err := exactRepairBelow(e, pool, alpha, len(greedy), meter)
+	endSearch()
+	if err != nil {
+		return nil, nil, false, err
 	}
-
-	for _, j := range greedy {
+	if !found {
+		// Either the bounded search exhausted every smaller cardinality
+		// (ok: the greedy incumbent is a proven minimum) or the budget ran
+		// out mid-proof (the incumbent stands, unproven).
+		chosen = greedy
+	}
+	for _, j := range chosen {
 		e.Remove(j)
 	}
-	return finishRepair(e, candIDs, kernel, greedy, false), nil
+	return kernel, chosen, ok, nil
 }
 
 // greedyRepair removes pool candidates in descending marginal-gain order
 // until the threshold is reached, returning the chosen evaluator indexes
-// (which remain removed). nil means the pool was exhausted below α. On
-// cancellation the evaluator is restored to the kernel-only state and the
-// context error is returned.
-func greedyRepair(e *prob.Evaluator, pool []int, alpha float64, poll *ctxutil.Poll) ([]int, error) {
+// (which remain removed). Every probability evaluation is charged one unit.
+// nil means the pool was exhausted below α. On a charge error the evaluator
+// is restored to the kernel-only state and the error is returned.
+func greedyRepair(e *prob.Evaluator, pool []int, alpha float64, charge func(n int64) error) ([]int, error) {
 	var chosen []int
 	remaining := append([]int{}, pool...)
 	for !prob.GEq(e.Pr(), alpha) {
@@ -176,7 +217,7 @@ func greedyRepair(e *prob.Evaluator, pool []int, alpha float64, poll *ctxutil.Po
 		bestIdx, bestGain := -1, -1.0
 		base := e.Pr()
 		for i, j := range remaining {
-			if err := poll.Check(); err != nil {
+			if err := charge(1); err != nil {
 				for _, k := range chosen {
 					e.Add(k)
 				}
@@ -207,10 +248,11 @@ var errRepairBudget = errors.New("causality: repair enumeration budget exhausted
 // order and a subtree dies when even the `need` largest remaining gains
 // cannot lift the current probability to α — the same admissible bound the
 // FMCS refiner uses, so the phase only pays for cardinalities the incumbent
-// has not already ruled out. found=false with ok=true means no smaller
-// repair exists; ok=false means the budget ran out; a non-nil err is a
-// context cancellation. The evaluator is restored in every case.
-func exactRepairBelow(e *prob.Evaluator, pool []int, alpha float64, budget int64, upper int, poll *ctxutil.Poll) (chosen []int, found, ok bool, err error) {
+// has not already ruled out. Every node is charged to meter.node.
+// found=false with ok=true means no smaller repair exists; ok=false means
+// the node charge reported errRepairBudget; a non-nil err is any other
+// charge error. The evaluator is restored in every case.
+func exactRepairBelow(e *prob.Evaluator, pool []int, alpha float64, upper int, meter repairMeter) (chosen []int, found, ok bool, err error) {
 	if upper <= 1 {
 		return nil, false, true, nil // the incumbent is a singleton: nothing below it
 	}
@@ -223,25 +265,18 @@ func exactRepairBelow(e *prob.Evaluator, pool []int, alpha float64, budget int64
 	sortPoolByGain(ordered, gain)
 	prefix := gainPrefix(ordered, gain, nil)
 
-	var examined int64
 	search := &subsetSearch{
 		e:    e,
 		pool: ordered,
-		// Charge every node, pruned branch points included, so the budget
-		// trips even when the admissible bound kills everything. The
-		// context poll rides on the same charging point.
-		charge: func(n int64) error {
-			if err := poll.Charge(n); err != nil {
-				// Type the error here, where the partial node count lives,
-				// so the CanceledError reports the abandoned work.
-				return &ctxutil.CanceledError{Err: err, SubsetsExamined: examined}
+		// Every node is charged, pruned branch points included, so the
+		// budget trips even when the admissible bound kills everything.
+		charge: meter.node,
+		leaf: func() (bool, error) {
+			if meter.leaf != nil {
+				meter.leaf()
 			}
-			if examined += n; budget > 0 && examined > budget {
-				return errRepairBudget
-			}
-			return nil
+			return prob.GEq(e.Pr(), alpha), nil
 		},
-		leaf: func() (bool, error) { return prob.GEq(e.Pr(), alpha), nil },
 		prune: func(start, need int) bool {
 			mass := prefix[start+need] - prefix[start]
 			return prob.Less(e.Pr()+mass+admissibleSlack, alpha)

@@ -2,6 +2,7 @@ package causality
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/geom"
@@ -15,7 +16,8 @@ import (
 // Pr(an | P−Γ−{c}) >= α — and that responsibility equals 1/(1+|Γ|). It
 // does not re-prove minimality (that would repeat the search); it proves
 // the explanation is sound. Useful as a trust layer on top of Explain and
-// heavily used by the integration tests.
+// heavily used by the integration tests. Each probability is evaluated over
+// the objects one linear pre-scan keeps (nearObjects), not all n.
 func VerifyExplanation(ds *dataset.Uncertain, q geom.Point, alpha float64, res *Result) error {
 	if res == nil {
 		return fmt.Errorf("causality: nil result")
@@ -23,8 +25,11 @@ func VerifyExplanation(ds *dataset.Uncertain, q geom.Point, alpha float64, res *
 	if res.NonAnswer >= 0 && res.NonAnswer < ds.Len() && ds.Objects[res.NonAnswer] == nil {
 		return fmt.Errorf("%w: %d", ErrBadObject, res.NonAnswer)
 	}
+	near := sync.OnceValue(func() []*uncertain.Object {
+		return nearObjects(ds.Objects, ds.Objects[res.NonAnswer], q)
+	})
 	return verifyCauses(ds.Len(), alpha, res, func(removed map[int]bool, extra int) float64 {
-		return prWithRemoved(ds.Objects[res.NonAnswer], q, ds.Objects, removed, extra)
+		return prWithRemoved(ds.Objects[res.NonAnswer], q, near(), removed, extra)
 	})
 }
 
@@ -42,9 +47,56 @@ func VerifyExplanationPDF(s *PDFSet, q geom.Point, alpha float64, quadNodes int,
 	if res.NonAnswer >= 0 && res.NonAnswer < s.Len() && s.Objects[res.NonAnswer] == nil {
 		return fmt.Errorf("%w: %d", ErrBadObject, res.NonAnswer)
 	}
-	return verifyCauses(s.Len(), alpha, res, func(removed map[int]bool, extra int) float64 {
-		return prWithRemovedPDF(s.Objects[res.NonAnswer], q, s.Objects, removed, extra, quadNodes)
+	near := sync.OnceValue(func() []*uncertain.PDFObject {
+		return nearObjectsPDF(s.Objects, s.Objects[res.NonAnswer], q)
 	})
+	return verifyCauses(s.Len(), alpha, res, func(removed map[int]bool, extra int) float64 {
+		return prWithRemovedPDF(s.Objects[res.NonAnswer], q, near(), removed, extra, quadNodes)
+	})
+}
+
+// nearObjects returns the live objects other than an whose MBR meets one of
+// an's padded dominance windows (the candidate filter's windows), in slice
+// order, by a linear scan that does not touch the R-tree. Any other object
+// dominates q w.r.t. no sample of an, so its Eq.-2 factor is exactly 1 and
+// leaving it out keeps every probability the verifier computes
+// bit-identical.
+func nearObjects(objs []*uncertain.Object, an *uncertain.Object, q geom.Point) []*uncertain.Object {
+	wins := make([]geom.Rect, len(an.Samples))
+	for i, s := range an.Samples {
+		wins[i] = geom.DomRectOuter(s.Loc, q)
+	}
+	wins = dropContainedWindows(wins)
+	var near []*uncertain.Object
+	for _, o := range objs {
+		if o != nil && o.ID != an.ID && meetsAny(o.MBR(), wins) {
+			near = append(near, o)
+		}
+	}
+	return near
+}
+
+// nearObjectsPDF is nearObjects for the continuous model: the objects whose
+// region meets one of an's sub-quadrant filter rectangles. Any other object
+// has zero dominance mass w.r.t. every point of an's region.
+func nearObjectsPDF(objs []*uncertain.PDFObject, an *uncertain.PDFObject, q geom.Point) []*uncertain.PDFObject {
+	wins := prob.CandidateRectsPDF(an, q)
+	var near []*uncertain.PDFObject
+	for _, o := range objs {
+		if o != nil && o.ID != an.ID && meetsAny(o.Region, wins) {
+			near = append(near, o)
+		}
+	}
+	return near
+}
+
+func meetsAny(r geom.Rect, wins []geom.Rect) bool {
+	for _, w := range wins {
+		if w.Intersects(r) {
+			return true
+		}
+	}
+	return false
 }
 
 // verifyCauses runs the model-independent Definition-1 audit: structural

@@ -22,22 +22,24 @@ type explainVariant struct {
 }
 
 // explainVariants enumerates every branch-and-bound ablation combination
-// (greedy seeding × admissible bound × mass ordering) crossed with serial
-// and parallel refinement, plus the legacy lemma ablations stacked on both
-// the full branch-and-bound search and the fully stripped enumeration.
+// (greedy seeding × admissible bound × mass ordering × repair seed) crossed
+// with serial and parallel refinement, plus the legacy lemma ablations
+// stacked on both the full branch-and-bound search and the fully stripped
+// enumeration.
 func explainVariants() []explainVariant {
 	var out []explainVariant
 	for _, parallel := range []int{1, 4} {
-		for mask := 0; mask < 8; mask++ {
+		for mask := 0; mask < 16; mask++ {
 			o := causality.Options{
 				Parallel:     parallel,
 				NoGreedySeed: mask&1 != 0,
 				NoAdmissible: mask&2 != 0,
 				NoMassOrder:  mask&4 != 0,
+				NoRepairSeed: mask&8 != 0,
 			}
 			out = append(out, explainVariant{
-				name: fmt.Sprintf("par%d-gs%t-ad%t-mo%t", parallel,
-					!o.NoGreedySeed, !o.NoAdmissible, !o.NoMassOrder),
+				name: fmt.Sprintf("par%d-gs%t-ad%t-mo%t-rs%t", parallel,
+					!o.NoGreedySeed, !o.NoAdmissible, !o.NoMassOrder, !o.NoRepairSeed),
 				opts: o,
 			})
 		}
@@ -51,7 +53,7 @@ func explainVariants() []explainVariant {
 				name: fmt.Sprintf("par%d-nolemmas-plain", parallel),
 				opts: causality.Options{Parallel: parallel,
 					NoLemma4: true, NoLemma5: true, NoLemma6: true, NoPrune: true,
-					NoGreedySeed: true, NoAdmissible: true, NoMassOrder: true},
+					NoGreedySeed: true, NoAdmissible: true, NoMassOrder: true, NoRepairSeed: true},
 			},
 		)
 	}

@@ -3,8 +3,10 @@ package conformance
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -35,10 +37,47 @@ func tamperedCopy(res *causality.Result) *causality.Result {
 	return &bad
 }
 
+// checkRepairFacts asserts what a minimum repair R* (an Exact RepairCtx
+// result) fixes about the causes of the same non-answer, the facts the
+// refiner's repair seed rests on: every cause has |Γ| >= |R*| − 1 (Γ ∪ {c}
+// is itself a repair), every member of R* is a cause with responsibility
+// exactly 1/|R*| (its contingency set is R* minus itself), and no
+// responsibility exceeds 1/|R*|. It reports the first violation.
+func checkRepairFacts(t *testing.T, context string, causes []causality.Cause, rep *causality.Repair) bool {
+	t.Helper()
+	k := len(rep.Removed)
+	top := 1 / float64(k)
+	resp := make(map[int]float64, len(causes))
+	for _, c := range causes {
+		resp[c.ID] = c.Responsibility
+		if len(c.Contingency) < k-1 || c.Responsibility > top {
+			t.Errorf("%s: cause %d has |Γ|=%d and responsibility %v; R*=%v allows |Γ| >= %d and at most %v",
+				context, c.ID, len(c.Contingency), c.Responsibility, rep.Removed, k-1, top)
+			return false
+		}
+	}
+	for _, id := range rep.Removed {
+		if r, ok := resp[id]; !ok || r != top {
+			t.Errorf("%s: R* member %d: cause=%t, responsibility %v, want 1/|R*|=%v (R*=%v)",
+				context, id, ok, r, top, rep.Removed)
+			return false
+		}
+	}
+	return true
+}
+
 // TestConformanceVerifyRepairSample runs the matrix on the discrete-sample
 // engine: ExplainCtx → VerifyCtx passes, tampering fails, and RepairCtx's
-// removal set lifts Pr(an) to α under the exact sample-space oracle.
+// removal set lifts Pr(an) to α under the exact sample-space oracle. An
+// Exact repair also holds the Definition-1 brute oracle's causes and
+// ExplainCtx's to the minimum-repair facts.
 func TestConformanceVerifyRepairSample(t *testing.T) {
+	exact := 0
+	defer func() {
+		if !t.Failed() && os.Getenv(ReplaySeedEnv) == "" && exact < 5 {
+			t.Errorf("only %d exact repairs with |R*| > 1 — workload drifted", exact)
+		}
+	}()
 	forEachCaseSeed(t, 45_000, 10, func(t *testing.T, seed int64) {
 		ds, q, alpha := explainWorkload(t, seed)
 		eng, err := crsky.NewEngine(ds.Objects)
@@ -73,6 +112,16 @@ func TestConformanceVerifyRepairSample(t *testing.T) {
 			if err != nil {
 				t.Errorf("seed=%d an=%d: repair: %v", seed, an, err)
 				return
+			}
+			if rep.Exact {
+				c := fmt.Sprintf("seed=%d an=%d", seed, an)
+				if !checkRepairFacts(t, c+" oracle", causality.BruteCausesUncertain(ds.Objects, q, an, alpha), rep) ||
+					!checkRepairFacts(t, c+" ExplainCtx", res.Causes, rep) {
+					return
+				}
+				if len(rep.Removed) > 1 {
+					exact++
+				}
 			}
 			drop := map[int]bool{}
 			for _, id := range rep.Removed {
@@ -174,8 +223,15 @@ func TestConformanceVerifyRepairCertain(t *testing.T) {
 // the half the API used to carve out. ExplainCtx must record the quadrature
 // resolution it ran at, VerifyCtx must re-integrate and pass at that
 // resolution, and RepairCtx's removal set must flip the non-answer under
-// the cubature oracle at the same resolution.
+// the cubature oracle at the same resolution. An Exact repair also holds
+// ExplainCtx's causes to the minimum-repair facts.
 func TestConformanceVerifyRepairPDF(t *testing.T) {
+	exact := 0
+	defer func() {
+		if !t.Failed() && os.Getenv(ReplaySeedEnv) == "" && exact < 5 {
+			t.Errorf("only %d exact pdf repairs with |R*| > 1 — workload drifted", exact)
+		}
+	}()
 	forEachCaseSeed(t, 47_000, 8, func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		dims := 2 + rng.Intn(2)
@@ -228,6 +284,14 @@ func TestConformanceVerifyRepairPDF(t *testing.T) {
 			if err != nil {
 				t.Errorf("seed=%d an=%d: repair: %v", seed, an, err)
 				return
+			}
+			if rep.Exact {
+				if !checkRepairFacts(t, fmt.Sprintf("seed=%d an=%d", seed, an), res.Causes, rep) {
+					return
+				}
+				if len(rep.Removed) > 1 {
+					exact++
+				}
 			}
 			drop := map[int]bool{}
 			for _, id := range rep.Removed {

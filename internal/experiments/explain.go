@@ -55,9 +55,9 @@ type explainVariant struct {
 
 // oldRefinerOpts reproduces the pre-branch-and-bound refiner: plain
 // cardinality-ascending enumeration with the paper lemmas but no greedy
-// incumbents, no admissible bound, no mass ordering.
+// incumbents, no admissible bound, no mass ordering and no repair seed.
 func oldRefinerOpts() causality.Options {
-	return causality.Options{NoGreedySeed: true, NoAdmissible: true, NoMassOrder: true}
+	return causality.Options{NoGreedySeed: true, NoAdmissible: true, NoMassOrder: true, NoRepairSeed: true}
 }
 
 func sampleExplainVariants() []explainVariant {
@@ -68,6 +68,7 @@ func sampleExplainVariants() []explainVariant {
 		{name: "bb-parallel", opts: causality.Options{Parallel: 4}},
 		{name: "bb-nogreedy", opts: causality.Options{NoGreedySeed: true}},
 		{name: "bb-noadmissible", opts: causality.Options{NoAdmissible: true}},
+		{name: "bb-norepairseed", opts: causality.Options{NoRepairSeed: true}},
 	}
 }
 
@@ -185,24 +186,31 @@ func explainBenchSample(cfg *Config, report *explainReport, tab *stats.Table, al
 			greedyHits   int64
 			filterIO     int64
 		)
-		start := time.Now()
-		for _, id := range nonAnswers {
-			var res *causality.Result
-			var err error
-			if v.naive {
-				res, err = causality.NaiveI(ds, q, id, alpha, causality.Options{})
-			} else {
-				res, err = causality.CP(ds, q, id, alpha, v.opts)
+		perPass, err := timedPasses(cfg.minTimedPass(), func(first bool) error {
+			for _, id := range nonAnswers {
+				var res *causality.Result
+				var err error
+				if v.naive {
+					res, err = causality.NaiveI(ds, q, id, alpha, causality.Options{})
+				} else {
+					res, err = causality.CP(ds, q, id, alpha, v.opts)
+				}
+				if err != nil {
+					return fmt.Errorf("experiments: %s on an=%d: %w", v.name, id, err)
+				}
+				if first {
+					totalSubsets += res.SubsetsExamined
+					greedySeeds += res.GreedySeeds
+					greedyHits += res.GreedyHits
+					filterIO += res.FilterNodeAccesses
+				}
 			}
-			if err != nil {
-				return fmt.Errorf("experiments: %s on an=%d: %w", v.name, id, err)
-			}
-			totalSubsets += res.SubsetsExamined
-			greedySeeds += res.GreedySeeds
-			greedyHits += res.GreedyHits
-			filterIO += res.FilterNodeAccesses
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		msPer := ms(time.Since(start)) / float64(len(nonAnswers))
+		msPer := ms(perPass) / float64(len(nonAnswers))
 		cell := explainResult{
 			Config: configName, Model: "sample", Variant: v.name,
 			NonAnswers: len(nonAnswers), MsPerExplain: msPer,
@@ -277,23 +285,31 @@ func explainBenchPDF(cfg *Config, report *explainReport, tab *stats.Table, alpha
 		{name: "old-refiner", opts: oldRefinerOpts()},
 		{name: "bb", opts: causality.Options{}},
 		{name: "bb-parallel", opts: causality.Options{Parallel: 4}},
+		{name: "bb-norepairseed", opts: causality.Options{NoRepairSeed: true}},
 	}
 	configName := "pdf"
 	var oldMs float64
 	for _, v := range variants {
 		var totalSubsets, greedySeeds, greedyHits, filterIO int64
-		start := time.Now()
-		for _, id := range nonAnswers {
-			res, err := causality.CPPDF(set, q, id, alpha, v.opts)
-			if err != nil {
-				return fmt.Errorf("experiments: pdf %s on an=%d: %w", v.name, id, err)
+		perPass, err := timedPasses(cfg.minTimedPass(), func(first bool) error {
+			for _, id := range nonAnswers {
+				res, err := causality.CPPDF(set, q, id, alpha, v.opts)
+				if err != nil {
+					return fmt.Errorf("experiments: pdf %s on an=%d: %w", v.name, id, err)
+				}
+				if first {
+					totalSubsets += res.SubsetsExamined
+					greedySeeds += res.GreedySeeds
+					greedyHits += res.GreedyHits
+					filterIO += res.FilterNodeAccesses
+				}
 			}
-			totalSubsets += res.SubsetsExamined
-			greedySeeds += res.GreedySeeds
-			greedyHits += res.GreedyHits
-			filterIO += res.FilterNodeAccesses
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		msPer := ms(time.Since(start)) / float64(len(nonAnswers))
+		msPer := ms(perPass) / float64(len(nonAnswers))
 		cell := explainResult{
 			Config: configName, Model: "pdf", Variant: v.name,
 			NonAnswers: len(nonAnswers), MsPerExplain: msPer,
@@ -313,6 +329,29 @@ func explainBenchPDF(cfg *Config, report *explainReport, tab *stats.Table, alpha
 			"-", speedupCell(cell.SpeedupOld))
 	}
 	return nil
+}
+
+// minTimedPass is the least wall time one variant's measurement spans at
+// Scale 1: seeded branch-and-bound explains take well under a millisecond,
+// so one pass over the selected non-answers is too short for a stable
+// ratio. It scales with Config.Scale, so scaled-down smoke runs stay quick.
+func (c *Config) minTimedPass() time.Duration {
+	return time.Duration(c.Scale * float64(250*time.Millisecond))
+}
+
+// timedPasses repeats pass until span has elapsed (at least once) and
+// returns the mean wall time of one pass; first is true on the first pass
+// only, the one whose deterministic counters a cell records.
+func timedPasses(span time.Duration, pass func(first bool) error) (time.Duration, error) {
+	start := time.Now()
+	for n := 1; ; n++ {
+		if err := pass(n == 1); err != nil {
+			return 0, err
+		}
+		if elapsed := time.Since(start); elapsed >= span {
+			return elapsed / time.Duration(n), nil
+		}
+	}
 }
 
 func speedupCell(s float64) string {

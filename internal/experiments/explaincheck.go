@@ -23,10 +23,11 @@ import (
 //     Parallel cells are exempt — Lemma-6 bound sharing makes their count
 //     schedule-dependent.
 //
-// In addition the fresh report must keep the in-run invariant that the
-// branch-and-bound refiner examines strictly fewer subsets than the old
-// refiner on every config where both appear — the tentpole claim of the
-// branch-and-bound rework, enforced forever.
+// In addition the fresh report must keep two in-run invariants on every
+// config where the cells appear: the branch-and-bound refiner examines
+// strictly fewer subsets than the old refiner (the claim of the
+// branch-and-bound rework) and than itself without the minimum-repair seed
+// (the claim of the seed).
 func ExplainCompare(nextPath, prevPath string, tolerance float64) error {
 	next, err := loadExplainReport(nextPath)
 	if err != nil {
@@ -65,27 +66,24 @@ func ExplainCompare(nextPath, prevPath string, tolerance float64) error {
 	return explainInvariants(next, nextPath)
 }
 
-// explainInvariants checks the within-report branch-and-bound claims.
+// explainInvariants checks the within-report claims: bb examines strictly
+// fewer subsets than each baseline variant in the same config.
 func explainInvariants(rep *explainReport, path string) error {
-	type key struct{ config, model string }
-	old := make(map[key]explainResult)
-	bb := make(map[key]explainResult)
+	type key struct{ config, model, variant string }
+	cells := make(map[key]explainResult)
 	for _, r := range rep.Results {
-		switch r.Variant {
-		case "old-refiner":
-			old[key{r.Config, r.Model}] = r
-		case "bb":
-			bb[key{r.Config, r.Model}] = r
-		}
+		cells[key{r.Config, r.Model, r.Variant}] = r
 	}
-	for k, o := range old {
-		b, ok := bb[k]
-		if !ok {
+	for k, b := range cells {
+		if k.variant != "bb" {
 			continue
 		}
-		if b.SubsetsExamined >= o.SubsetsExamined {
-			return fmt.Errorf("experiments: %s: branch-and-bound examined %d subsets on %s/%s, not fewer than the old refiner's %d",
-				path, b.SubsetsExamined, k.config, k.model, o.SubsetsExamined)
+		for _, base := range []string{"old-refiner", "bb-norepairseed"} {
+			o, ok := cells[key{k.config, k.model, base}]
+			if ok && b.SubsetsExamined >= o.SubsetsExamined {
+				return fmt.Errorf("experiments: %s: branch-and-bound examined %d subsets on %s/%s, not fewer than %s's %d",
+					path, b.SubsetsExamined, k.config, k.model, base, o.SubsetsExamined)
+			}
 		}
 	}
 	return nil

@@ -76,14 +76,15 @@ type DatasetInfo struct {
 
 // OptionsSpec tunes the refinement stage of explain/repair requests; the
 // zero value selects the library defaults. The research ablation switches
-// of causality.Options (NoGreedySeed, NoAdmissible, NoMassOrder) are not
-// part of the wire API: they belong to the experiments harness, and since
+// of causality.Options (NoGreedySeed, NoAdmissible, NoMassOrder,
+// NoRepairSeed) are not part of the wire API: they belong to the experiments harness, and since
 // unknown fields are ignored, requests that still send them decode as if
 // they were unset.
 //
 // MaxSubsets counts refinement evaluation units — leaf verifications,
-// pruned branch points, and the greedy incumbent pass's probability
-// evaluations — so it bounds the whole refinement's latency. Before the
+// pruned branch points, the greedy incumbent pass's probability
+// evaluations, and the minimum-repair seed's evaluations and enumeration
+// nodes — so it bounds the whole refinement's latency. Before the
 // branch-and-bound rework only leaf verifications were charged; budgets
 // calibrated against the old counting trip earlier now and may need
 // raising by a small factor.
