@@ -132,8 +132,9 @@ bench-explain:
 
 # Re-measure into a scratch file and fail against the committed
 # BENCH_explain.json on a >20% drop in speedup-vs-naive (hardware-neutral),
-# any growth in SubsetsExamined on serial cells (deterministic), or a
-# violated bb-beats-old-refiner subset invariant.
+# any growth in SubsetsExamined on serial cells (deterministic), or a bb
+# cell that stops examining strictly fewer subsets than old-refiner,
+# bb-norepairseed or bb-noadmissible in its config.
 bench-explain-check:
 	go run ./cmd/experiments -exp explain -scale 1 -benchfile /tmp/BENCH_explain.head.json -against BENCH_explain.json
 

@@ -46,7 +46,7 @@ func (c *countdownCtx) Err() error {
 // poll stride of work, so a countdown context reliably cancels mid-search.
 // The minimum-repair seed makes most non-answers of this generator cheap
 // at α = 0.6; at α = 0.5 with 24 objects the first qualifying search still
-// examines about 53 000 subsets.
+// examines about 23 000 subsets.
 func cancelWorkload(t *testing.T) (*dataset.Uncertain, geom.Point, float64, int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))

@@ -46,13 +46,6 @@ type Result struct {
 	// during refinement (the work the paper's lemmas save), including the
 	// leaves of the minimum-repair seed's exact phase.
 	SubsetsExamined int64
-	// GreedySeeds counts candidates for which the greedy incumbent pass
-	// produced a verified contingency-set upper bound.
-	GreedySeeds int64
-	// GreedyHits counts candidates whose final minimum contingency size
-	// equals their greedy incumbent — the search only certified
-	// minimality instead of discovering the set.
-	GreedyHits int64
 	// FilterNodeAccesses is the simulated I/O of the candidate-retrieval
 	// R-tree traversal (the Lemma-2 filter step) for this explanation.
 	FilterNodeAccesses int64
@@ -72,12 +65,11 @@ type Options struct {
 	MaxCandidates int
 	// MaxSubsets aborts with ErrSubsetBudget after this many refinement
 	// evaluation units — contingency-set verifications, branch points a
-	// prune killed, the greedy incumbent pass's probability evaluations,
-	// and the minimum-repair seed's evaluations and enumeration nodes
-	// (0 = unlimited). Charging pruned branch points and both seeds keeps
-	// the budget a real latency bound under the branch-and-bound search:
-	// prunes convert leaf verifications into internal-node work, and the
-	// seeds run before any enumeration.
+	// prune killed, and the minimum-repair seed's evaluations and
+	// enumeration nodes (0 = unlimited). Charging pruned branch points and
+	// the seed keeps the budget a real latency bound under the
+	// branch-and-bound search: prunes convert leaf verifications into
+	// internal-node work, and the seed runs before any enumeration.
 	MaxSubsets int64
 	// QuadNodes is the per-dimension quadrature resolution for the
 	// pdf-model algorithms (0 = dimension-adapted default).
@@ -101,12 +93,9 @@ type Options struct {
 	NoPrune  bool
 
 	// Branch-and-bound ablations (same contract — results stay correct):
-	// NoGreedySeed skips the greedy incumbent pass that seeds per-
-	// candidate upper bounds before the exhaustive search, NoAdmissible
-	// disables the removal-gain bound that prunes enumeration subtrees,
-	// and NoMassOrder keeps pools and the candidate processing sequence
-	// in index order instead of descending dominance mass.
-	NoGreedySeed bool
+	// NoAdmissible disables the removal-gain bound that prunes enumeration
+	// subtrees, and NoMassOrder keeps pools and the candidate processing
+	// sequence in index order instead of descending dominance mass.
 	NoAdmissible bool
 	NoMassOrder  bool
 

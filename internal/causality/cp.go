@@ -83,7 +83,6 @@ func CPCtx(ctx context.Context, ds *dataset.Uncertain, q geom.Point, anID int, a
 	}
 	res.Causes = causes
 	res.SubsetsExamined = r.subsetsCount()
-	res.GreedySeeds, res.GreedyHits = r.greedyStats()
 	res.addToTrace(tr)
 	return res, nil
 }
@@ -98,8 +97,6 @@ func (r *Result) addToTrace(tr *obs.Trace) {
 	tr.Add("explain.candidates", int64(r.Candidates))
 	tr.Add("explain.filterNodeAccesses", r.FilterNodeAccesses)
 	tr.Add("explain.subsetsExamined", r.SubsetsExamined)
-	tr.Add("explain.greedySeeds", r.GreedySeeds)
-	tr.Add("explain.greedyHits", r.GreedyHits)
 }
 
 // FilterCandidates performs the Lemma-2 filtering step: a single

@@ -243,7 +243,6 @@ func CPPDFCtx(ctx context.Context, s *PDFSet, q geom.Point, anID int, alpha floa
 	}
 	res.Causes = causes
 	res.SubsetsExamined = r.subsetsCount()
-	res.GreedySeeds, res.GreedyHits = r.greedyStats()
 	res.addToTrace(tr)
 	return res, nil
 }

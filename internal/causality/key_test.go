@@ -56,7 +56,7 @@ func TestOptionsKeyDistinguishesValues(t *testing.T) {
 		{Options{MaxSubsets: 10}, Options{MaxSubsets: 100}},
 		{Options{Parallel: 2}, Options{Parallel: 4}},
 		{Options{QuadNodes: 3}, Options{QuadNodes: 5}},
-		{Options{NoGreedySeed: true}, Options{NoAdmissible: true}},
+		{Options{NoRepairSeed: true}, Options{NoAdmissible: true}},
 		{Options{NoAdmissible: true}, Options{NoMassOrder: true}},
 	}
 	for i, p := range pairs {

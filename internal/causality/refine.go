@@ -26,11 +26,6 @@ import (
 // On top of the cardinality-ascending enumeration the refiner runs a true
 // branch-and-bound search:
 //
-//   - a greedy incumbent pass (largest-marginal-gain removals until the
-//     contingency conditions hold) seeds a per-candidate upper bound
-//     BEFORE any exhaustive work, so the search proves minimality below a
-//     tight incumbent instead of climbing from the bottom blindly
-//     (Options.NoGreedySeed ablates it);
 //   - an admissible bound prunes subtrees inside the enumeration: each
 //     candidate's removal can raise Pr(an | ·) by at most its dominance
 //     mass Σ_i w_i·d(j,i) in any context, so a branch whose `need` best
@@ -45,7 +40,7 @@ import (
 //     at that cardinality instead of proving the smaller ones empty
 //     (repairFloor; Options.NoRepairSeed ablates it).
 //
-// All four are pure search-space reductions: they never change which
+// All three are pure search-space reductions: they never change which
 // cause IDs are reported or their responsibilities (minimum contingency
 // sizes are unique even though the witnessing sets are not).
 //
@@ -91,7 +86,6 @@ type refiner struct {
 	scratchPool   []int
 	scratchChosen []int
 	scratchPrefix []float64
-	scratchPicked []bool
 }
 
 // admissibleSlack widens the admissible prune threshold beyond the Eps
@@ -102,10 +96,9 @@ const admissibleSlack = 1e-9
 
 // refinerShared is the cross-worker state.
 type refinerShared struct {
-	mu         sync.Mutex
-	bestKnown  []int   // per candidate: best known contingency size (-1 unknown)
-	bestSet    [][]int // the recorded set (evaluator indexes)
-	greedySize []int   // per candidate: greedy incumbent size (-1 = no seed)
+	mu        sync.Mutex
+	bestKnown []int   // per candidate: best known contingency size (-1 unknown)
+	bestSet   [][]int // the recorded set (evaluator indexes)
 
 	subsetsExamined atomic.Int64
 	// workUnits counts every enumeration node — leaves AND branch points
@@ -114,11 +107,9 @@ type refinerShared struct {
 	// evaluations, and a budget that only counted leaves would never trip
 	// on a search that prunes everything while still churning through an
 	// exponential frontier.
-	workUnits   atomic.Int64
-	greedySeeds atomic.Int64
-	greedyHits  atomic.Int64
-	maxSubsets  int64
-	aborted     atomic.Bool
+	workUnits  atomic.Int64
+	maxSubsets int64
+	aborted    atomic.Bool
 }
 
 func newRefiner(ctx context.Context, e *prob.Evaluator, ids []int, alpha float64, opts Options) *refiner {
@@ -126,12 +117,10 @@ func newRefiner(ctx context.Context, e *prob.Evaluator, ids []int, alpha float64
 	shared := &refinerShared{
 		bestKnown:  make([]int, n),
 		bestSet:    make([][]int, n),
-		greedySize: make([]int, n),
 		maxSubsets: opts.MaxSubsets,
 	}
 	for j := range shared.bestKnown {
 		shared.bestKnown[j] = -1
-		shared.greedySize[j] = -1
 	}
 	gains := make([]float64, n)
 	for j := range gains {
@@ -161,12 +150,6 @@ func (r *refiner) wrapCanceled(err error) error {
 // subsetsExamined reports the shared verification counter.
 func (r *refiner) subsetsCount() int64 { return r.shared.subsetsExamined.Load() }
 
-// greedyStats reports how many greedy incumbents were seeded and how many
-// turned out to already be minimum contingency sets.
-func (r *refiner) greedyStats() (seeds, hits int64) {
-	return r.shared.greedySeeds.Load(), r.shared.greedyHits.Load()
-}
-
 // classify fills the forced and counterfactual marks (Lemmas 4 and 5);
 // either classification can be ablated away without affecting correctness,
 // only the search-space size.
@@ -183,10 +166,10 @@ func (r *refiner) classify() {
 
 // tightenGains is the per-sample remaining-zero-coverage refinement of the
 // admissible removal gains: a counterfactual candidate is never removed
-// during any contingency search (Lemma 5 keeps it out of every pool and
-// every greedy pick), so a sample it dominates with probability 1 keeps a
-// zero Eq. (2) factor in every context the search can reach — no sequence
-// of pool removals ever reclaims that sample's mass. Subtracting the
+// during any contingency search (Lemma 5 keeps it out of every pool), so a
+// sample it dominates with probability 1 keeps a zero Eq. (2) factor in
+// every context the search can reach — no sequence of pool removals ever
+// reclaims that sample's mass. Subtracting the
 // permanently dead mass from each candidate's gain tightens the
 // branch-and-bound budget while staying admissible. The mass ordering uses
 // the same tightened gains, so the prefix-sum bound stays an exact range
@@ -227,15 +210,6 @@ func (r *refiner) run() ([]Cause, error) {
 	}
 
 	tr := obs.FromContext(r.ctx)
-	if !r.opts.NoGreedySeed {
-		endGreedy := tr.StartSpan("explain.greedy")
-		err := r.greedySeedAll()
-		endGreedy()
-		if err != nil {
-			return nil, r.wrapCanceled(err)
-		}
-	}
-
 	endSearch := tr.StartSpan("explain.search")
 	if !r.opts.NoRepairSeed {
 		endSeed := tr.StartSpan("explain.seed")
@@ -437,7 +411,7 @@ func (r *refiner) partition(cc int) (forcedSet, pool []int) {
 // returning ErrSubsetBudget once it is exhausted. It is also the single
 // cancellation point of the refinement: the amortized context poll fires
 // here, so every budget-charging site — leaves, pruned branch points, the
-// greedy incumbent pass — observes a cancellation within one stride.
+// repair seed — observes a cancellation within one stride.
 func (r *refiner) chargeWork(n int64) error {
 	if err := r.poll.Charge(n); err != nil {
 		return err
@@ -449,148 +423,27 @@ func (r *refiner) chargeWork(n int64) error {
 }
 
 // repairFloor returns the contingency-size floor that a minimum repair R*
-// of an gives every cause. For a cause c with contingency set Γ, Γ ∪ {c} is
-// itself a repair, so |Γ| >= |R*| − 1 (the causes–repairs connection of
-// Salimi and Bertossi). The repair search runs on a clone of the
-// evaluator, so the refinement's incremental state is untouched; it pays
-// for every probability evaluation and enumeration node with chargeWork,
-// and its exact-phase leaves count as examined subsets. The floor is 0 —
-// no bound — when a counterfactual cause makes R* a singleton, or when the
-// pool is too large for the repair to be proven minimum.
+// gives every cause. For a cause c with contingency set Γ, Γ ∪ {c} is
+// itself a repair (the causes–repairs connection of Salimi and Bertossi).
+// Lemma 5 keeps every counterfactual candidate out of Γ, and c is searched
+// only when it is not counterfactual, so R* is taken over the other
+// candidates and still gives |Γ| >= |R*| − 1. The repair search runs on a
+// clone of the evaluator, so the refinement's incremental state is
+// untouched; it pays for every probability evaluation and enumeration node
+// with chargeWork, and its exact-phase leaves count as examined subsets.
+// The floor is 0 — no bound — when those candidates cannot reach α, or
+// when their pool is too large for the repair to be proven minimum.
 func (r *refiner) repairFloor() (int, error) {
-	for _, cf := range r.counterfactual {
-		if cf {
-			return 0, nil
-		}
-	}
 	meter := repairMeter{
 		greedy: r.chargeWork,
 		node:   r.chargeWork,
 		leaf:   func() { r.shared.subsetsExamined.Add(1) },
 	}
-	kernel, chosen, exact, err := minRepair(r.e.Clone(), r.alpha, meter, true, nil)
+	kernel, chosen, exact, err := minRepair(r.e.Clone(), r.alpha, r.counterfactual, meter, true, nil)
 	if err != nil || !exact {
 		return 0, err
 	}
 	return len(kernel) + len(chosen) - 1, nil
-}
-
-// greedySeedAll runs the greedy incumbent pass for every searchable
-// candidate, serially for every Options.Parallel, seeding the shared upper
-// bounds before any exhaustive search begins. The seeds are independent per
-// candidate — greedySeed writes the shared bounds but never reads them — so
-// the parallel search that follows starts from the same bounds whatever its
-// worker count. Probability evaluations are charged to the MaxSubsets
-// budget like any other search node, so a tight budget bounds the whole
-// refinement, not just the enumeration behind the seeds.
-func (r *refiner) greedySeedAll() error {
-	for _, cc := range r.searchOrder() {
-		if err := r.greedySeed(cc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// greedySeed builds a contingency-set incumbent for cc by repeatedly
-// removing the pool object with the largest marginal gain on
-// Pr(an | · − {cc}) until condition (ii) holds, then verifying condition
-// (i). A verified incumbent of size s bounds cc's search to cardinalities
-// < s; the search only has to prove nothing smaller exists.
-func (r *refiner) greedySeed(cc int) error {
-	forcedSet, pool := r.partition(cc)
-
-	for _, j := range forcedSet {
-		r.e.Remove(j)
-	}
-	r.e.Remove(cc)
-
-	if cap(r.scratchPicked) < r.e.N() {
-		r.scratchPicked = make([]bool, r.e.N())
-	}
-	picked := r.scratchPicked[:r.e.N()]
-	for i := range picked {
-		picked[i] = false
-	}
-
-	chosen := r.scratchChosen[:0]
-	feasible := true
-	var budgetErr error
-	for budgetErr == nil && prob.Less(r.e.Pr(), r.alpha) {
-		best, bestPr := -1, 0.0
-		for _, j := range pool {
-			if picked[j] {
-				continue
-			}
-			if budgetErr = r.chargeWork(1); budgetErr != nil {
-				break
-			}
-			if pr := r.e.PrWithout(j); best < 0 || pr > bestPr {
-				best, bestPr = j, pr
-			}
-		}
-		if budgetErr != nil {
-			break
-		}
-		if best < 0 {
-			feasible = false // pool exhausted below α: cc is not a cause
-			break
-		}
-		picked[best] = true
-		chosen = append(chosen, best)
-		r.e.Remove(best)
-	}
-	r.scratchChosen = chosen[:0]
-
-	ok := false
-	r.e.Add(cc)
-	if feasible && budgetErr == nil {
-		// Condition (ii) holds; re-adding cc must keep an a non-answer
-		// (condition (i)) for Γ = forced ∪ chosen to witness causehood.
-		ok = prob.Less(r.e.Pr(), r.alpha)
-	}
-
-	var set []int
-	if ok {
-		set = make([]int, 0, len(forcedSet)+len(chosen))
-		set = append(append(set, forcedSet...), chosen...)
-	}
-
-	// Restore the evaluator exactly (also on the budget-abort path).
-	for _, j := range chosen {
-		r.e.Add(j)
-	}
-	for _, j := range forcedSet {
-		r.e.Add(j)
-	}
-
-	if !ok {
-		return budgetErr
-	}
-	size := len(set)
-	r.shared.greedySeeds.Add(1)
-	r.shared.mu.Lock()
-	r.shared.greedySize[cc] = size
-	if r.shared.bestKnown[cc] < 0 || r.shared.bestKnown[cc] > size {
-		r.shared.bestKnown[cc] = size
-		r.shared.bestSet[cc] = set
-	}
-	r.shared.mu.Unlock()
-	return nil
-}
-
-// recordGreedyHit bumps the hit counter when cc's final minimum size equals
-// its greedy incumbent — the measure of how often the incumbent pass alone
-// found an optimal set and the search only certified it. Only the
-// bound-return path of fmcs can hit: a set found by enumeration is always
-// strictly smaller than the incumbent that capped the search.
-func (r *refiner) recordGreedyHit(cc, size int) {
-	r.shared.mu.Lock()
-	hit := r.shared.greedySize[cc] == size
-	r.shared.mu.Unlock()
-	if hit {
-		r.shared.greedyHits.Add(1)
-	}
 }
 
 // fmcs finds a minimum contingency set for candidate cc (Algorithm 2),
@@ -672,9 +525,9 @@ func (r *refiner) fmcs(cc int) (gamma []int, ok bool, err error) {
 	}
 
 	// Search cardinalities from the repair floor strictly below the best
-	// known upper bound — the greedy incumbent and/or Lemma-6 sets, else
-	// maxSize+1. No contingency set is smaller than the floor, so starting
-	// there skips only empty cardinalities and finds the same first set.
+	// known upper bound — a Lemma-6 set, else maxSize+1. No contingency set
+	// is smaller than the floor, so starting there skips only empty
+	// cardinalities and finds the same first set.
 	upper := maxSize + 1
 	found := -1
 	chosen := r.scratchChosen[:0]
@@ -717,12 +570,11 @@ func (r *refiner) fmcs(cc int) (gamma []int, ok bool, err error) {
 		}
 		return gamma, true, nil
 	case r.bound(cc) >= 0:
-		// Nothing smaller exists, so the recorded incumbent (greedy or
-		// Lemma-6) is minimal — which is all Lemma 6 itself needs: a
-		// certified incumbent propagates same-size bounds to its members
-		// exactly like a freshly enumerated set. Guarded by the same
-		// ablation flag so NoLemma6 benchmark cells stay comparable.
-		r.recordGreedyHit(cc, r.bound(cc))
+		// Nothing smaller exists, so the recorded Lemma-6 incumbent is
+		// minimal — which is all Lemma 6 itself needs: a certified
+		// incumbent propagates same-size bounds to its members exactly like
+		// a freshly enumerated set. Guarded by the same ablation flag so
+		// NoLemma6 benchmark cells stay comparable.
 		gamma = r.boundSet(cc)
 		if !r.opts.NoLemma6 {
 			r.propagateLemma6(cc, gamma)

@@ -101,7 +101,9 @@ func TestTightenGainsNoBlockerNoChange(t *testing.T) {
 // |R*| = 3 gives the floor 2; every candidate is a cause with a two-member
 // contingency set. The seed must leave the refinement's evaluator as it
 // was, count its exact-phase leaves as examined subsets, fail on the
-// refinement's budget, and surface a cancellation as the typed error.
+// refinement's budget, and surface a cancellation as the typed error. A
+// counterfactual candidate must not void the floor: Lemma 5 keeps it out
+// of every contingency set, so R* is taken over the other candidates.
 func TestRepairFloor(t *testing.T) {
 	weights := []float64{1}
 	d := [][]float64{{0.5}, {0.5}, {0.5}, {0.5}}
@@ -129,8 +131,8 @@ func TestRepairFloor(t *testing.T) {
 		t.Fatalf("seed over budget returned %v, want ErrSubsetBudget", err)
 	}
 
-	// Without greedy incumbents the seed is the refinement's first charge.
-	_, err = newR(newCountdownCtx(0), Options{NoGreedySeed: true}).run()
+	// The seed is the refinement's first charge.
+	_, err = newR(newCountdownCtx(0), Options{}).run()
 	var ce *ctxutil.CanceledError
 	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled seed returned %v, want a *ctxutil.CanceledError", err)
@@ -144,5 +146,44 @@ func TestRepairFloor(t *testing.T) {
 		if len(c.Contingency) != 2 {
 			t.Fatalf("cause %d has |Γ|=%d, want 2", c.ID, len(c.Contingency))
 		}
+	}
+
+	// Candidate 0 blocks sample 0 outright and is counterfactual at
+	// α = 0.45 ({0} alone is a repair); candidates 1–4 each halve sample 1,
+	// and all four must go to lift Pr to 0.5. Over them |R*| = 4, so the
+	// floor is 3 and each of 1–4 is a cause with a three-member set.
+	cfWeights := []float64{0.5, 0.5}
+	cfD := [][]float64{{1, 0}, {0, 0.5}, {0, 0.5}, {0, 0.5}, {0, 0.5}}
+	cfIDs := []int{0, 1, 2, 3, 4}
+	newCF := func(alpha float64, d [][]float64) *refiner {
+		r := newRefiner(context.Background(), prob.NewEvaluatorRaw(cfWeights, d), cfIDs[:len(d)], alpha, Options{})
+		r.classify()
+		return r
+	}
+	cf := newCF(0.45, cfD)
+	if !cf.counterfactual[0] {
+		t.Fatalf("scenario wants candidate 0 counterfactual (marks %v)", cf.counterfactual)
+	}
+	if floor, err := cf.repairFloor(); err != nil || floor != 3 {
+		t.Fatalf("repairFloor with a counterfactual candidate = %d, %v; want 3", floor, err)
+	}
+	causes, err = newCF(0.45, cfD).run()
+	if err != nil || len(causes) != len(cfIDs) {
+		t.Fatalf("run = %v, %v; want %d causes", causes, err, len(cfIDs))
+	}
+	for _, c := range causes {
+		want := 3
+		if c.ID == 0 {
+			want = 0
+		}
+		if len(c.Contingency) != want {
+			t.Fatalf("cause %d has |Γ|=%d, want %d", c.ID, len(c.Contingency), want)
+		}
+	}
+
+	// With one halving candidate left, the candidates other than 0 cannot
+	// lift Pr above 0.5, so at α = 0.6 there is no floor.
+	if floor, err := newCF(0.6, cfD[:2]).repairFloor(); err != nil || floor != 0 {
+		t.Fatalf("repairFloor with no repair beside the counterfactual = %d, %v; want 0", floor, err)
 	}
 }

@@ -36,14 +36,14 @@ type Repair struct {
 // MinimalRepair finds a smallest removal set R ⊆ P with
 // Pr(an | P−R) >= alpha. Only candidate causes can matter (Lemma 1), every
 // always-dominating object must be in R (its presence pins Pr(an) to 0),
-// and Pr is monotone in R. The search runs the same branch-and-bound scheme
-// as the FMCS refiner: a greedy marginal-gain construction first yields an
-// incumbent upper bound, then (for pools up to exactRepairLimit) the exact
-// phase enumerates only cardinalities BELOW the incumbent, with subtrees
-// pruned whenever even the `need` largest remaining removal gains cannot
-// lift Pr to α. If that bounded search comes up empty the incumbent is
-// provably minimum and reported Exact=true; larger pools or an exceeded
-// Options.MaxSubsets budget keep the greedy set with Exact=false.
+// and Pr is monotone in R. The search is a branch and bound: a greedy
+// marginal-gain construction first yields an incumbent upper bound, then
+// (for pools up to exactRepairLimit) the exact phase enumerates only
+// cardinalities BELOW the incumbent, with subtrees pruned whenever even the
+// `need` largest remaining removal gains cannot lift Pr to α (the FMCS
+// refiner's admissible bound). If that bounded search comes up empty the
+// incumbent is provably minimum and reported Exact=true; larger pools or an
+// exceeded Options.MaxSubsets budget keep the greedy set with Exact=false.
 func MinimalRepair(ds *dataset.Uncertain, q geom.Point, anID int, alpha float64, opts Options) (*Repair, error) {
 	return MinimalRepairCtx(context.Background(), ds, q, anID, alpha, opts)
 }
@@ -106,7 +106,7 @@ func repairCore(ctx context.Context, e *prob.Evaluator, candIDs []int, alpha flo
 			return nil
 		},
 	}
-	kernel, chosen, exact, err := minRepair(e, alpha, meter, false, obs.FromContext(ctx))
+	kernel, chosen, exact, err := minRepair(e, alpha, nil, meter, false, obs.FromContext(ctx))
 	if err != nil {
 		return nil, canceled(err, 0)
 	}
@@ -137,19 +137,23 @@ const exactRepairLimit = 24
 // matter (Lemma 1), every always-dominating candidate is in every repair
 // (its presence pins Pr(an) to 0), and Pr is monotone in R. The forced
 // kernel goes first, then the greedy incumbent, then — for pools up to
-// exactRepairLimit — the exact phase below the incumbent. It returns the
-// kernel and the chosen pool members as evaluator indexes, left removed
-// on e, and whether their union is a proven minimum. With exactOnly it
-// returns (nil, nil, false, nil) before the greedy phase when the pool is
-// over the limit. tr (nil-safe) receives the repair.greedy and
-// repair.search spans.
-func minRepair(e *prob.Evaluator, alpha float64, meter repairMeter, exactOnly bool, tr *obs.Trace) (kernel, chosen []int, exact bool, err error) {
+// exactRepairLimit — the exact phase below the incumbent. Candidates
+// marked in skip (nil: none) are never removed. It returns the kernel and
+// the chosen pool members as evaluator indexes, left removed on e, and
+// whether their union is a proven minimum. It returns (nil, nil, false,
+// nil) when the unskipped candidates cannot reach α, and with exactOnly
+// also before the greedy phase when the pool is over the limit. tr
+// (nil-safe) receives the repair.greedy and repair.search spans.
+func minRepair(e *prob.Evaluator, alpha float64, skip []bool, meter repairMeter, exactOnly bool, tr *obs.Trace) (kernel, chosen []int, exact bool, err error) {
 	var pool []int
 	for j := 0; j < e.N(); j++ {
-		if e.AlwaysDominates(j) {
+		switch {
+		case skip != nil && skip[j]:
+			// Neither kernel nor pool: never removed.
+		case e.AlwaysDominates(j):
 			kernel = append(kernel, j)
 			e.Remove(j)
-		} else {
+		default:
 			pool = append(pool, j)
 		}
 	}
@@ -171,8 +175,9 @@ func minRepair(e *prob.Evaluator, alpha float64, meter repairMeter, exactOnly bo
 		return nil, nil, false, err
 	}
 	if greedy == nil {
-		// Cannot happen: removing every candidate yields Pr = 1.
-		return nil, nil, false, fmt.Errorf("causality: repair construction failed")
+		// Only a skip can leave the pool below α: removing every candidate
+		// yields Pr = 1.
+		return nil, nil, false, nil
 	}
 	if len(pool) > exactRepairLimit {
 		return kernel, greedy, false, nil

@@ -22,24 +22,22 @@ type explainVariant struct {
 }
 
 // explainVariants enumerates every branch-and-bound ablation combination
-// (greedy seeding × admissible bound × mass ordering × repair seed) crossed
-// with serial and parallel refinement, plus the legacy lemma ablations
-// stacked on both the full branch-and-bound search and the fully stripped
-// enumeration.
+// (admissible bound × mass ordering × repair seed) crossed with serial and
+// parallel refinement, plus the legacy lemma ablations stacked on both the
+// full branch-and-bound search and the fully stripped enumeration.
 func explainVariants() []explainVariant {
 	var out []explainVariant
 	for _, parallel := range []int{1, 4} {
-		for mask := 0; mask < 16; mask++ {
+		for mask := 0; mask < 8; mask++ {
 			o := causality.Options{
 				Parallel:     parallel,
-				NoGreedySeed: mask&1 != 0,
-				NoAdmissible: mask&2 != 0,
-				NoMassOrder:  mask&4 != 0,
-				NoRepairSeed: mask&8 != 0,
+				NoAdmissible: mask&1 != 0,
+				NoMassOrder:  mask&2 != 0,
+				NoRepairSeed: mask&4 != 0,
 			}
 			out = append(out, explainVariant{
-				name: fmt.Sprintf("par%d-gs%t-ad%t-mo%t-rs%t", parallel,
-					!o.NoGreedySeed, !o.NoAdmissible, !o.NoMassOrder, !o.NoRepairSeed),
+				name: fmt.Sprintf("par%d-ad%t-mo%t-rs%t", parallel,
+					!o.NoAdmissible, !o.NoMassOrder, !o.NoRepairSeed),
 				opts: o,
 			})
 		}
@@ -53,7 +51,7 @@ func explainVariants() []explainVariant {
 				name: fmt.Sprintf("par%d-nolemmas-plain", parallel),
 				opts: causality.Options{Parallel: parallel,
 					NoLemma4: true, NoLemma5: true, NoLemma6: true, NoPrune: true,
-					NoGreedySeed: true, NoAdmissible: true, NoMassOrder: true, NoRepairSeed: true},
+					NoAdmissible: true, NoMassOrder: true, NoRepairSeed: true},
 			},
 		)
 	}

@@ -32,8 +32,6 @@ type explainResult struct {
 	NonAnswers      int     `json:"nonAnswers"`
 	MsPerExplain    float64 `json:"msPerExplain"`
 	SubsetsExamined int64   `json:"subsetsExamined"`
-	GreedySeeds     int64   `json:"greedySeeds,omitempty"`
-	GreedyHits      int64   `json:"greedyHits,omitempty"`
 	FilterNodeIO    int64   `json:"filterNodeAccesses"`
 	SpeedupNaive    float64 `json:"speedupVsNaive,omitempty"`
 	SpeedupOld      float64 `json:"speedupVsOld,omitempty"`
@@ -54,10 +52,10 @@ type explainVariant struct {
 }
 
 // oldRefinerOpts reproduces the pre-branch-and-bound refiner: plain
-// cardinality-ascending enumeration with the paper lemmas but no greedy
-// incumbents, no admissible bound, no mass ordering and no repair seed.
+// cardinality-ascending enumeration with the paper lemmas but no admissible
+// bound, no mass ordering and no repair seed.
 func oldRefinerOpts() causality.Options {
-	return causality.Options{NoGreedySeed: true, NoAdmissible: true, NoMassOrder: true, NoRepairSeed: true}
+	return causality.Options{NoAdmissible: true, NoMassOrder: true, NoRepairSeed: true}
 }
 
 func sampleExplainVariants() []explainVariant {
@@ -66,7 +64,6 @@ func sampleExplainVariants() []explainVariant {
 		{name: "old-refiner", opts: oldRefinerOpts()},
 		{name: "bb", opts: causality.Options{}},
 		{name: "bb-parallel", opts: causality.Options{Parallel: 4}},
-		{name: "bb-nogreedy", opts: causality.Options{NoGreedySeed: true}},
 		{name: "bb-noadmissible", opts: causality.Options{NoAdmissible: true}},
 		{name: "bb-norepairseed", opts: causality.Options{NoRepairSeed: true}},
 	}
@@ -86,7 +83,7 @@ func ExplainBench(cfg Config) error {
 	report := explainReport{Experiment: "explain", Alpha: alpha, Seed: cfg.Seed}
 	tab := stats.Table{
 		Title:  "Explain: naive vs old refiner vs branch-and-bound FMCS",
-		Header: []string{"config", "model", "variant", "ms/explain", "subsets", "greedy hit", "vs naive", "vs old"},
+		Header: []string{"config", "model", "variant", "ms/explain", "subsets", "vs naive", "vs old"},
 		Caption: "Identical causes and responsibilities across every row by construction; " +
 			"subsets = contingency-set verifications, the work the bounds save.",
 	}
@@ -180,61 +177,29 @@ func explainBenchSample(cfg *Config, report *explainReport, tab *stats.Table, al
 	configName := "2k-dense"
 	var naiveMs, oldMs float64
 	for _, v := range sampleExplainVariants() {
-		var (
-			totalSubsets int64
-			greedySeeds  int64
-			greedyHits   int64
-			filterIO     int64
-		)
-		perPass, err := timedPasses(cfg.minTimedPass(), func(first bool) error {
-			for _, id := range nonAnswers {
-				var res *causality.Result
-				var err error
-				if v.naive {
-					res, err = causality.NaiveI(ds, q, id, alpha, causality.Options{})
-				} else {
-					res, err = causality.CP(ds, q, id, alpha, v.opts)
-				}
-				if err != nil {
-					return fmt.Errorf("experiments: %s on an=%d: %w", v.name, id, err)
-				}
-				if first {
-					totalSubsets += res.SubsetsExamined
-					greedySeeds += res.GreedySeeds
-					greedyHits += res.GreedyHits
-					filterIO += res.FilterNodeAccesses
-				}
+		cell, err := measureExplainCell(cfg, nonAnswers, func(id int) (*causality.Result, error) {
+			if v.naive {
+				return causality.NaiveI(ds, q, id, alpha, causality.Options{})
 			}
-			return nil
+			return causality.CP(ds, q, id, alpha, v.opts)
 		})
 		if err != nil {
-			return err
+			return fmt.Errorf("experiments: %s: %w", v.name, err)
 		}
-		msPer := ms(perPass) / float64(len(nonAnswers))
-		cell := explainResult{
-			Config: configName, Model: "sample", Variant: v.name,
-			NonAnswers: len(nonAnswers), MsPerExplain: msPer,
-			SubsetsExamined: totalSubsets,
-			GreedySeeds:     greedySeeds, GreedyHits: greedyHits,
-			FilterNodeIO: filterIO,
-		}
+		cell.Config, cell.Model, cell.Variant = configName, "sample", v.name
 		switch v.name {
 		case "naive":
-			naiveMs = msPer
+			naiveMs = cell.MsPerExplain
 		case "old-refiner":
-			oldMs = msPer
+			oldMs = cell.MsPerExplain
 		}
-		if v.name != "naive" && msPer > 0 {
-			cell.SpeedupNaive = naiveMs / msPer
+		if v.name != "naive" && cell.MsPerExplain > 0 {
+			cell.SpeedupNaive = naiveMs / cell.MsPerExplain
 		}
-		if v.name != "naive" && v.name != "old-refiner" && msPer > 0 {
-			cell.SpeedupOld = oldMs / msPer
+		if v.name != "naive" && v.name != "old-refiner" && cell.MsPerExplain > 0 {
+			cell.SpeedupOld = oldMs / cell.MsPerExplain
 		}
-		report.Results = append(report.Results, cell)
-		tab.AddRow(configName, "sample", v.name,
-			fmt.Sprintf("%.2f", msPer), fmt.Sprintf("%d", totalSubsets),
-			hitRateCell(greedyHits, greedySeeds),
-			speedupCell(cell.SpeedupNaive), speedupCell(cell.SpeedupOld))
+		report.add(tab, cell)
 	}
 	return nil
 }
@@ -285,50 +250,56 @@ func explainBenchPDF(cfg *Config, report *explainReport, tab *stats.Table, alpha
 		{name: "old-refiner", opts: oldRefinerOpts()},
 		{name: "bb", opts: causality.Options{}},
 		{name: "bb-parallel", opts: causality.Options{Parallel: 4}},
+		{name: "bb-noadmissible", opts: causality.Options{NoAdmissible: true}},
 		{name: "bb-norepairseed", opts: causality.Options{NoRepairSeed: true}},
 	}
 	configName := "pdf"
 	var oldMs float64
 	for _, v := range variants {
-		var totalSubsets, greedySeeds, greedyHits, filterIO int64
-		perPass, err := timedPasses(cfg.minTimedPass(), func(first bool) error {
-			for _, id := range nonAnswers {
-				res, err := causality.CPPDF(set, q, id, alpha, v.opts)
-				if err != nil {
-					return fmt.Errorf("experiments: pdf %s on an=%d: %w", v.name, id, err)
-				}
-				if first {
-					totalSubsets += res.SubsetsExamined
-					greedySeeds += res.GreedySeeds
-					greedyHits += res.GreedyHits
-					filterIO += res.FilterNodeAccesses
-				}
-			}
-			return nil
+		cell, err := measureExplainCell(cfg, nonAnswers, func(id int) (*causality.Result, error) {
+			return causality.CPPDF(set, q, id, alpha, v.opts)
 		})
 		if err != nil {
-			return err
+			return fmt.Errorf("experiments: pdf %s: %w", v.name, err)
 		}
-		msPer := ms(perPass) / float64(len(nonAnswers))
-		cell := explainResult{
-			Config: configName, Model: "pdf", Variant: v.name,
-			NonAnswers: len(nonAnswers), MsPerExplain: msPer,
-			SubsetsExamined: totalSubsets,
-			GreedySeeds:     greedySeeds, GreedyHits: greedyHits,
-			FilterNodeIO: filterIO,
-		}
+		cell.Config, cell.Model, cell.Variant = configName, "pdf", v.name
 		if v.name == "old-refiner" {
-			oldMs = msPer
-		} else if msPer > 0 {
-			cell.SpeedupOld = oldMs / msPer
+			oldMs = cell.MsPerExplain
+		} else if cell.MsPerExplain > 0 {
+			cell.SpeedupOld = oldMs / cell.MsPerExplain
 		}
-		report.Results = append(report.Results, cell)
-		tab.AddRow(configName, "pdf", v.name,
-			fmt.Sprintf("%.2f", msPer), fmt.Sprintf("%d", totalSubsets),
-			hitRateCell(greedyHits, greedySeeds),
-			"-", speedupCell(cell.SpeedupOld))
+		report.add(tab, cell)
 	}
 	return nil
+}
+
+// measureExplainCell times explain over the non-answers in repeated passes
+// (timedPasses) and records the first pass's deterministic counters.
+func measureExplainCell(cfg *Config, nonAnswers []int, explain func(id int) (*causality.Result, error)) (explainResult, error) {
+	cell := explainResult{NonAnswers: len(nonAnswers)}
+	perPass, err := timedPasses(cfg.minTimedPass(), func(first bool) error {
+		for _, id := range nonAnswers {
+			res, err := explain(id)
+			if err != nil {
+				return fmt.Errorf("an=%d: %w", id, err)
+			}
+			if first {
+				cell.SubsetsExamined += res.SubsetsExamined
+				cell.FilterNodeIO += res.FilterNodeAccesses
+			}
+		}
+		return nil
+	})
+	cell.MsPerExplain = ms(perPass) / float64(len(nonAnswers))
+	return cell, err
+}
+
+// add records a measured cell in the report and as a table row.
+func (r *explainReport) add(tab *stats.Table, cell explainResult) {
+	r.Results = append(r.Results, cell)
+	tab.AddRow(cell.Config, cell.Model, cell.Variant,
+		fmt.Sprintf("%.2f", cell.MsPerExplain), fmt.Sprintf("%d", cell.SubsetsExamined),
+		speedupCell(cell.SpeedupNaive), speedupCell(cell.SpeedupOld))
 }
 
 // minTimedPass is the least wall time one variant's measurement spans at
@@ -359,11 +330,4 @@ func speedupCell(s float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.1fx", s)
-}
-
-func hitRateCell(hits, seeds int64) string {
-	if seeds == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%d/%d", hits, seeds)
 }

@@ -23,11 +23,12 @@ import (
 //     Parallel cells are exempt — Lemma-6 bound sharing makes their count
 //     schedule-dependent.
 //
-// In addition the fresh report must keep two in-run invariants on every
+// In addition the fresh report must keep three in-run invariants on every
 // config where the cells appear: the branch-and-bound refiner examines
 // strictly fewer subsets than the old refiner (the claim of the
-// branch-and-bound rework) and than itself without the minimum-repair seed
-// (the claim of the seed).
+// branch-and-bound rework), than itself without the minimum-repair seed
+// (the claim of the seed) and than itself without the admissible bound
+// (the claim of the bound).
 func ExplainCompare(nextPath, prevPath string, tolerance float64) error {
 	next, err := loadExplainReport(nextPath)
 	if err != nil {
@@ -78,7 +79,7 @@ func explainInvariants(rep *explainReport, path string) error {
 		if k.variant != "bb" {
 			continue
 		}
-		for _, base := range []string{"old-refiner", "bb-norepairseed"} {
+		for _, base := range []string{"old-refiner", "bb-norepairseed", "bb-noadmissible"} {
 			o, ok := cells[key{k.config, k.model, base}]
 			if ok && b.SubsetsExamined >= o.SubsetsExamined {
 				return fmt.Errorf("experiments: %s: branch-and-bound examined %d subsets on %s/%s, not fewer than %s's %d",

@@ -8,7 +8,7 @@ import (
 )
 
 // Trace records the stage-level anatomy of one request: wall-time spans
-// (join, exact evaluation, greedy seeding, branch-and-bound search, pool
+// (join, exact evaluation, repair seeding, branch-and-bound search, pool
 // wait, …), effort counters (node accesses, candidate pairs, subsets
 // examined, …), and string labels (cache disposition, …). It is
 // carried through the engine layers via context; every recording method is

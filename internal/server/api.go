@@ -76,15 +76,14 @@ type DatasetInfo struct {
 
 // OptionsSpec tunes the refinement stage of explain/repair requests; the
 // zero value selects the library defaults. The research ablation switches
-// of causality.Options (NoGreedySeed, NoAdmissible, NoMassOrder,
-// NoRepairSeed) are not part of the wire API: they belong to the experiments harness, and since
-// unknown fields are ignored, requests that still send them decode as if
-// they were unset.
+// of causality.Options (NoAdmissible, NoMassOrder, NoRepairSeed and the
+// lemma switches) are not part of the wire API: they belong to the
+// experiments harness, and since unknown fields are ignored, requests that
+// still send them decode as if they were unset.
 //
 // MaxSubsets counts refinement evaluation units — leaf verifications,
-// pruned branch points, the greedy incumbent pass's probability
-// evaluations, and the minimum-repair seed's evaluations and enumeration
-// nodes — so it bounds the whole refinement's latency. Before the
+// pruned branch points, and the minimum-repair seed's evaluations and
+// enumeration nodes — so it bounds the whole refinement's latency. Before the
 // branch-and-bound rework only leaf verifications were charged; budgets
 // calibrated against the old counting trip earlier now and may need
 // raising by a small factor.
@@ -188,11 +187,6 @@ type ExplainResponse struct {
 	Candidates      int         `json:"candidates"`
 	Causes          []CauseJSON `json:"causes"`
 	SubsetsExamined int64       `json:"subsetsExamined,omitempty"`
-	// GreedySeeds/GreedyHits report the branch-and-bound incumbent pass:
-	// how many candidates got a greedy upper bound and how many of those
-	// bounds were already minimum contingency sets.
-	GreedySeeds int64 `json:"greedySeeds,omitempty"`
-	GreedyHits  int64 `json:"greedyHits,omitempty"`
 	// FilterNodeAccesses is the simulated I/O of this explanation's
 	// candidate-retrieval traversal.
 	FilterNodeAccesses int64 `json:"filterNodeAccesses,omitempty"`
@@ -307,17 +301,12 @@ type AdmissionStats struct {
 }
 
 // ExplainStats aggregates refinement work across every computed (non-cached)
-// explanation since start: subset verifications, the greedy incumbent pass's
-// seed/hit counts, and candidate-retrieval node accesses. GreedyHitRate is
-// hits/seeds — how often the incumbent was already a minimum contingency
-// set and the search merely certified it.
+// explanation since start: subset verifications and candidate-retrieval
+// node accesses.
 type ExplainStats struct {
-	SubsetsExamined      int64   `json:"subsetsExamined"`
-	GreedySeeds          int64   `json:"greedySeeds"`
-	GreedyHits           int64   `json:"greedyHits"`
-	GreedyHitRate        float64 `json:"greedyHitRate"`
-	FilterNodeAccesses   int64   `json:"filterNodeAccesses"`
-	ComputedExplanations int64   `json:"computedExplanations"`
+	SubsetsExamined      int64 `json:"subsetsExamined"`
+	FilterNodeAccesses   int64 `json:"filterNodeAccesses"`
+	ComputedExplanations int64 `json:"computedExplanations"`
 }
 
 // StatsResponse is the /v1/stats payload. Store is present only when the

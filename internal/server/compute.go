@@ -364,8 +364,6 @@ func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request, c *explain
 			// re-serve an already-counted search.
 			s.explainComputed.Inc()
 			s.explainSubsets.Add(it.Result.SubsetsExamined)
-			s.explainGreedySeeds.Add(it.Result.GreedySeeds)
-			s.explainGreedyHits.Add(it.Result.GreedyHits)
 			s.explainFilterIO.Add(it.Result.FilterNodeAccesses)
 			out.put(i, item{exp: it.Result})
 		})
@@ -404,8 +402,6 @@ func explainResponse(ent *entry, alpha float64, res *causality.Result, verified 
 		Candidates:         res.Candidates,
 		Causes:             causesJSON(res.Causes),
 		SubsetsExamined:    res.SubsetsExamined,
-		GreedySeeds:        res.GreedySeeds,
-		GreedyHits:         res.GreedyHits,
 		FilterNodeAccesses: res.FilterNodeAccesses,
 		Verified:           verified,
 	}

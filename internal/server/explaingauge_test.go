@@ -29,9 +29,9 @@ func explainGaugeObjects() []ObjectSpec {
 }
 
 // TestStatsExplainGauges pins the /v1/stats explanation-work gauges: a
-// computed explanation must surface its subset verifications, greedy
-// incumbent seeds/hits, and candidate-retrieval node accesses, while cache
-// hits must not double-count any of them.
+// computed explanation must surface its subset verifications and
+// candidate-retrieval node accesses, while cache hits must not double-count
+// either.
 func TestStatsExplainGauges(t *testing.T) {
 	c := newTestClient(t, New(Config{Workers: 2, CacheSize: 16}))
 	c.post("/v1/datasets", &DatasetRequest{Name: "d", Model: ModelSample, Objects: explainGaugeObjects()},
@@ -69,19 +69,9 @@ func TestStatsExplainGauges(t *testing.T) {
 		t.Fatalf("gauge subsets %d, response subsets %d (want equal and non-zero)",
 			after.Explain.SubsetsExamined, er.SubsetsExamined)
 	}
-	if after.Explain.GreedySeeds != er.GreedySeeds || er.GreedySeeds == 0 {
-		t.Fatalf("gauge greedy seeds %d, response %d (want equal and non-zero)",
-			after.Explain.GreedySeeds, er.GreedySeeds)
-	}
-	if after.Explain.GreedyHits != er.GreedyHits {
-		t.Fatalf("gauge greedy hits %d, response %d", after.Explain.GreedyHits, er.GreedyHits)
-	}
 	if after.Explain.FilterNodeAccesses != er.FilterNodeAccesses || er.FilterNodeAccesses == 0 {
 		t.Fatalf("gauge filter IO %d, response %d (want equal and non-zero)",
 			after.Explain.FilterNodeAccesses, er.FilterNodeAccesses)
-	}
-	if after.Explain.GreedyHitRate < 0 || after.Explain.GreedyHitRate > 1 {
-		t.Fatalf("greedy hit rate out of range: %+v", after.Explain)
 	}
 
 	// A cache hit must serve the same payload without re-counting work.

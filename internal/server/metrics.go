@@ -130,10 +130,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.PromValue(&b, "crsky_explain_computed_total", nil, float64(s.explainComputed.Value()))
 	obs.PromHead(&b, "crsky_explain_subsets_examined_total", "counter", "Refinement subset verifications.")
 	obs.PromValue(&b, "crsky_explain_subsets_examined_total", nil, float64(s.explainSubsets.Value()))
-	obs.PromHead(&b, "crsky_explain_greedy_seeds_total", "counter", "Greedy incumbent seeds.")
-	obs.PromValue(&b, "crsky_explain_greedy_seeds_total", nil, float64(s.explainGreedySeeds.Value()))
-	obs.PromHead(&b, "crsky_explain_greedy_hits_total", "counter", "Greedy incumbents that were already minimal.")
-	obs.PromValue(&b, "crsky_explain_greedy_hits_total", nil, float64(s.explainGreedyHits.Value()))
 	obs.PromHead(&b, "crsky_explain_filter_node_accesses_total", "counter", "Candidate-retrieval node accesses.")
 	obs.PromValue(&b, "crsky_explain_filter_node_accesses_total", nil, float64(s.explainFilterIO.Value()))
 

@@ -308,7 +308,7 @@ func TestTracePropagation(t *testing.T) {
 		t.Fatal("traced explain has no trace")
 	}
 	espans := spanMap(er.Trace)
-	for _, name := range []string{"explain.filter", "explain.greedy", "explain.search"} {
+	for _, name := range []string{"explain.filter", "explain.search"} {
 		if _, ok := espans[name]; !ok {
 			t.Fatalf("explain span %q missing; got %+v", name, er.Trace.Spans)
 		}

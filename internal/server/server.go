@@ -157,8 +157,7 @@ type Server struct {
 
 	// Explanation-work gauges, accumulated per computed (non-cached)
 	// explanation inside the worker pool.
-	explainSubsets, explainGreedySeeds, explainGreedyHits stats.Counter
-	explainFilterIO, explainComputed                      stats.Counter
+	explainSubsets, explainFilterIO, explainComputed stats.Counter
 
 	// watch is the /v2/watch subscription hub; watchReeval is the latency
 	// histogram of one post-mutation re-evaluation round.
@@ -313,9 +312,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Quadrature: QuadratureStats{QuadMemoStats: quad, HitRate: quad.HitRate()},
 		Explain: ExplainStats{
 			SubsetsExamined:      s.explainSubsets.Value(),
-			GreedySeeds:          s.explainGreedySeeds.Value(),
-			GreedyHits:           s.explainGreedyHits.Value(),
-			GreedyHitRate:        stats.HitRate(s.explainGreedyHits.Value(), s.explainGreedySeeds.Value()-s.explainGreedyHits.Value()),
 			FilterNodeAccesses:   s.explainFilterIO.Value(),
 			ComputedExplanations: s.explainComputed.Value(),
 		},
