@@ -132,7 +132,7 @@ bench-explain:
 
 # Re-measure into a scratch file and fail against the committed
 # BENCH_explain.json on a >20% drop in speedup-vs-naive (hardware-neutral),
-# any growth in SubsetsExamined on serial cells (deterministic), or a bb
+# any growth in SubsetsExamined on any cell (deterministic), or a bb
 # cell that stops examining strictly fewer subsets than old-refiner,
 # bb-norepairseed or bb-noadmissible in its config.
 bench-explain-check:

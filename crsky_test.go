@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -173,6 +175,59 @@ func TestConcurrentQueriesCountPerCall(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestExplainBatchFreshEngine runs one ExplainBatchStream on a never-warmed
+// Engine and PDFEngine with two item workers. The batch must build the
+// lazy R-tree before its fan-out: run under -race (make race), a worker
+// that builds it while the other reads it fails the test. Every item must
+// equal its single ExplainCtx call, SubsetsExamined included.
+func TestExplainBatchFreshEngine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := UncertainConfig{N: 200, Dims: 2, RMax: 5, Seed: 3}
+	objs, err := GenerateUncertain(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pdfObjs, err := GenerateUncertainPDF(cfg, UniformPDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := map[string]func() (Explainer, error){
+		"sample": func() (Explainer, error) { return NewEngine(objs) },
+		"pdf":    func() (Explainer, error) { return NewPDFEngine(pdfObjs) },
+	}
+	q := Point{5000, 5000}
+	opts := Options{MaxCandidates: 12}
+	reqs := make([]ExplainRequest, 8)
+	for i := range reqs {
+		reqs[i] = ExplainRequest{ID: i * 25, Q: q, Alpha: 0.5}
+	}
+	for model, newEngine := range fresh {
+		e, err := newEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := e.ExplainBatchStream(context.Background(), reqs, opts, nil)
+		explained := 0
+		for i, it := range items {
+			want, wantErr := e.ExplainCtx(context.Background(), reqs[i].ID, q, 0.5, opts)
+			if fmt.Sprint(it.Err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s item %d: batch error %v, single %v", model, i, it.Err, wantErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			explained++
+			if !reflect.DeepEqual(it.Result.Causes, want.Causes) || it.Result.SubsetsExamined != want.SubsetsExamined {
+				t.Fatalf("%s item %d: batch %v (%d subsets), single %v (%d subsets)", model, i,
+					it.Result.Causes, it.Result.SubsetsExamined, want.Causes, want.SubsetsExamined)
+			}
+		}
+		if explained == 0 {
+			t.Fatalf("%s: no item was explained; pick objects that are tractable non-answers", model)
+		}
+	}
 }
 
 func TestNewEngineValidation(t *testing.T) {

@@ -8,8 +8,8 @@ import (
 
 // TestLargeScaleEndToEnd drives the whole pipeline at a realistic scale:
 // generate a 50K-object uncertain dataset, locate non-answers, explain them
-// with CP (serial and parallel), independently verify every explanation,
-// and confirm the suggested repairs work. Skipped with -short.
+// with CP, independently verify every explanation, and confirm the
+// suggested repairs work. Skipped with -short.
 func TestLargeScaleEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-scale integration test")
@@ -43,14 +43,6 @@ func TestLargeScaleEndToEnd(t *testing.T) {
 		// The explanation must survive independent Definition-1 checking.
 		if err := engine.VerifyCtx(ctx, q, alpha, res); err != nil {
 			t.Fatalf("an=%d: verification failed: %v", id, err)
-		}
-		// Parallel refinement agrees with serial.
-		par, err := engine.ExplainCtx(context.Background(), id, q, alpha, Options{MaxCandidates: 250, MaxSubsets: 500_000, Parallel: 4})
-		if err != nil {
-			t.Fatalf("an=%d parallel: %v", id, err)
-		}
-		if len(par.Causes) != len(res.Causes) {
-			t.Fatalf("an=%d: parallel %d causes vs serial %d", id, len(par.Causes), len(res.Causes))
 		}
 		// The repair must lift the object over the threshold.
 		rep, err := engine.RepairCtx(ctx, id, q, alpha, Options{MaxSubsets: 500_000})

@@ -56,7 +56,9 @@ type Result struct {
 	QuadNodes int
 }
 
-// Options tunes the refinement stage.
+// Options tunes the refinement stage. One explanation's refinement runs
+// serially; callers that want parallelism explain several non-answers at
+// once (ExplainBatchStream).
 type Options struct {
 	// MaxCandidates aborts with ErrTooManyCandidates when the filter
 	// returns more candidates than this (0 = unlimited). The refinement
@@ -74,12 +76,6 @@ type Options struct {
 	// QuadNodes is the per-dimension quadrature resolution for the
 	// pdf-model algorithms (0 = dimension-adapted default).
 	QuadNodes int
-
-	// Parallel runs the per-candidate contingency searches on this many
-	// worker goroutines (0 or 1 = serial). Each worker owns a clone of
-	// the probability evaluator; Lemma-6 bounds are shared, which only
-	// shrinks search spaces, so results are identical to the serial run.
-	Parallel int
 
 	// Ablation switches (benchmarking only — results stay correct, the
 	// refinement just loses the corresponding optimization):

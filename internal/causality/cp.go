@@ -82,7 +82,7 @@ func CPCtx(ctx context.Context, ds *dataset.Uncertain, q geom.Point, anID int, a
 		return nil, err
 	}
 	res.Causes = causes
-	res.SubsetsExamined = r.subsetsCount()
+	res.SubsetsExamined = r.subsetsExamined
 	res.addToTrace(tr)
 	return res, nil
 }

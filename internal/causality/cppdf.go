@@ -242,7 +242,7 @@ func CPPDFCtx(ctx context.Context, s *PDFSet, q geom.Point, anID int, alpha floa
 		return nil, err
 	}
 	res.Causes = causes
-	res.SubsetsExamined = r.subsetsCount()
+	res.SubsetsExamined = r.subsetsExamined
 	res.addToTrace(tr)
 	return res, nil
 }

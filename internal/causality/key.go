@@ -13,8 +13,8 @@ import "fmt"
 // reflection, so adding a field without extending the Key fails the build's
 // test step rather than corrupting caches at runtime).
 func (o Options) Key() string {
-	return fmt.Sprintf("mc=%d,ms=%d,qn=%d,par=%d,l4=%t,l5=%t,l6=%t,np=%t,ad=%t,mo=%t,rs=%t",
-		o.MaxCandidates, o.MaxSubsets, o.QuadNodes, o.Parallel,
+	return fmt.Sprintf("mc=%d,ms=%d,qn=%d,l4=%t,l5=%t,l6=%t,np=%t,ad=%t,mo=%t,rs=%t",
+		o.MaxCandidates, o.MaxSubsets, o.QuadNodes,
 		o.NoLemma4, o.NoLemma5, o.NoLemma6, o.NoPrune,
 		o.NoAdmissible, o.NoMassOrder, o.NoRepairSeed)
 }

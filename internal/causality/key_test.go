@@ -54,7 +54,6 @@ func TestOptionsKeyDistinguishesValues(t *testing.T) {
 		a, b Options
 	}{
 		{Options{MaxSubsets: 10}, Options{MaxSubsets: 100}},
-		{Options{Parallel: 2}, Options{Parallel: 4}},
 		{Options{QuadNodes: 3}, Options{QuadNodes: 5}},
 		{Options{NoRepairSeed: true}, Options{NoAdmissible: true}},
 		{Options{NoAdmissible: true}, Options{NoMassOrder: true}},

@@ -3,8 +3,6 @@ package causality
 import (
 	"context"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/crsky/crsky/internal/ctxutil"
 	"github.com/crsky/crsky/internal/obs"
@@ -44,20 +42,19 @@ import (
 // cause IDs are reported or their responsibilities (minimum contingency
 // sizes are unique even though the witnessing sets are not).
 //
-// With Options.Parallel > 1 the per-candidate searches run on worker
-// goroutines, each owning a clone of the evaluator; the Lemma-6 bounds are
-// shared under a mutex. Bounds only ever shrink the search space, never
-// change its answer, so the output is identical to the serial run.
+// The per-candidate searches run in order on the calling goroutine: each
+// candidate's Lemma-6 bounds feed the candidates after it, so the search
+// and its SubsetsExamined count are deterministic. Parallelism lives one
+// level up, in the explain batch's item fan-out.
 type refiner struct {
 	e     *prob.Evaluator
 	ids   []int // candidate object IDs, parallel to evaluator indexes
 	alpha float64
 
 	// ctx cancels the search; poll amortizes the check to one ctx.Err()
-	// read per ctxutil.DefaultStride charged work units (each parallel
-	// worker owns its own poll over the shared ctx). The poll sits inside
-	// chargeWork, so it never perturbs the search order or the budget
-	// counters of an uncanceled run.
+	// read per ctxutil.DefaultStride charged work units. The poll sits
+	// inside chargeWork, so it never perturbs the search order or the
+	// budget counters of an uncanceled run.
 	ctx  context.Context
 	poll *ctxutil.Poll
 
@@ -66,22 +63,33 @@ type refiner struct {
 
 	// gains[j] is the admissible removal gain of candidate j (its total
 	// dominance mass against an): an upper bound on how much removing j
-	// can raise Pr(an | ·) in any context. Computed once on the root
-	// evaluator and shared read-only across workers.
+	// can raise Pr(an | ·) in any context.
 	gains []float64
 
 	// floor is the smallest contingency size any cause can have, from the
-	// minimum-repair seed (repairFloor); every fmcs starts there. Parallel
-	// workers inherit it.
+	// minimum-repair seed (repairFloor); every fmcs starts there.
 	floor int
 
-	opts   Options
-	shared *refinerShared
+	opts Options
 
-	// Per-instance scratch reused across fmcs calls (each parallel worker
-	// owns its own refiner, so no synchronization is needed). Deep
-	// enumeration calls fmcs once per candidate; without reuse every call
-	// reallocates the forced/pool partitions and the chosen stack.
+	// bestSet holds each candidate's Lemma-6 incumbent, a contingency set
+	// (evaluator indexes) recorded by propagateLemma6; nil while unknown.
+	bestSet [][]int
+
+	// subsetsExamined counts contingency-set verifications, the seed's
+	// exact-phase leaves included (Result.SubsetsExamined).
+	subsetsExamined int64
+	// workUnits counts every enumeration node — leaves AND branch points
+	// killed by a prune. The MaxSubsets budget draws from this counter:
+	// pruning turns would-be leaf verifications into internal-node
+	// evaluations, and a budget that only counted leaves would never trip
+	// on a search that prunes everything while still churning through an
+	// exponential frontier.
+	workUnits int64
+
+	// Scratch reused across fmcs calls. Deep enumeration calls fmcs once
+	// per candidate; without reuse every call reallocates the forced/pool
+	// partitions and the chosen stack.
 	scratchForced []int
 	scratchPool   []int
 	scratchChosen []int
@@ -94,34 +102,8 @@ type refiner struct {
 // the prune keeps a full comparison-tolerance of margin to stay sound.
 const admissibleSlack = 1e-9
 
-// refinerShared is the cross-worker state.
-type refinerShared struct {
-	mu        sync.Mutex
-	bestKnown []int   // per candidate: best known contingency size (-1 unknown)
-	bestSet   [][]int // the recorded set (evaluator indexes)
-
-	subsetsExamined atomic.Int64
-	// workUnits counts every enumeration node — leaves AND branch points
-	// killed by a prune. The MaxSubsets budget draws from this counter:
-	// pruning turns would-be leaf verifications into internal-node
-	// evaluations, and a budget that only counted leaves would never trip
-	// on a search that prunes everything while still churning through an
-	// exponential frontier.
-	workUnits  atomic.Int64
-	maxSubsets int64
-	aborted    atomic.Bool
-}
-
 func newRefiner(ctx context.Context, e *prob.Evaluator, ids []int, alpha float64, opts Options) *refiner {
 	n := e.N()
-	shared := &refinerShared{
-		bestKnown:  make([]int, n),
-		bestSet:    make([][]int, n),
-		maxSubsets: opts.MaxSubsets,
-	}
-	for j := range shared.bestKnown {
-		shared.bestKnown[j] = -1
-	}
 	gains := make([]float64, n)
 	for j := range gains {
 		gains[j] = e.RemovalGain(j)
@@ -136,7 +118,7 @@ func newRefiner(ctx context.Context, e *prob.Evaluator, ids []int, alpha float64
 		counterfactual: make([]bool, n),
 		gains:          gains,
 		opts:           opts,
-		shared:         shared,
+		bestSet:        make([][]int, n),
 	}
 }
 
@@ -144,11 +126,8 @@ func newRefiner(ctx context.Context, e *prob.Evaluator, ids []int, alpha float64
 // typed CanceledError carrying the partial subset counter; every other
 // error (ErrSubsetBudget in particular) passes through unchanged.
 func (r *refiner) wrapCanceled(err error) error {
-	return canceled(err, r.subsetsCount())
+	return canceled(err, r.subsetsExamined)
 }
-
-// subsetsExamined reports the shared verification counter.
-func (r *refiner) subsetsCount() int64 { return r.shared.subsetsExamined.Load() }
 
 // classify fills the forced and counterfactual marks (Lemmas 4 and 5);
 // either classification can be ablated away without affecting correctness,
@@ -263,126 +242,24 @@ func (r *refiner) searchOrder() []int {
 	return order
 }
 
-// searchAll runs fmcs for every non-counterfactual candidate, serially or
-// on Options.Parallel workers, and returns the found minimum contingency
-// set per candidate (nil when not a cause or counterfactual).
+// searchAll runs fmcs for every non-counterfactual candidate in search
+// order and returns the found minimum contingency set per candidate (nil
+// when not a cause or counterfactual).
 func (r *refiner) searchAll() ([][]int, error) {
-	n := r.e.N()
-	out := make([][]int, n)
-	order := r.searchOrder()
-
-	if r.opts.Parallel <= 1 {
-		for _, cc := range order {
-			gamma, ok, err := r.fmcs(cc)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out[cc] = gamma
-				if out[cc] == nil {
-					out[cc] = []int{} // counterfactual found by search
-				}
-			}
-		}
-		return out, nil
-	}
-
-	err := r.runParallel(order, func(wr *refiner, cc int) error {
-		gamma, ok, err := wr.fmcs(cc)
+	out := make([][]int, r.e.N())
+	for _, cc := range r.searchOrder() {
+		gamma, ok, err := r.fmcs(cc)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if ok {
-			if gamma == nil {
-				gamma = []int{}
+			out[cc] = gamma
+			if out[cc] == nil {
+				out[cc] = []int{} // counterfactual found by search
 			}
-			out[cc] = gamma // per-cc slot: no two workers share an index
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
-}
-
-// workerClone builds a worker-owned refiner for the parallel search: a
-// private evaluator clone and context poll over the shared read-only marks,
-// gains, options, and cross-worker bound state.
-func (r *refiner) workerClone() *refiner {
-	return &refiner{
-		e:              r.e.Clone(),
-		ids:            r.ids,
-		alpha:          r.alpha,
-		ctx:            r.ctx,
-		poll:           ctxutil.NewPoll(r.ctx, ctxutil.DefaultStride),
-		forced:         r.forced,
-		counterfactual: r.counterfactual,
-		gains:          r.gains,
-		floor:          r.floor,
-		opts:           r.opts,
-		shared:         r.shared,
-	}
-}
-
-// runParallel fans the per-candidate jobs out over Options.Parallel worker
-// goroutines, each running work on its own refiner clone, and returns the
-// first worker error.
-func (r *refiner) runParallel(order []int, work func(wr *refiner, cc int) error) error {
-	workers := r.opts.Parallel
-	jobs := make(chan int)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wr := r.workerClone()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for cc := range jobs {
-				// Drain without working once any worker aborted: returning
-				// instead would let the dispatcher block forever on the
-				// unbuffered channel when every worker dies between its
-				// aborted-check and the send (all workers fail near-
-				// simultaneously under a canceled context or an exhausted
-				// budget).
-				if errs[w] != nil || r.shared.aborted.Load() {
-					continue
-				}
-				if err := work(wr, cc); err != nil {
-					errs[w] = err
-					r.shared.aborted.Store(true)
-				}
-			}
-		}()
-	}
-	for _, cc := range order {
-		if r.shared.aborted.Load() {
-			break
-		}
-		jobs <- cc
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// bound reads the best known contingency size for cc (-1 unknown).
-func (r *refiner) bound(cc int) int {
-	r.shared.mu.Lock()
-	defer r.shared.mu.Unlock()
-	return r.shared.bestKnown[cc]
-}
-
-func (r *refiner) boundSet(cc int) []int {
-	r.shared.mu.Lock()
-	defer r.shared.mu.Unlock()
-	return r.shared.bestSet[cc]
 }
 
 // partition splits the candidates other than cc into the forced kernel and
@@ -416,7 +293,8 @@ func (r *refiner) chargeWork(n int64) error {
 	if err := r.poll.Charge(n); err != nil {
 		return err
 	}
-	if r.shared.maxSubsets > 0 && r.shared.workUnits.Add(n) > r.shared.maxSubsets {
+	r.workUnits += n
+	if r.opts.MaxSubsets > 0 && r.workUnits > r.opts.MaxSubsets {
 		return ErrSubsetBudget
 	}
 	return nil
@@ -437,7 +315,7 @@ func (r *refiner) repairFloor() (int, error) {
 	meter := repairMeter{
 		greedy: r.chargeWork,
 		node:   r.chargeWork,
-		leaf:   func() { r.shared.subsetsExamined.Add(1) },
+		leaf:   func() { r.subsetsExamined++ },
 	}
 	kernel, chosen, exact, err := minRepair(r.e.Clone(), r.alpha, r.counterfactual, meter, true, nil)
 	if err != nil || !exact {
@@ -499,7 +377,7 @@ func (r *refiner) fmcs(cc int) (gamma []int, ok bool, err error) {
 		pool:   pool,
 		charge: r.chargeWork,
 		leaf: func() (bool, error) {
-			r.shared.subsetsExamined.Add(1)
+			r.subsetsExamined++
 			pr, prWo := r.e.PrPair(cc)
 			return prob.Less(pr, r.alpha) && prob.GEq(prWo, r.alpha), nil
 		},
@@ -527,19 +405,15 @@ func (r *refiner) fmcs(cc int) (gamma []int, ok bool, err error) {
 	// Search cardinalities from the repair floor strictly below the best
 	// known upper bound — a Lemma-6 set, else maxSize+1. No contingency set
 	// is smaller than the floor, so starting there skips only empty
-	// cardinalities and finds the same first set.
+	// cardinalities and finds the same first set. Nothing records a set for
+	// cc while cc is searched, so the bound is read once.
 	upper := maxSize + 1
+	if set := r.bestSet[cc]; set != nil && len(set) < upper {
+		upper = len(set)
+	}
 	found := -1
 	chosen := r.scratchChosen[:0]
-	for m := max(len(forcedSet), r.floor); ; m++ {
-		// Re-read the shared bound each cardinality: parallel workers may
-		// have tightened it since the search began.
-		if b := r.bound(cc); b >= 0 && b < upper {
-			upper = b
-		}
-		if m >= upper {
-			break
-		}
+	for m := max(len(forcedSet), r.floor); m < upper; m++ {
 		need := m - len(forcedSet)
 		if need > len(pool) {
 			break
@@ -569,13 +443,13 @@ func (r *refiner) fmcs(cc int) (gamma []int, ok bool, err error) {
 			r.propagateLemma6(cc, gamma)
 		}
 		return gamma, true, nil
-	case r.bound(cc) >= 0:
+	case r.bestSet[cc] != nil:
 		// Nothing smaller exists, so the recorded Lemma-6 incumbent is
 		// minimal — which is all Lemma 6 itself needs: a certified
 		// incumbent propagates same-size bounds to its members exactly like
 		// a freshly enumerated set. Guarded by the same ablation flag so
 		// NoLemma6 benchmark cells stay comparable.
-		gamma = r.boundSet(cc)
+		gamma = r.bestSet[cc]
 		if !r.opts.NoLemma6 {
 			r.propagateLemma6(cc, gamma)
 		}
@@ -596,7 +470,7 @@ func (r *refiner) propagateLemma6(cc int, gamma []int) {
 		if r.counterfactual[o] {
 			continue
 		}
-		if b := r.bound(o); b >= 0 && b <= size {
+		if set := r.bestSet[o]; set != nil && len(set) <= size {
 			continue
 		}
 		// Build P − (Γ−{o}) − {cc} on the evaluator.
@@ -618,13 +492,7 @@ func (r *refiner) propagateLemma6(cc int, gamma []int) {
 					set = append(set, j)
 				}
 			}
-			set = append(set, cc)
-			r.shared.mu.Lock()
-			if r.shared.bestKnown[o] < 0 || r.shared.bestKnown[o] > size {
-				r.shared.bestKnown[o] = size
-				r.shared.bestSet[o] = set
-			}
-			r.shared.mu.Unlock()
+			r.bestSet[o] = append(set, cc)
 		}
 	}
 }

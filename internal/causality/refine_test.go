@@ -123,7 +123,7 @@ func TestRepairFloor(t *testing.T) {
 	if r.e.NumActive() != len(ids) || r.e.Pr() != 1.0/16 {
 		t.Fatalf("seed disturbed the evaluator: %d active, Pr=%v", r.e.NumActive(), r.e.Pr())
 	}
-	if r.subsetsCount() == 0 {
+	if r.subsetsExamined == 0 {
 		t.Fatal("the seed's exact-phase leaves were not counted")
 	}
 

@@ -252,9 +252,10 @@ func TestConformanceQueryBatchCertainSharedIO(t *testing.T) {
 
 // TestConformanceExplainBatch crosses ExplainBatchStream — non-answers fanned
 // out with per-item errors — against per-item ExplainCtx on the sample
-// model: identical causes, responsibilities, contingency sizes, and
-// identical per-item error classification (an answer in the batch fails
-// with ErrNotNonAnswer exactly like the single call).
+// model: identical causes, responsibilities, contingency sizes and
+// SubsetsExamined counts (each item's search is serial, so its count is
+// deterministic), and identical per-item error classification (an answer
+// in the batch fails with ErrNotNonAnswer exactly like the single call).
 func TestConformanceExplainBatch(t *testing.T) {
 	const workloads = 10
 	forEachCaseSeed(t, 44_000, workloads, func(t *testing.T, seed int64) {
@@ -270,49 +271,50 @@ func TestConformanceExplainBatch(t *testing.T) {
 		for id := range reqs {
 			reqs[id] = crsky.ExplainRequest{ID: id, Q: q, Alpha: alpha}
 		}
-		for _, parallel := range []int{1, 3} {
-			opts := crsky.Options{Parallel: parallel}
-			items := eng.ExplainBatchStream(context.Background(), reqs, opts, nil)
-			if len(items) != len(reqs) {
-				t.Errorf("seed=%d: %d items, want %d", seed, len(items), len(reqs))
+		items := eng.ExplainBatchStream(context.Background(), reqs, crsky.Options{}, nil)
+		if len(items) != len(reqs) {
+			t.Errorf("seed=%d: %d items, want %d", seed, len(items), len(reqs))
+			return
+		}
+		for id, item := range items {
+			ctx := fmt.Sprintf("seed=%d an=%d", seed, id)
+			if item.Index != id {
+				t.Errorf("%s: index %d", ctx, item.Index)
 				return
 			}
-			for id, item := range items {
-				ctx := fmt.Sprintf("seed=%d par=%d an=%d", seed, parallel, id)
-				if item.Index != id {
-					t.Errorf("%s: index %d", ctx, item.Index)
+			want, wantErr := eng.ExplainCtx(context.Background(), id, q, alpha, crsky.Options{})
+			if (item.Err == nil) != (wantErr == nil) {
+				t.Errorf("%s: batch err %v, single err %v", ctx, item.Err, wantErr)
+				return
+			}
+			if wantErr != nil {
+				if !errors.Is(item.Err, crsky.ErrNotNonAnswer) || !errors.Is(wantErr, crsky.ErrNotNonAnswer) {
+					t.Errorf("%s: error classification diverged: batch %v, single %v", ctx, item.Err, wantErr)
 					return
 				}
-				want, wantErr := eng.ExplainCtx(context.Background(), id, q, alpha, crsky.Options{})
-				if (item.Err == nil) != (wantErr == nil) {
-					t.Errorf("%s: batch err %v, single err %v", ctx, item.Err, wantErr)
+				continue
+			}
+			g, w := item.Result, want
+			if len(g.Causes) != len(w.Causes) {
+				t.Errorf("%s: %d causes, single has %d", ctx, len(g.Causes), len(w.Causes))
+				return
+			}
+			for i := range w.Causes {
+				if g.Causes[i].ID != w.Causes[i].ID ||
+					math.Abs(g.Causes[i].Responsibility-w.Causes[i].Responsibility) > 1e-12 ||
+					len(g.Causes[i].Contingency) != len(w.Causes[i].Contingency) {
+					t.Errorf("%s: cause %d diverged: %+v vs %+v", ctx, i, g.Causes[i], w.Causes[i])
 					return
 				}
-				if wantErr != nil {
-					if !errors.Is(item.Err, crsky.ErrNotNonAnswer) || !errors.Is(wantErr, crsky.ErrNotNonAnswer) {
-						t.Errorf("%s: error classification diverged: batch %v, single %v", ctx, item.Err, wantErr)
-						return
-					}
-					continue
-				}
-				g, w := item.Result, want
-				if len(g.Causes) != len(w.Causes) {
-					t.Errorf("%s: %d causes, single has %d", ctx, len(g.Causes), len(w.Causes))
-					return
-				}
-				for i := range w.Causes {
-					if g.Causes[i].ID != w.Causes[i].ID ||
-						math.Abs(g.Causes[i].Responsibility-w.Causes[i].Responsibility) > 1e-12 ||
-						len(g.Causes[i].Contingency) != len(w.Causes[i].Contingency) {
-						t.Errorf("%s: cause %d diverged: %+v vs %+v", ctx, i, g.Causes[i], w.Causes[i])
-						return
-					}
-				}
-				// Witness re-validation straight from Definition 1.
-				if prob.GEq(prob.PrReverseSkyline(ds.Objects[id], q, ds.Objects), alpha) {
-					t.Errorf("%s: explained object is an answer", ctx)
-					return
-				}
+			}
+			if g.SubsetsExamined != w.SubsetsExamined {
+				t.Errorf("%s: batch examined %d subsets, single %d", ctx, g.SubsetsExamined, w.SubsetsExamined)
+				return
+			}
+			// Witness re-validation straight from Definition 1.
+			if prob.GEq(prob.PrReverseSkyline(ds.Objects[id], q, ds.Objects), alpha) {
+				t.Errorf("%s: explained object is an answer", ctx)
+				return
 			}
 		}
 	})

@@ -349,7 +349,7 @@ func TestChaosExplainFaultsPerItem(t *testing.T) {
 		return ts
 	}
 	batch := &server.BatchExplainRequest{Dataset: "chaos", Items: items, Alpha: alpha, NoCache: true,
-		Options: server.OptionsSpec{MaxCandidates: 48, Parallel: 1}}
+		Options: server.OptionsSpec{MaxCandidates: 48}}
 	lines := func(ts *httptest.Server) []string {
 		t.Helper()
 		resp, raw, err := chaosPost(ts, context.Background(), "/v2/explain", batch, false)

@@ -22,40 +22,33 @@ type explainVariant struct {
 }
 
 // explainVariants enumerates every branch-and-bound ablation combination
-// (admissible bound × mass ordering × repair seed) crossed with serial and
-// parallel refinement, plus the legacy lemma ablations stacked on both the
-// full branch-and-bound search and the fully stripped enumeration.
+// (admissible bound × mass ordering × repair seed), plus the legacy lemma
+// ablations stacked on both the full branch-and-bound search and the fully
+// stripped enumeration.
 func explainVariants() []explainVariant {
 	var out []explainVariant
-	for _, parallel := range []int{1, 4} {
-		for mask := 0; mask < 8; mask++ {
-			o := causality.Options{
-				Parallel:     parallel,
-				NoAdmissible: mask&1 != 0,
-				NoMassOrder:  mask&2 != 0,
-				NoRepairSeed: mask&4 != 0,
-			}
-			out = append(out, explainVariant{
-				name: fmt.Sprintf("par%d-ad%t-mo%t-rs%t", parallel,
-					!o.NoAdmissible, !o.NoMassOrder, !o.NoRepairSeed),
-				opts: o,
-			})
+	for mask := 0; mask < 8; mask++ {
+		o := causality.Options{
+			NoAdmissible: mask&1 != 0,
+			NoMassOrder:  mask&2 != 0,
+			NoRepairSeed: mask&4 != 0,
 		}
-		out = append(out,
-			explainVariant{
-				name: fmt.Sprintf("par%d-nolemmas-bb", parallel),
-				opts: causality.Options{Parallel: parallel,
-					NoLemma4: true, NoLemma5: true, NoLemma6: true, NoPrune: true},
-			},
-			explainVariant{
-				name: fmt.Sprintf("par%d-nolemmas-plain", parallel),
-				opts: causality.Options{Parallel: parallel,
-					NoLemma4: true, NoLemma5: true, NoLemma6: true, NoPrune: true,
-					NoAdmissible: true, NoMassOrder: true, NoRepairSeed: true},
-			},
-		)
+		out = append(out, explainVariant{
+			name: fmt.Sprintf("ad%t-mo%t-rs%t", !o.NoAdmissible, !o.NoMassOrder, !o.NoRepairSeed),
+			opts: o,
+		})
 	}
-	return out
+	return append(out,
+		explainVariant{
+			name: "nolemmas-bb",
+			opts: causality.Options{NoLemma4: true, NoLemma5: true, NoLemma6: true, NoPrune: true},
+		},
+		explainVariant{
+			name: "nolemmas-plain",
+			opts: causality.Options{NoLemma4: true, NoLemma5: true, NoLemma6: true, NoPrune: true,
+				NoAdmissible: true, NoMassOrder: true, NoRepairSeed: true},
+		},
+	)
 }
 
 // explainWorkload is a tiny uncertain dataset: the brute oracle enumerates
@@ -126,9 +119,9 @@ func checkContingencyWitness(t *testing.T, ds *dataset.Uncertain, q geom.Point,
 }
 
 // TestExplainConformance cross-checks the branch-and-bound refiner — every
-// ablation combination, serial and parallel — against the Definition-1
-// brute oracle on randomized cases: identical cause IDs in identical order,
-// exact responsibilities, equal contingency-set sizes, and every witnessed
+// ablation combination — against the Definition-1 brute oracle on
+// randomized cases: identical cause IDs in identical order, exact
+// responsibilities, equal contingency-set sizes, and every witnessed
 // contingency set must actually satisfy the contingency conditions (the
 // sets themselves may legitimately differ between search orders, the sizes
 // may not).

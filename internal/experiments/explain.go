@@ -63,7 +63,6 @@ func sampleExplainVariants() []explainVariant {
 		{name: "naive", naive: true},
 		{name: "old-refiner", opts: oldRefinerOpts()},
 		{name: "bb", opts: causality.Options{}},
-		{name: "bb-parallel", opts: causality.Options{Parallel: 4}},
 		{name: "bb-noadmissible", opts: causality.Options{NoAdmissible: true}},
 		{name: "bb-norepairseed", opts: causality.Options{NoRepairSeed: true}},
 	}
@@ -71,12 +70,12 @@ func sampleExplainVariants() []explainVariant {
 
 // ExplainBench measures the explanation hot path (CP / Algorithm 2 FMCS):
 // the Naive-I oracle against the pre-branch-and-bound refiner and the
-// branch-and-bound search, serial and parallel, with single-flag ablations,
-// on the sample model (n = 2k candidate-dense) and the pdf model. Beyond
-// printing the table it writes BENCH_explain.json so the trajectory is
-// tracked across PRs — run `make bench-explain` to refresh it and
-// `make bench-explain-check` to compare a fresh run against the committed
-// file (>20% speedup drop or any SubsetsExamined growth fails).
+// branch-and-bound search, with single-flag ablations, on the sample model
+// (n = 2k candidate-dense) and the pdf model. Beyond printing the table it
+// writes BENCH_explain.json so the trajectory is tracked across PRs — run
+// `make bench-explain` to refresh it and `make bench-explain-check` to
+// compare a fresh run against the committed file (>20% speedup drop or any
+// SubsetsExamined growth fails).
 func ExplainBench(cfg Config) error {
 	cfg.fillDefaults()
 	const alpha = 0.85
@@ -249,7 +248,6 @@ func explainBenchPDF(cfg *Config, report *explainReport, tab *stats.Table, alpha
 	variants := []explainVariant{
 		{name: "old-refiner", opts: oldRefinerOpts()},
 		{name: "bb", opts: causality.Options{}},
-		{name: "bb-parallel", opts: causality.Options{Parallel: 4}},
 		{name: "bb-noadmissible", opts: causality.Options{NoAdmissible: true}},
 		{name: "bb-norepairseed", opts: causality.Options{NoRepairSeed: true}},
 	}

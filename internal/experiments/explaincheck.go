@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 )
 
 // ExplainCompare guards the explanation-path performance trajectory the same
@@ -17,11 +16,9 @@ import (
 //   - speedupVsNaive, measured within one run (the naive oracle and the
 //     refiners share the machine), must not shrink by more than tolerance
 //     (0.20 = fail below 80% of the committed speedup);
-//   - SubsetsExamined must not grow on serial cells: the enumeration is
-//     deterministic there, so for pruning-only changes the count must hold
-//     exact parity, and any growth is a real search-space regression.
-//     Parallel cells are exempt — Lemma-6 bound sharing makes their count
-//     schedule-dependent.
+//   - SubsetsExamined must not grow on any cell: the enumeration is
+//     deterministic, so for pruning-only changes the count must hold exact
+//     parity, and any growth is a real search-space regression.
 //
 // In addition the fresh report must keep three in-run invariants on every
 // config where the cells appear: the branch-and-bound refiner examines
@@ -56,7 +53,7 @@ func ExplainCompare(nextPath, prevPath string, tolerance float64) error {
 			return fmt.Errorf("experiments: explain regression at %s/%s/%s: %.1fx speedup vs naive, committed %.1fx (<%.0f%%)",
 				r.Config, r.Model, r.Variant, r.SpeedupNaive, p.SpeedupNaive, (1-tolerance)*100)
 		}
-		if !strings.Contains(r.Variant, "parallel") && r.SubsetsExamined > p.SubsetsExamined {
+		if r.SubsetsExamined > p.SubsetsExamined {
 			return fmt.Errorf("experiments: explain search-space regression at %s/%s/%s: %d subsets examined vs %d committed",
 				r.Config, r.Model, r.Variant, r.SubsetsExamined, p.SubsetsExamined)
 		}

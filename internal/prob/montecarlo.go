@@ -88,8 +88,9 @@ func drawSample(o *uncertain.Object, rng *rand.Rand) geom.Point {
 }
 
 // Clone returns an independent copy of the evaluator sharing the immutable
-// dominance matrix but owning its activation state — the building block for
-// parallel refinement, where each worker mutates its own clone.
+// dominance matrix but owning its activation state, so a side search (the
+// refinement's minimum-repair seed) can mutate it without disturbing the
+// original's incremental state.
 func (e *Evaluator) Clone() *Evaluator {
 	c := &Evaluator{
 		weights: e.weights, // immutable after construction

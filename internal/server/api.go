@@ -74,12 +74,15 @@ type DatasetInfo struct {
 	NodeAccesses int64 `json:"nodeAccesses"`
 }
 
-// OptionsSpec tunes the refinement stage of explain/repair requests; the
-// zero value selects the library defaults. The research ablation switches
-// of causality.Options (NoAdmissible, NoMassOrder, NoRepairSeed and the
-// lemma switches) are not part of the wire API: they belong to the
-// experiments harness, and since unknown fields are ignored, requests that
-// still send them decode as if they were unset.
+// OptionsSpec tunes the refinement stage of explain/repair requests with
+// three fields, maxCandidates, maxSubsets and quadNodes; the zero value
+// selects the library defaults. The research ablation switches of
+// causality.Options (NoAdmissible, NoMassOrder, NoRepairSeed and the lemma
+// switches) are not part of the wire API: they belong to the experiments
+// harness. Nor is a worker count: one explanation's search is serial, and
+// a /v2/explain batch spreads its items over the cores. Unknown fields are
+// ignored, so requests that still send those switches or "parallel" decode
+// as if they were unset.
 //
 // MaxSubsets counts refinement evaluation units — leaf verifications,
 // pruned branch points, and the minimum-repair seed's evaluations and
@@ -91,7 +94,6 @@ type OptionsSpec struct {
 	MaxCandidates int   `json:"maxCandidates,omitempty"`
 	MaxSubsets    int64 `json:"maxSubsets,omitempty"`
 	QuadNodes     int   `json:"quadNodes,omitempty"`
-	Parallel      int   `json:"parallel,omitempty"`
 }
 
 func (o OptionsSpec) toOptions() causality.Options {
@@ -99,7 +101,6 @@ func (o OptionsSpec) toOptions() causality.Options {
 		MaxCandidates: o.MaxCandidates,
 		MaxSubsets:    o.MaxSubsets,
 		QuadNodes:     o.QuadNodes,
-		Parallel:      o.Parallel,
 	}
 }
 

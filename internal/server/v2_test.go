@@ -124,6 +124,48 @@ func TestV2CacheKeyCoversBatchShape(t *testing.T) {
 	}
 }
 
+// TestOptionsIgnoreParallel decodes /v1/explain, /v2/explain and /v1/repair
+// bodies whose options carry "parallel". A worker count is not part of the
+// wire API (one explanation's search is serial), so each body must build
+// the same cache key as the body without it. The test only decodes: a
+// large "parallel" is never sent to a server.
+func TestOptionsIgnoreParallel(t *testing.T) {
+	const (
+		without = `"options":{"maxCandidates":64}`
+		with    = `"options":{"maxCandidates":64,"parallel":1073741824}`
+	)
+	ent := &entry{name: "d", gen: 1}
+	decode := func(body string, v any) {
+		t.Helper()
+		if err := json.Unmarshal([]byte(body), v); err != nil {
+			t.Fatalf("decoding %s: %v", body, err)
+		}
+	}
+	keys := map[string]func(opts string) string{
+		"/v1/explain": func(opts string) string {
+			var req ExplainRequest
+			decode(`{"dataset":"d","q":[1,2],"an":3,"alpha":0.5,`+opts+`}`, &req)
+			return explainKey(req.Dataset, ent.gen, req.Q, req.An, req.Alpha, req.Options.toOptions())
+		},
+		"/v2/explain": func(opts string) string {
+			var req BatchExplainRequest
+			decode(`{"dataset":"d","alpha":0.5,"items":[{"q":[1,2],"an":3}],`+opts+`}`, &req)
+			return strings.Join(req.itemKeys(ent), "\n")
+		},
+		// The repair key's only options input is the options' Key.
+		"/v1/repair": func(opts string) string {
+			var req RepairRequest
+			decode(`{"dataset":"d","q":[1,2],"an":3,"alpha":0.5,`+opts+`}`, &req)
+			return req.Options.toOptions().Key()
+		},
+	}
+	for route, key := range keys {
+		if got, want := key(with), key(without); got != want {
+			t.Errorf("%s: options with \"parallel\" build key %q, want %q", route, got, want)
+		}
+	}
+}
+
 // --- NDJSON helpers ----------------------------------------------------
 
 func decodeNDJSON[T any](t *testing.T, raw []byte) []T {

@@ -164,13 +164,13 @@ func TestWireGolden(t *testing.T) {
 		{"v2 query certain bypass", "/v2/query", &BatchQueryRequest{Dataset: "c", Qs: [][]float64{origin, {3, 3}}, NoCache: true}},
 		{"v2 query approx always", "/v2/query", &BatchQueryRequest{Dataset: "u", Qs: [][]float64{uq, {4000, 6000}}, Alpha: 0.5, Approx: "always"}},
 		{"v2 explain sample miss", "/v2/explain", &BatchExplainRequest{Dataset: "s", Alpha: 0.5, Verify: true,
-			Options: OptionsSpec{MaxCandidates: 64, Parallel: 1},
+			Options: OptionsSpec{MaxCandidates: 64},
 			Items:   []BatchExplainItemRequest{{Q: w.q, An: an}, {Q: w.q, An: ans}, {Q: w.q, An: w.ids[1]}}}},
 		{"v2 explain sample hit", "/v2/explain", &BatchExplainRequest{Dataset: "s", Alpha: 0.5, Verify: true,
-			Options: OptionsSpec{MaxCandidates: 64, Parallel: 1},
+			Options: OptionsSpec{MaxCandidates: 64},
 			Items:   []BatchExplainItemRequest{{Q: w.q, An: w.ids[1]}, {Q: w.q, An: an}}}},
 		{"v2 explain pdf", "/v2/explain", &BatchExplainRequest{Dataset: "p", Alpha: 0.5, Verify: true,
-			Options: OptionsSpec{QuadNodes: 4, Parallel: 1},
+			Options: OptionsSpec{QuadNodes: 4},
 			Items:   []BatchExplainItemRequest{{Q: origin, An: 0}, {Q: origin, An: 2}}}},
 		{"v2 explain certain", "/v2/explain", &BatchExplainRequest{Dataset: "c", Verify: true,
 			Items: []BatchExplainItemRequest{{Q: origin, An: 3}, {Q: origin, An: 0}, {Q: origin, An: 42}}}},

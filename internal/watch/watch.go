@@ -8,11 +8,13 @@
 // The hub is deliberately engine-agnostic. It knows three things: which
 // subscriptions exist per dataset, how to coalesce mutation notices, and
 // how to prune subscriptions whose dominance window a mutation cannot
-// touch. The actual re-evaluation (batched queries against the current
-// engine generation) is injected by the serving layer as a Reevaluator.
+// touch. The actual re-evaluation (one membership probe per subscription
+// against the current engine generation) is injected by the serving layer
+// as a Reevaluator.
 package watch
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/crsky/crsky/internal/geom"
@@ -337,7 +339,7 @@ func (h *Hub) loop() {
 			if s.isTerminal() {
 				continue
 			}
-			if containsID(n.deleted, s.An) {
+			if slices.Contains(n.deleted, s.An) {
 				// The watched object itself was deleted: terminal, no
 				// re-evaluation needed.
 				h.Emit(s, Event{Event: KindDeleted, Dataset: name, Generation: n.gen, An: s.An})
@@ -355,7 +357,7 @@ func (h *Hub) loop() {
 		reeval := h.reeval
 		h.reevals.Inc()
 		// The engine work runs outside the hub lock: new mutations keep
-		// coalescing into pending while the batch computes.
+		// coalescing into pending while the round computes.
 		h.mu.Unlock()
 		reeval(name, n.gen, affected)
 		h.mu.Lock()
@@ -395,13 +397,4 @@ func (h *Hub) Stats() Stats {
 		Coalesced:    h.coalesced.Value(),
 		Reevals:      h.reevals.Value(),
 	}
-}
-
-func containsID(ids []int, id int) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
 }

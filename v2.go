@@ -214,15 +214,13 @@ func queryOne(out [][]int, st QueryStats, err error) ([]int, QueryStats, error) 
 	return out[0], st, nil
 }
 
-// explainBatch fans reqs out over worker goroutines, collecting per-item
-// results. The item fan-out provides the first level of parallelism
-// (bounded by opts.Parallel or GOMAXPROCS); when the batch is smaller
-// than the worker budget, the leftover budget is redistributed into each
-// item's own search (per-item Parallel = budget / item workers), so a
-// two-item batch on an eight-way budget still uses eight cores. A
-// single-item batch degenerates to one ExplainCtx call with the caller's
-// options untouched. After a cancellation the unstarted items are marked
-// with the wrapped context error; finished items keep their results.
+// explainBatch fans reqs out over min(GOMAXPROCS, len(reqs)) worker
+// goroutines, collecting per-item results; the item fan-out is the only
+// parallelism on the explain path, since each item's search is serial. A
+// single-item batch degenerates to one explain call on the caller's
+// goroutine. The caller warms the engine first: the workers share its lazy
+// index. After a cancellation the unstarted items are marked with the
+// wrapped context error; finished items keep their results.
 //
 // A positive ExplainRequest.Timeout wraps that item's context alone, so a
 // hard item times out by itself instead of eating the batch deadline. A
@@ -242,32 +240,23 @@ func explainBatch(ctx context.Context, reqs []ExplainRequest, opts Options,
 	}
 
 	// runOne executes one item under its per-item deadline (if any).
-	runOne := func(ctx context.Context, i int, o Options) {
+	runOne := func(ctx context.Context, i int) {
 		if d := reqs[i].Timeout; d > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, d)
 			defer cancel()
 		}
-		items[i].Result, items[i].Err = explain(ctx, reqs[i].ID, reqs[i].Q, reqs[i].Alpha, o)
+		items[i].Result, items[i].Err = explain(ctx, reqs[i].ID, reqs[i].Q, reqs[i].Alpha, opts)
 	}
 
 	if len(reqs) == 1 {
-		runOne(ctx, 0, opts)
+		runOne(ctx, 0)
 		if emit != nil {
 			emit(items[0])
 		}
 		return items
 	}
-	budget := opts.Parallel
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	workers := budget
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	itemOpts := opts
-	itemOpts.Parallel = budget / workers
+	workers := min(runtime.GOMAXPROCS(0), len(reqs))
 
 	// The ordered emission frontier: finished marks completed items, and
 	// the frontier advances — emitting under the mutex, so calls are
@@ -301,7 +290,7 @@ func explainBatch(ctx context.Context, reqs []ExplainRequest, opts Options,
 			}
 			finish(i)
 		}()
-		runOne(ctx, i, itemOpts)
+		runOne(ctx, i)
 	}
 	jobs := make(chan int)
 	done := make(chan struct{})
@@ -387,8 +376,10 @@ func (e *Engine) ExplainCtx(ctx context.Context, id int, q Point, alpha float64,
 	return causality.CPCtx(ctx, e.ds, q, id, alpha, opts)
 }
 
-// ExplainBatchStream implements Explainer.
+// ExplainBatchStream implements Explainer. It warms the engine before the
+// fan-out, so the batch's workers never race on the lazy R-tree build.
 func (e *Engine) ExplainBatchStream(ctx context.Context, reqs []ExplainRequest, opts Options, emit func(ExplainItem)) []ExplainItem {
+	e.Warm()
 	return explainBatch(ctx, reqs, opts, e.ExplainCtx, emit)
 }
 
@@ -627,8 +618,10 @@ func (e *PDFEngine) ExplainCtx(ctx context.Context, id int, q Point, alpha float
 	return causality.CPPDFCtx(ctx, e.set, q, id, alpha, opts)
 }
 
-// ExplainBatchStream implements Explainer.
+// ExplainBatchStream implements Explainer. It warms the engine before the
+// fan-out, so the batch's workers never race on the lazy R-tree build.
 func (e *PDFEngine) ExplainBatchStream(ctx context.Context, reqs []ExplainRequest, opts Options, emit func(ExplainItem)) []ExplainItem {
+	e.Warm()
 	return explainBatch(ctx, reqs, opts, e.ExplainCtx, emit)
 }
 
