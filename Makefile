@@ -111,9 +111,10 @@ bench-prsq:
 	go run ./cmd/experiments -exp prsq -scale 1
 
 # Re-measure into a scratch file and fail against the committed
-# BENCH_prsq.json on a >20% drop in speedup-vs-naive (hardware-neutral:
-# naive and indexed share the machine within a run) or any growth in
-# simulated I/O (deterministic).
+# BENCH_prsq.json on a >20% drop in speedup-vs-naive (hardware-neutral: a
+# ratio of process CPU times, naive and indexed taking interleaved turns
+# within a run) or any growth in simulated I/O or in the join's entries
+# scanned (both deterministic).
 bench-prsq-check:
 	go run ./cmd/experiments -exp prsq -scale 1 -benchfile /tmp/BENCH_prsq.head.json -against BENCH_prsq.json
 

@@ -326,7 +326,9 @@ func prsqBenchWorkload(b *testing.B, n int) *prsqWorkload {
 // query: the naive per-object loop (one R-tree traversal + one full Eq.-2
 // evaluation per object) against the indexed batch path (one R-tree
 // self-join, MBR bound pruning), serial and parallel. "nodes/op" reports
-// the paper's simulated-I/O metric per query.
+// the paper's simulated-I/O metric per query, and "entries/op" the
+// indexed join's rectangle tests (QueryStats.EntriesScanned; 0 for the
+// naive loop, which runs no join).
 func BenchmarkPRSQ(b *testing.B) {
 	const alpha = 0.5
 	for _, n := range []int{2_000, 20_000} {
@@ -340,32 +342,35 @@ func BenchmarkPRSQ(b *testing.B) {
 		}
 		variants := []struct {
 			name string
-			run  func() int64 // node accesses of one query
+			run  func() (nodes, entries int64) // counts of one query
 		}{
-			{"naive", func() int64 {
+			{"naive", func() (int64, int64) {
 				w.eng.ProbabilisticReverseSkylineNaive(w.q, alpha)
-				return naiveIO
+				return naiveIO, 0
 			}},
-			{"indexed-serial", func() int64 {
+			{"indexed-serial", func() (int64, int64) {
 				_, st, _ := w.eng.QueryCtx(context.Background(), w.q, alpha, QueryOptions{Parallel: 1})
-				return st.NodeAccesses
+				return st.NodeAccesses, st.EntriesScanned
 			}},
-			{"indexed-parallel", func() int64 {
+			{"indexed-parallel", func() (int64, int64) {
 				_, st, _ := w.eng.QueryCtx(context.Background(), w.q, alpha, QueryOptions{})
-				return st.NodeAccesses
+				return st.NodeAccesses, st.EntriesScanned
 			}},
 		}
 		for _, v := range variants {
 			v := v
 			b.Run(fmt.Sprintf("n=%d/%s", n, v.name), func(b *testing.B) {
 				b.ReportAllocs()
-				var nodes int64
+				var nodes, entries int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					nodes += v.run()
+					dn, de := v.run()
+					nodes += dn
+					entries += de
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+				b.ReportMetric(float64(entries)/float64(b.N), "entries/op")
 			})
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
+	"syscall"
 	"time"
 
 	"github.com/crsky/crsky/internal/causality"
@@ -22,14 +24,20 @@ import (
 // compare against the committed numbers.
 const PRSQBenchFile = "BENCH_prsq.json"
 
-// prsqResult is one measured (cardinality, variant) cell.
+// prsqResult is one measured (cardinality, variant) cell. MsPerQuery is
+// wall-clock time and CPUMsPerQuery the process's CPU time (every thread,
+// the garbage collector's included); SpeedupNaive is the ratio of CPU
+// times. EntriesScanned is the indexed join's rectangle tests
+// (prsq.Stats.EntriesScanned), absent for the naive loop.
 type prsqResult struct {
-	N            int     `json:"n"`
-	Variant      string  `json:"variant"`
-	MsPerQuery   float64 `json:"msPerQuery"`
-	NodeAccesses int64   `json:"nodeAccessesPerQuery"`
-	Answers      int     `json:"answers"`
-	SpeedupNaive float64 `json:"speedupVsNaive"`
+	N              int     `json:"n"`
+	Variant        string  `json:"variant"`
+	MsPerQuery     float64 `json:"msPerQuery"`
+	CPUMsPerQuery  float64 `json:"cpuMsPerQuery"`
+	NodeAccesses   int64   `json:"nodeAccessesPerQuery"`
+	EntriesScanned int64   `json:"entriesScannedPerQuery,omitempty"`
+	Answers        int     `json:"answers"`
+	SpeedupNaive   float64 `json:"speedupVsNaive"`
 }
 
 type prsqReport struct {
@@ -64,9 +72,9 @@ func PRSQBench(cfg Config) error {
 	}
 	tab := stats.Table{
 		Title:  "PRSQ: naive per-object loop vs indexed batch query",
-		Header: []string{"n", "variant", "ms/query", "node accesses", "answers", "speedup"},
+		Header: []string{"n", "variant", "ms/query", "CPU ms/query", "node accesses", "entries scanned", "answers", "speedup"},
 		Caption: "Indexed = one R-tree self-join + online MBR bounds + parallel exact evaluation; " +
-			"identical answer sets by construction.",
+			"identical answer sets by construction. Speedup = naive CPU time / variant CPU time.",
 	}
 
 	for _, base := range []int{2_000, 20_000} {
@@ -81,56 +89,72 @@ func PRSQBench(cfg Config) error {
 		ds.Summaries()
 		q := domainQuery(rng, dims, 10000)
 
+		indexed := func(opt prsq.Options) func() ([]int, prsq.Stats) {
+			return func() ([]int, prsq.Stats) { return indexedPRSQ(ds, q, alpha, opt) }
+		}
 		variants := []struct {
-			name    string
-			minReps int
-			run     func() ([]int, int64)
+			name string
+			run  func() ([]int, prsq.Stats)
 		}{
-			{"naive", 1, func() ([]int, int64) { return naivePRSQ(ds, q, alpha) }},
-			{"indexed-serial", 3, func() ([]int, int64) {
-				return indexedPRSQ(ds, q, alpha, prsq.Options{Parallel: 1})
+			{"naive", func() ([]int, prsq.Stats) {
+				ids, nodes := naivePRSQ(ds, q, alpha)
+				return ids, prsq.Stats{NodeAccesses: nodes}
 			}},
-			{"indexed-notier2", 3, func() ([]int, int64) {
-				return indexedPRSQ(ds, q, alpha, prsq.Options{Parallel: 1, NoTier2: true})
-			}},
-			{"indexed-parallel", 3, func() ([]int, int64) {
-				return indexedPRSQ(ds, q, alpha, prsq.Options{})
-			}},
+			{"indexed-serial", indexed(prsq.Options{Parallel: 1})},
+			{"indexed-notier2", indexed(prsq.Options{Parallel: 1, NoTier2: true})},
+			{"indexed-parallel", indexed(prsq.Options{})},
 		}
 
-		// Each cell repeats its query for at least minTime (one second at
-		// paper scale) as well as minReps times. An indexed query takes a
-		// few milliseconds, and timing only three of them let scheduling
-		// noise move a cell's speedup by more than bench-prsq-check's 20%
-		// tolerance.
+		// The variants take turns over prsqRounds rounds, and each turn
+		// repeats its query for at least minTime/prsqRounds (one second
+		// per cell at paper scale) and at least once. The speedup is a
+		// ratio of process CPU times: a drift of the machine's speed
+		// during a run then reaches naive and indexed alike, and time the
+		// process spends descheduled counts for neither. A collection
+		// before each turn keeps one variant's garbage out of the next
+		// one's CPU time.
 		minTime := time.Duration(cfg.Scale * float64(time.Second))
-		var naiveMs float64
-		for _, v := range variants {
-			var answers int
-			var accesses int64
-			reps := 0
-			start := time.Now()
-			for reps < v.minReps || time.Since(start) < minTime {
-				ids, n := v.run()
-				answers = len(ids)
-				accesses += n
-				reps++
+		type cell struct {
+			reps           int
+			wall, cpu      time.Duration
+			answers        int
+			nodes, entries int64
+		}
+		cells := make([]cell, len(variants))
+		for round := 0; round < prsqRounds; round++ {
+			for i, v := range variants {
+				c := &cells[i]
+				runtime.GC()
+				start, cpu0 := time.Now(), processCPU()
+				for turn := 0; turn == 0 || time.Since(start) < minTime/prsqRounds; turn++ {
+					ids, st := v.run()
+					c.answers = len(ids)
+					c.nodes += st.NodeAccesses
+					c.entries += st.EntriesScanned
+					c.reps++
+				}
+				c.wall += time.Since(start)
+				c.cpu += processCPU() - cpu0
 			}
-			msPer := ms(time.Since(start)) / float64(reps)
-			nodes := accesses / int64(reps)
-			speedup := 1.0
-			if v.name == "naive" {
-				naiveMs = msPer
-			} else if msPer > 0 {
-				speedup = naiveMs / msPer
+		}
+		naiveCPU := ms(cells[0].cpu) / float64(cells[0].reps)
+		for i, v := range variants {
+			c := cells[i]
+			reps := float64(c.reps)
+			res := prsqResult{
+				N: n, Variant: v.name,
+				MsPerQuery: ms(c.wall) / reps, CPUMsPerQuery: ms(c.cpu) / reps,
+				NodeAccesses: c.nodes / int64(c.reps), EntriesScanned: c.entries / int64(c.reps),
+				Answers: c.answers, SpeedupNaive: 1,
 			}
-			report.Results = append(report.Results, prsqResult{
-				N: n, Variant: v.name, MsPerQuery: msPer,
-				NodeAccesses: nodes, Answers: answers, SpeedupNaive: speedup,
-			})
+			if i > 0 && res.CPUMsPerQuery > 0 {
+				res.SpeedupNaive = naiveCPU / res.CPUMsPerQuery
+			}
+			report.Results = append(report.Results, res)
 			tab.AddRow(fmt.Sprintf("%d", n), v.name,
-				fmt.Sprintf("%.2f", msPer), fmt.Sprintf("%d", nodes),
-				fmt.Sprintf("%d", answers), fmt.Sprintf("%.1fx", speedup))
+				fmt.Sprintf("%.2f", res.MsPerQuery), fmt.Sprintf("%.2f", res.CPUMsPerQuery),
+				fmt.Sprintf("%d", res.NodeAccesses), fmt.Sprintf("%d", res.EntriesScanned),
+				fmt.Sprintf("%d", res.Answers), fmt.Sprintf("%.1fx", res.SpeedupNaive))
 		}
 	}
 
@@ -149,11 +173,22 @@ func PRSQBench(cfg Config) error {
 	return nil
 }
 
+// prsqRounds is the number of turns each PRSQBench variant takes.
+const prsqRounds = 3
+
+// processCPU is the CPU time, user plus system, that every thread of the
+// process has used so far.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // cannot fail for RUSAGE_SELF
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
 // indexedPRSQ is the indexed query on one point (a batch of one), with its
-// node accesses.
-func indexedPRSQ(ds *dataset.Uncertain, q geom.Point, alpha float64, opt prsq.Options) ([]int, int64) {
+// statistics.
+func indexedPRSQ(ds *dataset.Uncertain, q geom.Point, alpha float64, opt prsq.Options) ([]int, prsq.Stats) {
 	out, st, _ := prsq.QueryBatchStreamStatsCtx(context.Background(), ds, []geom.Point{q}, alpha, opt, nil)
-	return out[0], st.NodeAccesses
+	return out[0], st
 }
 
 // naivePRSQ is the pre-acceleration query loop: one candidate-filter

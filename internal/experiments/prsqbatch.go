@@ -48,9 +48,9 @@ func PRSQBatch(cfg Config) error {
 	single := make([][]int, queries)
 	var singleIO int64
 	for i, q := range qs {
-		var n int64
-		single[i], n = indexedPRSQ(ds, q, alpha, opt)
-		singleIO += n
+		var st prsq.Stats
+		single[i], st = indexedPRSQ(ds, q, alpha, opt)
+		singleIO += st.NodeAccesses
 	}
 	singleMs := ms(time.Since(start))
 

@@ -11,14 +11,16 @@ import (
 // fails when any (n, variant) cell present in both regressed by more than
 // tolerance. Absolute ms/query is NOT compared — the committed file and
 // the checking machine routinely differ by integer factors of hardware
-// speed. Instead the guard uses the two hardware-neutral signals:
+// speed. Instead the guard uses the hardware-neutral signals:
 //
-//   - speedupVsNaive, measured within one run (naive and indexed share the
-//     machine), must not shrink by more than tolerance (0.20 = fail below
-//     80% of the committed speedup);
-//   - node accesses are checked exactly, because simulated I/O is
-//     deterministic and any growth is a real algorithmic regression, not
-//     noise.
+//   - speedupVsNaive, a ratio of CPU times measured within one run (naive
+//     and indexed take interleaved turns on the same machine), must not
+//     shrink by more than tolerance (0.20 = fail below 80% of the
+//     committed speedup);
+//   - node accesses and entries scanned are checked exactly, because the
+//     join's simulated I/O and rectangle tests are deterministic and any
+//     growth is a real algorithmic regression, not noise. A cell whose
+//     committed report lacks entries scanned skips that check.
 //
 // Cells present in only one report are ignored, so adding a variant never
 // breaks the guard.
@@ -53,6 +55,10 @@ func PRSQCompare(nextPath, prevPath string, tolerance float64) error {
 		if r.NodeAccesses > p.NodeAccesses {
 			return fmt.Errorf("experiments: prsq I/O regression at n=%d variant=%s: %d node accesses vs %d committed",
 				r.N, r.Variant, r.NodeAccesses, p.NodeAccesses)
+		}
+		if p.EntriesScanned > 0 && r.EntriesScanned > p.EntriesScanned {
+			return fmt.Errorf("experiments: prsq join-work regression at n=%d variant=%s: %d entries scanned vs %d committed",
+				r.N, r.Variant, r.EntriesScanned, p.EntriesScanned)
 		}
 	}
 	if compared == 0 {

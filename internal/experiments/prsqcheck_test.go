@@ -54,6 +54,30 @@ func TestPRSQCompare(t *testing.T) {
 		t.Fatalf("want I/O regression failure, got %v", err)
 	}
 
+	// Entries scanned: any growth against a committed count fails; a cell
+	// whose committed report lacks the count (an older file, or the naive
+	// loop, which runs no join) skips the check.
+	counted := writeReport(t, dir, "counted.json", []prsqResult{
+		{N: 2000, Variant: "naive", MsPerQuery: 100, NodeAccesses: 25000, SpeedupNaive: 1},
+		{N: 2000, Variant: "indexed-serial", MsPerQuery: 10, NodeAccesses: 500, EntriesScanned: 30000, SpeedupNaive: 10},
+	})
+	grown := writeReport(t, dir, "grown.json", []prsqResult{
+		{N: 2000, Variant: "indexed-serial", MsPerQuery: 10, NodeAccesses: 500, EntriesScanned: 30001, SpeedupNaive: 10},
+	})
+	if err := PRSQCompare(grown, counted, 0.20); err == nil || !strings.Contains(err.Error(), "join-work regression") {
+		t.Fatalf("want entries-scanned regression failure, got %v", err)
+	}
+	fewer := writeReport(t, dir, "fewer.json", []prsqResult{
+		{N: 2000, Variant: "naive", MsPerQuery: 100, NodeAccesses: 25000, SpeedupNaive: 1},
+		{N: 2000, Variant: "indexed-serial", MsPerQuery: 10, NodeAccesses: 500, EntriesScanned: 29999, SpeedupNaive: 10},
+	})
+	if err := PRSQCompare(fewer, counted, 0.20); err != nil {
+		t.Fatalf("fewer entries scanned, got %v", err)
+	}
+	if err := PRSQCompare(grown, committed, 0.20); err != nil {
+		t.Fatalf("committed cell without entries scanned must skip the check, got %v", err)
+	}
+
 	disjoint := writeReport(t, dir, "disjoint.json", []prsqResult{
 		{N: 4000, Variant: "other", MsPerQuery: 1, NodeAccesses: 1},
 	})

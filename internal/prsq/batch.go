@@ -36,6 +36,7 @@ type batchItem struct {
 // stream states satisfy it, so one core drives the sample and pdf
 // queries.
 type batchState interface {
+	leafCore(leaf, core geom.Rect) func(int) bool
 	begin(id int, r geom.Rect) bool
 	pair(leftID, rightID int, rightRect geom.Rect) bool
 	finish(id int) decision
@@ -89,7 +90,7 @@ func join(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Point, opt Opt
 	defer endSlice()
 	tr := obs.FromContext(ctx)
 	endJoin := tr.StartSpan("prsq.join")
-	accesses, err := tree.JoinSelfStreamBatch(joinCtx, windows, opt.workers(n), func() rtree.BatchStreamVisitor {
+	counts, err := tree.JoinSelfStreamBatch(joinCtx, windows, opt.workers(n), func() rtree.BatchStreamVisitor {
 		states := make([]batchState, nQ)
 		for k := range states {
 			states[k] = newState(k)
@@ -98,17 +99,23 @@ func join(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Point, opt Opt
 		workerStates = append(workerStates, states)
 		mu.Unlock()
 		return rtree.BatchStreamVisitor{
+			Leaf:  func(k int, leaf, core geom.Rect) func(int) bool { return states[k].leafCore(leaf, core) },
 			Begin: func(k, id int, r geom.Rect) bool { return states[k].begin(id, r) },
 			Pair:  func(k, leftID, rightID int, rr geom.Rect) bool { return states[k].pair(leftID, rightID, rr) },
 			End:   func(k, id int) { j.verdicts[k][id] = states[k].finish(id) },
 		}
 	})
 	endJoin()
-	j.stats.NodeAccesses = accesses
-	tr.Add("rtree.joinNodeAccesses", accesses)
+	j.stats.NodeAccesses = counts.NodeAccesses
+	j.stats.EntriesScanned = counts.EntriesScanned
+	tr.Add("rtree.joinNodeAccesses", counts.NodeAccesses)
 	if err != nil {
 		return j, wrapCanceled(err, 0)
 	}
+	// A skipped stream is an object the whole-leaf reject settled: a bound
+	// reject whose verdict slot keeps the zero value, rejected.
+	j.stats.LeafRejected = int(counts.Skipped)
+	j.stats.RejectedByBound = j.stats.LeafRejected
 	for _, states := range workerStates {
 		for k, st := range states {
 			s, ids, cs := st.harvest()
@@ -222,8 +229,9 @@ func sampleStates(ds *dataset.Uncertain, qs []geom.Point, alpha float64, opt Opt
 	if !opt.NoBounds && !opt.NoTier2 {
 		sums = ds.Summaries()
 	}
+	certain := func(id int) bool { return wsum[id] == 1 }
 	return func(k int) batchState {
-		return &streamState{ds: ds, q: qs[k], alpha: alpha, opt: opt, wsum: wsum, sums: sums}
+		return &streamState{ds: ds, q: qs[k], alpha: alpha, opt: opt, wsum: wsum, sums: sums, certain: certain}
 	}
 }
 

@@ -61,6 +61,11 @@ type pdfStreamState struct {
 	undecidedCands [][]int32
 }
 
+// leafCore opts the pdf model out of the join's whole-leaf reject: each
+// object's Γ1 rectangle (prob.CoreRectPDF) is padded inward per object, so
+// no rectangle derived from a leaf's box alone lies inside every member's.
+func (st *pdfStreamState) leafCore(_, _ geom.Rect) func(int) bool { return nil }
+
 func (st *pdfStreamState) begin(id int, _ geom.Rect) bool {
 	u := st.set.Objects[id]
 	st.pieces = prob.CandidateRectsPDF(u, st.q)

@@ -11,12 +11,16 @@
 //  2. Bound-based pruning: cheap MBR-level dominance tests run online
 //     inside the stream and maintain per-object upper/lower probability
 //     bounds. An object whose every sample is certainly dominated stops
-//     its candidate stream immediately. The first candidate is tested
-//     against the object's MBR core — the intersection of its samples'
-//     dominance rectangles — before any per-sample state is built, and the
-//     join streams the nearest partner leaf first, so most objects are
-//     rejected by one rectangle test at their first candidate, with no
-//     allocation. A second bound tier refines partial overlaps:
+//     its candidate stream immediately. Before any stream, a left leaf
+//     whose box does not straddle q is rejected whole when a certain
+//     object lies strictly inside the MBR core of the leaf's box — the
+//     intersection of the dominance rectangles of every point in it — so
+//     its objects get no stream at all. In the other leaves the first
+//     candidate is tested against the object's own MBR core before any
+//     per-sample state is built, and the join streams the object's own
+//     leaf first, so most objects are rejected by one rectangle test at
+//     their first candidate, with no allocation. A second bound tier
+//     refines partial overlaps:
 //     per-candidate dominance-probability bounds derived from the
 //     candidate's sub-MBR weight summary (dataset.Summary) multiply into
 //     per-sample Eq.-2 term bounds, shrinking the undecided band — and
@@ -129,7 +133,7 @@ type Stats struct {
 	// bound alone.
 	AcceptedByBound int
 	// RejectedByBound counts objects rejected by the first-tier upper
-	// bound alone.
+	// bound alone, LeafRejected included.
 	RejectedByBound int
 	// AcceptedByTier2 counts objects the second-tier (sub-MBR summary)
 	// lower bound accepted after the first tier could not decide them.
@@ -139,14 +143,23 @@ type Stats struct {
 	RejectedByTier2 int
 	// Evaluated counts full Eq.-2 evaluations (the undecided band).
 	Evaluated int
+	// LeafRejected counts objects the join's whole-leaf reject settled
+	// with no stream at all: a certain object strictly inside their leaf
+	// box's MBR core dominates every sample of each of them. They are
+	// counted in RejectedByBound as well.
+	LeafRejected int
 	// NodeAccesses is the simulated I/O of the call's R-tree traversal
 	// (the shared join, or the certain model's BBRS traversal and its
 	// verification window queries), also for a canceled call.
 	NodeAccesses int64
+	// EntriesScanned counts the join's rectangle tests against partner
+	// leaf boxes and right entries (rtree.JoinCounts.EntriesScanned): the
+	// CPU work of the filter, which node accesses do not show.
+	EntriesScanned int64
 }
 
-// add folds the per-worker counters of o into s (Objects, Evaluated and
-// NodeAccesses are owned by the merger).
+// add folds the per-worker counters of o into s (Objects, Evaluated,
+// LeafRejected, NodeAccesses and EntriesScanned are owned by the merger).
 func (s *Stats) add(o Stats) {
 	s.CandidatePairs += o.CandidatePairs
 	s.EmptyCandidates += o.EmptyCandidates
@@ -156,7 +169,8 @@ func (s *Stats) add(o Stats) {
 	s.RejectedByTier2 += o.RejectedByTier2
 }
 
-// decision is a per-object query verdict.
+// decision is a per-object query verdict. The zero value is rejected, so
+// an object the join's whole-leaf reject skips needs no write.
 type decision uint8
 
 const (
@@ -180,6 +194,8 @@ func (s Stats) addToTrace(tr *obs.Trace) {
 	tr.Add("prsq.acceptedByTier2", int64(s.AcceptedByTier2))
 	tr.Add("prsq.rejectedByTier2", int64(s.RejectedByTier2))
 	tr.Add("prsq.evaluated", int64(s.Evaluated))
+	tr.Add("prsq.leafRejected", int64(s.LeafRejected))
+	tr.Add("prsq.entriesScanned", s.EntriesScanned)
 }
 
 // wrapCanceled binds the query path's partial statistic (exact
@@ -200,7 +216,10 @@ type streamState struct {
 	opt   Options
 	wsum  []float64
 	sums  []dataset.Summary // per-candidate sub-MBR summaries; nil = tier 2 off
-	stats Stats
+	// certain reports whether an object exists with certainty (wsum == 1):
+	// the whole-leaf reject's cover predicate, built once per query.
+	certain func(id int) bool
+	stats   Stats
 
 	// Per-current-object scratch. begin records only the object and its
 	// MBR; the per-sample state below is built on the object's first
@@ -276,30 +295,56 @@ func sampleRect(buf []float64, i, d int) geom.Rect {
 	return geom.Rect{Min: buf[o : o+d : o+d], Max: buf[o+d : o+2*d : o+2*d]}
 }
 
+// coreAxis is axis j of the MBR core of a box [min, max] w.r.t. q: the
+// intersection of the dominance rectangles geom.DomRect(s, q) of all points
+// s in the box. It is (q, 2·min−q) when q < min and (2·max−q, q) when
+// q > max; ok is false when min ≤ q ≤ max, where the core is the single
+// point q, which nothing lies strictly inside. Doubling is exact and
+// rounding is monotone, so 2·min−q is exactly the smallest of the points'
+// 2·s−q (and 2·max−q the largest).
+func coreAxis(qj, min, max float64) (lo, hi float64, ok bool) {
+	switch {
+	case qj < min:
+		return qj, 2*min - qj, true
+	case qj > max:
+		return 2*max - qj, qj, true
+	}
+	return 0, 0, false
+}
+
 // insideMBRCore reports whether c lies strictly inside the MBR core of an
-// object with bounding box mbr: the intersection of the dominance
-// rectangles geom.DomRect(s, q) of all its samples s. Per axis the core is
-// (q, 2·Min−q) when q < Min, (2·Max−q, q) when q > Max, and the single
-// point q, which nothing lies strictly inside, when Min ≤ q ≤ Max. Doubling
-// is exact and rounding is monotone, so 2·Min−q is exactly the smallest of
-// the samples' 2·s−q (and 2·Max−q the largest): the test accepts exactly
-// when c lies strictly inside every sample's DomRect.
+// object with bounding box mbr (see coreAxis): exactly when c lies
+// strictly inside every sample's DomRect.
 func insideMBRCore(c, mbr geom.Rect, q geom.Point) bool {
 	for j, qj := range q {
-		var lo, hi float64
-		switch {
-		case qj < mbr.Min[j]:
-			lo, hi = qj, 2*mbr.Min[j]-qj
-		case qj > mbr.Max[j]:
-			lo, hi = 2*mbr.Max[j]-qj, qj
-		default:
-			return false
-		}
-		if c.Min[j] <= lo || c.Max[j] >= hi {
+		lo, hi, ok := coreAxis(qj, mbr.Min[j], mbr.Max[j])
+		if !ok || c.Min[j] <= lo || c.Max[j] >= hi {
 			return false
 		}
 	}
 	return true
+}
+
+// leafCore is the join's whole-leaf reject (rtree.BatchStreamVisitor.Leaf):
+// it writes the MBR core of a left leaf's box into core and returns the
+// cover predicate, or nil when the box straddles q on some axis, under
+// NoBounds, or when α ≤ prob.Eps. A parent box contains every member's MBR
+// and rounding is monotone, so the leaf core lies inside every member's
+// MBR core: a certain object strictly inside it is, for every other
+// member, the certain candidate inside its MBR core that pair rejects on,
+// so each of their Pr is exactly 0.
+func (st *streamState) leafCore(leaf, core geom.Rect) func(int) bool {
+	if st.opt.NoBounds || !(st.alpha > prob.Eps) {
+		return nil
+	}
+	for j, qj := range st.q {
+		lo, hi, ok := coreAxis(qj, leaf.Min[j], leaf.Max[j])
+		if !ok {
+			return nil
+		}
+		core.Min[j], core.Max[j] = lo, hi
+	}
+	return st.certain
 }
 
 // domBounds bounds candidate cid's dominance probability at sample i from
@@ -345,8 +390,8 @@ func (st *streamState) domBounds(cid, i int) (lbDom, ubDom float64) {
 // per-sample state exists: a certain candidate strictly inside the core
 // covers every sample, which is exactly the full-coverage reject the
 // per-sample loop below would reach at this pair, so Stats are unchanged.
-// The join streams the nearest partner leaf first, so this one test
-// settles most objects.
+// The join streams the object's own leaf first, so this one test settles
+// most objects the whole-leaf reject (leafCore) left.
 func (st *streamState) pair(_, cid int, cRect geom.Rect) bool {
 	st.stats.CandidatePairs++
 	st.buf = append(st.buf, int32(cid))

@@ -2,12 +2,15 @@ package prsq
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/geom"
+	"github.com/crsky/crsky/internal/prob"
+	"github.com/crsky/crsky/internal/rtree"
 	"github.com/crsky/crsky/internal/uncertain"
 )
 
@@ -32,8 +35,14 @@ var coreScales = []float64{1, 7, 1e-6, 1e3, 1e9}
 // sides sit on, next to, inside or outside the bounds of the samples'
 // common dominance rectangle — and asserts that insideMBRCore accepts the
 // box exactly when it lies strictly inside geom.DomRect(s, q) for every
-// sample s. It reports whether the box was inside.
-func checkMBRCore(t *testing.T, raw []byte) bool {
+// sample s. It then takes a leaf box around the object's MBR, grown outward
+// on each side by nothing, one ulp or a decoded amount (a parent box may be
+// larger than its children), and asserts that a box strictly inside the
+// leaf's core (streamState.leafCore) lies strictly inside the MBR core of
+// every member: the MBR and each sample's point box. It reports whether
+// the box was inside the object's core and whether it was inside the
+// leaf's.
+func checkMBRCore(t *testing.T, raw []byte) (inside, inLeaf bool) {
 	t.Helper()
 	b := coreBytes(raw)
 	d := 1 + b.next()%4
@@ -121,12 +130,44 @@ func checkMBRCore(t *testing.T, raw []byte) bool {
 		t.Fatalf("candidate %v, samples %v, q %v: insideMBRCore = %v, strictly inside every DomRect = %v",
 			c, o.Samples, q, got, want)
 	}
-	return want
+
+	leaf := mbr.Clone()
+	grow := func(x, dir float64) float64 {
+		switch b.next() % 3 {
+		case 1:
+			return math.Nextafter(x, dir)
+		case 2:
+			return x + math.Copysign(float64(b.next())/255*scale, dir)
+		}
+		return x
+	}
+	for j := 0; j < d; j++ {
+		leaf.Min[j] = grow(leaf.Min[j], math.Inf(-1))
+		leaf.Max[j] = grow(leaf.Max[j], math.Inf(1))
+	}
+	st := &streamState{q: q, alpha: 0.5, certain: func(int) bool { return true }}
+	core := geom.Rect{Min: make(geom.Point, d), Max: make(geom.Point, d)}
+	if st.leafCore(leaf, core) == nil || !strictlyInside(&c, &core) {
+		return want, false
+	}
+	members := []geom.Rect{mbr}
+	for _, s := range o.Samples {
+		members = append(members, geom.PointRect(s.Loc))
+	}
+	for _, m := range members {
+		if !insideMBRCore(c, m, q) {
+			t.Fatalf("candidate %v inside leaf %v's core %v (q %v) but not inside member %v's MBR core",
+				c, leaf, core, q, m)
+		}
+	}
+	return want, true
 }
 
-// FuzzMBRCore checks the lemma the stream's first-pair reject rests on:
-// the MBR core is exactly the intersection of the samples' dominance
-// rectangles under strict containment (see checkMBRCore).
+// FuzzMBRCore checks the lemmas the stream's first-pair reject and the
+// join's whole-leaf reject rest on: the MBR core is exactly the
+// intersection of the samples' dominance rectangles under strict
+// containment, and a leaf box's core lies inside every member's MBR core
+// (see checkMBRCore).
 func FuzzMBRCore(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 0})
 	f.Add([]byte{1, 3, 4, 10, 0, 20, 0, 7, 30, 0, 0, 40, 0, 2, 3, 4, 2, 3})
@@ -141,18 +182,24 @@ func TestMBRCoreMatchesDomRects(t *testing.T) {
 	r := rand.New(rand.NewSource(197))
 	raw := make([]byte, 96)
 	const trials = 50_000
-	accepted := 0
+	accepted, inLeaf := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		r.Read(raw)
-		if checkMBRCore(t, raw) {
+		inside, leaf := checkMBRCore(t, raw)
+		if inside {
 			accepted++
 		}
+		if leaf {
+			inLeaf++
+		}
 	}
-	// Both verdicts must be exercised, not only the common rejection.
-	if accepted < trials/100 || accepted > trials-trials/100 {
-		t.Fatalf("%d of %d boxes inside the core: the cases do not exercise both verdicts", accepted, trials)
+	// Both verdicts must be exercised, not only the common rejection, and
+	// the leaf-core implication must be reached.
+	if accepted < trials/100 || accepted > trials-trials/100 || inLeaf < trials/1000 {
+		t.Fatalf("%d of %d boxes inside the core, %d inside a leaf core: the cases do not exercise both verdicts",
+			accepted, trials, inLeaf)
 	}
-	t.Logf("%d of %d boxes inside the core", accepted, trials)
+	t.Logf("%d of %d boxes inside the core, %d inside a leaf core", accepted, trials, inLeaf)
 }
 
 // TestStreamRectsMatchDomRect: the stream state's flat per-sample
@@ -238,4 +285,122 @@ func TestQueryAllocs(t *testing.T) {
 		t.Fatalf("one serial query over %d objects made %.0f allocations, want < 1000", ds.Len(), allocs)
 	}
 	t.Logf("%.0f allocations per query over %d objects", allocs, ds.Len())
+}
+
+// leafRejectDataset is a 2-d lUrU dataset indexed by a fanout-8 tree, so
+// that many leaves lie on one side of q on every axis. With cow the second
+// half of the objects arrives by copy-on-write inserts (a dynamically
+// grown tree) and object 7 is then deleted (a tombstone). Every object
+// whose ID is not a multiple of offUnit has its sample weights scaled to
+// sum just below one: it may not exist, so it must never cover a leaf
+// (offUnit 0 keeps every weight; 1 makes every object off-unit).
+func leafRejectDataset(t *testing.T, cow bool, offUnit int) *dataset.Uncertain {
+	t.Helper()
+	gen, err := dataset.GenerateUncertain(dataset.LUrU(600, 2, 0, 60, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := gen.Objects
+	if offUnit > 0 {
+		for id, o := range objs {
+			if id%offUnit == 0 && offUnit > 1 {
+				continue
+			}
+			samples := make([]uncertain.Sample, len(o.Samples))
+			for i, s := range o.Samples {
+				samples[i] = uncertain.Sample{Loc: s.Loc, P: s.P * (1 - 5e-7)}
+			}
+			objs[id] = uncertain.New(id, samples)
+		}
+	}
+	base := objs
+	if cow {
+		base = objs[:len(objs)/2]
+	}
+	ds, err := dataset.NewUncertain(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Tree(rtree.WithMaxEntries(8))
+	if !cow {
+		return ds
+	}
+	for _, o := range objs[len(base):] {
+		if ds, err = ds.WithInsert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ds, err = ds.WithDelete(7); err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// TestWholeLeafReject holds the join's whole-leaf reject to the brute-force
+// prob.PRSQ on fanout-8 trees, bulk-loaded and COW-built with a tombstone,
+// for batches mixing query points inside, at the edge of and outside the
+// data, at α from the comparison tolerance (reject off) to 1, serially and
+// on four workers. Each batch's answers equal the oracle's, the Stats are
+// identical at both worker counts and account for every live object, the
+// reject fires (LeafRejected > 0) wherever a certain object can cover a
+// leaf, and never fires when every object's weights fall short of one or
+// α ≤ prob.Eps.
+func TestWholeLeafReject(t *testing.T) {
+	qs := []geom.Point{{5000, 5000}, {1500, 8500}, {-2000, -2000}, {12000, 4000}, {9000, 300}}
+	for _, tc := range []struct {
+		name    string
+		cow     bool
+		offUnit int
+	}{
+		{"bulk", false, 0},
+		{"cow", true, 0},
+		{"offunit-mixed", false, 3},
+		{"offunit-all", true, 1},
+	} {
+		ds := leafRejectDataset(t, tc.cow, tc.offUnit)
+		prs := make([][]float64, len(qs)) // brute-force Pr per query and object
+		for k, q := range qs {
+			prs[k] = make([]float64, ds.Len())
+			for id, o := range ds.Objects {
+				if o != nil {
+					prs[k][id] = prob.PrReverseSkyline(o, q, ds.Objects)
+				}
+			}
+		}
+		for _, alpha := range []float64{prob.Eps, 1e-7, 0.5, 1} {
+			label := fmt.Sprintf("%s alpha=%g", tc.name, alpha)
+			var serial Stats
+			for _, par := range []int{1, 4} {
+				got, st, err := QueryBatchStreamStatsCtx(context.Background(), ds, qs, alpha, Options{Parallel: par}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := range qs {
+					var want []int
+					for id, o := range ds.Objects {
+						if o != nil && prob.GEq(prs[k][id], alpha) {
+							want = append(want, id)
+						}
+					}
+					if !equalIDs(got[k], want) {
+						t.Fatalf("%s parallel=%d q=%v: got %v, brute force %v", label, par, qs[k], got[k], want)
+					}
+				}
+				decided := st.EmptyCandidates + st.AcceptedByBound + st.RejectedByBound +
+					st.AcceptedByTier2 + st.RejectedByTier2 + st.Evaluated
+				if decided != ds.Live()*len(qs) || st.LeafRejected > st.RejectedByBound {
+					t.Fatalf("%s parallel=%d: stats decide %d of %d objects (%+v)", label, par, decided, ds.Live()*len(qs), st)
+				}
+				if par == 1 {
+					serial = st
+				} else if st != serial {
+					t.Fatalf("%s: stats %+v on 4 workers, %+v serially", label, st, serial)
+				}
+			}
+			off := tc.offUnit == 1 || alpha <= prob.Eps
+			if off != (serial.LeafRejected == 0) {
+				t.Fatalf("%s: %d objects rejected by a leaf cover", label, serial.LeafRejected)
+			}
+		}
+	}
 }

@@ -10,10 +10,12 @@ import (
 
 // FuzzJoinSelfStream throws byte-derived rectangle sets — degenerate rects,
 // zero-area MBRs, duplicates, coincident corners — at the batch self-join
-// with one and three windows, serially and on a three-worker pool, and
-// checks every stream against the brute-force all-pairs reference. The
-// pool must also count exactly the serial join's node accesses: the
-// per-worker sum is where a missed scratch would show.
+// with one and three windows, serially and on a four-worker pool, without
+// and with the toy evenCovers leaf reject, and checks every stream against
+// the brute-force all-pairs reference (checkLeafCovers with the hook). The
+// pool must also count exactly the serial join's node accesses, entry
+// tests and skipped streams: the per-worker sum is where a missed scratch
+// would show.
 func FuzzJoinSelfStream(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(3), false)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint8(1), true) // coincident zero-area rects
@@ -66,15 +68,21 @@ func FuzzJoinSelfStream(f *testing.F) {
 			for k := range windows {
 				windows[k] = joinWindow(pad + float64(k))
 			}
-			var serialIO int64
-			for _, workers := range []int{1, 3} {
-				c, accesses := runBatch(t, tr, windows, workers)
-				label := fmt.Sprintf("Q=%d workers=%d", numQ, workers)
-				checkBrute(t, label, c, items, windows)
-				if workers == 1 {
-					serialIO = accesses
-				} else if accesses != serialIO {
-					t.Fatalf("%s: %d node accesses, serial join %d", label, accesses, serialIO)
+			for _, leaf := range []func(int, geom.Rect, geom.Rect) func(int) bool{nil, evenCovers} {
+				var serial JoinCounts
+				for _, workers := range []int{1, 4} {
+					c, counts := runBatchLeaf(t, tr, windows, workers, leaf)
+					label := fmt.Sprintf("Q=%d workers=%d leaf=%v", numQ, workers, leaf != nil)
+					if leaf == nil {
+						checkBrute(t, label, c, items, windows)
+					} else {
+						checkLeafCovers(t, label, tr, c, items, windows, counts)
+					}
+					if workers == 1 {
+						serial = counts
+					} else if counts != serial {
+						t.Fatalf("%s: counts %+v, serial join %+v", label, counts, serial)
+					}
 				}
 			}
 		}

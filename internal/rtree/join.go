@@ -1,9 +1,7 @@
 package rtree
 
 import (
-	"cmp"
 	"context"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,20 +24,53 @@ type WindowFunc func(dst, r geom.Rect)
 // queries are reported back to back — Begin(0)…End(0), Begin(1)…End(1),
 // … — before the next left entry.
 //
-//   - Begin is called once per (query, left data entry); returning false
-//     skips that stream entirely (End is not called).
+//   - Leaf, when set, is called once per (query, left leaf) before that
+//     leaf's streams, with the leaf's box and a scratch rectangle core of
+//     the tree's dimensionality. Returning nil streams the leaf as usual.
+//     To arm the whole-leaf reject it writes a rectangle into core and
+//     returns a cover predicate: the join then looks through the query's
+//     partner leaves for a right entry whose rectangle lies strictly inside
+//     core and for which cover(rightID) holds. If one exists, every entry
+//     of the left leaf other than that cover is skipped for the query — no
+//     Begin, Pair or End — and counted in JoinCounts.Skipped. The caller
+//     picks core so that such a cover decides each of those entries alone.
+//   - Begin is called once per (query, left data entry) not skipped by a
+//     leaf cover; returning false skips that stream entirely (End is not
+//     called).
 //   - Pair is called for every right data entry whose rectangle intersects
 //     window_k(left rectangle), excluding the left entry itself; returning
 //     false ends this stream early (the join continues with the next
 //     stream) — the hook that lets callers stop enumerating once a
 //     per-object decision is already forced. Within a stream the pairs
-//     come from the nearest partner leaf first (see JoinSelfStreamBatch);
-//     callers must not rely on any order beyond that.
+//     come from the left leaf itself first, then from the other partner
+//     leaves in partner-list order (see JoinSelfStreamBatch); callers must
+//     not rely on any order beyond that.
 //   - End is called after the (possibly truncated) stream.
 type BatchStreamVisitor struct {
+	Leaf  func(k int, leaf, core geom.Rect) (cover func(rightID int) bool)
 	Begin func(k, leftID int, leftRect geom.Rect) bool
 	Pair  func(k, leftID, rightID int, rightRect geom.Rect) bool
 	End   func(k, leftID int)
+}
+
+// JoinCounts is the work of one JoinSelfStreamBatch call, summed over its
+// workers. Every count is deterministic: the same tree, windows and
+// visitor verdicts give the same counts at every worker count.
+type JoinCounts struct {
+	// NodeAccesses is the simulated I/O (see JoinSelfStreamBatch).
+	NodeAccesses int64
+	// EntriesScanned counts the rectangle tests the streams and the
+	// leaf-cover searches make against a partner leaf's box or a right
+	// entry: the join's CPU work, which node accesses do not show.
+	EntriesScanned int64
+	// Skipped counts the (query, left entry) streams a leaf cover skipped.
+	Skipped int64
+}
+
+func (c *JoinCounts) add(o JoinCounts) {
+	c.NodeAccesses += o.NodeAccesses
+	c.EntriesScanned += o.EntriesScanned
+	c.Skipped += o.Skipped
 }
 
 // batchTask is one unit of join work: a left subtree plus, for each query,
@@ -60,22 +91,27 @@ type batchTask struct {
 // join of Brinkhoff et al. specialised to a self-join with asymmetric
 // window predicates). The left descent is shared by all queries; the right
 // partner lists are pruned per query with that query's window. Every left
-// entry is visited for every query, including entries with empty streams.
+// entry is visited for every query, including entries with empty streams,
+// unless a leaf cover skips it (see BatchStreamVisitor.Leaf).
 //
-// At a left leaf every query's partner leaves are scanned nearest first:
-// stable-sorted by the distance between their box centre and the left
-// leaf's, so the left leaf itself comes first. A stream a caller stops at
-// its first covering candidate then ends after a few rectangle tests
-// instead of after scanning partners in tree order. The order within a
+// At a left leaf each stream scans the left leaf itself first, then the
+// query's other partner leaves in list order. It tests each partner leaf's
+// box against the left entry's own window before reading the leaf's
+// entries: every entry lies inside its leaf's box, so a box that misses
+// the window holds no match. A stream a caller stops at its first covering
+// candidate then ends after a few rectangle tests. Before the streams, the
+// visitor's Leaf hook may reject the whole leaf for a query (see
+// BatchStreamVisitor); the cover search reads only partner leaves the join
+// has already charged, so it costs no node access. The order within a
 // stream is an optimisation, not a contract.
 //
-// The call returns the node accesses it made: one for each expanded left
-// node plus one per distinct surviving right node — the union of the
+// The call returns its JoinCounts. Node accesses are one for each expanded
+// left node plus one per distinct surviving right node — the union of the
 // per-query partner lists, mirroring a join that pins the left page and
 // streams each needed right page once for all queries. A single query
 // costs exactly the classic single-window join; for Q > 1 queries the
 // total is strictly below Q single-window joins, because the left-descent
-// accesses alone shrink Q-fold. A canceled join returns the accesses made
+// accesses alone shrink Q-fold. A canceled join returns the counts made
 // before it stopped.
 //
 // With workers > 1 the dispatcher peels top-level subtrees off the left
@@ -85,7 +121,7 @@ type batchTask struct {
 // visitors and their groups run concurrently, so callers keep per-object
 // state inside each visitor (or index shared state by left ID, which the
 // partition makes race-free) and merge after the call returns. Each worker
-// counts its node accesses in its own scratch, and the call sums them with
+// counts its work in its own scratch, and the call sums the counts with
 // the dispatcher's once every worker has finished. workers <= 1 runs
 // serially with a single visitor.
 //
@@ -96,9 +132,9 @@ type batchTask struct {
 // remaining tasks when its poll fires; the dispatcher stops handing out
 // tasks as well, and the first context error is returned after all workers
 // drain.
-func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, workers int, newVisitor func() BatchStreamVisitor) (int64, error) {
+func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, workers int, newVisitor func() BatchStreamVisitor) (JoinCounts, error) {
 	if t.size == 0 || len(windows) == 0 {
-		return 0, nil
+		return JoinCounts{}, nil
 	}
 	rootEntry := &entry{rect: t.root.mbr(), child: t.root}
 	rootRights := make([][]*entry, len(windows))
@@ -109,27 +145,27 @@ func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, wo
 
 	poll := ctxutil.NewPoll(ctx, ctxutil.DefaultStride)
 	if workers <= 1 || t.root.leaf {
-		sc := t.newBatchScratch()
+		sc := t.newBatchScratch(len(windows))
 		err := t.batchJoinLeft(root, windows, newVisitor(), poll, sc)
-		return sc.accesses, err
+		return sc.counts, err
 	}
 
 	// Grow the task frontier until there is enough slack for the pool to
 	// balance uneven subtree costs. All leaves sit at the same level
 	// (R*-tree invariant), so the frontier is homogeneous.
-	frontierScratch := t.newBatchScratch()
+	frontierScratch := t.newBatchScratch(len(windows))
 	tasks := []batchTask{root}
 	for !tasks[0].left.child.leaf && len(tasks) < 4*workers {
 		next := make([]batchTask, 0, len(tasks)*t.maxEntries)
 		for _, tk := range tasks {
 			children, err := t.expandBatchTask(tk, windows, poll, frontierScratch)
 			if err != nil {
-				return frontierScratch.accesses, err
+				return frontierScratch.counts, err
 			}
 			next = append(next, children...)
 		}
 		if len(next) == 0 {
-			return frontierScratch.accesses, nil
+			return frontierScratch.counts, nil
 		}
 		tasks = next
 	}
@@ -146,7 +182,7 @@ func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, wo
 			defer wg.Done()
 			v := newVisitor()
 			poll := ctxutil.NewPoll(ctx, ctxutil.DefaultStride)
-			sc := t.newBatchScratch()
+			sc := t.newBatchScratch(len(windows))
 			scratch[wi] = sc
 			for tk := range ch {
 				if errs[wi] != nil {
@@ -167,68 +203,64 @@ func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, wo
 	}
 	close(ch)
 	wg.Wait()
-	accesses := frontierScratch.accesses
+	counts := frontierScratch.counts
 	for _, sc := range scratch {
-		accesses += sc.accesses
+		counts.add(sc.counts)
 	}
 	for _, err := range errs {
 		if err != nil {
-			return accesses, err
+			return counts, err
 		}
 	}
-	return accesses, nil
+	return counts, nil
 }
 
 // batchScratch is per-worker reusable state, so the hot descent performs
 // no per-node or per-entry allocation: the seen set of the union-access
 // accounting (cleared, capacity retained, between nodes), the window the
-// current (entry, query) pair is tested against, and the sort keys of the
-// nearest-first partner order. Every worker owns its own: the WindowFuncs
-// that write the window are shared by all workers and concurrent joins.
-// accesses is the worker's node-access count, summed by the join after
+// current (entry, query) pair is tested against, the core a Leaf hook
+// writes, and the per-query leaf covers. Every worker owns its own: the
+// WindowFuncs that write the window are shared by all workers and
+// concurrent joins. counts is the worker's work, summed by the join after
 // every worker has finished.
 type batchScratch struct {
-	seen     map[*node]struct{}
-	win      geom.Rect
-	near     []partnerKey
-	accesses int64
+	seen   map[*node]struct{}
+	win    geom.Rect
+	core   geom.Rect
+	covers []*entry // per query: the current left leaf's cover, or nil
+	counts JoinCounts
 }
 
-// partnerKey is one partner leaf with its sort key in nearestFirst.
-type partnerKey struct {
-	d2 float64
-	e  *entry
-}
-
-func (t *Tree) newBatchScratch() *batchScratch {
+func (t *Tree) newBatchScratch(numQ int) *batchScratch {
 	return &batchScratch{
-		seen: make(map[*node]struct{}, 64),
-		win:  geom.Rect{Min: make(geom.Point, t.dims), Max: make(geom.Point, t.dims)},
+		seen:   make(map[*node]struct{}, 64),
+		win:    geom.Rect{Min: make(geom.Point, t.dims), Max: make(geom.Point, t.dims)},
+		core:   geom.Rect{Min: make(geom.Point, t.dims), Max: make(geom.Point, t.dims)},
+		covers: make([]*entry, numQ),
 	}
 }
 
-// nearestFirst stable-sorts one query's partner leaves by the squared
-// distance between their box centre and the left leaf's box centre. The
-// keys use doubled centres (Min+Max), which scales every distance by the
-// same factor and leaves the order unchanged.
-func (sc *batchScratch) nearestFirst(rights []*entry, left geom.Rect) {
-	if len(rights) < 2 {
-		return
-	}
-	keys := sc.near[:0]
-	for _, er := range rights {
-		var d2 float64
-		for j := range left.Min {
-			dj := (er.rect.Min[j] + er.rect.Max[j]) - (left.Min[j] + left.Max[j])
-			d2 += dj * dj
+// intersects is geom.Rect.Intersects without its dimension check, so the
+// join's hot loops inline it. Insert and BulkLoad check every stored
+// rectangle's dimensionality, and the scratch rectangles are built with
+// the tree's.
+func intersects(r, s geom.Rect) bool {
+	for i := range r.Min {
+		if s.Max[i] < r.Min[i] || s.Min[i] > r.Max[i] {
+			return false
 		}
-		keys = append(keys, partnerKey{d2: d2, e: er})
 	}
-	slices.SortStableFunc(keys, func(a, b partnerKey) int { return cmp.Compare(a.d2, b.d2) })
-	for i := range keys {
-		rights[i] = keys[i].e
+	return true
+}
+
+// strictlyInside reports whether s lies strictly inside r on every axis.
+func strictlyInside(s, r geom.Rect) bool {
+	for i := range r.Min {
+		if s.Min[i] <= r.Min[i] || s.Max[i] >= r.Max[i] {
+			return false
+		}
 	}
-	sc.near = keys
+	return true
 }
 
 // accessBatchRights counts the left node once and every distinct right
@@ -236,11 +268,11 @@ func (sc *batchScratch) nearestFirst(rights []*entry, left geom.Rect) {
 // excluding the pinned left node itself. A single query's partner list
 // holds no repeats, so it skips the seen set.
 func (sc *batchScratch) accessBatchRights(nl *node, rights [][]*entry) {
-	sc.accesses++
+	sc.counts.NodeAccesses++
 	if len(rights) == 1 {
 		for _, er := range rights[0] {
 			if er.child != nl {
-				sc.accesses++
+				sc.counts.NodeAccesses++
 			}
 		}
 		return
@@ -251,7 +283,7 @@ func (sc *batchScratch) accessBatchRights(nl *node, rights [][]*entry) {
 		for _, er := range rs {
 			if _, dup := sc.seen[er.child]; !dup {
 				sc.seen[er.child] = struct{}{}
-				sc.accesses++
+				sc.counts.NodeAccesses++
 			}
 		}
 	}
@@ -278,7 +310,7 @@ func (t *Tree) expandBatchTask(tk batchTask, windows []WindowFunc, poll *ctxutil
 			for _, er := range tk.rights[k] {
 				nr := er.child
 				for j := range nr.entries {
-					if sc.win.Intersects(nr.entries[j].rect) {
+					if intersects(sc.win, nr.entries[j].rect) {
 						crs = append(crs, &nr.entries[j])
 					}
 				}
@@ -310,8 +342,14 @@ func (t *Tree) batchJoinLeft(tk batchTask, windows []WindowFunc, v BatchStreamVi
 		return nil
 	}
 	sc.accessBatchRights(nl, tk.rights)
-	for _, rs := range tk.rights {
-		sc.nearestFirst(rs, tk.left.rect)
+	for k, rs := range tk.rights {
+		selfFirst(rs, nl)
+		sc.covers[k] = nil
+		if v.Leaf != nil {
+			if cover := v.Leaf(k, tk.left.rect, sc.core); cover != nil {
+				sc.covers[k] = sc.findCover(rs, cover)
+			}
+		}
 	}
 	for i := range nl.entries {
 		el := &nl.entries[i]
@@ -319,11 +357,15 @@ func (t *Tree) batchJoinLeft(tk batchTask, windows []WindowFunc, v BatchStreamVi
 			if err := poll.Charge(int64(len(tk.rights[k]))); err != nil {
 				return err
 			}
+			if c := sc.covers[k]; c != nil && c != el {
+				sc.counts.Skipped++
+				continue
+			}
 			if v.Begin != nil && !v.Begin(k, el.id, el.rect) {
 				continue
 			}
 			windows[k](sc.win, el.rect)
-			t.streamRightsBatch(k, el, sc.win, tk.rights[k], v)
+			sc.streamRights(k, el, tk.rights[k], v)
 			if v.End != nil {
 				v.End(k, el.id)
 			}
@@ -332,20 +374,66 @@ func (t *Tree) batchJoinLeft(tk batchTask, windows []WindowFunc, v BatchStreamVi
 	return nil
 }
 
-// streamRightsBatch reports the matches of one left leaf entry for query k
-// against that query's surviving right leaves, in list order, honoring the
-// early-stop contract of Pair.
-func (t *Tree) streamRightsBatch(k int, el *entry, w geom.Rect, rights []*entry, v BatchStreamVisitor) {
+// selfFirst moves the left leaf's own entry to the front of one query's
+// partner list, keeping the other partners in list order.
+func selfFirst(rights []*entry, nl *node) {
+	for i, pe := range rights {
+		if pe.child == nl {
+			copy(rights[1:i+1], rights[:i])
+			rights[0] = pe
+			return
+		}
+	}
+}
+
+// findCover looks through one query's partner leaves, in list order, for
+// the first right entry strictly inside sc.core that cover accepts, and
+// returns nil if there is none.
+func (sc *batchScratch) findCover(rights []*entry, cover func(int) bool) *entry {
 	for _, pe := range rights {
+		sc.counts.EntriesScanned++
+		if !intersects(sc.core, pe.rect) {
+			continue
+		}
 		nr := pe.child
 		for j := range nr.entries {
 			er := &nr.entries[j]
-			if er.id == el.id || !w.Intersects(er.rect) {
+			sc.counts.EntriesScanned++
+			if strictlyInside(er.rect, sc.core) && cover(er.id) {
+				return er
+			}
+		}
+	}
+	return nil
+}
+
+// streamRights reports the matches of one left leaf entry for query k
+// against that query's surviving right leaves, in list order, honoring the
+// early-stop contract of Pair. A partner leaf whose box misses the window
+// is passed over without reading its entries.
+func (sc *batchScratch) streamRights(k int, el *entry, rights []*entry, v BatchStreamVisitor) {
+	w := sc.win
+	var tests int64
+	for _, pe := range rights {
+		tests++
+		if !intersects(w, pe.rect) {
+			continue
+		}
+		nr := pe.child
+		for j := range nr.entries {
+			er := &nr.entries[j]
+			if er.id == el.id {
+				continue
+			}
+			tests++
+			if !intersects(w, er.rect) {
 				continue
 			}
 			if !v.Pair(k, el.id, er.id, er.rect) {
+				sc.counts.EntriesScanned += tests
 				return
 			}
 		}
 	}
+	sc.counts.EntriesScanned += tests
 }

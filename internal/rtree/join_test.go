@@ -56,8 +56,9 @@ func bruteSelfJoin(items []Item, window WindowFunc) map[int][]int {
 type batchCollect struct {
 	t       *testing.T
 	mu      sync.Mutex
-	streams []map[int][]int // per query: left id -> right ids in stream order
-	begun   []map[int]int   // per query: left id -> Begin calls
+	leaf    func(k int, leaf, core geom.Rect) func(int) bool // the visitors' Leaf hook
+	streams []map[int][]int                                  // per query: left id -> right ids in stream order
+	begun   []map[int]int                                    // per query: left id -> Begin calls
 }
 
 func newBatchCollect(t *testing.T, numQ int) *batchCollect {
@@ -72,6 +73,7 @@ func newBatchCollect(t *testing.T, numQ int) *batchCollect {
 func (c *batchCollect) visitor() BatchStreamVisitor {
 	open, curQ, cur := false, 0, 0
 	return BatchStreamVisitor{
+		Leaf: c.leaf,
 		Begin: func(k, id int, _ geom.Rect) bool {
 			if open {
 				c.t.Errorf("Begin(q%d,%d) while stream q%d/%d still open", k, id, curQ, cur)
@@ -104,15 +106,121 @@ func (c *batchCollect) visitor() BatchStreamVisitor {
 }
 
 // runBatch joins tr under windows and returns the collected streams with
-// the join's node accesses.
-func runBatch(t *testing.T, tr *Tree, windows []WindowFunc, workers int) (*batchCollect, int64) {
+// the join's counts.
+func runBatch(t *testing.T, tr *Tree, windows []WindowFunc, workers int) (*batchCollect, JoinCounts) {
+	t.Helper()
+	return runBatchLeaf(t, tr, windows, workers, nil)
+}
+
+// runBatchLeaf is runBatch with a Leaf hook on every visitor.
+func runBatchLeaf(t *testing.T, tr *Tree, windows []WindowFunc, workers int,
+	leaf func(k int, leaf, core geom.Rect) func(int) bool) (*batchCollect, JoinCounts) {
 	t.Helper()
 	c := newBatchCollect(t, len(windows))
-	accesses, err := tr.JoinSelfStreamBatch(context.Background(), windows, workers, c.visitor)
+	c.leaf = leaf
+	counts, err := tr.JoinSelfStreamBatch(context.Background(), windows, workers, c.visitor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, accesses
+	if leaf == nil && counts.Skipped != 0 {
+		t.Fatalf("join without a Leaf hook skipped %d streams", counts.Skipped)
+	}
+	return c, counts
+}
+
+// evenCovers is the toy whole-leaf reject of the join tests: every query
+// but the odd ones takes the left leaf's own box as the core, and even
+// IDs cover. Every window contains its rectangle, so the leaf box lies
+// inside the leaf's window: each entry strictly inside it sits in a
+// partner leaf, and the brute-force cover set of a leaf is exact.
+func evenCovers(k int, leaf, core geom.Rect) func(int) bool {
+	if k%2 == 1 {
+		return nil
+	}
+	copy(core.Min, leaf.Min)
+	copy(core.Max, leaf.Max)
+	return isEven
+}
+
+func isEven(id int) bool { return id%2 == 0 }
+
+// leafBoxes lists every leaf of tr with the box the join hands the Leaf
+// hook: the parent entry's rectangle (the root leaf's own MBR).
+func leafBoxes(tr *Tree) (boxes []geom.Rect, ids [][]int) {
+	var walk func(n *node, box geom.Rect)
+	walk = func(n *node, box geom.Rect) {
+		if n.leaf {
+			var leafIDs []int
+			for _, e := range n.entries {
+				leafIDs = append(leafIDs, e.id)
+			}
+			boxes, ids = append(boxes, box), append(ids, leafIDs)
+			return
+		}
+		for _, e := range n.entries {
+			walk(e.child, e.rect)
+		}
+	}
+	if tr.size > 0 {
+		walk(tr.root, tr.root.mbr())
+	}
+	return boxes, ids
+}
+
+// checkLeafCovers asserts the Leaf hook's contract for a join run with
+// evenCovers: in a leaf that has a cover (an even ID strictly inside its
+// box) under a query that arms the reject, at most one entry streams and
+// it is a cover itself; every other (query, entry) streams exactly once;
+// every stream that runs matches brute force; and the join's Skipped count
+// is the number of streams that did not run. It returns that number.
+func checkLeafCovers(t *testing.T, label string, tr *Tree, c *batchCollect, items []Item, windows []WindowFunc, counts JoinCounts) int64 {
+	t.Helper()
+	boxes, leafIDs := leafBoxes(tr)
+	var skipped int64
+	for k, window := range windows {
+		want := bruteSelfJoin(items, window)
+		for li, box := range boxes {
+			covers := map[int]bool{}
+			if evenCovers(k, box, box.Clone()) != nil {
+				for _, it := range items {
+					if isEven(it.ID) && strictlyInside(it.Rect, box) {
+						covers[it.ID] = true
+					}
+				}
+			}
+			var ran []int
+			for _, id := range leafIDs[li] {
+				switch c.begun[k][id] {
+				case 0:
+				case 1:
+					ran = append(ran, id)
+				default:
+					t.Fatalf("%s q=%d: left %d begun %d times", label, k, id, c.begun[k][id])
+				}
+			}
+			if len(covers) == 0 {
+				if len(ran) != len(leafIDs[li]) {
+					t.Fatalf("%s q=%d: leaf %v has no cover, yet only %v of %v streamed", label, k, box, ran, leafIDs[li])
+				}
+				continue
+			}
+			if len(ran) > 1 || (len(ran) == 1 && !covers[ran[0]]) {
+				t.Fatalf("%s q=%d: leaf %v has covers %v, yet %v streamed", label, k, box, covers, ran)
+			}
+			skipped += int64(len(leafIDs[li]) - len(ran))
+		}
+		for id, got := range c.streams[k] {
+			got = append([]int(nil), got...)
+			sort.Ints(got)
+			if fmt.Sprint(got) != fmt.Sprint(want[id]) {
+				t.Fatalf("%s q=%d id=%d: got %v, want %v", label, k, id, got, want[id])
+			}
+		}
+	}
+	if counts.Skipped != skipped {
+		t.Fatalf("%s: join counted %d skipped streams, the leaves show %d", label, counts.Skipped, skipped)
+	}
+	return skipped
 }
 
 // checkBrute asserts every query's streams against the brute-force join:
@@ -172,9 +280,9 @@ func TestJoinSelfStreamMatchesBrute(t *testing.T) {
 
 // TestJoinSelfStreamParallelMatchesSerial pins the worker pool: identical
 // per-(query, left) match sets to brute force, every left entry visited
-// exactly once per query across the pool's visitors, node-access totals
-// identical to the serial join, and the grouping contract holding inside
-// every worker.
+// exactly once per query across the pool's visitors, node-access and
+// entries-scanned totals identical to the serial join, and the grouping
+// contract holding inside every worker.
 func TestJoinSelfStreamParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, n := range []int{1, 30, 500, 2000} {
@@ -183,13 +291,57 @@ func TestJoinSelfStreamParallelMatchesSerial(t *testing.T) {
 		tr.BulkLoad(items)
 		for _, numQ := range []int{1, 3} {
 			windows := padWindows(numQ, 4)
-			_, serialIO := runBatch(t, tr, windows, 1)
-			for _, workers := range []int{2, 3, 8} {
-				c, parallelIO := runBatch(t, tr, windows, workers)
+			_, serial := runBatch(t, tr, windows, 1)
+			for _, workers := range []int{2, 3, 4, 8} {
+				c, parallel := runBatch(t, tr, windows, workers)
 				label := fmt.Sprintf("n=%d Q=%d workers=%d", n, numQ, workers)
 				checkBrute(t, label, c, items, windows)
-				if parallelIO != serialIO {
-					t.Fatalf("%s: parallel charges %d node accesses, serial %d", label, parallelIO, serialIO)
+				if parallel != serial {
+					t.Fatalf("%s: parallel counts %+v, serial %+v", label, parallel, serial)
+				}
+			}
+		}
+	}
+}
+
+// TestJoinLeafHookContract runs the join with the toy evenCovers reject on
+// bulk-loaded and insert-built trees, single queries and batches in which
+// only some queries arm it, serially and on pools: checkLeafCovers holds
+// every run, some leaf is skipped, the counts equal the serial join's, and
+// the hook removes entry tests rather than adding them.
+func TestJoinLeafHookContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for _, bulk := range []bool{true, false} {
+		for _, n := range []int{1, 60, 700} {
+			items := randomItems(rng, n, 2)
+			tr := New(2, WithMaxEntries(6))
+			if bulk {
+				tr.BulkLoad(items)
+			} else {
+				for _, it := range items {
+					tr.Insert(it.Rect, it.ID)
+				}
+			}
+			for _, numQ := range []int{1, 3} {
+				windows := padWindows(numQ, 2)
+				_, plain := runBatch(t, tr, windows, 1)
+				_, serial := runBatchLeaf(t, tr, windows, 1, evenCovers)
+				for _, workers := range []int{1, 4} {
+					label := fmt.Sprintf("bulk=%v n=%d Q=%d workers=%d", bulk, n, numQ, workers)
+					c, counts := runBatchLeaf(t, tr, windows, workers, evenCovers)
+					skipped := checkLeafCovers(t, label, tr, c, items, windows, counts)
+					if n >= 60 && skipped == 0 {
+						t.Fatalf("%s: no stream skipped", label)
+					}
+					if counts != serial {
+						t.Fatalf("%s: counts %+v, serial %+v", label, counts, serial)
+					}
+					if counts.NodeAccesses != plain.NodeAccesses {
+						t.Fatalf("%s: %d node accesses with the hook, %d without", label, counts.NodeAccesses, plain.NodeAccesses)
+					}
+					if n >= 60 && counts.EntriesScanned >= plain.EntriesScanned {
+						t.Fatalf("%s: %d entry tests with the hook, %d without", label, counts.EntriesScanned, plain.EntriesScanned)
+					}
 				}
 			}
 		}
@@ -272,12 +424,13 @@ func TestJoinSelfStreamBatchMatchesSingle(t *testing.T) {
 				singleIO := int64(0)
 				single := make([]map[int][]int, numQ)
 				for k := range windows {
-					c, accesses := runBatch(t, tr, windows[k:k+1], workers)
+					c, counts := runBatch(t, tr, windows[k:k+1], workers)
 					single[k] = c.streams[0]
-					singleIO += accesses
+					singleIO += counts.NodeAccesses
 				}
 
-				c, batchIO := runBatch(t, tr, windows, workers)
+				c, batch := runBatch(t, tr, windows, workers)
+				batchIO := batch.NodeAccesses
 				checkBrute(t, label, c, items, windows)
 				for k := range windows {
 					for id, got := range c.streams[k] {
