@@ -191,7 +191,7 @@ func (e *CertainEngine) Len() int { return e.ix.Len() }
 func (e *CertainEngine) Dims() int { return e.ix.Dims() }
 
 // Point returns the point at the given index.
-func (e *CertainEngine) Point(i int) Point { return e.ix.Points()[i] }
+func (e *CertainEngine) Point(i int) Point { return e.ix.Point(i) }
 
 // ExplainNaive runs the Naive-II baseline (same filter, exhaustive
 // verification); used by the benchmark harness.

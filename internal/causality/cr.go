@@ -57,20 +57,20 @@ func VerifyCR(ix *skyline.Index, q geom.Point, res *Result) error {
 	if err := checkQuery(q, ix.Dims(), 1); err != nil {
 		return err
 	}
-	pts := ix.Points()
+	n := ix.Len()
 	var cc []int
-	if res.NonAnswer >= 0 && res.NonAnswer < len(pts) {
-		an := pts[res.NonAnswer]
+	if res.NonAnswer >= 0 && res.NonAnswer < n {
+		an := ix.Point(res.NonAnswer)
 		if an == nil {
 			return fmt.Errorf("%w: %d", ErrBadObject, res.NonAnswer)
 		}
-		for id, p := range pts {
-			if p != nil && id != res.NonAnswer && geom.DynDominates(p, q, an) {
+		for id := 0; id < n; id++ {
+			if p := ix.Point(id); p != nil && id != res.NonAnswer && geom.DynDominates(p, q, an) {
 				cc = append(cc, id)
 			}
 		}
 	}
-	return verifyCauses(len(pts), 1, res, func(removed map[int]bool, extra int) float64 {
+	return verifyCauses(n, 1, res, func(removed map[int]bool, extra int) float64 {
 		for _, c := range cc {
 			if !removed[c] && c != extra {
 				return 0

@@ -34,7 +34,8 @@ type batchItem struct {
 
 // batchState is the per-(worker, query) stream state: both models'
 // stream states satisfy it, so one core drives the sample and pdf
-// queries.
+// queries. A begin that returns false has accepted the object without a
+// stream: it gets no pair and no finish.
 type batchState interface {
 	leafCore(leaf, core geom.Rect) func(int) bool
 	begin(id int, r geom.Rect) bool
@@ -99,10 +100,16 @@ func join(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Point, opt Opt
 		workerStates = append(workerStates, states)
 		mu.Unlock()
 		return rtree.BatchStreamVisitor{
-			Leaf:  func(k int, leaf, core geom.Rect) func(int) bool { return states[k].leafCore(leaf, core) },
-			Begin: func(k, id int, r geom.Rect) bool { return states[k].begin(id, r) },
-			Pair:  func(k, leftID, rightID int, rr geom.Rect) bool { return states[k].pair(leftID, rightID, rr) },
-			End:   func(k, id int) { j.verdicts[k][id] = states[k].finish(id) },
+			Leaf: func(k int, leaf, core geom.Rect) func(int) bool { return states[k].leafCore(leaf, core) },
+			Begin: func(k, id int, r geom.Rect) bool {
+				if states[k].begin(id, r) {
+					return true
+				}
+				j.verdicts[k][id] = accepted
+				return false
+			},
+			Pair: func(k, leftID, rightID int, rr geom.Rect) bool { return states[k].pair(leftID, rightID, rr) },
+			End:  func(k, id int) { j.verdicts[k][id] = states[k].finish(id) },
 		}
 	})
 	endJoin()

@@ -34,7 +34,7 @@ var pdfCandPool = sync.Pool{
 // Everything not rejected is evaluated exactly by quadrature (there is no
 // cheap accept bound for continuous densities — even the empty-candidate
 // probability is the quadrature weight sum, which coarse grids may leave
-// just below 1).
+// just below 1), except at α ≤ prob.Eps, where begin accepts every object.
 type pdfStreamState struct {
 	set   *causality.PDFSet
 	q     geom.Point
@@ -66,7 +66,13 @@ type pdfStreamState struct {
 // no rectangle derived from a leaf's box alone lies inside every member's.
 func (st *pdfStreamState) leafCore(_, _ geom.Rect) func(int) bool { return nil }
 
+// begin starts object id's stream; at α ≤ prob.Eps it accepts the object
+// at tier 1 with no stream instead, as streamState.begin does.
 func (st *pdfStreamState) begin(id int, _ geom.Rect) bool {
+	if !st.opt.NoBounds && !(st.alpha > prob.Eps) {
+		st.stats.AcceptedByBound++
+		return false
+	}
 	u := st.set.Objects[id]
 	st.pieces = prob.CandidateRectsPDF(u, st.q)
 	st.core, st.hasCore = prob.CoreRectPDF(u, st.q)
@@ -90,7 +96,7 @@ func (st *pdfStreamState) pair(_, cid int, cRect geom.Rect) bool {
 		return true
 	}
 	st.buf = append(st.buf, int32(cid))
-	if st.opt.NoBounds || !st.hasCore || !(st.alpha > prob.Eps) {
+	if st.opt.NoBounds || !st.hasCore {
 		return true
 	}
 	c := st.set.Objects[cid]

@@ -251,7 +251,15 @@ type streamState struct {
 	undecidedCands [][]int32
 }
 
+// begin starts object id's stream. At α ≤ prob.Eps every live object is an
+// answer (Pr ≥ 0 ≥ α − Eps), so unless bounds are off begin accepts it at
+// tier 1 and returns false: no pair, no finish and no Eq.-2 evaluation. The
+// bounds in pair and finish therefore only ever see α > Eps.
 func (st *streamState) begin(id int, mbr geom.Rect) bool {
+	if !st.opt.NoBounds && !(st.alpha > prob.Eps) {
+		st.stats.AcceptedByBound++
+		return false
+	}
 	st.id = id
 	st.mbr = mbr
 	st.u = nil
@@ -400,7 +408,7 @@ func (st *streamState) pair(_, cid int, cRect geom.Rect) bool {
 	}
 	certain := st.wsum[cid] == 1
 	if st.u == nil {
-		if certain && st.alpha > prob.Eps && insideMBRCore(cRect, st.mbr, st.q) {
+		if certain && insideMBRCore(cRect, st.mbr, st.q) {
 			st.rejectedNow = true
 			st.rejectedTier = 1
 			return false
@@ -443,11 +451,8 @@ func (st *streamState) pair(_, cid int, cRect geom.Rect) bool {
 			tier2More = true
 		}
 	}
-	if !(st.alpha > prob.Eps) {
-		return true
-	}
 	// Full coverage: every Eq.-2 term is exactly 0, so Pr(u) = 0 < α for
-	// any valid threshold above the comparison tolerance.
+	// any threshold above the comparison tolerance, which begin ensures.
 	if coveredMore && st.coveredCnt == len(st.covered) {
 		st.rejectedNow = true
 		st.rejectedTier = 1
@@ -495,7 +500,7 @@ func (st *streamState) finish(id int) decision {
 			}
 			return rejected
 		}
-		if st.coveredCnt == len(st.covered) && st.alpha > prob.Eps {
+		if st.coveredCnt == len(st.covered) {
 			st.stats.RejectedByBound++
 			return rejected
 		}

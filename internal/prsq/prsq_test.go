@@ -54,7 +54,7 @@ func queryPDFStats(t *testing.T, set *causality.PDFSet, q geom.Point, alpha floa
 func pdfPRSQ(set *causality.PDFSet, q geom.Point, alpha float64, quadNodes int) []int {
 	var want []int
 	for id, o := range set.Objects {
-		if prob.GEq(prob.PrReverseSkylinePDF(o, q, set.Objects, quadNodes), alpha) {
+		if o != nil && prob.GEq(prob.PrReverseSkylinePDF(o, q, set.Objects, quadNodes), alpha) {
 			want = append(want, id)
 		}
 	}
@@ -200,6 +200,67 @@ func TestQueryEquivalencePDFModel(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAlphaAtEpsAcceptsEveryLiveObject: at α ≤ prob.Eps every live object
+// is an answer (Pr ≥ 0 ≥ α − Eps), so both models settle each one at tier 1
+// with no candidate pair and no exact evaluation, tombstones excluded, and
+// agree with the naive oracles. NoBounds still evaluates every object.
+func TestAlphaAtEpsAcceptsEveryLiveObject(t *testing.T) {
+	const alpha = 1e-9
+	ctx := context.Background()
+	qs := []geom.Point{{5000, 5000}, {1200, 8800}}
+	ds, err := dataset.GenerateUncertain(dataset.LUrU(400, 2, 0, 300, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs, err := dataset.GenerateUncertainPDF(dataset.LUrU(150, 2, 50, 600, 5), uncertain.Uniform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := causality.NewPDFSet(objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{0, 17, 149} {
+		if ds, err = ds.WithDelete(id); err != nil {
+			t.Fatal(err)
+		}
+		if set, err = set.WithDelete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := ds.Len() - 3
+	for _, par := range []int{1, 4} {
+		for _, noBounds := range []bool{false, true} {
+			opt := Options{Parallel: par, NoBounds: noBounds}
+			label := fmt.Sprintf("parallel=%d noBounds=%v", par, noBounds)
+			got, st, err := QueryBatchStreamStatsCtx(ctx, ds, qs, alpha, opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, q := range qs {
+				if want := prob.PRSQ(ds.Objects, q, alpha); !equalIDs(got[k], want) || len(want) != live {
+					t.Fatalf("sample %s q=%v: got %d answers, oracle %d of %d live", label, q, len(got[k]), len(want), live)
+				}
+			}
+			if !noBounds && (st.AcceptedByBound != live*len(qs) || st.CandidatePairs != 0 || st.Evaluated != 0) {
+				t.Fatalf("sample %s: %+v, want all %d accepted by bound with no pairs or evaluations", label, st, live*len(qs))
+			}
+			pgot, pst, err := QueryBatchPDFStreamStatsCtx(ctx, set, qs, alpha, 0, opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, q := range qs {
+				if want := pdfPRSQ(set, q, alpha, 0); !equalIDs(pgot[k], want) || len(want) != set.Len()-3 {
+					t.Fatalf("pdf %s q=%v: got %d answers, oracle %d of %d live", label, q, len(pgot[k]), len(want), set.Len()-3)
+				}
+			}
+			if !noBounds && (pst.AcceptedByBound != (set.Len()-3)*len(qs) || pst.CandidatePairs != 0 || pst.Evaluated != 0) {
+				t.Fatalf("pdf %s: %+v, want all %d accepted by bound with no pairs or evaluations", label, pst, (set.Len()-3)*len(qs))
+			}
+		}
 	}
 }
 

@@ -239,7 +239,7 @@ func TestStreamRectsMatchDomRect(t *testing.T) {
 		for j := range q {
 			q[j] = float64(int(r.Float64() * 10 * 10))
 		}
-		st := &streamState{ds: &dataset.Uncertain{Objects: objs}, q: q}
+		st := &streamState{ds: &dataset.Uncertain{Objects: objs}, q: q, alpha: 0.5}
 		win := geom.Rect{Min: make(geom.Point, d), Max: make(geom.Point, d)}
 		for trial := 0; trial < 1000; trial++ {
 			id := r.Intn(len(objs))

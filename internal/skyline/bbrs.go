@@ -52,7 +52,7 @@ func (ix *Index) ReverseSkylineBBRSBatch(qs []geom.Point, emit func(k int, ids [
 		}
 		near := r.NearestCorner(q)
 		for _, c := range candidates[k] {
-			if geom.DynDominates(ix.pts[c], q, near) {
+			if geom.DynDominates(ix.Point(c), q, near) {
 				return true
 			}
 		}
@@ -61,7 +61,7 @@ func (ix *Index) ReverseSkylineBBRSBatch(qs []geom.Point, emit func(k int, ids [
 	prunedPoint := func(k int, p geom.Point) bool {
 		q := qs[k]
 		for _, c := range candidates[k] {
-			if geom.DynDominates(ix.pts[c], q, p) {
+			if geom.DynDominates(ix.Point(c), q, p) {
 				return true
 			}
 		}
@@ -126,7 +126,7 @@ func (ix *Index) ReverseSkylineBBRSBatch(qs []geom.Point, emit func(k int, ids [
 				continue
 			}
 			for _, k := range it.active {
-				if !prunedPoint(k, ix.pts[it.id]) {
+				if !prunedPoint(k, ix.Point(it.id)) {
 					candidates[k] = append(candidates[k], it.id)
 				}
 			}

@@ -48,7 +48,8 @@ func IsReverseSkylineMember(p, q geom.Point, others []geom.Point) bool {
 // BruteReverseSkyline computes the reverse skyline of q over pts by direct
 // pairwise testing — the quadratic reference implementation used as a test
 // oracle and baseline. Nil entries are tombstones: they are neither
-// members nor dominators, so an index's Points slice can be passed as is.
+// members nor dominators, so an index's points (Point(i) for i < Len())
+// can be passed as is.
 func BruteReverseSkyline(pts []geom.Point, q geom.Point) []int {
 	var out []int
 	for i, p := range pts {
@@ -72,17 +73,31 @@ func BruteReverseSkyline(pts []geom.Point, q geom.Point) []int {
 	return out
 }
 
+// chunkBits sets the copy-on-write granularity of an Index's points: they
+// live in chunks of chunkSize, and a write copies the one chunk it touches.
+const (
+	chunkBits = 10
+	chunkSize = 1 << chunkBits
+)
+
 // Index is an R-tree backed certain dataset supporting reverse skyline
-// queries with node-access accounting. Deleted points leave nil tombstones
-// in the Points slice; indexes are never reused.
+// queries with node-access accounting. Point i is Point(i); a deleted
+// point leaves a nil tombstone in its slot, and slots are never reused.
+//
+// The points are kept in fixed-size chunks behind a spine that each Index
+// owns. A chunk is never written in place — it may be a window of the
+// caller's NewIndex slice or shared with a CloneCOW clone — so Insert and
+// Delete replace the chunk they write with a modified copy: a write copies
+// one chunk, and a clone copies only the spine.
 type Index struct {
-	pts  []geom.Point
-	dims int
-	tree *rtree.Tree
+	chunks [][]geom.Point // chunkSize points each; the last may be shorter
+	n      int
+	dims   int
+	tree   *rtree.Tree
 }
 
-// NewIndex bulk-loads an R-tree over the points. The slice is retained; do
-// not mutate it afterwards.
+// NewIndex bulk-loads an R-tree over the points. The index reads pts in
+// place and never writes to it; do not mutate it afterwards.
 func NewIndex(pts []geom.Point, opts ...rtree.Option) *Index {
 	if len(pts) == 0 {
 		panic("skyline: empty point set")
@@ -97,7 +112,12 @@ func NewIndex(pts []geom.Point, opts ...rtree.Option) *Index {
 	}
 	t := rtree.New(d, opts...)
 	t.BulkLoad(items)
-	return &Index{pts: pts, dims: d, tree: t}
+	chunks := make([][]geom.Point, 0, (len(pts)+chunkSize-1)/chunkSize)
+	for lo := 0; lo < len(pts); lo += chunkSize {
+		hi := min(lo+chunkSize, len(pts))
+		chunks = append(chunks, pts[lo:hi:hi])
+	}
+	return &Index{chunks: chunks, n: len(pts), dims: d, tree: t}
 }
 
 // Dims returns the index dimensionality.
@@ -106,18 +126,21 @@ func (ix *Index) Dims() int { return ix.dims }
 // Tree exposes the underlying R-tree (for traversals that need it).
 func (ix *Index) Tree() *rtree.Tree { return ix.tree }
 
-// Points returns the indexed points (shared, read-only).
-func (ix *Index) Points() []geom.Point { return ix.pts }
+// Point returns point i (0 ≤ i < Len()), or nil if it was deleted. The
+// point is shared and read-only.
+func (ix *Index) Point(i int) geom.Point {
+	return ix.chunks[i>>chunkBits][i&(chunkSize-1)]
+}
 
-// Len returns the number of indexed points.
-func (ix *Index) Len() int { return len(ix.pts) }
+// Len returns the number of point slots, tombstones included.
+func (ix *Index) Len() int { return ix.n }
 
 // Member reports whether point i is a reverse skyline point of q (Lemma 7:
 // no point dominates q w.r.t. it), with the node accesses of its one window
-// query on the dominance rectangle DomRect(pts[i], q), which stops at the
+// query on the dominance rectangle DomRect(Point(i), q), which stops at the
 // first dominator found. Deleted points are never members.
 func (ix *Index) Member(i int, q geom.Point) (bool, int64) {
-	p := ix.pts[i]
+	p := ix.Point(i)
 	if p == nil {
 		return false, 0
 	}
@@ -127,7 +150,7 @@ func (ix *Index) Member(i int, q geom.Point) (bool, int64) {
 		if id == i {
 			return true
 		}
-		if geom.DynDominates(ix.pts[id], q, p) {
+		if geom.DynDominates(ix.Point(id), q, p) {
 			member = false
 			return false
 		}
@@ -137,18 +160,18 @@ func (ix *Index) Member(i int, q geom.Point) (bool, int64) {
 }
 
 // Dominators returns the indices of all points that dynamically dominate q
-// w.r.t. pts[i] — exactly the candidate causes of Section 4 when pts[i] is a
-// non-reverse-skyline object (single window query, Lemma 1 restated for
+// w.r.t. point i — exactly the candidate causes of Section 4 when point i is
+// a non-reverse-skyline object (single window query, Lemma 1 restated for
 // certain data) — and the node accesses of that window query.
 func (ix *Index) Dominators(i int, q geom.Point) ([]int, int64) {
-	p := ix.pts[i]
+	p := ix.Point(i)
 	if p == nil {
 		return nil, 0
 	}
 	window := geom.DomRectOuter(p, q)
 	var out []int
 	accesses := ix.tree.Search(window, func(id int, _ geom.Rect) bool {
-		if id != i && geom.DynDominates(ix.pts[id], q, p) {
+		if id != i && geom.DynDominates(ix.Point(id), q, p) {
 			out = append(out, id)
 		}
 		return true

@@ -12,26 +12,35 @@ import (
 
 // crashOp is one step of a crash-matrix scenario.
 type crashOp struct {
-	kind  string // put | del | compact
+	kind  string // put | del | mut | compact
 	name  string
 	model string
 	data  []byte
+	mut   store.Mutation // kind mut: the object mutation to append
 }
 
-// scenario covers every protocol phase the ISSUE names as a crash point:
-// WAL appends, snapshot writes and renames, deletions, and a compaction,
-// across payloads tagged with all three dataset models.
+// scenario covers every protocol phase as a crash point: WAL appends,
+// snapshot writes and renames, deletions, object mutations and a
+// compaction, across payloads tagged with all three dataset models. An
+// object mutation commits at its WAL append alone, so the compaction is
+// the first snapshot to hold the mutations made before it.
 func scenario() []crashOp {
 	return []crashOp{
 		{kind: "put", name: "cert", model: "certain", data: []byte("certain-v1-points")},
 		{kind: "put", name: "samp", model: "sample", data: bytes.Repeat([]byte("sample-v1"), 37)},
 		{kind: "put", name: "pdf", model: "pdf", data: []byte("pdf-v1-specs")},
 		{kind: "put", name: "cert", model: "certain", data: []byte("certain-v2-points-replaced")},
+		{kind: "mut", name: "cert", mut: store.Mutation{Op: store.MutInsert, ID: 4, Data: []byte("certain-obj-4")}},
+		{kind: "mut", name: "samp", mut: store.Mutation{Op: store.MutDelete, ID: 2}},
+		{kind: "mut", name: "cert", mut: store.Mutation{Op: store.MutDelete, ID: 1}},
 		{kind: "del", name: "samp"},
 		{kind: "compact"},
+		{kind: "mut", name: "cert", mut: store.Mutation{Op: store.MutDelete, ID: 4}},
 		{kind: "put", name: "samp", model: "sample", data: []byte("sample-v2-reborn")},
+		{kind: "mut", name: "cert", mut: store.Mutation{Op: store.MutInsert, ID: 5, Data: []byte("certain-obj-5")}},
 		{kind: "del", name: "pdf"},
 		{kind: "put", name: "late", model: "certain", data: bytes.Repeat([]byte("late"), 91)},
+		{kind: "mut", name: "late", mut: store.Mutation{Op: store.MutInsert, ID: 9, Data: bytes.Repeat([]byte("obj"), 40)}},
 	}
 }
 
@@ -42,6 +51,11 @@ func apply(state map[string]store.Dataset, op crashOp) {
 		state[op.name] = store.Dataset{Name: op.name, Model: op.model, Data: op.data}
 	case "del":
 		delete(state, op.name)
+	case "mut":
+		ds := state[op.name]
+		// A fresh slice: cloned states share the old one.
+		ds.Muts = append(append([]store.Mutation(nil), ds.Muts...), op.mut)
+		state[op.name] = ds
 	}
 }
 
@@ -59,8 +73,14 @@ func statesEqual(a, b map[string]store.Dataset) bool {
 	}
 	for k, av := range a {
 		bv, ok := b[k]
-		if !ok || av.Model != bv.Model || !bytes.Equal(av.Data, bv.Data) {
+		if !ok || av.Model != bv.Model || !bytes.Equal(av.Data, bv.Data) || len(av.Muts) != len(bv.Muts) {
 			return false
+		}
+		for i, am := range av.Muts {
+			bm := bv.Muts[i]
+			if am.Op != bm.Op || am.ID != bm.ID || !bytes.Equal(am.Data, bm.Data) {
+				return false
+			}
 		}
 	}
 	return true
@@ -69,7 +89,7 @@ func statesEqual(a, b map[string]store.Dataset) bool {
 func describe(m map[string]store.Dataset) string {
 	s := "{"
 	for k, v := range m {
-		s += fmt.Sprintf("%s=%s/%dB ", k, v.Model, len(v.Data))
+		s += fmt.Sprintf("%s=%s/%dB+%dmuts ", k, v.Model, len(v.Data), len(v.Muts))
 	}
 	return s + "}"
 }
@@ -87,6 +107,8 @@ func runScenario(st *store.Store, ops []crashOp) (acked map[string]store.Dataset
 			err = st.Put(op.name, op.model, op.data)
 		case "del":
 			err = st.Delete(op.name)
+		case "mut":
+			_, err = st.AppendMutation(op.name, op.mut)
 		case "compact":
 			err = st.Compact()
 		}
@@ -100,11 +122,12 @@ func runScenario(st *store.Store, ops []crashOp) (acked map[string]store.Dataset
 
 // TestCrashRecoveryMatrix loops a simulated kill-the-process crash across
 // EVERY filesystem mutation of the snapshot+WAL protocol — WAL header and
-// record writes, fsyncs, snapshot temp writes, renames, removals, and the
-// compaction swap — in both clean-cut and torn-final-write modes, and
-// asserts the recovery invariant: the reopened store holds exactly the
-// acknowledged state, except that the single in-flight operation may have
-// landed (new) or not (old) — never a hybrid, never a lost ack.
+// record writes (object mutations included), fsyncs, snapshot temp writes,
+// renames, removals, and the compaction swap — in both clean-cut and
+// torn-final-write modes, and asserts the recovery invariant: the reopened
+// store holds exactly the acknowledged state, except that the single
+// in-flight operation may have landed (new) or not (old) — never a hybrid,
+// never a lost ack.
 func TestCrashRecoveryMatrix(t *testing.T) {
 	ops := scenario()
 
@@ -263,5 +286,70 @@ func TestCrashRecoveryRandomizedSequences(t *testing.T) {
 			t.Fatalf("seed %d crash %d torn %v: recovered %s, acked %s, inflight %+v",
 				seed, crash, torn, describe(got), describe(acked), inflight)
 		}
+	}
+}
+
+// TestAppendMutationWritePath pins an object mutation's cost to the
+// mutation, not the dataset: with fsync on, one AppendMutation makes two
+// filesystem operations, the WAL write and its sync, and writes no
+// snapshot. A reopen then rebuilds the log from the WAL alone, because
+// the snapshot on disk still holds only the registered base.
+func TestAppendMutationWritePath(t *testing.T) {
+	dir := t.TempDir()
+	cfs := faultinject.NewCrashFS(nil, -1, false, 1)
+	st, _, err := store.Open(dir, store.Options{Fsync: true, FS: cfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("d", "certain", bytes.Repeat([]byte("base"), 4096)); err != nil {
+		t.Fatal(err)
+	}
+	snaps := st.Stats().SnapshotsWritten
+	const n = 24
+	var want []store.Mutation
+	for i := 0; i < n; i++ {
+		m := store.Mutation{Op: store.MutDelete, ID: i}
+		if i%2 == 1 {
+			m = store.Mutation{Op: store.MutInsert, ID: 100 + i, Data: []byte(fmt.Sprintf("obj-%d", i))}
+		}
+		before := cfs.Ops()
+		if _, err := st.AppendMutation("d", m); err != nil {
+			t.Fatal(err)
+		}
+		if ops := cfs.Ops() - before; ops != 2 {
+			t.Fatalf("mutation %d made %d filesystem operations, want 2 (WAL write and sync)", i, ops)
+		}
+		if got := st.Stats().SnapshotsWritten; got != snaps {
+			t.Fatalf("mutation %d wrote a snapshot: %d written, %d before", i, got, snaps)
+		}
+		want = append(want, m)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	frep, err := store.Fsck(nil, dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frep.Snapshots) != 1 || frep.Snapshots[0].Muts != 0 || frep.WALMutations != n {
+		t.Fatalf("on disk: snapshots %+v, %d WAL mutations; want the base alone and %d in the WAL",
+			frep.Snapshots, frep.WALMutations, n)
+	}
+	st2, rep, err := store.Open(dir, store.Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if rep.WALReplayed != n {
+		t.Fatalf("reopen replayed %d WAL records, want %d", rep.WALReplayed, n)
+	}
+	got := map[string]store.Dataset{}
+	for _, ds := range st2.Datasets() {
+		got[ds.Name] = ds
+	}
+	wantState := map[string]store.Dataset{"d": {Model: "certain", Data: bytes.Repeat([]byte("base"), 4096), Muts: want}}
+	if !statesEqual(got, wantState) {
+		t.Fatalf("reopen recovered %s, want %s", describe(got), describe(wantState))
 	}
 }

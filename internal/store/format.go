@@ -1,8 +1,13 @@
 // Package store is crskyd's crash-safe on-disk dataset store: checksummed,
-// versioned snapshot files plus a write-ahead log of register/remove
-// operations, with a recovery path that replays the WAL over the latest
-// snapshots, quarantines anything that fails its checksum into corrupt/,
-// and keeps serving the healthy datasets.
+// versioned snapshot files plus a write-ahead log of register/remove and
+// object insert/delete operations, with a recovery path that replays the
+// WAL over the latest snapshots, quarantines anything that fails its
+// checksum into corrupt/, and keeps serving the healthy datasets.
+//
+// An object mutation commits at its WAL append alone, so a write costs
+// O(mutation) however large the dataset: the mutation reaches a snapshot
+// only at compaction or at the next Open's re-checkpoint, and until then
+// recovery replays its WAL record over the older snapshot.
 //
 // On-disk layout under the data directory:
 //

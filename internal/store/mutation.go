@@ -42,11 +42,13 @@ func (m Mutation) validate() error {
 }
 
 // AppendMutation durably logs one object mutation against a registered
-// dataset and folds it into the dataset's durable state: base payload plus
+// dataset and appends it to the dataset's durable state: base payload plus
 // ordered mutation log, replayed at recovery in sequence order so a
 // restarted server reconverges to the identical post-mutation engine. The
-// operation commits at the WAL append, exactly like Put; the snapshot that
-// follows is a non-fatal checkpoint. The returned sequence number is the
+// operation commits at the WAL append alone — one write and, with Fsync,
+// one sync — and writes no snapshot: the mutation reaches one at the next
+// compaction or Open, and until then recovery replays its WAL record over
+// the dataset's older snapshot. The returned sequence number is the
 // mutation's WAL sequence. Mutating an unregistered dataset is an error —
 // the caller registers (Put) first.
 func (s *Store) AppendMutation(name string, m Mutation) (uint64, error) {
@@ -75,20 +77,19 @@ func (s *Store) AppendMutation(name string, m Mutation) (uint64, error) {
 	s.nextSeq = seq + 1
 	m.Seq = seq
 	s.live[name] = cur.withMutation(m)
-	// Checkpoint failures are deliberately not fatal: the WAL holds the
-	// committed mutation and the next Open re-checkpoints it.
-	_ = s.writeSnapshot(s.live[name])
 	if s.opts.CompactThreshold > 0 && s.walBytes > s.opts.CompactThreshold {
 		_ = s.compactLocked()
 	}
 	return seq, nil
 }
 
-// withMutation returns a new Dataset with m appended to the mutation log.
-// The clone keeps Get/Datasets' shallow copies safe: the shared prefix of
-// the old mutation slice is never appended to in place.
+// withMutation returns a new Dataset with m appended to the mutation log
+// in amortized O(1): the append may write into spare capacity of d's
+// backing array instead of copying the log. That is safe because only
+// live[name] is ever appended to, under s.mu. Every shallow copy that Get
+// and Datasets hand out keeps its own length, so it sees only its own
+// prefix, which no later append overwrites; and Put replaces the log
+// rather than appending to it.
 func (d *Dataset) withMutation(m Mutation) *Dataset {
-	nd := &Dataset{Name: d.Name, Model: d.Model, Data: d.Data, Seq: m.Seq}
-	nd.Muts = append(append([]Mutation(nil), d.Muts...), m)
-	return nd
+	return &Dataset{Name: d.Name, Model: d.Model, Data: d.Data, Muts: append(d.Muts, m), Seq: m.Seq}
 }

@@ -38,10 +38,11 @@ func wantMuts(t *testing.T, st *Store, name string, want []Mutation) {
 }
 
 // TestAppendMutationDurableAndReplayed covers the mutation commit path
-// end to end: the log is ordered, survives a clean reopen (snapshot
-// path), survives a reopen with the snapshot destroyed (pure WAL replay),
-// and is never double-applied when both snapshot and WAL hold the same
-// records.
+// end to end: the log is ordered; a mutation writes no snapshot, so a
+// clean reopen replays it from the WAL, and that Open re-checkpoints it;
+// the next reopen finds snapshot and WAL holding the same records and
+// applies each once; and with the snapshot destroyed the WAL alone
+// reconverges.
 func TestAppendMutationDurableAndReplayed(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := mustOpen(t, dir)
@@ -59,12 +60,21 @@ func TestAppendMutationDurableAndReplayed(t *testing.T) {
 	wantMuts(t, st, "d", want)
 	st.Close()
 
-	// Clean reopen: snapshot carries the log; the WAL also still holds the
-	// records — recovery must not re-apply them (no duplicates).
+	// Clean reopen: the snapshot holds only the base, so the log comes
+	// from the WAL; Open then re-checkpoints it into the snapshot.
 	st2, rep := mustOpen(t, dir)
 	wantMuts(t, st2, "d", want)
-	if rep.WALTorn || len(rep.Quarantined) != 0 {
-		t.Fatalf("clean reopen reported problems: %+v", rep)
+	if rep.WALTorn || len(rep.Quarantined) != 0 || rep.WALReplayed != len(want) {
+		t.Fatalf("clean reopen: %+v, want %d WAL records replayed and no problems", rep, len(want))
+	}
+	st2.Close()
+
+	// Second reopen: the snapshot now carries the log and the WAL still
+	// holds the records — recovery must not re-apply them (no duplicates).
+	st2, rep = mustOpen(t, dir)
+	wantMuts(t, st2, "d", want)
+	if rep.WALReplayed != 0 {
+		t.Fatalf("second reopen re-applied %d WAL records already in the snapshot", rep.WALReplayed)
 	}
 	st2.Close()
 

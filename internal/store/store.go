@@ -81,8 +81,9 @@ type Stats struct {
 
 // Store is a crash-safe dataset store. The commit point of every
 // operation is its fsynced WAL append; snapshots are checkpoints that
-// keep the WAL short and recovery fast. All methods are safe for
-// concurrent use.
+// keep the WAL short and recovery fast. Put checkpoints its dataset at
+// once; an object mutation (AppendMutation) is checkpointed only by the
+// next compaction or Open. All methods are safe for concurrent use.
 type Store struct {
 	dir  string
 	fs   FS

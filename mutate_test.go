@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/crsky/crsky/internal/geom"
@@ -211,6 +212,42 @@ func TestCertainEngineWithMutations(t *testing.T) {
 	if e1.Len() != 4 {
 		t.Fatal("insert leaked into the receiver")
 	}
+}
+
+// TestCertainMutationAllocs holds a certain-model write to O(mutation)
+// memory: at n = 50 000 (the write-watch dataset's shape), WithDelete and
+// WithInsert copy one chunk of the point store and the R-tree path they
+// touch, never the whole point list (about 2 MB per mutation when they did).
+func TestCertainMutationAllocs(t *testing.T) {
+	pts, err := GenerateCertain(CertainConfig{N: 50_000, Dims: 2, Kind: Independent, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewCertainEngine(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each pair deletes a point and inserts it back under a new ID, as
+	// write-watch's delete → flip → restore cycle does.
+	const pairs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < pairs; k++ {
+		v, err := e.WithDelete(k * 700)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, _, err = v.(*CertainEngine).WithInsert(InsertSpec{Point: pts[k*700]}); err != nil {
+			t.Fatal(err)
+		}
+		e = v.(*CertainEngine)
+	}
+	runtime.ReadMemStats(&after)
+	perMutation := (after.TotalAlloc - before.TotalAlloc) / (2 * pairs)
+	if perMutation >= 128<<10 {
+		t.Fatalf("a certain mutation at n = %d allocates %d B, want < %d", len(pts), perMutation, 128<<10)
+	}
+	t.Logf("%d B allocated per mutation at n = %d", perMutation, len(pts))
 }
 
 // TestPDFEngineWithMutations checks the COW contract on the continuous
