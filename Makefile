@@ -88,6 +88,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzLoadUncertainCSV$$' -fuzztime 15s ./internal/dataset/
 	go test -run '^$$' -fuzz '^FuzzLoadCertainCSV$$' -fuzztime 15s ./internal/dataset/
 	go test -run '^$$' -fuzz '^FuzzMBRCore$$' -fuzztime 15s ./internal/prsq/
+	go test -run '^$$' -fuzz '^FuzzBBRS$$' -fuzztime 15s ./internal/skyline/
 
 # Run every example program once; a non-zero exit fails the target. The
 # build compiles them, but only running them shows they still work.
@@ -123,8 +124,9 @@ bench-prsq-check:
 # Assert the v2 batch query contract at the committed PRSQ scale: 64 query
 # points through one shared join must charge strictly fewer node accesses
 # than 64 independent indexed queries, with element-wise identical answers.
-# Covers the certain model too: the shared-frontier BBRS batch is held to
-# the same strictly-fewer-accesses gate against 64 per-query traversals.
+# Covers the certain model too: the BBRS batch (per-query traversals that
+# charge a node once however many of them read it) is held to the same
+# strictly-fewer-accesses gate against 64 one-point BBRS calls.
 bench-batch:
 	go run ./cmd/experiments -exp prsqbatch -scale 1
 

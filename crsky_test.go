@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -305,6 +306,91 @@ func TestCertainEngine(t *testing.T) {
 	if rep.FilterNodeAccesses != res.FilterNodeAccesses {
 		t.Fatalf("repair read %d nodes, explanation %d: both run the same window query",
 			rep.FilterNodeAccesses, res.FilterNodeAccesses)
+	}
+}
+
+// TestCertainQueryEffort gates the certain read at write-watch's shape
+// (independent, 2-d, n = 50 000, query points from the central 70% of the
+// domain) on hardware-neutral effort: the mean node accesses of a
+// single-point QueryCtx, which re-testing a BBRS node when it is popped
+// keeps down, and the allocations of one call, which the traversal's
+// reused scratch keeps independent of the entries it tests.
+func TestCertainQueryEffort(t *testing.T) {
+	pts, err := GenerateCertain(CertainConfig{N: 50_000, Dims: 2, Kind: Independent, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewCertainEngine(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(28))
+	qs := make([]Point, 32)
+	for i := range qs {
+		qs[i] = Point{10000 * (0.3 + 0.4*rng.Float64()), 10000 * (0.3 + 0.4*rng.Float64())}
+	}
+	ctx := context.Background()
+	var nodes int64
+	for _, q := range qs {
+		_, st, err := e.QueryCtx(ctx, q, 1, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes += st.NodeAccesses
+	}
+	mean := float64(nodes) / float64(len(qs))
+	t.Logf("mean node accesses per query: %.1f", mean)
+	const maxMean = 400
+	if mean >= maxMean {
+		t.Errorf("mean node accesses per query %.1f, want < %d", mean, maxMean)
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(len(qs), func() {
+		if _, _, err := e.QueryCtx(ctx, qs[k%len(qs)], 1, QueryOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	t.Logf("allocations per query: %.1f", allocs)
+	if allocs >= 256 {
+		t.Errorf("a query makes %.1f allocations, want < 256", allocs)
+	}
+}
+
+// TestCertainBatchStopsBetweenQueries cancels a certain batch from the
+// emit of its first answer: the batch checks ctx before each query, so it
+// stops with a typed cancellation before the second query's traversal,
+// having charged exactly the first query's node accesses.
+func TestCertainBatchStopsBetweenQueries(t *testing.T) {
+	pts, err := GenerateCertain(CertainConfig{N: 2000, Dims: 2, Kind: Independent, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewCertainEngine(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := []Point{{3000, 3000}, {5000, 5000}, {7000, 7000}}
+	_, first, err := e.QueryCtx(context.Background(), qs[0], 1, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var emitted []int
+	_, st, err := e.QueryBatchStream(ctx, qs, 1, QueryOptions{}, func(k int, _ []int) {
+		emitted = append(emitted, k)
+		cancel()
+	})
+	var ce *CanceledError
+	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want a CanceledError wrapping context.Canceled", err)
+	}
+	if !reflect.DeepEqual(emitted, []int{0}) {
+		t.Fatalf("emitted %v, want [0]", emitted)
+	}
+	if st.NodeAccesses != first.NodeAccesses {
+		t.Fatalf("stopped batch charged %d node accesses, its first query alone %d", st.NodeAccesses, first.NodeAccesses)
 	}
 }
 

@@ -106,8 +106,10 @@ func TestConformanceQueryBatchPDF(t *testing.T) {
 }
 
 // TestConformanceQueryBatchCertain crosses CertainEngine.QueryBatchStream
-// (the shared-frontier BBRS behind the interface) against the RecList
-// traversal.
+// (the BBRS batch behind the interface) against the RecList traversal and
+// per-query QueryCtx: identical answers, and strictly fewer node accesses
+// than the per-query calls, since every traversal of the batch reads the
+// root and the batch charges it once.
 func TestConformanceQueryBatchCertain(t *testing.T) {
 	const workloads = 20
 	kinds := []dataset.CertainKind{
@@ -139,7 +141,7 @@ func TestConformanceQueryBatchCertain(t *testing.T) {
 			}
 			qs[i] = q
 		}
-		got, _, err := eng.QueryBatchStream(context.Background(), qs, 1, crsky.QueryOptions{}, nil)
+		got, bst, err := eng.QueryBatchStream(context.Background(), qs, 1, crsky.QueryOptions{}, nil)
 		if err != nil {
 			t.Errorf("seed=%d: %v", seed, err)
 			return
@@ -151,11 +153,11 @@ func TestConformanceQueryBatchCertain(t *testing.T) {
 				return
 			}
 		}
-		// Shared-frontier identity: the batch must be element-wise
-		// identical to per-query BBRS (QueryCtx), whatever the traversal
-		// interleaving did to the pruning order.
+		// The batch must be element-wise identical to per-query BBRS
+		// (QueryCtx) and charge strictly fewer node accesses.
+		var singleIO int64
 		for i, q := range qs {
-			single, _, err := eng.QueryCtx(context.Background(), q, 1, crsky.QueryOptions{})
+			single, st, err := eng.QueryCtx(context.Background(), q, 1, crsky.QueryOptions{})
 			if err != nil {
 				t.Errorf("seed=%d q#%d: %v", seed, i, err)
 				return
@@ -164,6 +166,12 @@ func TestConformanceQueryBatchCertain(t *testing.T) {
 				t.Errorf("seed=%d q#%d: batch %v, per-query BBRS %v", seed, i, got[i], single)
 				return
 			}
+			singleIO += st.NodeAccesses
+		}
+		if bst.NodeAccesses >= singleIO {
+			t.Errorf("seed=%d: batch of %d charged %d node accesses, per-query calls %d",
+				seed, len(qs), bst.NodeAccesses, singleIO)
+			return
 		}
 		// QueryBatchStream must emit every answer exactly once, ascending,
 		// and each streamed answer must equal the collected one.
@@ -196,13 +204,11 @@ func TestConformanceQueryBatchCertain(t *testing.T) {
 	})
 }
 
-// TestConformanceQueryBatchCertainSharedIO pins the point of the shared
-// frontier at engine level: at index scale (where the upper tree levels
-// every query re-reads dominate), one batch traversal must charge strictly
-// fewer node accesses than the per-query BBRS calls it replaces. Tiny
-// trees can go either way — the interleaved traversal order weakens each
-// query's own pruning slightly — so this gate runs on one sizeable
-// deterministic workload rather than the randomized small cases above.
+// TestConformanceQueryBatchCertainSharedIO pins the batch's saving at index
+// scale, where the upper tree levels that every query re-reads dominate:
+// one batch must charge strictly fewer node accesses than the per-query
+// BBRS calls it replaces, on one sizeable deterministic workload (the
+// randomized small cases above hold the same gate).
 func TestConformanceQueryBatchCertainSharedIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(4301))
 	cfg := dataset.CertainConfig{N: 4000, Dims: 3, Kind: dataset.Clustered, Seed: 4301}
@@ -247,7 +253,7 @@ func TestConformanceQueryBatchCertainSharedIO(t *testing.T) {
 	if batchIO >= singleIO {
 		t.Fatalf("batch I/O %d not below %d per-query traversals' %d", batchIO, len(qs), singleIO)
 	}
-	t.Logf("shared frontier: %d queries, %d batch accesses vs %d per-query", len(qs), batchIO, singleIO)
+	t.Logf("%d queries: %d batch accesses vs %d per-query", len(qs), batchIO, singleIO)
 }
 
 // TestConformanceExplainBatch crosses ExplainBatchStream — non-answers fanned

@@ -163,7 +163,7 @@ func TestTraceBitIdenticalCertain(t *testing.T) {
 			return
 		}
 		ctx, tr := tracedCtx()
-		traced, _, err := eng.QueryCtx(ctx, q, 1, crsky.QueryOptions{})
+		traced, st, err := eng.QueryCtx(ctx, q, 1, crsky.QueryOptions{})
 		if err != nil {
 			t.Errorf("seed %d traced: %v", seed, err)
 			return
@@ -174,6 +174,15 @@ func TestTraceBitIdenticalCertain(t *testing.T) {
 		}
 		if !spanNames(tr)["query.bbrs"] {
 			t.Errorf("seed %d: traced certain query missing query.bbrs span: %v", seed, spanNames(tr))
+			return
+		}
+		if got := tr.Counter("query.bbrsNodeAccesses"); got != st.NodeAccesses {
+			t.Errorf("seed %d: query.bbrsNodeAccesses = %d, QueryStats.NodeAccesses = %d", seed, got, st.NodeAccesses)
+			return
+		}
+		// Every answer is a verified candidate.
+		if got := tr.Counter("query.bbrsCandidates"); got < int64(len(traced)) {
+			t.Errorf("seed %d: query.bbrsCandidates = %d below the %d answers", seed, got, len(traced))
 			return
 		}
 	})

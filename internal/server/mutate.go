@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -43,21 +44,34 @@ type MutationResponse struct {
 	Seq        uint64 `json:"seq,omitempty"`
 }
 
-// encodeMutationPayload renders the durable form of an insert: the
-// validated request spec itself, gob-encoded. Replaying it through
-// insertSpec rebuilds the identical object, which is what recovery
-// reconvergence relies on.
+// encodeMutationPayload renders the durable form of an insert: a 0x00 tag
+// byte and the JSON of the validated request spec (a 2-d point takes
+// about 50 bytes). Replaying it through insertSpec rebuilds the identical
+// object — JSON round-trips every finite float64 exactly — which is what
+// recovery reconvergence relies on.
 func encodeMutationPayload(req *ObjectInsertRequest) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
+	data, err := json.Marshal(req)
+	if err != nil {
 		return nil, fmt.Errorf("encode mutation payload: %w", err)
 	}
-	return buf.Bytes(), nil
+	return append([]byte{jsonPayloadTag}, data...), nil
 }
+
+// jsonPayloadTag opens a JSON insert payload. Payloads written before it
+// are a gob stream of the request spec, and a gob stream never starts
+// with 0x00 (its first byte is a non-zero message length), so
+// decodeMutationPayload still replays them.
+const jsonPayloadTag = 0x00
 
 func decodeMutationPayload(data []byte) (*ObjectInsertRequest, error) {
 	var req ObjectInsertRequest
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+	var err error
+	if len(data) > 0 && data[0] == jsonPayloadTag {
+		err = json.Unmarshal(data[1:], &req)
+	} else {
+		err = gob.NewDecoder(bytes.NewReader(data)).Decode(&req)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("decode mutation payload: %w", err)
 	}
 	return &req, nil

@@ -1,6 +1,8 @@
 package skyline
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,7 +14,7 @@ import (
 // ReverseSkylineBBRS computes the reverse skyline of q: the one-point call
 // of ReverseSkylineBBRSBatch.
 func (ix *Index) ReverseSkylineBBRS(q geom.Point) []int {
-	out, _, _ := ix.ReverseSkylineBBRSBatch([]geom.Point{q}, nil)
+	out, _, _ := ix.ReverseSkylineBBRSBatch(context.Background(), []geom.Point{q}, nil)
 	return out[0]
 }
 
@@ -53,7 +55,8 @@ func TestBBRSCheaperThanScan(t *testing.T) {
 	ix := NewIndex(pts, rtree.WithMaxEntries(16))
 	q := geom.Point{500, 500}
 
-	_, bbrsIO, _ := ix.ReverseSkylineBBRSBatch([]geom.Point{q}, nil)
+	_, st, _ := ix.ReverseSkylineBBRSBatch(context.Background(), []geom.Point{q}, nil)
+	bbrsIO := st.NodeAccesses
 
 	// ReverseSkyline's scan: one membership window query per point.
 	var scanIO int64
@@ -96,18 +99,18 @@ func TestBBRSDimMismatchPanics(t *testing.T) {
 	ix.ReverseSkylineBBRS(geom.Point{1})
 }
 
-// TestBBRSBatchMatchesPerQuery asserts the shared-frontier batch is
-// element-wise identical to the brute-force reverse skyline of each query
-// across dimensionalities and query mixes.
+// TestBBRSBatchMatchesPerQuery asserts the batch is element-wise identical
+// to the brute-force reverse skyline of each query across dimensionalities
+// and query mixes.
 func TestBBRSBatchMatchesPerQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(211))
 	for _, d := range []int{2, 3, 4} {
 		pts := randPts(r, 600, d, 1000)
 		ix := NewIndex(pts, rtree.WithMaxEntries(12))
 		qs := randPts(r, 7, d, 1000)
-		got, _, done := ix.ReverseSkylineBBRSBatch(qs, nil)
-		if !done {
-			t.Fatalf("d=%d: batch reported early stop with nil emit", d)
+		got, _, err := ix.ReverseSkylineBBRSBatch(context.Background(), qs, nil)
+		if err != nil {
+			t.Fatalf("d=%d: %v", d, err)
 		}
 		for k, q := range qs {
 			want := BruteReverseSkyline(pts, q)
@@ -118,9 +121,9 @@ func TestBBRSBatchMatchesPerQuery(t *testing.T) {
 	}
 }
 
-// TestBBRSBatchUnionAccounting verifies the point of the shared frontier:
-// one traversal serving N queries touches strictly fewer nodes than N
-// batches of one.
+// TestBBRSBatchUnionAccounting verifies the batch's accounting: charging a
+// node once however many of the batch's traversals read it, N queries
+// touch strictly fewer nodes than N batches of one.
 func TestBBRSBatchUnionAccounting(t *testing.T) {
 	r := rand.New(rand.NewSource(212))
 	pts := randPts(r, 5000, 2, 1000)
@@ -129,10 +132,11 @@ func TestBBRSBatchUnionAccounting(t *testing.T) {
 
 	var singleIO int64
 	for _, q := range qs {
-		_, n, _ := ix.ReverseSkylineBBRSBatch([]geom.Point{q}, nil)
-		singleIO += n
+		_, st, _ := ix.ReverseSkylineBBRSBatch(context.Background(), []geom.Point{q}, nil)
+		singleIO += st.NodeAccesses
 	}
-	_, batchIO, _ := ix.ReverseSkylineBBRSBatch(qs, nil)
+	_, st, _ := ix.ReverseSkylineBBRSBatch(context.Background(), qs, nil)
+	batchIO := st.NodeAccesses
 
 	if batchIO >= singleIO {
 		t.Fatalf("batch I/O %d not below %d batches of one's %d", batchIO, len(qs), singleIO)
@@ -140,7 +144,8 @@ func TestBBRSBatchUnionAccounting(t *testing.T) {
 }
 
 // TestBBRSBatchEmitOrderAndEarlyStop asserts emit sees every query exactly
-// once in ascending order, and that returning false abandons the tail.
+// once in ascending order, and that a context canceled during an emit
+// stops the batch before the next query, keeping the prefix.
 func TestBBRSBatchEmitOrderAndEarlyStop(t *testing.T) {
 	r := rand.New(rand.NewSource(213))
 	pts := randPts(r, 400, 2, 1000)
@@ -148,34 +153,43 @@ func TestBBRSBatchEmitOrderAndEarlyStop(t *testing.T) {
 	qs := randPts(r, 5, 2, 1000)
 
 	var seen []int
-	full, _, done := ix.ReverseSkylineBBRSBatch(qs, func(k int, ids []int) bool {
+	full, fullSt, err := ix.ReverseSkylineBBRSBatch(context.Background(), qs, func(k int, ids []int) {
 		seen = append(seen, k)
 		if want := BruteReverseSkyline(pts, qs[k]); !reflect.DeepEqual(ids, want) {
 			t.Fatalf("emit q#%d: %v, want %v", k, ids, want)
 		}
-		return true
 	})
-	if !done || !reflect.DeepEqual(seen, []int{0, 1, 2, 3, 4}) {
-		t.Fatalf("emit order %v (done=%v), want ascending 0..4", seen, done)
+	if err != nil || !reflect.DeepEqual(seen, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("emit order %v (err %v), want ascending 0..4", seen, err)
 	}
 
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	seen = seen[:0]
-	partial, _, done := ix.ReverseSkylineBBRSBatch(qs, func(k int, ids []int) bool {
+	partial, st, err := ix.ReverseSkylineBBRSBatch(ctx, qs, func(k int, ids []int) {
 		seen = append(seen, k)
-		return k < 2
+		if k == 2 {
+			cancel()
+		}
 	})
-	if done || !reflect.DeepEqual(seen, []int{0, 1, 2}) {
-		t.Fatalf("early stop emitted %v (done=%v), want 0..2 with done=false", seen, done)
+	if !errors.Is(err, context.Canceled) || !reflect.DeepEqual(seen, []int{0, 1, 2}) {
+		t.Fatalf("canceled batch emitted %v (err %v), want 0..2 and context.Canceled", seen, err)
 	}
 	for k := 0; k <= 2; k++ {
 		if !reflect.DeepEqual(partial[k], full[k]) {
-			t.Fatalf("early-stopped prefix q#%d differs: %v vs %v", k, partial[k], full[k])
+			t.Fatalf("stopped prefix q#%d differs: %v vs %v", k, partial[k], full[k])
 		}
 	}
 	for k := 3; k < 5; k++ {
 		if partial[k] != nil {
 			t.Fatalf("abandoned q#%d has non-nil answer %v", k, partial[k])
 		}
+	}
+	if st.NodeAccesses >= fullSt.NodeAccesses || st.Candidates >= fullSt.Candidates {
+		t.Fatalf("stopped batch charged %+v, the full batch %+v", st, fullSt)
+	}
+	if _, _, err := ix.ReverseSkylineBBRSBatch(ctx, qs, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch on a canceled context: err %v", err)
 	}
 }
 
@@ -185,7 +199,16 @@ func TestBBRSBatchEmptyInputs(t *testing.T) {
 	r := rand.New(rand.NewSource(214))
 	pts := randPts(r, 50, 2, 1000)
 	ix := NewIndex(pts, rtree.WithMaxEntries(8))
-	if out, _, done := ix.ReverseSkylineBBRSBatch(nil, nil); !done || len(out) != 0 {
-		t.Fatalf("empty batch: out=%v done=%v", out, done)
+	if out, _, err := ix.ReverseSkylineBBRSBatch(context.Background(), nil, nil); err != nil || len(out) != 0 {
+		t.Fatalf("empty batch: out=%v err=%v", out, err)
+	}
+	for i := range pts {
+		if err := ix.Delete(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, st, err := ix.ReverseSkylineBBRSBatch(context.Background(), randPts(r, 2, 2, 1000), nil)
+	if err != nil || len(out) != 2 || out[0] != nil || out[1] != nil || st != (BBRSStats{}) {
+		t.Fatalf("batch on an emptied index: out=%v stats=%+v err=%v", out, st, err)
 	}
 }

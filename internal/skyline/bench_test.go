@@ -1,6 +1,7 @@
 package skyline
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -23,13 +24,21 @@ func BenchmarkReverseSkylineScan(b *testing.B) {
 	}
 }
 
+// BenchmarkReverseSkylineBBRS reports the one-point BBRS call's
+// allocations and its node accesses ("nodes/op": traversal plus
+// verification windows).
 func BenchmarkReverseSkylineBBRS(b *testing.B) {
 	ix := benchIndex(20_000)
 	q := geom.Point{5000, 5000}
+	qs := []geom.Point{q}
+	b.ReportAllocs()
+	var nodes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.ReverseSkylineBBRS(q)
+		_, st, _ := ix.ReverseSkylineBBRSBatch(context.Background(), qs, nil)
+		nodes += st.NodeAccesses
 	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 }
 
 func BenchmarkMembershipTest(b *testing.B) {

@@ -412,17 +412,18 @@ func (e *CertainEngine) QueryCtx(ctx context.Context, q Point, alpha float64, op
 	return queryOne(e.QueryBatchStream(ctx, []Point{q}, alpha, opts, nil))
 }
 
-// QueryBatchStream implements Querier: one branch-and-bound traversal with
-// a frontier SHARED across every query point — the certain-data twin of
-// the probabilistic models' shared left-descent join — with each query's
-// verified answer streamed in request order. Each R-tree node is read (and
-// counted in QueryStats.NodeAccesses) once however many queries' frontiers
-// it sits on, so for two or more queries the batch records strictly fewer
-// node accesses than per-point QueryCtx calls, while the exact per-query
-// verification keeps the answers element-wise identical to them. The
-// shared traversal itself is one uninterruptible pass; ctx is observed on
-// entry and again before each query's verification/emission, so a
-// cancellation stops the batch between items.
+// QueryBatchStream implements Querier: each query point runs its own BBRS
+// branch-and-bound traversal over scratch the batch reuses, then the exact
+// per-query verification, and its answer is streamed in request order. An
+// R-tree node is counted in QueryStats.NodeAccesses once however many of
+// the batch's traversals read it; every traversal reads the root, so for
+// two or more queries the batch records strictly fewer node accesses than
+// per-point QueryCtx calls, with element-wise identical answers. ctx is
+// checked before each query: a cancellation stops the batch at the next
+// query boundary, and the answers already emitted stand.
+// A traced call adds query.bbrsNodeAccesses (equal to
+// QueryStats.NodeAccesses) and query.bbrsCandidates (the candidates
+// verified) under the query.bbrs span.
 func (e *CertainEngine) QueryBatchStream(ctx context.Context, qs []Point, alpha float64, opts QueryOptions,
 	emit func(index int, ids []int)) ([][]int, QueryStats, error) {
 
@@ -437,24 +438,21 @@ func (e *CertainEngine) QueryBatchStream(ctx context.Context, qs []Point, alpha 
 	if err := ctxPrecheck(ctx); err != nil {
 		return nil, QueryStats{}, err
 	}
-	endBBRS := obs.FromContext(ctx).StartSpan("query.bbrs")
-	var ctxErr error
-	out, accesses, _ := e.ix.ReverseSkylineBBRSBatch(qs, func(k int, ids []int) bool {
-		if err := ctx.Err(); err != nil {
-			ctxErr = err
-			return false
-		}
+	tr := obs.FromContext(ctx)
+	endBBRS := tr.StartSpan("query.bbrs")
+	out, bst, err := e.ix.ReverseSkylineBBRSBatch(ctx, qs, func(k int, ids []int) {
 		if emit != nil {
 			if ids == nil {
 				ids = []int{}
 			}
 			emit(k, ids)
 		}
-		return true
 	})
 	endBBRS()
-	if ctxErr != nil {
-		return nil, QueryStats{NodeAccesses: accesses}, ctxutil.WrapCanceled(ctxErr, 0, 0)
+	tr.Add("query.bbrsNodeAccesses", bst.NodeAccesses)
+	tr.Add("query.bbrsCandidates", int64(bst.Candidates))
+	if err != nil {
+		return nil, QueryStats{NodeAccesses: bst.NodeAccesses}, ctxutil.WrapCanceled(err, 0, 0)
 	}
 	for k := range out {
 		if out[k] == nil {
@@ -464,7 +462,7 @@ func (e *CertainEngine) QueryBatchStream(ctx context.Context, qs []Point, alpha 
 	// Evaluated counts exact Eq.-2 evaluations; BBRS performs none, so the
 	// stat stays zero and cross-model aggregation stays meaningful. Objects
 	// aggregates the per-query decision counts.
-	return out, QueryStats{Objects: e.Len() * len(qs), NodeAccesses: accesses}, nil
+	return out, QueryStats{Objects: e.Len() * len(qs), NodeAccesses: bst.NodeAccesses}, nil
 }
 
 // QueryApprox implements Querier. Certain-data membership is exact and
