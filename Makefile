@@ -52,12 +52,13 @@ chaos-smoke:
 # crash matrix across every snapshot+WAL mutation (clean-cut and torn-write),
 # object inserts and deletes included, the object-mutation write path (a WAL
 # write and its sync, no snapshot), torn/bit-flip recovery, degraded boot
-# with quarantine, fsck verify/repair, and the serving-level recovery
-# conformance oracle (recovered engines must answer byte-identically and
-# still match the naive oracle).
+# with quarantine, fsck verify/repair, the pinned per-model dataset payload
+# (TestStoredPayloadPinned), and the serving-level recovery conformance
+# oracle (recovered engines must answer byte-identically and still match
+# the naive oracle).
 crash-smoke:
 	go test -race -count=1 -run 'TestCrashRecovery|TestAppendMutation|TestTorn|TestCorrupt|TestWALRegister|TestFsck|TestQuarantine|TestHostile|TestPutGetDeleteReopen|TestCompact' ./internal/store/
-	go test -race -count=1 -run 'TestStoreDurability|TestStartupQuarantine|TestServerCrashRecovery|TestRegisterFailsClosed|TestUploadRejected' ./internal/server/
+	go test -race -count=1 -run 'TestStoreDurability|TestStoredPayload|TestStartupQuarantine|TestServerCrashRecovery|TestRegisterFailsClosed|TestUploadRejected' ./internal/server/
 	go test -race -count=1 -run 'TestRecoveredServerConformance' ./internal/conformance/
 
 # The dynamic-plane hammer under the race detector: concurrent readers,

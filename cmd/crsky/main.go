@@ -6,13 +6,13 @@
 //	crsky gen     -out data.csv [-kind lUrU|lUrG|lSrU|lSrG|ind|cor|ant|clu|nba|cardb] [-n N] [-d D] [-seed S]
 //	crsky query   -data data.csv [-uncertain] -q "x,y[;x2,y2;...]" [-alpha A] [-timeout D]
 //	crsky explain -data data.csv [-uncertain] -q "x,y,..." -an ID [-alpha A] [-timeout D] [-json]
-//	crsky store   -dir data/ [-repair] [-json]
 //
 // Certain data is one CSV row per point; uncertain data is one row per
 // sample (id,prob,coords...). Query and explain dispatch through the
 // model-generic crsky.Explainer interface — the only model-specific code
 // is loading the CSV; multiple `;`-separated query points run as one
-// amortized batch.
+// amortized batch. A crskyd data directory is checked offline with
+// `crskyd fsck`.
 package main
 
 import (
@@ -31,7 +31,6 @@ import (
 	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/geom"
-	"github.com/crsky/crsky/internal/store"
 )
 
 func main() {
@@ -52,46 +51,9 @@ func run(args []string, out io.Writer) error {
 		return cmdQuery(args[1:], out)
 	case "explain":
 		return cmdExplain(args[1:], out)
-	case "store":
-		return cmdStore(args[1:], out)
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
-}
-
-// cmdStore verifies a crskyd data directory offline (crskyd fsck's CLI
-// twin): re-derive every snapshot checksum, dry-replay the WAL, report
-// corruption; -repair quarantines, truncates, re-checkpoints, compacts.
-func cmdStore(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("store", flag.ContinueOnError)
-	var (
-		dir      = fs.String("dir", "", "crskyd data directory (required)")
-		repair   = fs.Bool("repair", false, "repair: quarantine corrupt files, truncate torn WAL, re-checkpoint, compact")
-		jsonFlag = fs.Bool("json", false, "emit the report as JSON")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *dir == "" {
-		return fmt.Errorf("store: -dir is required")
-	}
-	rep, err := store.Fsck(nil, *dir, *repair)
-	if err != nil {
-		return err
-	}
-	if *jsonFlag {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-	} else {
-		rep.Format(out)
-	}
-	if !rep.Repaired && !rep.Healthy() {
-		return fmt.Errorf("store %s has integrity problems (rerun with -repair)", *dir)
-	}
-	return nil
 }
 
 func cmdGen(args []string, out io.Writer) error {

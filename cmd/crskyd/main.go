@@ -8,7 +8,7 @@
 //	       [-admin addr] [-slow-query dur] [-slow-query-log path]
 //	       [-drain 10s] [-preload name=model=path ...]
 //	       [-data-dir path] [-fsync=true]
-//	crskyd fsck -data-dir path [-repair]
+//	crskyd fsck -data-dir path [-repair] [-json]
 //
 // Endpoints:
 //
@@ -59,13 +59,15 @@
 // failing their checksums are quarantined under corrupt/ and the daemon
 // boots degraded on the healthy datasets (/healthz reports "degraded").
 // -fsync (default on) makes every commit a durability barrier; turning it
-// off trades crash durability for write latency. The fsck subcommand
-// verifies a store offline and, with -repair, quarantines corrupt files,
-// truncates a torn WAL tail, re-checkpoints, and compacts.
+// off trades crash durability for write latency. The fsck subcommand is the
+// one offline store checker: it verifies a store, exits 1 on problems, and
+// with -repair quarantines corrupt files, truncates a torn WAL tail,
+// re-checkpoints, and compacts; -json writes the report as JSON.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -92,7 +94,7 @@ func main() {
 	// Subcommands dispatch before flag parsing; plain `crskyd [flags]`
 	// serves.
 	if len(os.Args) > 1 && os.Args[1] == "fsck" {
-		os.Exit(cmdFsck(os.Args[2:]))
+		os.Exit(cmdFsck(os.Args[2:], os.Stdout, os.Stderr))
 	}
 	var (
 		addr      = flag.String("addr", ":8372", "listen address")
@@ -227,23 +229,34 @@ func main() {
 	log.Printf("crskyd: shut down")
 }
 
-// cmdFsck verifies (and with -repair, repairs) a store directory offline.
-// Exit status: 0 healthy or repaired, 1 unhealthy, 2 usage/IO error.
-func cmdFsck(args []string) int {
+// cmdFsck verifies (and with -repair, repairs) a store directory offline
+// and writes the report to stdout, as JSON with -json. Exit status: 0
+// healthy or repaired, 1 unhealthy, 2 usage/IO error.
+func cmdFsck(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fsck", flag.ExitOnError)
 	dataDir := fs.String("data-dir", "", "store directory to check (required)")
 	repair := fs.Bool("repair", false, "quarantine corrupt files, truncate a torn WAL tail, re-checkpoint, and compact")
+	asJSON := fs.Bool("json", false, "write the report as JSON")
 	_ = fs.Parse(args)
 	if *dataDir == "" {
-		fmt.Fprintln(os.Stderr, "crskyd fsck: -data-dir is required")
+		fmt.Fprintln(stderr, "crskyd fsck: -data-dir is required")
 		return 2
 	}
 	rep, err := store.Fsck(nil, *dataDir, *repair)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "crskyd fsck: %v\n", err)
+		fmt.Fprintf(stderr, "crskyd fsck: %v\n", err)
 		return 2
 	}
-	rep.Format(os.Stdout)
+	if *asJSON {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(rep); err != nil {
+			fmt.Fprintf(stderr, "crskyd fsck: %v\n", err)
+			return 2
+		}
+	} else {
+		rep.Format(stdout)
+	}
 	if !rep.Repaired && !rep.Healthy() {
 		return 1
 	}

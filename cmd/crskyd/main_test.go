@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/crsky/crsky/internal/server"
+	"github.com/crsky/crsky/internal/store"
 )
 
 func TestPreload(t *testing.T) {
@@ -42,5 +46,56 @@ func TestPreloadFlagAccumulates(t *testing.T) {
 	}
 	if len(p) != 2 || p.String() != "a=certain=x,b=sample=y" {
 		t.Fatalf("preloadFlag = %v", p)
+	}
+}
+
+// TestFsckExitCodes drives the offline store checker: 0 on a healthy data
+// directory (its -json report decodes and names the dataset), 1 once a
+// snapshot is corrupted, 2 without -data-dir.
+func TestFsckExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("demo", server.ModelCertain, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	// Compact leaves the snapshot as the dataset's only copy, so its
+	// corruption below cannot be covered by the WAL's register record.
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	fsck := func(args ...string) (int, string) {
+		var stdout, stderr bytes.Buffer
+		code := cmdFsck(args, &stdout, &stderr)
+		return code, stdout.String() + stderr.String()
+	}
+	if code, out := fsck("-data-dir", dir); code != 0 {
+		t.Fatalf("healthy directory: exit %d, want 0:\n%s", code, out)
+	}
+	code, out := fsck("-data-dir", dir, "-json")
+	var rep store.FsckReport
+	if err := json.Unmarshal([]byte(out), &rep); code != 0 || err != nil || !rep.Healthy() || !slices.Equal(rep.Datasets, []string{"demo"}) {
+		t.Fatalf("healthy directory with -json: exit %d, decode error %v, report:\n%s", code, err, out)
+	}
+
+	snap := filepath.Join(dir, "datasets", "demo.snap")
+	b, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 0x80
+	if err := os.WriteFile(snap, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := fsck("-data-dir", dir); code != 1 {
+		t.Fatalf("corrupted snapshot: exit %d, want 1:\n%s", code, out)
+	}
+
+	if code, out := fsck(); code != 2 {
+		t.Fatalf("no -data-dir: exit %d, want 2:\n%s", code, out)
 	}
 }

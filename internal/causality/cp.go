@@ -182,6 +182,9 @@ func objectCanDominate(o *uncertain.Object, anchors []geom.Point, q geom.Point) 
 	return false
 }
 
+// alphaOneCauses materializes the α = 1 case, which is Lemma 7 on certain
+// data: every candidate is an actual cause with contingency set Cc − {c}
+// and responsibility 1/|Cc|. CP and CPPDF at α = 1 and CR share it.
 func alphaOneCauses(candIDs []int) []Cause {
 	causes := make([]Cause, len(candIDs))
 	for i, id := range candIDs {

@@ -22,7 +22,7 @@ func CR(ix *skyline.Index, q geom.Point, anIdx int) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{NonAnswer: anIdx, Pr: 0, Candidates: len(candIDs), FilterNodeAccesses: filterIO}
-	res.Causes = lemma7Causes(candIDs)
+	res.Causes = alphaOneCauses(candIDs)
 	return res, nil
 }
 
@@ -97,28 +97,6 @@ func dominatorSet(ix *skyline.Index, q geom.Point, anIdx int) ([]int, int64, err
 	}
 	sort.Ints(candIDs)
 	return candIDs, filterIO, nil
-}
-
-// lemma7Causes materializes Lemma 7: every candidate is an actual cause
-// with contingency set Cc − {c} and responsibility 1/|Cc|.
-func lemma7Causes(candIDs []int) []Cause {
-	causes := make([]Cause, len(candIDs))
-	for i, id := range candIDs {
-		contingency := make([]int, 0, len(candIDs)-1)
-		for _, other := range candIDs {
-			if other != id {
-				contingency = append(contingency, other)
-			}
-		}
-		causes[i] = Cause{
-			ID:             id,
-			Responsibility: 1 / float64(len(candIDs)),
-			Contingency:    contingency,
-			Counterfactual: len(candIDs) == 1,
-		}
-	}
-	sortCauses(causes)
-	return causes
 }
 
 // NaiveII is the certain-data baseline of Section 5.4: it collects the

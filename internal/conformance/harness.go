@@ -69,17 +69,17 @@ func rebuildIncremental(t *testing.T, base crsky.Explainer, rest []crsky.InsertS
 	t.Helper()
 	eng := base
 	for i, spec := range rest {
-		ne, _, err := eng.(crsky.Mutable).WithInsert(spec)
+		ne, _, err := eng.WithInsert(spec)
 		if err != nil {
 			t.Fatalf("incremental insert %d: %v", i, err)
 		}
 		eng = ne
 	}
-	ne, id, err := eng.(crsky.Mutable).WithInsert(decoy)
+	ne, id, err := eng.WithInsert(decoy)
 	if err != nil {
 		t.Fatalf("decoy insert: %v", err)
 	}
-	eng, err = ne.(crsky.Mutable).WithDelete(id)
+	eng, err = ne.WithDelete(id)
 	if err != nil {
 		t.Fatalf("decoy delete: %v", err)
 	}

@@ -112,7 +112,7 @@ type namedEngine struct {
 // range as well as at its end.
 func derivedEngines(t *testing.T, rng *rand.Rand, base, incremental crsky.Explainer) []namedEngine {
 	t.Helper()
-	del, err := base.(crsky.Mutable).WithDelete(rng.Intn(base.Len()))
+	del, err := base.WithDelete(rng.Intn(base.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}

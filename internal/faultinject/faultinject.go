@@ -246,36 +246,28 @@ func (f *faultyEngine) VerifyCtx(ctx context.Context, q crsky.Point, alpha float
 	return f.inner.VerifyCtx(ctx, q, alpha, res)
 }
 
-// WithInsert implements crsky.Mutable: the insert may fail or panic before
-// reaching the real engine, and a successful successor engine is wrapped
-// with the same injector so faults persist across generations.
+// WithInsert may fail or panic before reaching the real engine, and a
+// successful successor engine is wrapped with the same injector so faults
+// persist across generations.
 func (f *faultyEngine) WithInsert(spec crsky.InsertSpec) (crsky.Explainer, int, error) {
-	m, ok := f.inner.(crsky.Mutable)
-	if !ok {
-		return nil, 0, crsky.ErrUnsupported
-	}
 	if err := f.in.Err("insert"); err != nil {
 		return nil, 0, err
 	}
 	f.in.MaybePanic("insert")
-	ne, id, err := m.WithInsert(spec)
+	ne, id, err := f.inner.WithInsert(spec)
 	if err != nil {
 		return nil, 0, err
 	}
 	return Wrap(ne, f.in), id, nil
 }
 
-// WithDelete implements crsky.Mutable; see WithInsert.
+// WithDelete is WithInsert's delete counterpart.
 func (f *faultyEngine) WithDelete(id int) (crsky.Explainer, error) {
-	m, ok := f.inner.(crsky.Mutable)
-	if !ok {
-		return nil, crsky.ErrUnsupported
-	}
 	if err := f.in.Err("delete"); err != nil {
 		return nil, err
 	}
 	f.in.MaybePanic("delete")
-	ne, err := m.WithDelete(id)
+	ne, err := f.inner.WithDelete(id)
 	if err != nil {
 		return nil, err
 	}

@@ -15,11 +15,11 @@ import (
 
 // This file is the dynamic data plane's HTTP surface: object inserts and
 // deletes on registered datasets. A mutation flows copy-on-write through
-// crsky.Mutable — the successor engine shares index structure with its
-// predecessor, in-flight queries keep reading the generation they
-// resolved — and, with a store attached, is durable before it is visible:
-// the WAL append is the commit point, and a mutation whose append fails
-// is discarded, not applied.
+// the engine's WithInsert/WithDelete — the successor engine shares index
+// structure with its predecessor, in-flight queries keep reading the
+// generation they resolved — and, with a store attached, is durable before
+// it is visible: the WAL append is the commit point, and a mutation whose
+// append fails is discarded, not applied.
 
 // ObjectInsertRequest is the POST /v2/datasets/{name}/objects body.
 // Exactly one payload field must be set, matching the dataset's model:
@@ -45,10 +45,10 @@ type MutationResponse struct {
 }
 
 // encodeMutationPayload renders the durable form of an insert: a 0x00 tag
-// byte and the JSON of the validated request spec (a 2-d point takes
-// about 50 bytes). Replaying it through insertSpec rebuilds the identical
-// object — JSON round-trips every finite float64 exactly — which is what
-// recovery reconvergence relies on.
+// byte and the JSON of the request spec (a 2-d point takes about 50
+// bytes). The live insert applies this payload, decoded, through
+// applyMutation exactly as replay does, so recovery rebuilds the identical
+// object; JSON also round-trips every finite float64 exactly.
 func encodeMutationPayload(req *ObjectInsertRequest) ([]byte, error) {
 	data, err := json.Marshal(req)
 	if err != nil {
@@ -78,8 +78,8 @@ func decodeMutationPayload(data []byte) (*ObjectInsertRequest, error) {
 }
 
 // insertSpec validates the request payload against the dataset model and
-// builds the engine-level spec. Mirrors the registration-time validation
-// in buildEntry's helpers.
+// builds the engine-level spec with registration's sample and pdf
+// converters.
 func insertSpec(model string, req *ObjectInsertRequest) (crsky.InsertSpec, error) {
 	var spec crsky.InsertSpec
 	set := 0
@@ -95,6 +95,7 @@ func insertSpec(model string, req *ObjectInsertRequest) (crsky.InsertSpec, error
 	if set != 1 {
 		return spec, fmt.Errorf("exactly one of point, samples, or pdf must be set")
 	}
+	var err error
 	switch model {
 	case ModelCertain:
 		if len(req.Point) == 0 {
@@ -105,27 +106,13 @@ func insertSpec(model string, req *ObjectInsertRequest) (crsky.InsertSpec, error
 		if len(req.Samples) == 0 {
 			return spec, fmt.Errorf("sample dataset insert takes samples")
 		}
-		samples := make([]crsky.Sample, len(req.Samples))
-		for i, s := range req.Samples {
-			samples[i] = crsky.Sample{P: s.P, Loc: geom.Point(s.Loc)}
-		}
-		spec.Samples = samples
+		spec.Samples = samples(req.Samples)
 	case ModelPDF:
 		if req.PDF == nil {
 			return spec, fmt.Errorf("pdf dataset insert takes a pdf object")
 		}
-		p := req.PDF
-		if len(p.Min) == 0 || len(p.Min) != len(p.Max) {
-			return spec, fmt.Errorf("pdf object: min/max must be equal-length and non-empty")
-		}
-		region := geom.NewRect(geom.Point(p.Min), geom.Point(p.Max))
-		switch p.Kind {
-		case "uniform", "":
-			spec.PDF = crsky.NewUniformPDFObject(0, region)
-		case "gaussian":
-			spec.PDF = crsky.NewGaussianPDFObject(0, region, geom.Point(p.Mean), geom.Point(p.Sigma))
-		default:
-			return spec, fmt.Errorf("pdf object: unknown kind %q (want uniform or gaussian)", p.Kind)
+		if spec.PDF, err = pdfObject(0, *req.PDF); err != nil {
+			return spec, fmt.Errorf("pdf object: %w", err)
 		}
 	default:
 		return spec, fmt.Errorf("dataset model %q does not accept mutations", model)
@@ -173,12 +160,14 @@ type mutationResult struct {
 	hasMBR bool
 }
 
-// mutate applies one object mutation under the registry's write lock:
-// validate against the live entry, build the copy-on-write successor
-// engine, commit to the WAL (durable before visible), then install the
-// successor under a fresh generation. In-flight requests keep the entry
-// they resolved; the generation in every cache key retires stale results.
-func (r *registry) mutate(name, op string, ins *ObjectInsertRequest, delID int) (mutationResult, int, error) {
+// mutate applies one object mutation under the registry's write lock. The
+// handler has already encoded m, the WAL record; mutate applies it to the
+// live engine through applyMutation — the function recovery replays the
+// log with — stamps the ID it touched, commits the record to the WAL
+// (durable before visible), then installs the copy-on-write successor
+// under a fresh generation. In-flight requests keep the entry they
+// resolved; the generation in every cache key retires stale results.
+func (r *registry) mutate(name string, m store.Mutation) (mutationResult, int, error) {
 	var res mutationResult
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
@@ -186,43 +175,17 @@ func (r *registry) mutate(name, op string, ins *ObjectInsertRequest, delID int) 
 	if !ok {
 		return res, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name)
 	}
-	mut, ok := ent.eng.(crsky.Mutable)
-	if !ok {
-		return res, http.StatusNotImplemented,
-			fmt.Errorf("%w: dataset %q engine does not support mutations", crsky.ErrUnsupported, name)
-	}
-
-	var (
-		ne   crsky.Explainer
-		id   int
-		data []byte
-		err  error
-	)
-	switch op {
-	case store.MutInsert:
-		spec, serr := insertSpec(ent.model, ins)
-		if serr != nil {
-			return res, http.StatusBadRequest, serr
-		}
-		if ne, id, err = mut.WithInsert(spec); err != nil {
-			return res, statusFor(err), err
-		}
-		if data, err = encodeMutationPayload(ins); err != nil {
-			return res, http.StatusInternalServerError, err
-		}
-	case store.MutDelete:
-		id = delID
+	if m.Op == store.MutDelete {
 		// Capture the MBR before the delete tombstones the object.
-		res.mbr, res.hasMBR = objectMBR(ent.eng, id)
-		if ne, err = mut.WithDelete(id); err != nil {
-			return res, statusFor(err), err
-		}
-	default:
-		return res, http.StatusBadRequest, fmt.Errorf("unknown mutation op %q", op)
+		res.mbr, res.hasMBR = objectMBR(ent.eng, m.ID)
 	}
-
+	ne, id, err := applyMutation(ent.eng, ent.model, m)
+	if err != nil {
+		return res, statusFor(err), err
+	}
+	m.ID = id
 	if r.st != nil {
-		seq, serr := r.st.AppendMutation(name, store.Mutation{Op: op, ID: id, Data: data})
+		seq, serr := r.st.AppendMutation(name, m)
 		if serr != nil {
 			// The successor engine is discarded: nothing was installed, so
 			// memory and disk stay consistent (pre-mutation on both).
@@ -231,17 +194,36 @@ func (r *registry) mutate(name, op string, ins *ObjectInsertRequest, delID int) 
 		}
 		res.seq = seq
 	}
-
-	nent := &entry{name: name, model: ent.model, gen: r.gen.Add(1), size: ne.Len(), dims: ent.dims, eng: ne,
-		accesses: ent.accesses}
-	r.mu.Lock()
-	r.m[name] = nent
-	r.mu.Unlock()
+	nent := &entry{name: name, model: ent.model, size: ne.Len(), dims: ent.dims, eng: ne, accesses: ent.accesses}
+	r.install(nent)
 	res.ent, res.id = nent, id
-	if op == store.MutInsert {
+	if m.Op == store.MutInsert {
 		res.mbr, res.hasMBR = objectMBR(ne, id)
 	}
 	return res, 0, nil
+}
+
+// applyMutation applies one mutation record to eng and returns the
+// successor engine with the object ID the mutation touched: the one apply
+// function of live mutations and recovery replay, so what a live write
+// installs is by construction what its WAL record replays to.
+func applyMutation(eng crsky.Explainer, model string, m store.Mutation) (crsky.Explainer, int, error) {
+	switch m.Op {
+	case store.MutInsert:
+		req, err := decodeMutationPayload(m.Data)
+		if err != nil {
+			return nil, 0, err
+		}
+		spec, err := insertSpec(model, req)
+		if err != nil {
+			return nil, 0, err
+		}
+		return eng.WithInsert(spec)
+	case store.MutDelete:
+		ne, err := eng.WithDelete(m.ID)
+		return ne, m.ID, err
+	}
+	return nil, 0, fmt.Errorf("unknown mutation op %q", m.Op)
 }
 
 // applyStoredMutations replays a recovered dataset's mutation log over a
@@ -252,39 +234,15 @@ func (r *registry) mutate(name, op string, ins *ObjectInsertRequest, delID int) 
 // with silently shifted IDs.
 func applyStoredMutations(e *entry, muts []store.Mutation) error {
 	for i, m := range muts {
-		mut, ok := e.eng.(crsky.Mutable)
-		if !ok {
-			return fmt.Errorf("replay mutation %d: engine does not support mutations", i)
+		ne, id, err := applyMutation(e.eng, e.model, m)
+		if err != nil {
+			return fmt.Errorf("replay mutation %d (seq %d): %w", i, m.Seq, err)
 		}
-		switch m.Op {
-		case store.MutInsert:
-			req, err := decodeMutationPayload(m.Data)
-			if err != nil {
-				return fmt.Errorf("replay mutation %d (seq %d): %w", i, m.Seq, err)
-			}
-			spec, err := insertSpec(e.model, req)
-			if err != nil {
-				return fmt.Errorf("replay mutation %d (seq %d): %w", i, m.Seq, err)
-			}
-			ne, id, err := mut.WithInsert(spec)
-			if err != nil {
-				return fmt.Errorf("replay mutation %d (seq %d): %w", i, m.Seq, err)
-			}
-			if id != m.ID {
-				return fmt.Errorf("replay divergence: mutation %d (seq %d) inserted as id %d, log says %d",
-					i, m.Seq, id, m.ID)
-			}
-			e.eng = ne
-		case store.MutDelete:
-			ne, err := mut.WithDelete(m.ID)
-			if err != nil {
-				return fmt.Errorf("replay mutation %d (seq %d): %w", i, m.Seq, err)
-			}
-			e.eng = ne
-		default:
-			return fmt.Errorf("replay mutation %d: unknown op %q", i, m.Op)
+		if id != m.ID {
+			return fmt.Errorf("replay divergence: mutation %d (seq %d) inserted as id %d, log says %d",
+				i, m.Seq, id, m.ID)
 		}
-		e.size = e.eng.Len()
+		e.eng, e.size = ne, ne.Len()
 	}
 	return nil
 }
@@ -298,7 +256,12 @@ func (s *Server) handleObjectInsert(w http.ResponseWriter, r *http.Request) {
 		s.writeDecodeError(w, err)
 		return
 	}
-	res, status, err := s.reg.mutate(name, store.MutInsert, &req, -1)
+	data, err := encodeMutationPayload(&req)
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	res, status, err := s.reg.mutate(name, store.Mutation{Op: store.MutInsert, Data: data})
 	if err != nil {
 		s.writeError(w, status, err)
 		return
@@ -313,7 +276,7 @@ func (s *Server) handleObjectDelete(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad object id %q", r.PathValue("id")))
 		return
 	}
-	res, status, merr := s.reg.mutate(name, store.MutDelete, nil, id)
+	res, status, merr := s.reg.mutate(name, store.Mutation{Op: store.MutDelete, ID: id})
 	if merr != nil {
 		s.writeError(w, status, merr)
 		return

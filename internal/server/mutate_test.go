@@ -540,7 +540,7 @@ func TestWatchTombstonedInRound(t *testing.T) {
 
 			// Commit the delete of the watched object without notifying
 			// the hub, then run a round for an earlier, window-less notice.
-			res, _, err := s.reg.mutate(req.Name, store.MutDelete, nil, 1)
+			res, _, err := s.reg.mutate(req.Name, store.Mutation{Op: store.MutDelete, ID: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

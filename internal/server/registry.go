@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,11 +10,8 @@ import (
 
 	crsky "github.com/crsky/crsky"
 	"github.com/crsky/crsky/internal/causality"
-	"github.com/crsky/crsky/internal/dataset"
-	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/stats"
 	"github.com/crsky/crsky/internal/store"
-	"github.com/crsky/crsky/internal/uncertain"
 )
 
 // entry is one registered dataset with its warmed engine behind the
@@ -128,179 +126,80 @@ func (r *registry) remove(name string) (bool, error) {
 	return ok, nil
 }
 
-// register builds, warms, and installs the dataset described by req,
-// replacing any same-named predecessor. With a store attached the dataset
-// is made durable FIRST: a registration is acknowledged only after its WAL
-// append, so an acknowledged dataset survives a crash.
+// register decodes, builds, warms, and installs the dataset described by
+// req, replacing any same-named predecessor. With a store attached the
+// dataset is made durable FIRST: a registration is acknowledged only after
+// its WAL append, so an acknowledged dataset survives a crash.
 func (r *registry) register(req *DatasetRequest) (*entry, error) {
 	name := strings.TrimSpace(req.Name)
 	if name == "" {
 		return nil, fmt.Errorf("dataset name is required")
 	}
-	e, err := buildEntry(req)
+	in, err := decodeDataset(req.Model, req, nil)
 	if err != nil {
 		return nil, err
 	}
-	if r.wrap != nil {
-		e.eng = r.wrap(e.eng)
+	e, err := r.build(name, in)
+	if err != nil {
+		return nil, err
 	}
-	e.name = name
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
 	if r.st != nil {
-		model, data, err := encodeStorePayload(req)
-		if err != nil {
+		var payload bytes.Buffer
+		if err := in.save(&payload); err != nil {
 			return nil, err
 		}
-		if err := r.st.Put(name, model, data); err != nil {
+		if err := r.st.Put(name, in.model, payload.Bytes()); err != nil {
 			return nil, fmt.Errorf("durable write failed, dataset not registered: %w", err)
 		}
 	}
-	e.gen = r.gen.Add(1)
-	r.mu.Lock()
-	r.m[name] = e
-	r.mu.Unlock()
+	r.install(e)
 	return e, nil
 }
 
 // installStored rebuilds and installs one recovered dataset without
 // re-writing it — the startup path over the store's recovered state.
 func (r *registry) installStored(d store.Dataset) error {
-	req, err := decodeStoreDataset(d)
+	in, err := decodeDataset(d.Model, nil, d.Data)
 	if err != nil {
 		return err
 	}
-	e, err := buildEntry(req)
+	e, err := r.build(d.Name, in)
 	if err != nil {
 		return err
 	}
-	if r.wrap != nil {
-		e.eng = r.wrap(e.eng)
-	}
-	e.name = d.Name
-	// Replay the recovered mutation log over the rebuilt base: the same
-	// copy-on-write path the live endpoints take, so recovery reconverges
-	// to the exact pre-crash engine (IDs, tombstones, and all).
+	// Replay the recovered mutation log over the rebuilt base through the
+	// function the live endpoints apply, so recovery reconverges to the
+	// exact pre-crash engine (IDs, tombstones, and all).
 	if err := applyStoredMutations(e, d.Muts); err != nil {
 		return err
 	}
-	e.gen = r.gen.Add(1)
-	r.mu.Lock()
-	r.m[d.Name] = e
-	r.mu.Unlock()
+	r.install(e)
 	return nil
 }
 
-func buildEntry(req *DatasetRequest) (*entry, error) {
-	model := req.Model
-	if model == "uncertain" {
-		model = ModelSample
-	}
-	// Registration is the single place that knows the three concrete
-	// engine types; everything downstream sees crsky.Explainer.
-	var eng crsky.Explainer
-	switch model {
-	case ModelCertain:
-		pts, err := certainPoints(req)
-		if err != nil {
-			return nil, err
-		}
-		ce, err := crsky.NewCertainEngine(pts)
-		if err != nil {
-			return nil, err
-		}
-		eng = ce
-
-	case ModelSample:
-		objs, err := sampleObjects(req)
-		if err != nil {
-			return nil, err
-		}
-		se, err := crsky.NewEngine(objs)
-		if err != nil {
-			return nil, err
-		}
-		eng = se
-
-	case ModelPDF:
-		objs, err := pdfObjects(req)
-		if err != nil {
-			return nil, err
-		}
-		pe, err := crsky.NewPDFEngine(objs)
-		if err != nil {
-			return nil, err
-		}
-		eng = pe
-
-	default:
-		return nil, fmt.Errorf("unknown model %q (want certain, sample, or pdf)", req.Model)
+// build is the build step registration and recovery share: it builds and
+// warms the engine of one decoded dataset, wrapped when fault injection is
+// on.
+func (r *registry) build(name string, in *engineInput) (*entry, error) {
+	eng, err := in.build()
+	if err != nil {
+		return nil, err
 	}
 	eng.Warm()
-	return &entry{model: model, size: eng.Len(), dims: eng.Dims(), eng: eng, accesses: new(stats.Counter)}, nil
+	e := &entry{name: name, model: in.model, size: eng.Len(), dims: eng.Dims(), eng: eng, accesses: new(stats.Counter)}
+	if r.wrap != nil {
+		e.eng = r.wrap(eng)
+	}
+	return e, nil
 }
 
-func certainPoints(req *DatasetRequest) ([]geom.Point, error) {
-	if req.CSV != "" {
-		ds, err := dataset.LoadCertainCSV(strings.NewReader(req.CSV))
-		if err != nil {
-			return nil, err
-		}
-		return ds.Points, nil
-	}
-	if len(req.Points) == 0 {
-		return nil, fmt.Errorf("certain dataset needs points or csv")
-	}
-	pts := make([]geom.Point, len(req.Points))
-	for i, p := range req.Points {
-		pts[i] = geom.Point(p)
-	}
-	return pts, nil
-}
-
-func sampleObjects(req *DatasetRequest) ([]*uncertain.Object, error) {
-	if req.CSV != "" {
-		ds, err := dataset.LoadUncertainCSV(strings.NewReader(req.CSV))
-		if err != nil {
-			return nil, err
-		}
-		return ds.Objects, nil
-	}
-	if len(req.Objects) == 0 {
-		return nil, fmt.Errorf("sample dataset needs objects or csv")
-	}
-	objs := make([]*uncertain.Object, len(req.Objects))
-	for i, spec := range req.Objects {
-		samples := make([]uncertain.Sample, len(spec.Samples))
-		for j, s := range spec.Samples {
-			samples[j] = uncertain.Sample{Loc: geom.Point(s.Loc), P: s.P}
-		}
-		objs[i] = uncertain.New(i, samples)
-	}
-	return objs, nil
-}
-
-func pdfObjects(req *DatasetRequest) ([]*uncertain.PDFObject, error) {
-	if req.CSV != "" {
-		return nil, fmt.Errorf("pdf datasets have no csv format; use pdfObjects")
-	}
-	if len(req.PDFObjects) == 0 {
-		return nil, fmt.Errorf("pdf dataset needs pdfObjects")
-	}
-	objs := make([]*uncertain.PDFObject, len(req.PDFObjects))
-	for i, spec := range req.PDFObjects {
-		if len(spec.Min) == 0 || len(spec.Min) != len(spec.Max) {
-			return nil, fmt.Errorf("pdf object %d: min/max must be equal-length and non-empty", i)
-		}
-		region := geom.NewRect(geom.Point(spec.Min), geom.Point(spec.Max))
-		switch spec.Kind {
-		case "uniform", "":
-			objs[i] = crsky.NewUniformPDFObject(i, region)
-		case "gaussian":
-			objs[i] = crsky.NewGaussianPDFObject(i, region, geom.Point(spec.Mean), geom.Point(spec.Sigma))
-		default:
-			return nil, fmt.Errorf("pdf object %d: unknown kind %q (want uniform or gaussian)", i, spec.Kind)
-		}
-	}
-	return objs, nil
+// install publishes e under a fresh generation, replacing any same-named
+// entry — the install step of registration, recovery and every mutation.
+func (r *registry) install(e *entry) {
+	e.gen = r.gen.Add(1)
+	r.mu.Lock()
+	r.m[e.name] = e
+	r.mu.Unlock()
 }

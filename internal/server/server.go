@@ -372,8 +372,6 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, causality.ErrBadObject):
 		return http.StatusNotFound
-	case errors.Is(err, crsky.ErrUnsupported):
-		return http.StatusNotImplemented
 	case errors.Is(err, faultinject.ErrInjected):
 		return http.StatusInternalServerError
 	case errors.Is(err, causality.ErrNotNonAnswer),

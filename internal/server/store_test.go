@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,7 +14,9 @@ import (
 
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/faultinject"
+	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/store"
+	"github.com/crsky/crsky/internal/uncertain"
 )
 
 // storeRequests builds one small registration request per model, all 2-D
@@ -387,5 +391,122 @@ func TestRegisterFailsClosedWhenStoreDead(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "datasets", "d.snap")); err == nil {
 		t.Fatal("failed registration must not leave a snapshot")
+	}
+}
+
+// TestStoredPayloadPinned pins the durable payload of each model: the
+// bytes registration hands store.Put are SaveCertainGob or SaveUncertainGob
+// of the parsed input, or the gob of the pdf specs, whether the dataset
+// arrived as CSV or as JSON. A data directory written in that form
+// directly, without a server, recovers to engines that answer like a
+// fresh registration of the same requests.
+func TestStoredPayloadPinned(t *testing.T) {
+	cds, err := dataset.GenerateCertain(dataset.CertainConfig{N: 60, Dims: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uds, err := dataset.GenerateUncertain(dataset.UncertainConfig{N: 30, Dims: 2, RMax: 400, Seed: 9, Samples: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var certainCSV, sampleCSV strings.Builder
+	if err := dataset.SaveCertainCSV(&certainCSV, cds); err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.SaveUncertainCSV(&sampleCSV, uds); err != nil {
+		t.Fatal(err)
+	}
+	certainGob := func(ds *dataset.Certain, err error) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err == nil {
+			err = dataset.SaveCertainGob(&buf, ds)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	sampleGob := func(ds *dataset.Uncertain, err error) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err == nil {
+			err = dataset.SaveUncertainGob(&buf, ds)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	reqs := storeRequests(t)
+	var specsGob bytes.Buffer
+	if err := gob.NewEncoder(&specsGob).Encode(reqs[2].PDFObjects); err != nil {
+		t.Fatal(err)
+	}
+	points := make([]geom.Point, len(reqs[0].Points))
+	for i, p := range reqs[0].Points {
+		points[i] = p
+	}
+	sampleObjs := make([]*uncertain.Object, len(reqs[1].Objects))
+	for i, o := range reqs[1].Objects {
+		ss := make([]uncertain.Sample, len(o.Samples))
+		for j, s := range o.Samples {
+			ss[j] = uncertain.Sample{P: s.P, Loc: s.Loc}
+		}
+		sampleObjs[i] = uncertain.New(i, ss)
+	}
+	cases := []struct {
+		req   *DatasetRequest
+		model string
+		want  []byte
+		query *QueryRequest
+	}{
+		{reqs[0], ModelCertain, certainGob(dataset.NewCertain(points)), storeQueryFor(reqs[0])},
+		{reqs[1], ModelSample, sampleGob(dataset.NewUncertain(sampleObjs)), storeQueryFor(reqs[1])},
+		{reqs[2], ModelPDF, specsGob.Bytes(), storeQueryFor(reqs[2])},
+		{&DatasetRequest{Name: "cert-csv", Model: ModelCertain, CSV: certainCSV.String()}, ModelCertain,
+			certainGob(dataset.LoadCertainCSV(strings.NewReader(certainCSV.String()))),
+			&QueryRequest{Dataset: "cert-csv", Q: []float64{5000, 5000}, NoCache: true}},
+		{&DatasetRequest{Name: "samp-csv", Model: "uncertain", CSV: sampleCSV.String()}, ModelSample,
+			sampleGob(dataset.LoadUncertainCSV(strings.NewReader(sampleCSV.String()))),
+			&QueryRequest{Dataset: "samp-csv", Q: []float64{2500, 2500}, Alpha: 0.3, NoCache: true}},
+	}
+
+	st := openStore(t, t.TempDir())
+	reg := newTestClient(t, New(Config{Store: st}))
+	fresh := newTestClient(t, New(Config{}))
+	written := t.TempDir()
+	wst := openStore(t, written)
+	for _, c := range cases {
+		reg.post("/v1/datasets", c.req, nil, http.StatusCreated)
+		fresh.post("/v1/datasets", c.req, nil, http.StatusCreated)
+		got, ok := st.Get(c.req.Name)
+		if !ok || got.Model != c.model || !bytes.Equal(got.Data, c.want) {
+			t.Fatalf("%s: stored model %q and %d payload bytes, want model %q and the %d bytes of the parsed input",
+				c.req.Name, got.Model, len(got.Data), c.model, len(c.want))
+		}
+		if err := wst.Put(c.req.Name, c.model, c.want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wst.Close()
+
+	s := New(Config{Store: openStore(t, written)})
+	if loaded, quarantined, err := s.LoadFromStore(); err != nil || loaded != len(cases) || len(quarantined) != 0 {
+		t.Fatalf("LoadFromStore = %d loaded, %v quarantined, err %v", loaded, quarantined, err)
+	}
+	recovered := newTestClient(t, s)
+	for _, c := range cases {
+		_, wantInfo := fresh.do(http.MethodGet, "/v1/datasets/"+c.req.Name, nil)
+		_, gotInfo := recovered.do(http.MethodGet, "/v1/datasets/"+c.req.Name, nil)
+		if stripGen(gotInfo) != stripGen(wantInfo) {
+			t.Errorf("%s: recovered info %s, fresh registration %s", c.req.Name, gotInfo, wantInfo)
+		}
+		wresp, wantAns := fresh.do(http.MethodPost, "/v1/query", c.query)
+		gresp, gotAns := recovered.do(http.MethodPost, "/v1/query", c.query)
+		if wresp.StatusCode != http.StatusOK || gresp.StatusCode != http.StatusOK || stripGen(gotAns) != stripGen(wantAns) {
+			t.Errorf("%s: recovered answers %d %s, fresh registration %d %s",
+				c.req.Name, gresp.StatusCode, gotAns, wresp.StatusCode, wantAns)
+		}
 	}
 }

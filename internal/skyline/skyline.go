@@ -137,24 +137,16 @@ func (ix *Index) Len() int { return ix.n }
 
 // Member reports whether point i is a reverse skyline point of q (Lemma 7:
 // no point dominates q w.r.t. it), with the node accesses of its one window
-// query on the dominance rectangle DomRect(Point(i), q), which stops at the
-// first dominator found. Deleted points are never members.
+// query: Dominators's scan, stopped at the first dominator found. Deleted
+// points are never members.
 func (ix *Index) Member(i int, q geom.Point) (bool, int64) {
-	p := ix.Point(i)
-	if p == nil {
+	if ix.Point(i) == nil {
 		return false, 0
 	}
-	window := geom.DomRectOuter(p, q)
 	member := true
-	accesses := ix.tree.Search(window, func(id int, _ geom.Rect) bool {
-		if id == i {
-			return true
-		}
-		if geom.DynDominates(ix.Point(id), q, p) {
-			member = false
-			return false
-		}
-		return true
+	accesses := ix.scanDominators(i, q, func(int) bool {
+		member = false
+		return false
 	})
 	return member, accesses
 }
@@ -164,17 +156,24 @@ func (ix *Index) Member(i int, q geom.Point) (bool, int64) {
 // a non-reverse-skyline object (single window query, Lemma 1 restated for
 // certain data) — and the node accesses of that window query.
 func (ix *Index) Dominators(i int, q geom.Point) ([]int, int64) {
-	p := ix.Point(i)
-	if p == nil {
-		return nil, 0
-	}
-	window := geom.DomRectOuter(p, q)
 	var out []int
-	accesses := ix.tree.Search(window, func(id int, _ geom.Rect) bool {
-		if id != i && geom.DynDominates(ix.Point(id), q, p) {
-			out = append(out, id)
-		}
+	accesses := ix.scanDominators(i, q, func(id int) bool {
+		out = append(out, id)
 		return true
 	})
 	return out, accesses
+}
+
+// scanDominators runs the window query on the dominance rectangle
+// DomRect(Point(i), q) and calls emit with each point that dynamically
+// dominates q w.r.t. point i; emit returning false stops the query. It
+// returns the query's node accesses (0 for a deleted point).
+func (ix *Index) scanDominators(i int, q geom.Point, emit func(id int) bool) int64 {
+	p := ix.Point(i)
+	if p == nil {
+		return 0
+	}
+	return ix.tree.Search(geom.DomRectOuter(p, q), func(id int, _ geom.Rect) bool {
+		return id == i || !geom.DynDominates(ix.Point(id), q, p) || emit(id)
+	})
 }

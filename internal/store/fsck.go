@@ -58,8 +58,7 @@ func (r *FsckReport) Healthy() bool {
 	return true
 }
 
-// Format renders the report for humans (the crskyd fsck / crsky store
-// output).
+// Format renders the report for humans (the crskyd fsck output).
 func (r *FsckReport) Format(w io.Writer) {
 	fmt.Fprintf(w, "store %s\n", r.Dir)
 	for _, s := range r.Snapshots {

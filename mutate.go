@@ -29,10 +29,9 @@ type InsertSpec struct {
 	PDF *PDFObject
 }
 
-// Mutable is the optional v2 mutation surface. The three built-in engines
-// implement it; serving layers discover support with a type assertion and
-// answer ErrUnsupported for third-party Explainer implementations that
-// do not.
+// Mutable is the v2 mutation surface. Explainer embeds it, so all three
+// engines implement it and a caller holding an Explainer mutates without a
+// type assertion; the named interface remains for code that asserts it.
 type Mutable interface {
 	// WithInsert returns a new engine with one more object, appended under
 	// the next positional ID (returned). The receiver is unchanged.
@@ -42,13 +41,6 @@ type Mutable interface {
 	// receiver is unchanged.
 	WithDelete(id int) (Explainer, error)
 }
-
-// Compile-time conformance of all three engines.
-var (
-	_ Mutable = (*Engine)(nil)
-	_ Mutable = (*CertainEngine)(nil)
-	_ Mutable = (*PDFEngine)(nil)
-)
 
 // check validates that the spec carries exactly the payload its engine
 // model needs. want names the required field for the error message.

@@ -51,13 +51,6 @@ import (
 // paths).
 type CanceledError = ctxutil.CanceledError
 
-// ErrUnsupported reports a v2 operation an engine cannot provide. All
-// three built-in engines now implement the full Explainer surface —
-// including verification and repair on the pdf model — so none of them
-// returns it; the sentinel remains for third-party Explainer
-// implementations. Test with errors.Is.
-var ErrUnsupported = errors.New("crsky: operation not supported by this engine")
-
 // ErrBadAlpha reports a probability threshold outside the engine's domain:
 // (0, 1] for the probabilistic engines, exactly 1 for CertainEngine.
 var ErrBadAlpha = errors.New("crsky: alpha out of range for this engine")
@@ -131,10 +124,13 @@ type Querier interface {
 	ProbCtx(ctx context.Context, id int, q Point, opts QueryOptions) (float64, QueryStats, error)
 }
 
-// Explainer is the full v2 engine surface: queries plus causality
-// explanations, minimal repairs, and independent verification.
+// Explainer is the full v2 engine surface: queries, copy-on-write
+// mutations, causality explanations, minimal repairs, and independent
+// verification. All three engines implement all of it, so a caller holding
+// an Explainer needs no type assertion to insert or delete objects.
 type Explainer interface {
 	Querier
+	Mutable
 	// ExplainCtx computes the causality and responsibility for non-answer
 	// id (ErrNotNonAnswer if it is an answer).
 	ExplainCtx(ctx context.Context, id int, q Point, alpha float64, opts Options) (*Explanation, error)
