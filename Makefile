@@ -81,7 +81,7 @@ watch-smoke:
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzJoinSelfStream$$' -fuzztime 15s ./internal/rtree/
 	go test -run '^$$' -fuzz '^FuzzInsertSearch$$' -fuzztime 15s ./internal/rtree/
-	go test -run '^$$' -fuzz '^FuzzQuadratureMemo$$' -fuzztime 15s ./internal/uncertain/
+	go test -run '^$$' -fuzz '^FuzzQuadrature$$' -fuzztime 15s ./internal/uncertain/
 	go test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 15s ./internal/store/
 	go test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 15s ./internal/store/
 	go test -run '^$$' -fuzz '^FuzzDomRect$$' -fuzztime 15s ./internal/geom/
@@ -137,8 +137,9 @@ bench-explain:
 	go run ./cmd/experiments -exp explain -scale 1
 
 # Re-measure into a scratch file and fail against the committed
-# BENCH_explain.json on a >20% drop in speedup-vs-naive (hardware-neutral),
-# any growth in SubsetsExamined on any cell (deterministic), or a bb
+# BENCH_explain.json on a >20% drop in speedup-vs-naive (hardware-neutral: a
+# ratio of process CPU times, the variants taking interleaved turns within
+# a run), any growth in SubsetsExamined on any cell (deterministic), or a bb
 # cell that stops examining strictly fewer subsets than old-refiner,
 # bb-norepairseed or bb-noadmissible in its config.
 bench-explain-check:

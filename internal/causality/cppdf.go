@@ -143,6 +143,24 @@ func (s *PDFSet) FilterCandidates(q geom.Point, anID int) ([]int, int64) {
 	return ids, accesses
 }
 
+// evaluator builds the quadrature-backed evaluator of an over the filter's
+// candidates candIDs. The evaluator gives no row to a candidate with zero
+// dominance mass (a region that touches a filter rectangle but never
+// dominates q), so such candidates are dropped from candIDs in place and
+// the refinement space stays tight. The returned IDs and objects are the
+// evaluator's rows, in order.
+func (s *PDFSet) evaluator(an *uncertain.PDFObject, q geom.Point, candIDs []int, quadNodes int) (*prob.Evaluator, []int, []*uncertain.PDFObject) {
+	cands := make([]*uncertain.PDFObject, len(candIDs))
+	for i, id := range candIDs {
+		cands[i] = s.Objects[id]
+	}
+	e, kept := prob.NewPDFEvaluator(an, q, cands, quadNodes)
+	for i, j := range kept {
+		candIDs[i], cands[i] = candIDs[j], cands[j]
+	}
+	return e, candIDs[:len(kept)], cands[:len(kept)]
+}
+
 // CPPDF is the continuous-pdf variant of CP (Section 3.2). The three
 // differences from the discrete algorithm are exactly the paper's:
 //
@@ -190,29 +208,7 @@ func CPPDFCtx(ctx context.Context, s *PDFSet, q geom.Point, anID int, alpha floa
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooManyCandidates, len(candIDs), opts.MaxCandidates)
 	}
 
-	cands := make([]*uncertain.PDFObject, len(candIDs))
-	for i, id := range candIDs {
-		cands[i] = s.Objects[id]
-	}
-	e := prob.NewPDFEvaluator(an, q, cands, quadNodes)
-
-	// Drop geometric false positives (regions touching a filter rectangle
-	// with zero dominance mass) so the refinement space stays tight.
-	keptRows := 0
-	for j := range cands {
-		if !e.NeverDominates(j) {
-			candIDs[keptRows] = candIDs[j]
-			cands[keptRows] = cands[j]
-			keptRows++
-		}
-	}
-	wasN := e.N()
-	candIDs = candIDs[:keptRows]
-	cands = cands[:keptRows]
-	if keptRows != wasN {
-		e = prob.NewPDFEvaluator(an, q, cands, quadNodes)
-	}
-
+	e, candIDs, cands := s.evaluator(an, q, candIDs, quadNodes)
 	pr := e.Pr()
 	if prob.GEq(pr, alpha) {
 		return nil, fmt.Errorf("%w: Pr=%.6g, α=%.6g", ErrNotNonAnswer, pr, alpha)

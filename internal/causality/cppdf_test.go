@@ -3,6 +3,7 @@ package causality
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -219,5 +220,74 @@ func TestPDFSetTree(t *testing.T) {
 	}
 	if s.Len() != 50 || s.Dims() != 2 {
 		t.Fatalf("Len/Dims = %d/%d", s.Len(), s.Dims())
+	}
+}
+
+// TestPDFEvaluatorMatchesDropAndRebuild holds PDFSet.evaluator, which
+// leaves zero-mass candidates out while it builds the matrix, bit-identical
+// to building an evaluator over every filter candidate, dropping the rows
+// without dominance mass and rebuilding over the rest: the kept IDs, Pr and
+// every PrWithout(j) must match exactly, on random cases whose filter
+// returns false positives.
+func TestPDFEvaluatorMatchesDropAndRebuild(t *testing.T) {
+	r := rand.New(rand.NewSource(97))
+	const nodes = 8
+	withFalsePositives := 0
+	for trial := 0; trial < 120; trial++ {
+		kind := [2]uncertain.PDFKind{uncertain.Uniform, uncertain.Gaussian}[trial%2]
+		d := 1 + r.Intn(3)
+		s := randPDFSet(r, 120, d, kind)
+		q := make(geom.Point, d)
+		for j := range q {
+			q[j] = r.Float64() * 60
+		}
+		anID := r.Intn(s.Len())
+		an := s.Objects[anID]
+		candIDs, _ := s.FilterCandidates(q, anID)
+
+		rule := an.Quadrature(nodes)
+		weights := make([]float64, len(rule))
+		for i, n := range rule {
+			weights[i] = n.W
+		}
+		var wantIDs []int
+		var wantRows [][]float64
+		for _, id := range candIDs {
+			row := make([]float64, len(rule))
+			mass := false
+			for i, n := range rule {
+				row[i] = prob.DomProbPDF(s.Objects[id], n.X, q)
+				mass = mass || row[i] != 0
+			}
+			if mass {
+				wantIDs = append(wantIDs, id)
+				wantRows = append(wantRows, row)
+			}
+		}
+		if len(wantIDs) < len(candIDs) {
+			withFalsePositives++
+		}
+		want := prob.NewEvaluatorRaw(weights, wantRows)
+
+		e, gotIDs, cands := s.evaluator(an, q, append([]int(nil), candIDs...), nodes)
+		if !slices.Equal(gotIDs, wantIDs) {
+			t.Fatalf("trial %d: kept %v, want %v (filter %v)", trial, gotIDs, wantIDs, candIDs)
+		}
+		for j, c := range cands {
+			if c != s.Objects[gotIDs[j]] {
+				t.Fatalf("trial %d: row %d holds object %d, want %d", trial, j, c.ID, gotIDs[j])
+			}
+		}
+		if got, w := e.Pr(), want.Pr(); got != w {
+			t.Fatalf("trial %d: Pr %v, want %v", trial, got, w)
+		}
+		for j := range gotIDs {
+			if got, w := e.PrWithout(j), want.PrWithout(j); got != w {
+				t.Fatalf("trial %d: PrWithout(%d) %v, want %v", trial, j, got, w)
+			}
+		}
+	}
+	if withFalsePositives < 10 {
+		t.Fatalf("only %d of the cases had filter false positives", withFalsePositives)
 	}
 }

@@ -6,8 +6,6 @@ import (
 
 	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/obs"
-	"github.com/crsky/crsky/internal/prob"
-	"github.com/crsky/crsky/internal/uncertain"
 )
 
 // MinimalRepairPDF is MinimalRepair for the continuous model: a smallest
@@ -41,31 +39,10 @@ func MinimalRepairPDFCtx(ctx context.Context, s *PDFSet, q geom.Point, anID int,
 	candIDs, filterIO := s.FilterCandidates(q, anID)
 	endFilter()
 
-	cands := make([]*uncertain.PDFObject, len(candIDs))
-	for i, id := range candIDs {
-		cands[i] = s.Objects[id]
-	}
-	e := prob.NewPDFEvaluator(an, q, cands, opts.QuadNodes)
-
-	// Drop geometric false positives exactly as CPPDFCtx does: regions
-	// touching a filter rectangle with zero dominance mass can never be
-	// part of a minimum repair, and a tight pool keeps the exact phase
-	// below its enumeration threshold more often.
-	keptRows := 0
-	for j := range cands {
-		if !e.NeverDominates(j) {
-			candIDs[keptRows] = candIDs[j]
-			cands[keptRows] = cands[j]
-			keptRows++
-		}
-	}
-	wasN := e.N()
-	candIDs = candIDs[:keptRows]
-	cands = cands[:keptRows]
-	if keptRows != wasN {
-		e = prob.NewPDFEvaluator(an, q, cands, opts.QuadNodes)
-	}
-
+	// Candidates with zero dominance mass can never be part of a minimum
+	// repair, and a tight pool keeps the exact phase below its enumeration
+	// threshold more often.
+	e, candIDs, _ := s.evaluator(an, q, candIDs, opts.QuadNodes)
 	rep, err := repairCore(ctx, e, candIDs, alpha, opts)
 	if err != nil {
 		return nil, err

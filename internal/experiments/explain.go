@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"sort"
-	"time"
 
 	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/dataset"
@@ -22,15 +21,19 @@ import (
 // `make bench-explain-check`.
 const ExplainBenchFile = "BENCH_explain.json"
 
-// explainResult is one measured (config, model, variant) cell. Absolute
+// explainResult is one measured (config, model, variant) cell.
+// MsPerExplain is wall-clock time and CPUMsPerExplain the process's CPU
+// time (every thread, the garbage collector's included). Absolute
 // milliseconds are machine-bound; the hardware-neutral signals are the
-// within-run speedup columns and the deterministic SubsetsExamined count.
+// within-run speedup columns, ratios of CPU times, and the deterministic
+// SubsetsExamined count.
 type explainResult struct {
 	Config          string  `json:"config"`
 	Model           string  `json:"model"`
 	Variant         string  `json:"variant"`
 	NonAnswers      int     `json:"nonAnswers"`
 	MsPerExplain    float64 `json:"msPerExplain"`
+	CPUMsPerExplain float64 `json:"cpuMsPerExplain"`
 	SubsetsExamined int64   `json:"subsetsExamined"`
 	FilterNodeIO    int64   `json:"filterNodeAccesses"`
 	SpeedupNaive    float64 `json:"speedupVsNaive,omitempty"`
@@ -82,9 +85,10 @@ func ExplainBench(cfg Config) error {
 	report := explainReport{Experiment: "explain", Alpha: alpha, Seed: cfg.Seed}
 	tab := stats.Table{
 		Title:  "Explain: naive vs old refiner vs branch-and-bound FMCS",
-		Header: []string{"config", "model", "variant", "ms/explain", "subsets", "vs naive", "vs old"},
+		Header: []string{"config", "model", "variant", "ms/explain", "CPU ms/explain", "subsets", "vs naive", "vs old"},
 		Caption: "Identical causes and responsibilities across every row by construction; " +
-			"subsets = contingency-set verifications, the work the bounds save.",
+			"subsets = contingency-set verifications, the work the bounds save; " +
+			"speedups are ratios of CPU times over interleaved turns.",
 	}
 
 	if err := explainBenchSample(&cfg, &report, &tab, alpha); err != nil {
@@ -173,34 +177,13 @@ func explainBenchSample(cfg *Config, report *explainReport, tab *stats.Table, al
 		return fmt.Errorf("experiments: no candidate-dense non-answers found (n=%d)", n)
 	}
 
-	configName := "2k-dense"
-	var naiveMs, oldMs float64
-	for _, v := range sampleExplainVariants() {
-		cell, err := measureExplainCell(cfg, nonAnswers, func(id int) (*causality.Result, error) {
+	return measureExplainCells(cfg, report, tab, "2k-dense", "sample", nonAnswers, sampleExplainVariants(),
+		func(v explainVariant, id int) (*causality.Result, error) {
 			if v.naive {
 				return causality.NaiveI(ds, q, id, alpha, causality.Options{})
 			}
 			return causality.CP(ds, q, id, alpha, v.opts)
 		})
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", v.name, err)
-		}
-		cell.Config, cell.Model, cell.Variant = configName, "sample", v.name
-		switch v.name {
-		case "naive":
-			naiveMs = cell.MsPerExplain
-		case "old-refiner":
-			oldMs = cell.MsPerExplain
-		}
-		if v.name != "naive" && cell.MsPerExplain > 0 {
-			cell.SpeedupNaive = naiveMs / cell.MsPerExplain
-		}
-		if v.name != "naive" && v.name != "old-refiner" && cell.MsPerExplain > 0 {
-			cell.SpeedupOld = oldMs / cell.MsPerExplain
-		}
-		report.add(tab, cell)
-	}
-	return nil
 }
 
 func explainBenchPDF(cfg *Config, report *explainReport, tab *stats.Table, alpha float64) error {
@@ -251,76 +234,70 @@ func explainBenchPDF(cfg *Config, report *explainReport, tab *stats.Table, alpha
 		{name: "bb-noadmissible", opts: causality.Options{NoAdmissible: true}},
 		{name: "bb-norepairseed", opts: causality.Options{NoRepairSeed: true}},
 	}
-	configName := "pdf"
-	var oldMs float64
-	for _, v := range variants {
-		cell, err := measureExplainCell(cfg, nonAnswers, func(id int) (*causality.Result, error) {
+	return measureExplainCells(cfg, report, tab, "pdf", "pdf", nonAnswers, variants,
+		func(v explainVariant, id int) (*causality.Result, error) {
 			return causality.CPPDF(set, q, id, alpha, v.opts)
 		})
-		if err != nil {
-			return fmt.Errorf("experiments: pdf %s: %w", v.name, err)
-		}
-		cell.Config, cell.Model, cell.Variant = configName, "pdf", v.name
-		if v.name == "old-refiner" {
-			oldMs = cell.MsPerExplain
-		} else if cell.MsPerExplain > 0 {
-			cell.SpeedupOld = oldMs / cell.MsPerExplain
-		}
-		report.add(tab, cell)
-	}
-	return nil
 }
 
-// measureExplainCell times explain over the non-answers in repeated passes
-// (timedPasses) and records the first pass's deterministic counters.
-func measureExplainCell(cfg *Config, nonAnswers []int, explain func(id int) (*causality.Result, error)) (explainResult, error) {
-	cell := explainResult{NonAnswers: len(nonAnswers)}
-	perPass, err := timedPasses(cfg.minTimedPass(), func(first bool) error {
-		for _, id := range nonAnswers {
-			res, err := explain(id)
-			if err != nil {
-				return fmt.Errorf("an=%d: %w", id, err)
-			}
-			if first {
-				cell.SubsetsExamined += res.SubsetsExamined
-				cell.FilterNodeIO += res.FilterNodeAccesses
-			}
+// measureExplainCells times the variants of one config on the
+// non-answers in interleaved turns (interleavedTurns, one input per
+// non-answer) and adds a cell per variant to the report. A cell's times
+// are the mean over the non-answers of one explanation's, its
+// deterministic counters are summed over each non-answer's first
+// explanation, and its speedups are ratios of CPU times: against the
+// naive oracle and the old refiner when the config measures them.
+func measureExplainCells(cfg *Config, report *explainReport, tab *stats.Table, config, model string, nonAnswers []int,
+	variants []explainVariant, explain func(v explainVariant, id int) (*causality.Result, error)) error {
+
+	cells := make([]explainResult, len(variants))
+	tallies, err := interleavedTurns(len(variants), len(nonAnswers), cfg.minCellTime(), func(i, k int, first bool) error {
+		res, err := explain(variants[i], nonAnswers[k])
+		if err != nil {
+			return fmt.Errorf("experiments: %s %s: an=%d: %w", config, variants[i].name, nonAnswers[k], err)
+		}
+		if first {
+			cells[i].SubsetsExamined += res.SubsetsExamined
+			cells[i].FilterNodeIO += res.FilterNodeAccesses
 		}
 		return nil
 	})
-	cell.MsPerExplain = ms(perPass) / float64(len(nonAnswers))
-	return cell, err
+	if err != nil {
+		return err
+	}
+	var naiveCPU, oldCPU float64
+	for i, v := range variants {
+		c := &cells[i]
+		c.Config, c.Model, c.Variant, c.NonAnswers = config, model, v.name, len(nonAnswers)
+		c.MsPerExplain = ms(tallies[i].wall)
+		c.CPUMsPerExplain = ms(tallies[i].cpu)
+		switch v.name {
+		case "naive":
+			naiveCPU = c.CPUMsPerExplain
+		case "old-refiner":
+			oldCPU = c.CPUMsPerExplain
+		}
+	}
+	for i, v := range variants {
+		c := &cells[i]
+		if v.name != "naive" && naiveCPU > 0 && c.CPUMsPerExplain > 0 {
+			c.SpeedupNaive = naiveCPU / c.CPUMsPerExplain
+		}
+		if v.name != "naive" && v.name != "old-refiner" && oldCPU > 0 && c.CPUMsPerExplain > 0 {
+			c.SpeedupOld = oldCPU / c.CPUMsPerExplain
+		}
+		report.add(tab, *c)
+	}
+	return nil
 }
 
 // add records a measured cell in the report and as a table row.
 func (r *explainReport) add(tab *stats.Table, cell explainResult) {
 	r.Results = append(r.Results, cell)
 	tab.AddRow(cell.Config, cell.Model, cell.Variant,
-		fmt.Sprintf("%.2f", cell.MsPerExplain), fmt.Sprintf("%d", cell.SubsetsExamined),
+		fmt.Sprintf("%.2f", cell.MsPerExplain), fmt.Sprintf("%.2f", cell.CPUMsPerExplain),
+		fmt.Sprintf("%d", cell.SubsetsExamined),
 		speedupCell(cell.SpeedupNaive), speedupCell(cell.SpeedupOld))
-}
-
-// minTimedPass is the least wall time one variant's measurement spans at
-// Scale 1: seeded branch-and-bound explains take well under a millisecond,
-// so one pass over the selected non-answers is too short for a stable
-// ratio. It scales with Config.Scale, so scaled-down smoke runs stay quick.
-func (c *Config) minTimedPass() time.Duration {
-	return time.Duration(c.Scale * float64(250*time.Millisecond))
-}
-
-// timedPasses repeats pass until span has elapsed (at least once) and
-// returns the mean wall time of one pass; first is true on the first pass
-// only, the one whose deterministic counters a cell records.
-func timedPasses(span time.Duration, pass func(first bool) error) (time.Duration, error) {
-	start := time.Now()
-	for n := 1; ; n++ {
-		if err := pass(n == 1); err != nil {
-			return 0, err
-		}
-		if elapsed := time.Since(start); elapsed >= span {
-			return elapsed / time.Duration(n), nil
-		}
-	}
 }
 
 func speedupCell(s float64) string {

@@ -13,9 +13,10 @@ import (
 // ms/explain is never compared — hardware differs between the committed file
 // and the checking machine. The guard uses the two hardware-neutral signals:
 //
-//   - speedupVsNaive, measured within one run (the naive oracle and the
-//     refiners share the machine), must not shrink by more than tolerance
-//     (0.20 = fail below 80% of the committed speedup);
+//   - speedupVsNaive, a ratio of CPU times measured within one run (the
+//     naive oracle and the refiners take interleaved turns on the same
+//     machine), must not shrink by more than tolerance (0.20 = fail below
+//     80% of the committed speedup);
 //   - SubsetsExamined must not grow on any cell: the enumeration is
 //     deterministic, so for pruning-only changes the count must hold exact
 //     parity, and any growth is a real search-space regression.

@@ -105,46 +105,30 @@ func PRSQBench(cfg Config) error {
 			{"indexed-parallel", indexed(prsq.Options{})},
 		}
 
-		// The variants take turns over prsqRounds rounds, and each turn
-		// repeats its query for at least minTime/prsqRounds (one second
-		// per cell at paper scale) and at least once. The speedup is a
-		// ratio of process CPU times: a drift of the machine's speed
-		// during a run then reaches naive and indexed alike, and time the
-		// process spends descheduled counts for neither. A collection
-		// before each turn keeps one variant's garbage out of the next
-		// one's CPU time.
-		minTime := time.Duration(cfg.Scale * float64(time.Second))
+		// The variants take interleaved turns (see interleavedTurns), so
+		// the speedup is a ratio of process CPU times that a drift of the
+		// machine's speed reaches on both sides.
 		type cell struct {
-			reps           int
-			wall, cpu      time.Duration
 			answers        int
 			nodes, entries int64
 		}
 		cells := make([]cell, len(variants))
-		for round := 0; round < prsqRounds; round++ {
-			for i, v := range variants {
-				c := &cells[i]
-				runtime.GC()
-				start, cpu0 := time.Now(), processCPU()
-				for turn := 0; turn == 0 || time.Since(start) < minTime/prsqRounds; turn++ {
-					ids, st := v.run()
-					c.answers = len(ids)
-					c.nodes += st.NodeAccesses
-					c.entries += st.EntriesScanned
-					c.reps++
-				}
-				c.wall += time.Since(start)
-				c.cpu += processCPU() - cpu0
-			}
-		}
-		naiveCPU := ms(cells[0].cpu) / float64(cells[0].reps)
+		// The query never fails, so neither can the measurement.
+		tallies, _ := interleavedTurns(len(variants), 1, cfg.minCellTime(), func(i, _ int, _ bool) error {
+			ids, st := variants[i].run()
+			c := &cells[i]
+			c.answers = len(ids)
+			c.nodes += st.NodeAccesses
+			c.entries += st.EntriesScanned
+			return nil
+		})
+		naiveCPU := ms(tallies[0].cpu)
 		for i, v := range variants {
-			c := cells[i]
-			reps := float64(c.reps)
+			c, t := cells[i], tallies[i]
 			res := prsqResult{
 				N: n, Variant: v.name,
-				MsPerQuery: ms(c.wall) / reps, CPUMsPerQuery: ms(c.cpu) / reps,
-				NodeAccesses: c.nodes / int64(c.reps), EntriesScanned: c.entries / int64(c.reps),
+				MsPerQuery: ms(t.wall), CPUMsPerQuery: ms(t.cpu),
+				NodeAccesses: c.nodes / int64(t.reps), EntriesScanned: c.entries / int64(t.reps),
 				Answers: c.answers, SpeedupNaive: 1,
 			}
 			if i > 0 && res.CPUMsPerQuery > 0 {
@@ -173,8 +157,67 @@ func PRSQBench(cfg Config) error {
 	return nil
 }
 
-// prsqRounds is the number of turns each PRSQBench variant takes.
-const prsqRounds = 3
+// benchRounds is the number of turns each variant of an interleaved
+// measurement takes.
+const benchRounds = 3
+
+// turnTally is one variant's share of an interleaved measurement: its
+// repetitions over every input, and the wall and process CPU time of one
+// repetition, averaged over the inputs with equal weight.
+type turnTally struct {
+	reps      int
+	wall, cpu time.Duration
+}
+
+// interleavedTurns measures n variants on m inputs. Over benchRounds
+// rounds, each input in turn is run by every variant, one after another:
+// a turn repeats rep(i, k, first) on input k for at least
+// minTime/(benchRounds·m) and at least once, so a variant spans at least
+// minTime. first is true on the first repetition of (i, k) only. Since
+// the variants' turns on an input follow each other closely, a change of
+// the machine's speed during a run reaches every variant alike, so a
+// speedup taken as a ratio of the tallies' CPU times holds still; time
+// the process spends descheduled counts for none. A collection before
+// each turn keeps one variant's garbage out of the next one's CPU time.
+func interleavedTurns(n, m int, minTime time.Duration, rep func(i, k int, first bool) error) ([]turnTally, error) {
+	units := make([]turnTally, n*m) // units[i*m+k]: variant i on input k, summed
+	turn := minTime / time.Duration(benchRounds*m)
+	for round := 0; round < benchRounds; round++ {
+		for k := 0; k < m; k++ {
+			for i := 0; i < n; i++ {
+				u := &units[i*m+k]
+				runtime.GC()
+				start, cpu0 := time.Now(), processCPU()
+				for r := 0; r == 0 || time.Since(start) < turn; r++ {
+					if err := rep(i, k, u.reps == 0); err != nil {
+						return nil, err
+					}
+					u.reps++
+				}
+				u.wall += time.Since(start)
+				u.cpu += processCPU() - cpu0
+			}
+		}
+	}
+	tallies := make([]turnTally, n)
+	for i := range tallies {
+		t := &tallies[i]
+		for _, u := range units[i*m : (i+1)*m] {
+			t.reps += u.reps
+			t.wall += u.wall / time.Duration(u.reps)
+			t.cpu += u.cpu / time.Duration(u.reps)
+		}
+		t.wall /= time.Duration(m)
+		t.cpu /= time.Duration(m)
+	}
+	return tallies, nil
+}
+
+// minCellTime is the least time one variant's measurement spans at Scale
+// 1; it scales with Config.Scale, so scaled-down smoke runs stay quick.
+func (c *Config) minCellTime() time.Duration {
+	return time.Duration(c.Scale * float64(time.Second))
+}
 
 // processCPU is the CPU time, user plus system, that every thread of the
 // process has used so far.

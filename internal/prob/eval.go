@@ -334,18 +334,6 @@ func (e *Evaluator) AlwaysDominates(j int) bool {
 	return true
 }
 
-// NeverDominates reports whether candidate j has zero dominance probability
-// against every sample of an; such an object is not an actual cause
-// (Lemma 1) and should not have been passed as a candidate.
-func (e *Evaluator) NeverDominates(j int) bool {
-	for _, dv := range e.row(j) {
-		if dv != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Reset reactivates every candidate.
 func (e *Evaluator) Reset() {
 	for j := range e.active {

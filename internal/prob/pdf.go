@@ -24,7 +24,7 @@ func PrReverseSkylinePDF(an *uncertain.PDFObject, q geom.Point, others []*uncert
 	if nodesPerDim <= 0 {
 		nodesPerDim = uncertain.DefaultQuadNodes(an.Dims())
 	}
-	nodes := an.QuadratureCached(nodesPerDim)
+	nodes := an.Quadrature(nodesPerDim)
 	var pr float64
 	for _, n := range nodes {
 		term := n.W
@@ -45,24 +45,36 @@ func PrReverseSkylinePDF(an *uncertain.PDFObject, q geom.Point, others []*uncert
 // NewPDFEvaluator builds an incremental evaluator for a continuous-model
 // non-answer: the cubature nodes of an act as weighted pseudo-samples and
 // each candidate's dominance probability at a node is the exact mass of the
-// candidate inside the node's dominance rectangle.
-func NewPDFEvaluator(an *uncertain.PDFObject, q geom.Point, cands []*uncertain.PDFObject, nodesPerDim int) *Evaluator {
+// candidate inside the node's dominance rectangle. A candidate with zero
+// mass at every node gets no row: it is a geometric false positive of the
+// candidate filter, not an actual cause (Lemma 1), and its Eq.-2 factor is
+// exactly 1. kept lists, ascending, the position in cands of each row.
+func NewPDFEvaluator(an *uncertain.PDFObject, q geom.Point, cands []*uncertain.PDFObject, nodesPerDim int) (e *Evaluator, kept []int) {
 	if nodesPerDim <= 0 {
 		nodesPerDim = uncertain.DefaultQuadNodes(an.Dims())
 	}
-	nodes := an.QuadratureCached(nodesPerDim)
-	weights := make([]float64, len(nodes))
+	nodes := an.Quadrature(nodesPerDim)
+	cols := len(nodes)
+	weights := make([]float64, cols)
 	for i, n := range nodes {
 		weights[i] = n.W
 	}
-	d := make([]float64, len(cands)*len(nodes))
+	d := make([]float64, len(cands)*cols)
+	kept = make([]int, 0, len(cands))
 	for j, c := range cands {
-		row := d[j*len(nodes) : (j+1)*len(nodes)]
+		// Fill the next free row; a row of zeros is overwritten by the
+		// next candidate's.
+		row := d[len(kept)*cols : (len(kept)+1)*cols]
+		mass := false
 		for i, n := range nodes {
 			row[i] = DomProbPDF(c, n.X, q)
+			mass = mass || row[i] != 0
+		}
+		if mass {
+			kept = append(kept, j)
 		}
 	}
-	return newEvaluatorFlat(weights, d, len(cands))
+	return newEvaluatorFlat(weights, d[:len(kept)*cols], len(kept)), kept
 }
 
 // CandidateRectsPDF returns the pdf-model candidate-filter rectangles for a

@@ -112,12 +112,17 @@ func TestPDFEvaluatorMatchesDirect(t *testing.T) {
 	for i := range cands {
 		cands[i] = uncertain.NewUniformPDF(i+1, randRegion(rng, d, 40))
 	}
-	e := NewPDFEvaluator(an, q, cands, 16)
+	e, kept := NewPDFEvaluator(an, q, cands, 16)
+	if len(kept) == 0 {
+		t.Fatal("no candidate has dominance mass; the case tests nothing")
+	}
+	// Candidates without a row stay in the direct product: their factor
+	// is exactly 1.
 	direct := func() float64 {
-		var act []*uncertain.PDFObject
-		for j, c := range cands {
-			if e.Active(j) {
-				act = append(act, c)
+		act := append([]*uncertain.PDFObject(nil), cands...)
+		for j, pos := range kept {
+			if !e.Active(j) {
+				act[pos] = nil
 			}
 		}
 		return PrReverseSkylinePDF(an, q, act, 16)
@@ -126,7 +131,7 @@ func TestPDFEvaluatorMatchesDirect(t *testing.T) {
 		t.Fatalf("initial: %v vs %v", e.Pr(), direct())
 	}
 	for step := 0; step < 12; step++ {
-		j := rng.Intn(len(cands))
+		j := rng.Intn(len(kept))
 		if e.Active(j) {
 			e.Remove(j)
 		} else {

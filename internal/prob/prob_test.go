@@ -197,9 +197,6 @@ func TestEvaluatorZeroFactorHandling(t *testing.T) {
 	if !e.AlwaysDominates(0) || e.AlwaysDominates(1) {
 		t.Fatal("AlwaysDominates misclassifies")
 	}
-	if e.NeverDominates(1) {
-		t.Fatal("NeverDominates misclassifies candidate 1")
-	}
 	e.Remove(0)
 	want := 0.5*(1-0.5)*(1-0) + 0.5*(1-0)*(1-0.25)
 	if math.Abs(e.Pr()-want) > 1e-12 {

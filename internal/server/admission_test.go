@@ -6,11 +6,14 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/crsky/crsky"
 	"github.com/crsky/crsky/internal/dataset"
 )
 
@@ -399,4 +402,88 @@ func TestPanicRecoveredAndCounted(t *testing.T) {
 	var qr QueryResponse
 	c.post("/v1/query", &QueryRequest{Dataset: "lUrU", Q: w.q, Alpha: 0.5, NoCache: true},
 		&qr, http.StatusOK)
+}
+
+// stageBudgetRecorder records, per call, whether the exact batch and the
+// approximate query ran under QueryOptions.StageBudget; with failExact set
+// the exact batch fails with a deadline error before it starts, the
+// capacity failure that sends approx=auto to its fallback.
+type stageBudgetRecorder struct {
+	crsky.Explainer
+	failExact atomic.Bool
+	mu        sync.Mutex
+	calls     []string
+}
+
+func (r *stageBudgetRecorder) record(call string, opts crsky.QueryOptions) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.calls = append(r.calls, call+" StageBudget="+strconv.FormatBool(opts.StageBudget))
+}
+
+func (r *stageBudgetRecorder) take() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	calls := r.calls
+	r.calls = nil
+	return calls
+}
+
+func (r *stageBudgetRecorder) QueryBatchStream(ctx context.Context, qs []crsky.Point, alpha float64,
+	opts crsky.QueryOptions, emit func(int, []int)) ([][]int, crsky.QueryStats, error) {
+
+	r.record("exact", opts)
+	if r.failExact.Load() {
+		return nil, crsky.QueryStats{}, context.DeadlineExceeded
+	}
+	return r.Explainer.QueryBatchStream(ctx, qs, alpha, opts, emit)
+}
+
+func (r *stageBudgetRecorder) QueryApprox(ctx context.Context, q crsky.Point, alpha float64,
+	opts crsky.QueryOptions, ap crsky.ApproxOptions) (*crsky.ApproxResult, crsky.QueryStats, error) {
+
+	r.record("approx", opts)
+	return r.Explainer.QueryApprox(ctx, q, alpha, opts, ap)
+}
+
+// TestStageBudgetOnlyOnAutoExactAttempt pins which queries cut their join
+// at half the remaining deadline: only the exact attempt of approx=auto,
+// which has a fallback to leave time for. An approx=never query, an
+// approx=always query and auto's fallback have nothing to fall back to, so
+// each runs on the whole ?timeout=, on /v1 and /v2 alike.
+func TestStageBudgetOnlyOnAutoExactAttempt(t *testing.T) {
+	w := sampleWorkload(t)
+	rec := &stageBudgetRecorder{}
+	s := New(Config{WrapEngine: func(e crsky.Explainer) crsky.Explainer {
+		rec.Explainer = e
+		return rec
+	}})
+	c := newTestClient(t, s)
+	c.registerSample("demo", w.ds)
+
+	for _, tc := range []struct {
+		approx    string
+		failExact bool
+		want      []string
+	}{
+		{"never", false, []string{"exact StageBudget=false"}},
+		{"always", false, []string{"approx StageBudget=false"}},
+		{"auto", false, []string{"exact StageBudget=true"}},
+		{"auto", true, []string{"exact StageBudget=true", "approx StageBudget=false"}},
+	} {
+		rec.failExact.Store(tc.failExact)
+		for _, path := range []string{"/v1/query", "/v2/query"} {
+			var req any = &QueryRequest{Dataset: "demo", Q: w.q, Alpha: 0.5, NoCache: true, Approx: tc.approx}
+			if path == "/v2/query" {
+				req = &BatchQueryRequest{Dataset: "demo", Qs: [][]float64{w.q}, Alpha: 0.5, NoCache: true, Approx: tc.approx}
+			}
+			resp, raw := c.do(http.MethodPost, path+"?timeout=30s", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s approx=%s failExact=%v: status %d (%s)", path, tc.approx, tc.failExact, resp.StatusCode, raw)
+			}
+			if got := rec.take(); !slices.Equal(got, tc.want) {
+				t.Fatalf("%s approx=%s failExact=%v: engine calls %q, want %q", path, tc.approx, tc.failExact, got, tc.want)
+			}
+		}
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/obs"
 	"github.com/crsky/crsky/internal/store"
-	"github.com/crsky/crsky/internal/uncertain"
 	"github.com/crsky/crsky/internal/watch"
 )
 
@@ -266,14 +265,6 @@ type PoolStats struct {
 	WaitP99Ms      float64 `json:"waitP99Ms"`
 }
 
-// QuadratureStats reports the process-wide pdf cubature memo: how often
-// repeated queries reused a derived quadrature rule instead of re-deriving
-// it, and how close the memo sits to its node-count eviction cap.
-type QuadratureStats struct {
-	uncertain.QuadMemoStats
-	HitRate float64 `json:"hitRate"`
-}
-
 // RequestStats counts requests per compute endpoint since start. Approx
 // counts degraded-tier answers served; Panics counts handler panics the
 // recovery middleware converted to 500s.
@@ -310,20 +301,21 @@ type ExplainStats struct {
 	ComputedExplanations int64 `json:"computedExplanations"`
 }
 
-// StatsResponse is the /v1/stats payload. Store is present only when the
-// server runs with a durable store.
+// StatsResponse is the /v1/stats payload: one block per serving component
+// that keeps process-wide state (the datasets, the result cache, the two
+// pools, admission, explanation work, requests, watches and the store).
+// Store is present only when the server runs with a durable store.
 type StatsResponse struct {
-	UptimeSeconds float64         `json:"uptimeSeconds"`
-	Datasets      []DatasetInfo   `json:"datasets"`
-	Cache         CacheStats      `json:"cache"`
-	Pool          PoolStats       `json:"pool"`
-	ApproxPool    PoolStats       `json:"approxPool"`
-	Admission     AdmissionStats  `json:"admission"`
-	Quadrature    QuadratureStats `json:"quadrature"`
-	Explain       ExplainStats    `json:"explain"`
-	Requests      RequestStats    `json:"requests"`
-	Watch         watch.Stats     `json:"watch"`
-	Store         *store.Stats    `json:"store,omitempty"`
+	UptimeSeconds float64        `json:"uptimeSeconds"`
+	Datasets      []DatasetInfo  `json:"datasets"`
+	Cache         CacheStats     `json:"cache"`
+	Pool          PoolStats      `json:"pool"`
+	ApproxPool    PoolStats      `json:"approxPool"`
+	Admission     AdmissionStats `json:"admission"`
+	Explain       ExplainStats   `json:"explain"`
+	Requests      RequestStats   `json:"requests"`
+	Watch         watch.Stats    `json:"watch"`
+	Store         *store.Stats   `json:"store,omitempty"`
 }
 
 // StoreHealth is the durability block of /healthz. CorruptTotal > 0 flips

@@ -164,12 +164,17 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, c *queryCall
 		return
 	}
 	// Under auto, the exact attempt gets 3/4 of the request deadline so the
-	// fallback keeps a guaranteed slice of the budget the client set.
+	// fallback keeps a guaranteed slice of the budget the client set, and
+	// StageBudget cuts its join at half of what remains, so a stalled join
+	// fails while the fallback still has time. A query without a fallback
+	// runs its join on the whole deadline: cutting it would only turn a
+	// query that fits into a 503.
 	exactCtx := ctx
 	if mode == approxAuto && d > 0 {
 		exactCtx, cancel = context.WithTimeout(ctx, d*3/4)
 		defer cancel()
 	}
+	opts := crsky.QueryOptions{QuadNodes: c.quadNodes, StageBudget: mode == approxAuto}
 
 	hits, missing := s.cached(w, ctx, c.keys, c.noCache)
 	putHits := func() {
@@ -193,7 +198,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, c *queryCall
 		// Put the hits only once the slot is held: until then a shed or a
 		// queued cancellation must still be able to become an error status.
 		putHits()
-		_, st, err := c.ent.eng.QueryBatchStream(ctx, mqs, c.alpha, queryOptions(c.quadNodes), func(j int, ids []int) {
+		_, st, err := c.ent.eng.QueryBatchStream(ctx, mqs, c.alpha, opts, func(j int, ids []int) {
 			if ids == nil {
 				ids = []int{}
 			}
@@ -239,7 +244,7 @@ func (s *Server) serveApproxBatch(w http.ResponseWriter, ctx context.Context, c 
 		for i, q := range c.qs {
 			var st crsky.QueryStats
 			var err error
-			res[i], st, err = c.ent.eng.QueryApprox(ctx, q, c.alpha, queryOptions(c.quadNodes), c.ap)
+			res[i], st, err = c.ent.eng.QueryApprox(ctx, q, c.alpha, crsky.QueryOptions{QuadNodes: c.quadNodes}, c.ap)
 			c.ent.accesses.Add(st.NodeAccesses)
 			if err != nil {
 				return nil, err

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/crsky/crsky/internal/obs"
-	"github.com/crsky/crsky/internal/uncertain"
 )
 
 // handleMetrics renders the process metrics in the Prometheus text
@@ -15,10 +14,14 @@ import (
 // service takes no dependency on a client library. Families:
 //
 //	crsky_request_duration_seconds{route,model,outcome}  histogram
-//	crsky_pool_wait_seconds                              histogram
-//	crsky_pool_*, crsky_cache_*                          gauges/counters
-//	crsky_requests_total{endpoint}, crsky_explain_*      counters
-//	crsky_quadrature_*, crsky_dataset_*                  gauges/counters
+//	crsky_pool_wait_seconds, crsky_watch_reeval_seconds  histograms
+//	crsky_pool_*, crsky_approx_*, crsky_cache_*          gauges/counters
+//	crsky_shed_total, crsky_admission_*, crsky_draining  admission
+//	crsky_requests_total{endpoint}, crsky_request_*      counters
+//	crsky_explain_*, crsky_mutations_total               counters
+//	crsky_watch_*, crsky_store_*, crsky_dataset*         gauges/counters
+//	crsky_panics_total, crsky_upload_rejected_total,     counters
+//	crsky_slow_queries_total, crsky_uptime_seconds       counter/gauge
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 
@@ -132,12 +135,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.PromValue(&b, "crsky_explain_subsets_examined_total", nil, float64(s.explainSubsets.Value()))
 	obs.PromHead(&b, "crsky_explain_filter_node_accesses_total", "counter", "Candidate-retrieval node accesses.")
 	obs.PromValue(&b, "crsky_explain_filter_node_accesses_total", nil, float64(s.explainFilterIO.Value()))
-
-	quad := uncertain.QuadMemoMetrics()
-	obs.PromHead(&b, "crsky_quadrature_memo_hits_total", "counter", "Quadrature rule memo hits.")
-	obs.PromValue(&b, "crsky_quadrature_memo_hits_total", nil, float64(quad.Hits))
-	obs.PromHead(&b, "crsky_quadrature_memo_misses_total", "counter", "Quadrature rule memo misses.")
-	obs.PromValue(&b, "crsky_quadrature_memo_misses_total", nil, float64(quad.Misses))
 
 	infos := s.reg.list()
 	obs.PromHead(&b, "crsky_datasets", "gauge", "Registered datasets.")

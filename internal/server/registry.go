@@ -55,14 +55,6 @@ func (e *entry) addRepair(rep *causality.Repair) {
 	}
 }
 
-// queryOptions are the serving options of every request-path query:
-// StageBudget splits a request deadline between the join and the exact
-// stage, so a stalled join leaves the refinement (or the approximate
-// fallback) a guaranteed slice; without a deadline it is a no-op.
-func queryOptions(quadNodes int) crsky.QueryOptions {
-	return crsky.QueryOptions{QuadNodes: quadNodes, StageBudget: true}
-}
-
 // registry maps dataset names to entries. The generation counter is global
 // and monotone so that a name reused across registrations never aliases
 // stale cache keys.

@@ -38,7 +38,6 @@ import (
 	"github.com/crsky/crsky/internal/obs"
 	"github.com/crsky/crsky/internal/stats"
 	"github.com/crsky/crsky/internal/store"
-	"github.com/crsky/crsky/internal/uncertain"
 	"github.com/crsky/crsky/internal/watch"
 )
 
@@ -288,7 +287,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	quad := uncertain.QuadMemoMetrics()
 	var storeStats *store.Stats
 	if s.cfg.Store != nil {
 		ss := s.cfg.Store.Stats()
@@ -309,7 +307,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			ShedQuery:   s.shedQuery.Value(),
 			Draining:    s.draining.Load(),
 		},
-		Quadrature: QuadratureStats{QuadMemoStats: quad, HitRate: quad.HitRate()},
 		Explain: ExplainStats{
 			SubsetsExamined:      s.explainSubsets.Value(),
 			FilterNodeAccesses:   s.explainFilterIO.Value(),

@@ -19,71 +19,69 @@ type QuadNode struct {
 // nodes along each dimension, weighted by the object's density. For the
 // Uniform kind with polynomially-behaved integrands the rule is essentially
 // exact; for Gaussian kinds it converges quickly because the truncated
-// density is smooth on the region.
+// density is smooth on the region. Every node's X is a full-capacity window
+// of one backing slice, so a rule costs a fixed handful of allocations
+// however many nodes it has, and callers derive it per call.
 func (o *PDFObject) Quadrature(nodesPerDim int) []QuadNode {
 	if nodesPerDim < 1 {
 		nodesPerDim = 1
 	}
-	d := o.Dims()
-	xs, ws := gaussLegendre(nodesPerDim)
+	d, k := o.Dims(), nodesPerDim
+	xs, ws := gaussLegendre(k)
 
 	// Per-dimension nodes mapped to [Min, Max] and weights carrying the
-	// normalized marginal density mass.
-	nodes1 := make([][]float64, d)
-	weights1 := make([][]float64, d)
+	// normalized marginal density mass: dimension i's k values sit at
+	// [i*k, (i+1)*k) of nodes1 and weights1.
+	nodes1 := make([]float64, 2*d*k)
+	weights1 := nodes1[d*k:]
 	for i := 0; i < d; i++ {
 		lo, hi := o.Region.Min[i], o.Region.Max[i]
 		half := (hi - lo) / 2
 		mid := (hi + lo) / 2
-		nodes1[i] = make([]float64, nodesPerDim)
-		weights1[i] = make([]float64, nodesPerDim)
+		xi, wi := nodes1[i*k:(i+1)*k], weights1[i*k:(i+1)*k]
 		var total float64
-		for k := 0; k < nodesPerDim; k++ {
-			x := mid + half*xs[k]
-			nodes1[i][k] = x
-			w := ws[k] * half * o.marginalDensity1(i, x)
-			weights1[i][k] = w
+		for j := range xi {
+			x := mid + half*xs[j]
+			xi[j] = x
+			w := ws[j] * half * o.marginalDensity1(i, x)
+			wi[j] = w
 			total += w
 		}
 		// Renormalize so each marginal integrates to exactly 1,
 		// removing the residual quadrature error from the total mass.
 		if total > 0 {
-			for k := range weights1[i] {
-				weights1[i][k] /= total
+			for j := range wi {
+				wi[j] /= total
 			}
 		} else {
-			for k := range weights1[i] {
-				weights1[i][k] = 1 / float64(nodesPerDim)
+			for j := range wi {
+				wi[j] = 1 / float64(k)
 			}
 		}
 	}
 
-	// Tensor product.
+	// Tensor product, dimension 0 varying fastest.
 	count := 1
 	for i := 0; i < d; i++ {
-		count *= nodesPerDim
+		count *= k
 	}
-	out := make([]QuadNode, 0, count)
+	out := make([]QuadNode, count)
+	coords := make([]float64, count*d)
 	idx := make([]int, d)
-	for {
-		x := make(geom.Point, d)
+	for n := range out {
+		x := coords[n*d : (n+1)*d : (n+1)*d]
 		w := 1.0
-		for i := 0; i < d; i++ {
-			x[i] = nodes1[i][idx[i]]
-			w *= weights1[i][idx[i]]
+		for i, j := range idx {
+			x[i] = nodes1[i*k+j]
+			w *= weights1[i*k+j]
 		}
-		out = append(out, QuadNode{X: x, W: w})
+		out[n] = QuadNode{X: x, W: w}
 		// Advance the mixed-radix counter.
-		i := 0
-		for ; i < d; i++ {
-			idx[i]++
-			if idx[i] < nodesPerDim {
+		for i := range idx {
+			if idx[i]++; idx[i] < k {
 				break
 			}
 			idx[i] = 0
-		}
-		if i == d {
-			break
 		}
 	}
 	return out
@@ -137,12 +135,16 @@ func DefaultQuadNodes(dims int) int {
 // deriving the Gauss–Legendre rule takes time quadratic in it.
 const maxQuadNodes = 1024
 
+// maxQuadGrid caps the tensor grid an explicit resolution may build: every
+// evaluation materializes the whole rule, at 32 + 8·dims bytes a node, so
+// 2^20 nodes take about 48 MB in two dimensions.
+const maxQuadGrid = 1 << 20
+
 // CheckQuadNodes rejects an explicit per-dimension quadrature resolution k
 // that must not be built for dims-dimensional objects: more than
-// maxQuadNodes per dimension, or a tensor grid of more than
-// DefaultQuadMemoNodeCap nodes, which every evaluated object would
-// materialize. Values <= 0 select the default grid, which is never
-// rejected. The pdf engine runs it on entry to every method that takes a
+// maxQuadNodes per dimension, or a tensor grid of more than maxQuadGrid
+// nodes. Values <= 0 select the default grid, which is never rejected.
+// The pdf engine runs it on entry to every method that takes a
 // resolution, and the server at request admission.
 func CheckQuadNodes(k, dims int) error {
 	if k <= 0 || k == DefaultQuadNodes(dims) {
@@ -153,9 +155,9 @@ func CheckQuadNodes(k, dims int) error {
 	}
 	grid := 1
 	for i := 0; i < dims; i++ {
-		if grid *= k; grid > DefaultQuadMemoNodeCap {
+		if grid *= k; grid > maxQuadGrid {
 			return fmt.Errorf("quadNodes %d builds a grid of %d^%d nodes, more than %d",
-				k, k, dims, DefaultQuadMemoNodeCap)
+				k, k, dims, maxQuadGrid)
 		}
 	}
 	return nil

@@ -619,10 +619,10 @@ func (e *PDFEngine) ExplainBatchStream(ctx context.Context, reqs []ExplainReques
 	return explainBatch(ctx, reqs, opts, e.ExplainCtx, emit)
 }
 
-// RepairCtx implements Explainer: the sample-model repair on the memoized
-// quadrature rules — CPPDF's sub-quadrant candidate filter feeding the
-// shared kernel/greedy/branch-and-bound repair search, with every
-// probability an integral over the non-answer's uncertainty region.
+// RepairCtx implements Explainer: CPPDF's sub-quadrant candidate filter
+// feeding the shared kernel/greedy/branch-and-bound repair search, with
+// every probability an integral over the non-answer's uncertainty region
+// by a quadrature rule derived for this call.
 func (e *PDFEngine) RepairCtx(ctx context.Context, id int, q Point, alpha float64, opts Options) (*Repair, error) {
 	if err := uncertain.CheckQuadNodes(opts.QuadNodes, e.Dims()); err != nil {
 		return nil, err
