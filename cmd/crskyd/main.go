@@ -3,8 +3,7 @@
 // repairs over HTTP/JSON — the crsky library as a long-lived, concurrent,
 // cache-backed service.
 //
-//	crskyd [-addr :8372] [-cache 1024] [-workers N]
-//	       [-max-queue N] [-approx-workers N]
+//	crskyd [-addr :8372] [-cache 1024] [-workers N] [-max-queue N]
 //	       [-admin addr] [-slow-query dur] [-slow-query-log path]
 //	       [-drain 10s] [-preload name=model=path ...]
 //	       [-data-dir path] [-fsync=true]
@@ -43,10 +42,9 @@
 // Overload never hangs clients: admission control in front of the worker
 // pool sheds excess work early as 503s with a computed Retry-After
 // (shedding batch traffic before explains before queries; override a
-// request's class with the X-Crsky-Priority header), -max-queue sets the
-// queue budget, and queries sent with "approx": "auto" fall back to a
-// Monte Carlo answer tier — approximate answers with per-object confidence
-// intervals served from the -approx-workers reserved pool.
+// request's class with the X-Crsky-Priority header), and -max-queue sets
+// the queue budget. Every answer is exact: under overload a request is
+// answered later or shed, never approximated.
 //
 // On SIGINT/SIGTERM the server stops accepting new compute work
 // immediately (admission sheds with Retry-After) and drains in-flight
@@ -103,7 +101,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "max concurrent computations (0 = GOMAXPROCS)")
 		maxBody   = flag.Int64("max-body", 64<<20, "request body size cap in bytes")
 		maxQueue  = flag.Int("max-queue", 0, "admission-control queue budget in requests (0 = workers*8)")
-		approxW   = flag.Int("approx-workers", 0, "reserved degraded-tier pool size (0 = workers/4, min 1)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for draining in-flight requests")
 		slowQuery = flag.Duration("slow-query", 0, "slow-query log threshold (0 disables)")
 		slowLog   = flag.String("slow-query-log", "", "slow-query log destination path (default stderr)")
@@ -150,7 +147,6 @@ func main() {
 		CacheSize:          *cache,
 		Workers:            *workers,
 		MaxQueue:           *maxQueue,
-		ApproxWorkers:      *approxW,
 		MaxBodyBytes:       *maxBody,
 		SlowQueryThreshold: *slowQuery,
 		SlowQueryLog:       slowW,

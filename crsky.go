@@ -30,7 +30,6 @@ import (
 	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/geom"
-	"github.com/crsky/crsky/internal/prob"
 	"github.com/crsky/crsky/internal/prsq"
 	"github.com/crsky/crsky/internal/skyline"
 	"github.com/crsky/crsky/internal/uncertain"
@@ -64,16 +63,6 @@ type (
 	// QueryStats reports how an accelerated query was answered: how many
 	// objects the bounds decided and how many needed exact evaluation.
 	QueryStats = prsq.Stats
-	// ApproxOptions tunes the Monte Carlo approximate query tier (error
-	// budget, confidence, seed, iteration cap).
-	ApproxOptions = prsq.ApproxOptions
-	// ApproxResult is an approximate query answer: membership under the
-	// estimates plus per-object confidence intervals for the estimated
-	// band.
-	ApproxResult = prsq.ApproxResult
-	// ApproxInterval is one Monte Carlo estimate with its confidence
-	// interval.
-	ApproxInterval = prsq.ApproxInterval
 )
 
 // Errors re-exported from the causality engine.
@@ -131,41 +120,6 @@ func (e *Engine) Dims() int { return e.ds.Dims() }
 // Object returns the object with the given ID.
 func (e *Engine) Object(id int) *Object { return e.ds.Objects[id] }
 
-// prob returns Pr(an) (Eq. 2) for the live object id over the candidates
-// the Lemma-2 filter retrieves, ascending, with the filter's node accesses.
-func (e *Engine) prob(id int, q Point) (float64, int64) {
-	an := e.ds.Objects[id]
-	candIDs, accesses := causality.FilterCandidatesCounted(e.ds, q, an)
-	cands := make([]*Object, len(candIDs))
-	for i, cid := range candIDs {
-		cands[i] = e.ds.Objects[cid]
-	}
-	return prob.PrReverseSkyline(an, q, cands), accesses
-}
-
-// ProbabilisticReverseSkylineNaive answers the query with the naive
-// per-object loop — one candidate-filter traversal and one full Eq.-2
-// evaluation per object. Kept as the correctness baseline and benchmark
-// reference for the index-accelerated QueryCtx.
-func (e *Engine) ProbabilisticReverseSkylineNaive(q Point, alpha float64) []int {
-	var out []int
-	for id, o := range e.ds.Objects {
-		if o == nil {
-			continue
-		}
-		if pr, _ := e.prob(id, q); prob.GEq(pr, alpha) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// ExplainNaive runs the Naive-I baseline (same filter, exhaustive
-// refinement); used by the benchmark harness.
-func (e *Engine) ExplainNaive(id int, q Point, alpha float64, opts Options) (*Explanation, error) {
-	return causality.NaiveI(e.ds, q, id, alpha, opts)
-}
-
 // Repair is a minimal intervention turning a non-answer into an answer.
 type Repair = causality.Repair
 
@@ -193,12 +147,6 @@ func (e *CertainEngine) Dims() int { return e.ix.Dims() }
 // Point returns the point at the given index.
 func (e *CertainEngine) Point(i int) Point { return e.ix.Point(i) }
 
-// ExplainNaive runs the Naive-II baseline (same filter, exhaustive
-// verification); used by the benchmark harness.
-func (e *CertainEngine) ExplainNaive(i int, q Point, opts Options) (*Explanation, error) {
-	return causality.NaiveII(e.ix, q, i, opts)
-}
-
 // Deleted reports whether index i is a tombstone.
 func (e *CertainEngine) Deleted(i int) bool { return e.ix.Deleted(i) }
 
@@ -225,26 +173,3 @@ func (e *PDFEngine) Dims() int { return e.set.Dims() }
 
 // Object returns the pdf object with the given ID.
 func (e *PDFEngine) Object(id int) *PDFObject { return e.set.Objects[id] }
-
-// ProbabilisticReverseSkylineNaive answers the pdf-model query by
-// thresholding Pr(an) over every object — no index, no filter, no bounds:
-// one full quadrature per object against all the others. Kept as the
-// correctness oracle the accelerated QueryCtx and ProbCtx are
-// conformance-tested against. nodesPerDim <= 0 selects the
-// dimension-adapted default, and a grid too large to build is rejected
-// with an error.
-func (e *PDFEngine) ProbabilisticReverseSkylineNaive(q Point, alpha float64, nodesPerDim int) ([]int, error) {
-	if err := uncertain.CheckQuadNodes(nodesPerDim, e.Dims()); err != nil {
-		return nil, err
-	}
-	var out []int
-	for id, o := range e.set.Objects {
-		if o == nil {
-			continue
-		}
-		if prob.GEq(prob.PrReverseSkylinePDF(o, q, e.set.Objects, nodesPerDim), alpha) {
-			out = append(out, id)
-		}
-	}
-	return out, nil
-}

@@ -11,6 +11,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/crsky/crsky/internal/causality"
+	"github.com/crsky/crsky/internal/prob"
 )
 
 // query is the one-point QueryCtx call the facade tests compare against
@@ -92,7 +95,7 @@ func TestEngineExplain(t *testing.T) {
 		t.Fatalf("causes = %v, want counterfactual full blocker", res.Causes)
 	}
 	// Naive baseline agrees.
-	naive, err := e.ExplainNaive(0, q, 0.5, Options{})
+	naive, err := causality.NaiveI(e.ds, q, 0, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +285,7 @@ func TestCertainEngine(t *testing.T) {
 			t.Fatalf("responsibility = %v", c.Responsibility)
 		}
 	}
-	naive, err := e.ExplainNaive(2, q, Options{})
+	naive, err := causality.NaiveII(e.ix, q, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,8 +467,6 @@ func TestPDFEngineRejectsOversizedQuadNodes(t *testing.T) {
 		check("QueryCtx", err)
 		_, _, err = e.QueryBatchStream(ctx, []Point{q, q}, 0.5, qopts, nil)
 		check("QueryBatchStream", err)
-		_, _, err = e.QueryApprox(ctx, q, 0.5, qopts, ApproxOptions{})
-		check("QueryApprox", err)
 		_, err = e.ExplainCtx(ctx, 7, q, 0.5, opts)
 		check("ExplainCtx", err)
 		for _, it := range e.ExplainBatchStream(ctx, []ExplainRequest{{ID: 7, Q: q, Alpha: 0.5}, {ID: 6, Q: q, Alpha: 0.5}}, opts, nil) {
@@ -476,8 +477,8 @@ func TestPDFEngineRejectsOversizedQuadNodes(t *testing.T) {
 		check("VerifyCtx", e.VerifyCtx(ctx, q, 0.5, &Explanation{NonAnswer: 7, QuadNodes: k}))
 		_, _, err = e.ProbCtx(ctx, 0, q, qopts)
 		check("ProbCtx", err)
-		_, err = e.ProbabilisticReverseSkylineNaive(q, 0.5, k)
-		check("ProbabilisticReverseSkylineNaive", err)
+		_, err = prob.PRSQPDF(e.set.Objects, q, 0.5, k)
+		check("prob.PRSQPDF", err)
 	}
 
 	// The default grid (<= 0) still answers.

@@ -3,8 +3,8 @@
 // probabilistic reverse skyline query, explain a non-answer, ask for a
 // minimal repair, mutate the dataset and watch the repair flip that
 // non-answer live over /v2/watch, read the serving metrics, and finally
-// saturate a tiny server to show graceful degradation — the approximate
-// Monte Carlo answer tier and admission-control shedding with Retry-After.
+// saturate a tiny server to show admission-control shedding with
+// Retry-After.
 //
 //	go run ./examples/service
 package main
@@ -244,19 +244,17 @@ func main() {
 		}
 	}
 
-	// Overload and degradation: a deliberately tiny second server — one
-	// worker, a two-deep admission queue, one reserved approx slot, and an
-	// injected 40ms slot stall standing in for expensive queries — hit
-	// with 16 concurrent cache-bypassing requests. "approx": "auto" lets a
-	// query that would be shed or time out fall back to the Monte Carlo
-	// tier instead of failing, so the burst yields a mix of exact answers,
-	// approximate answers, and (only once even the degraded tier is full)
-	// 503s carrying a computed Retry-After.
+	// Overload: a deliberately tiny second server — one worker, a two-deep
+	// admission queue, and an injected 40ms slot stall standing in for
+	// expensive queries — hit with 16 concurrent cache-bypassing requests.
+	// Every answer is exact: the burst yields exact answers for what the
+	// worker gets through and, for the rest, 503s carrying a computed
+	// Retry-After, never a slower hang or an approximate answer.
 	faults := faultinject.New(faultinject.Config{
 		Seed: 1, SlotDelayP: 1, SlotDelayMax: 40 * time.Millisecond,
 	})
 	tiny := server.New(server.Config{
-		Workers: 1, MaxQueue: 2, ApproxWorkers: 1, CacheSize: -1, Faults: faults,
+		Workers: 1, MaxQueue: 2, CacheSize: -1, Faults: faults,
 	})
 	tinyLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -268,7 +266,7 @@ func main() {
 		Name: "demo", Model: "sample", CSV: csv.String(),
 	}, &info)
 
-	var exactN, approxN, shedN atomic.Int64
+	var exactN, shedN atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -277,7 +275,7 @@ func main() {
 			// Distinct points, as real overload traffic sends.
 			p := []float64{q[0] + 40*float64(i), q[1] - 40*float64(i)}
 			raw, err := json.Marshal(&server.QueryRequest{
-				Dataset: "demo", Q: p, Alpha: alpha, NoCache: true, Approx: "auto",
+				Dataset: "demo", Q: p, Alpha: alpha, NoCache: true,
 			})
 			if err != nil {
 				log.Fatal(err)
@@ -293,17 +291,12 @@ func main() {
 			}
 			switch resp.StatusCode {
 			case http.StatusOK:
-				var r server.QueryResponse
-				if err := json.Unmarshal(body, &r); err != nil {
-					log.Fatal(err)
-				}
-				if r.Approx {
-					approxN.Add(1)
-				} else {
-					exactN.Add(1)
-				}
+				exactN.Add(1)
 			case http.StatusServiceUnavailable:
 				// A well-behaved client sleeps Retry-After seconds and retries.
+				if resp.Header.Get("Retry-After") == "" {
+					log.Fatalf("overload query: 503 without Retry-After: %s", body)
+				}
 				shedN.Add(1)
 			default:
 				log.Fatalf("overload query: %d %s", resp.StatusCode, body)
@@ -321,42 +314,10 @@ func main() {
 	if err := json.NewDecoder(tresp.Body).Decode(&tst); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\noverload burst (16 concurrent, 1 worker): %d exact, %d approximate, %d shed with Retry-After\n",
-		exactN.Load(), approxN.Load(), shedN.Load())
-	fmt.Printf("  admission shed %d exact attempts to the degraded tier; %d answers served approximately\n",
-		tst.Admission.ShedQuery, tst.Requests.Approx)
-
-	// The degraded tier on demand: "approx": "always" answers from Monte
-	// Carlo sampling with a per-object Hoeffding interval at the requested
-	// error budget — [lo, hi] brackets each undecided object's true
-	// reverse-skyline probability. Most query points are fully decided by
-	// the R-tree probability bounds alone (the answer comes back exact
-	// even from the approximate tier), so scan for one that genuinely
-	// needs sampling.
-	var ar server.QueryResponse
-	for i := 0; i < 64; i++ {
-		p := []float64{q[0] + 40*float64(i), q[1] - 40*float64(i)}
-		post(tinyBase+"/v1/query", &server.QueryRequest{
-			Dataset: "demo", Q: p, Alpha: alpha, NoCache: true,
-			Approx: "always", Epsilon: 0.03,
-		}, &ar)
-		if ar.Approx {
-			fmt.Printf("\napprox=always at q=%v, ε=%.2f: %d answers, %d sampled objects\n",
-				p, ar.Epsilon, ar.Count, len(ar.Intervals))
-			break
-		}
-	}
-	if !ar.Approx {
-		log.Fatal("no query point needed sampling")
-	}
-	for i, iv := range ar.Intervals {
-		if i == 3 {
-			fmt.Printf("  ... and %d more intervals\n", len(ar.Intervals)-3)
-			break
-		}
-		fmt.Printf("  object %-5d Pr≈%.4f ∈ [%.4f, %.4f] (%d iterations)\n",
-			iv.ID, iv.Pr, iv.Lo, iv.Hi, ar.Iters)
-	}
+	fmt.Printf("\noverload burst (16 concurrent, 1 worker): %d answered exactly, %d shed with Retry-After\n",
+		exactN.Load(), shedN.Load())
+	fmt.Printf("  admission shed %d queries; %d computations completed\n",
+		tst.Admission.ShedQuery, tst.Pool.Completed)
 }
 
 func post(url string, req, out any) {

@@ -139,6 +139,40 @@ func FilterCandidatesCounted(ds *dataset.Uncertain, q geom.Point, an *uncertain.
 	return ids, accesses
 }
 
+// PrFiltered returns Pr(id) (Eq. 2) for the live object id over the
+// candidates the Lemma-2 filter retrieves, ascending, with the filter's
+// node accesses: one object's membership probe.
+func PrFiltered(ds *dataset.Uncertain, q geom.Point, id int) (float64, int64) {
+	an := ds.Objects[id]
+	candIDs, accesses := FilterCandidatesCounted(ds, q, an)
+	cands := make([]*uncertain.Object, len(candIDs))
+	for i, cid := range candIDs {
+		cands[i] = ds.Objects[cid]
+	}
+	return prob.PrReverseSkyline(an, q, cands), accesses
+}
+
+// NaivePRSQ answers the probabilistic reverse skyline query with the
+// pre-acceleration per-object loop: one PrFiltered probe per live object.
+// It returns the ascending answers with the node accesses of all the
+// filter traversals. It is the correctness oracle and the benchmark
+// baseline of the index-accelerated query.
+func NaivePRSQ(ds *dataset.Uncertain, q geom.Point, alpha float64) ([]int, int64) {
+	var out []int
+	var accesses int64
+	for id, o := range ds.Objects {
+		if o == nil {
+			continue
+		}
+		pr, n := PrFiltered(ds, q, id)
+		accesses += n
+		if prob.GEq(pr, alpha) {
+			out = append(out, id)
+		}
+	}
+	return out, accesses
+}
+
 // dropContainedWindows removes every rectangle contained in another one,
 // preserving the union of the windows exactly. Quadratic in the window
 // count, which is bounded by an object's sample count.

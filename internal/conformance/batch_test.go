@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	crsky "github.com/crsky/crsky"
+	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/prob"
@@ -36,7 +37,7 @@ func TestConformanceQueryBatchSample(t *testing.T) {
 		for _, alpha := range w.alphas {
 			want := make([][]int, len(w.qs))
 			for i, q := range w.qs {
-				want[i] = eng.ProbabilisticReverseSkylineNaive(q, alpha)
+				want[i], _ = causality.NaivePRSQ(w.ds, q, alpha)
 			}
 			for _, v := range Variants() {
 				got, _, err := eng.QueryBatchStream(context.Background(), w.qs, alpha, v.Opt, nil)

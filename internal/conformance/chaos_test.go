@@ -17,6 +17,7 @@ import (
 	"time"
 
 	crsky "github.com/crsky/crsky"
+	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/faultinject"
 	"github.com/crsky/crsky/internal/geom"
@@ -24,20 +25,20 @@ import (
 )
 
 // The chaos harness: a real HTTP server with a deterministic fault injector
-// wired into its worker pools (delayed slots) and its engine (injected
+// wired into its worker pool (delayed slots) and its engine (injected
 // errors and panics), hammered by concurrent mixed traffic that also
 // misbehaves client-side — canceled requests and slow NDJSON consumers.
 // The assertions are the service's overload/fault contract:
 //
 //   - every response is 200, an expected client error, 500 (only when the
 //     injector actually fired), or 503 with an integer Retry-After >= 1;
-//   - every 200 exact answer matches the naive oracle — faults may fail a
+//   - every 200 answer matches the naive oracle — faults may fail a
 //     request, never corrupt one;
-//   - afterwards both pools are fully drained (no slot leaks, no deadlock)
-//     and a fresh request still answers exactly.
+//   - afterwards the pool is fully drained (no slot leaks, no deadlock) and
+//     a fresh request still answers exactly.
 
 type chaosStats struct {
-	ok, approx, shed, injected, clientErr, canceled atomic.Int64
+	ok, shed, injected, clientErr, canceled atomic.Int64
 }
 
 func chaosPost(ts *httptest.Server, ctx context.Context, path string, body any, slowRead bool) (*http.Response, []byte, error) {
@@ -79,14 +80,10 @@ func chaosPost(ts *httptest.Server, ctx context.Context, path string, body any, 
 func TestChaosServingConformance(t *testing.T) {
 	const seed = 4242
 	w := newSampleWorkload(t, seed)
-	oracleEng, err := crsky.NewEngine(w.ds.Objects)
-	if err != nil {
-		t.Fatal(err)
-	}
 	alpha := w.alphas[0]
 	oracle := make(map[string][]int, len(w.qs))
 	for _, q := range w.qs {
-		oracle[fmt.Sprint([]float64(q))] = oracleEng.ProbabilisticReverseSkylineNaive(q, alpha)
+		oracle[fmt.Sprint([]float64(q))], _ = causality.NaivePRSQ(w.ds, q, alpha)
 	}
 	// A non-answer for the explain traffic.
 	an := -1
@@ -109,7 +106,7 @@ func TestChaosServingConformance(t *testing.T) {
 		PanicP:       0.04,
 	})
 	srv := server.New(server.Config{
-		Workers: 2, ApproxWorkers: 1, MaxQueue: 3, CacheSize: 64,
+		Workers: 2, MaxQueue: 3, CacheSize: 64,
 		Faults:     in,
 		WrapEngine: func(e crsky.Explainer) crsky.Explainer { return faultinject.Wrap(e, in) },
 	})
@@ -141,11 +138,10 @@ func TestChaosServingConformance(t *testing.T) {
 					err  error
 				)
 				switch {
-				case kind < 5: // v1 query, all approx modes
-					mode := []string{"", "never", "auto", "always"}[rng.Intn(4)]
+				case kind < 5: // v1 query
 					resp, body, err = chaosPost(ts, ctx, "/v1/query", &server.QueryRequest{
 						Dataset: "chaos", Q: q, Alpha: alpha,
-						NoCache: rng.Intn(2) == 0, Approx: mode,
+						NoCache: rng.Intn(2) == 0,
 					}, false)
 				case kind < 8: // v2 batch, sometimes consumed slowly
 					resp, body, err = chaosPost(ts, ctx, "/v2/query", &server.BatchQueryRequest{
@@ -179,16 +175,8 @@ func TestChaosServingConformance(t *testing.T) {
 							t.Errorf("bad 200 body: %v (%s)", err, body)
 							return
 						}
-						if qr.Approx {
-							st.approx.Add(1)
-							for _, iv := range qr.Intervals {
-								if !(0 <= iv.Lo && iv.Lo <= iv.Pr && iv.Pr <= iv.Hi && iv.Hi <= 1) {
-									t.Errorf("malformed interval %+v", iv)
-									return
-								}
-							}
-						} else if want := oracle[fmt.Sprint([]float64(q))]; !equalIDs(qr.Answers, want) {
-							t.Errorf("chaos corrupted an exact answer: q=%v got %v want %v", q, qr.Answers, want)
+						if want := oracle[fmt.Sprint([]float64(q))]; !equalIDs(qr.Answers, want) {
+							t.Errorf("chaos corrupted an answer: q=%v got %v want %v", q, qr.Answers, want)
 							return
 						}
 					}
@@ -227,7 +215,7 @@ func TestChaosServingConformance(t *testing.T) {
 		return
 	}
 
-	// No slot leaks, no deadlock: both pools fully drain.
+	// No slot leaks, no deadlock: the pool fully drains.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var sr server.StatsResponse
@@ -238,12 +226,11 @@ func TestChaosServingConformance(t *testing.T) {
 		if err := json.Unmarshal(raw, &sr); err != nil {
 			t.Fatal(err)
 		}
-		if sr.Pool.InFlight == 0 && sr.Pool.QueueDepth == 0 &&
-			sr.ApproxPool.InFlight == 0 && sr.ApproxPool.QueueDepth == 0 {
+		if sr.Pool.InFlight == 0 && sr.Pool.QueueDepth == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("pools did not drain after chaos: %+v / %+v", sr.Pool, sr.ApproxPool)
+			t.Fatalf("pool did not drain after chaos: %+v", sr.Pool)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -253,8 +240,8 @@ func TestChaosServingConformance(t *testing.T) {
 	if st.injected.Load() > 0 && counts.Errors+counts.Panics == 0 {
 		t.Fatalf("saw %d 500s but the injector never fired", st.injected.Load())
 	}
-	t.Logf("chaos: ok=%d approx=%d shed=%d injected5xx=%d clientErr=%d canceled=%d faults=%+v",
-		st.ok.Load(), st.approx.Load(), st.shed.Load(), st.injected.Load(),
+	t.Logf("chaos: ok=%d shed=%d injected5xx=%d clientErr=%d canceled=%d faults=%+v",
+		st.ok.Load(), st.shed.Load(), st.injected.Load(),
 		st.clientErr.Load(), st.canceled.Load(), counts)
 
 	// The server still answers exactly after the storm (retrying past the
@@ -317,13 +304,10 @@ func chaosGet(ts *httptest.Server, path string) (*http.Response, []byte, error) 
 func TestChaosExplainFaultsPerItem(t *testing.T) {
 	const seed = 4243
 	w := newSampleWorkload(t, seed)
-	oracleEng, err := crsky.NewEngine(w.ds.Objects)
-	if err != nil {
-		t.Fatal(err)
-	}
 	q, alpha := w.qs[0], w.alphas[0]
 	inAns := map[int]bool{}
-	for _, id := range oracleEng.ProbabilisticReverseSkylineNaive(q, alpha) {
+	answers, _ := causality.NaivePRSQ(w.ds, q, alpha)
+	for _, id := range answers {
 		inAns[id] = true
 	}
 	var items []server.BatchExplainItemRequest
@@ -415,27 +399,22 @@ func TestChaosExplainFaultsPerItem(t *testing.T) {
 	}
 }
 
-// TestChaosOverloadContract saturates a deliberately tiny server: one exact
-// worker behind a two-deep admission queue, one approximate slot, no cache,
-// and every pool slot stalled for up to 40ms, a stand-in for queries heavy
-// enough to saturate a worker on any host. Sixteen concurrent clients send
-// cache-bypassing "approx": "auto" queries under a 1s deadline. Overload may
-// shed a request or degrade it to the Monte Carlo tier, never fail or
+// TestChaosOverloadContract saturates a deliberately tiny server: one
+// worker behind a two-deep admission queue, no cache, and every pool slot
+// stalled for up to 40ms, a stand-in for queries heavy enough to saturate a
+// worker on any host. Sixteen concurrent clients send cache-bypassing
+// queries under a 1s deadline. Overload may shed a request, never fail or
 // corrupt it:
 //
 //   - every response is 200, or 503 with an integer Retry-After >= 1;
-//   - every answer that does not say approx equals the naive oracle;
-//   - every answer that says approx keeps its intervals inside [0, 1];
+//   - every answer equals the naive oracle;
 //   - the server recovered no panic;
-//   - every error response the server counted is a 503 a client saw.
+//   - every error response the server counted is a 503 a client saw;
+//   - some request was shed, so the test still overloads the server.
 func TestChaosOverloadContract(t *testing.T) {
 	const seed = 4244
 	const clients, perClient = 16, 8
 	w := newSampleWorkload(t, seed)
-	oracleEng, err := crsky.NewEngine(w.ds.Objects)
-	if err != nil {
-		t.Fatal(err)
-	}
 	alpha := w.alphas[0]
 	// Query points on the data: a sample location of a random object each.
 	rng := rand.New(rand.NewSource(seed))
@@ -443,17 +422,17 @@ func TestChaosOverloadContract(t *testing.T) {
 	oracle := make([][]int, len(qs))
 	for i := range qs {
 		qs[i] = w.ds.Objects[rng.Intn(w.ds.Len())].Samples[0].Loc.Clone()
-		oracle[i] = oracleEng.ProbabilisticReverseSkylineNaive(qs[i], alpha)
+		oracle[i], _ = causality.NaivePRSQ(w.ds, qs[i], alpha)
 	}
 
 	faults := faultinject.New(faultinject.Config{Seed: seed, SlotDelayP: 1, SlotDelayMax: 40 * time.Millisecond})
 	ts := httptest.NewServer(server.New(server.Config{
-		Workers: 1, MaxQueue: 2, ApproxWorkers: 1, CacheSize: -1, Faults: faults,
+		Workers: 1, MaxQueue: 2, CacheSize: -1, Faults: faults,
 	}).Handler())
 	defer ts.Close()
 	chaosRegister(t, ts, w.ds)
 
-	var ok, approx, shed atomic.Int64
+	var ok, shed atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < clients; g++ {
 		wg.Add(1)
@@ -462,7 +441,7 @@ func TestChaosOverloadContract(t *testing.T) {
 			for k := 0; k < perClient; k++ {
 				i := (g*perClient + k) % len(qs)
 				resp, body, err := chaosPost(ts, context.Background(), "/v1/query?timeout=1s", &server.QueryRequest{
-					Dataset: "chaos", Q: qs[i], Alpha: alpha, NoCache: true, Approx: "auto",
+					Dataset: "chaos", Q: qs[i], Alpha: alpha, NoCache: true,
 				}, false)
 				if err != nil {
 					t.Errorf("client %d: transport error: %v", g, err)
@@ -476,17 +455,8 @@ func TestChaosOverloadContract(t *testing.T) {
 						t.Errorf("bad 200 body: %v (%s)", err, body)
 						return
 					}
-					if !qr.Approx {
-						if !equalIDs(qr.Answers, oracle[i]) {
-							t.Errorf("overload corrupted an exact answer: q=%v got %v want %v", qs[i], qr.Answers, oracle[i])
-						}
-						continue
-					}
-					approx.Add(1)
-					for _, iv := range qr.Intervals {
-						if !(0 <= iv.Lo && iv.Lo <= iv.Pr && iv.Pr <= iv.Hi && iv.Hi <= 1) {
-							t.Errorf("approximate answer with interval %+v outside [0, 1]", iv)
-						}
+					if !equalIDs(qr.Answers, oracle[i]) {
+						t.Errorf("overload corrupted an answer: q=%v got %v want %v", qs[i], qr.Answers, oracle[i])
 					}
 				case http.StatusServiceUnavailable:
 					shed.Add(1)
@@ -516,9 +486,8 @@ func TestChaosOverloadContract(t *testing.T) {
 	if sr.Requests.Errors > shed.Load() {
 		t.Errorf("server counted %d error responses but the clients saw only %d 503s", sr.Requests.Errors, shed.Load())
 	}
-	if shed.Load()+sr.Requests.Approx == 0 {
-		t.Errorf("%d requests against one stalled worker were neither shed nor degraded: the test no longer overloads the server", clients*perClient)
+	if shed.Load() == 0 {
+		t.Errorf("%d requests against one stalled worker were never shed: the test no longer overloads the server", clients*perClient)
 	}
-	t.Logf("overload: ok=%d (approx %d) shed=%d; server: errors=%d approx-tier answers=%d",
-		ok.Load(), approx.Load(), shed.Load(), sr.Requests.Errors, sr.Requests.Approx)
+	t.Logf("overload: ok=%d shed=%d; server: errors=%d", ok.Load(), shed.Load(), sr.Requests.Errors)
 }

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	crsky "github.com/crsky/crsky"
+	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/geom"
+	"github.com/crsky/crsky/internal/prob"
 	"github.com/crsky/crsky/internal/uncertain"
 )
 
@@ -37,7 +39,7 @@ func TestConformanceSampleModel(t *testing.T) {
 		ieng := incrementalSampleEngine(t, w.ds.Objects)
 		for _, q := range w.qs {
 			for _, alpha := range w.alphas {
-				want := eng.ProbabilisticReverseSkylineNaive(q, alpha)
+				want, _ := causality.NaivePRSQ(w.ds, q, alpha)
 				for _, v := range Variants() {
 					e := eng
 					if v.Incremental {
@@ -188,11 +190,15 @@ func TestConformanceCertainModel(t *testing.T) {
 	})
 }
 
-// pdfNaive is the pdf model's naive oracle, failing the test on a rejected
-// quadrature grid.
+// pdfNaive is the pdf model's naive oracle over eng's objects (nil for a
+// tombstone), failing the test on a rejected quadrature grid.
 func pdfNaive(t *testing.T, eng *crsky.PDFEngine, q geom.Point, alpha float64, quad int) []int {
 	t.Helper()
-	ids, err := eng.ProbabilisticReverseSkylineNaive(q, alpha, quad)
+	objs := make([]*uncertain.PDFObject, eng.Len())
+	for i := range objs {
+		objs[i] = eng.Object(i)
+	}
+	ids, err := prob.PRSQPDF(objs, q, alpha, quad)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	crsky "github.com/crsky/crsky"
+	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/prob"
@@ -101,6 +102,23 @@ func checkProbes(t *testing.T, label string, e crsky.Querier, live func(id int) 
 	}
 }
 
+// liveSample is ds with the objects e has deleted deleted too: the dataset
+// the sample-model naive oracle runs on for an engine derived from ds. The
+// slots e has past ds's end are tombstones (the incremental rebuild's
+// decoy), so the oracle answers none of them either.
+func liveSample(t *testing.T, ds *dataset.Uncertain, e *crsky.Engine) *dataset.Uncertain {
+	t.Helper()
+	for id := 0; id < ds.Len(); id++ {
+		if e.Object(id) == nil {
+			var err error
+			if ds, err = ds.WithDelete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return ds
+}
+
 // namedEngine is one engine lineage a probe check runs on.
 type namedEngine struct {
 	name string
@@ -122,9 +140,10 @@ func derivedEngines(t *testing.T, rng *rand.Rand, base, incremental crsky.Explai
 // TestConformanceProbCtx asserts the one-object membership probe on all
 // three models against the naive oracles, on engines built from scratch
 // and derived through WithInsert and WithDelete: the sample and pdf models
-// against thresholding ProbabilisticReverseSkylineNaive (the pdf value also
-// bit for bit against Eq. 2 integrated over all objects), certain data
-// against the pairwise reverse skyline over the live points.
+// against thresholding their naive oracles, causality.NaivePRSQ and
+// prob.PRSQPDF (the pdf value also bit for bit against Eq. 2 integrated
+// over all objects), certain data against the pairwise reverse skyline over
+// the live points.
 func TestConformanceProbCtx(t *testing.T) {
 	t.Run("sample", func(t *testing.T) {
 		forEachCaseSeed(t, 31_000, 10, func(t *testing.T, seed int64) {
@@ -137,9 +156,13 @@ func TestConformanceProbCtx(t *testing.T) {
 			for _, ne := range derivedEngines(t, rng, base, incrementalSampleEngine(t, w.ds.Objects)) {
 				name, e := ne.name, ne.e.(*crsky.Engine)
 				live := func(id int) bool { return e.Object(id) != nil }
+				ds := liveSample(t, w.ds, e)
 				for _, q := range w.qs {
 					checkProbes(t, w.String()+" "+name, e, live, q, crsky.QueryOptions{}, w.alphas,
-						func(alpha float64) []int { return e.ProbabilisticReverseSkylineNaive(q, alpha) }, nil)
+						func(alpha float64) []int {
+							ids, _ := causality.NaivePRSQ(ds, q, alpha)
+							return ids
+						}, nil)
 				}
 			}
 		})

@@ -8,7 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	crsky "github.com/crsky/crsky"
+	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/server"
 	"github.com/crsky/crsky/internal/store"
 )
@@ -126,10 +126,6 @@ func TestRecoveredServerConformance(t *testing.T) {
 	for _, seed := range seeds {
 		w := workloads[seed]
 		name := string(rune('a' + seed%26))
-		eng, err := crsky.NewEngine(w.ds.Objects)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, alpha := range w.alphas {
 			body, err := json.Marshal(&server.QueryRequest{Dataset: name, Q: w.qs[0], Alpha: alpha, NoCache: true})
 			if err != nil {
@@ -143,7 +139,7 @@ func TestRecoveredServerConformance(t *testing.T) {
 			if err := json.Unmarshal(raw, &qr); err != nil {
 				t.Fatal(err)
 			}
-			if naive := eng.ProbabilisticReverseSkylineNaive(w.qs[0], alpha); !equalIDs(qr.Answers, naive) {
+			if naive, _ := causality.NaivePRSQ(w.ds, w.qs[0], alpha); !equalIDs(qr.Answers, naive) {
 				t.Fatalf("seed %d alpha %g: recovered server answers %v, oracle %v", seed, alpha, qr.Answers, naive)
 			}
 		}

@@ -13,10 +13,8 @@ import (
 	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/geom"
-	"github.com/crsky/crsky/internal/prob"
 	"github.com/crsky/crsky/internal/prsq"
 	"github.com/crsky/crsky/internal/stats"
-	"github.com/crsky/crsky/internal/uncertain"
 )
 
 // PRSQBenchFile is the conventional Config.BenchFile value recording the
@@ -97,7 +95,7 @@ func PRSQBench(cfg Config) error {
 			run  func() ([]int, prsq.Stats)
 		}{
 			{"naive", func() ([]int, prsq.Stats) {
-				ids, nodes := naivePRSQ(ds, q, alpha)
+				ids, nodes := causality.NaivePRSQ(ds, q, alpha)
 				return ids, prsq.Stats{NodeAccesses: nodes}
 			}},
 			{"indexed-serial", indexed(prsq.Options{Parallel: 1})},
@@ -232,25 +230,4 @@ func processCPU() time.Duration {
 func indexedPRSQ(ds *dataset.Uncertain, q geom.Point, alpha float64, opt prsq.Options) ([]int, prsq.Stats) {
 	out, st, _ := prsq.QueryBatchStreamStatsCtx(context.Background(), ds, []geom.Point{q}, alpha, opt, nil)
 	return out[0], st
-}
-
-// naivePRSQ is the pre-acceleration query loop: one candidate-filter
-// traversal plus one full Eq.-2 evaluation per object. It returns the
-// answers with the node accesses of all the filter traversals.
-func naivePRSQ(ds *dataset.Uncertain, q geom.Point, alpha float64) ([]int, int64) {
-	var out []int
-	var accesses int64
-	for id := 0; id < ds.Len(); id++ {
-		an := ds.Objects[id]
-		candIDs, n := causality.FilterCandidatesCounted(ds, q, an)
-		accesses += n
-		cands := make([]*uncertain.Object, len(candIDs))
-		for i, cid := range candIDs {
-			cands[i] = ds.Objects[cid]
-		}
-		if prob.GEq(prob.PrReverseSkyline(an, q, cands), alpha) {
-			out = append(out, id)
-		}
-	}
-	return out, accesses
 }

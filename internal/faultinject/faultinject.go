@@ -167,14 +167,6 @@ func (f *faultyEngine) QueryBatchStream(ctx context.Context, qs []crsky.Point, a
 	return f.inner.QueryBatchStream(ctx, qs, alpha, opts, emit)
 }
 
-func (f *faultyEngine) QueryApprox(ctx context.Context, q crsky.Point, alpha float64, opts crsky.QueryOptions, approx crsky.ApproxOptions) (*crsky.ApproxResult, crsky.QueryStats, error) {
-	if err := f.in.Err("queryApprox"); err != nil {
-		return nil, crsky.QueryStats{}, err
-	}
-	f.in.MaybePanic("queryApprox")
-	return f.inner.QueryApprox(ctx, q, alpha, opts, approx)
-}
-
 func (f *faultyEngine) ProbCtx(ctx context.Context, id int, q crsky.Point, opts crsky.QueryOptions) (float64, crsky.QueryStats, error) {
 	if err := f.in.Err("prob"); err != nil {
 		return 0, crsky.QueryStats{}, err

@@ -121,6 +121,25 @@ func (e *Evaluator) rebuild() {
 	}
 }
 
+// Clone returns an independent copy of the evaluator sharing the immutable
+// dominance matrix but owning its activation state, so a side search (the
+// refinement's minimum-repair seed) can mutate it without disturbing the
+// original's incremental state.
+func (e *Evaluator) Clone() *Evaluator {
+	c := &Evaluator{
+		weights: e.weights, // immutable after construction
+		d:       e.d,       // immutable after construction
+		cols:    e.cols,
+		rows:    e.rows,
+		active:  append([]bool{}, e.active...),
+		nActive: e.nActive,
+		prod:    append([]float64{}, e.prod...),
+		zeroCnt: append([]int{}, e.zeroCnt...),
+		scratch: e.scratch,
+	}
+	return c
+}
+
 // N returns the number of candidates the evaluator was built over.
 func (e *Evaluator) N() int { return e.rows }
 

@@ -149,6 +149,28 @@ func PRSQ(objs []*uncertain.Object, q geom.Point, alpha float64) []int {
 	return out
 }
 
+// PRSQPDF is PRSQ for the continuous model: the positions of all live
+// objects whose Pr (PrReverseSkylinePDF against every object, no index,
+// no filter, no bounds) is at least alpha. It is the correctness oracle the
+// accelerated pdf query and probe are conformance-tested against.
+// nodesPerDim <= 0 selects the dimension-adapted default, and a grid too
+// large to build is rejected with uncertain.CheckQuadNodes's error.
+func PRSQPDF(objs []*uncertain.PDFObject, q geom.Point, alpha float64, nodesPerDim int) ([]int, error) {
+	if err := uncertain.CheckQuadNodes(nodesPerDim, len(q)); err != nil {
+		return nil, err
+	}
+	var out []int
+	for id, o := range objs {
+		if o == nil {
+			continue
+		}
+		if GEq(PrReverseSkylinePDF(o, q, objs, nodesPerDim), alpha) {
+			out = append(out, id)
+		}
+	}
+	return out, nil
+}
+
 // IsAnswer reports whether u is an answer to the probabilistic reverse
 // skyline query (Pr(u) >= alpha) against others.
 func IsAnswer(u *uncertain.Object, q geom.Point, alpha float64, others []*uncertain.Object) bool {

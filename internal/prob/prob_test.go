@@ -251,3 +251,44 @@ func TestEvaluatorIdempotentMutations(t *testing.T) {
 		t.Fatal("Remove on inactive candidate must be a no-op")
 	}
 }
+
+func TestEvaluatorClone(t *testing.T) {
+	r := rand.New(rand.NewSource(153))
+	an := randObj(r, 0, 2, 3, 100)
+	q := geom.Point{50, 50}
+	cands := make([]*uncertain.Object, 5)
+	for i := range cands {
+		cands[i] = randObj(r, i+1, 2, 3, 100)
+	}
+	e := NewEvaluator(an, q, cands)
+	e.Remove(1)
+	c := e.Clone()
+	if c.Pr() != e.Pr() || c.NumActive() != e.NumActive() {
+		t.Fatal("clone state differs from original")
+	}
+	// Mutating the clone must not affect the original and vice versa.
+	c.Remove(2)
+	if e.Active(2) != true {
+		t.Fatal("clone mutation leaked into original")
+	}
+	e.Remove(3)
+	if c.Active(3) != true {
+		t.Fatal("original mutation leaked into clone")
+	}
+	// Both still compute correctly against direct evaluation.
+	direct := func(ev *Evaluator) float64 {
+		var act []*uncertain.Object
+		for j := range cands {
+			if ev.Active(j) {
+				act = append(act, cands[j])
+			}
+		}
+		return PrReverseSkyline(an, q, act)
+	}
+	if math.Abs(c.Pr()-direct(c)) > 1e-9 {
+		t.Fatalf("clone Pr %v vs direct %v", c.Pr(), direct(c))
+	}
+	if math.Abs(e.Pr()-direct(e)) > 1e-9 {
+		t.Fatalf("original Pr %v vs direct %v", e.Pr(), direct(e))
+	}
+}

@@ -52,90 +52,6 @@ func (st *pdfStreamState) harvest() (Stats, []int, [][]int32) {
 	return st.stats, st.undecidedIDs, st.undecidedCands
 }
 
-// joined is the outcome of the join stage: per-query verdicts for
-// everything the bounds decided, plus the undecided (query, object) band
-// with its candidate lists. The exact tier (Eq.-2 evaluation or
-// quadrature) and the approximate tier (Monte Carlo estimation) both
-// consume it, so the two tiers differ only in how the band is settled.
-// Stats.Objects counts object-decisions, n × len(qs).
-type joined struct {
-	verdicts [][]decision
-	stats    Stats
-	items    []batchItem
-	cands    [][]int32
-}
-
-// join runs the join stage: the shared-descent self-join with one fresh
-// stream state per (worker, query) from newState, traced as prsq.join with
-// its node accesses as the rtree.joinNodeAccesses counter. Under
-// Options.StageBudget the join runs on its slice of the deadline (see
-// Options.joinSlice). A canceled join returns the typed cancellation error
-// together with a joined carrying only Stats.Objects and
-// Stats.NodeAccesses.
-func join(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Point, opt Options,
-	newState func(k int) batchState) (*joined, error) {
-
-	nQ := len(qs)
-	j := &joined{verdicts: make([][]decision, nQ), stats: Stats{Objects: n * nQ}}
-	windows := make([]rtree.WindowFunc, nQ)
-	for k := range qs {
-		j.verdicts[k] = make([]decision, n)
-		windows[k] = domWindow(qs[k])
-	}
-
-	// Verdict slots are disjoint per left object, so the join workers
-	// never write the same element.
-	var mu sync.Mutex
-	var workerStates [][]batchState
-	joinCtx, endSlice := opt.joinSlice(ctx)
-	defer endSlice()
-	tr := obs.FromContext(ctx)
-	endJoin := tr.StartSpan("prsq.join")
-	counts, err := tree.JoinSelfStreamBatch(joinCtx, windows, opt.workers(n), func() rtree.BatchStreamVisitor {
-		states := make([]batchState, nQ)
-		for k := range states {
-			states[k] = newState(k)
-		}
-		mu.Lock()
-		workerStates = append(workerStates, states)
-		mu.Unlock()
-		return rtree.BatchStreamVisitor{
-			Leaf: func(k int, leaf, core geom.Rect) func(int) bool { return states[k].leafCore(leaf, core) },
-			Begin: func(k, id int, r geom.Rect) bool {
-				if states[k].begin(id, r) {
-					return true
-				}
-				j.verdicts[k][id] = accepted
-				return false
-			},
-			Pair: func(k, leftID, rightID int, rr geom.Rect) bool { return states[k].pair(leftID, rightID, rr) },
-			End:  func(k, id int) { j.verdicts[k][id] = states[k].finish(id) },
-		}
-	})
-	endJoin()
-	j.stats.NodeAccesses = counts.NodeAccesses
-	j.stats.EntriesScanned = counts.EntriesScanned
-	tr.Add("rtree.joinNodeAccesses", counts.NodeAccesses)
-	if err != nil {
-		return j, wrapCanceled(err, 0)
-	}
-	// A skipped stream is an object the whole-leaf reject settled: a bound
-	// reject whose verdict slot keeps the zero value, rejected.
-	j.stats.LeafRejected = int(counts.Skipped)
-	j.stats.RejectedByBound = j.stats.LeafRejected
-	for _, states := range workerStates {
-		for k, st := range states {
-			s, ids, cs := st.harvest()
-			j.stats.add(s)
-			for i, id := range ids {
-				j.items = append(j.items, batchItem{q: k, id: id})
-				j.cands = append(j.cands, cs[i])
-			}
-		}
-	}
-	return j, nil
-}
-
 // domWindow is query q's node-level candidate window for the join: the
 // bound on the union of the dominance rectangles of every anchor in a
 // left rectangle, written into the join worker's scratch.
@@ -179,14 +95,24 @@ func (em *batchEmitter) flushLocked() {
 	}
 }
 
-// queryBatchCore runs the join stage and then the merged exact stage,
-// traced as prsq.exact — the one copy of the query orchestration, with the
-// model plugged in through newState (fresh per-query stream state for a
-// join worker) and isAnswer (the exact evaluation of one undecided
-// (query, object) pair). A non-nil emit observes every query's final
-// answer slice in ascending query order, each exactly once, as soon as it
-// is final — on a mid-batch cancellation only the completed prefix has
-// been emitted, and the error return carries no answers.
+// queryBatchCore answers every point of qs — the one copy of the query
+// orchestration, with the model plugged in through newState (fresh
+// per-query stream state for a join worker) and isAnswer (the exact
+// evaluation of one undecided (query, object) pair). It runs two stages:
+//
+//  1. the join, traced as prsq.join with its node accesses as the
+//     rtree.joinNodeAccesses counter: the shared-descent self-join with
+//     one stream state per (worker, query), which leaves a verdict for
+//     every object the bounds decided and the undecided (query, object)
+//     band with its candidate lists;
+//  2. the merged exact stage over that band, traced as prsq.exact.
+//
+// Stats.Objects counts object-decisions, n × len(qs). A non-nil emit
+// observes every query's final answer slice in ascending query order, each
+// exactly once, as soon as it is final — on a mid-batch cancellation only
+// the completed prefix has been emitted, and the error return carries no
+// answers. A join canceled before it finished returns Stats carrying only
+// Objects, NodeAccesses and EntriesScanned.
 func queryBatchCore(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Point, opt Options,
 	newState func(k int) batchState,
 	isAnswer func(qIdx, id int, cands []int32) bool,
@@ -196,13 +122,67 @@ func queryBatchCore(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Poin
 	if nQ == 0 {
 		return [][]int{}, Stats{}, nil
 	}
-	j, err := join(ctx, tree, n, qs, opt, newState)
-	if err != nil {
-		return nil, j.stats, err
+	stats := Stats{Objects: n * nQ}
+	verdicts := make([][]decision, nQ)
+	windows := make([]rtree.WindowFunc, nQ)
+	for k := range qs {
+		verdicts[k] = make([]decision, n)
+		windows[k] = domWindow(qs[k])
 	}
 
-	em := &batchEmitter{emit: emit, pending: make([]int, nQ), verdicts: j.verdicts, out: make([][]int, nQ)}
-	for _, it := range j.items {
+	// Verdict slots are disjoint per left object, so the join workers
+	// never write the same element.
+	var mu sync.Mutex
+	var workerStates [][]batchState
+	tr := obs.FromContext(ctx)
+	endJoin := tr.StartSpan("prsq.join")
+	counts, err := tree.JoinSelfStreamBatch(ctx, windows, opt.workers(n), func() rtree.BatchStreamVisitor {
+		states := make([]batchState, nQ)
+		for k := range states {
+			states[k] = newState(k)
+		}
+		mu.Lock()
+		workerStates = append(workerStates, states)
+		mu.Unlock()
+		return rtree.BatchStreamVisitor{
+			Leaf: func(k int, leaf, core geom.Rect) func(int) bool { return states[k].leafCore(leaf, core) },
+			Begin: func(k, id int, r geom.Rect) bool {
+				if states[k].begin(id, r) {
+					return true
+				}
+				verdicts[k][id] = accepted
+				return false
+			},
+			Pair: func(k, leftID, rightID int, rr geom.Rect) bool { return states[k].pair(leftID, rightID, rr) },
+			End:  func(k, id int) { verdicts[k][id] = states[k].finish(id) },
+		}
+	})
+	endJoin()
+	stats.NodeAccesses = counts.NodeAccesses
+	stats.EntriesScanned = counts.EntriesScanned
+	tr.Add("rtree.joinNodeAccesses", counts.NodeAccesses)
+	if err != nil {
+		return nil, stats, wrapCanceled(err, 0)
+	}
+	// A skipped stream is an object the whole-leaf reject settled: a bound
+	// reject whose verdict slot keeps the zero value, rejected.
+	stats.LeafRejected = int(counts.Skipped)
+	stats.RejectedByBound = stats.LeafRejected
+	var items []batchItem
+	var cands [][]int32
+	for _, states := range workerStates {
+		for k, st := range states {
+			s, ids, cs := st.harvest()
+			stats.add(s)
+			for i, id := range ids {
+				items = append(items, batchItem{q: k, id: id})
+				cands = append(cands, cs[i])
+			}
+		}
+	}
+
+	em := &batchEmitter{emit: emit, pending: make([]int, nQ), verdicts: verdicts, out: make([][]int, nQ)}
+	for _, it := range items {
 		em.pending[it.q]++
 	}
 	// Queries the join fully decided owe no exact work: flush them now so a
@@ -212,21 +192,20 @@ func queryBatchCore(ctx context.Context, tree *rtree.Tree, n int, qs []geom.Poin
 	em.flushLocked()
 	em.mu.Unlock()
 
-	tr := obs.FromContext(ctx)
 	endExact := tr.StartSpan("prsq.exact")
-	evaluated, err := evaluate(ctx, j.cands, opt,
-		func(k int) bool { return isAnswer(j.items[k].q, j.items[k].id, j.cands[k]) },
+	evaluated, err := evaluate(ctx, cands, opt,
+		func(k int) bool { return isAnswer(items[k].q, items[k].id, cands[k]) },
 		func(k int, d decision) {
-			j.verdicts[j.items[k].q][j.items[k].id] = d
-			em.settle(j.items[k].q)
+			verdicts[items[k].q][items[k].id] = d
+			em.settle(items[k].q)
 		})
 	endExact()
 	if err != nil {
-		return nil, j.stats, wrapCanceled(err, evaluated)
+		return nil, stats, wrapCanceled(err, evaluated)
 	}
-	j.stats.Evaluated = len(j.items)
-	j.stats.addToTrace(tr)
-	return em.out, j.stats, nil
+	stats.Evaluated = len(items)
+	stats.addToTrace(tr)
+	return em.out, stats, nil
 }
 
 // sampleStates is the sample model's per-query stream-state factory.

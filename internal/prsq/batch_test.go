@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/ctxutil"
@@ -136,12 +136,28 @@ func TestQueryBatchCanceled(t *testing.T) {
 	}
 }
 
-// TestQueryBatchStageBudget pins StageBudget on batches: a 64-point batch
-// at n=20k, whose join alone runs for seconds, must stop the join at its
-// half of the deadline and return the join cancellation while the request
-// deadline is still live — leaving the caller the other half for a
-// fallback.
-func TestQueryBatchStageBudget(t *testing.T) {
+// pollDeadline is a context whose deadline passes at its polls-th Err
+// call. The join is the first stage to poll, so a small polls makes the
+// deadline fire inside the join on any machine, however fast: a wall-clock
+// deadline races a join that finishes in a few hundred milliseconds.
+type pollDeadline struct {
+	context.Context
+	polls atomic.Int64
+}
+
+func (c *pollDeadline) Err() error {
+	if c.polls.Add(-1) < 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestQueryBatchDeadlineInJoin pins a deadline that fires inside the join
+// of a 64-point batch at n=20k: the call returns a *ctxutil.CanceledError
+// wrapping DeadlineExceeded, with no answers, no exact evaluation, and the
+// node accesses of the part of the join that ran — more than none, fewer
+// than the whole join's.
+func TestQueryBatchDeadlineInJoin(t *testing.T) {
 	ds, err := dataset.GenerateUncertain(dataset.LUrU(20_000, 3, 0, 5, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -158,18 +174,22 @@ func TestQueryBatchStageBudget(t *testing.T) {
 			10000 * (0.3 + 0.4*rng.Float64()),
 		}
 	}
-	const deadline = 500 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	_, full, err := QueryBatchStreamStatsCtx(context.Background(), ds, qs, 0.5, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	start := time.Now()
-	_, _, err = QueryBatchStreamStatsCtx(ctx, ds, qs, 0.5, Options{StageBudget: true}, nil)
-	elapsed := time.Since(start)
+	ctx := &pollDeadline{Context: parent}
+	ctx.polls.Store(2048)
+	out, st, err := QueryBatchStreamStatsCtx(ctx, ds, qs, 0.5, Options{}, nil)
 	var ce *ctxutil.CanceledError
-	if !errors.As(err, &ce) || !errors.Is(err, context.DeadlineExceeded) || ce.Evaluated != 0 {
-		t.Fatalf("err = %v after %v, want a join-stage deadline cancellation", err, elapsed)
+	if !errors.As(err, &ce) || !errors.Is(err, context.DeadlineExceeded) || ce.Evaluated != 0 || out != nil {
+		t.Fatalf("out = %v, err = %v, want no answers and a join-stage deadline cancellation", out, err)
 	}
-	if ctx.Err() != nil {
-		t.Fatalf("join returned after %v, past the %v request deadline instead of at its half", elapsed, deadline)
+	if st.NodeAccesses <= 0 || st.NodeAccesses >= full.NodeAccesses {
+		t.Fatalf("canceled join read %d nodes, want more than 0 and fewer than the whole join's %d",
+			st.NodeAccesses, full.NodeAccesses)
 	}
-	t.Logf("join canceled after %v of a %v deadline", elapsed, deadline)
+	t.Logf("join canceled after %d of %d node accesses", st.NodeAccesses, full.NodeAccesses)
 }

@@ -29,9 +29,7 @@
 //  3. Parallel refinement: the filtering join itself fans out per R-tree
 //     subtree onto a worker pool (each worker owning its own stream state),
 //     and the undecided band is evaluated exactly (Eq. 2) on the same pool,
-//     each worker owning scratch buffers reused across objects. The
-//     approximate tier reuses the join stage and settles the band by Monte
-//     Carlo instead.
+//     each worker owning scratch buffers reused across objects.
 //
 // The result is bit-identical to the brute-force prob.PRSQ: excluded
 // non-candidates contribute exact ×1 factors, candidate lists are evaluated
@@ -45,7 +43,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/crsky/crsky/internal/ctxutil"
 	"github.com/crsky/crsky/internal/dataset"
@@ -77,29 +74,6 @@ type Options struct {
 	// certain models ignore it; it lives here so the model-generic v2
 	// query API needs no per-model signature.
 	QuadNodes int
-	// StageBudget, when the context carries a deadline, caps the filtering
-	// join at half the remaining budget: a join that stalls (skewed data,
-	// injected faults) then times out with a slice of the deadline still
-	// unspent, leaving the refinement stage — or a degraded fallback armed
-	// by the caller — a guaranteed share instead of inheriting an already
-	// exhausted context. Without a deadline, or unset, nothing changes.
-	StageBudget bool
-}
-
-// joinSlice derives the filtering join's stage context under StageBudget.
-func (o Options) joinSlice(ctx context.Context) (context.Context, context.CancelFunc) {
-	if !o.StageBudget {
-		return ctx, func() {}
-	}
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return ctx, func() {}
-	}
-	rem := time.Until(dl)
-	if rem <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithDeadline(ctx, time.Now().Add(rem/2))
 }
 
 func (o Options) workers(n int) int {

@@ -127,7 +127,7 @@ type batchTask struct {
 //
 // The dispatcher and each worker poll ctx with their own amortized
 // checker — one unit per visited node plus one per right node scanned for
-// a (query, left entry) pair, so a large batch observes a stage deadline
+// a (query, left entry) pair, so a large batch observes a deadline
 // within one stride of rectangle scans — and a worker abandons its
 // remaining tasks when its poll fires; the dispatcher stops handing out
 // tasks as well, and the first context error is returned after all workers

@@ -72,7 +72,7 @@ func priorityFrom(r *http.Request, def priorityClass) priorityClass {
 	return def
 }
 
-// queueCap is the class's admission threshold on the exact pool's queue
+// queueCap is the class's admission threshold on the worker pool's queue
 // depth: batch yields at a quarter of the queue budget, explain at half,
 // query at the full budget.
 func (s *Server) queueCap(class priorityClass) int64 {
@@ -92,7 +92,7 @@ func (s *Server) queueCap(class priorityClass) int64 {
 	return c
 }
 
-// estWait estimates how long a new arrival would wait for an exact-pool
+// estWait estimates how long a new arrival would wait for a worker-pool
 // slot: current queue depth × the recent median slot wait. Zero when the
 // queue is empty or no waits have been observed yet.
 func (s *Server) estWait() time.Duration {
@@ -121,7 +121,7 @@ func (s *Server) retryAfter() string {
 	return strconv.Itoa(secs)
 }
 
-// admit decides whether a compute request may queue for the exact pool.
+// admit decides whether a compute request may queue for the worker pool.
 // remaining is the request's remaining deadline budget (0 = unbounded).
 // The three rejection reasons, in order:
 //

@@ -6,15 +6,10 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/crsky/crsky"
-	"github.com/crsky/crsky/internal/dataset"
 )
 
 func decodeInto(tb testing.TB, raw []byte, out any) {
@@ -230,138 +225,6 @@ func (c *testClient) mustGet(path string, out any) {
 	decodeInto(c.tb, raw, out)
 }
 
-// --- end-to-end: the approximate tier ----------------------------------
-
-// undecidedWorkload registers a dataset/query pair whose filter bounds leave
-// Monte Carlo work to do (the sampleWorkload is fully bound-decided at its
-// canonical q, which would make the approximate tier trivially exact).
-func undecidedWorkload(t *testing.T, c *testClient, name string) []float64 {
-	t.Helper()
-	ds, err := dataset.GenerateUncertain(dataset.LUrU(400, 2, 50, 900, 23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.registerSample(name, ds)
-	return []float64{5000, 5000}
-}
-
-func TestQueryApproxAlways(t *testing.T) {
-	s := New(Config{Workers: 2})
-	c := newTestClient(t, s)
-	q := undecidedWorkload(t, c, "lUrU")
-
-	req := &QueryRequest{Dataset: "lUrU", Q: q, Alpha: 0.5, Approx: "always", Epsilon: 0.03}
-	var qr QueryResponse
-	resp := c.post("/v1/query", req, &qr, http.StatusOK)
-	if got := resp.Header.Get(headerCache); got != "bypass" {
-		t.Fatalf("approx response cache header %q, want bypass (never cached)", got)
-	}
-	if !qr.Approx {
-		t.Fatalf("approx=always response not marked approximate: %+v", qr)
-	}
-	if len(qr.Intervals) == 0 {
-		t.Fatal("approximate response carries no confidence intervals")
-	}
-	if qr.Epsilon != 0.03 || qr.Confidence != 0.95 {
-		t.Fatalf("error budget echoed as (%g, %g), want (0.03, 0.95)", qr.Epsilon, qr.Confidence)
-	}
-	// Hoeffding at eps=0.03, delta=0.05 needs ~2050 iterations.
-	if qr.Iters < 1000 {
-		t.Fatalf("iters = %d, too few for eps=0.03", qr.Iters)
-	}
-	for _, iv := range qr.Intervals {
-		if !(0 <= iv.Lo && iv.Lo <= iv.Pr && iv.Pr <= iv.Hi && iv.Hi <= 1) {
-			t.Fatalf("malformed interval %+v", iv)
-		}
-		if iv.Hi-iv.Lo > 2*0.03+1e-9 {
-			t.Fatalf("interval %+v wider than 2*epsilon", iv)
-		}
-	}
-	for i := 1; i < len(qr.Answers); i++ {
-		if qr.Answers[i-1] >= qr.Answers[i] {
-			t.Fatalf("answers not ascending: %v", qr.Answers)
-		}
-	}
-
-	// Seeded sampling: the same request is deterministic.
-	var qr2 QueryResponse
-	c.post("/v1/query", req, &qr2, http.StatusOK)
-	if len(qr2.Answers) != len(qr.Answers) || len(qr2.Intervals) != len(qr.Intervals) {
-		t.Fatalf("approx response not deterministic: %d/%d answers, %d/%d intervals",
-			len(qr.Answers), len(qr2.Answers), len(qr.Intervals), len(qr2.Intervals))
-	}
-	for i := range qr.Intervals {
-		if qr.Intervals[i] != qr2.Intervals[i] {
-			t.Fatalf("interval %d differs across identical requests: %+v vs %+v",
-				i, qr.Intervals[i], qr2.Intervals[i])
-		}
-	}
-
-	var st StatsResponse
-	c.mustGet("/v1/stats", &st)
-	if st.Requests.Approx < 2 {
-		t.Fatalf("approx counter = %d, want >= 2", st.Requests.Approx)
-	}
-	if st.ApproxPool.Completed < 2 {
-		t.Fatalf("approx pool completed = %d, want >= 2", st.ApproxPool.Completed)
-	}
-}
-
-func TestQueryApproxAutoFallsBackWhenShed(t *testing.T) {
-	s := New(Config{Workers: 1, MaxQueue: 1, CacheSize: -1, ApproxWorkers: 1})
-	block := make(chan struct{})
-	s.computeHook = func(context.Context) { <-block }
-	defer close(block)
-	c := newTestClient(t, s)
-	q := undecidedWorkload(t, c, "lUrU")
-
-	done := make(chan struct{}, 2)
-	// Saturate the exact tier: one request holds the only slot, one fills
-	// the query class's whole queue budget.
-	go func() {
-		c.do(http.MethodPost, "/v1/query", &QueryRequest{
-			Dataset: "lUrU", Q: []float64{q[0] + 1, q[1]}, Alpha: 0.5, NoCache: true})
-		done <- struct{}{}
-	}()
-	waitFor(t, "slot occupied", func() bool { return s.pool.Stats().InFlight == 1 })
-	go func() {
-		c.do(http.MethodPost, "/v1/query", &QueryRequest{
-			Dataset: "lUrU", Q: []float64{q[0] + 2, q[1]}, Alpha: 0.5, NoCache: true})
-		done <- struct{}{}
-	}()
-	waitFor(t, "queue filled", func() bool { return s.pool.Stats().QueueDepth == 1 })
-
-	// An auto request now sheds from the exact tier and must come back 200
-	// from the reserved approximate pool instead of 503.
-	var qr QueryResponse
-	resp := c.post("/v1/query", &QueryRequest{
-		Dataset: "lUrU", Q: q, Alpha: 0.5, NoCache: true, Approx: "auto"}, &qr, http.StatusOK)
-	if got := resp.Header.Get(headerCache); got != "bypass" {
-		t.Fatalf("fallback response cache header %q, want bypass", got)
-	}
-	if !qr.Approx {
-		t.Fatalf("fallback answer not marked approximate: %+v", qr)
-	}
-	if s.shedQuery.Value() < 1 {
-		t.Fatal("exact tier never shed — the fallback was not exercised")
-	}
-	if s.approxAnswers.Value() != 1 {
-		t.Fatalf("approxAnswers = %d, want 1", s.approxAnswers.Value())
-	}
-
-	// A never-mode request in the same state stays a plain 503.
-	resp2, _ := c.do(http.MethodPost, "/v1/query", &QueryRequest{
-		Dataset: "lUrU", Q: []float64{q[0] + 3, q[1]}, Alpha: 0.5, NoCache: true})
-	if resp2.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("exact-only request under overload: %d, want 503", resp2.StatusCode)
-	}
-
-	block <- struct{}{}
-	block <- struct{}{}
-	<-done
-	<-done
-}
-
 // --- end-to-end: panic containment -------------------------------------
 
 func TestPanicRecoveredAndCounted(t *testing.T) {
@@ -402,88 +265,4 @@ func TestPanicRecoveredAndCounted(t *testing.T) {
 	var qr QueryResponse
 	c.post("/v1/query", &QueryRequest{Dataset: "lUrU", Q: w.q, Alpha: 0.5, NoCache: true},
 		&qr, http.StatusOK)
-}
-
-// stageBudgetRecorder records, per call, whether the exact batch and the
-// approximate query ran under QueryOptions.StageBudget; with failExact set
-// the exact batch fails with a deadline error before it starts, the
-// capacity failure that sends approx=auto to its fallback.
-type stageBudgetRecorder struct {
-	crsky.Explainer
-	failExact atomic.Bool
-	mu        sync.Mutex
-	calls     []string
-}
-
-func (r *stageBudgetRecorder) record(call string, opts crsky.QueryOptions) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.calls = append(r.calls, call+" StageBudget="+strconv.FormatBool(opts.StageBudget))
-}
-
-func (r *stageBudgetRecorder) take() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	calls := r.calls
-	r.calls = nil
-	return calls
-}
-
-func (r *stageBudgetRecorder) QueryBatchStream(ctx context.Context, qs []crsky.Point, alpha float64,
-	opts crsky.QueryOptions, emit func(int, []int)) ([][]int, crsky.QueryStats, error) {
-
-	r.record("exact", opts)
-	if r.failExact.Load() {
-		return nil, crsky.QueryStats{}, context.DeadlineExceeded
-	}
-	return r.Explainer.QueryBatchStream(ctx, qs, alpha, opts, emit)
-}
-
-func (r *stageBudgetRecorder) QueryApprox(ctx context.Context, q crsky.Point, alpha float64,
-	opts crsky.QueryOptions, ap crsky.ApproxOptions) (*crsky.ApproxResult, crsky.QueryStats, error) {
-
-	r.record("approx", opts)
-	return r.Explainer.QueryApprox(ctx, q, alpha, opts, ap)
-}
-
-// TestStageBudgetOnlyOnAutoExactAttempt pins which queries cut their join
-// at half the remaining deadline: only the exact attempt of approx=auto,
-// which has a fallback to leave time for. An approx=never query, an
-// approx=always query and auto's fallback have nothing to fall back to, so
-// each runs on the whole ?timeout=, on /v1 and /v2 alike.
-func TestStageBudgetOnlyOnAutoExactAttempt(t *testing.T) {
-	w := sampleWorkload(t)
-	rec := &stageBudgetRecorder{}
-	s := New(Config{WrapEngine: func(e crsky.Explainer) crsky.Explainer {
-		rec.Explainer = e
-		return rec
-	}})
-	c := newTestClient(t, s)
-	c.registerSample("demo", w.ds)
-
-	for _, tc := range []struct {
-		approx    string
-		failExact bool
-		want      []string
-	}{
-		{"never", false, []string{"exact StageBudget=false"}},
-		{"always", false, []string{"approx StageBudget=false"}},
-		{"auto", false, []string{"exact StageBudget=true"}},
-		{"auto", true, []string{"exact StageBudget=true", "approx StageBudget=false"}},
-	} {
-		rec.failExact.Store(tc.failExact)
-		for _, path := range []string{"/v1/query", "/v2/query"} {
-			var req any = &QueryRequest{Dataset: "demo", Q: w.q, Alpha: 0.5, NoCache: true, Approx: tc.approx}
-			if path == "/v2/query" {
-				req = &BatchQueryRequest{Dataset: "demo", Qs: [][]float64{w.q}, Alpha: 0.5, NoCache: true, Approx: tc.approx}
-			}
-			resp, raw := c.do(http.MethodPost, path+"?timeout=30s", req)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s approx=%s failExact=%v: status %d (%s)", path, tc.approx, tc.failExact, resp.StatusCode, raw)
-			}
-			if got := rec.take(); !slices.Equal(got, tc.want) {
-				t.Fatalf("%s approx=%s failExact=%v: engine calls %q, want %q", path, tc.approx, tc.failExact, got, tc.want)
-			}
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	crsky "github.com/crsky/crsky"
 	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/obs"
 	"github.com/crsky/crsky/internal/store"
@@ -105,23 +104,16 @@ func (o OptionsSpec) toOptions() causality.Options {
 
 // QueryRequest computes the (probabilistic) reverse skyline of Q. Alpha is
 // the probability threshold for the sample and pdf models and is ignored
-// for certain data. QuadNodes tunes pdf quadrature (0 = default).
+// for certain data. QuadNodes tunes pdf quadrature (0 = default). Every
+// answer is exact. Unknown fields are ignored, so a request that still
+// carries the fields of the deleted approximate tier ("approx", "epsilon",
+// "confidence") gets the exact answer and shares its cache entry.
 type QueryRequest struct {
 	Dataset   string    `json:"dataset"`
 	Q         []float64 `json:"q"`
 	Alpha     float64   `json:"alpha,omitempty"`
 	QuadNodes int       `json:"quadNodes,omitempty"`
 	NoCache   bool      `json:"noCache,omitempty"`
-	// Approx selects the degraded Monte Carlo tier: "" or "never" is exact
-	// only; "auto" falls back to the approximate tier when admission sheds
-	// the request or the exact attempt times out; "always" skips the exact
-	// tier entirely. Approximate responses carry approx: true with
-	// per-object confidence intervals and are never cached.
-	Approx string `json:"approx,omitempty"`
-	// Epsilon and Confidence set the approximate tier's error budget
-	// (defaults 0.05 at 0.95); ignored when the exact tier answers.
-	Epsilon    float64 `json:"epsilon,omitempty"`
-	Confidence float64 `json:"confidence,omitempty"`
 }
 
 // QueryResponse lists the answer object IDs in ascending order. Trace is
@@ -137,20 +129,8 @@ type QueryResponse struct {
 	// Generation is the dataset generation this answer was computed (or
 	// cached) against. Under concurrent mutations the answer is exactly the
 	// committed state of that generation — never a blend of two.
-	Generation uint64 `json:"generation,omitempty"`
-	// Approx marks a degraded-tier answer: membership was estimated by
-	// Monte Carlo for the interval-carrying objects below (everything else
-	// was still decided exactly by the filter bounds).
-	Approx bool `json:"approx,omitempty"`
-	// Intervals are the Hoeffding confidence intervals of the estimated
-	// objects (ascending ID); at confidence level Confidence each interval
-	// contains the true probability.
-	Intervals  []crsky.ApproxInterval `json:"intervals,omitempty"`
-	Epsilon    float64                `json:"epsilon,omitempty"`
-	Confidence float64                `json:"confidence,omitempty"`
-	// Iters is the per-object Monte Carlo iteration count used.
-	Iters int            `json:"iters,omitempty"`
-	Trace *obs.TraceJSON `json:"trace,omitempty"`
+	Generation uint64         `json:"generation,omitempty"`
+	Trace      *obs.TraceJSON `json:"trace,omitempty"`
 }
 
 // ExplainRequest asks why object An is NOT in the (probabilistic) reverse
@@ -265,15 +245,13 @@ type PoolStats struct {
 	WaitP99Ms      float64 `json:"waitP99Ms"`
 }
 
-// RequestStats counts requests per compute endpoint since start. Approx
-// counts degraded-tier answers served; Panics counts handler panics the
-// recovery middleware converted to 500s.
+// RequestStats counts requests per compute endpoint since start. Panics
+// counts handler panics the recovery middleware converted to 500s.
 type RequestStats struct {
 	Query   int64 `json:"query"`
 	Explain int64 `json:"explain"`
 	Repair  int64 `json:"repair"`
 	Errors  int64 `json:"errors"`
-	Approx  int64 `json:"approx"`
 	Panics  int64 `json:"panics"`
 	// UploadRejected counts request bodies refused with 413 for exceeding
 	// the configured size cap.
@@ -302,15 +280,15 @@ type ExplainStats struct {
 }
 
 // StatsResponse is the /v1/stats payload: one block per serving component
-// that keeps process-wide state (the datasets, the result cache, the two
-// pools, admission, explanation work, requests, watches and the store).
+// that keeps process-wide state (the datasets, the result cache, the
+// worker pool, admission, explanation work, requests, watches and the
+// store).
 // Store is present only when the server runs with a durable store.
 type StatsResponse struct {
 	UptimeSeconds float64        `json:"uptimeSeconds"`
 	Datasets      []DatasetInfo  `json:"datasets"`
 	Cache         CacheStats     `json:"cache"`
 	Pool          PoolStats      `json:"pool"`
-	ApproxPool    PoolStats      `json:"approxPool"`
 	Admission     AdmissionStats `json:"admission"`
 	Explain       ExplainStats   `json:"explain"`
 	Requests      RequestStats   `json:"requests"`

@@ -1,9 +1,6 @@
 package server
 
-import (
-	crsky "github.com/crsky/crsky"
-	"github.com/crsky/crsky/internal/geom"
-)
+import "github.com/crsky/crsky/internal/geom"
 
 // The /v2 API is the batch, deadline-aware surface over the model-generic
 // engine interface: one request carries many query points (or many
@@ -28,22 +25,14 @@ type BatchQueryRequest struct {
 	Alpha     float64     `json:"alpha,omitempty"`
 	QuadNodes int         `json:"quadNodes,omitempty"`
 	NoCache   bool        `json:"noCache,omitempty"`
-	// Approx selects the degraded Monte Carlo tier ("" / "never" / "auto" /
-	// "always" — see QueryRequest.Approx). Approximate batch responses are
-	// never cached, so like NoCache these three fields are delivery
-	// directives excluded from the cache keys: the exact computation they
-	// may fall back from is identical with or without them.
-	Approx     string  `json:"approx,omitempty"`
-	Epsilon    float64 `json:"epsilon,omitempty"`
-	Confidence float64 `json:"confidence,omitempty"`
 }
 
 // itemKeys returns one cache key per query point, in request order — the
 // SAME keys the v1 single-query handler uses (see queryKey), which is
 // what lets batch and single-query results share cache entries. Every
-// semantically relevant field feeds the keys; NoCache and the approx trio
-// are delivery directives that do not. TestV2CacheKeysCoverEveryField
-// enforces the coverage by reflection.
+// semantically relevant field feeds the keys; NoCache is the cache
+// directive itself. TestV2CacheKeysCoverEveryField enforces the coverage
+// by reflection.
 func (r *BatchQueryRequest) itemKeys(ent *entry) []string {
 	// r.Dataset (== ent.name for every resolvable request) keys the name;
 	// the entry contributes the generation so a re-registered dataset
@@ -59,15 +48,12 @@ func (r *BatchQueryRequest) itemKeys(ent *entry) []string {
 // order. Error is set only on the lines after a mid-stream engine failure:
 // earlier items are already on the wire with a committed 200 by then, so
 // each item the engine never finished carries the failure explicitly
-// instead of being silently truncated. Approx and Intervals mirror
-// QueryResponse: present only on degraded-tier items.
+// instead of being silently truncated.
 type BatchQueryItem struct {
-	Index     int                    `json:"index"`
-	Count     int                    `json:"count"`
-	Answers   []int                  `json:"answers"`
-	Error     string                 `json:"error,omitempty"`
-	Approx    bool                   `json:"approx,omitempty"`
-	Intervals []crsky.ApproxInterval `json:"intervals,omitempty"`
+	Index   int    `json:"index"`
+	Count   int    `json:"count"`
+	Answers []int  `json:"answers"`
+	Error   string `json:"error,omitempty"`
 }
 
 // BatchExplainItemRequest is one non-answer to explain.

@@ -15,7 +15,7 @@ import (
 // This file is the one HTTP compute path. /v1/query and /v2/query run
 // serveQuery, /v1/explain and /v2/explain run serveExplain: a /v1 request
 // is a batch of one. Both cores look items up in the cache (cached), run
-// the missing ones on an exact-pool slot (admitted) under the live request
+// the missing ones on a worker-pool slot (admitted) under the live request
 // context, and hand every finished item to an itemWriter, the only part
 // that knows the wire format. /v1/repair and the /v2/watch baseline take
 // their slot through admitted too.
@@ -23,10 +23,9 @@ import (
 // item is one finished item of a query or explain request, before any wire
 // format: exactly one field is set.
 type item struct {
-	ids    []int               // an exact query answer
-	approx *crsky.ApproxResult // a degraded-tier query answer
-	exp    *causality.Result   // an explanation
-	err    error               // a per-item failure
+	ids []int             // a query answer
+	exp *causality.Result // an explanation
+	err error             // a per-item failure
 }
 
 // itemWriter renders a request's items in one wire format: /v2 streams
@@ -34,12 +33,9 @@ type item struct {
 // JSON envelope (envelopeItem). The cores call put once per item, possibly
 // from engine worker goroutines (the engine serializes those calls), then
 // finish once on the handler goroutine with the request-level failure, or
-// nil when every item was put. started reports whether an item is already
-// committed, so that a failure can no longer fall back to the approximate
-// tier.
+// nil when every item was put.
 type itemWriter interface {
 	put(i int, it item)
-	started() bool
 	finish(err error)
 }
 
@@ -58,12 +54,6 @@ func (e *envelopeItem) put(_ int, it item) {
 	e.mu.Lock()
 	e.held = &it
 	e.mu.Unlock()
-}
-
-func (e *envelopeItem) started() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.held != nil
 }
 
 func (e *envelopeItem) finish(err error) {
@@ -108,7 +98,7 @@ func (s *Server) cached(w http.ResponseWriter, ctx context.Context, keys []strin
 	return hits, missing
 }
 
-// admitted runs fn on an exact-pool slot. It admits the request by class
+// admitted runs fn on a worker-pool slot. It admits the request by class
 // against ctx's remaining deadline, binds ctx to the server drain, waits
 // for a slot, and runs computeHook before fn. fn computes under the live
 // request context, so a client that disconnects cancels the work and frees
@@ -138,43 +128,18 @@ type queryCall struct {
 	alpha     float64
 	quadNodes int
 	noCache   bool
-	approx    string
-	ap        crsky.ApproxOptions
 	class     priorityClass
 }
 
 // serveQuery answers the points of c: cached items from the cache, the
-// rest in one shared batch traversal, and, under approx=auto, the whole
-// request from the approximate tier when the exact attempt fails for lack
-// of capacity before any item is committed.
+// rest in one shared batch traversal on a worker-pool slot.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, c *queryCall, out itemWriter) {
-	mode, err := parseApproxMode(c.approx)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel, d, err := requestTimeout(r)
+	ctx, cancel, err := requestTimeout(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	defer cancel()
-	if mode == approxAlways {
-		s.serveApproxBatch(w, ctx, c, out)
-		return
-	}
-	// Under auto, the exact attempt gets 3/4 of the request deadline so the
-	// fallback keeps a guaranteed slice of the budget the client set, and
-	// StageBudget cuts its join at half of what remains, so a stalled join
-	// fails while the fallback still has time. A query without a fallback
-	// runs its join on the whole deadline: cutting it would only turn a
-	// query that fits into a 503.
-	exactCtx := ctx
-	if mode == approxAuto && d > 0 {
-		exactCtx, cancel = context.WithTimeout(ctx, d*3/4)
-		defer cancel()
-	}
-	opts := crsky.QueryOptions{QuadNodes: c.quadNodes, StageBudget: mode == approxAuto}
 
 	hits, missing := s.cached(w, ctx, c.keys, c.noCache)
 	putHits := func() {
@@ -194,11 +159,11 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, c *queryCall
 	for j, i := range missing {
 		mqs[j] = c.qs[i]
 	}
-	err = s.admitted(exactCtx, c.class, func(ctx context.Context) error {
+	err = s.admitted(ctx, c.class, func(ctx context.Context) error {
 		// Put the hits only once the slot is held: until then a shed or a
 		// queued cancellation must still be able to become an error status.
 		putHits()
-		_, st, err := c.ent.eng.QueryBatchStream(ctx, mqs, c.alpha, opts, func(j int, ids []int) {
+		_, st, err := c.ent.eng.QueryBatchStream(ctx, mqs, c.alpha, crsky.QueryOptions{QuadNodes: c.quadNodes}, func(j int, ids []int) {
 			if ids == nil {
 				ids = []int{}
 			}
@@ -211,53 +176,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, c *queryCall
 		c.ent.accesses.Add(st.NodeAccesses)
 		return err
 	})
-	// Degrade only when nothing is committed, the client is still there,
-	// and the failure is a capacity problem, not a semantic one.
-	if err != nil && !out.started() && mode == approxAuto && degradable(err) && ctx.Err() == nil {
-		s.serveApproxBatch(w, ctx, c, out)
-		return
-	}
-	out.finish(err)
-}
-
-// serveApproxBatch answers every point of c from the degraded Monte Carlo
-// tier in ONE reserved-pool slot: bounded work (Hoeffding-sized sampling
-// on the surviving candidates), answers tagged approx with per-object
-// confidence intervals, never cached. The reserved pool is small, so
-// spreading a batch over several slots would starve the single-point
-// fallbacks.
-func (s *Server) serveApproxBatch(w http.ResponseWriter, ctx context.Context, c *queryCall, out itemWriter) {
-	obsTrace(ctx).SetLabel("tier", "approx")
-	w.Header().Set(headerCache, "bypass")
-	// The reserved pool must itself degrade by shedding, not by queueing
-	// without bound, so its backlog is capped at a small multiple of its
-	// (few) slots.
-	if st := s.approxPool.Stats(); st.QueueDepth >= int64(st.Workers)*16 || s.Draining() {
-		s.shedFor(c.class).Inc()
-		out.finish(errShed)
-		return
-	}
-	ctx, undrain := mergeCancel(ctx, s.drainCtx)
-	defer undrain()
-	res := make([]*crsky.ApproxResult, len(c.qs))
-	_, err := s.approxPool.Do(ctx, func() (any, error) {
-		for i, q := range c.qs {
-			var st crsky.QueryStats
-			var err error
-			res[i], st, err = c.ent.eng.QueryApprox(ctx, q, c.alpha, crsky.QueryOptions{QuadNodes: c.quadNodes}, c.ap)
-			c.ent.accesses.Add(st.NodeAccesses)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	})
-	if err == nil {
-		s.approxAnswers.Inc()
-		for i, a := range res {
-			out.put(i, item{approx: a})
-		}
-	}
 	out.finish(err)
 }
 
@@ -279,7 +197,7 @@ type explainCall struct {
 // An item fails alone (an answer, its own timeout, an engine fault); a
 // request-level cancellation or a verification failure fails the request.
 func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request, c *explainCall, out itemWriter) {
-	ctx, cancel, _, err := requestTimeout(r)
+	ctx, cancel, err := requestTimeout(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return

@@ -132,52 +132,20 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 	}
 }
 
-// degradable reports whether a compute failure may fall back to the
-// approximate tier: admission sheds and deadline/cancellation failures
-// (capacity problems the degraded tier exists for) qualify; semantic
-// errors, panics, and injected faults do not — they would fail identically
-// on the approximate path.
-func degradable(err error) bool {
-	return errors.Is(err, errShed) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
-}
-
-// approx tier selection, from the request's "approx" field.
-type approxMode int
-
-const (
-	approxNever  approxMode = iota // exact only (default)
-	approxAuto                     // exact first, degrade on capacity failures
-	approxAlways                   // straight to the Monte Carlo tier
-)
-
-func parseApproxMode(s string) (approxMode, error) {
-	switch s {
-	case "", "never":
-		return approxNever, nil
-	case "auto":
-		return approxAuto, nil
-	case "always":
-		return approxAlways, nil
-	}
-	return 0, fmt.Errorf("bad approx mode %q (want never, auto, or always)", s)
-}
-
 // requestTimeout derives the compute context from ?timeout= (a Go
-// duration, e.g. 250ms or 2s): a deadline d on top of the
-// client-disconnect cancellation the request context already carries
-// (d = 0: none).
-func requestTimeout(r *http.Request) (ctx context.Context, cancel context.CancelFunc, d time.Duration, err error) {
+// duration, e.g. 250ms or 2s): a deadline on top of the client-disconnect
+// cancellation the request context already carries.
+func requestTimeout(r *http.Request) (context.Context, context.CancelFunc, error) {
 	t := r.URL.Query().Get("timeout")
 	if t == "" {
-		return r.Context(), func() {}, 0, nil
+		return r.Context(), func() {}, nil
 	}
-	if d, err = time.ParseDuration(t); err != nil || d <= 0 {
-		return nil, nil, 0, fmt.Errorf("bad timeout %q (want a positive Go duration, e.g. 250ms)", t)
+	d, err := time.ParseDuration(t)
+	if err != nil || d <= 0 {
+		return nil, nil, fmt.Errorf("bad timeout %q (want a positive Go duration, e.g. 250ms)", t)
 	}
-	ctx, cancel = context.WithTimeout(r.Context(), d)
-	return ctx, cancel, d, nil
+	ctx, cancel := context.WithTimeout(r.Context(), d)
+	return ctx, cancel, nil
 }
 
 // --- /v1: request/response adapters over the compute path ---------------
@@ -206,11 +174,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		alpha:     alpha,
 		quadNodes: req.QuadNodes,
 		noCache:   req.NoCache,
-		approx:    req.Approx,
-		ap:        crsky.ApproxOptions{Epsilon: req.Epsilon, Confidence: req.Confidence, Seed: s.cfg.ApproxSeed},
 		class:     priorityFrom(r, classQuery),
 	}, &envelopeItem{s: s, w: w, envelope: func(it item) any {
-		resp := QueryResponse{
+		return QueryResponse{
 			Dataset:    ent.name,
 			Model:      ent.model,
 			Alpha:      alpha,
@@ -219,13 +185,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Generation: ent.gen,
 			Trace:      traceJSON(r),
 		}
-		if a := it.approx; a != nil {
-			resp.Count, resp.Answers, resp.Approx = len(a.Answers), a.Answers, !a.Exact
-			if !a.Exact {
-				resp.Intervals, resp.Epsilon, resp.Confidence, resp.Iters = a.Intervals, a.Epsilon, a.Confidence, a.Iters
-			}
-		}
-		return resp
 	}})
 }
 
@@ -279,7 +238,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	}
 	annotate(r.Context(), ent)
 	opts := req.Options.toOptions()
-	ctx, cancel, _, err := requestTimeout(r)
+	ctx, cancel, err := requestTimeout(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return

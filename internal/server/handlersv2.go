@@ -107,14 +107,6 @@ func (f *ndjsonFrontier) put(i int, it item) {
 	f.mu.Unlock()
 }
 
-// started reports whether any line is on the wire — past that point a
-// failure can no longer become an error status.
-func (f *ndjsonFrontier) started() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.st.started
-}
-
 // finish completes the stream. A failure before the first line keeps its
 // error status. After it, the 200 is committed: lines that finished but
 // were blocked behind the failure still flush as results, and every other
@@ -167,19 +159,10 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 		alpha:     alpha,
 		quadNodes: req.QuadNodes,
 		noCache:   req.NoCache,
-		approx:    req.Approx,
-		ap:        crsky.ApproxOptions{Epsilon: req.Epsilon, Confidence: req.Confidence, Seed: s.cfg.ApproxSeed},
 		class:     priorityFrom(r, classBatch),
 	}, newNDJSONFrontier(s, w, r, len(qs), func(i int, it item) any {
-		switch {
-		case it.err != nil:
+		if it.err != nil {
 			return BatchQueryItem{Index: i, Error: it.err.Error()}
-		case it.approx != nil:
-			line := BatchQueryItem{Index: i, Count: len(it.approx.Answers), Answers: it.approx.Answers, Approx: !it.approx.Exact}
-			if !it.approx.Exact {
-				line.Intervals = it.approx.Intervals
-			}
-			return line
 		}
 		return BatchQueryItem{Index: i, Count: len(it.ids), Answers: it.ids}
 	}))

@@ -15,7 +15,7 @@ import (
 //
 //	crsky_request_duration_seconds{route,model,outcome}  histogram
 //	crsky_pool_wait_seconds, crsky_watch_reeval_seconds  histograms
-//	crsky_pool_*, crsky_approx_*, crsky_cache_*          gauges/counters
+//	crsky_pool_*, crsky_cache_*                          gauges/counters
 //	crsky_shed_total, crsky_admission_*, crsky_draining  admission
 //	crsky_requests_total{endpoint}, crsky_request_*      counters
 //	crsky_explain_*, crsky_mutations_total               counters
@@ -42,16 +42,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.PromValue(&b, "crsky_pool_completed_total", nil, float64(ps.Completed))
 	obs.PromHead(&b, "crsky_pool_canceled_total", "counter", "Requests canceled while waiting for a slot.")
 	obs.PromValue(&b, "crsky_pool_canceled_total", nil, float64(ps.Canceled))
-
-	as := s.approxPool.Stats()
-	obs.PromHead(&b, "crsky_approx_pool_workers", "gauge", "Reserved degraded-tier pool capacity.")
-	obs.PromValue(&b, "crsky_approx_pool_workers", nil, float64(as.Workers))
-	obs.PromHead(&b, "crsky_approx_pool_inflight", "gauge", "Degraded-tier computations currently executing.")
-	obs.PromValue(&b, "crsky_approx_pool_inflight", nil, float64(as.InFlight))
-	obs.PromHead(&b, "crsky_approx_pool_queue_depth", "gauge", "Degraded-tier computations waiting for a slot.")
-	obs.PromValue(&b, "crsky_approx_pool_queue_depth", nil, float64(as.QueueDepth))
-	obs.PromHead(&b, "crsky_approx_answers_total", "counter", "Responses served from the approximate Monte Carlo tier.")
-	obs.PromValue(&b, "crsky_approx_answers_total", nil, float64(s.approxAnswers.Value()))
 
 	obs.PromHead(&b, "crsky_shed_total", "counter", "Requests rejected by admission control, by priority class.")
 	obs.PromValue(&b, "crsky_shed_total", []obs.Label{{Name: "class", Value: "batch"}}, float64(s.shedBatch.Value()))

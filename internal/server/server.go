@@ -42,9 +42,8 @@ import (
 )
 
 // headerCache is the cache disposition response header: "hit", "miss", or
-// "bypass" (NoCache requests and approximate answers). Keeping it out of
-// the body keeps a cached response byte-identical to the computation that
-// seeded it.
+// "bypass" (NoCache requests). Keeping it out of the body keeps a cached
+// response byte-identical to the computation that seeded it.
 const headerCache = "X-Crsky-Cache"
 
 // Config tunes a Server. The zero value selects sensible defaults.
@@ -65,25 +64,16 @@ type Config struct {
 	// SlowQueryThreshold > 0; typically os.Stderr or a log file).
 	SlowQueryLog io.Writer
 	// MaxQueue is the admission controller's queue-depth budget on the
-	// exact pool (default Workers × 8; the per-class thresholds are
+	// worker pool (default Workers × 8; the per-class thresholds are
 	// fractions of it — see queueCap). Requests beyond their class's
 	// threshold are shed with 503 + Retry-After instead of queueing.
 	MaxQueue int
-	// ApproxWorkers sizes the reserved approximate-tier pool (default
-	// max(1, Workers/4)). The approximate Monte Carlo path runs on these
-	// slots, so degraded answers keep flowing when the exact pool is
-	// saturated.
-	ApproxWorkers int
-	// ApproxSeed seeds the Monte Carlo approximate tier (default 1): with
-	// a fixed seed, identical approximate requests return bit-identical
-	// estimates, which conformance checks rely on.
-	ApproxSeed int64
 	// Store, when set, makes dataset registrations durable: register and
 	// remove write through to the store's WAL, and LoadFromStore rebuilds
 	// the recovered datasets at startup. Nil keeps the registry purely
 	// in-memory (tests, throwaway servers).
 	Store *store.Store
-	// Faults installs a fault injector on the worker pools (tests only; nil
+	// Faults installs a fault injector on the worker pool (tests only; nil
 	// in production). Injected slot delays simulate slow storage or noisy
 	// neighbors.
 	Faults *faultinject.Injector
@@ -109,15 +99,6 @@ func (c *Config) fillDefaults() {
 		}
 		c.MaxQueue = w * 8
 	}
-	if c.ApproxWorkers <= 0 {
-		c.ApproxWorkers = c.Workers / 4
-		if c.ApproxWorkers < 1 {
-			c.ApproxWorkers = 1
-		}
-	}
-	if c.ApproxSeed == 0 {
-		c.ApproxSeed = 1
-	}
 }
 
 // Server is the crskyd HTTP service. Create with New, expose with
@@ -127,22 +108,17 @@ type Server struct {
 	reg   *registry
 	cache *lruCache
 	pool  *workerPool
-	// approxPool is the small reserved slot pool of the degraded tier:
-	// approximate Monte Carlo queries run here, so exact-pool saturation
-	// never starves them.
-	approxPool *workerPool
-	mux        *http.ServeMux
-	start      time.Time
+	mux   *http.ServeMux
+	start time.Time
 
-	// Admission/degradation state: draining flips on BeginDrain and makes
-	// admission reject everything; drainCtx cancels every running
-	// computation when the drain grace expires.
+	// Admission state: draining flips on BeginDrain and makes admission
+	// reject everything; drainCtx cancels every running computation when
+	// the drain grace expires.
 	draining    atomic.Bool
 	drainCtx    context.Context
 	drainCancel context.CancelFunc
 
 	shedBatch, shedExplain, shedQuery stats.Counter
-	approxAnswers                     stats.Counter
 	panics                            stats.Counter
 	uploadRejected                    stats.Counter
 
@@ -179,15 +155,14 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
 	s := &Server{
-		cfg:        cfg,
-		reg:        newRegistry(cfg.WrapEngine, cfg.Store),
-		cache:      newLRUCache(cfg.CacheSize),
-		pool:       newWorkerPool(cfg.Workers),
-		approxPool: newWorkerPool(cfg.ApproxWorkers),
-		mux:        http.NewServeMux(),
-		start:      time.Now(),
-		reqHist:    obs.NewHistogramVec("route", "model", "outcome"),
-		slow:       obs.NewSlowLog(cfg.SlowQueryLog, cfg.SlowQueryThreshold),
+		cfg:     cfg,
+		reg:     newRegistry(cfg.WrapEngine, cfg.Store),
+		cache:   newLRUCache(cfg.CacheSize),
+		pool:    newWorkerPool(cfg.Workers),
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		reqHist: obs.NewHistogramVec("route", "model", "outcome"),
+		slow:    obs.NewSlowLog(cfg.SlowQueryLog, cfg.SlowQueryThreshold),
 	}
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
 	s.watch = watch.NewHub(s.reevalWatch)
@@ -199,7 +174,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Faults != nil {
 		s.pool.slotDelay = cfg.Faults.SlotDelay
-		s.approxPool.slotDelay = cfg.Faults.SlotDelay
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	// Every /v1/* and /v2/* route goes through the instrument middleware:
@@ -298,7 +272,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Datasets:      s.reg.list(),
 		Cache:         s.cache.Stats(),
 		Pool:          s.pool.Stats(),
-		ApproxPool:    s.approxPool.Stats(),
 		Admission: AdmissionStats{
 			MaxQueue:    s.cfg.MaxQueue,
 			EstWaitMs:   obs.MsRound(s.estWait().Seconds()),
@@ -318,7 +291,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Explain:        s.reqExplain.Value(),
 			Repair:         s.reqRepair.Value(),
 			Errors:         s.reqErrors.Value(),
-			Approx:         s.approxAnswers.Value(),
 			Panics:         s.panics.Value(),
 			UploadRejected: s.uploadRejected.Value(),
 		},

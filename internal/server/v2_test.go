@@ -16,6 +16,7 @@ import (
 	"time"
 
 	crsky "github.com/crsky/crsky"
+	"github.com/crsky/crsky/internal/causality"
 )
 
 // --- cache-key completeness -------------------------------------------
@@ -54,12 +55,10 @@ func perturb(t *testing.T, fv reflect.Value, name string) {
 // impossible to reintroduce silently.
 func TestV2CacheKeysCoverEveryField(t *testing.T) {
 	ent := &entry{name: "d", gen: 1}
-	// NoCache is the cache directive itself; the Approx trio selects the
-	// degraded tier, whose responses are never cached; Verify re-checks
-	// per request whatever is served, so verified and unverified requests
-	// share entries; ItemTimeout bounds delivery, not the computed result.
-	exempt := map[string]bool{"NoCache": true, "Approx": true, "Epsilon": true,
-		"Confidence": true, "Verify": true, "ItemTimeout": true}
+	// NoCache is the cache directive itself; Verify re-checks per request
+	// whatever is served, so verified and unverified requests share
+	// entries; ItemTimeout bounds delivery, not the computed result.
+	exempt := map[string]bool{"NoCache": true, "Verify": true, "ItemTimeout": true}
 
 	// The baselines are non-zero: per-item keys exist per ITEM, so a
 	// zero-item request would hide Alpha/Options perturbations.
@@ -213,7 +212,7 @@ func TestServerV2QueryBatch(t *testing.T) {
 		if it.Index != i {
 			t.Fatalf("item %d has index %d: responses must be request-ordered", i, it.Index)
 		}
-		want := w.eng.ProbabilisticReverseSkylineNaive(qs[i], 0.5)
+		want, _ := causality.NaivePRSQ(w.ds, qs[i], 0.5)
 		if fmt.Sprint(it.Answers) != fmt.Sprint(append([]int{}, want...)) {
 			t.Fatalf("q #%d: got %v, want %v", i, it.Answers, want)
 		}
@@ -425,7 +424,7 @@ func TestServerV2QueryStreamsBeforeBatchCompletes(t *testing.T) {
 		if it.Index != i || it.Error != "" {
 			t.Fatalf("item %d = %+v", i, it)
 		}
-		want := w.eng.ProbabilisticReverseSkylineNaive(qs[i], 0.5)
+		want, _ := causality.NaivePRSQ(w.ds, qs[i], 0.5)
 		if fmt.Sprint(it.Answers) != fmt.Sprint(append([]int{}, want...)) {
 			t.Fatalf("q #%d: got %v, want %v", i, it.Answers, want)
 		}
@@ -476,7 +475,7 @@ func TestServerV2QueryMidStreamErrorEnvelopes(t *testing.T) {
 	if items[0].Error != "" {
 		t.Fatalf("item 0 carries error %q, want the real answer", items[0].Error)
 	}
-	want := w.eng.ProbabilisticReverseSkylineNaive(qs[0], 0.5)
+	want, _ := causality.NaivePRSQ(w.ds, qs[0], 0.5)
 	if fmt.Sprint(items[0].Answers) != fmt.Sprint(append([]int{}, want...)) {
 		t.Fatalf("item 0 answers %v, want %v", items[0].Answers, want)
 	}

@@ -21,7 +21,7 @@ import (
 // answer must be bit-identical to the client-side oracle at the committed
 // generation stamped on the response — a blend of two generations or a
 // torn R-tree path fails the comparison — and after the storm the hub
-// must hold zero subscriptions and the pools zero in-flight work (no
+// must hold zero subscriptions and the pool zero in-flight work (no
 // goroutine or slot leaks from the disconnected clients).
 func TestWatchSmokeConcurrent(t *testing.T) {
 	const (
@@ -232,19 +232,19 @@ func TestWatchSmokeConcurrent(t *testing.T) {
 	}
 
 	// Leak check: once the streams are gone the hub must be empty and the
-	// worker pools drained. Disconnected watchers are reaped when their
+	// worker pool drained. Disconnected watchers are reaped when their
 	// write fails or their context dies, so allow a short settle.
 	s.watch.WaitIdle()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var st StatsResponse
 		c.mustGet("/v1/stats", &st)
-		if st.Watch.Active == 0 && st.Pool.InFlight == 0 && st.ApproxPool.InFlight == 0 {
+		if st.Watch.Active == 0 && st.Pool.InFlight == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("leak after hammer: %d watch subs, %d pool in-flight, %d approx in-flight",
-				st.Watch.Active, st.Pool.InFlight, st.ApproxPool.InFlight)
+			t.Fatalf("leak after hammer: %d watch subs, %d pool in-flight",
+				st.Watch.Active, st.Pool.InFlight)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -62,7 +62,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if hasWin {
 		win = geom.DomRectUnionOuter(anMBR, q)
 	}
-	ctx, cancel, _, err := requestTimeout(r)
+	ctx, cancel, err := requestTimeout(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return

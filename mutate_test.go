@@ -8,7 +8,9 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/geom"
+	"github.com/crsky/crsky/internal/prob"
 )
 
 func randSampleObjects(rng *rand.Rand, n, samples int) []*Object {
@@ -75,7 +77,7 @@ func TestEngineWithMutations(t *testing.T) {
 		}
 	}
 	got := query(t, e2, q, 0.3, QueryOptions{})
-	naive := e2.ProbabilisticReverseSkylineNaive(q, 0.3)
+	naive, _ := causality.NaivePRSQ(e2.ds, q, 0.3)
 	if !reflect.DeepEqual(got, naive) {
 		t.Fatalf("accelerated %v vs naive %v on mutated engine", got, naive)
 	}
@@ -274,7 +276,7 @@ func TestPDFEngineWithMutations(t *testing.T) {
 	if got := query(t, e0, q, 0.5, QueryOptions{}); !reflect.DeepEqual(got, base) {
 		t.Fatalf("receiver answers changed: %v -> %v", base, got)
 	}
-	naive, err := e1.ProbabilisticReverseSkylineNaive(q, 0.5, 0)
+	naive, err := prob.PRSQPDF(e1.set.Objects, q, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +299,7 @@ func TestPDFEngineWithMutations(t *testing.T) {
 	if payload.ID != 99 {
 		t.Fatal("caller's payload object was mutated")
 	}
-	naive, err = e2.ProbabilisticReverseSkylineNaive(q, 0.5, 0)
+	naive, err = prob.PRSQPDF(e2.set.Objects, q, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

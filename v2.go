@@ -41,9 +41,10 @@ import (
 //   - Each operation has one v2 method. A query is a batch of one:
 //     QueryCtx runs the engine's QueryBatchStream path on its single point,
 //     and a nil emit turns either streaming batch method into a plain
-//     batch call. One object's membership is ProbCtx. The context-free
-//     methods that remain (the …Naive oracles) are frozen references; new
-//     call sites should use the v2 methods.
+//     batch call. One object's membership is ProbCtx. The naive oracles the
+//     engines are tested against are not engine methods: they live next
+//     to the code they check (causality.NaivePRSQ, NaiveI and NaiveII,
+//     prob.PRSQPDF).
 
 // CanceledError is the typed error wrapped into every cancellation return:
 // it unwraps to the context error and carries the partial work counters
@@ -104,14 +105,6 @@ type Querier interface {
 	// engine. On a mid-batch cancellation only the completed prefix has
 	// been emitted, and the call returns the error with no answers.
 	QueryBatchStream(ctx context.Context, qs []Point, alpha float64, opts QueryOptions, emit func(index int, ids []int)) ([][]int, QueryStats, error)
-	// QueryApprox is the degraded-mode query: the shared filter-and-bound
-	// stage settles everything it can exactly, and the remaining band is
-	// estimated by seeded Monte Carlo with per-object Hoeffding confidence
-	// intervals at the requested error budget. Engines with an exact fast
-	// path (certain data) answer exactly and set Exact. Deterministic in
-	// (data, q, alpha, opts, approx) — worker count and scheduling never
-	// change the result.
-	QueryApprox(ctx context.Context, q Point, alpha float64, opts QueryOptions, approx ApproxOptions) (*ApproxResult, QueryStats, error)
 	// ProbCtx returns Pr(id), the probability that object id is a reverse
 	// skyline point of q, by probing that one object: its candidate filter
 	// and one Eq.-2 evaluation (0 or 1 on certain data, one dominance
@@ -318,7 +311,7 @@ func explainBatch(ctx context.Context, reqs []ExplainRequest, opts Options,
 // QueryCtx implements Querier: the index-accelerated query (one R-tree
 // filtering pass for all objects, MBR-level bound pruning, parallel exact
 // evaluation of the undecided band) as a batch of one — identical results
-// to ProbabilisticReverseSkylineNaive.
+// to the naive oracle causality.NaivePRSQ.
 func (e *Engine) QueryCtx(ctx context.Context, q Point, alpha float64, opts QueryOptions) ([]int, QueryStats, error) {
 	return queryOne(e.QueryBatchStream(ctx, []Point{q}, alpha, opts, nil))
 }
@@ -342,20 +335,6 @@ func (e *Engine) QueryBatchStream(ctx context.Context, qs []Point, alpha float64
 	return prsq.QueryBatchStreamStatsCtx(ctx, e.ds, qs, alpha, opts, emit)
 }
 
-// QueryApprox implements Querier: the filter stage runs unchanged and the
-// undecided band is settled by seeded possible-world sampling over each
-// object's candidate set (prob.PrReverseSkylineMC) instead of the exact
-// Eq.-2 product.
-func (e *Engine) QueryApprox(ctx context.Context, q Point, alpha float64, opts QueryOptions, approx ApproxOptions) (*ApproxResult, QueryStats, error) {
-	if err := checkDims(q, e.Dims()); err != nil {
-		return nil, QueryStats{}, err
-	}
-	if err := checkAlphaUnit(alpha); err != nil {
-		return nil, QueryStats{}, err
-	}
-	return prsq.QueryApproxStatsCtx(ctx, e.ds, q, alpha, opts, approx)
-}
-
 // ProbCtx implements Querier: the Lemma-2 candidate filter (one R-tree
 // traversal against an's sample dominance windows) and one Eq.-2
 // evaluation over the ascending candidates.
@@ -363,7 +342,7 @@ func (e *Engine) ProbCtx(ctx context.Context, id int, q Point, opts QueryOptions
 	if err := checkProbe(ctx, id, id >= 0 && id < e.Len() && e.ds.Objects[id] != nil, q, e.Dims()); err != nil {
 		return 0, QueryStats{}, err
 	}
-	pr, accesses := e.prob(id, q)
+	pr, accesses := causality.PrFiltered(e.ds, q, id)
 	return pr, QueryStats{Evaluated: 1, NodeAccesses: accesses}, nil
 }
 
@@ -461,18 +440,6 @@ func (e *CertainEngine) QueryBatchStream(ctx context.Context, qs []Point, alpha 
 	return out, QueryStats{Objects: e.Len() * len(qs), NodeAccesses: bst.NodeAccesses}, nil
 }
 
-// QueryApprox implements Querier. Certain-data membership is exact and
-// BBRS is already the fast path, so the approximate API answers exactly
-// with Exact set and no intervals — degraded mode never needs to sample
-// certain data.
-func (e *CertainEngine) QueryApprox(ctx context.Context, q Point, alpha float64, opts QueryOptions, approx ApproxOptions) (*ApproxResult, QueryStats, error) {
-	ids, st, err := e.QueryCtx(ctx, q, alpha, opts)
-	if err != nil {
-		return nil, st, err
-	}
-	return prsq.ExactApproxResult(ids, approx), st, nil
-}
-
 // ProbCtx implements Querier on certain data: 1 if point id is a reverse
 // skyline point of q and 0 otherwise, decided by one dominance window
 // query that stops at the first dominator (Lemma 7).
@@ -535,7 +502,7 @@ func (e *CertainEngine) VerifyCtx(ctx context.Context, q Point, alpha float64, r
 
 // QueryCtx implements Querier: the index-accelerated pdf query (one R-tree
 // join, Γ1 core-rect pruning, parallel quadrature of the survivors) as a
-// batch of one — identical results to ProbabilisticReverseSkylineNaive.
+// batch of one — identical results to the naive oracle prob.PRSQPDF.
 // The quadrature resolution comes from opts.QuadNodes (<= 0 selects the
 // dimension-adapted default).
 func (e *PDFEngine) QueryCtx(ctx context.Context, q Point, alpha float64, opts QueryOptions) ([]int, QueryStats, error) {
@@ -562,30 +529,12 @@ func (e *PDFEngine) QueryBatchStream(ctx context.Context, qs []Point, alpha floa
 	return prsq.QueryBatchPDFStreamStatsCtx(ctx, e.set, qs, alpha, opts.QuadNodes, opts, emit)
 }
 
-// QueryApprox implements Querier: the pdf filter stage runs unchanged and
-// the undecided band is settled by per-density sampling — no quadrature
-// grid, so degraded-mode cost is independent of QuadNodes. QuadNodes is
-// still validated as for QueryCtx, so one options value is accepted or
-// rejected alike by the exact and the approximate query.
-func (e *PDFEngine) QueryApprox(ctx context.Context, q Point, alpha float64, opts QueryOptions, approx ApproxOptions) (*ApproxResult, QueryStats, error) {
-	if err := checkDims(q, e.Dims()); err != nil {
-		return nil, QueryStats{}, err
-	}
-	if err := checkAlphaUnit(alpha); err != nil {
-		return nil, QueryStats{}, err
-	}
-	if err := uncertain.CheckQuadNodes(opts.QuadNodes, e.Dims()); err != nil {
-		return nil, QueryStats{}, err
-	}
-	return prsq.QueryApproxPDFStatsCtx(ctx, e.set, q, alpha, opts, approx)
-}
-
 // ProbCtx implements Querier: CPPDF's sub-quadrant candidate filter and one
 // quadrature of Eq. 2 over the ascending candidates at opts.QuadNodes
 // nodes per dimension (<= 0 selects the dimension-adapted default; a grid
 // too large to build is rejected). Every object the filter drops has zero
 // dominance mass over an's region, so the value is bit-identical to the
-// integral against all objects that ProbabilisticReverseSkylineNaive
+// integral against all objects that the naive oracle prob.PRSQPDF
 // thresholds.
 func (e *PDFEngine) ProbCtx(ctx context.Context, id int, q Point, opts QueryOptions) (float64, QueryStats, error) {
 	if err := checkProbe(ctx, id, id >= 0 && id < e.Len() && e.set.Objects[id] != nil, q, e.Dims()); err != nil {
