@@ -325,7 +325,7 @@ func prsqBenchWorkload(b *testing.B, n int) *prsqWorkload {
 // BenchmarkPRSQ measures the whole-dataset probabilistic reverse skyline
 // query: the naive per-object loop (one R-tree traversal + one full Eq.-2
 // evaluation per object) against the indexed batch path (one R-tree
-// self-join, MBR bound pruning), serial and parallel. "nodes/op" reports
+// self-join, MBR bound pruning). "nodes/op" reports
 // the paper's simulated-I/O metric per query, and "entries/op" the
 // indexed join's rectangle tests (QueryStats.EntriesScanned; 0 for the
 // naive loop, which runs no join).
@@ -342,10 +342,6 @@ func BenchmarkPRSQ(b *testing.B) {
 				return nodes, 0
 			}},
 			{"indexed-serial", func() (int64, int64) {
-				_, st, _ := w.eng.QueryCtx(context.Background(), w.q, alpha, QueryOptions{Parallel: 1})
-				return st.NodeAccesses, st.EntriesScanned
-			}},
-			{"indexed-parallel", func() (int64, int64) {
 				_, st, _ := w.eng.QueryCtx(context.Background(), w.q, alpha, QueryOptions{})
 				return st.NodeAccesses, st.EntriesScanned
 			}},

@@ -58,7 +58,7 @@ type (
 	// Options tunes the refinement stage of the explanation algorithms.
 	Options = causality.Options
 	// QueryOptions tunes the index-accelerated probabilistic reverse
-	// skyline query path (parallelism, bound pruning).
+	// skyline query path (bound pruning, pdf quadrature resolution).
 	QueryOptions = prsq.Options
 	// QueryStats reports how an accelerated query was answered: how many
 	// objects the bounds decided and how many needed exact evaluation.

@@ -151,7 +151,7 @@ func TestConcurrentQueriesCountPerCall(t *testing.T) {
 	qs := []Point{{3000, 4000}, {7000, 6500}}
 	alone := make([]int64, len(qs))
 	for i, q := range qs {
-		_, st, err := e.QueryCtx(ctx, q, 0.5, QueryOptions{Parallel: 2})
+		_, st, err := e.QueryCtx(ctx, q, 0.5, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestConcurrentQueriesCountPerCall(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 5; rep++ {
-				_, st, err := e.QueryCtx(ctx, q, 0.5, QueryOptions{Parallel: 2})
+				_, st, err := e.QueryCtx(ctx, q, 0.5, QueryOptions{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -433,9 +433,8 @@ func TestPDFEngine(t *testing.T) {
 // taking a quadrature resolution rejects one it must not build with an
 // error naming it: 25000 nodes per dimension exceeds the per-dimension cap,
 // and 128 does not, but its 3-d grid of 128³ ≈ 2.1M nodes exceeds the node
-// cap. Unchecked, such a value reaches the quadrature in an evaluation
-// worker goroutine, where the k^d node allocation crashes the caller's
-// process.
+// cap. Unchecked, such a value reaches the quadrature of the exact stage,
+// where the k^d node allocation crashes the caller's process.
 func TestPDFEngineRejectsOversizedQuadNodes(t *testing.T) {
 	// One object per octant around q: none dominates another outright, so
 	// every object would reach the exact (quadrature) stage.

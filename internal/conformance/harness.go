@@ -3,8 +3,8 @@
 // thresholds, with every accelerated query configuration asserted
 // set-identical to the naive per-object oracle. The causality machinery
 // (Meliou et al.; Gao et al.) is only meaningful against exact query
-// semantics, so every fast path — indexed join, parallel join, first- and
-// second-tier bounds — must reproduce the oracle bit for bit; this package
+// semantics, so every fast path — indexed join, first- and second-tier
+// bounds — must reproduce the oracle bit for bit; this package
 // enforces that by construction rather than by review.
 //
 // Every randomized case derives deterministically from a single int64 case
@@ -33,9 +33,9 @@ import (
 const ReplaySeedEnv = "CRSKY_CONFORMANCE_SEED"
 
 // Variant is one accelerated query configuration under test. The list
-// covers the full option cross: serial and parallel join/evaluation, second
-// tier on and off, the bound-free ablation, and the incremental-maintenance
-// build (same query options, different engine lineage).
+// covers the full option cross: second tier on and off, the bound-free
+// ablation, and the incremental-maintenance build (same query options,
+// different engine lineage).
 type Variant struct {
 	Name string
 	Opt  crsky.QueryOptions
@@ -50,12 +50,10 @@ type Variant struct {
 // against the oracle.
 func Variants() []Variant {
 	return []Variant{
-		{Name: "serial", Opt: crsky.QueryOptions{Parallel: 1}},
-		{Name: "parallel", Opt: crsky.QueryOptions{Parallel: 4}},
-		{Name: "serial-notier2", Opt: crsky.QueryOptions{Parallel: 1, NoTier2: true}},
-		{Name: "parallel-notier2", Opt: crsky.QueryOptions{Parallel: 4, NoTier2: true}},
-		{Name: "nobounds", Opt: crsky.QueryOptions{Parallel: 1, NoBounds: true}},
-		{Name: "incremental", Opt: crsky.QueryOptions{Parallel: 1}, Incremental: true},
+		{Name: "default", Opt: crsky.QueryOptions{}},
+		{Name: "notier2", Opt: crsky.QueryOptions{NoTier2: true}},
+		{Name: "nobounds", Opt: crsky.QueryOptions{NoBounds: true}},
+		{Name: "incremental", Opt: crsky.QueryOptions{}, Incremental: true},
 	}
 }
 

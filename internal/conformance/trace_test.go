@@ -41,7 +41,7 @@ func TestTraceBitIdenticalSample(t *testing.T) {
 			t.Errorf("%v: %v", w, err)
 			return
 		}
-		opts := crsky.QueryOptions{Parallel: 2}
+		opts := crsky.QueryOptions{}
 		for _, q := range w.qs {
 			for _, alpha := range w.alphas {
 				plain, plainStats, err := eng.QueryCtx(context.Background(), q, alpha, opts)

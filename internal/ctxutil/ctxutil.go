@@ -1,6 +1,6 @@
 // Package ctxutil is the shared cancellation plumbing of the context-aware
 // v2 engine API. Search kernels (the branch-and-bound FMCS refiner, the
-// R-tree self-joins, the exact-evaluation worker pools) are hot loops that
+// R-tree self-joins, the exact query evaluations) are hot loops that
 // cannot afford a context poll per node; Poll amortizes the check to one
 // ctx.Err() read every stride work units, so the cost of cancellation
 // support on an uncanceled run is a counter decrement. CanceledError is the
@@ -17,7 +17,7 @@ import (
 // DefaultStride is the number of charged work units between consecutive
 // context polls. One unit is one search node / one streamed join pair, so
 // the stride bounds how much extra work a canceled computation performs
-// before it notices: at most one stride per worker goroutine.
+// before it notices: at most one stride per Poll.
 const DefaultStride = 1024
 
 // CanceledError reports a computation stopped by its context. It wraps the
@@ -74,8 +74,8 @@ func Precheck(ctx context.Context) error {
 
 // Poll is an amortized context checker. A nil *Poll never cancels, so
 // context-free entry points pass nil and pay a single branch per check.
-// Poll is not safe for concurrent use: each worker goroutine owns its own
-// Poll (sharing the context), which keeps the countdown contention-free.
+// Poll is not safe for concurrent use: each goroutine owns its own Poll
+// (sharing the context), which keeps the countdown contention-free.
 type Poll struct {
 	ctx    context.Context
 	stride int64

@@ -49,10 +49,10 @@ type prsqReport struct {
 
 // PRSQBench measures the whole-dataset probabilistic reverse skyline query:
 // the naive per-object loop against the indexed batch path (internal/prsq),
-// serial and parallel, at two cardinalities. Beyond printing the table it
-// writes BENCH_prsq.json so the performance trajectory is tracked across
-// PRs — run `make bench-prsq` (or `cmd/experiments -exp prsq -scale 1`) to
-// refresh it.
+// with and without the second bound tier, at two cardinalities. Beyond
+// printing the table it writes BENCH_prsq.json so the performance
+// trajectory is tracked across PRs — run `make bench-prsq` (or
+// `cmd/experiments -exp prsq -scale 1`) to refresh it.
 func PRSQBench(cfg Config) error {
 	cfg.fillDefaults()
 	const (
@@ -71,7 +71,7 @@ func PRSQBench(cfg Config) error {
 	tab := stats.Table{
 		Title:  "PRSQ: naive per-object loop vs indexed batch query",
 		Header: []string{"n", "variant", "ms/query", "CPU ms/query", "node accesses", "entries scanned", "answers", "speedup"},
-		Caption: "Indexed = one R-tree self-join + online MBR bounds + parallel exact evaluation; " +
+		Caption: "Indexed = one R-tree self-join + online MBR bounds + exact evaluation of the undecided band; " +
 			"identical answer sets by construction. Speedup = naive CPU time / variant CPU time.",
 	}
 
@@ -98,9 +98,8 @@ func PRSQBench(cfg Config) error {
 				ids, nodes := causality.NaivePRSQ(ds, q, alpha)
 				return ids, prsq.Stats{NodeAccesses: nodes}
 			}},
-			{"indexed-serial", indexed(prsq.Options{Parallel: 1})},
-			{"indexed-notier2", indexed(prsq.Options{Parallel: 1, NoTier2: true})},
-			{"indexed-parallel", indexed(prsq.Options{})},
+			{"indexed-serial", indexed(prsq.Options{})},
+			{"indexed-notier2", indexed(prsq.Options{NoTier2: true})},
 		}
 
 		// The variants take interleaved turns (see interleavedTurns), so
@@ -112,7 +111,7 @@ func PRSQBench(cfg Config) error {
 		}
 		cells := make([]cell, len(variants))
 		// The query never fails, so neither can the measurement.
-		tallies, _ := interleavedTurns(len(variants), 1, cfg.minCellTime(), func(i, _ int, _ bool) error {
+		tallies, _ := interleavedTurns(len(variants), 1, cfg.minCellTime(), nil, func(i, _ int, _ bool) error {
 			ids, st := variants[i].run()
 			c := &cells[i]
 			c.answers = len(ids)
@@ -176,13 +175,18 @@ type turnTally struct {
 // the machine's speed during a run reaches every variant alike, so a
 // speedup taken as a ratio of the tallies' CPU times holds still; time
 // the process spends descheduled counts for none. A collection before
-// each turn keeps one variant's garbage out of the next one's CPU time.
-func interleavedTurns(n, m int, minTime time.Duration, rep func(i, k int, first bool) error) ([]turnTally, error) {
+// each turn keeps one variant's garbage out of the next one's CPU time. A
+// variant i for which oneRound(i) holds takes its turns in the first round
+// only; a nil oneRound gives every variant every round.
+func interleavedTurns(n, m int, minTime time.Duration, oneRound func(i int) bool, rep func(i, k int, first bool) error) ([]turnTally, error) {
 	units := make([]turnTally, n*m) // units[i*m+k]: variant i on input k, summed
 	turn := minTime / time.Duration(benchRounds*m)
 	for round := 0; round < benchRounds; round++ {
 		for k := 0; k < m; k++ {
 			for i := 0; i < n; i++ {
+				if round > 0 && oneRound != nil && oneRound(i) {
+					continue
+				}
 				u := &units[i*m+k]
 				runtime.GC()
 				start, cpu0 := time.Now(), processCPU()

@@ -123,7 +123,7 @@ func DomRectUnionOuter(region Rect, q Point) Rect {
 
 // DomRectUnionOuterInto writes DomRectUnionOuter(region, q) into dst, like
 // DomRectInto: the batch join evaluates one window per (left entry, query)
-// into per-worker scratch. The result is bit-identical to
+// into its own scratch. The result is bit-identical to
 // DomRectUnionOuter.
 func DomRectUnionOuterInto(dst, region Rect, q Point) {
 	checkDims(len(region.Min), len(q))

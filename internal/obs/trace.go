@@ -15,8 +15,8 @@ import (
 // safe on a nil receiver, so untraced requests pay only a context lookup
 // at stage boundaries — never per-item work.
 //
-// Traces are concurrency-safe: the parallel join workers and the batch
-// explain fan-out record spans and counters from multiple goroutines.
+// Traces are concurrency-safe: the batch explain fan-out records spans and
+// counters from multiple goroutines.
 type Trace struct {
 	start time.Time
 
@@ -110,9 +110,9 @@ type SpanJSON struct {
 type TraceJSON struct {
 	// WallMs is the elapsed wall time from trace creation to snapshot.
 	WallMs float64 `json:"wallMs"`
-	// Spans lists completed stages in start order. Concurrent stages (the
-	// parallel join's per-worker work, batch items) overlap; their
-	// durations sum to CPU-ish stage time, not wall time.
+	// Spans lists completed stages in start order. Concurrent stages
+	// (batch explain items) overlap; their durations sum to CPU-ish stage
+	// time, not wall time.
 	Spans []SpanJSON `json:"spans,omitempty"`
 	// Counters carries the effort metrics recorded by the engine layers.
 	Counters map[string]int64 `json:"counters,omitempty"`

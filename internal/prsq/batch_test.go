@@ -3,6 +3,7 @@ package prsq
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -17,9 +18,8 @@ import (
 
 // TestQueryBatchMatchesPerQuery asserts element-wise identity between the
 // batch query and the brute-force prob.PRSQ of every point across
-// thresholds and worker counts, and — the batch layer's reason to exist —
-// strictly fewer total node accesses than the same points run as batches
-// of one.
+// thresholds, and — the batch layer's reason to exist — strictly fewer
+// total node accesses than the same points run as batches of one.
 func TestQueryBatchMatchesPerQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cfg := dataset.LUrU(1500, 3, 0, 5, 11)
@@ -40,36 +40,32 @@ func TestQueryBatchMatchesPerQuery(t *testing.T) {
 		for i, q := range qs {
 			want[i] = prob.PRSQ(ds.Objects, q, alpha)
 		}
-		for _, par := range []int{1, 4} {
-			opt := Options{Parallel: par}
+		var singleIO int64
+		for _, q := range qs {
+			_, st := queryStats(t, ds, q, alpha, Options{})
+			singleIO += st.NodeAccesses
+		}
 
-			var singleIO int64
-			for _, q := range qs {
-				_, st := queryStats(t, ds, q, alpha, opt)
-				singleIO += st.NodeAccesses
-			}
+		got, st, err := QueryBatchStreamStatsCtx(context.Background(), ds, qs, alpha, Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batchIO := st.NodeAccesses
 
-			got, st, err := QueryBatchStreamStatsCtx(context.Background(), ds, qs, alpha, opt, nil)
-			if err != nil {
-				t.Fatal(err)
+		for i := range qs {
+			if !equalIDs(got[i], want[i]) {
+				t.Fatalf("alpha=%g q#%d: batch %v, brute force %v", alpha, i, got[i], want[i])
 			}
-			batchIO := st.NodeAccesses
-
-			for i := range qs {
-				if !equalIDs(got[i], want[i]) {
-					t.Fatalf("alpha=%g par=%d q#%d: batch %v, brute force %v", alpha, par, i, got[i], want[i])
-				}
-			}
-			decided := st.EmptyCandidates + st.AcceptedByBound + st.RejectedByBound +
-				st.AcceptedByTier2 + st.RejectedByTier2 + st.Evaluated
-			if decided != ds.Len()*len(qs) {
-				t.Fatalf("alpha=%g par=%d: stats decide %d of %d object-queries (%+v)",
-					alpha, par, decided, ds.Len()*len(qs), st)
-			}
-			if batchIO >= singleIO {
-				t.Fatalf("alpha=%g par=%d: batch charged %d node accesses, batches of one %d — no amortization",
-					alpha, par, batchIO, singleIO)
-			}
+		}
+		decided := st.EmptyCandidates + st.AcceptedByBound + st.RejectedByBound +
+			st.AcceptedByTier2 + st.RejectedByTier2 + st.Evaluated
+		if decided != ds.Len()*len(qs) {
+			t.Fatalf("alpha=%g: stats decide %d of %d object-queries (%+v)",
+				alpha, decided, ds.Len()*len(qs), st)
+		}
+		if batchIO >= singleIO {
+			t.Fatalf("alpha=%g: batch charged %d node accesses, batches of one %d — no amortization",
+				alpha, batchIO, singleIO)
 		}
 	}
 }
@@ -96,14 +92,13 @@ func TestQueryBatchPDFMatchesPerQuery(t *testing.T) {
 	}
 	const quad = 4
 	for _, alpha := range []float64{0.4, 0.9} {
-		opt := Options{Parallel: 2}
 		var singleIO int64
 		for _, q := range qs {
-			_, st := queryPDFStats(t, set, q, alpha, quad, opt)
+			_, st := queryPDFStats(t, set, q, alpha, quad, Options{})
 			singleIO += st.NodeAccesses
 		}
 
-		got, st, err := QueryBatchPDFStreamStatsCtx(context.Background(), set, qs, alpha, quad, opt, nil)
+		got, st, err := QueryBatchPDFStreamStatsCtx(context.Background(), set, qs, alpha, quad, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +125,7 @@ func TestQueryBatchCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	qs := []geom.Point{{100, 100}, {500, 500}}
-	out, _, err := QueryBatchStreamStatsCtx(ctx, ds, qs, 0.5, Options{Parallel: 1}, nil)
+	out, _, err := QueryBatchStreamStatsCtx(ctx, ds, qs, 0.5, Options{}, nil)
 	if err == nil || out != nil {
 		t.Fatalf("canceled batch returned out=%v err=%v", out, err)
 	}
@@ -192,4 +187,96 @@ func TestQueryBatchDeadlineInJoin(t *testing.T) {
 			st.NodeAccesses, full.NodeAccesses)
 	}
 	t.Logf("join canceled after %d of %d node accesses", st.NodeAccesses, full.NodeAccesses)
+}
+
+// TestQueryBatchDeadlineInExact pins a deadline that fires inside the exact
+// stage of a six-point batch, sample and pdf. A run whose deadline never
+// fires counts the batch's polls; the exact stage polls once before each
+// evaluation, so a deadline set m polls before that count fires after all
+// but m of the full run's evaluations. The call returns a
+// *ctxutil.CanceledError wrapping DeadlineExceeded that counts exactly
+// those evaluations, and no answers; emit has fired exactly once for each
+// point of the request-order prefix whose bands those evaluations settled
+// (each point's band measured as a batch of one), each time with the full
+// run's answer.
+func TestQueryBatchDeadlineInExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ds, err := dataset.GenerateUncertain(dataset.LUrU(400, 2, 50, 900, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs, err := dataset.GenerateUncertainPDF(dataset.LUrU(150, 2, 10, 400, 12), uncertain.Uniform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := causality.NewPDFSet(objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := make([]geom.Point, 6)
+	for i := range qs {
+		qs[i] = geom.Point{10000 * (0.3 + 0.4*rng.Float64()), 10000 * (0.3 + 0.4*rng.Float64())}
+	}
+	type queryFunc func(ctx context.Context, qs []geom.Point, emit func(int, []int)) ([][]int, Stats, error)
+	for _, tc := range []struct {
+		name string
+		run  queryFunc
+	}{
+		{"sample", func(ctx context.Context, qs []geom.Point, emit func(int, []int)) ([][]int, Stats, error) {
+			return QueryBatchStreamStatsCtx(ctx, ds, qs, 0.5, Options{}, emit)
+		}},
+		{"pdf", func(ctx context.Context, qs []geom.Point, emit func(int, []int)) ([][]int, Stats, error) {
+			return QueryBatchPDFStreamStatsCtx(ctx, set, qs, 0.5, 4, Options{}, emit)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			parent, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ctx := &pollDeadline{Context: parent}
+			ctx.polls.Store(math.MaxInt64)
+			full, fullStats, err := tc.run(ctx, qs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			polls := math.MaxInt64 - ctx.polls.Load()
+			m := fullStats.Evaluated / 2
+			done := fullStats.Evaluated - m // evaluations before the deadline
+			prefix, settled := 0, 0
+			for k := range qs {
+				_, st, err := tc.run(context.Background(), qs[k:k+1], nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if settled += st.Evaluated; settled > done {
+					break
+				}
+				prefix++
+			}
+			if m == 0 || prefix == 0 {
+				t.Fatalf("%d evaluations, %d points settled after %d of them: pick a batch whose deadline can fall inside a later point's band",
+					fullStats.Evaluated, prefix, done)
+			}
+
+			ctx = &pollDeadline{Context: parent}
+			ctx.polls.Store(polls - int64(m))
+			var emitted []int
+			out, _, err := tc.run(ctx, qs, func(k int, ids []int) {
+				if k != len(emitted) || !equalIDs(ids, full[k]) {
+					t.Fatalf("emit(%d, %v) after points %v; the full run answers %v", k, ids, emitted, full[k])
+				}
+				emitted = append(emitted, k)
+			})
+			var ce *ctxutil.CanceledError
+			if !errors.As(err, &ce) || !errors.Is(err, context.DeadlineExceeded) || out != nil {
+				t.Fatalf("out = %v, err = %v, want no answers and a deadline cancellation", out, err)
+			}
+			if ce.Evaluated != done {
+				t.Fatalf("canceled after %d of %d evaluations, want %d", ce.Evaluated, fullStats.Evaluated, done)
+			}
+			if len(emitted) != prefix {
+				t.Fatalf("emitted points %v, want the first %d", emitted, prefix)
+			}
+			t.Logf("deadline after %d of %d evaluations: %d of %d points emitted", done, fullStats.Evaluated, prefix, len(qs))
+		})
+	}
 }

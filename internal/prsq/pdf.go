@@ -1,20 +1,12 @@
 package prsq
 
 import (
-	"sync"
-
 	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/prob"
-	"github.com/crsky/crsky/internal/uncertain"
 )
 
-// pdfCandPool recycles per-worker pdf candidate slices across queries.
-var pdfCandPool = sync.Pool{
-	New: func() any { return new([]*uncertain.PDFObject) },
-}
-
-// pdfStreamState is the per-(worker, query) stream state of the
+// pdfStreamState is the per-query stream state of the
 // continuous model: the same streaming join with the Section-3.2 geometry
 // in place of the sample-level tests:
 //

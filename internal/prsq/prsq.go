@@ -26,10 +26,10 @@
 //     per-sample Eq.-2 term bounds, shrinking the undecided band — and
 //     stopping streams early — at thresholds the all-or-nothing tests
 //     cannot reach.
-//  3. Parallel refinement: the filtering join itself fans out per R-tree
-//     subtree onto a worker pool (each worker owning its own stream state),
-//     and the undecided band is evaluated exactly (Eq. 2) on the same pool,
-//     each worker owning scratch buffers reused across objects.
+//  3. Refinement: the undecided band is evaluated exactly (Eq. 2), one
+//     query point after another, each point's answer final as soon as its
+//     band is. The whole query runs on the caller's goroutine; callers
+//     that want throughput run queries concurrently.
 //
 // The result is bit-identical to the brute-force prob.PRSQ: excluded
 // non-candidates contribute exact ×1 factors, candidate lists are evaluated
@@ -38,12 +38,6 @@
 package prsq
 
 import (
-	"context"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
-
 	"github.com/crsky/crsky/internal/ctxutil"
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/geom"
@@ -53,12 +47,10 @@ import (
 )
 
 // Options tunes the query execution. The zero value selects full
-// acceleration: bounds on, one evaluation worker per CPU.
+// acceleration: both bound tiers on.
 type Options struct {
-	// Parallel is the number of workers for both the filtering join and
-	// the exact evaluation of the undecided band: 1 runs serially, values
-	// <= 0 select runtime.GOMAXPROCS(0). Results are identical for every
-	// setting.
+	// Deprecated: every query runs on its caller's goroutine, and the
+	// value is ignored.
 	Parallel int
 	// NoBounds disables the online bound pruning (ablation / benchmarking
 	// switch; results are unchanged, every object pays the full Eq.-2
@@ -74,20 +66,6 @@ type Options struct {
 	// certain models ignore it; it lives here so the model-generic v2
 	// query API needs no per-model signature.
 	QuadNodes int
-}
-
-func (o Options) workers(n int) int {
-	w := o.Parallel
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Stats reports how the query was answered — in particular how much work
@@ -132,8 +110,8 @@ type Stats struct {
 	EntriesScanned int64
 }
 
-// add folds the per-worker counters of o into s (Objects, Evaluated,
-// LeafRejected, NodeAccesses and EntriesScanned are owned by the merger).
+// add folds one query's stream counters o into s (Objects, Evaluated,
+// LeafRejected, NodeAccesses and EntriesScanned are counted by the batch).
 func (s *Stats) add(o Stats) {
 	s.CandidatePairs += o.CandidatePairs
 	s.EmptyCandidates += o.EmptyCandidates
@@ -179,10 +157,10 @@ func wrapCanceled(err error, evaluated int) error {
 	return ctxutil.WrapCanceled(err, 0, evaluated)
 }
 
-// streamState is the per-(worker, query) state of the online filter+bound
-// pass. The join reports each object's candidates consecutively within a
-// worker, so one scratch buffer set serves every object of that worker in
-// turn, and a typical object allocates nothing.
+// streamState is the per-query state of the online filter+bound pass. The
+// join reports each object's candidates consecutively, so one scratch
+// buffer set serves every object in turn, and a typical object allocates
+// nothing.
 type streamState struct {
 	ds    *dataset.Uncertain
 	q     geom.Point
@@ -516,74 +494,6 @@ func (st *streamState) finish(id int) decision {
 	st.undecidedIDs = append(st.undecidedIDs, id)
 	st.undecidedCands = append(st.undecidedCands, append([]int32(nil), st.buf...))
 	return undecided
-}
-
-// evaluate runs the exact stage over the undecided band, serially or on a
-// worker pool, feeding each item's exact decision to set. Candidate lists
-// are sorted ascending first: that is the brute-force multiplication order,
-// and superset entries that dominate nothing multiply by exactly 1, so the
-// result is bit-identical to prob.PRSQ. Each worker polls ctx between
-// items (exact evaluations are the expensive unit, so the poll stride is
-// 1) and the first context error is returned together with the number of
-// items decided before the stop.
-func evaluate(ctx context.Context, cands [][]int32, opt Options,
-	decide func(k int) bool, set func(k int, d decision)) (int, error) {
-
-	for _, c := range cands {
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	}
-	settle := func(k int) {
-		if decide(k) {
-			set(k, accepted)
-		} else {
-			set(k, rejected)
-		}
-	}
-	n := len(cands)
-	workers := opt.workers(n)
-	if workers <= 1 {
-		poll := ctxutil.NewPoll(ctx, 1)
-		for k := 0; k < n; k++ {
-			if err := poll.Check(); err != nil {
-				return k, err
-			}
-			settle(k)
-		}
-		return n, nil
-	}
-	var wg sync.WaitGroup
-	var done atomic.Int64
-	errs := make([]error, workers)
-	for wi := 0; wi < workers; wi++ {
-		wi := wi
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			poll := ctxutil.NewPoll(ctx, 1)
-			// Strided sharding; verdict slots are disjoint per worker.
-			for k := wi; k < n; k += workers {
-				if err := poll.Check(); err != nil {
-					errs[wi] = err
-					return
-				}
-				settle(k)
-				done.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return int(done.Load()), err
-		}
-	}
-	return n, nil
-}
-
-// candPool recycles the evaluation stage's candidate object slices across
-// queries and workers.
-var candPool = sync.Pool{
-	New: func() any { return new([]*uncertain.Object) },
 }
 
 // collect turns the verdict array into the ascending answer ID list. The

@@ -67,26 +67,23 @@ func checkSampleEquivalence(t *testing.T, ds *dataset.Uncertain, q geom.Point) {
 	t.Helper()
 	for _, alpha := range testAlphas {
 		want := prob.PRSQ(ds.Objects, q, alpha)
-		for _, par := range []int{1, 4} {
-			for _, opt := range []Options{
-				{},
-				{NoBounds: true},
-				{NoTier2: true},
-			} {
-				opt.Parallel = par
-				got, st := queryStats(t, ds, q, alpha, opt)
-				if !equalIDs(got, want) {
-					t.Fatalf("alpha=%g opts=%+v: got %d answers %v, want %d answers %v",
-						alpha, opt, len(got), got, len(want), want)
-				}
-				decided := st.EmptyCandidates + st.AcceptedByBound + st.RejectedByBound +
-					st.AcceptedByTier2 + st.RejectedByTier2 + st.Evaluated
-				if decided != ds.Len() {
-					t.Fatalf("alpha=%g: stats decide %d of %d objects (%+v)", alpha, decided, ds.Len(), st)
-				}
-				if opt.NoTier2 && (st.AcceptedByTier2 != 0 || st.RejectedByTier2 != 0) {
-					t.Fatalf("alpha=%g: tier-2 decisions recorded with NoTier2 (%+v)", alpha, st)
-				}
+		for _, opt := range []Options{
+			{},
+			{NoBounds: true},
+			{NoTier2: true},
+		} {
+			got, st := queryStats(t, ds, q, alpha, opt)
+			if !equalIDs(got, want) {
+				t.Fatalf("alpha=%g opts=%+v: got %d answers %v, want %d answers %v",
+					alpha, opt, len(got), got, len(want), want)
+			}
+			decided := st.EmptyCandidates + st.AcceptedByBound + st.RejectedByBound +
+				st.AcceptedByTier2 + st.RejectedByTier2 + st.Evaluated
+			if decided != ds.Len() {
+				t.Fatalf("alpha=%g: stats decide %d of %d objects (%+v)", alpha, decided, ds.Len(), st)
+			}
+			if opt.NoTier2 && (st.AcceptedByTier2 != 0 || st.RejectedByTier2 != 0) {
+				t.Fatalf("alpha=%g: tier-2 decisions recorded with NoTier2 (%+v)", alpha, st)
 			}
 		}
 	}
@@ -161,7 +158,7 @@ func TestQueryEquivalenceOffUnitWeights(t *testing.T) {
 	// may not exist must never settle an object by the core test.
 	q := geom.Point{200, 200}
 	want := prob.PRSQ(ds.Objects, q, 1e-7)
-	if got, _ := queryStats(t, ds, q, 1e-7, Options{Parallel: 1}); !equalIDs(got, want) || len(want) != 2 {
+	if got, _ := queryStats(t, ds, q, 1e-7, Options{}); !equalIDs(got, want) || len(want) != 2 {
 		t.Fatalf("alpha=1e-7: got %v, brute force %v (want both objects)", got, want)
 	}
 }
@@ -182,19 +179,17 @@ func TestQueryEquivalencePDFModel(t *testing.T) {
 			for _, quadNodes := range []int{0, 4} {
 				for _, alpha := range []float64{0.2, 0.6, 1.0} {
 					want := pdfPRSQ(set, q, alpha, quadNodes)
-					for _, par := range []int{1, 4} {
-						for _, noTier2 := range []bool{false, true} {
-							got, st := queryPDFStats(t, set, q, alpha, quadNodes, Options{Parallel: par, NoTier2: noTier2})
-							if !equalIDs(got, want) {
-								t.Fatalf("kind=%v quad=%d alpha=%g parallel=%d noTier2=%v: got %v, want %v",
-									kind, quadNodes, alpha, par, noTier2, got, want)
-							}
-							// pdf empty-candidate objects are evaluated too,
-							// so Evaluated alone complements the rejects.
-							if st.RejectedByBound+st.RejectedByTier2+st.Evaluated != set.Len() {
-								t.Fatalf("stats decide %d of %d (%+v)",
-									st.RejectedByBound+st.RejectedByTier2+st.Evaluated, set.Len(), st)
-							}
+					for _, noTier2 := range []bool{false, true} {
+						got, st := queryPDFStats(t, set, q, alpha, quadNodes, Options{NoTier2: noTier2})
+						if !equalIDs(got, want) {
+							t.Fatalf("kind=%v quad=%d alpha=%g noTier2=%v: got %v, want %v",
+								kind, quadNodes, alpha, noTier2, got, want)
+						}
+						// pdf empty-candidate objects are evaluated too,
+						// so Evaluated alone complements the rejects.
+						if st.RejectedByBound+st.RejectedByTier2+st.Evaluated != set.Len() {
+							t.Fatalf("stats decide %d of %d (%+v)",
+								st.RejectedByBound+st.RejectedByTier2+st.Evaluated, set.Len(), st)
 						}
 					}
 				}
@@ -232,34 +227,32 @@ func TestAlphaAtEpsAcceptsEveryLiveObject(t *testing.T) {
 		}
 	}
 	live := ds.Len() - 3
-	for _, par := range []int{1, 4} {
-		for _, noBounds := range []bool{false, true} {
-			opt := Options{Parallel: par, NoBounds: noBounds}
-			label := fmt.Sprintf("parallel=%d noBounds=%v", par, noBounds)
-			got, st, err := QueryBatchStreamStatsCtx(ctx, ds, qs, alpha, opt, nil)
-			if err != nil {
-				t.Fatal(err)
+	for _, noBounds := range []bool{false, true} {
+		opt := Options{NoBounds: noBounds}
+		label := fmt.Sprintf("noBounds=%v", noBounds)
+		got, st, err := QueryBatchStreamStatsCtx(ctx, ds, qs, alpha, opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, q := range qs {
+			if want := prob.PRSQ(ds.Objects, q, alpha); !equalIDs(got[k], want) || len(want) != live {
+				t.Fatalf("sample %s q=%v: got %d answers, oracle %d of %d live", label, q, len(got[k]), len(want), live)
 			}
-			for k, q := range qs {
-				if want := prob.PRSQ(ds.Objects, q, alpha); !equalIDs(got[k], want) || len(want) != live {
-					t.Fatalf("sample %s q=%v: got %d answers, oracle %d of %d live", label, q, len(got[k]), len(want), live)
-				}
+		}
+		if !noBounds && (st.AcceptedByBound != live*len(qs) || st.CandidatePairs != 0 || st.Evaluated != 0) {
+			t.Fatalf("sample %s: %+v, want all %d accepted by bound with no pairs or evaluations", label, st, live*len(qs))
+		}
+		pgot, pst, err := QueryBatchPDFStreamStatsCtx(ctx, set, qs, alpha, 0, opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, q := range qs {
+			if want := pdfPRSQ(set, q, alpha, 0); !equalIDs(pgot[k], want) || len(want) != set.Len()-3 {
+				t.Fatalf("pdf %s q=%v: got %d answers, oracle %d of %d live", label, q, len(pgot[k]), len(want), set.Len()-3)
 			}
-			if !noBounds && (st.AcceptedByBound != live*len(qs) || st.CandidatePairs != 0 || st.Evaluated != 0) {
-				t.Fatalf("sample %s: %+v, want all %d accepted by bound with no pairs or evaluations", label, st, live*len(qs))
-			}
-			pgot, pst, err := QueryBatchPDFStreamStatsCtx(ctx, set, qs, alpha, 0, opt, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, q := range qs {
-				if want := pdfPRSQ(set, q, alpha, 0); !equalIDs(pgot[k], want) || len(want) != set.Len()-3 {
-					t.Fatalf("pdf %s q=%v: got %d answers, oracle %d of %d live", label, q, len(pgot[k]), len(want), set.Len()-3)
-				}
-			}
-			if !noBounds && (pst.AcceptedByBound != (set.Len()-3)*len(qs) || pst.CandidatePairs != 0 || pst.Evaluated != 0) {
-				t.Fatalf("pdf %s: %+v, want all %d accepted by bound with no pairs or evaluations", label, pst, (set.Len()-3)*len(qs))
-			}
+		}
+		if !noBounds && (pst.AcceptedByBound != (set.Len()-3)*len(qs) || pst.CandidatePairs != 0 || pst.Evaluated != 0) {
+			t.Fatalf("pdf %s: %+v, want all %d accepted by bound with no pairs or evaluations", label, pst, (set.Len()-3)*len(qs))
 		}
 	}
 }
@@ -279,8 +272,8 @@ func TestTier2ShrinksUndecidedBand(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		q := geom.Point{10000 * (0.3 + 0.4*rng.Float64()), 10000 * (0.3 + 0.4*rng.Float64())}
 		for _, alpha := range []float64{0.7, 0.9, 1.0} {
-			idsT1, st1 := queryStats(t, ds, q, alpha, Options{Parallel: 1, NoTier2: true})
-			idsT2, st2 := queryStats(t, ds, q, alpha, Options{Parallel: 1})
+			idsT1, st1 := queryStats(t, ds, q, alpha, Options{NoTier2: true})
+			idsT2, st2 := queryStats(t, ds, q, alpha, Options{})
 			if !equalIDs(idsT1, idsT2) {
 				t.Fatalf("alpha=%g: tier-2 changed the answers: %v vs %v", alpha, idsT2, idsT1)
 			}
@@ -325,8 +318,8 @@ func TestTier2ShrinksUndecidedBandPDF(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				q := geom.Point{10000 * (0.3 + 0.4*rng.Float64()), 10000 * (0.3 + 0.4*rng.Float64())}
 				for _, alpha := range []float64{0.5, 0.9} {
-					idsT1, st1 := queryPDFStats(t, set, q, alpha, 0, Options{Parallel: 1, NoTier2: true})
-					idsT2, st2 := queryPDFStats(t, set, q, alpha, 0, Options{Parallel: 1})
+					idsT1, st1 := queryPDFStats(t, set, q, alpha, 0, Options{NoTier2: true})
+					idsT2, st2 := queryPDFStats(t, set, q, alpha, 0, Options{})
 					if !equalIDs(idsT1, idsT2) {
 						t.Fatalf("q=%v alpha=%g: tier-2 changed the answers: %v vs %v", q, alpha, idsT2, idsT1)
 					}
@@ -399,15 +392,12 @@ func TestSummariesPartitionObjects(t *testing.T) {
 // batch join run on the one query point.
 func streamCandidates(t *testing.T, ds *dataset.Uncertain, q geom.Point) [][]int {
 	cands := make([][]int, ds.Len())
-	_, err := ds.Tree().JoinSelfStreamBatch(context.Background(), []rtree.WindowFunc{domWindow(q)}, 1,
-		func() rtree.BatchStreamVisitor {
-			return rtree.BatchStreamVisitor{
-				Pair: func(_, uID, cID int, _ geom.Rect) bool {
-					cands[uID] = append(cands[uID], cID)
-					return true
-				},
-			}
-		})
+	_, err := ds.Tree().JoinSelfStreamBatch(context.Background(), []rtree.WindowFunc{domWindow(q)}, rtree.BatchStreamVisitor{
+		Pair: func(_, uID, cID int, _ geom.Rect) bool {
+			cands[uID] = append(cands[uID], cID)
+			return true
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +447,7 @@ func TestQueryNodeAccessesBelowNaive(t *testing.T) {
 		naive += n
 	}
 
-	_, st := queryStats(t, ds, q, 0.5, Options{Parallel: 1})
+	_, st := queryStats(t, ds, q, 0.5, Options{})
 	batch := st.NodeAccesses
 
 	if batch >= naive {

@@ -263,9 +263,9 @@ func TestStreamRectsMatchDomRect(t *testing.T) {
 	}
 }
 
-// TestQueryAllocs is the join stage's allocation gate: a serial one-point
-// sample query at n=2 000 (lUrU, 3-d, r∈[0,5]) allocates per query, not
-// per object.
+// TestQueryAllocs is the join stage's allocation gate: a one-point sample
+// query at n=2 000 (lUrU, 3-d, r∈[0,5]) allocates per query, not per
+// object.
 func TestQueryAllocs(t *testing.T) {
 	ds, err := dataset.GenerateUncertain(dataset.LUrU(2000, 3, 0, 5, 1))
 	if err != nil {
@@ -277,12 +277,12 @@ func TestQueryAllocs(t *testing.T) {
 	ctx := context.Background()
 	qs := []geom.Point{{5000, 5000, 5000}}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := QueryBatchStreamStatsCtx(ctx, ds, qs, 0.5, Options{Parallel: 1}, nil); err != nil {
+		if _, _, err := QueryBatchStreamStatsCtx(ctx, ds, qs, 0.5, Options{}, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs >= 1000 {
-		t.Fatalf("one serial query over %d objects made %.0f allocations, want < 1000", ds.Len(), allocs)
+		t.Fatalf("one query over %d objects made %.0f allocations, want < 1000", ds.Len(), allocs)
 	}
 	t.Logf("%.0f allocations per query over %d objects", allocs, ds.Len())
 }
@@ -339,9 +339,8 @@ func leafRejectDataset(t *testing.T, cow bool, offUnit int) *dataset.Uncertain {
 // TestWholeLeafReject holds the join's whole-leaf reject to the brute-force
 // prob.PRSQ on fanout-8 trees, bulk-loaded and COW-built with a tombstone,
 // for batches mixing query points inside, at the edge of and outside the
-// data, at α from the comparison tolerance (reject off) to 1, serially and
-// on four workers. Each batch's answers equal the oracle's, the Stats are
-// identical at both worker counts and account for every live object, the
+// data, at α from the comparison tolerance (reject off) to 1. Each batch's
+// answers equal the oracle's, the Stats account for every live object, the
 // reject fires (LeafRejected > 0) wherever a certain object can cover a
 // leaf, and never fires when every object's weights fall short of one or
 // α ≤ prob.Eps.
@@ -369,37 +368,29 @@ func TestWholeLeafReject(t *testing.T) {
 		}
 		for _, alpha := range []float64{prob.Eps, 1e-7, 0.5, 1} {
 			label := fmt.Sprintf("%s alpha=%g", tc.name, alpha)
-			var serial Stats
-			for _, par := range []int{1, 4} {
-				got, st, err := QueryBatchStreamStatsCtx(context.Background(), ds, qs, alpha, Options{Parallel: par}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := range qs {
-					var want []int
-					for id, o := range ds.Objects {
-						if o != nil && prob.GEq(prs[k][id], alpha) {
-							want = append(want, id)
-						}
-					}
-					if !equalIDs(got[k], want) {
-						t.Fatalf("%s parallel=%d q=%v: got %v, brute force %v", label, par, qs[k], got[k], want)
+			got, st, err := QueryBatchStreamStatsCtx(context.Background(), ds, qs, alpha, Options{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range qs {
+				var want []int
+				for id, o := range ds.Objects {
+					if o != nil && prob.GEq(prs[k][id], alpha) {
+						want = append(want, id)
 					}
 				}
-				decided := st.EmptyCandidates + st.AcceptedByBound + st.RejectedByBound +
-					st.AcceptedByTier2 + st.RejectedByTier2 + st.Evaluated
-				if decided != ds.Live()*len(qs) || st.LeafRejected > st.RejectedByBound {
-					t.Fatalf("%s parallel=%d: stats decide %d of %d objects (%+v)", label, par, decided, ds.Live()*len(qs), st)
-				}
-				if par == 1 {
-					serial = st
-				} else if st != serial {
-					t.Fatalf("%s: stats %+v on 4 workers, %+v serially", label, st, serial)
+				if !equalIDs(got[k], want) {
+					t.Fatalf("%s q=%v: got %v, brute force %v", label, qs[k], got[k], want)
 				}
 			}
+			decided := st.EmptyCandidates + st.AcceptedByBound + st.RejectedByBound +
+				st.AcceptedByTier2 + st.RejectedByTier2 + st.Evaluated
+			if decided != ds.Live()*len(qs) || st.LeafRejected > st.RejectedByBound {
+				t.Fatalf("%s: stats decide %d of %d objects (%+v)", label, decided, ds.Live()*len(qs), st)
+			}
 			off := tc.offUnit == 1 || alpha <= prob.Eps
-			if off != (serial.LeafRejected == 0) {
-				t.Fatalf("%s: %d objects rejected by a leaf cover", label, serial.LeafRejected)
+			if off != (st.LeafRejected == 0) {
+				t.Fatalf("%s: %d objects rejected by a leaf cover", label, st.LeafRejected)
 			}
 		}
 	}

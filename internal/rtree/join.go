@@ -2,8 +2,6 @@ package rtree
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"github.com/crsky/crsky/internal/ctxutil"
 	"github.com/crsky/crsky/internal/geom"
@@ -11,12 +9,11 @@ import (
 
 // WindowFunc writes the (conservative) search window of the rectangle r
 // into dst, whose Min and Max hold the tree's dimensionality. The join
-// passes each worker's own scratch as dst, so a window costs no allocation
-// and the function must keep no state of its own: every worker of every
-// concurrent join calls it. For the branch-and-bound descent of
-// JoinSelfStreamBatch to be correct the window must be monotone: r ⊆ s
-// implies window(r) ⊆ window(s), so that a node-level window covers every
-// window of the entries below it.
+// passes its own scratch as dst, so a window costs no allocation and the
+// function must keep no state of its own: concurrent joins call it. For
+// the branch-and-bound descent of JoinSelfStreamBatch to be correct the
+// window must be monotone: r ⊆ s implies window(r) ⊆ window(s), so that a
+// node-level window covers every window of the entries below it.
 type WindowFunc func(dst, r geom.Rect)
 
 // BatchStreamVisitor receives the self-join output of every query k,
@@ -53,9 +50,9 @@ type BatchStreamVisitor struct {
 	End   func(k, leftID int)
 }
 
-// JoinCounts is the work of one JoinSelfStreamBatch call, summed over its
-// workers. Every count is deterministic: the same tree, windows and
-// visitor verdicts give the same counts at every worker count.
+// JoinCounts is the work of one JoinSelfStreamBatch call. Every count is
+// deterministic: the same tree, windows and visitor verdicts give the same
+// counts.
 type JoinCounts struct {
 	// NodeAccesses is the simulated I/O (see JoinSelfStreamBatch).
 	NodeAccesses int64
@@ -65,21 +62,6 @@ type JoinCounts struct {
 	EntriesScanned int64
 	// Skipped counts the (query, left entry) streams a leaf cover skipped.
 	Skipped int64
-}
-
-func (c *JoinCounts) add(o JoinCounts) {
-	c.NodeAccesses += o.NodeAccesses
-	c.EntriesScanned += o.EntriesScanned
-	c.Skipped += o.Skipped
-}
-
-// batchTask is one unit of join work: a left subtree plus, for each query,
-// the right subtrees that can still contribute matches under that query's
-// window. Subtrees travel as their parent entries, so each carries its box
-// (the root, which has no parent, gets a synthetic entry).
-type batchTask struct {
-	left   *entry
-	rights [][]*entry
 }
 
 // JoinSelfStreamBatch reports, for every query k and every data entry a,
@@ -92,7 +74,8 @@ type batchTask struct {
 // window predicates). The left descent is shared by all queries; the right
 // partner lists are pruned per query with that query's window. Every left
 // entry is visited for every query, including entries with empty streams,
-// unless a leaf cover skips it (see BatchStreamVisitor.Leaf).
+// unless a leaf cover skips it (see BatchStreamVisitor.Leaf). The visitor
+// runs on the caller's goroutine.
 //
 // At a left leaf each stream scans the left leaf itself first, then the
 // query's other partner leaves in list order. It tests each partner leaf's
@@ -111,133 +94,53 @@ type batchTask struct {
 // streams each needed right page once for all queries. A single query
 // costs exactly the classic single-window join; for Q > 1 queries the
 // total is strictly below Q single-window joins, because the left-descent
-// accesses alone shrink Q-fold. A canceled join returns the counts made
-// before it stopped.
+// accesses alone shrink Q-fold.
 //
-// With workers > 1 the dispatcher peels top-level subtrees off the left
-// descent (going one level deeper while the task list is smaller than the
-// pool wants) and hands each task to a worker running the serial
-// recursion with its own visitor. Left entries are partitioned across the
-// visitors and their groups run concurrently, so callers keep per-object
-// state inside each visitor (or index shared state by left ID, which the
-// partition makes race-free) and merge after the call returns. Each worker
-// counts its work in its own scratch, and the call sums the counts with
-// the dispatcher's once every worker has finished. workers <= 1 runs
-// serially with a single visitor.
-//
-// The dispatcher and each worker poll ctx with their own amortized
-// checker — one unit per visited node plus one per right node scanned for
-// a (query, left entry) pair, so a large batch observes a deadline
-// within one stride of rectangle scans — and a worker abandons its
-// remaining tasks when its poll fires; the dispatcher stops handing out
-// tasks as well, and the first context error is returned after all workers
-// drain.
-func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, workers int, newVisitor func() BatchStreamVisitor) (JoinCounts, error) {
+// The join polls ctx with an amortized checker — one unit per visited
+// node plus one per right node scanned for a (query, left entry) pair, so
+// a large batch observes a deadline within one stride of rectangle scans
+// — and returns the context's error with the counts made before it
+// stopped.
+func (t *Tree) JoinSelfStreamBatch(ctx context.Context, windows []WindowFunc, v BatchStreamVisitor) (JoinCounts, error) {
 	if t.size == 0 || len(windows) == 0 {
 		return JoinCounts{}, nil
 	}
-	rootEntry := &entry{rect: t.root.mbr(), child: t.root}
-	rootRights := make([][]*entry, len(windows))
-	for k := range rootRights {
-		rootRights[k] = []*entry{rootEntry}
+	j := &batchJoin{
+		windows: windows,
+		v:       v,
+		poll:    ctxutil.NewPoll(ctx, ctxutil.DefaultStride),
+		seen:    make(map[*node]struct{}, 64),
+		win:     geom.Rect{Min: make(geom.Point, t.dims), Max: make(geom.Point, t.dims)},
+		core:    geom.Rect{Min: make(geom.Point, t.dims), Max: make(geom.Point, t.dims)},
+		covers:  make([]*entry, len(windows)),
 	}
-	root := batchTask{left: rootEntry, rights: rootRights}
-
-	poll := ctxutil.NewPoll(ctx, ctxutil.DefaultStride)
-	if workers <= 1 || t.root.leaf {
-		sc := t.newBatchScratch(len(windows))
-		err := t.batchJoinLeft(root, windows, newVisitor(), poll, sc)
-		return sc.counts, err
+	// Subtrees travel as their parent entries, so each carries its box; the
+	// root, which has no parent, gets a synthetic entry.
+	root := &entry{rect: t.root.mbr(), child: t.root}
+	rights := make([][]*entry, len(windows))
+	for k := range rights {
+		rights[k] = []*entry{root}
 	}
-
-	// Grow the task frontier until there is enough slack for the pool to
-	// balance uneven subtree costs. All leaves sit at the same level
-	// (R*-tree invariant), so the frontier is homogeneous.
-	frontierScratch := t.newBatchScratch(len(windows))
-	tasks := []batchTask{root}
-	for !tasks[0].left.child.leaf && len(tasks) < 4*workers {
-		next := make([]batchTask, 0, len(tasks)*t.maxEntries)
-		for _, tk := range tasks {
-			children, err := t.expandBatchTask(tk, windows, poll, frontierScratch)
-			if err != nil {
-				return frontierScratch.counts, err
-			}
-			next = append(next, children...)
-		}
-		if len(next) == 0 {
-			return frontierScratch.counts, nil
-		}
-		tasks = next
-	}
-
-	ch := make(chan batchTask)
-	errs := make([]error, workers)
-	scratch := make([]*batchScratch, workers)
-	var wg sync.WaitGroup
-	var aborted atomic.Bool
-	for wi := 0; wi < workers; wi++ {
-		wi := wi
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := newVisitor()
-			poll := ctxutil.NewPoll(ctx, ctxutil.DefaultStride)
-			sc := t.newBatchScratch(len(windows))
-			scratch[wi] = sc
-			for tk := range ch {
-				if errs[wi] != nil {
-					continue // drain without working after a cancellation
-				}
-				if err := t.batchJoinLeft(tk, windows, v, poll, sc); err != nil {
-					errs[wi] = err
-					aborted.Store(true)
-				}
-			}
-		}()
-	}
-	for _, tk := range tasks {
-		if aborted.Load() {
-			break
-		}
-		ch <- tk
-	}
-	close(ch)
-	wg.Wait()
-	counts := frontierScratch.counts
-	for _, sc := range scratch {
-		counts.add(sc.counts)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return counts, err
-		}
-	}
-	return counts, nil
+	err := j.descend(root, rights)
+	return j.counts, err
 }
 
-// batchScratch is per-worker reusable state, so the hot descent performs
-// no per-node or per-entry allocation: the seen set of the union-access
-// accounting (cleared, capacity retained, between nodes), the window the
-// current (entry, query) pair is tested against, the core a Leaf hook
-// writes, and the per-query leaf covers. Every worker owns its own: the
-// WindowFuncs that write the window are shared by all workers and
-// concurrent joins. counts is the worker's work, summed by the join after
-// every worker has finished.
-type batchScratch struct {
-	seen   map[*node]struct{}
-	win    geom.Rect
-	core   geom.Rect
-	covers []*entry // per query: the current left leaf's cover, or nil
-	counts JoinCounts
-}
-
-func (t *Tree) newBatchScratch(numQ int) *batchScratch {
-	return &batchScratch{
-		seen:   make(map[*node]struct{}, 64),
-		win:    geom.Rect{Min: make(geom.Point, t.dims), Max: make(geom.Point, t.dims)},
-		core:   geom.Rect{Min: make(geom.Point, t.dims), Max: make(geom.Point, t.dims)},
-		covers: make([]*entry, numQ),
-	}
+// batchJoin is the state of one JoinSelfStreamBatch call. Its scratch is
+// reused across nodes, so no stream or entry test allocates: the seen set
+// of the union-access accounting (cleared, capacity retained, between
+// nodes), the window the current (entry, query) pair is tested against,
+// the core a Leaf hook writes, and the per-query leaf covers. The
+// WindowFuncs that write the window are shared by concurrent joins, so the
+// window lives here, not in them.
+type batchJoin struct {
+	windows []WindowFunc
+	v       BatchStreamVisitor
+	poll    *ctxutil.Poll
+	seen    map[*node]struct{}
+	win     geom.Rect
+	core    geom.Rect
+	covers  []*entry // per query: the current left leaf's cover, or nil
+	counts  JoinCounts
 }
 
 // intersects is geom.Rect.Intersects without its dimension check, so the
@@ -263,111 +166,97 @@ func strictlyInside(s, r geom.Rect) bool {
 	return true
 }
 
-// accessBatchRights counts the left node once and every distinct right
-// node of the per-query partner lists once — the union across queries,
+// accessRights counts the left node once and every distinct right node
+// of the per-query partner lists once — the union across queries,
 // excluding the pinned left node itself. A single query's partner list
 // holds no repeats, so it skips the seen set.
-func (sc *batchScratch) accessBatchRights(nl *node, rights [][]*entry) {
-	sc.counts.NodeAccesses++
+func (j *batchJoin) accessRights(nl *node, rights [][]*entry) {
+	j.counts.NodeAccesses++
 	if len(rights) == 1 {
 		for _, er := range rights[0] {
 			if er.child != nl {
-				sc.counts.NodeAccesses++
+				j.counts.NodeAccesses++
 			}
 		}
 		return
 	}
-	clear(sc.seen)
-	sc.seen[nl] = struct{}{}
+	clear(j.seen)
+	j.seen[nl] = struct{}{}
 	for _, rs := range rights {
 		for _, er := range rs {
-			if _, dup := sc.seen[er.child]; !dup {
-				sc.seen[er.child] = struct{}{}
-				sc.counts.NodeAccesses++
+			if _, dup := j.seen[er.child]; !dup {
+				j.seen[er.child] = struct{}{}
+				j.counts.NodeAccesses++
 			}
 		}
 	}
 }
 
-// expandBatchTask performs one internal-node expansion of the shared left
-// descent — the single copy of the non-leaf access accounting and
-// partner-list pruning, shared by the serial recursion and the parallel
-// dispatcher: one access pass over the union of partner lists, then
-// per-query pruning of each child's partner list with that query's window.
-func (t *Tree) expandBatchTask(tk batchTask, windows []WindowFunc, poll *ctxutil.Poll, sc *batchScratch) ([]batchTask, error) {
-	nl := tk.left.child
-	sc.accessBatchRights(nl, tk.rights)
-	out := make([]batchTask, 0, len(nl.entries))
-	for i := range nl.entries {
-		el := &nl.entries[i]
-		childRights := make([][]*entry, len(windows))
-		for k, wf := range windows {
-			if err := poll.Charge(int64(len(tk.rights[k]))); err != nil {
-				return nil, err
-			}
-			wf(sc.win, el.rect)
-			crs := make([]*entry, 0, len(tk.rights[k]))
-			for _, er := range tk.rights[k] {
-				nr := er.child
-				for j := range nr.entries {
-					if intersects(sc.win, nr.entries[j].rect) {
-						crs = append(crs, &nr.entries[j])
-					}
-				}
-			}
-			childRights[k] = crs
-		}
-		out = append(out, batchTask{left: el, rights: childRights})
-	}
-	return out, nil
-}
-
-// batchJoinLeft is the serial recursion over one left subtree, reporting
-// each left entry's per-query streams in query order.
-func (t *Tree) batchJoinLeft(tk batchTask, windows []WindowFunc, v BatchStreamVisitor, poll *ctxutil.Poll, sc *batchScratch) error {
-	if err := poll.Check(); err != nil {
+// descend is the recursion over the left subtree under el, whose per-query
+// partner lists are rights, reporting each left entry's per-query streams
+// in query order. An internal node is charged with one access pass over
+// the union of its partner lists; then, child by child, each query's
+// partner list is pruned with that query's window of the child's box and
+// the descent moves into the child.
+func (j *batchJoin) descend(el *entry, rights [][]*entry) error {
+	if err := j.poll.Check(); err != nil {
 		return err
 	}
-	nl := tk.left.child
+	nl := el.child
+	j.accessRights(nl, rights)
 	if !nl.leaf {
-		children, err := t.expandBatchTask(tk, windows, poll, sc)
-		if err != nil {
-			return err
-		}
-		for _, child := range children {
-			if err := t.batchJoinLeft(child, windows, v, poll, sc); err != nil {
+		for i := range nl.entries {
+			child := &nl.entries[i]
+			childRights := make([][]*entry, len(j.windows))
+			for k, wf := range j.windows {
+				if err := j.poll.Charge(int64(len(rights[k]))); err != nil {
+					return err
+				}
+				wf(j.win, child.rect)
+				crs := make([]*entry, 0, len(rights[k]))
+				for _, er := range rights[k] {
+					nr := er.child
+					for e := range nr.entries {
+						if intersects(j.win, nr.entries[e].rect) {
+							crs = append(crs, &nr.entries[e])
+						}
+					}
+				}
+				childRights[k] = crs
+			}
+			if err := j.descend(child, childRights); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	sc.accessBatchRights(nl, tk.rights)
-	for k, rs := range tk.rights {
+	v := j.v
+	for k, rs := range rights {
 		selfFirst(rs, nl)
-		sc.covers[k] = nil
+		j.covers[k] = nil
 		if v.Leaf != nil {
-			if cover := v.Leaf(k, tk.left.rect, sc.core); cover != nil {
-				sc.covers[k] = sc.findCover(rs, cover)
+			if cover := v.Leaf(k, el.rect, j.core); cover != nil {
+				j.covers[k] = j.findCover(rs, cover)
 			}
 		}
 	}
 	for i := range nl.entries {
-		el := &nl.entries[i]
-		for k := range windows {
-			if err := poll.Charge(int64(len(tk.rights[k]))); err != nil {
+		le := &nl.entries[i]
+		for k, wf := range j.windows {
+			if err := j.poll.Charge(int64(len(rights[k]))); err != nil {
 				return err
 			}
-			if c := sc.covers[k]; c != nil && c != el {
-				sc.counts.Skipped++
+			if c := j.covers[k]; c != nil && c != le {
+				j.counts.Skipped++
 				continue
 			}
-			if v.Begin != nil && !v.Begin(k, el.id, el.rect) {
+			if v.Begin != nil && !v.Begin(k, le.id, le.rect) {
 				continue
 			}
-			windows[k](sc.win, el.rect)
-			sc.streamRights(k, el, tk.rights[k], v)
+			wf(j.win, le.rect)
+			j.streamRights(k, le, rights[k])
 			if v.End != nil {
-				v.End(k, el.id)
+				v.End(k, le.id)
 			}
 		}
 	}
@@ -387,19 +276,19 @@ func selfFirst(rights []*entry, nl *node) {
 }
 
 // findCover looks through one query's partner leaves, in list order, for
-// the first right entry strictly inside sc.core that cover accepts, and
+// the first right entry strictly inside j.core that cover accepts, and
 // returns nil if there is none.
-func (sc *batchScratch) findCover(rights []*entry, cover func(int) bool) *entry {
+func (j *batchJoin) findCover(rights []*entry, cover func(int) bool) *entry {
 	for _, pe := range rights {
-		sc.counts.EntriesScanned++
-		if !intersects(sc.core, pe.rect) {
+		j.counts.EntriesScanned++
+		if !intersects(j.core, pe.rect) {
 			continue
 		}
 		nr := pe.child
-		for j := range nr.entries {
-			er := &nr.entries[j]
-			sc.counts.EntriesScanned++
-			if strictlyInside(er.rect, sc.core) && cover(er.id) {
+		for e := range nr.entries {
+			er := &nr.entries[e]
+			j.counts.EntriesScanned++
+			if strictlyInside(er.rect, j.core) && cover(er.id) {
 				return er
 			}
 		}
@@ -411,8 +300,8 @@ func (sc *batchScratch) findCover(rights []*entry, cover func(int) bool) *entry 
 // against that query's surviving right leaves, in list order, honoring the
 // early-stop contract of Pair. A partner leaf whose box misses the window
 // is passed over without reading its entries.
-func (sc *batchScratch) streamRights(k int, el *entry, rights []*entry, v BatchStreamVisitor) {
-	w := sc.win
+func (j *batchJoin) streamRights(k int, el *entry, rights []*entry) {
+	w, pair := j.win, j.v.Pair
 	var tests int64
 	for _, pe := range rights {
 		tests++
@@ -420,8 +309,8 @@ func (sc *batchScratch) streamRights(k int, el *entry, rights []*entry, v BatchS
 			continue
 		}
 		nr := pe.child
-		for j := range nr.entries {
-			er := &nr.entries[j]
+		for e := range nr.entries {
+			er := &nr.entries[e]
 			if er.id == el.id {
 				continue
 			}
@@ -429,11 +318,11 @@ func (sc *batchScratch) streamRights(k int, el *entry, rights []*entry, v BatchS
 			if !intersects(w, er.rect) {
 				continue
 			}
-			if !v.Pair(k, el.id, er.id, er.rect) {
-				sc.counts.EntriesScanned += tests
+			if !pair(k, el.id, er.id, er.rect) {
+				j.counts.EntriesScanned += tests
 				return
 			}
 		}
 	}
-	sc.counts.EntriesScanned += tests
+	j.counts.EntriesScanned += tests
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 
 	"github.com/crsky/crsky/internal/geom"
@@ -50,12 +49,10 @@ func bruteSelfJoin(items []Item, window WindowFunc) map[int][]int {
 	return out
 }
 
-// batchCollect records the per-query grouped streams of a batch join.
-// Every worker gets its own visitor, which asserts the per-query
-// Begin/Pair*/End contract on the groups that worker reports.
+// batchCollect records the per-query grouped streams of a batch join. Its
+// visitor asserts the per-query Begin/Pair*/End contract on every group.
 type batchCollect struct {
 	t       *testing.T
-	mu      sync.Mutex
 	leaf    func(k int, leaf, core geom.Rect) func(int) bool // the visitors' Leaf hook
 	streams []map[int][]int                                  // per query: left id -> right ids in stream order
 	begun   []map[int]int                                    // per query: left id -> Begin calls
@@ -79,21 +76,17 @@ func (c *batchCollect) visitor() BatchStreamVisitor {
 				c.t.Errorf("Begin(q%d,%d) while stream q%d/%d still open", k, id, curQ, cur)
 			}
 			open, curQ, cur = true, k, id
-			c.mu.Lock()
 			c.begun[k][id]++
 			if _, ok := c.streams[k][id]; !ok {
 				c.streams[k][id] = []int{}
 			}
-			c.mu.Unlock()
 			return true
 		},
 		Pair: func(k, leftID, rightID int, _ geom.Rect) bool {
 			if !open || leftID != cur || k != curQ {
 				c.t.Errorf("Pair(q%d,%d,%d) outside its group (current q%d/%d)", k, leftID, rightID, curQ, cur)
 			}
-			c.mu.Lock()
 			c.streams[k][leftID] = append(c.streams[k][leftID], rightID)
-			c.mu.Unlock()
 			return true
 		},
 		End: func(k, id int) {
@@ -107,18 +100,18 @@ func (c *batchCollect) visitor() BatchStreamVisitor {
 
 // runBatch joins tr under windows and returns the collected streams with
 // the join's counts.
-func runBatch(t *testing.T, tr *Tree, windows []WindowFunc, workers int) (*batchCollect, JoinCounts) {
+func runBatch(t *testing.T, tr *Tree, windows []WindowFunc) (*batchCollect, JoinCounts) {
 	t.Helper()
-	return runBatchLeaf(t, tr, windows, workers, nil)
+	return runBatchLeaf(t, tr, windows, nil)
 }
 
-// runBatchLeaf is runBatch with a Leaf hook on every visitor.
-func runBatchLeaf(t *testing.T, tr *Tree, windows []WindowFunc, workers int,
+// runBatchLeaf is runBatch with a Leaf hook on the visitor.
+func runBatchLeaf(t *testing.T, tr *Tree, windows []WindowFunc,
 	leaf func(k int, leaf, core geom.Rect) func(int) bool) (*batchCollect, JoinCounts) {
 	t.Helper()
 	c := newBatchCollect(t, len(windows))
 	c.leaf = leaf
-	counts, err := tr.JoinSelfStreamBatch(context.Background(), windows, workers, c.visitor)
+	counts, err := tr.JoinSelfStreamBatch(context.Background(), windows, c.visitor())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,45 +263,17 @@ func TestJoinSelfStreamMatchesBrute(t *testing.T) {
 		tr.BulkLoad(items)
 		for _, numQ := range []int{1, 3} {
 			windows := padWindows(numQ, 3)
-			for _, workers := range []int{1, 3} {
-				c, _ := runBatch(t, tr, windows, workers)
-				checkBrute(t, fmt.Sprintf("n=%d Q=%d workers=%d", n, numQ, workers), c, items, windows)
-			}
-		}
-	}
-}
-
-// TestJoinSelfStreamParallelMatchesSerial pins the worker pool: identical
-// per-(query, left) match sets to brute force, every left entry visited
-// exactly once per query across the pool's visitors, node-access and
-// entries-scanned totals identical to the serial join, and the grouping
-// contract holding inside every worker.
-func TestJoinSelfStreamParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, n := range []int{1, 30, 500, 2000} {
-		items := randomItems(rng, n, 3)
-		tr := New(3, WithMaxEntries(6))
-		tr.BulkLoad(items)
-		for _, numQ := range []int{1, 3} {
-			windows := padWindows(numQ, 4)
-			_, serial := runBatch(t, tr, windows, 1)
-			for _, workers := range []int{2, 3, 4, 8} {
-				c, parallel := runBatch(t, tr, windows, workers)
-				label := fmt.Sprintf("n=%d Q=%d workers=%d", n, numQ, workers)
-				checkBrute(t, label, c, items, windows)
-				if parallel != serial {
-					t.Fatalf("%s: parallel counts %+v, serial %+v", label, parallel, serial)
-				}
-			}
+			c, _ := runBatch(t, tr, windows)
+			checkBrute(t, fmt.Sprintf("n=%d Q=%d", n, numQ), c, items, windows)
 		}
 	}
 }
 
 // TestJoinLeafHookContract runs the join with the toy evenCovers reject on
 // bulk-loaded and insert-built trees, single queries and batches in which
-// only some queries arm it, serially and on pools: checkLeafCovers holds
-// every run, some leaf is skipped, the counts equal the serial join's, and
-// the hook removes entry tests rather than adding them.
+// only some queries arm it: checkLeafCovers holds every run, some leaf is
+// skipped, the node accesses equal the join's without the hook, and the
+// hook removes entry tests rather than adding them.
 func TestJoinLeafHookContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for _, bulk := range []bool{true, false} {
@@ -324,74 +289,28 @@ func TestJoinLeafHookContract(t *testing.T) {
 			}
 			for _, numQ := range []int{1, 3} {
 				windows := padWindows(numQ, 2)
-				_, plain := runBatch(t, tr, windows, 1)
-				_, serial := runBatchLeaf(t, tr, windows, 1, evenCovers)
-				for _, workers := range []int{1, 4} {
-					label := fmt.Sprintf("bulk=%v n=%d Q=%d workers=%d", bulk, n, numQ, workers)
-					c, counts := runBatchLeaf(t, tr, windows, workers, evenCovers)
-					skipped := checkLeafCovers(t, label, tr, c, items, windows, counts)
-					if n >= 60 && skipped == 0 {
-						t.Fatalf("%s: no stream skipped", label)
-					}
-					if counts != serial {
-						t.Fatalf("%s: counts %+v, serial %+v", label, counts, serial)
-					}
-					if counts.NodeAccesses != plain.NodeAccesses {
-						t.Fatalf("%s: %d node accesses with the hook, %d without", label, counts.NodeAccesses, plain.NodeAccesses)
-					}
-					if n >= 60 && counts.EntriesScanned >= plain.EntriesScanned {
-						t.Fatalf("%s: %d entry tests with the hook, %d without", label, counts.EntriesScanned, plain.EntriesScanned)
-					}
+				_, plain := runBatch(t, tr, windows)
+				label := fmt.Sprintf("bulk=%v n=%d Q=%d", bulk, n, numQ)
+				c, counts := runBatchLeaf(t, tr, windows, evenCovers)
+				skipped := checkLeafCovers(t, label, tr, c, items, windows, counts)
+				if n >= 60 && skipped == 0 {
+					t.Fatalf("%s: no stream skipped", label)
+				}
+				if counts.NodeAccesses != plain.NodeAccesses {
+					t.Fatalf("%s: %d node accesses with the hook, %d without", label, counts.NodeAccesses, plain.NodeAccesses)
+				}
+				if n >= 60 && counts.EntriesScanned >= plain.EntriesScanned {
+					t.Fatalf("%s: %d entry tests with the hook, %d without", label, counts.EntriesScanned, plain.EntriesScanned)
 				}
 			}
 		}
 	}
 }
 
-// TestJoinSelfStreamParallelEarlyStop checks that a Pair returning false
-// truncates only that (query, left) stream, also under the pool.
-func TestJoinSelfStreamParallelEarlyStop(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	items := randomItems(rng, 300, 2)
-	tr := New(2, WithMaxEntries(5))
-	tr.BulkLoad(items)
-	windows := padWindows(3, 6)
-
-	var mu sync.Mutex
-	counts := make([]map[int]int, len(windows))
-	for k := range counts {
-		counts[k] = map[int]int{}
-	}
-	_, err := tr.JoinSelfStreamBatch(context.Background(), windows, 4, func() BatchStreamVisitor {
-		return BatchStreamVisitor{
-			Pair: func(k, leftID, _ int, _ geom.Rect) bool {
-				mu.Lock()
-				counts[k][leftID]++
-				c := counts[k][leftID]
-				mu.Unlock()
-				return c < 2 // stop each stream after two matches
-			},
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, window := range windows {
-		for id, full := range bruteSelfJoin(items, window) {
-			limit := len(full)
-			if limit > 2 {
-				limit = 2
-			}
-			if counts[k][id] != limit {
-				t.Fatalf("q=%d left %d: %d pairs reported, want %d", k, id, counts[k][id], limit)
-			}
-		}
-	}
-}
-
-// TestJoinSelfStreamParallelInsertBuilt exercises the pool over a tree grown
-// by dynamic insertion (non-uniform fills, reinsertion paths).
-func TestJoinSelfStreamParallelInsertBuilt(t *testing.T) {
+// TestJoinSelfStreamInsertBuilt checks the join against brute force over a
+// tree grown by dynamic insertion (non-uniform fills, reinsertion paths),
+// deeper than the fuzz seeds' insert-built trees.
+func TestJoinSelfStreamInsertBuilt(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	items := randomItems(rng, 700, 2)
 	tr := New(2, WithMaxEntries(4))
@@ -400,7 +319,7 @@ func TestJoinSelfStreamParallelInsertBuilt(t *testing.T) {
 	}
 	for _, numQ := range []int{1, 3} {
 		windows := padWindows(numQ, 2)
-		c, _ := runBatch(t, tr, windows, 3)
+		c, _ := runBatch(t, tr, windows)
 		checkBrute(t, fmt.Sprintf("Q=%d", numQ), c, items, windows)
 	}
 }
@@ -414,36 +333,34 @@ func TestJoinSelfStreamBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for _, n := range []int{1, 40, 400, 1500} {
 		for _, numQ := range []int{1, 2, 5} {
-			for _, workers := range []int{1, 4} {
-				items := randomItems(rng, n, 2)
-				tr := New(2, WithMaxEntries(8))
-				tr.BulkLoad(items)
-				windows := padWindows(numQ, 1.5)
-				label := fmt.Sprintf("n=%d Q=%d workers=%d", n, numQ, workers)
+			items := randomItems(rng, n, 2)
+			tr := New(2, WithMaxEntries(8))
+			tr.BulkLoad(items)
+			windows := padWindows(numQ, 1.5)
+			label := fmt.Sprintf("n=%d Q=%d", n, numQ)
 
-				singleIO := int64(0)
-				single := make([]map[int][]int, numQ)
-				for k := range windows {
-					c, counts := runBatch(t, tr, windows[k:k+1], workers)
-					single[k] = c.streams[0]
-					singleIO += counts.NodeAccesses
-				}
+			singleIO := int64(0)
+			single := make([]map[int][]int, numQ)
+			for k := range windows {
+				c, counts := runBatch(t, tr, windows[k:k+1])
+				single[k] = c.streams[0]
+				singleIO += counts.NodeAccesses
+			}
 
-				c, batch := runBatch(t, tr, windows, workers)
-				batchIO := batch.NodeAccesses
-				checkBrute(t, label, c, items, windows)
-				for k := range windows {
-					for id, got := range c.streams[k] {
-						if fmt.Sprint(got) != fmt.Sprint(single[k][id]) {
-							t.Fatalf("%s q=%d id=%d: batch stream %v, batch of one %v",
-								label, k, id, got, single[k][id])
-						}
+			c, batch := runBatch(t, tr, windows)
+			batchIO := batch.NodeAccesses
+			checkBrute(t, label, c, items, windows)
+			for k := range windows {
+				for id, got := range c.streams[k] {
+					if fmt.Sprint(got) != fmt.Sprint(single[k][id]) {
+						t.Fatalf("%s q=%d id=%d: batch stream %v, batch of one %v",
+							label, k, id, got, single[k][id])
 					}
 				}
-				if workers == 1 && numQ > 1 && n > 1 && batchIO >= singleIO {
-					t.Fatalf("%s: batch join charged %d node accesses, not below the batches of one's %d",
-						label, batchIO, singleIO)
-				}
+			}
+			if numQ > 1 && n > 1 && batchIO >= singleIO {
+				t.Fatalf("%s: batch join charged %d node accesses, not below the batches of one's %d",
+					label, batchIO, singleIO)
 			}
 		}
 	}
@@ -461,13 +378,11 @@ func TestJoinSelfStreamBatchEarlyStop(t *testing.T) {
 
 	got := make([]map[int][]int, 2)
 	got[0], got[1] = map[int][]int{}, map[int][]int{}
-	_, err := tr.JoinSelfStreamBatch(context.Background(), windows, 1, func() BatchStreamVisitor {
-		return BatchStreamVisitor{
-			Pair: func(k, l, r int, _ geom.Rect) bool {
-				got[k][l] = append(got[k][l], r)
-				return k != 0 || len(got[0][l]) < 2 // query 0 stops after two pairs
-			},
-		}
+	_, err := tr.JoinSelfStreamBatch(context.Background(), windows, BatchStreamVisitor{
+		Pair: func(k, l, r int, _ geom.Rect) bool {
+			got[k][l] = append(got[k][l], r)
+			return k != 0 || len(got[0][l]) < 2 // query 0 stops after two pairs
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -494,8 +409,8 @@ func TestJoinSelfStreamBatchCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pairs := 0
-	_, err := tr.JoinSelfStreamBatch(ctx, []WindowFunc{joinWindow(3)}, 1, func() BatchStreamVisitor {
-		return BatchStreamVisitor{Pair: func(k, l, r int, _ geom.Rect) bool { pairs++; return true }}
+	_, err := tr.JoinSelfStreamBatch(ctx, []WindowFunc{joinWindow(3)}, BatchStreamVisitor{
+		Pair: func(k, l, r int, _ geom.Rect) bool { pairs++; return true },
 	})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -518,15 +433,13 @@ func TestJoinSelfStreamBatchCancelMidLeaf(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	left := map[int]bool{}
-	_, err := tr.JoinSelfStreamBatch(ctx, windows, 1, func() BatchStreamVisitor {
-		return BatchStreamVisitor{
-			Begin: func(k, id int, _ geom.Rect) bool {
-				cancel()
-				left[id] = true
-				return true
-			},
-			Pair: func(int, int, int, geom.Rect) bool { return true },
-		}
+	_, err := tr.JoinSelfStreamBatch(ctx, windows, BatchStreamVisitor{
+		Begin: func(k, id int, _ geom.Rect) bool {
+			cancel()
+			left[id] = true
+			return true
+		},
+		Pair: func(int, int, int, geom.Rect) bool { return true },
 	})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)

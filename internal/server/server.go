@@ -52,7 +52,8 @@ type Config struct {
 	// negative disables caching).
 	CacheSize int
 	// Workers bounds concurrently executing compute requests (default
-	// GOMAXPROCS).
+	// GOMAXPROCS). A query holds one slot and runs on one core, so Workers
+	// also bounds the cores queries use.
 	Workers int
 	// MaxBodyBytes caps request bodies (default 64 MiB).
 	MaxBodyBytes int64

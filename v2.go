@@ -97,13 +97,15 @@ type Querier interface {
 	QueryCtx(ctx context.Context, q Point, alpha float64, opts QueryOptions) ([]int, QueryStats, error)
 	// QueryBatchStream answers many query points at once — one answer
 	// slice per point, element-wise identical to per-point QueryCtx calls —
-	// sharing index traversal, warm-up, and the evaluation worker pool
-	// across the batch. A non-nil emit observes every query's final
-	// ascending answer slice in request order, each exactly once, as soon
-	// as it is final — before the rest of the batch finishes computing.
-	// Emit calls are serialized; the callback must not call back into the
-	// engine. On a mid-batch cancellation only the completed prefix has
-	// been emitted, and the call returns the error with no answers.
+	// sharing index traversal and warm-up across the batch. The batch runs
+	// on the caller's goroutine: callers that want throughput run batches
+	// concurrently, which the engines allow after Warm. A non-nil emit
+	// observes every query's final ascending answer slice in request
+	// order, each exactly once, as soon as it is final — before the rest
+	// of the batch finishes computing. Emit runs on the caller's
+	// goroutine; the callback must not call back into the engine. On a
+	// mid-batch cancellation only the completed prefix has been emitted,
+	// and the call returns the error with no answers.
 	QueryBatchStream(ctx context.Context, qs []Point, alpha float64, opts QueryOptions, emit func(index int, ids []int)) ([][]int, QueryStats, error)
 	// ProbCtx returns Pr(id), the probability that object id is a reverse
 	// skyline point of q, by probing that one object: its candidate filter
@@ -309,7 +311,7 @@ func explainBatch(ctx context.Context, reqs []ExplainRequest, opts Options,
 // --- Engine (discrete-sample model) -----------------------------------
 
 // QueryCtx implements Querier: the index-accelerated query (one R-tree
-// filtering pass for all objects, MBR-level bound pruning, parallel exact
+// filtering pass for all objects, MBR-level bound pruning, exact
 // evaluation of the undecided band) as a batch of one — identical results
 // to the naive oracle causality.NaivePRSQ.
 func (e *Engine) QueryCtx(ctx context.Context, q Point, alpha float64, opts QueryOptions) ([]int, QueryStats, error) {
@@ -501,8 +503,8 @@ func (e *CertainEngine) VerifyCtx(ctx context.Context, q Point, alpha float64, r
 // --- PDFEngine (continuous model) --------------------------------------
 
 // QueryCtx implements Querier: the index-accelerated pdf query (one R-tree
-// join, Γ1 core-rect pruning, parallel quadrature of the survivors) as a
-// batch of one — identical results to the naive oracle prob.PRSQPDF.
+// join, Γ1 core-rect pruning, quadrature of the survivors) as a batch of
+// one — identical results to the naive oracle prob.PRSQPDF.
 // The quadrature resolution comes from opts.QuadNodes (<= 0 selects the
 // dimension-adapted default).
 func (e *PDFEngine) QueryCtx(ctx context.Context, q Point, alpha float64, opts QueryOptions) ([]int, QueryStats, error) {
