@@ -98,7 +98,7 @@ func main() {
 		addr      = flag.String("addr", ":8372", "listen address")
 		adminAddr = flag.String("admin", "", "admin listen address for /metrics and /debug/pprof (empty = disabled; bind to loopback)")
 		cache     = flag.Int("cache", 1024, "result cache capacity in entries (negative disables)")
-		workers   = flag.Int("workers", 0, "max concurrent computations; a query holds one and runs on one core (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "max concurrent computations; every computation holds one slot and runs on one core (0 = GOMAXPROCS)")
 		maxBody   = flag.Int64("max-body", 64<<20, "request body size cap in bytes")
 		maxQueue  = flag.Int("max-queue", 0, "admission-control queue budget in requests (0 = workers*8)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for draining in-flight requests")

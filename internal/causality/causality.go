@@ -57,8 +57,8 @@ type Result struct {
 }
 
 // Options tunes the refinement stage. One explanation's refinement runs
-// serially; callers that want parallelism explain several non-answers at
-// once (ExplainBatchStream).
+// serially on the caller's goroutine; callers that want parallelism
+// explain several non-answers concurrently.
 type Options struct {
 	// MaxCandidates aborts with ErrTooManyCandidates when the filter
 	// returns more candidates than this (0 = unlimited). The refinement

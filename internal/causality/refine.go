@@ -45,7 +45,8 @@ import (
 // The per-candidate searches run in order on the calling goroutine: each
 // candidate's Lemma-6 bounds feed the candidates after it, so the search
 // and its SubsetsExamined count are deterministic. Parallelism lives one
-// level up, in the explain batch's item fan-out.
+// level up: callers explain several non-answers concurrently (crskyd, one
+// request per worker-pool slot).
 type refiner struct {
 	e     *prob.Evaluator
 	ids   []int // candidate object IDs, parallel to evaluator indexes

@@ -2,10 +2,14 @@ package conformance
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	crsky "github.com/crsky/crsky"
@@ -13,14 +17,15 @@ import (
 	"github.com/crsky/crsky/internal/dataset"
 	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/prob"
+	"github.com/crsky/crsky/internal/server"
 	"github.com/crsky/crsky/internal/uncertain"
 )
 
 // This file pins the v2 batch paths to the same oracles as the single
 // paths: QueryBatchStream against the naive per-object loop per query
-// point (every accelerated variant), and ExplainBatchStream against
-// per-item ExplainCtx. Randomized cases replay exactly like the rest of the
-// harness (CRSKY_CONFORMANCE_SEED).
+// point (every accelerated variant), and crskyd's /v2/explain batch
+// against per-item ExplainCtx. Randomized cases replay exactly like the
+// rest of the harness (CRSKY_CONFORMANCE_SEED).
 
 // TestConformanceQueryBatchSample crosses Engine.QueryBatchStream — all query
 // points of a workload in one shared-join call — against the naive oracle
@@ -257,14 +262,17 @@ func TestConformanceQueryBatchCertainSharedIO(t *testing.T) {
 	t.Logf("%d queries: %d batch accesses vs %d per-query", len(qs), batchIO, singleIO)
 }
 
-// TestConformanceExplainBatch crosses ExplainBatchStream — non-answers fanned
-// out with per-item errors — against per-item ExplainCtx on the sample
-// model: identical causes, responsibilities, contingency sizes and
-// SubsetsExamined counts (each item's search is serial, so its count is
-// deterministic), and identical per-item error classification (an answer
-// in the batch fails with ErrNotNonAnswer exactly like the single call).
+// TestConformanceExplainBatch crosses crskyd's /v2/explain, every object of
+// a workload as one batch on an in-process server, against per-item
+// ExplainCtx on the sample model: identical causes, responsibilities,
+// contingency sizes and SubsetsExamined counts (each item's search is
+// serial, so its count is deterministic), and identical per-item error
+// classification (an answer in the batch fails with ErrNotNonAnswer
+// exactly like the single call).
 func TestConformanceExplainBatch(t *testing.T) {
 	const workloads = 10
+	ts := httptest.NewServer(server.New(server.Config{CacheSize: -1}).Handler())
+	defer ts.Close()
 	forEachCaseSeed(t, 44_000, workloads, func(t *testing.T, seed int64) {
 		ds, q, alpha := explainWorkload(t, seed)
 		eng, err := crsky.NewEngine(ds.Objects)
@@ -274,34 +282,46 @@ func TestConformanceExplainBatch(t *testing.T) {
 		}
 		// Every object goes into the batch: answers exercise the per-item
 		// error path, non-answers the result path.
-		reqs := make([]crsky.ExplainRequest, ds.Len())
+		chaosRegister(t, ts, ds)
+		reqs := make([]server.BatchExplainItemRequest, ds.Len())
 		for id := range reqs {
-			reqs[id] = crsky.ExplainRequest{ID: id, Q: q, Alpha: alpha}
+			reqs[id] = server.BatchExplainItemRequest{Q: q, An: id}
 		}
-		items := eng.ExplainBatchStream(context.Background(), reqs, crsky.Options{}, nil)
-		if len(items) != len(reqs) {
-			t.Errorf("seed=%d: %d items, want %d", seed, len(items), len(reqs))
+		resp, raw, err := chaosPost(ts, context.Background(), "/v2/explain",
+			&server.BatchExplainRequest{Dataset: "chaos", Items: reqs, Alpha: alpha}, false)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("seed=%d: /v2/explain: %v status=%v body=%s", seed, err, resp, raw)
 			return
 		}
-		for id, item := range items {
+		lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+		if len(lines) != len(reqs) {
+			t.Errorf("seed=%d: %d lines, want %d", seed, len(lines), len(reqs))
+			return
+		}
+		for id, line := range lines {
 			ctx := fmt.Sprintf("seed=%d an=%d", seed, id)
+			var item server.BatchExplainItem
+			if err := json.Unmarshal([]byte(line), &item); err != nil {
+				t.Errorf("%s: bad line %q: %v", ctx, line, err)
+				return
+			}
 			if item.Index != id {
 				t.Errorf("%s: index %d", ctx, item.Index)
 				return
 			}
 			want, wantErr := eng.ExplainCtx(context.Background(), id, q, alpha, crsky.Options{})
-			if (item.Err == nil) != (wantErr == nil) {
-				t.Errorf("%s: batch err %v, single err %v", ctx, item.Err, wantErr)
+			if (item.Explain != nil) != (wantErr == nil) {
+				t.Errorf("%s: batch line %s, single err %v", ctx, line, wantErr)
 				return
 			}
 			if wantErr != nil {
-				if !errors.Is(item.Err, crsky.ErrNotNonAnswer) || !errors.Is(wantErr, crsky.ErrNotNonAnswer) {
-					t.Errorf("%s: error classification diverged: batch %v, single %v", ctx, item.Err, wantErr)
+				if !errors.Is(wantErr, crsky.ErrNotNonAnswer) || !strings.Contains(item.Error, crsky.ErrNotNonAnswer.Error()) {
+					t.Errorf("%s: error classification diverged: batch %q, single %v", ctx, item.Error, wantErr)
 					return
 				}
 				continue
 			}
-			g, w := item.Result, want
+			g, w := item.Explain, want
 			if len(g.Causes) != len(w.Causes) {
 				t.Errorf("%s: %d causes, single has %d", ctx, len(g.Causes), len(w.Causes))
 				return

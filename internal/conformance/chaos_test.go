@@ -300,7 +300,10 @@ func chaosGet(ts *httptest.Server, path string) (*http.Response, []byte, error) 
 // with an injected-failure line, while its siblings' lines and the emit
 // order are byte-identical to a fault-free server's. With every draw
 // faulting, /v2/explain still answers 200 with one injected-failure line
-// per item, and /v1/explain, a batch of one, answers 500.
+// per item, and /v1/explain, a batch of one, answers 500. A panicking item
+// fails alone too, in a batch of any size: with every item panicking,
+// /v2/explain answers one error line per item and /v1/explain a 500, every
+// recovered panic is counted, and the pool drains.
 func TestChaosExplainFaultsPerItem(t *testing.T) {
 	const seed = 4243
 	w := newSampleWorkload(t, seed)
@@ -396,6 +399,44 @@ func TestChaosExplainFaultsPerItem(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError || json.Unmarshal(raw, &e) != nil ||
 		!strings.Contains(e.Error, "injected failure") {
 		t.Fatalf("/v1/explain under a fault on every draw: status %d body %s, want a 500 injected failure", resp.StatusCode, raw)
+	}
+
+	panics := faultinject.New(faultinject.Config{Seed: seed, PanicP: 1})
+	panicky := httptest.NewServer(server.New(server.Config{Workers: 2, CacheSize: 64,
+		WrapEngine: func(e crsky.Explainer) crsky.Explainer { return faultinject.Wrap(e, panics) }}).Handler())
+	defer panicky.Close()
+	chaosRegister(t, panicky, w.ds)
+	for i, line := range lines(panicky) {
+		var it server.BatchExplainItem
+		if err := json.Unmarshal([]byte(line), &it); err != nil || it.Index != i ||
+			it.Explain != nil || !strings.Contains(it.Error, "panic") {
+			t.Errorf("item %d under a panic on every draw: line %s, want a panic error line", i, line)
+		}
+	}
+	resp, raw, err = chaosPost(panicky, context.Background(), "/v1/explain", &server.ExplainRequest{
+		Dataset: "chaos", Q: q, An: items[0].An, Alpha: alpha, NoCache: true,
+		Options: server.OptionsSpec{MaxCandidates: 48}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e = server.ErrorResponse{}
+	if resp.StatusCode != http.StatusInternalServerError || json.Unmarshal(raw, &e) != nil ||
+		!strings.Contains(e.Error, "panic") {
+		t.Fatalf("/v1/explain under a panic on every draw: status %d body %s, want a 500 panic error", resp.StatusCode, raw)
+	}
+	_, raw, err = chaosGet(panicky, "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st server.StatsResponse
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	if fired := panics.Counts().Panics; fired != int64(len(items)+1) || st.Requests.Panics != fired {
+		t.Errorf("%d panics fired, %d recovered, want %d of each", fired, st.Requests.Panics, len(items)+1)
+	}
+	if st.Pool.InFlight != 0 || st.Pool.QueueDepth != 0 {
+		t.Errorf("pool after the panics: %+v, want drained", st.Pool)
 	}
 }
 

@@ -38,7 +38,7 @@ type Config struct {
 	// before doing any work.
 	ErrP float64
 	// PanicP is the probability an engine operation panics before doing
-	// any work (exercising the recovery middleware and slot cleanup).
+	// any work (exercising the server's panic recovery and slot cleanup).
 	PanicP float64
 }
 
@@ -181,45 +181,6 @@ func (f *faultyEngine) ExplainCtx(ctx context.Context, id int, q crsky.Point, al
 	}
 	f.in.MaybePanic("explain")
 	return f.inner.ExplainCtx(ctx, id, q, alpha, opts)
-}
-
-func (f *faultyEngine) ExplainBatchStream(ctx context.Context, reqs []crsky.ExplainRequest, opts crsky.Options,
-	emit func(crsky.ExplainItem)) []crsky.ExplainItem {
-
-	// A whole-batch fault would discard sibling results, which the v2
-	// contract forbids even under chaos, so the batch itself only panics.
-	// The "explain" fault is drawn per item, in request order: a faulted
-	// item fails alone without reaching the engine, and the others run as
-	// one inner batch.
-	f.in.MaybePanic("explainBatchStream")
-	items := make([]crsky.ExplainItem, len(reqs))
-	var run []int // request indices of the unfaulted items
-	var inner []crsky.ExplainRequest
-	for i, req := range reqs {
-		items[i].Index = i
-		if items[i].Err = f.in.Err("explain"); items[i].Err == nil {
-			run = append(run, i)
-			inner = append(inner, req)
-		}
-	}
-	// Emit in request order: each finished inner item first releases the
-	// faulted items ahead of it.
-	next := 0
-	release := func(upto int) {
-		for ; emit != nil && next < upto; next++ {
-			emit(items[next])
-		}
-	}
-	if len(inner) > 0 {
-		f.inner.ExplainBatchStream(ctx, inner, opts, func(it crsky.ExplainItem) {
-			i := run[it.Index]
-			it.Index = i
-			items[i] = it
-			release(i + 1)
-		})
-	}
-	release(len(items))
-	return items
 }
 
 func (f *faultyEngine) RepairCtx(ctx context.Context, id int, q crsky.Point, alpha float64, opts crsky.Options) (*crsky.Repair, error) {

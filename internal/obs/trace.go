@@ -15,8 +15,10 @@ import (
 // safe on a nil receiver, so untraced requests pay only a context lookup
 // at stage boundaries — never per-item work.
 //
-// Traces are concurrency-safe: the batch explain fan-out records spans and
-// counters from multiple goroutines.
+// Traces are concurrency-safe, so a library caller may record into one
+// trace from several goroutines (concurrent explanations under one traced
+// context, say). crskyd records each request's trace on its handler
+// goroutine.
 type Trace struct {
 	start time.Time
 
@@ -110,9 +112,10 @@ type SpanJSON struct {
 type TraceJSON struct {
 	// WallMs is the elapsed wall time from trace creation to snapshot.
 	WallMs float64 `json:"wallMs"`
-	// Spans lists completed stages in start order. Concurrent stages
-	// (batch explain items) overlap; their durations sum to CPU-ish stage
-	// time, not wall time.
+	// Spans lists completed stages in start order. A stage that runs
+	// once per item (each explain item's filter and search) records one
+	// span per item; spans recorded from concurrent goroutines overlap, and
+	// their durations sum to CPU-ish stage time, not wall time.
 	Spans []SpanJSON `json:"spans,omitempty"`
 	// Counters carries the effort metrics recorded by the engine layers.
 	Counters map[string]int64 `json:"counters,omitempty"`

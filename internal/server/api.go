@@ -77,8 +77,9 @@ type DatasetInfo struct {
 // selects the library defaults. The research ablation switches of
 // causality.Options (NoAdmissible, NoMassOrder, NoRepairSeed and the lemma
 // switches) are not part of the wire API: they belong to the experiments
-// harness. Nor is a worker count: one explanation's search is serial, and
-// a /v2/explain batch spreads its items over the cores. Unknown fields are
+// harness. Nor is a worker count: one explanation's search is serial, a
+// /v2/explain batch explains its items one after another on one pool slot,
+// and crskyd's -workers bounds the slots. Unknown fields are
 // ignored, so requests that still send those switches or "parallel" decode
 // as if they were unset.
 //
@@ -246,7 +247,8 @@ type PoolStats struct {
 }
 
 // RequestStats counts requests per compute endpoint since start. Panics
-// counts handler panics the recovery middleware converted to 500s.
+// counts recovered panics: handler panics the recovery middleware
+// converted to 500s, and explain items that panicked and failed alone.
 type RequestStats struct {
 	Query   int64 `json:"query"`
 	Explain int64 `json:"explain"`

@@ -76,9 +76,9 @@ type BatchExplainRequest struct {
 	NoCache bool                      `json:"noCache,omitempty"`
 	// ItemTimeout bounds each item's computation separately (a Go duration
 	// string, e.g. "250ms"): an item that exceeds its own budget fails
-	// alone with a per-item error line while its siblings keep computing,
-	// unlike ?timeout=, which bounds — and on expiry fails — the whole
-	// request. Empty means no per-item bound.
+	// alone with a per-item error line and the batch goes on to the next
+	// item, unlike ?timeout=, which bounds — and on expiry fails — the
+	// whole request. Empty means no per-item bound.
 	ItemTimeout string `json:"itemTimeout,omitempty"`
 }
 

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"time"
 
 	crsky "github.com/crsky/crsky"
 	"github.com/crsky/crsky/internal/causality"
+	"github.com/crsky/crsky/internal/ctxutil"
 	"github.com/crsky/crsky/internal/geom"
 )
 
@@ -30,10 +32,11 @@ type item struct {
 
 // itemWriter renders a request's items in one wire format: /v2 streams
 // them as NDJSON lines (ndjsonFrontier), /v1 writes its single item as a
-// JSON envelope (envelopeItem). The cores call put once per item, possibly
-// from engine worker goroutines (the engine serializes those calls), then
-// finish once on the handler goroutine with the request-level failure, or
-// nil when every item was put.
+// JSON envelope (envelopeItem). The cores call put once per item, in any
+// index order (hits before computed items), then finish once with the
+// request-level failure, or nil when every item was put. A query's puts
+// come from its emit callback, an explanation's from the loop on the pool
+// slot; both run on the handler goroutine.
 type itemWriter interface {
 	put(i int, it item)
 	finish(err error)
@@ -179,23 +182,29 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, c *queryCall
 	out.finish(err)
 }
 
-// explainCall is a resolved /v1 or /v2 explain request: one engine request
-// per item with its cache key (see explainKey), the canonical options, and
-// the delivery directives.
+// explainCall is a resolved /v1 or /v2 explain request: one non-answer and
+// query point per item with its cache key (see explainKey), the shared
+// threshold, per-item timeout and canonical options, and the delivery
+// directives.
 type explainCall struct {
-	ent     *entry
-	reqs    []crsky.ExplainRequest
-	keys    []string
-	opts    causality.Options
-	verify  bool
-	noCache bool
-	class   priorityClass
+	ent         *entry
+	ans         []int
+	qs          []geom.Point
+	keys        []string
+	alpha       float64
+	itemTimeout time.Duration // bounds each computed item alone; 0 = none
+	opts        causality.Options
+	verify      bool
+	noCache     bool
+	class       priorityClass
 }
 
 // serveExplain explains the items of c: cached items from the cache, the
-// rest in one engine batch, each re-verified when the request asks for it.
-// An item fails alone (an answer, its own timeout, an engine fault); a
-// request-level cancellation or a verification failure fails the request.
+// rest one after another in request order on the pool slot that admitted
+// the request, each re-verified when the request asks for it. An item
+// fails alone (an answer, too many candidates, its own timeout, an engine
+// fault or panic); a request-level cancellation or a verification failure
+// stops the loop and fails the items not yet put.
 func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request, c *explainCall, out itemWriter) {
 	ctx, cancel, err := requestTimeout(r)
 	if err != nil {
@@ -227,72 +236,65 @@ func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request, c *explain
 		out.finish(putHits(ctx))
 		return
 	}
-	mreqs := make([]crsky.ExplainRequest, len(missing))
-	for j, i := range missing {
-		mreqs[j] = c.reqs[i]
-	}
 	err = s.admitted(ctx, c.class, func(ctx context.Context) error {
 		// Hits go out as soon as the slot is held; computed items stream in
 		// behind them.
 		if err := putHits(ctx); err != nil {
 			return err
 		}
-		// ictx lets a fatal failure — a request-level cancellation or a
-		// verification failure — stop the remaining items promptly instead
-		// of letting them compute answers nobody will see. fatal is only
-		// written inside the serialized emit callbacks, so it needs no
-		// extra lock.
-		ictx, icancel := context.WithCancel(ctx)
-		defer icancel()
-		var fatal error
-		fail := func(err error) {
-			if fatal == nil {
-				fatal = err
-				icancel()
+		for _, i := range missing {
+			if err := ctxutil.Precheck(ctx); err != nil {
+				return err
 			}
-		}
-		c.ent.eng.ExplainBatchStream(ictx, mreqs, c.opts, func(it crsky.ExplainItem) {
-			if it.Result != nil {
-				c.ent.accesses.Add(it.Result.FilterNodeAccesses)
-			}
-			if fatal != nil {
-				return
-			}
-			i := missing[it.Index]
-			if it.Err != nil {
-				if (errors.Is(it.Err, context.Canceled) || errors.Is(it.Err, context.DeadlineExceeded)) &&
-					ictx.Err() != nil {
+			res, err := s.explainItem(ctx, c, i)
+			if err != nil {
+				if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 					// The request itself is going down (client deadline,
-					// disconnect, drain, or an earlier fatal failure), not
-					// this item's own budget: a partially canceled result
-					// set must never pass for the full answer.
-					fail(it.Err)
-					return
+					// disconnect, drain), not this item's own budget: a
+					// partially canceled result set must never pass for
+					// the full answer.
+					return err
 				}
-				// A per-item failure — a non-answer that is actually an
-				// answer, an item that blew its own timeout, an engine
-				// fault: the item fails alone, its siblings keep going, and
-				// nothing is cached for it.
-				out.put(i, item{err: it.Err})
-				return
+				// A per-item failure: the item fails alone and nothing is
+				// cached for it.
+				out.put(i, item{err: err})
+				continue
 			}
-			if err := s.verified(ictx, c, i, it.Result); err != nil {
-				fail(err)
-				return
+			c.ent.accesses.Add(res.FilterNodeAccesses)
+			if err := s.verified(ctx, c, i, res); err != nil {
+				return err
 			}
 			if !c.noCache {
-				s.cache.Put(c.keys[i], it.Result)
+				s.cache.Put(c.keys[i], res)
 			}
 			// Work gauges count computed explanations only: cache hits
 			// re-serve an already-counted search.
 			s.explainComputed.Inc()
-			s.explainSubsets.Add(it.Result.SubsetsExamined)
-			s.explainFilterIO.Add(it.Result.FilterNodeAccesses)
-			out.put(i, item{exp: it.Result})
-		})
-		return fatal
+			s.explainSubsets.Add(res.SubsetsExamined)
+			s.explainFilterIO.Add(res.FilterNodeAccesses)
+			out.put(i, item{exp: res})
+		}
+		return nil
 	})
 	out.finish(err)
+}
+
+// explainItem explains item i under its own timeout, if the request set
+// one. A panic fails the item alone: it is counted and logged with its
+// stack like a handler panic, and the item reports errItemPanicked.
+func (s *Server) explainItem(ctx context.Context, c *explainCall, i int) (res *causality.Result, err error) {
+	if c.itemTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.itemTimeout)
+		defer cancel()
+	}
+	defer func() {
+		if rec := recover(); rec != nil {
+			s.recordPanic(fmt.Sprintf("explaining object %d", c.ans[i]), rec)
+			res, err = nil, fmt.Errorf("%w object %d", errItemPanicked, c.ans[i])
+		}
+	}()
+	return c.ent.eng.ExplainCtx(ctx, c.ans[i], c.qs[i], c.alpha, c.opts)
 }
 
 // verified re-runs the independent Definition-1 verifier on item i's
@@ -305,7 +307,7 @@ func (s *Server) verified(ctx context.Context, c *explainCall, i int, res *causa
 	if !c.verify {
 		return nil
 	}
-	err := c.ent.eng.VerifyCtx(ctx, c.reqs[i].Q, c.reqs[i].Alpha, res)
+	err := c.ent.eng.VerifyCtx(ctx, c.qs[i], c.alpha, res)
 	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}

@@ -6,8 +6,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	crsky "github.com/crsky/crsky"
+	"github.com/crsky/crsky/internal/stats"
 )
 
 // TestServerConcurrentExplain is the serving acceptance test: 32 parallel
@@ -141,8 +145,26 @@ func TestServerConcurrentExplain(t *testing.T) {
 	}
 }
 
+// countingEngine counts the ExplainCtx calls that reach an engine and how
+// many of them ran at once.
+type countingEngine struct {
+	crsky.Explainer
+	calls   atomic.Int64
+	running stats.Gauge
+}
+
+func (e *countingEngine) ExplainCtx(ctx context.Context, id int, q crsky.Point, alpha float64, opts crsky.Options) (*crsky.Explanation, error) {
+	e.calls.Add(1)
+	e.running.Inc()
+	defer e.running.Dec()
+	// Hold the call open long enough that two concurrent calls overlap.
+	time.Sleep(time.Millisecond)
+	return e.Explainer.ExplainCtx(ctx, id, q, alpha, opts)
+}
+
 // TestServerWorkerPoolBounds floods a one-worker server and asserts the
-// pool never runs computations concurrently.
+// pool never runs computations concurrently: neither requests, nor the
+// items of a /v2/explain batch.
 func TestServerWorkerPoolBounds(t *testing.T) {
 	w := sampleWorkload(t)
 	// MaxQueue is raised past the flood size so admission control (whose
@@ -173,5 +195,37 @@ func TestServerWorkerPoolBounds(t *testing.T) {
 	}
 	if done := s.pool.completed.Value(); done != 12 {
 		t.Fatalf("completed = %d, want 12", done)
+	}
+
+	// Two concurrent 8-item batches: every item reaches the engine's
+	// ExplainCtx, one at a time, on the slot that admitted its batch.
+	eng := &countingEngine{}
+	s = New(Config{Workers: 1, CacheSize: -1, WrapEngine: func(e crsky.Explainer) crsky.Explainer {
+		eng.Explainer = e
+		return eng
+	}})
+	c = newTestClient(t, s)
+	c.registerSample("lUrU", w.ds)
+	for b := 0; b < 2; b++ {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			items := make([]BatchExplainItemRequest, 8)
+			for k := range items {
+				items[k] = BatchExplainItemRequest{Q: []float64{w.q[0] + float64(b*8+k)*1e-7, w.q[1]}, An: w.ids[0]}
+			}
+			resp, raw := c.do(http.MethodPost, "/v2/explain", &BatchExplainRequest{Dataset: "lUrU", Items: items,
+				Alpha: 0.5, Options: OptionsSpec{MaxCandidates: 64}, NoCache: true})
+			if n := bytes.Count(raw, []byte("\n")); resp.StatusCode != http.StatusOK || n != len(items) {
+				t.Errorf("batch %d: status %d, %d lines, want 200 and %d lines", b, resp.StatusCode, n, len(items))
+			}
+		}(b)
+	}
+	wg.Wait()
+	if calls, peak := eng.calls.Load(), eng.running.Peak(); calls != 16 || peak != 1 {
+		t.Fatalf("ExplainCtx: %d calls, %d at once at the peak; want 16 calls, one at a time", calls, peak)
+	}
+	if peak := s.pool.inflight.Peak(); peak != 1 {
+		t.Fatalf("peak in-flight = %d, want 1", peak)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	crsky "github.com/crsky/crsky"
 	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/geom"
 	"github.com/crsky/crsky/internal/uncertain"
@@ -116,8 +115,9 @@ func explainKey(name string, gen uint64, q geom.Point, an int, alpha float64, op
 // writeComputeError renders a compute-path failure: cancellations and
 // admission sheds become 503s with the COMPUTED Retry-After (queue depth ×
 // recent median slot wait, capped — see retryAfter), integrity failures
-// 500s, engine errors their mapped client status. Panics never get here:
-// they unwind to the instrument middleware, which answers 500.
+// and recovered explain-item panics 500s, engine errors their mapped
+// client status. Any other panic unwinds to the instrument middleware,
+// which answers 500.
 func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errShed),
@@ -125,7 +125,7 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 		errors.Is(err, context.DeadlineExceeded):
 		w.Header().Set("Retry-After", s.retryAfter())
 		s.writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, errVerificationFailed):
+	case errors.Is(err, errVerificationFailed), errors.Is(err, errItemPanicked):
 		s.writeError(w, http.StatusInternalServerError, err)
 	default:
 		s.writeError(w, statusFor(err), err)
@@ -209,8 +209,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	s.serveExplain(w, r, &explainCall{
 		ent:     ent,
-		reqs:    []crsky.ExplainRequest{{ID: req.An, Q: q, Alpha: alpha}},
+		ans:     []int{req.An},
+		qs:      []geom.Point{q},
 		keys:    []string{explainKey(ent.name, ent.gen, q, req.An, alpha, opts)},
+		alpha:   alpha,
 		opts:    opts,
 		verify:  req.Verify,
 		noCache: req.NoCache,

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	crsky "github.com/crsky/crsky"
 	"github.com/crsky/crsky/internal/geom"
 )
 
@@ -16,6 +15,10 @@ import (
 // engine produced an explanation the independent Definition-1 verifier
 // rejected — which must surface as a 500, never a client error.
 var errVerificationFailed = errors.New("explanation failed verification")
+
+// errItemPanicked marks an explain item whose computation panicked. The
+// panic is recovered on the item, so it fails alone as a server error.
+var errItemPanicked = errors.New("internal error: panic while explaining")
 
 // resolveBatch validates the shared (dataset, alpha, quadNodes) fields and
 // every query point of a batch request, mirroring resolve.
@@ -76,11 +79,10 @@ func (st *ndjsonStream) write(line any) {
 }
 
 // ndjsonFrontier is the /v2 itemWriter: it turns out-of-order item
-// completions into request-ordered NDJSON lines, flushing the longest ready
-// prefix on every put. Engine emit callbacks are serialized by the engine
-// contract but arrive on engine worker goroutines; the mutex both
-// serializes them against the handler goroutine and publishes line writes
-// to whichever goroutine ends up flushing them.
+// completions (cached hits first, then computed items) into
+// request-ordered NDJSON lines, flushing the longest ready prefix on every
+// put. Puts and finish run on the handler goroutine; the mutex keeps the
+// writer safe for a caller that puts from another goroutine.
 type ndjsonFrontier struct {
 	s    *Server
 	r    *http.Request
@@ -207,19 +209,22 @@ func (s *Server) handleExplainV2(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	reqs := make([]crsky.ExplainRequest, len(req.Items))
+	ans := make([]int, len(req.Items))
 	for i, it := range req.Items {
-		reqs[i] = crsky.ExplainRequest{ID: it.An, Q: qs[i], Alpha: alpha, Timeout: itemTimeout}
+		ans[i] = it.An
 	}
 	s.serveExplain(w, r, &explainCall{
-		ent:     ent,
-		reqs:    reqs,
-		keys:    req.itemKeys(ent),
-		opts:    req.Options.toOptions(),
-		verify:  req.Verify,
-		noCache: req.NoCache,
-		class:   priorityFrom(r, classExplain),
-	}, newNDJSONFrontier(s, w, r, len(reqs), func(i int, it item) any {
+		ent:         ent,
+		ans:         ans,
+		qs:          qs,
+		keys:        req.itemKeys(ent),
+		alpha:       alpha,
+		itemTimeout: itemTimeout,
+		opts:        req.Options.toOptions(),
+		verify:      req.Verify,
+		noCache:     req.NoCache,
+		class:       priorityFrom(r, classExplain),
+	}, newNDJSONFrontier(s, w, r, len(ans), func(i int, it item) any {
 		if it.err != nil {
 			return BatchExplainItem{Index: i, Error: it.err.Error()}
 		}

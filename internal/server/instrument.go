@@ -118,6 +118,13 @@ func outcomeFor(status int) string {
 
 const modelNone = "-" // routes (or failures) with no resolved dataset
 
+// recordPanic counts a recovered panic in requests.panics and logs it with
+// the stack of the goroutine that panicked.
+func (s *Server) recordPanic(what string, rec any) {
+	s.panics.Inc()
+	log.Printf("crskyd: panic %s: %v\n%s", what, rec, debug.Stack())
+}
+
 // recovering runs fn and converts a handler-goroutine panic into a 500 with
 // a counted, stack-logged crash record instead of a torn-down connection.
 // A panic in a pooled computation on the handler goroutine unwinds here
@@ -132,8 +139,7 @@ func (s *Server) recovering(route string, sw *statusWriter, fn func()) {
 		if rec == http.ErrAbortHandler {
 			panic(rec)
 		}
-		s.panics.Inc()
-		log.Printf("crskyd: panic serving %s: %v\n%s", route, rec, debug.Stack())
+		s.recordPanic("serving "+route, rec)
 		if sw.status == 0 {
 			s.writeError(sw, http.StatusInternalServerError,
 				fmt.Errorf("internal error: panic while serving %s", route))

@@ -55,7 +55,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		draining = 1
 	}
 	obs.PromValue(&b, "crsky_draining", nil, draining)
-	obs.PromHead(&b, "crsky_panics_total", "counter", "Handler panics recovered into 500 responses.")
+	obs.PromHead(&b, "crsky_panics_total", "counter", "Recovered panics: handler panics answered 500, and explain items that failed alone.")
 	obs.PromValue(&b, "crsky_panics_total", nil, float64(s.panics.Value()))
 
 	cs := s.cache.Stats()

@@ -468,6 +468,70 @@ func TestWatchRejections(t *testing.T) {
 	c.post("/v2/watch", &WatchRequest{Dataset: "ghost", Q: flipQ, An: 0}, nil, http.StatusNotFound)
 }
 
+// TestWatchRepairShrunk tracks a watched non-answer's minimal repair. On
+// certain data the repair is the object's dominator set (Lemma 7), so with
+// two dominators the subscription registers with both; deleting one pushes
+// "repair_shrunk" with the other at the delete's generation, and deleting
+// the other flips the object and ends the stream.
+func TestWatchRepairShrunk(t *testing.T) {
+	s := New(Config{Workers: 2})
+	c := newTestClient(t, s)
+	c.post("/v1/datasets", &DatasetRequest{Name: "shrink", Model: ModelCertain, Points: [][]float64{
+		{1, 1},   // 0: dominates q w.r.t. an
+		{2, 3},   // 1: dominates q w.r.t. an
+		{4, 4},   // 2: an
+		{20, 20}, // 3: bystander
+	}}, nil, http.StatusCreated)
+	sc, closeStream := watchStream(t, c, &WatchRequest{Dataset: "shrink", Q: flipQ, An: 2, Repair: true})
+	defer closeStream()
+	if ev := nextEvent(t, sc); ev.Event != watch.KindRegistered || !slices.Equal(ev.Repair, []int{0, 1}) {
+		t.Fatalf("first line = %+v, want registered with repair [0 1]", ev)
+	}
+	del := func(id int) uint64 {
+		t.Helper()
+		var mr MutationResponse
+		resp, raw := c.do(http.MethodDelete, fmt.Sprintf("/v2/datasets/shrink/objects/%d", id), nil)
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &mr) != nil {
+			t.Fatalf("delete %d: status %d (%s)", id, resp.StatusCode, raw)
+		}
+		return mr.Generation
+	}
+
+	gen := del(0)
+	if ev := nextEvent(t, sc); ev.Event != watch.KindRepairShrunk || ev.An != 2 || ev.Answer ||
+		ev.Generation != gen || !slices.Equal(ev.Repair, []int{1}) {
+		t.Fatalf("event after the first delete = %+v, want repair_shrunk to [1] at generation %d", ev, gen)
+	}
+	gen = del(1)
+	if ev := nextEvent(t, sc); ev.Event != watch.KindFlipped || ev.An != 2 || !ev.Answer || ev.Generation != gen {
+		t.Fatalf("event after the second delete = %+v, want flipped at generation %d", ev, gen)
+	}
+	if sc.Scan() {
+		t.Fatalf("unexpected event after terminal flip: %q", sc.Text())
+	}
+
+	s.watch.WaitIdle()
+	var st StatsResponse
+	c.mustGet("/v1/stats", &st)
+	if st.Watch.RepairShrunk != 1 {
+		t.Fatalf("watch stats = %+v, want one repair_shrunk", st.Watch)
+	}
+	admin := httptest.NewServer(s.AdminHandler())
+	defer admin.Close()
+	resp, err := http.Get(admin.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `crsky_watch_events_total{kind="repair_shrunk"} 1`; !strings.Contains(string(body), want) {
+		t.Fatalf("/metrics missing %q", want)
+	}
+}
+
 // TestWatchReevalOneSlot: one re-evaluation round probes every affected
 // subscription in one pool slot, whatever their (alpha, quadNodes), and
 // flips exactly the subscriptions whose object entered the answer.

@@ -52,8 +52,8 @@ type Config struct {
 	// negative disables caching).
 	CacheSize int
 	// Workers bounds concurrently executing compute requests (default
-	// GOMAXPROCS). A query holds one slot and runs on one core, so Workers
-	// also bounds the cores queries use.
+	// GOMAXPROCS). Every computation holds one slot and runs on one core,
+	// so Workers also bounds the cores all compute uses.
 	Workers int
 	// MaxBodyBytes caps request bodies (default 64 MiB).
 	MaxBodyBytes int64

@@ -326,8 +326,7 @@ func TestServerEndToEndPDF(t *testing.T) {
 // TestServerRejectsOversizedQuadNodes sends a quadNodes the server must not
 // build to every endpoint that carries one: each answers 400, and the
 // server keeps answering afterwards. Unchecked, such a value reaches the
-// quadrature in an engine worker goroutine, where the k^d node allocation
-// crashes the whole process.
+// quadrature, where the k^d node allocation crashes the whole process.
 func TestServerRejectsOversizedQuadNodes(t *testing.T) {
 	c := newTestClient(t, New(Config{Workers: 2, CacheSize: 16}))
 	// One object per octant around q: none dominates another outright, so

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"time"
 
 	"github.com/crsky/crsky/internal/causality"
 	"github.com/crsky/crsky/internal/ctxutil"
@@ -40,11 +37,12 @@ import (
 //     ErrBadAlpha otherwise.
 //   - Each operation has one v2 method. A query is a batch of one:
 //     QueryCtx runs the engine's QueryBatchStream path on its single point,
-//     and a nil emit turns either streaming batch method into a plain
-//     batch call. One object's membership is ProbCtx. The naive oracles the
-//     engines are tested against are not engine methods: they live next
-//     to the code they check (causality.NaivePRSQ, NaiveI and NaiveII,
-//     prob.PRSQPDF).
+//     and a nil emit turns QueryBatchStream into a plain batch call.
+//     Explanations have no batch method: two explanations share no work,
+//     so a batch of them is a loop over ExplainCtx. One object's
+//     membership is ProbCtx. The naive oracles the engines are tested
+//     against are not engine methods: they live next to the code they
+//     check (causality.NaivePRSQ, NaiveI and NaiveII, prob.PRSQPDF).
 
 // CanceledError is the typed error wrapped into every cancellation return:
 // it unwraps to the context error and carries the partial work counters
@@ -55,30 +53,6 @@ type CanceledError = ctxutil.CanceledError
 // ErrBadAlpha reports a probability threshold outside the engine's domain:
 // (0, 1] for the probabilistic engines, exactly 1 for CertainEngine.
 var ErrBadAlpha = errors.New("crsky: alpha out of range for this engine")
-
-// ExplainRequest is one item of an ExplainBatchStream call.
-type ExplainRequest struct {
-	// ID is the non-answer object to explain.
-	ID int
-	// Q is the query point.
-	Q Point
-	// Alpha is the probability threshold (must be 1 for CertainEngine).
-	Alpha float64
-	// Timeout, when positive, bounds this item alone: the item's search
-	// runs under a deadline derived from the batch context, and hitting it
-	// fails just this item — its siblings keep computing, and a streaming
-	// batch keeps emitting past it. Zero means no per-item bound.
-	Timeout time.Duration
-}
-
-// ExplainItem is the per-item outcome of an ExplainBatchStream call:
-// exactly one of Result and Err is set. Index is the position in the
-// request slice.
-type ExplainItem struct {
-	Index  int
-	Result *Explanation
-	Err    error
-}
 
 // Querier is the model-generic query surface shared by all three engines.
 type Querier interface {
@@ -127,16 +101,10 @@ type Explainer interface {
 	Querier
 	Mutable
 	// ExplainCtx computes the causality and responsibility for non-answer
-	// id (ErrNotNonAnswer if it is an answer).
+	// id (ErrNotNonAnswer if it is an answer). The search runs on the
+	// caller's goroutine: callers that want throughput explain several
+	// non-answers concurrently, which the engines allow after Warm.
 	ExplainCtx(ctx context.Context, id int, q Point, alpha float64, opts Options) (*Explanation, error)
-	// ExplainBatchStream explains many non-answers with per-item results
-	// and errors; one item's failure (or cancellation after some items
-	// have finished) never discards its siblings' results. A per-item
-	// ExplainRequest.Timeout bounds that item alone. A non-nil emit
-	// observes every item in request order, each exactly once, as soon as
-	// it and every earlier item have finished. Emit calls are serialized;
-	// the callback must not call back into the engine.
-	ExplainBatchStream(ctx context.Context, reqs []ExplainRequest, opts Options, emit func(ExplainItem)) []ExplainItem
 	// RepairCtx finds a smallest removal set making non-answer id an
 	// answer.
 	RepairCtx(ctx context.Context, id int, q Point, alpha float64, opts Options) (*Repair, error)
@@ -205,109 +173,6 @@ func queryOne(out [][]int, st QueryStats, err error) ([]int, QueryStats, error) 
 	return out[0], st, nil
 }
 
-// explainBatch fans reqs out over min(GOMAXPROCS, len(reqs)) worker
-// goroutines, collecting per-item results; the item fan-out is the only
-// parallelism on the explain path, since each item's search is serial. A
-// single-item batch degenerates to one explain call on the caller's
-// goroutine. The caller warms the engine first: the workers share its lazy
-// index. After a cancellation the unstarted items are marked with the
-// wrapped context error; finished items keep their results.
-//
-// A positive ExplainRequest.Timeout wraps that item's context alone, so a
-// hard item times out by itself instead of eating the batch deadline. A
-// non-nil emit observes finished items in request order, each exactly
-// once, behind an ordered frontier: item i fires as soon as items 0..i
-// have all finished, however the workers interleave.
-func explainBatch(ctx context.Context, reqs []ExplainRequest, opts Options,
-	explain func(ctx context.Context, id int, q Point, alpha float64, opts Options) (*Explanation, error),
-	emit func(ExplainItem)) []ExplainItem {
-
-	items := make([]ExplainItem, len(reqs))
-	for i := range items {
-		items[i].Index = i
-	}
-	if len(reqs) == 0 {
-		return items
-	}
-
-	// runOne executes one item under its per-item deadline (if any).
-	runOne := func(ctx context.Context, i int) {
-		if d := reqs[i].Timeout; d > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
-		}
-		items[i].Result, items[i].Err = explain(ctx, reqs[i].ID, reqs[i].Q, reqs[i].Alpha, opts)
-	}
-
-	if len(reqs) == 1 {
-		runOne(ctx, 0)
-		if emit != nil {
-			emit(items[0])
-		}
-		return items
-	}
-	workers := min(runtime.GOMAXPROCS(0), len(reqs))
-
-	// The ordered emission frontier: finished marks completed items, and
-	// the frontier advances — emitting under the mutex, so calls are
-	// serialized and strictly ordered — whenever the next unemitted item
-	// has finished. The mutex also publishes the worker's writes to
-	// items[i] to whichever goroutine later emits it.
-	var mu sync.Mutex
-	finished := make([]bool, len(reqs))
-	next := 0
-	finish := func(i int) {
-		if emit == nil {
-			return
-		}
-		mu.Lock()
-		finished[i] = true
-		for next < len(finished) && finished[next] {
-			emit(items[next])
-			next++
-		}
-		mu.Unlock()
-	}
-
-	// runItem isolates one item, converting a panic into that item's error:
-	// these worker goroutines are not under net/http's recover, so an
-	// unrecovered engine panic would kill the whole process instead of one
-	// batch item.
-	runItem := func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				items[i].Err = fmt.Errorf("crsky: explain item %d panicked: %v", i, r)
-			}
-			finish(i)
-		}()
-		runOne(ctx, i)
-	}
-	jobs := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range jobs {
-				if err := ctxPrecheck(ctx); err != nil {
-					items[i].Err = err
-					finish(i)
-					continue
-				}
-				runItem(i)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := range reqs {
-		jobs <- i
-	}
-	close(jobs)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	return items
-}
-
 // --- Engine (discrete-sample model) -----------------------------------
 
 // QueryCtx implements Querier: the index-accelerated query (one R-tree
@@ -351,13 +216,6 @@ func (e *Engine) ProbCtx(ctx context.Context, id int, q Point, opts QueryOptions
 // ExplainCtx implements Explainer: algorithm CP under a context.
 func (e *Engine) ExplainCtx(ctx context.Context, id int, q Point, alpha float64, opts Options) (*Explanation, error) {
 	return causality.CPCtx(ctx, e.ds, q, id, alpha, opts)
-}
-
-// ExplainBatchStream implements Explainer. It warms the engine before the
-// fan-out, so the batch's workers never race on the lazy R-tree build.
-func (e *Engine) ExplainBatchStream(ctx context.Context, reqs []ExplainRequest, opts Options, emit func(ExplainItem)) []ExplainItem {
-	e.Warm()
-	return explainBatch(ctx, reqs, opts, e.ExplainCtx, emit)
 }
 
 // RepairCtx implements Explainer: a smallest set of objects whose removal
@@ -470,11 +328,6 @@ func (e *CertainEngine) ExplainCtx(ctx context.Context, id int, q Point, alpha f
 	return causality.CR(e.ix, q, id)
 }
 
-// ExplainBatchStream implements Explainer.
-func (e *CertainEngine) ExplainBatchStream(ctx context.Context, reqs []ExplainRequest, opts Options, emit func(ExplainItem)) []ExplainItem {
-	return explainBatch(ctx, reqs, opts, e.ExplainCtx, emit)
-}
-
 // RepairCtx implements Explainer in closed form (Lemma 7): the unique
 // minimum repair is the whole dominator set Cc, found by CR's window query
 // (Exact, NewPr = 1). alpha is validated to be exactly 1; opts carries no
@@ -561,13 +414,6 @@ func (e *PDFEngine) ExplainCtx(ctx context.Context, id int, q Point, alpha float
 		return nil, err
 	}
 	return causality.CPPDFCtx(ctx, e.set, q, id, alpha, opts)
-}
-
-// ExplainBatchStream implements Explainer. It warms the engine before the
-// fan-out, so the batch's workers never race on the lazy R-tree build.
-func (e *PDFEngine) ExplainBatchStream(ctx context.Context, reqs []ExplainRequest, opts Options, emit func(ExplainItem)) []ExplainItem {
-	e.Warm()
-	return explainBatch(ctx, reqs, opts, e.ExplainCtx, emit)
 }
 
 // RepairCtx implements Explainer: CPPDF's sub-quadrant candidate filter
